@@ -2,30 +2,20 @@
 
 Commands: invert, verify, compare, phasematch, spdc, convert. Exit codes:
 0 success, 1 a verification expectation failed, 2 bad input. All emitted
-JSON/CSV is byte-deterministic for a given configuration; DQUANT_THREADS
-caps how many independent checks run concurrently.
+JSON/CSV is byte-deterministic for a given configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from math import pi, sqrt
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
-    EvolutionConfig,
-    compare_schemes,
-    conversion_series,
-    frequency_conversion,
-    spdc_squeezing,
-    squeezing_series,
-)
+from .dynamics import EvolutionConfig, compare_schemes, frequency_conversion, spdc_squeezing
 from .hamiltonian import (
     build_interaction,
     make_three_wave_modes,
@@ -48,22 +38,6 @@ EXIT_EXPECTATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DQUANT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over independent work items, thread-capped."""
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(args, name: str, text: str):
     if args.out:
         path = write_text(Path(args.out) / name, text)
@@ -80,7 +54,7 @@ def _load_medium_arg(args) -> MediumSpec:
 
 def cmd_invert(args) -> int:
     medium = _load_medium_arg(args)
-    order = args.order or max(2, medium.highest_order)
+    order = args.order if args.order is not None else max(2, medium.highest_order)
     etas = invert_series(medium, order)
     gammas = [gamma_from_eta(t, medium.units) for t in etas]
     doc = {
@@ -100,15 +74,9 @@ def cmd_verify(args) -> int:
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
 
-    jobs = [(scheme, law) for scheme in ("D-based", "E-linear-wrong")
-            for law in ("faraday", "ampere")]
-
-    def run(job):
-        scheme, law = job
-        fn = verify_faraday if law == "faraday" else verify_ampere
-        return fn(ms, medium, scheme, units=medium.units)
-
-    reports = parallel_map(run, jobs)
+    reports = [verify(ms, medium, scheme, units=medium.units)
+               for scheme in ("D-based", "E-linear-wrong")
+               for verify in (verify_faraday, verify_ampere)]
     print(f"{'scheme':<16} {'law':<8} {'m':>4} {'residual':<13} {'degrees':<8} pass")
     for rep in reports:
         degrees = f"{rep.degree_lhs} vs {rep.degree_rhs}"
@@ -150,6 +118,8 @@ def cmd_phasematch(args) -> int:
 def _interaction_from_args(args):
     """Matched three-wave setup from the medium (or the built-in default)."""
     medium = load_medium(args.medium) if args.medium else MediumSpec.from_scalars([0.0, 0.4])
+    if medium.chi(2).is_zero():
+        raise ValueError("three-wave mixing needs a medium with nonzero chi(2)")
     units = medium.units
     n_index = sqrt(1.0 + medium.chi(1).item())
     ms, triple = make_three_wave_modes(1, 2, n_index, 2 * pi, units, length=args.length)
@@ -168,7 +138,7 @@ def _interaction_doc(params) -> dict:
     }
 
 
-def _sweep_output(args, rows, series_name: str, doc_extra: dict) -> None:
+def _sweep_output(args, rows, series_name: str) -> None:
     long_rows = []
     for t, correct, wrong in rows:
         long_rows.append((t, correct, "correct"))
@@ -177,7 +147,6 @@ def _sweep_output(args, rows, series_name: str, doc_extra: dict) -> None:
         _emit(args, f"{series_name}.csv", csv_text(["t", "observable", "scheme"], long_rows))
     else:
         doc = {"rows": [{"t": t, "observable": v, "scheme": s} for t, v, s in long_rows]}
-        doc.update(doc_extra)
         _emit(args, f"{series_name}.json", dumps(doc))
 
 
@@ -186,9 +155,8 @@ def cmd_spdc(args) -> int:
     cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
                           pump=args.pump)
     pair = spdc_squeezing(params, cfg, hbar=units.hbar)
-    rows = squeezing_series(params, cfg, hbar=units.hbar)
     _emit(args, "interaction.json", dumps(_interaction_doc(params)))
-    _sweep_output(args, rows, "spdc_sweep", {})
+    _sweep_output(args, pair.series, "spdc_sweep")
     _emit(args, "spdc_result.json", dumps({
         "r_correct": pair.correct,
         "r_wrong": pair.wrong,
@@ -208,13 +176,12 @@ def cmd_convert(args) -> int:
     cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
                           pump=args.pump)
     pair = frequency_conversion(params, cfg, hbar=units.hbar)
-    rows = conversion_series(params, cfg, hbar=units.hbar)
     _emit(args, "interaction.json", dumps(_interaction_doc(params)))
-    _sweep_output(args, rows, "conversion_sweep", {})
+    _sweep_output(args, pair.series, "conversion_sweep")
     _emit(args, "conversion_result.json", dumps({
         "p_correct": pair.correct,
         "p_wrong": pair.wrong,
-        "ratio": pair.ratio if pair.correct else float("nan"),
+        "ratio": pair.ratio,
         "truncation_safe": pair.truncation_safe,
     }))
     print(f"conversion P: correct {pair.correct:.6g}, wrong {pair.wrong:.6g}")

@@ -26,8 +26,6 @@ from .hamiltonian import InteractionParams, prefactor_ratio, scheme_resonant_coe
 
 NORM_TOL = 1e-10
 EDGE_POPULATION_TOL = 1e-6
-#: expm action above this dimension switches to error-controlled stepping
-DENSE_EXP_DIM = 4000
 
 
 @dataclass(frozen=True)
@@ -44,8 +42,8 @@ class EvolutionConfig:
             raise ValueError("fock cutoff must be at least 2")
         if self.steps < 1:
             raise ValueError("need at least one evolution step")
-        if self.t_final < 0:
-            raise ValueError("evolution time must be non-negative")
+        if self.t_final <= 0:
+            raise ValueError("evolution time must be positive")
         if isinstance(self.pump, str) and self.pump != "quantum":
             raise ValueError("pump must be 'quantum' or a classical amplitude")
 
@@ -101,7 +99,6 @@ def evolve(
     if t == 0.0:
         states = np.tile(psi0, (steps + 1, 1))
     else:
-        # error-controlled exponential action; exact well past DENSE_EXP_DIM
         states = spla.expm_multiply(generator, psi0.astype(complex),
                                     start=0.0, stop=t, num=steps + 1, endpoint=True)
     norms = np.linalg.norm(states, axis=1)
@@ -144,15 +141,19 @@ def coherent_state(space: FockSpace, mode: int, alpha: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchemePair:
-    """One observable evaluated under the correct and the wrong route."""
+    """One observable evaluated under the correct and the wrong route.
+
+    ``series`` holds the (t, correct, wrong) samples the values were read from.
+    """
 
     correct: float
     wrong: float
-    truncation_safe: bool = True
+    truncation_safe: bool
+    series: tuple[tuple[float, float, float], ...]
 
     @property
     def ratio(self) -> float:
-        return self.wrong / self.correct
+        return self.wrong / self.correct if self.correct else float("nan")
 
 
 def _coupling(params: InteractionParams, cfg: EvolutionConfig, hbar: float) -> float:
@@ -172,16 +173,31 @@ def beamsplitter(g: float, hbar: float = 1.0) -> BosonicPolynomial:
     return hop + hop.dagger()
 
 
-def _squeezing_parameter(g: float, cfg: EvolutionConfig, hbar: float) -> tuple[float, bool]:
-    """Evolve |00> under the two-mode squeezer and fit <n_A> = sinh^2(g t)."""
-    space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
-    res = evolve(two_mode_squeezer(g, hbar), space, space.vacuum(), cfg.t_final,
-                 hbar=hbar, steps=cfg.steps)
-    ts = res.times[1:]
-    ys = np.array([asinh(sqrt(occupation_expectation(space, s, 0)))
-                   for s in res.states[1:]])
-    slope = float(np.dot(ts, ys) / np.dot(ts, ts))
-    return slope * cfg.t_final, res.truncation_safe
+def _scheme_series(hamiltonian, space: FockSpace, psi0: np.ndarray, observable,
+                   cfg: EvolutionConfig, hbar: float, order: int):
+    """(t, correct, wrong) samples of observable(state), and whether both runs are safe.
+
+    ``hamiltonian(scale)`` is the interaction at ``scale`` times the correct
+    route's strength; the wrong route runs at the magnitude of the order-n
+    prefactor ratio. Each route is evolved once.
+    """
+    samples = []
+    safe = True
+    for scale in (1.0, abs(float(prefactor_ratio(order)))):
+        res = evolve(hamiltonian(scale), space, psi0, cfg.t_final, hbar=hbar, steps=cfg.steps)
+        samples.append([observable(s) for s in res.states])
+        safe = safe and res.truncation_safe
+    return tuple((float(t), c, w) for t, c, w in zip(res.times, *samples)), safe
+
+
+def _sinh2_fit(series, column: int) -> float:
+    """r = g t_final from a least-squares fit of <n_A> = sinh^2(g t) to one column.
+
+    The last sample of the series is at t_final.
+    """
+    ts = np.array([row[0] for row in series[1:]])
+    ys = np.array([asinh(sqrt(row[column])) for row in series[1:]])
+    return float(np.dot(ts, ys) / np.dot(ts, ts)) * series[-1][0]
 
 
 def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
@@ -192,94 +208,50 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
     H = hbar g (a_A^dag a_B^dag + H.c.), g = |theta| |beta| Phi / hbar; the
     wrong route multiplies the coupling magnitude by the order-n prefactor
     ratio. For pump="quantum" the full three-mode evolution runs instead,
-    with the pump in a truncated coherent state.
+    with the pump in a truncated coherent state of amplitude 2 (undepleted
+    but quantum). The series holds <n_A>(t) per route.
     """
-    if not cfg.classical_pump:
-        return _quantum_pump_squeezing(params, cfg, hbar, order)
-    g = _coupling(params, cfg, hbar)
-    wrong_scale = abs(float(prefactor_ratio(order)))
-    r_correct, safe_c = _squeezing_parameter(g, cfg, hbar)
-    r_wrong, safe_w = _squeezing_parameter(wrong_scale * g, cfg, hbar)
-    return SchemePair(correct=r_correct, wrong=r_wrong,
-                      truncation_safe=safe_c and safe_w)
+    if cfg.classical_pump:
+        g = _coupling(params, cfg, hbar)
+        space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
+        psi0 = space.vacuum()
 
+        def hamiltonian(scale):
+            return two_mode_squeezer(scale * g, hbar)
+    else:
+        beta = 2.0  # modest amplitude; keeps the pump sector truncation-safe
+        pump_cutoff = max(cfg.n_max, int(abs(beta) ** 2 + 6 * abs(beta)))
+        space = FockSpace(modes=(0, 1, 2),
+                          cutoff={0: cfg.n_max, 1: cfg.n_max, 2: pump_cutoff})
+        term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)},
+                                          coeff=params.theta * params.phi)
+        h3 = term + term.dagger()
+        psi0 = coherent_state(space, 2, beta)
 
-def _quantum_pump_squeezing(params: InteractionParams, cfg: EvolutionConfig,
-                            hbar: float, order: int) -> SchemePair:
-    """Full three-mode evolution with an undepleted-but-quantum pump."""
-    beta = 2.0  # modest default amplitude; keep the pump sector truncation-safe
-    pump_cutoff = max(cfg.n_max, int(abs(beta) ** 2 + 6 * abs(beta)))
-    space = FockSpace(modes=(0, 1, 2), cutoff={0: cfg.n_max, 1: cfg.n_max, 2: pump_cutoff})
-    term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)},
-                                      coeff=params.theta * params.phi)
-    h3 = term + term.dagger()
-    psi0 = coherent_state(space, 2, beta)
-
-    def fitted_r(h):
-        res = evolve(h, space, psi0, cfg.t_final, hbar=hbar, steps=cfg.steps)
-        ts = res.times[1:]
-        ys = np.array([asinh(sqrt(occupation_expectation(space, s, 0)))
-                       for s in res.states[1:]])
-        return float(np.dot(ts, ys) / np.dot(ts, ts)) * cfg.t_final, res.truncation_safe
-
-    scale = abs(float(prefactor_ratio(order)))
-    r_c, safe_c = fitted_r(h3)
-    r_w, safe_w = fitted_r(scale * h3)
-    return SchemePair(correct=r_c, wrong=r_w, truncation_safe=safe_c and safe_w)
+        def hamiltonian(scale):
+            return scale * h3
+    series, safe = _scheme_series(hamiltonian, space, psi0,
+                                  lambda s: occupation_expectation(space, s, 0),
+                                  cfg, hbar, order)
+    return SchemePair(correct=_sinh2_fit(series, 1), wrong=_sinh2_fit(series, 2),
+                      truncation_safe=safe, series=series)
 
 
 def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
                          hbar: float = 1.0, order: int = 2) -> SchemePair:
-    """P(|1,0> -> |0,1>) at t_final per scheme: sin^2(g t) Rabi exchange."""
-    g = _coupling(params, cfg, hbar)
-    wrong_scale = abs(float(prefactor_ratio(order)))
-    values = []
-    safe = True
-    for coupling in (g, wrong_scale * g):
-        space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
-        psi0 = space.basis_state([1, 0])
-        res = evolve(beamsplitter(coupling, hbar), space, psi0, cfg.t_final,
-                     hbar=hbar, steps=cfg.steps)
-        target = space.basis_state([0, 1])
-        values.append(float(np.abs(np.vdot(target, res.state)) ** 2))
-        safe = safe and res.truncation_safe
-    return SchemePair(correct=values[0], wrong=values[1], truncation_safe=safe)
+    """P(|1,0> -> |0,1>) at t_final per scheme: sin^2(g t) Rabi exchange.
 
-
-def conversion_series(params: InteractionParams, cfg: EvolutionConfig,
-                      hbar: float = 1.0, order: int = 2):
-    """(t, P_correct, P_wrong) samples for sweep output."""
+    The series holds the conversion probability at every sample time.
+    """
     g = _coupling(params, cfg, hbar)
-    wrong_scale = abs(float(prefactor_ratio(order)))
-    series = []
     space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
-    psi0 = space.basis_state([1, 0])
     target = space.basis_state([0, 1])
-    rows = {}
-    for label, coupling in (("correct", g), ("wrong", wrong_scale * g)):
-        res = evolve(beamsplitter(coupling, hbar), space, psi0, cfg.t_final,
-                     hbar=hbar, steps=cfg.steps)
-        rows[label] = [float(np.abs(np.vdot(target, s)) ** 2) for s in res.states]
-        times = res.times
-    for i, t in enumerate(times):
-        series.append((float(t), rows["correct"][i], rows["wrong"][i]))
-    return series
-
-
-def squeezing_series(params: InteractionParams, cfg: EvolutionConfig,
-                     hbar: float = 1.0, order: int = 2):
-    """(t, <n_A>_correct, <n_A>_wrong) samples for sweep output."""
-    g = _coupling(params, cfg, hbar)
-    wrong_scale = abs(float(prefactor_ratio(order)))
-    space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
-    rows = {}
-    for label, coupling in (("correct", g), ("wrong", wrong_scale * g)):
-        res = evolve(two_mode_squeezer(coupling, hbar), space, space.vacuum(),
-                     cfg.t_final, hbar=hbar, steps=cfg.steps)
-        rows[label] = [occupation_expectation(space, s, 0) for s in res.states]
-        times = res.times
-    return [(float(t), rows["correct"][i], rows["wrong"][i])
-            for i, t in enumerate(times)]
+    series, safe = _scheme_series(lambda scale: beamsplitter(scale * g, hbar), space,
+                                  space.basis_state([1, 0]),
+                                  lambda s: float(np.abs(np.vdot(target, s)) ** 2),
+                                  cfg, hbar, order)
+    return SchemePair(correct=series[-1][1], wrong=series[-1][2], truncation_safe=safe,
+                      series=series)
 
 
 @dataclass(frozen=True)

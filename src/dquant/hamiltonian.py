@@ -34,7 +34,6 @@ from .units import UnitSystem
 
 logger = logging.getLogger(__name__)
 
-HERMITICITY_TOL = 1e-12
 #: generous phase-matching budget: |delta_k| L / 2 below this many radians
 MATCHING_BUDGET = 10 * pi
 
@@ -115,7 +114,7 @@ class HamiltonianSpec:
         ):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         for part, name in ((self.linear, "linear"), (self.nonlinear, "nonlinear")):
-            if not part.is_hermitian(HERMITICITY_TOL):
+            if not part.is_hermitian():
                 raise ValueError(f"{name} part is not Hermitian")
         for key in self.linear.terms:
             if any(c != a for _, c, a in key):

@@ -16,7 +16,7 @@ the induction field.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import pi
 from typing import Sequence
 
@@ -26,8 +26,6 @@ from scipy.optimize import brentq
 from .units import UnitSystem
 
 logger = logging.getLogger(__name__)
-
-NORMALIZATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,29 +93,6 @@ def normalize(p: ModeProfile, omega: float, units: UnitSystem) -> ModeProfile:
     """Rescale d and b so the normalization integral equals one."""
     scale = 1.0 / np.sqrt(normalization_integral(p, omega, units))
     return replace(p, d=p.d * scale, b=p.b * scale)
-
-
-@dataclass(frozen=True)
-class DispersionTable:
-    """Sampled dispersion of one mode family."""
-
-    family: str
-    k: np.ndarray
-    omega: np.ndarray
-    vg: np.ndarray
-    vp: np.ndarray
-
-    def __post_init__(self):
-        for name in ("k", "omega", "vg", "vp"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(self.omega <= 0):
-            raise ValueError("frequencies must be positive")
-        nonzero = self.k != 0
-        if not np.allclose(self.vp[nonzero], self.omega[nonzero] / np.abs(self.k[nonzero]),
-                           rtol=1e-12, atol=0):
-            raise ValueError("phase velocity must equal omega/|k|")
 
 
 @dataclass(frozen=True)
@@ -484,20 +459,3 @@ def solve_slab_modes(
         vg = slab_group_velocity(stack, sol, units) if with_group_velocity else None
         profiles.append(slab_profile(sol, units, points_per_layer=points_per_layer, vg=vg))
     return profiles
-
-
-def slab_dispersion_table(stack: SlabStack, omegas: Sequence[float], units: UnitSystem,
-                          family: str = "TE0") -> DispersionTable:
-    """Fundamental-mode dispersion samples over a frequency sweep."""
-    ks, oms, vgs, vps = [], [], [], []
-    for omega in omegas:
-        sols = _solve_slab_betas(stack, omega, units)
-        if not sols:
-            continue
-        sol = sols[0]
-        ks.append(sol.beta)
-        oms.append(omega)
-        vps.append(omega / sol.beta)
-        vgs.append(slab_group_velocity(stack, sol, units))
-    return DispersionTable(family=family, k=np.array(ks), omega=np.array(oms),
-                           vg=np.array(vgs), vp=np.array(vps))

@@ -31,8 +31,6 @@ TENSOR_ROLES = ("chi", "eta", "gamma")
 
 #: tolerance for exact-algebra identities (matrix round trips, symmetry)
 EXACT_TOL = 1e-12
-#: tolerance for fitted / sampled numeric oracles
-NUMERIC_TOL = 1e-8
 
 
 class NonInvertibleLinearResponseError(ValueError):

@@ -43,6 +43,10 @@ class TestInvert:
         path.write_text("{not json")
         assert main(["invert", "--medium", str(path)]) == 2
 
+    def test_order_zero_exits_2(self, tmp_path):
+        medium = write_medium(tmp_path, [0.5, 0.3])
+        assert main(["invert", "--medium", medium, "--order", "0"]) == 2
+
 
 class TestVerify:
     def test_linear_medium_both_pass(self, tmp_path):
@@ -61,16 +65,6 @@ class TestVerify:
         good = json.loads((out / "verify_faraday_D-based.json").read_text())
         assert good["passed"] is True
         assert (out / "verify_ampere_D-based.json").exists()
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        medium = write_medium(tmp_path, [0.5, 0.3])
-        out_serial = tmp_path / "serial"
-        assert main(["verify", "--medium", medium, "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("DQUANT_THREADS", "4")
-        out_par = tmp_path / "parallel"
-        assert main(["verify", "--medium", medium, "--out", str(out_par)]) == 0
-        for name in ("verify_faraday_D-based.json", "verify_faraday_E-linear-wrong.json"):
-            assert (out_serial / name).read_bytes() == (out_par / name).read_bytes()
 
 
 class TestCompare:
@@ -134,14 +128,43 @@ class TestSweeps:
 
     def test_byte_identical_reruns(self, tmp_path):
         medium = write_medium(tmp_path, [0.2, 0.4])
-        outs = []
-        for name in ("one", "two"):
-            out = tmp_path / name
-            assert main(["spdc", "--medium", medium, "--n-max", "10", "--time", "1.5",
-                         "--steps", "4", "--out", str(out)]) == 0
-            outs.append(out)
-        for fname in ("interaction.json", "spdc_sweep.csv", "spdc_result.json"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        runs = {
+            "spdc": (["spdc", "--medium", medium, "--n-max", "10", "--time", "1.5",
+                      "--steps", "4"],
+                     ("interaction.json", "spdc_sweep.csv", "spdc_result.json")),
+            "verify": (["verify", "--medium", medium],
+                       ("verify_faraday_D-based.json", "verify_ampere_D-based.json",
+                        "verify_faraday_E-linear-wrong.json",
+                        "verify_ampere_E-linear-wrong.json")),
+        }
+        for command, (argv, fnames) in runs.items():
+            outs = []
+            for name in ("one", "two"):
+                out = tmp_path / command / name
+                assert main(argv + ["--out", str(out)]) == 0
+                outs.append(out)
+            for fname in fnames:
+                assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("command", ["spdc", "convert"])
+    def test_zero_time_exits_2(self, command):
+        assert main([command, "--n-max", "4", "--time", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["spdc", "convert"])
+    def test_medium_without_chi2_exits_2(self, tmp_path, command):
+        medium = write_medium(tmp_path, [0.5])
+        assert main([command, "--medium", medium, "--n-max", "4"]) == 2
+
+    def test_vanishing_si_coupling_reports_nan_ratio(self, tmp_path):
+        path = tmp_path / "si.json"
+        path.write_text(json.dumps({"units": "si", "dim": 1,
+                                    "chi": {"1": [1.25], "2": [1e-12]}}))
+        out = tmp_path / "spdc"
+        assert main(["spdc", "--medium", str(path), "--n-max", "4", "--time", "0.5",
+                     "--steps", "2", "--out", str(out)]) == 0
+        result = json.loads((out / "spdc_result.json").read_text())
+        assert result["r_correct"] == 0.0
+        assert result["ratio"] != result["ratio"]  # NaN
 
 
 def test_module_entry_point(tmp_path):

@@ -9,12 +9,10 @@ from dquant.dynamics import (
     beamsplitter,
     coherent_state,
     compare_schemes,
-    conversion_series,
     evolve,
     frequency_conversion,
     occupation_expectation,
     spdc_squeezing,
-    squeezing_series,
     two_mode_squeezer,
 )
 from dquant.hamiltonian import InteractionParams
@@ -121,6 +119,7 @@ class TestFrequencyConversion:
         cfg = EvolutionConfig(n_max=4, t_final=3.0, steps=4, pump=1.0)
         pair = frequency_conversion(params, cfg)
         assert pair.correct == pytest.approx(0.0, abs=1e-12)
+        assert np.isnan(pair.ratio)
 
     def test_rabi_law(self):
         g = 0.3
@@ -151,18 +150,31 @@ class TestSeries:
     def test_conversion_series_shape_and_endpoints(self):
         params = params_with(theta=0.2)
         cfg = EvolutionConfig(n_max=4, t_final=1.0, steps=5, pump=1.0)
-        rows = conversion_series(params, cfg)
+        pair = frequency_conversion(params, cfg)
+        rows = pair.series
         assert len(rows) == 6
         assert rows[0][1] == pytest.approx(0.0, abs=1e-12)
         assert rows[-1][1] == pytest.approx(np.sin(0.2) ** 2, abs=1e-10)
+        assert (pair.correct, pair.wrong) == rows[-1][1:]
 
     def test_squeezing_series_monotone(self):
         params = params_with(theta=0.1)
         cfg = EvolutionConfig(n_max=12, t_final=1.5, steps=5, pump=1.0)
-        rows = squeezing_series(params, cfg)
+        pair = spdc_squeezing(params, cfg)
+        rows = pair.series
         values = [r[1] for r in rows]
         assert values == sorted(values)
         assert all(w >= c for _, c, w in rows[1:])
+        assert [r[0] for r in rows] == pytest.approx(np.linspace(0.0, 1.5, 6))
+        # r is fitted from the same samples: sinh^2(r) is the last <n_A> of each route
+        assert np.sinh(pair.correct) ** 2 == pytest.approx(rows[-1][1], rel=1e-6)
+        assert np.sinh(pair.wrong) ** 2 == pytest.approx(rows[-1][2], rel=1e-6)
+
+    def test_quantum_pump_series(self):
+        cfg = EvolutionConfig(n_max=4, t_final=0.5, steps=3, pump="quantum")
+        pair = spdc_squeezing(params_with(theta=0.02), cfg)
+        assert len(pair.series) == 4
+        assert pair.series[0][1:] == (0.0, 0.0)
 
 
 class TestCompareSchemes:
@@ -215,5 +227,7 @@ class TestCoherentState:
             EvolutionConfig(n_max=1)
         with pytest.raises(ValueError):
             EvolutionConfig(steps=0)
+        with pytest.raises(ValueError):
+            EvolutionConfig(t_final=0.0)
         with pytest.raises(ValueError):
             EvolutionConfig(pump="semiclassical")

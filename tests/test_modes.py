@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dquant.modes import (
-    DispersionTable,
     ModeProfile,
     SlabStack,
     _solve_slab_betas,
@@ -188,15 +187,3 @@ class TestSlabModes:
         with pytest.raises(ValueError):
             solve_slab_modes([(1.0, 1.0), (1.0, 2.0), (1.0, 1.0)], omega=1.0,
                              polarization="TM", units=NAT)
-
-
-class TestDispersionTable:
-    def test_validates_phase_velocity(self):
-        with pytest.raises(ValueError):
-            DispersionTable(family="J", k=np.array([1.0]), omega=np.array([2.0]),
-                            vg=np.array([1.0]), vp=np.array([1.0]))
-
-    def test_accepts_consistent_samples(self):
-        t = DispersionTable(family="J", k=np.array([1.0, 2.0]), omega=np.array([1.0, 2.0]),
-                            vg=np.array([1.0, 1.0]), vp=np.array([1.0, 1.0]))
-        assert t.family == "J"
