@@ -66,6 +66,20 @@ class TestVerify:
         assert good["passed"] is True
         assert (out / "verify_ampere_D-based.json").exists()
 
+    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
+        # DQUANT_THREADS, the thread-pool knob of earlier versions, is ignored:
+        # a run with it set writes the same report bytes as a run without it.
+        medium = write_medium(tmp_path, [0.5, 0.3])
+        out_serial = tmp_path / "serial"
+        assert main(["verify", "--medium", medium, "--out", str(out_serial)]) == 0
+        monkeypatch.setenv("DQUANT_THREADS", "4")
+        out_par = tmp_path / "parallel"
+        assert main(["verify", "--medium", medium, "--out", str(out_par)]) == 0
+        for name in ("verify_faraday_D-based.json", "verify_ampere_D-based.json",
+                     "verify_faraday_E-linear-wrong.json",
+                     "verify_ampere_E-linear-wrong.json"):
+            assert (out_serial / name).read_bytes() == (out_par / name).read_bytes()
+
 
 class TestCompare:
     @pytest.mark.parametrize("order,expected", [(2, -2.0), (3, -3.0)])
@@ -128,23 +142,14 @@ class TestSweeps:
 
     def test_byte_identical_reruns(self, tmp_path):
         medium = write_medium(tmp_path, [0.2, 0.4])
-        runs = {
-            "spdc": (["spdc", "--medium", medium, "--n-max", "10", "--time", "1.5",
-                      "--steps", "4"],
-                     ("interaction.json", "spdc_sweep.csv", "spdc_result.json")),
-            "verify": (["verify", "--medium", medium],
-                       ("verify_faraday_D-based.json", "verify_ampere_D-based.json",
-                        "verify_faraday_E-linear-wrong.json",
-                        "verify_ampere_E-linear-wrong.json")),
-        }
-        for command, (argv, fnames) in runs.items():
-            outs = []
-            for name in ("one", "two"):
-                out = tmp_path / command / name
-                assert main(argv + ["--out", str(out)]) == 0
-                outs.append(out)
-            for fname in fnames:
-                assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        outs = []
+        for name in ("one", "two"):
+            out = tmp_path / name
+            assert main(["spdc", "--medium", medium, "--n-max", "10", "--time", "1.5",
+                         "--steps", "4", "--out", str(out)]) == 0
+            outs.append(out)
+        for fname in ("interaction.json", "spdc_sweep.csv", "spdc_result.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     @pytest.mark.parametrize("command", ["spdc", "convert"])
     def test_zero_time_exits_2(self, command):
