@@ -90,9 +90,11 @@ def cmd_verify(args) -> int:
         _emit(args, f"verify_{rep.law}_{rep.scheme}.json", dumps(rep.to_dict()))
 
     by_key = {(r.scheme, r.law): r for r in reports}
-    d_ok = by_key[("D-based", "faraday")].passed and by_key[("D-based", "ampere")].passed
+    d_faraday = by_key[("D-based", "faraday")]
+    d_ok = d_faraday.passed and by_key[("D-based", "ampere")].passed
     wrong_faraday = by_key[("E-linear-wrong", "faraday")]
-    if medium.highest_order == 1:
+    # a nonlinear coupling survives in this basis iff dB/dt is nonlinear on the D route
+    if d_faraday.degree_lhs <= 1:
         expectation = d_ok and wrong_faraday.passed
     else:
         expectation = d_ok and (not wrong_faraday.passed) and not wrong_faraday.degrees_match
@@ -188,6 +190,11 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def pump_amplitude(text: str) -> float | str:
+    """``quantum`` (a quantized pump) or a classical pump amplitude."""
+    return text if text == "quantum" else float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dquant",
@@ -234,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, default=16, help="Fock cutoff per mode")
         p.add_argument("--time", type=float, default=t_default, help="total evolution time")
         p.add_argument("--steps", type=int, default=20)
-        p.add_argument("--pump", type=float, default=1.0, help="classical pump amplitude")
+        p.add_argument("--pump", type=pump_amplitude, default=1.0,
+                       help="classical pump amplitude, or 'quantum'")
         p.add_argument("--length", type=float, default=None, help="interaction length")
         p.set_defaults(fn=fn)
 

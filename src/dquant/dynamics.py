@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import asinh, factorial, sqrt
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .boson_algebra import BosonicPolynomial, FockSpace, to_matrix
 from .hamiltonian import InteractionParams, prefactor_ratio, scheme_resonant_coefficients
@@ -88,6 +87,8 @@ def evolve(
     Requires a Hermitian generator and a normalized initial state; norm and
     mean energy are conserved to NORM_TOL by the exact exponential action.
     """
+    import scipy.sparse.linalg as spla
+
     if not h.is_hermitian():
         raise ValueError("Hamiltonian not Hermitian")
     norm0 = np.linalg.norm(psi0)

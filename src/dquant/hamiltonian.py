@@ -22,7 +22,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .boson_algebra import BosonicPolynomial, number
-from .fields import expand_fields, field_power, integrate_density, sinc
+from .fields import FieldOperator, expand_fields, integrate_density, sinc
 from .modes import Mode, ModeSet, flat_profile
 from .susceptibility import (
     MediumSpec,
@@ -142,10 +142,10 @@ def linear_from_energy_density(
     :func:`build_linear` exactly; it is the quadratic-form cross-check.
     """
     d_field, b_field = expand_fields(ms, units)
-    density = (1.0 / (2 * units.mu0)) * (b_field * b_field) + (
+    density = (1.0 / (2 * units.mu0)) * b_field.product_k0(b_field) + (
         eta1.item() / 2.0
-    ) * (d_field * d_field)
-    h = integrate_density(density, ms.l_box)
+    ) * d_field.product_k0(d_field)
+    h = integrate_density(FieldOperator({0: density}, ms.w), ms.l_box)
     return h - BosonicPolynomial.identity(h.coefficient({}))
 
 
@@ -384,7 +384,9 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
     A pure order-n scalar medium (all intermediate nonlinear orders zero)
     drives an (n+1)-wave process with n signal modes and one pump; the
     coefficients of a_1^dag .. a_n^dag a_pump in the two energy densities
-    are extracted from the exact operator power D^(n+1).
+    are extracted from the operator power D^(n+1), built only from the
+    monomials that divide the resonant one (exact for its coefficient, the
+    top degree) and only at k = 0.
     """
     if order < 2:
         raise ValueError("the routes differ only for nonlinear orders n >= 2")
@@ -397,8 +399,11 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
 
     ms, monomial = _pure_order_modeset(order, chi1, units)
     d_field, _ = expand_fields(ms, units)
-    d_power = field_power(d_field, order + 1)
-    base = integrate_density(d_power, ms.l_box)
+    d_power = d_field
+    for _ in range(order - 1):
+        d_power = d_power.product(d_field, support=monomial)
+    top = d_power.product_k0(d_field, support=monomial)
+    base = integrate_density(FieldOperator({0: top}, ms.w), ms.l_box)
 
     correct = (eta_n / (order + 1)) * base
     e_tilde_power = (eta1 ** (order + 1)) * base

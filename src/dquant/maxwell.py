@@ -121,26 +121,32 @@ def _scheme_hamiltonian(
     l_box: float,
     units: UnitSystem,
 ) -> BosonicPolynomial:
-    """Box integral of the scheme's energy density over the retained basis."""
+    """Box integral of the scheme's energy density over the retained basis.
+
+    The density is B^2/(2 mu0) plus a power series in one field X (D, or
+    E~ = eta1 D). The box integral keeps only its k = 0 component, so only
+    that component is summed, and the highest power of X is built at k = 0
+    alone.
+    """
     n_top = medium.highest_order
-    density = (1.0 / (2 * units.mu0)) * (b_field * b_field)
     if scheme == "D-based":
-        power = d_field
-        for n in range(1, n_top + 1):
-            power = power * d_field  # D^(n+1)
-            density = density + (etas[n - 1].item() / (n + 1)) * power
+        x = d_field
+        coeffs = [etas[n - 1].item() / (n + 1) for n in range(1, n_top + 1)]
     elif scheme == "E-linear-wrong":
-        e_tilde = etas[0].item() * d_field
+        x = etas[0].item() * d_field
         chi1 = medium.chi(1).item()
-        power = e_tilde * e_tilde
-        density = density + (units.eps0 * (1.0 + chi1) / 2.0) * power
-        for n in range(2, n_top + 1):
-            power = power * e_tilde  # E~^(n+1)
-            chi_n = medium.chi(n).item()
-            density = density + (units.eps0 * n / (n + 1) * chi_n) * power
+        coeffs = [units.eps0 * (1.0 + chi1) / 2.0] + [
+            units.eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)
+        ]
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    h = integrate_density(density, l_box)
+    density = (1.0 / (2 * units.mu0)) * b_field.product_k0(b_field)
+    power = x
+    for coeff in coeffs[:-1]:
+        power = power * x  # X^2 .. X^n_top
+        density = density + coeff * power.component(0)
+    density = density + coeffs[-1] * power.product_k0(x)  # X^(n_top + 1)
+    h = integrate_density(FieldOperator({0: density}, d_field.w), l_box)
     return h - BosonicPolynomial.identity(h.coefficient({}))
 
 

@@ -21,7 +21,6 @@ from math import pi
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .units import UnitSystem
 
@@ -351,6 +350,8 @@ class SlabModeSolution:
 
 def _solve_slab_betas(stack: SlabStack, omega: float, units: UnitSystem,
                       scan_points: int = 1500) -> list[SlabModeSolution]:
+    from scipy.optimize import brentq
+
     k0 = omega / units.c
     lo = stack.n_cladding * k0
     hi = stack.n_core * k0

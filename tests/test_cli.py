@@ -66,6 +66,17 @@ class TestVerify:
         assert good["passed"] is True
         assert (out / "verify_ampere_D-based.json").exists()
 
+    def test_chi2_without_coupled_triple_passes(self, tmp_path):
+        # a +/-1 basis holds no k-conserving triple, so no nonlinear coupling
+        # survives and both routes are expected to pass
+        medium = write_medium(tmp_path, [0.9, -0.3])
+        out = tmp_path / "reports"
+        assert main(["verify", "--medium", medium, "--modes", "1", "--out", str(out)]) == 0
+        for scheme in ("D-based", "E-linear-wrong"):
+            report = json.loads((out / f"verify_faraday_{scheme}.json").read_text())
+            assert (report["degree_lhs"], report["degree_rhs"]) == (1, 1)
+            assert report["passed"] is True
+
     def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
         # DQUANT_THREADS, the thread-pool knob of earlier versions, is ignored:
         # a run with it set writes the same report bytes as a run without it.
@@ -151,6 +162,23 @@ class TestSweeps:
         for fname in ("interaction.json", "spdc_sweep.csv", "spdc_result.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_quantum_pump_spdc(self, tmp_path):
+        out = tmp_path / "spdc"
+        assert main(["spdc", "--pump", "quantum", "--n-max", "6", "--time", "0.3",
+                     "--steps", "3", "--out", str(out)]) == 0
+        result = json.loads((out / "spdc_result.json").read_text())
+        assert 0.0 < result["r_correct"] < result["r_wrong"]
+        assert result["ratio"] == pytest.approx(2.0, abs=0.05)
+
+    def test_quantum_pump_convert_exits_2(self, capsys):
+        assert main(["convert", "--pump", "quantum", "--n-max", "4"]) == 2
+        assert "classical pump" in capsys.readouterr().err
+
+    def test_malformed_pump_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["spdc", "--pump", "strong"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("command", ["spdc", "convert"])
     def test_zero_time_exits_2(self, command):
         assert main([command, "--n-max", "4", "--time", "0"]) == 2
@@ -170,6 +198,14 @@ class TestSweeps:
         result = json.loads((out / "spdc_result.json").read_text())
         assert result["r_correct"] == 0.0
         assert result["ratio"] != result["ratio"]  # NaN
+
+
+def test_import_leaves_scipy_sparse_and_optimize_unloaded():
+    code = ("import sys, dquant; "
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(tmp_path):

@@ -2,14 +2,15 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dquant.boson_algebra import FockSpace, to_matrix
+from dquant.boson_algebra import BosonicPolynomial, FockSpace, to_matrix
 from dquant.fields import (
     FieldOperator,
     electric_field_from_D,
     expand_fields,
-    field_power,
     integrate_density,
     sinc,
     vacuum_pair_correlation,
@@ -151,13 +152,48 @@ class TestIntegrateDensity:
         )
         assert h.isclose(expected)
 
-    def test_field_power_matches_repeated_product(self):
-        ms = make_uniform_medium_modes(1.0, 2 * pi, [-1, 1], NAT)
-        d_field, _ = expand_fields(ms, NAT)
-        cube = field_power(d_field, 3)
-        manual = d_field * d_field * d_field
-        for m in manual.wavevectors():
-            assert cube.component(m).isclose(manual.component(m))
+
+@st.composite
+def field_operators(draw, max_modes=3, max_degree=2, max_m=2):
+    """Fields on the w = 1 grid: a few components, each a small random polynomial."""
+    components = {}
+    for m in draw(st.lists(st.integers(-max_m, max_m), min_size=1, max_size=4, unique=True)):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            powers = {}
+            for mode in range(max_modes):
+                cre = draw(st.integers(0, max_degree))
+                ann = draw(st.integers(0, max_degree - cre))
+                if cre or ann:
+                    powers[mode] = (cre, ann)
+            key = tuple((mode, c, a) for mode, (c, a) in sorted(powers.items()))
+            terms[key] = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        components[m] = BosonicPolynomial(terms)
+    return FieldOperator(components, 1.0)
+
+
+@st.composite
+def supports(draw, max_modes=3, max_power=2):
+    return {mode: (draw(st.integers(0, max_power)), draw(st.integers(0, max_power)))
+            for mode in range(max_modes) if draw(st.booleans())}
+
+
+class TestProductK0:
+    @settings(max_examples=60, deadline=None)
+    @given(a=field_operators(), b=field_operators())
+    def test_equals_full_product_component(self, a, b):
+        assert a.product_k0(b).terms == (a * b).component(0).terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=field_operators(), b=field_operators(), support=supports())
+    def test_equals_filtered_product_component(self, a, b, support):
+        assert a.product_k0(b, support).terms == a.product(b, support).component(0).terms
+
+    def test_no_zero_component(self):
+        a = FieldOperator({1: BosonicPolynomial.from_ops("0"),
+                           2: BosonicPolynomial.from_ops("1")}, 1.0)
+        assert 0 not in (a * a).components
+        assert a.product_k0(a).is_zero
 
 
 class TestCorrelationConsistency:

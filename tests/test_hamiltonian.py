@@ -3,7 +3,8 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from dquant.boson_algebra import annihilation, creation, number
+from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
+from dquant.fields import expand_fields, integrate_density
 from dquant.hamiltonian import (
     DegenerateTripleError,
     MatchingBudgetError,
@@ -21,6 +22,7 @@ from dquant.hamiltonian import (
     prefactor_ratio,
     quadratic_E_correction,
     resonant_coefficient,
+    scheme_resonant_coefficients,
 )
 from dquant.modes import make_uniform_medium_modes
 from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
@@ -71,6 +73,16 @@ class TestBuildLinear:
         h = linear_from_energy_density(ms, eta1, NAT)
         for key in h.terms:
             assert all(c == a for _, c, a in key)
+
+    def test_k0_density_equals_full_density_build(self):
+        ms = make_uniform_medium_modes(sqrt(1.7), 2 * pi, [-2, -1, 1, 2], NAT)
+        eta1 = scalar(1, 1.0 / (NAT.eps0 * 1.7), role="eta")
+        d_field, b_field = expand_fields(ms, NAT)
+        density = (1.0 / (2 * NAT.mu0)) * (b_field * b_field) + (
+            eta1.item() / 2.0) * (d_field * d_field)
+        h = integrate_density(density, ms.l_box)
+        reference = h - BosonicPolynomial.identity(h.coefficient({}))
+        assert linear_from_energy_density(ms, eta1, NAT).terms == reference.terms
 
 
 class TestBuildNonlinearD:
@@ -191,6 +203,30 @@ class TestPrefactorRatio:
         measured = constructed_prefactor_ratio(n)
         assert measured.imag == pytest.approx(0.0, abs=1e-12)
         assert measured.real == pytest.approx(float(prefactor_ratio(n)), abs=1e-12)
+
+
+def _full_build_coefficients(order, chi1=0.5, chi_n=0.37):
+    """Reference: every component and term of D^(n+1), then the one coefficient."""
+    from dquant.hamiltonian import _pure_order_modeset
+
+    medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [chi_n], units=NAT)
+    etas = invert_series(medium, order)
+    eta1, eta_n = etas[0].item(), etas[order - 1].item()
+    ms, monomial = _pure_order_modeset(order, chi1, NAT)
+    d_field, _ = expand_fields(ms, NAT)
+    d_power = d_field
+    for _ in range(order):
+        d_power = d_power * d_field
+    base = integrate_density(d_power, ms.l_box)
+    correct = (eta_n / (order + 1)) * base
+    wrong = (order / (order + 1)) * NAT.eps0 * chi_n * ((eta1 ** (order + 1)) * base)
+    return correct.coefficient(monomial), wrong.coefficient(monomial)
+
+
+class TestSchemeResonantCoefficients:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_full_build(self, n):
+        assert scheme_resonant_coefficients(n) == _full_build_coefficients(n)
 
 
 class TestBuildInteraction:

@@ -2,16 +2,18 @@ from math import pi, sqrt
 
 import pytest
 
-from dquant.fields import expand_fields
+from dquant.boson_algebra import BosonicPolynomial
+from dquant.fields import expand_fields, integrate_density
 from dquant.maxwell import (
     InconsistentModeSetError,
+    _scheme_hamiltonian,
     degree_contradiction_report,
     spectral_curl,
     verify_ampere,
     verify_faraday,
 )
 from dquant.modes import make_uniform_medium_modes
-from dquant.susceptibility import MediumSpec
+from dquant.susceptibility import MediumSpec, invert_series
 from dquant.units import UnitSystem
 
 NAT = UnitSystem()
@@ -54,6 +56,37 @@ class TestSpectralCurl:
         assert curled.component(1).isclose((-1j) * b_field.component(1))
 
 
+def _full_density_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, units):
+    """Reference: the whole energy density, every component, then the box integral."""
+    n_top = medium.highest_order
+    density = (1.0 / (2 * units.mu0)) * (b_field * b_field)
+    if scheme == "D-based":
+        power = d_field
+        for n in range(1, n_top + 1):
+            power = power * d_field
+            density = density + (etas[n - 1].item() / (n + 1)) * power
+    else:
+        e_tilde = etas[0].item() * d_field
+        power = e_tilde * e_tilde
+        density = density + (units.eps0 * (1.0 + medium.chi(1).item()) / 2.0) * power
+        for n in range(2, n_top + 1):
+            power = power * e_tilde
+            density = density + (units.eps0 * n / (n + 1) * medium.chi(n).item()) * power
+    h = integrate_density(density, l_box)
+    return h - BosonicPolynomial.identity(h.coefficient({}))
+
+
+class TestSchemeHamiltonian:
+    @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong"])
+    @pytest.mark.parametrize("chis,m_max", [((0.7, [-0.3]), 3), ((0.6, [0.2, -0.15]), 2)])
+    def test_k0_build_equals_full_density_build(self, scheme, chis, m_max):
+        ms, medium = uniform_setup(chis[0], m_max, chis[1])
+        etas = invert_series(medium, medium.highest_order)
+        d_field, b_field = expand_fields(ms, NAT)
+        args = (d_field, b_field, medium, etas, scheme, ms.l_box, NAT)
+        assert _scheme_hamiltonian(*args).terms == _full_density_hamiltonian(*args).terms
+
+
 class TestLinearMedium:
     def test_both_schemes_pass(self):
         ms, medium = uniform_setup(0.9, 2)
@@ -64,9 +97,6 @@ class TestLinearMedium:
             assert report.degree_lhs == report.degree_rhs == 1
 
     def test_schemes_coincide_for_linear_media(self):
-        from dquant.maxwell import _scheme_hamiltonian
-        from dquant.susceptibility import invert_series
-
         ms, medium = uniform_setup(0.9, 2)
         etas = invert_series(medium, 1)
         d_field, b_field = expand_fields(ms, NAT)
