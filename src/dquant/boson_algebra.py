@@ -280,7 +280,7 @@ def degree(p: BosonicPolynomial) -> int:
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated multi-mode number basis with cached sparse ladder matrices.
+    """Truncated multi-mode number basis with a cached occupation table.
 
     ``cutoff`` is the max occupation per mode (same for all modes when an
     int). Basis states enumerate occupations row-major with the first mode
@@ -338,12 +338,6 @@ class FockSpace:
         n = self.n_max(mode)
         a = np.diag(np.sqrt(np.arange(1, n + 1)), k=1)
         return a.T, a  # (creation, annihilation)
-
-    def annihilation_matrix(self, mode: int) -> sp.csr_matrix:
-        key = ("a", mode)
-        if key not in self._cache:
-            self._cache[key] = to_matrix(annihilation(mode), self)
-        return self._cache[key]
 
 
 def to_matrix(p: BosonicPolynomial, space: FockSpace) -> sp.csr_matrix:

@@ -260,7 +260,7 @@ def test_commutator_degree_bound(p, q):
 
 def test_annihilation_matrix_elements_sqrt_n():
     space = FockSpace(modes=(0,), cutoff=7)
-    m = space.annihilation_matrix(0).toarray()
+    m = to_matrix(annihilation(0), space).toarray()
     for n in range(1, 8):
         assert m[n - 1, n] == pytest.approx(np.sqrt(n), abs=1e-14)
 

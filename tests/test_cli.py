@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dquant.cli import main
+from dquant.units import si_units
 
 
 def write_medium(tmp_path, chis, name="medium.json", dim=1):
@@ -188,16 +190,28 @@ class TestSweeps:
         medium = write_medium(tmp_path, [0.5])
         assert main([command, "--medium", medium, "--n-max", "4"]) == 2
 
-    def test_vanishing_si_coupling_reports_nan_ratio(self, tmp_path):
+    @pytest.mark.parametrize("command, result, value, ratio", [
+        ("spdc", "spdc_result.json", "r_correct", 2.0),
+        ("convert", "conversion_result.json", "p_correct", 4.0),
+    ], ids=["spdc", "convert"])
+    def test_si_coupling_survives_pruning(self, tmp_path, command, result, value, ratio):
+        # hbar g ~ 1e-46 J lies below the absolute pruning threshold; the
+        # rate g ~ 2e-12 1/s does not
         path = tmp_path / "si.json"
         path.write_text(json.dumps({"units": "si", "dim": 1,
                                     "chi": {"1": [1.25], "2": [1e-12]}}))
-        out = tmp_path / "spdc"
-        assert main(["spdc", "--medium", str(path), "--n-max", "4", "--time", "0.5",
+        out = tmp_path / command
+        t = 0.5
+        assert main([command, "--medium", str(path), "--n-max", "4", "--time", str(t),
                      "--steps", "2", "--out", str(out)]) == 0
-        result = json.loads((out / "spdc_result.json").read_text())
-        assert result["r_correct"] == 0.0
-        assert result["ratio"] != result["ratio"]  # NaN
+        doc = json.loads((out / result).read_text())
+        theta = json.loads((out / "interaction.json").read_text())["theta"]
+        g = abs(complex(theta["re"], theta["im"])) / si_units().hbar
+        assert 1e-13 < g < 1e-10
+        gt = g * t
+        want = gt if command == "spdc" else np.sin(gt) ** 2
+        assert doc[value] == pytest.approx(want, rel=1e-9)
+        assert abs(doc["ratio"]) == pytest.approx(ratio, rel=1e-9)
 
 
 def test_import_leaves_scipy_sparse_and_optimize_unloaded():
@@ -206,6 +220,21 @@ def test_import_leaves_scipy_sparse_and_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"],
+    ["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"],
+    ["compare", "--observable", "squeezing"],
+], ids=["spdc", "convert", "compare-squeezing"])
+def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dquant", *argv,
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dquant.dynamics" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_module_entry_point(tmp_path):

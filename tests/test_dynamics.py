@@ -2,10 +2,13 @@ from math import pi, sinh
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dquant.boson_algebra import BosonicPolynomial, FockSpace, number
+from dquant.boson_algebra import BosonicPolynomial, FockSpace, number, to_matrix
 from dquant.dynamics import (
     EvolutionConfig,
+    _sector,
     beamsplitter,
     coherent_state,
     compare_schemes,
@@ -64,6 +67,84 @@ class TestEvolve:
         space = FockSpace(modes=(0,), cutoff=3)
         with pytest.raises(ValueError):
             evolve(number(0), space, 2.0 * space.vacuum(), 1.0)
+
+
+@st.composite
+def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_terms=3, max_power=2):
+    """(h + h^dag, space, psi0): a small space and a normalized state of sparse support."""
+    n_modes = draw(st.integers(1, max_modes))
+    space = FockSpace(modes=tuple(range(n_modes)),
+                      cutoff={m: draw(st.integers(1, max_cutoff)) for m in range(n_modes)})
+    coef = st.floats(-1.0, 1.0)
+    power = st.integers(0, max_power)
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        key = tuple((m, c, a) for m in range(n_modes)
+                    for c, a in [(draw(power), draw(power))] if c or a)
+        terms[key] = complex(draw(coef), draw(coef))
+    h = BosonicPolynomial(terms)
+    support = draw(st.lists(st.integers(0, space.dim - 1), min_size=1, max_size=3,
+                            unique=True))
+    psi0 = np.zeros(space.dim, dtype=complex)
+    for i in support:
+        psi0[i] = complex(draw(coef), draw(coef))
+    if np.linalg.norm(psi0) < 1e-3:
+        psi0[support[0]] = 1.0
+    return h + h.dagger(), space, psi0 / np.linalg.norm(psi0)
+
+
+class TestSectorEvolution:
+    """evolve works on the reachable sector only; the full-space matrix is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=hermitian_problems(), t=st.floats(0.05, 1.0))
+    def test_matches_full_space_exponential(self, problem, t):
+        from scipy.linalg import expm
+
+        h, space, psi0 = problem
+        res = evolve(h, space, psi0, t, steps=3)
+        hmat = to_matrix(h, space).toarray()
+        for s, state in zip(res.times, res.states):
+            assert np.max(np.abs(state - expm(-1j * s * hmat) @ psi0)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=hermitian_problems())
+    def test_sector_matrix_is_the_restricted_full_matrix(self, problem):
+        h, space, psi0 = problem
+        sector, occ, h_s = _sector(h, space, np.flatnonzero(psi0))
+        hmat = to_matrix(h, space).toarray()
+        assert set(np.flatnonzero(psi0)) <= set(sector)
+        assert np.array_equal(sector, np.sort(sector))
+        assert np.array_equal(occ, space.occupations()[sector])
+        scale = max(1.0, np.max(np.abs(hmat)))
+        assert np.max(np.abs(h_s - hmat[np.ix_(sector, sector)])) <= 1e-14 * scale
+        outside = np.setdiff1d(np.arange(space.dim), sector)
+        assert not np.any(hmat[np.ix_(outside, sector)])  # H maps the sector into itself
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=hermitian_problems(), t=st.floats(0.05, 1.0))
+    def test_first_sample_is_the_initial_state(self, problem, t):
+        h, space, psi0 = problem
+        assert np.array_equal(evolve(h, space, psi0, t, steps=2).states[0], psi0)
+
+    def test_weak_coupling_keeps_relative_accuracy(self):
+        g = 4e-11  # an SI squeezing rate in 1/s
+        space = FockSpace(modes=(0, 1), cutoff=6)
+        res = evolve(two_mode_squeezer(g), space, space.vacuum(), 1.0, steps=4)
+        for t, state in zip(res.times[1:], res.states[1:]):
+            want = sinh(g * t) ** 2
+            assert abs(occupation_expectation(space, state, 0) - want) <= 1e-12 * want
+
+    def test_squeezer_sector_is_the_pair_states(self):
+        space = FockSpace(modes=(0, 1), cutoff=128)
+        sector, _, h_s = _sector(two_mode_squeezer(0.1), space, np.array([0]))
+        assert list(sector) == [space.index([n, n]) for n in range(129)]
+        assert h_s.shape == (129, 129)
+
+    def test_unknown_mode_rejected(self):
+        space = FockSpace(modes=(0,), cutoff=3)
+        with pytest.raises(KeyError):
+            evolve(number(1), space, space.vacuum(), 1.0)
 
 
 class TestSpdcSqueezing:
