@@ -32,7 +32,8 @@ from .hamiltonian import (
     prefactor_ratio,
     quadratic_E_correction,
 )
-from .maxwell import FaradayReport, degree_contradiction_report, verify_ampere, verify_faraday
+from .maxwell import (FaradayReport, degree_contradiction_report, verify_ampere,
+                      verify_faraday, verify_scheme)
 from .modes import ModeProfile, ModeSet, make_uniform_medium_modes, solve_slab_modes
 from .susceptibility import (
     MediumSpec,
@@ -78,5 +79,6 @@ __all__ = [
     "to_matrix",
     "verify_ampere",
     "verify_faraday",
+    "verify_scheme",
     "__version__",
 ]

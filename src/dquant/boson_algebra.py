@@ -259,7 +259,36 @@ def normal_order(p) -> BosonicPolynomial:
 
 
 def commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:
+    """[p, q] = p*q - q*p; taken by formal differentiation when p is linear."""
+    if degree(p) <= 1:
+        return _linear_commutator(p, q)
     return p * q - q * p
+
+
+def _linear_commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:
+    """[p, q] for p of degree <= 1, term by term on q's normally ordered monomials:
+
+        [a, (a†)^c a^n] = c (a†)^(c-1) a^n,    [a†, (a†)^c a^n] = -n (a†)^c a^(n-1).
+
+    The zero-contraction terms of p*q and q*p, which cancel only up to
+    rounding, are never built; the constant part of p commutes with all.
+    """
+    acc: dict[Monomial, complex] = {}
+    for k1, c1 in p.terms.items():
+        if not k1:
+            continue
+        ((mode, is_cre, _),) = k1
+        for k2, c2 in q.terms.items():
+            for i, (m, c, n) in enumerate(k2):
+                if m != mode:
+                    continue
+                power = -n if is_cre else c
+                if power:
+                    entry = (m, c, n - 1) if is_cre else (m, c - 1, n)
+                    key = k2[:i] + _merge_mode((entry,)) + k2[i + 1:]
+                    acc[key] = acc.get(key, 0.0) + c1 * c2 * power
+                break
+    return BosonicPolynomial(acc)
 
 
 def heisenberg_derivative(
@@ -365,9 +394,3 @@ def to_matrix(p: BosonicPolynomial, space: FockSpace) -> sp.csr_matrix:
         total = total + coef * mat
     return total.tocsr()
 
-
-def interior_indices(space: FockSpace, margin: int) -> np.ndarray:
-    """Basis indices whose occupations are all <= n_max - margin."""
-    occ = space.occupations()
-    limits = np.array([space.n_max(m) - margin for m in space.modes])
-    return np.nonzero(np.all(occ <= limits, axis=1))[0]

@@ -22,7 +22,7 @@ from .hamiltonian import (
     phase_matching_curve,
     prefactor_ratio,
 )
-from .maxwell import verify_ampere, verify_faraday
+from .maxwell import SCHEMES, verify_scheme
 from .modes import make_uniform_medium_modes
 from .serialize import csv_text, dumps, write_text
 from .susceptibility import (
@@ -74,9 +74,8 @@ def cmd_verify(args) -> int:
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
 
-    reports = [verify(ms, medium, scheme, units=medium.units)
-               for scheme in ("D-based", "E-linear-wrong")
-               for verify in (verify_faraday, verify_ampere)]
+    reports = [rep for scheme in SCHEMES
+               for rep in verify_scheme(ms, medium, scheme, units=medium.units)]
     print(f"{'scheme':<16} {'law':<8} {'m':>4} {'residual':<13} {'degrees':<8} pass")
     for rep in reports:
         degrees = f"{rep.degree_lhs} vs {rep.degree_rhs}"

@@ -221,19 +221,3 @@ def integrate_density(f: FieldOperator, l_box: float,
             total = total + (region_length / sqrt(2 * pi)) * phi * poly
     return total
 
-
-def vacuum_pair_correlation(ms: ModeSet, dz: float, units: UnitSystem,
-                            window=None) -> complex:
-    """<0| D(z+dz) D(z) |0> from the mode table, optionally k-windowed.
-
-    Equals sum_m W(k_m) (hbar omega_m / 2) w |d_m|^2 exp(i k_m dz) / (2 pi)
-    with W the squared window (1 when absent); a smooth window makes the
-    smeared correlator converge under grid refinement. Vectorized so large
-    mode sets stay cheap.
-    """
-    omega = np.array([m.omega for m in ms.modes])
-    dvals = np.array([m.profile.d_value() for m in ms.modes])
-    k = np.array([m.k for m in ms.modes])
-    weights = np.ones_like(k) if window is None else np.abs(window(k)) ** 2
-    terms = weights * (units.hbar * omega / 2.0) * ms.w * np.abs(dvals) ** 2 * np.exp(1j * k * dz)
-    return complex(np.sum(terms) / (2 * pi))

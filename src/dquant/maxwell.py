@@ -5,6 +5,9 @@ Heisenberg derivative of each induction (displacement) component is compared
 with the curl side of Faraday's (Ampere's) law as polynomials in ladder
 operators, so Fock truncation never enters. Products of retained modes that
 land outside the basis are reported as leakage, never silently dropped.
+Each scheme's Hamiltonian is built once and serves both laws; the field
+components are linear, so their commutators with it are taken by formal
+differentiation (see :func:`~dquant.boson_algebra.commutator`).
 
 In the 1D scalar reduction the transverse orientations carry the curl signs:
 the displacement and electric fields are x-polarized, the induction field is
@@ -17,7 +20,7 @@ import logging
 from dataclasses import dataclass
 from math import sqrt
 
-from .boson_algebra import BosonicPolynomial, commutator, degree, heisenberg_derivative
+from .boson_algebra import BosonicPolynomial, NotHermitianError, commutator, degree
 from .fields import FieldOperator, electric_field_from_D, expand_fields, integrate_density
 from .modes import ModeSet
 from .susceptibility import MediumSpec, invert_series
@@ -159,46 +162,44 @@ def _electric_side(d_field, medium, etas, scheme, retained):
     return e
 
 
-def _verify_law(
-    ms: ModeSet,
-    medium: MediumSpec,
-    scheme: str,
-    law: str,
-    units: UnitSystem,
-    tolerance: float,
-) -> FaradayReport:
+def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
+                  units: UnitSystem | None = None,
+                  tolerance: float = RESIDUAL_TOL) -> tuple[FaradayReport, FaradayReport]:
+    """Faraday's and Ampere's law for one scheme, from one Hamiltonian build.
+
+    The fields, the inverse coefficients and the scheme Hamiltonian are built
+    once, and the Hamiltonian's Hermiticity is checked once (raising
+    :class:`NotHermitianError`); both laws take their Heisenberg derivatives
+    from it. Returns ``(faraday, ampere)``.
+    """
+    units = units or UnitSystem()
     _check_consistency(ms, medium, units)
     etas = invert_series(medium, medium.highest_order)
     d_field, b_field = expand_fields(ms, units)
     retained = set(d_field.wavevectors())
     h = _scheme_hamiltonian(d_field, b_field, medium, etas, scheme, ms.l_box, units)
+    if not h.is_hermitian():
+        raise NotHermitianError("Hamiltonian not Hermitian")
     e_field = _electric_side(d_field, medium, etas, scheme, retained)
 
-    if law == "faraday":
-        lhs_field, rhs_source, rhs_scale = b_field, spectral_curl(e_field), -1.0
-    elif law == "ampere":
-        lhs_field, rhs_source, rhs_scale = d_field, spectral_curl(b_field), 1.0 / units.mu0
-    else:
-        raise ValueError("law must be 'faraday' or 'ampere'")
-
-    residuals = {}
-    degree_lhs = -1
-    degree_rhs = -1
-    for m in sorted(retained):
-        lhs = heisenberg_derivative(lhs_field.component(m), h, units.hbar)
-        rhs = rhs_scale * rhs_source.component(m)
-        residuals[m] = (lhs - rhs).norm()
-        degree_lhs = max(degree_lhs, degree(lhs))
-        degree_rhs = max(degree_rhs, degree(rhs))
-    return FaradayReport(
-        scheme=scheme,
-        law=law,
-        tolerance=tolerance,
-        residuals=residuals,
-        leakage=dict(rhs_source.leakage),
-        degree_lhs=degree_lhs,
-        degree_rhs=degree_rhs,
-    )
+    reports = []
+    for law, lhs_field, rhs_source, rhs_scale in (
+        ("faraday", b_field, spectral_curl(e_field), -1.0),
+        ("ampere", d_field, spectral_curl(b_field), 1.0 / units.mu0),
+    ):
+        residuals = {}
+        degree_lhs = -1
+        degree_rhs = -1
+        for m in sorted(retained):
+            lhs = (-1j / units.hbar) * commutator(lhs_field.component(m), h)
+            rhs = rhs_scale * rhs_source.component(m)
+            residuals[m] = (lhs - rhs).norm()
+            degree_lhs = max(degree_lhs, degree(lhs))
+            degree_rhs = max(degree_rhs, degree(rhs))
+        reports.append(FaradayReport(
+            scheme=scheme, law=law, tolerance=tolerance, residuals=residuals,
+            leakage=dict(rhs_source.leakage), degree_lhs=degree_lhs, degree_rhs=degree_rhs))
+    return tuple(reports)
 
 
 def verify_faraday(ms: ModeSet, medium: MediumSpec, scheme: str,
@@ -210,14 +211,14 @@ def verify_faraday(ms: ModeSet, medium: MediumSpec, scheme: str,
     appear as leakage); the linear-E route fails for any nonlinear medium
     with a polynomial-degree mismatch N vs 1.
     """
-    return _verify_law(ms, medium, scheme, "faraday", units or UnitSystem(), tolerance)
+    return verify_scheme(ms, medium, scheme, units, tolerance)[0]
 
 
 def verify_ampere(ms: ModeSet, medium: MediumSpec, scheme: str,
                   units: UnitSystem | None = None,
                   tolerance: float = RESIDUAL_TOL) -> FaradayReport:
     """d D/dt = curl(B)/mu0, per retained Fourier component."""
-    return _verify_law(ms, medium, scheme, "ampere", units or UnitSystem(), tolerance)
+    return verify_scheme(ms, medium, scheme, units, tolerance)[1]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from dquant.boson_algebra import (
     creation,
     degree,
     heisenberg_derivative,
-    interior_indices,
     normal_order,
     number,
     to_matrix,
@@ -26,6 +25,13 @@ bd = creation(1)
 
 def dense(p, space):
     return to_matrix(p, space).toarray()
+
+
+def interior_indices(space, margin):
+    """Basis indices whose occupations are all <= n_max - margin."""
+    occ = space.occupations()
+    limits = np.array([space.n_max(m) - margin for m in space.modes])
+    return np.nonzero(np.all(occ <= limits, axis=1))[0]
 
 
 class TestNormalOrder:
@@ -239,6 +245,34 @@ def test_jacobi_identity(p, q, r):
         + commutator(commutator(r, p), q)
     )
     assert total.max_abs_coeff() <= 1e-10
+
+
+@st.composite
+def linear_polys(draw, max_modes=3):
+    """A constant plus a^dag and a terms over several modes."""
+    coef = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    p = BosonicPolynomial.identity(draw(coef))
+    for mode in range(max_modes):
+        p = p + draw(coef) * creation(mode) + draw(coef) * annihilation(mode)
+    return p
+
+
+def _integer_coefficients(p):
+    return BosonicPolynomial({k: complex(round(8 * v.real), round(8 * v.imag))
+                              for k, v in p.terms.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=linear_polys(), q=polys(max_degree=4, max_terms=5))
+def test_linear_commutator_matches_product_difference(p, q):
+    # p*q - q*p is the independent oracle of the formal-derivative path
+    oracle = p * q - q * p
+    got = commutator(p, q)
+    scale = max((p * q).max_abs_coeff(), (q * p).max_abs_coeff())
+    for key in set(oracle.terms) | set(got.terms):
+        assert abs(got.terms.get(key, 0.0) - oracle.terms.get(key, 0.0)) <= 1e-14 * scale
+    p_int, q_int = _integer_coefficients(p), _integer_coefficients(q)
+    assert commutator(p_int, q_int).terms == (p_int * q_int - q_int * p_int).terms
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import dquant.maxwell as maxwell
+from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
 from dquant.units import si_units
 
@@ -92,6 +94,51 @@ class TestVerify:
                      "verify_faraday_E-linear-wrong.json",
                      "verify_ampere_E-linear-wrong.json"):
             assert (out_serial / name).read_bytes() == (out_par / name).read_bytes()
+
+    @pytest.mark.parametrize("chis", [
+        [0.6, 0.2, -0.15],
+        [1.1793393271782069, -0.49778809668482216, -0.41704050869234827],
+    ])
+    def test_chi3_ampere_stays_linear_at_five_modes(self, tmp_path, chis):
+        # the top-degree terms of D_m H and H D_m cancel exactly in dD/dt;
+        # built and subtracted, their rounding residue exceeded PRUNE_TOL
+        # and raised the D route's Ampere degree to 3
+        medium = write_medium(tmp_path, chis)
+        out = tmp_path / "reports"
+        assert main(["verify", "--medium", medium, "--modes", "5", "--out", str(out)]) == 0
+        ampere = json.loads((out / "verify_ampere_D-based.json").read_text())
+        assert (ampere["degree_lhs"], ampere["degree_rhs"]) == (1, 1)
+        assert ampere["passed"] is True
+
+    def test_chi3_linear_e_ampere_holds_and_faraday_fails(self, tmp_path):
+        medium = write_medium(tmp_path, [0.6, 0.0, 0.2])
+        out = tmp_path / "reports"
+        assert main(["verify", "--medium", medium, "--modes", "5", "--out", str(out)]) == 0
+        ampere = json.loads((out / "verify_ampere_E-linear-wrong.json").read_text())
+        assert ampere["degrees_match"] is True
+        assert ampere["passed"] is True
+        faraday = json.loads((out / "verify_faraday_E-linear-wrong.json").read_text())
+        assert (faraday["degree_lhs"], faraday["degree_rhs"]) == (3, 1)
+        assert faraday["passed"] is False
+
+    def test_one_build_and_hermiticity_check_per_scheme(self, tmp_path, monkeypatch):
+        calls = {"build": 0, "hermitian": 0}
+        build, is_hermitian = maxwell._scheme_hamiltonian, BosonicPolynomial.is_hermitian
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_is_hermitian(self, *args, **kwargs):
+            calls["hermitian"] += 1
+            return is_hermitian(self, *args, **kwargs)
+
+        monkeypatch.setattr(maxwell, "_scheme_hamiltonian", counted_build)
+        monkeypatch.setattr(BosonicPolynomial, "is_hermitian", counted_is_hermitian)
+        medium = write_medium(tmp_path, [0.5, 0.3])
+        assert main(["verify", "--medium", medium, "--modes", "3",
+                     "--out", str(tmp_path / "reports")]) == 0
+        assert calls == {"build": 2, "hermitian": 2}
 
 
 class TestCompare:

@@ -13,7 +13,6 @@ from dquant.fields import (
     expand_fields,
     integrate_density,
     sinc,
-    vacuum_pair_correlation,
 )
 from dquant.modes import make_uniform_medium_modes
 from dquant.susceptibility import SusceptibilityTensor
@@ -195,32 +194,3 @@ class TestProductK0:
         assert 0 not in (a * a).components
         assert a.product_k0(a).is_zero
 
-
-class TestCorrelationConsistency:
-    def test_table_matches_operator_expectation(self):
-        ms = make_uniform_medium_modes(1.0, 2 * pi, [-2, -1, 1, 2], NAT)
-        d_field, _ = expand_fields(ms, NAT)
-        dz = 0.4
-        space = FockSpace(modes=tuple(ms.labels()), cutoff=2)
-        vac = space.vacuum()
-        val = 0.0 + 0.0j
-        for m1 in d_field.wavevectors():
-            for m2 in d_field.wavevectors():
-                # phi_{m1}(z+dz) phi_{m2}(z) at z = 0
-                phase = np.exp(1j * d_field.k(m1) * dz) / (2 * pi)
-                mat = (to_matrix(d_field.component(m1), space)
-                       @ to_matrix(d_field.component(m2), space))
-                val += phase * (vac.conj() @ (mat @ vac))
-        table = vacuum_pair_correlation(ms, dz, NAT)
-        assert val == pytest.approx(table, abs=1e-12)
-
-    def test_box_doubling_leaves_windowed_correlator_invariant(self):
-        # smeared two-point function converges under k-grid refinement
-        window = lambda k: np.exp(-((k - 3.0) ** 2) / (2 * 0.7**2))
-        values = []
-        for l_box in (4000.0, 8000.0):
-            w = 2 * pi / l_box
-            m_lo, m_hi = int(np.ceil(0.2 / w)), int(np.floor(6.2 / w))
-            ms = make_uniform_medium_modes(1.0, l_box, range(m_lo, m_hi + 1), NAT)
-            values.append(vacuum_pair_correlation(ms, 0.3, NAT, window=window))
-        assert abs(values[0] - values[1]) < 1e-6

@@ -2,7 +2,8 @@ from math import pi, sqrt
 
 import pytest
 
-from dquant.boson_algebra import BosonicPolynomial
+import dquant.maxwell as maxwell
+from dquant.boson_algebra import BosonicPolynomial, NotHermitianError
 from dquant.fields import expand_fields, integrate_density
 from dquant.maxwell import (
     InconsistentModeSetError,
@@ -11,6 +12,7 @@ from dquant.maxwell import (
     spectral_curl,
     verify_ampere,
     verify_faraday,
+    verify_scheme,
 )
 from dquant.modes import make_uniform_medium_modes
 from dquant.susceptibility import MediumSpec, invert_series
@@ -155,6 +157,16 @@ class TestNonlinearMedium:
         assert doc["law"] == "faraday"
         assert set(doc["residuals"]) == {"-1", "1"}
         assert isinstance(doc["passed"], bool)
+
+
+class TestVerifyScheme:
+    def test_non_hermitian_hamiltonian_rejected(self, monkeypatch):
+        ms, medium = uniform_setup(0.5, 1, chis_higher=(0.3,))
+        label = ms.modes[0].label
+        monkeypatch.setattr(maxwell, "_scheme_hamiltonian",
+                            lambda *args: BosonicPolynomial.from_ops(str(label)))
+        with pytest.raises(NotHermitianError):
+            verify_scheme(ms, medium, "D-based")
 
 
 class TestConsistencyGuards:
