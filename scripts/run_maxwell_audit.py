@@ -11,6 +11,8 @@ from dquant.modes import make_uniform_medium_modes
 from dquant.susceptibility import MediumSpec
 from dquant.units import UnitSystem
 
+CHI3 = -0.15
+
 
 def audit(chis, m_max):
     units = UnitSystem()
@@ -31,14 +33,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--chi1", type=float, default=0.5)
     parser.add_argument("--chi2", type=float, default=0.3)
-    parser.add_argument("--chi3", type=float, default=-0.15)
     args = parser.parse_args()
 
     audit((args.chi1,), 2)  # linear: both schemes coincide
     for m_max in (1, 2, 3):
         audit((args.chi1, args.chi2), m_max)
     for m_max in (1, 3, 5):
-        audit((args.chi1, args.chi2, args.chi3), m_max)
+        audit((args.chi1, args.chi2, CHI3), m_max)
 
 
 if __name__ == "__main__":

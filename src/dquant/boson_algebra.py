@@ -259,20 +259,16 @@ def normal_order(p) -> BosonicPolynomial:
 
 
 def commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:
-    """[p, q] = p*q - q*p; taken by formal differentiation when p is linear."""
-    if degree(p) <= 1:
-        return _linear_commutator(p, q)
-    return p * q - q * p
-
-
-def _linear_commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:
-    """[p, q] for p of degree <= 1, term by term on q's normally ordered monomials:
+    """[p, q] = p*q - q*p, or, when p has degree <= 1, term by term on q's
+    normally ordered monomials by formal differentiation:
 
         [a, (a†)^c a^n] = c (a†)^(c-1) a^n,    [a†, (a†)^c a^n] = -n (a†)^c a^(n-1).
 
-    The zero-contraction terms of p*q and q*p, which cancel only up to
-    rounding, are never built; the constant part of p commutes with all.
+    That path never builds the zero-contraction terms of p*q and q*p, which
+    cancel only up to rounding; the constant part of p commutes with all.
     """
+    if degree(p) > 1:
+        return p * q - q * p
     acc: dict[Monomial, complex] = {}
     for k1, c1 in p.terms.items():
         if not k1:

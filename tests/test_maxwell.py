@@ -6,6 +6,7 @@ import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial, NotHermitianError
 from dquant.fields import expand_fields, integrate_density
 from dquant.maxwell import (
+    SCHEMES,
     InconsistentModeSetError,
     _scheme_hamiltonian,
     degree_contradiction_report,
@@ -167,6 +168,19 @@ class TestVerifyScheme:
                             lambda *args: BosonicPolynomial.from_ops(str(label)))
         with pytest.raises(NotHermitianError):
             verify_scheme(ms, medium, "D-based")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_single_law_wrappers_match_and_skip_the_other_law(self, monkeypatch, scheme):
+        ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3, -0.15))
+        faraday, ampere = verify_scheme(ms, medium, scheme)
+        e_builds = []
+        from_d = maxwell.electric_field_from_D
+        monkeypatch.setattr(maxwell, "electric_field_from_D",
+                            lambda *args: e_builds.append(1) or from_d(*args))
+        assert verify_ampere(ms, medium, scheme).to_dict() == ampere.to_dict()
+        assert e_builds == []
+        assert verify_faraday(ms, medium, scheme).to_dict() == faraday.to_dict()
+        assert len(e_builds) == (scheme == "D-based")
 
 
 class TestConsistencyGuards:
