@@ -15,8 +15,9 @@ keep term counts bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -308,8 +309,8 @@ class FockSpace:
     """Truncated multi-mode number basis with a cached occupation table.
 
     ``cutoff`` is the max occupation per mode (same for all modes when an
-    int). Basis states enumerate occupations row-major with the first mode
-    slowest, matching the kron order of the operator matrices.
+    int). Basis states enumerate occupations row-major over ``shape``, the
+    first mode slowest.
     """
 
     modes: tuple
@@ -326,29 +327,29 @@ class FockSpace:
             return int(self.cutoff[mode])
         return int(self.cutoff)
 
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        """Levels per mode, n_max + 1, in mode order: the row-major basis layout."""
+        return tuple(self.n_max(m) + 1 for m in self.modes)
+
     @property
     def dim(self) -> int:
-        d = 1
-        for m in self.modes:
-            d *= self.n_max(m) + 1
-        return d
+        return prod(self.shape)
 
     def occupations(self) -> np.ndarray:
         """(dim, n_modes) array of basis-state occupation numbers."""
         if "occ" not in self._cache:
-            grids = np.meshgrid(
-                *[np.arange(self.n_max(m) + 1) for m in self.modes], indexing="ij"
-            )
+            grids = np.meshgrid(*[np.arange(n) for n in self.shape], indexing="ij")
             occ = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
             self._cache["occ"] = occ
         return self._cache["occ"]
 
     def index(self, occs: Sequence[int]) -> int:
         idx = 0
-        for m, n in zip(self.modes, occs):
-            if not 0 <= n <= self.n_max(m):
+        for m, levels, n in zip(self.modes, self.shape, occs):
+            if not 0 <= n < levels:
                 raise ValueError(f"occupation {n} outside cutoff for mode {m}")
-            idx = idx * (self.n_max(m) + 1) + n
+            idx = idx * levels + n
         return idx
 
     def basis_state(self, occs: Sequence[int]) -> np.ndarray:
@@ -359,34 +360,49 @@ class FockSpace:
     def vacuum(self) -> np.ndarray:
         return self.basis_state([0] * len(self.modes))
 
-    def _local_ladders(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_max(mode)
-        a = np.diag(np.sqrt(np.arange(1, n + 1)), k=1)
-        return a.T, a  # (creation, annihilation)
+
+def fock_transitions(p: BosonicPolynomial, space: FockSpace, occ: np.ndarray):
+    """The nonzero matrix elements of p in the columns ``occ`` ((k, n_modes) occupations).
+
+    A term ``coef (a^dag)^cre a^ann`` moves |n> to |n - ann + cre> when
+    n >= ann in every mode and n - ann + cre stays within the cutoffs; it
+    annihilates every other state. Returns, term after term, the positions in
+    ``occ`` of the states moved, their targets' basis indices and the
+    amplitudes coef <target| (a^dag)^cre a^ann |n>. This is the one
+    truncated-Fock rule: :func:`to_matrix` and the sector evolution of
+    :mod:`dquant.dynamics` are both built on it.
+    """
+    unknown = p.modes() - set(space.modes)
+    if unknown:
+        raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
+    shape = space.shape
+    col = {m: i for i, m in enumerate(space.modes)}
+    powers = np.zeros((len(p.terms), 2, len(shape)), dtype=int)  # (term, cre|ann, mode)
+    for t, key in enumerate(p.terms):
+        for m, c, a in key:
+            powers[t, :, col[m]] = c, a
+    cre, ann = powers[:, None, 0], powers[:, None, 1]
+    low = occ - ann  # (term, state, mode)
+    terms, src = ((low >= 0).all(axis=2) & (low + cre < shape).all(axis=2)).nonzero()
+    low = low[terms, src]
+    cre, ann = cre[terms, 0], ann[terms, 0]
+    # sqrt(n! / low! * (low + cre)! / low!) per mode: a product of integers,
+    # exact in floats below 2^53
+    amp2 = np.ones(len(low))
+    for j in range(powers.max(initial=0)):
+        amp2 *= (np.where(j < ann, low + 1 + j, 1)
+                 * np.where(j < cre, low + 1 + j, 1)).prod(axis=1, dtype=float)
+    coefs = np.array(list(p.terms.values()), dtype=complex)
+    return src, np.ravel_multi_index((low + cre).T, shape), coefs[terms] * np.sqrt(amp2)
 
 
 def to_matrix(p: BosonicPolynomial, space: FockSpace) -> sp.csr_matrix:
     """Matrix of p in the truncated number basis.
 
     Exact on the subspace whose occupations stay at least degree(p) below
-    every cutoff; edge states feel the truncation.
+    every cutoff; edge states feel the truncation (see :func:`fock_transitions`).
     """
     import scipy.sparse as sp
 
-    unknown = p.modes() - set(space.modes)
-    if unknown:
-        raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
-    dim = space.dim
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    locals_ = {m: space._local_ladders(m) for m in space.modes}
-    for key, coef in p.terms.items():
-        powers = {m: (c, a) for m, c, a in key}
-        mat = sp.identity(1, dtype=complex, format="csr")
-        for m in space.modes:
-            c, a = powers.get(m, (0, 0))
-            ad_loc, a_loc = locals_[m]
-            local = np.linalg.matrix_power(ad_loc, c) @ np.linalg.matrix_power(a_loc, a)
-            mat = sp.kron(mat, sp.csr_matrix(local), format="csr")
-        total = total + coef * mat
-    return total.tocsr()
-
+    src, target, amp = fock_transitions(p, space, space.occupations())
+    return sp.coo_matrix((amp, (target, src)), shape=(space.dim, space.dim)).tocsr()

@@ -11,10 +11,12 @@ States evolve only on the sector of number states the Hamiltonian reaches
 from the initial state (the parametric Hamiltonians conserve photon-number
 differences, so the squeezer reaches n_max + 1 of the (n_max + 1)^2 states
 from the vacuum): the Hamiltonian restricted to that sector is built
-directly as a dense matrix and diagonalized exactly, at a cost cubic in the
-sector dimension. Norm and energy drifts are monitored and any population
-within two levels of a cutoff beyond 1e-6 flags the run as
-truncation-unsafe rather than silently reporting numbers.
+directly as a dense matrix, from the truncated-Fock rule
+``boson_algebra.fock_transitions`` that ``to_matrix`` also uses, and
+diagonalized exactly, at a cost cubic in the sector dimension. Norm and
+energy drifts are monitored and any population within two levels of a
+cutoff beyond 1e-6 flags the run as truncation-unsafe rather than silently
+reporting numbers.
 
 The observables build their generators as rates (H / hbar) and evolve them
 at hbar = 1, so that SI couplings of ~1e-11 1/s are not lost to the
@@ -28,7 +30,7 @@ from math import asinh, factorial, sqrt
 
 import numpy as np
 
-from .boson_algebra import BosonicPolynomial, FockSpace
+from .boson_algebra import BosonicPolynomial, FockSpace, fock_transitions
 from .hamiltonian import InteractionParams, prefactor_ratio, scheme_resonant_coefficients
 
 NORM_TOL = 1e-10
@@ -78,52 +80,28 @@ class EvolutionResult:
 def _sector(h: BosonicPolynomial, space: FockSpace, support: np.ndarray):
     """Basis states reachable from ``support`` under h, and h restricted to them.
 
-    Every term ``coef (a^dag)^cre a^ann`` moves |n> to |n - ann + cre> when
-    n >= ann in every mode and n - ann + cre stays within the cutoffs; those
-    are the nonzero entries of ``to_matrix(h, space)``. Returns the sector's
+    A breadth-first walk applies :func:`~dquant.boson_algebra.fock_transitions`
+    to each newly reached state once, so every matrix element of h with its
+    column in the sector is collected on the way. Returns the sector's
     full-space indices (sorted), their occupations and the dense d_S x d_S
     matrix of h on it, whose span h maps into itself.
     """
-    unknown = h.modes() - set(space.modes)
-    if unknown:
-        raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
-    shape = tuple(space.n_max(m) + 1 for m in space.modes)
-    cap = np.array(shape) - 1
-    moves = []
-    for key, coef in h.terms.items():
-        powers = {m: (c, a) for m, c, a in key}
-        cre, ann = (np.array([powers.get(m, (0, 0))[i] for m in space.modes]) for i in (0, 1))
-        moves.append((cre, ann, coef))
-
-    def step(occ, cre, ann):
-        ok = np.all(occ >= ann, axis=1) & np.all(occ - ann + cre <= cap, axis=1)
-        return ok, occ[ok] - ann + cre
-
     seen = np.zeros(space.dim, dtype=bool)
     seen[support] = True
     frontier = support
+    moves = []
     while frontier.size:
-        occ = np.stack(np.unravel_index(frontier, shape), axis=1)
-        reached = np.concatenate([support[:0]] + [  # empty for h = 0
-            np.ravel_multi_index(step(occ, cre, ann)[1].T, shape) for cre, ann, _ in moves])
-        frontier = np.unique(reached[~seen[reached]])
+        occ = np.stack(np.unravel_index(frontier, space.shape), axis=1)
+        src, to, amp = fock_transitions(h, space, occ)
+        moves.append((frontier[src], to, amp))
+        frontier = np.unique(to[~seen[to]])
         seen[frontier] = True
 
     sector = np.flatnonzero(seen)
-    occ = np.stack(np.unravel_index(sector, shape), axis=1)
+    src, to, amp = (np.concatenate(parts) for parts in zip(*moves))
     h_s = np.zeros((sector.size, sector.size), dtype=complex)
-    for cre, ann, coef in moves:
-        ok, target = step(occ, cre, ann)
-        # <n - ann + cre| (a^dag)^cre a^ann |n> = sqrt(n! / low! * (low + cre)! / low!)
-        # per mode, low = n - ann: a product of integers, exact in floats below 2^53
-        low = occ[ok] - ann
-        amp2 = np.ones(len(low))
-        for j in range(int(np.max(cre + ann, initial=0))):
-            amp2 *= np.prod(np.where(j < ann, low + 1 + j, 1)
-                            * np.where(j < cre, low + 1 + j, 1), axis=1, dtype=float)
-        rows = np.searchsorted(sector, np.ravel_multi_index(target.T, shape))
-        np.add.at(h_s, (rows, np.flatnonzero(ok)), coef * np.sqrt(amp2))
-    return sector, occ, h_s
+    np.add.at(h_s, (np.searchsorted(sector, to), np.searchsorted(sector, src)), amp)
+    return sector, np.stack(np.unravel_index(sector, space.shape), axis=1), h_s
 
 
 def evolve(
@@ -138,8 +116,9 @@ def evolve(
 
     Requires a Hermitian generator and a normalized initial state. The
     evolution runs on the sector of basis states that h reaches from the
-    support of psi0 (within the cutoffs of ``space``, the truncation of
-    ``to_matrix``): h restricted to it is diagonalized exactly once, and
+    support of psi0 (within the cutoffs of ``space``, truncated by
+    :func:`~dquant.boson_algebra.fock_transitions`, the rule ``to_matrix``
+    shares): h restricted to it is diagonalized exactly once, and
     every sample is psi0 + V[(exp(-i w t / hbar) - 1) * V^dag psi0], with
     the phase factor written as -2i sin(x/2) exp(-ix/2) so that t = 0
     returns psi0 exactly and weak couplings keep their relative accuracy.
@@ -161,8 +140,7 @@ def evolve(
     states_s = psi0_s + (phase * (v.conj().T @ psi0_s)) @ v.T
     norms = np.linalg.norm(states_s, axis=1)
     energies = np.real(np.einsum("si,is->s", states_s.conj(), h_s @ states_s.T))
-    limits = np.array([space.n_max(m) - 1 for m in space.modes])
-    near_edge = np.any(occ >= limits, axis=1)
+    near_edge = np.any(occ >= np.array(space.shape) - 2, axis=1)
     edge = float(np.max(np.sum(np.abs(states_s[:, near_edge]) ** 2, axis=1)))
     states = np.zeros((steps + 1, space.dim), dtype=complex)
     states[:, sector] = states_s

@@ -182,19 +182,18 @@ def _field_legs(modes, ms: ModeSet, units: UnitSystem, scale: float = 1.0) -> li
     return legs
 
 
-def _cubic_hamiltonian(
-    legs: list[_Leg],
-    tensor_value,
-    prefactor: float,
-    length: float,
-    resonant_families: tuple[str, str, str],
-):
-    """Sum over ordered leg triples of the cubic density integral.
+def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem, tensor_value,
+                       prefactor: float, leg_scale: float = 1.0):
+    """Sum over ordered leg triples of the cubic density integral on the triple.
 
-    Returns (resonant, anti_resonant) polynomials; the resonant sector is
-    the leg content {A^dag, B^dag, C} and its conjugate.
+    The one body of the three cubic builders, each of which first checks the
+    full permutation symmetry that the 3! collection of orderings needs.
+    Returns (resonant, anti_resonant) polynomials; the resonant sector is the
+    leg content {A^dag, B^dag, C} and its conjugate.
     """
-    fam_a, fam_b, fam_c = resonant_families
+    legs = _field_legs(_triple_modes_in(ms, triple), ms, units, scale=leg_scale)
+    length = triple.length
+    fam_a, fam_b, fam_c = triple.mode_a.family, triple.mode_b.family, triple.mode_c.family
     res_content = frozenset([(fam_a, True), (fam_b, True), (fam_c, False)])
     conj_content = frozenset([(fam_a, False), (fam_b, False), (fam_c, True)])
     resonant = BosonicPolynomial.zero()
@@ -245,6 +244,33 @@ def _require_symmetric(tensor: SusceptibilityTensor):
         )
 
 
+def _nonlinear_D(ms, eta2, triple, units):
+    _require_symmetric(eta2)
+    return _cubic_hamiltonian(ms, triple, units, eta2.item(), 1.0 / 3.0)
+
+
+def _nonlinear_E_wrong(ms, chi2, eta1, triple, units):
+    _require_symmetric(chi2)
+    return _cubic_hamiltonian(ms, triple, units, units.eps0 * chi2.item(), 2.0 / 3.0,
+                              leg_scale=eta1.item())
+
+
+def _quadratic_E_correction(eta1, eta2, ms, triple, units):
+    _require_symmetric(eta2)
+    # eps0 (1 + chi1) eta1 = 1 written out through the given eta1
+    one_plus_chi1 = 1.0 / (units.eps0 * eta1.item())
+    factor = units.eps0 * one_plus_chi1 * eta1.item() * eta2.item()
+    return _cubic_hamiltonian(ms, triple, units, factor, 1.0)
+
+
+def _select(sectors, resonant_only: bool, provenance: str) -> BosonicPolynomial:
+    resonant, anti = sectors
+    if resonant_only:
+        _audit_dropped(anti, provenance)
+        return resonant
+    return resonant + anti
+
+
 def build_nonlinear_D(
     ms: ModeSet,
     eta2: SusceptibilityTensor,
@@ -257,17 +283,7 @@ def build_nonlinear_D(
     The six orderings of the distinct legs collect into an overall factor
     3!/3 = 2 on the mode-overlap integral.
     """
-    _require_symmetric(eta2)
-    modes = _triple_modes_in(ms, triple)
-    legs = _field_legs(modes, ms, units)
-    families = (triple.mode_a.family, triple.mode_b.family, triple.mode_c.family)
-    resonant, anti = _cubic_hamiltonian(
-        legs, eta2.item(), 1.0 / 3.0, triple.length, families
-    )
-    if resonant_only:
-        _audit_dropped(anti, "D-based")
-        return resonant
-    return resonant + anti
+    return _select(_nonlinear_D(ms, eta2, triple, units), resonant_only, "D-based")
 
 
 def build_nonlinear_E_wrong(
@@ -283,17 +299,8 @@ def build_nonlinear_E_wrong(
     Equals -(2/3) integral eta2 D^3 in the resonant sector: wrong sign and
     twice the magnitude of :func:`build_nonlinear_D`.
     """
-    _require_symmetric(chi2)
-    modes = _triple_modes_in(ms, triple)
-    legs = _field_legs(modes, ms, units, scale=eta1.item())
-    families = (triple.mode_a.family, triple.mode_b.family, triple.mode_c.family)
-    resonant, anti = _cubic_hamiltonian(
-        legs, units.eps0 * chi2.item(), 2.0 / 3.0, triple.length, families
-    )
-    if resonant_only:
-        _audit_dropped(anti, "E-based-wrong")
-        return resonant
-    return resonant + anti
+    return _select(_nonlinear_E_wrong(ms, chi2, eta1, triple, units), resonant_only,
+                   "E-based-wrong")
 
 
 def quadratic_E_correction(
@@ -309,18 +316,8 @@ def quadratic_E_correction(
     The cross terms give exactly +1 * integral eta2 D^3, which added to the
     wrong Hamiltonian restores the correct one.
     """
-    _require_symmetric(eta2)
-    modes = _triple_modes_in(ms, triple)
-    legs = _field_legs(modes, ms, units)
-    families = (triple.mode_a.family, triple.mode_b.family, triple.mode_c.family)
-    # eps0 (1 + chi1) eta1 = 1 written out through the given eta1
-    one_plus_chi1 = 1.0 / (units.eps0 * eta1.item())
-    factor = units.eps0 * one_plus_chi1 * eta1.item() * eta2.item()
-    resonant, anti = _cubic_hamiltonian(legs, factor, 1.0, triple.length, families)
-    if resonant_only:
-        _audit_dropped(anti, "quadratic-E correction")
-        return resonant
-    return resonant + anti
+    return _select(_quadratic_E_correction(eta1, eta2, ms, triple, units), resonant_only,
+                   "quadratic-E correction")
 
 
 def _audit_dropped(anti: BosonicPolynomial, provenance: str):
@@ -532,19 +529,20 @@ def assemble(
         return HamiltonianSpec(linear=linear, nonlinear=nonlinear, provenance=scheme,
                                order=medium.highest_order)
 
-    builders = {
-        "D-based": lambda only: build_nonlinear_D(ms, etas[1], triple, units,
-                                                  resonant_only=only),
-        "E-based-wrong": lambda only: build_nonlinear_E_wrong(
-            ms, medium.chi(2), etas[0], triple, units, resonant_only=only),
-        "E-based-corrected": lambda only: build_nonlinear_E_wrong(
-            ms, medium.chi(2), etas[0], triple, units, resonant_only=only)
-        + quadratic_E_correction(etas[0], etas[1], ms, triple, units, resonant_only=only),
+    def corrected():
+        wrong = _nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, units)
+        correction = _quadratic_E_correction(etas[0], etas[1], ms, triple, units)
+        return tuple(w + c for w, c in zip(wrong, correction))
+
+    sectors = {
+        "D-based": lambda: _nonlinear_D(ms, etas[1], triple, units),
+        "E-based-wrong": lambda: _nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, units),
+        "E-based-corrected": corrected,
     }
-    if scheme not in builders:
+    if scheme not in sectors:
         raise ValueError(f"unknown scheme {scheme!r}")
-    resonant = builders[scheme](True)
-    dropped = builders[scheme](False) - resonant
+    resonant, dropped = sectors[scheme]()
+    _audit_dropped(dropped, scheme)
     return HamiltonianSpec(linear=linear, nonlinear=resonant, provenance=scheme,
                            order=medium.highest_order,
                            dropped_terms=len(dropped.terms), dropped_norm=dropped.norm())

@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass
 from math import sqrt
 
-from .boson_algebra import BosonicPolynomial, NotHermitianError, commutator, degree
+from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, commutator, degree
 from .fields import FieldOperator, electric_field_from_D, expand_fields, integrate_density
 from .modes import ModeSet
 from .susceptibility import MediumSpec, invert_series
@@ -159,6 +159,9 @@ def _verify_laws(ms, medium, scheme, laws, units, tolerance):
     etas = invert_series(medium, medium.highest_order)
     d_field, b_field = expand_fields(ms, units)
     retained = set(d_field.wavevectors())
+    if any(f.component(m).is_zero for f in (d_field, b_field) for m in retained):
+        raise ValueError(f"field components fall below PRUNE_TOL = {PRUNE_TOL:g} and "
+                         "prune to zero; run verify in natural units")
     h = _scheme_hamiltonian(d_field, b_field, medium, etas, scheme, ms.l_box, units)
     if not h.is_hermitian():
         raise NotHermitianError("Hamiltonian not Hermitian")
@@ -192,7 +195,8 @@ def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
     The fields, the inverse coefficients and the scheme Hamiltonian are built
     once, and the Hamiltonian's Hermiticity is checked once (raising
     :class:`NotHermitianError`); both laws take their Heisenberg derivatives
-    from it. Returns ``(faraday, ampere)``.
+    from it. Returns ``(faraday, ampere)``. Raises ``ValueError`` when a
+    retained field component prunes to zero, as SI-scale coefficients do.
     """
     return tuple(_verify_laws(ms, medium, scheme, ("faraday", "ampere"), units, tolerance))
 

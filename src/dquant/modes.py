@@ -132,15 +132,6 @@ class ModeSet:
     def labels(self) -> list[int]:
         return [m.label for m in self.modes]
 
-    def by_label(self, label: int) -> Mode:
-        for m in self.modes:
-            if m.label == label:
-                return m
-        raise KeyError(f"no mode with label {label}")
-
-    def by_family(self, family: str) -> list[Mode]:
-        return [m for m in self.modes if m.family == family]
-
     def to_dict(self) -> dict:
         return {
             "l_box": self.l_box,

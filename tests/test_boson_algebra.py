@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from dquant.boson_algebra import (
     number,
     to_matrix,
 )
+from fock_oracle import kron_matrix
 
 a = annihilation(0)
 ad = creation(0)
@@ -154,7 +156,12 @@ class TestToMatrix:
 
     def test_dimension(self):
         space = FockSpace(modes=(0, 1, 2), cutoff={0: 1, 1: 2, 2: 3})
+        assert space.shape == (2, 3, 4)
         assert space.dim == 2 * 3 * 4
+
+    def test_zero_polynomial(self):
+        m = to_matrix(BosonicPolynomial.zero(), FockSpace(modes=(0, 1), cutoff=2))
+        assert m.shape == (9, 9) and m.nnz == 0
 
 
 @st.composite
@@ -212,6 +219,18 @@ def test_support_filter_keeps_top_degree_coefficient_of_a_chain():
     assert full.coefficient({0: (1, 0)}) == 3.0
     assert filtered.coefficient({0: (1, 0)}) == 1.0
     assert set(filtered.terms) == {((0, 3, 0),), ((0, 1, 0),)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=polys(), cutoffs=st.lists(st.integers(1, 4), min_size=3, max_size=3))
+def test_to_matrix_matches_kron_oracle(p, cutoffs):
+    # the whole matrix, edge states included: the truncation must match too
+    space = FockSpace(modes=(0, 1, 2), cutoff=dict(enumerate(cutoffs)))
+    got = to_matrix(p, space)
+    assert isinstance(got, sp.csr_matrix)
+    oracle = kron_matrix(p, space)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(got.toarray() - oracle)) <= 1e-14 * scale
 
 
 @settings(max_examples=40, deadline=None)

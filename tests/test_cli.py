@@ -81,6 +81,19 @@ class TestVerify:
             assert (report["degree_lhs"], report["degree_rhs"]) == (1, 1)
             assert report["passed"] is True
 
+    def test_si_medium_fields_pruned_to_zero_exits_2(self, tmp_path, capsys):
+        # SI field coefficients lie below the absolute pruning threshold, so
+        # every component would vanish and both sides of each law read 0 = 0
+        path = tmp_path / "si.json"
+        path.write_text(json.dumps({"units": "si", "dim": 1,
+                                    "chi": {"1": [1.25], "2": [1e-12]}}))
+        out = tmp_path / "reports"
+        assert main(["verify", "--medium", str(path), "--modes", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "PRUNE_TOL" in err and "natural units" in err
+        assert not out.exists()
+
     def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
         # DQUANT_THREADS, the thread-pool knob of earlier versions, is ignored:
         # a run with it set writes the same report bytes as a run without it.

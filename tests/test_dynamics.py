@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dquant.boson_algebra import BosonicPolynomial, FockSpace, number, to_matrix
+from dquant.boson_algebra import BosonicPolynomial, FockSpace, number
 from dquant.dynamics import (
     EvolutionConfig,
     _sector,
@@ -19,6 +19,7 @@ from dquant.dynamics import (
     two_mode_squeezer,
 )
 from dquant.hamiltonian import InteractionParams
+from fock_oracle import kron_matrix
 
 
 def params_with(theta=0.05, phi=1.0):
@@ -94,7 +95,10 @@ def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_terms=3, max_power=2
 
 
 class TestSectorEvolution:
-    """evolve works on the reachable sector only; the full-space matrix is the oracle."""
+    """evolve works on the reachable sector only; the full-space kron matrix is the oracle.
+
+    ``to_matrix`` shares the sector's truncated-Fock rule, so it cannot serve.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(problem=hermitian_problems(), t=st.floats(0.05, 1.0))
@@ -103,7 +107,7 @@ class TestSectorEvolution:
 
         h, space, psi0 = problem
         res = evolve(h, space, psi0, t, steps=3)
-        hmat = to_matrix(h, space).toarray()
+        hmat = kron_matrix(h, space)
         for s, state in zip(res.times, res.states):
             assert np.max(np.abs(state - expm(-1j * s * hmat) @ psi0)) <= 1e-12
 
@@ -112,7 +116,7 @@ class TestSectorEvolution:
     def test_sector_matrix_is_the_restricted_full_matrix(self, problem):
         h, space, psi0 = problem
         sector, occ, h_s = _sector(h, space, np.flatnonzero(psi0))
-        hmat = to_matrix(h, space).toarray()
+        hmat = kron_matrix(h, space)
         assert set(np.flatnonzero(psi0)) <= set(sector)
         assert np.array_equal(sector, np.sort(sector))
         assert np.array_equal(occ, space.occupations()[sector])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
+import dquant.hamiltonian as hamiltonian
 from dquant.fields import expand_fields, integrate_density
 from dquant.hamiltonian import (
     DegenerateTripleError,
@@ -340,3 +341,40 @@ class TestAssemble:
         ms, triple, medium, _ = three_wave_setup()
         with pytest.raises(ValueError):
             assemble(ms, medium, triple, "nonsense", NAT)
+
+    @pytest.mark.parametrize("scheme, builds", [
+        ("D-based", 1), ("E-based-wrong", 1), ("E-based-corrected", 2)])
+    def test_builds_each_cubic_term_once(self, monkeypatch, scheme, builds):
+        calls = []
+        inner = hamiltonian._cubic_hamiltonian
+
+        def counting(*args, **kwargs):
+            calls.append(scheme)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(hamiltonian, "_cubic_hamiltonian", counting)
+        ms, triple, medium, _ = three_wave_setup(chi1=0.2, chi2=0.4)
+        assemble(ms, medium, triple, scheme, NAT)
+        assert len(calls) == builds
+
+    @pytest.mark.parametrize("scheme", ["D-based", "E-based-wrong", "E-based-corrected"])
+    def test_dropped_audit_matches_the_two_build_reference(self, scheme):
+        # reference: build the resonant sector, then everything, and subtract
+        ms, triple, medium, etas = three_wave_setup(chi1=0.2, chi2=0.4)
+
+        def build(only):
+            if scheme == "D-based":
+                return build_nonlinear_D(ms, etas[1], triple, NAT, resonant_only=only)
+            h = build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, NAT,
+                                        resonant_only=only)
+            if scheme == "E-based-corrected":
+                h = h + quadratic_E_correction(etas[0], etas[1], ms, triple, NAT,
+                                               resonant_only=only)
+            return h
+
+        resonant = build(True)
+        dropped = build(False) - resonant
+        spec = assemble(ms, medium, triple, scheme, NAT)
+        assert spec.nonlinear.terms == resonant.terms
+        assert spec.dropped_terms == len(dropped.terms) > 0
+        assert spec.dropped_norm == dropped.norm()
