@@ -7,78 +7,42 @@ Maxwell's equations at the operator level) and the electric-field series
 it: exact bosonic operator algebra, discrete mode bases, Faraday/Ampere
 residual checks, and Fock-space dynamics for the squeezing and
 frequency-conversion observables where the two routes disagree.
+
+The public names load lazily: ``import dquant`` imports no submodule, and
+the first access to a name imports the one submodule that defines it.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .boson_algebra import (
-    BosonicPolynomial,
-    FockSpace,
-    commutator,
-    degree,
-    heisenberg_derivative,
-    normal_order,
-    to_matrix,
-)
-from .dynamics import ComparisonReport, EvolutionConfig, compare_schemes, evolve
-from .hamiltonian import (
-    HamiltonianSpec,
-    InteractionParams,
-    ModeTriple,
-    build_interaction,
-    build_linear,
-    build_nonlinear_D,
-    build_nonlinear_E_wrong,
-    prefactor_ratio,
-    quadratic_E_correction,
-)
-from .maxwell import (FaradayReport, degree_contradiction_report, verify_ampere,
-                      verify_faraday, verify_scheme)
-from .modes import ModeProfile, ModeSet, make_uniform_medium_modes, solve_slab_modes
-from .susceptibility import (
-    MediumSpec,
-    SusceptibilityTensor,
-    energy_prefactors,
-    invert_series,
-)
-from .units import UnitSystem, natural_units, si_units
+_EXPORTS = {
+    "boson_algebra": ("BosonicPolynomial", "FockSpace", "commutator", "degree",
+                      "heisenberg_derivative", "normal_order", "to_matrix"),
+    "dynamics": ("ComparisonReport", "EvolutionConfig", "compare_schemes", "evolve"),
+    "hamiltonian": ("HamiltonianSpec", "InteractionParams", "ModeTriple",
+                    "build_interaction", "build_linear", "build_nonlinear_D",
+                    "build_nonlinear_E_wrong", "prefactor_ratio", "quadratic_E_correction"),
+    "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_ampere",
+                "verify_faraday", "verify_scheme"),
+    "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes", "solve_slab_modes"),
+    "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_prefactors",
+                       "invert_series"),
+    "units": ("UnitSystem", "natural_units", "si_units"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BosonicPolynomial",
-    "ComparisonReport",
-    "EvolutionConfig",
-    "FaradayReport",
-    "FockSpace",
-    "HamiltonianSpec",
-    "InteractionParams",
-    "MediumSpec",
-    "ModeProfile",
-    "ModeSet",
-    "ModeTriple",
-    "SusceptibilityTensor",
-    "UnitSystem",
-    "build_interaction",
-    "build_linear",
-    "build_nonlinear_D",
-    "build_nonlinear_E_wrong",
-    "commutator",
-    "compare_schemes",
-    "degree",
-    "degree_contradiction_report",
-    "energy_prefactors",
-    "evolve",
-    "heisenberg_derivative",
-    "invert_series",
-    "make_uniform_medium_modes",
-    "natural_units",
-    "normal_order",
-    "prefactor_ratio",
-    "quadratic_E_correction",
-    "si_units",
-    "solve_slab_modes",
-    "to_matrix",
-    "verify_ampere",
-    "verify_faraday",
-    "verify_scheme",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,7 +2,8 @@
 
 Commands: invert, verify, compare, phasematch, spdc, convert. Exit codes:
 0 success, 1 a verification expectation failed, 2 bad input. All emitted
-JSON/CSV is byte-deterministic for a given configuration.
+JSON/CSV is byte-deterministic for a given configuration. Each command
+imports only the modules it runs: start-up is most of a short command.
 """
 
 from __future__ import annotations
@@ -13,17 +14,6 @@ import sys
 from math import pi, sqrt
 from pathlib import Path
 
-import numpy as np
-
-from .dynamics import EvolutionConfig, compare_schemes, frequency_conversion, spdc_squeezing
-from .hamiltonian import (
-    build_interaction,
-    make_three_wave_modes,
-    phase_matching_curve,
-    prefactor_ratio,
-)
-from .maxwell import SCHEMES, verify_scheme
-from .modes import make_uniform_medium_modes
 from .serialize import csv_text, dumps, write_text
 from .susceptibility import (
     MediumSpec,
@@ -68,6 +58,9 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .maxwell import SCHEMES, verify_scheme
+    from .modes import make_uniform_medium_modes
+
     medium = _load_medium_arg(args)
     n_index = sqrt(1.0 + medium.chi(1).item())
     m_max = args.modes
@@ -101,6 +94,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .dynamics import compare_schemes
+
     report = compare_schemes(args.observable, args.order)
     _emit(args, "comparison.json", dumps(report.to_dict()))
     print(f"{args.observable} order {args.order}: ratio {report.ratio:.6g} "
@@ -109,6 +104,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_phasematch(args) -> int:
+    import numpy as np
+
+    from .hamiltonian import phase_matching_curve
+
     grid = np.linspace(args.dk_min, args.dk_max, args.points)
     curve = phase_matching_curve(args.length, grid)
     text = csv_text(["delta_k", "phi2"], curve)
@@ -118,6 +117,8 @@ def cmd_phasematch(args) -> int:
 
 def _interaction_from_args(args):
     """Matched three-wave setup from the medium (or the built-in default)."""
+    from .hamiltonian import build_interaction, make_three_wave_modes
+
     medium = load_medium(args.medium) if args.medium else MediumSpec.from_scalars([0.0, 0.4])
     if medium.chi(2).is_zero():
         raise ValueError("three-wave mixing needs a medium with nonzero chi(2)")
@@ -131,6 +132,8 @@ def _interaction_from_args(args):
 
 
 def _interaction_doc(params) -> dict:
+    from .hamiltonian import prefactor_ratio
+
     return {
         "theta": {"re": params.theta.real, "im": params.theta.imag},
         "delta_k": params.delta_k,
@@ -152,6 +155,8 @@ def _sweep_output(args, rows, series_name: str) -> None:
 
 
 def cmd_spdc(args) -> int:
+    from .dynamics import EvolutionConfig, spdc_squeezing
+
     params, units = _interaction_from_args(args)
     cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
                           pump=args.pump)
@@ -173,6 +178,8 @@ def cmd_spdc(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .dynamics import EvolutionConfig, frequency_conversion
+
     params, units = _interaction_from_args(args)
     cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
                           pump=args.pump)
@@ -234,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.set_defaults(fn=cmd_phasematch)
 
-    for name, fn, t_default in (("spdc", cmd_spdc, 4.0), ("convert", cmd_convert, 0.5)):
+    for name, fn in (("spdc", cmd_spdc), ("convert", cmd_convert)):
         p = sub.add_parser(name, help=f"{name} scheme comparison sweep")
         common(p, medium=True)
         p.add_argument("--n-max", type=int, default=16, help="Fock cutoff per mode")
-        p.add_argument("--time", type=float, default=t_default, help="total evolution time")
+        p.add_argument("--time", type=float, default=0.5, help="total evolution time")
         p.add_argument("--steps", type=int, default=20)
         p.add_argument("--pump", type=pump_amplitude, default=1.0,
                        help="classical pump amplitude, or 'quantum'")

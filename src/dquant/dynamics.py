@@ -26,6 +26,7 @@ absolute ``PRUNE_TOL`` that an energy hbar g ~ 1e-45 J would fall under.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import asinh, factorial, sqrt
 
 import numpy as np
@@ -176,6 +177,15 @@ def coherent_state(space: FockSpace, mode: int, alpha: complex) -> np.ndarray:
     return psi
 
 
+def coherent_cutoff(alpha: complex) -> int:
+    """Smallest cutoff at which the truncated coherent state of amplitude alpha
+    keeps at most EDGE_POPULATION_TOL on the edge states (n >= cutoff - 1)."""
+    for cutoff in count(1):
+        psi = coherent_state(FockSpace(modes=(0,), cutoff=cutoff), 0, alpha)
+        if np.sum(np.abs(psi[cutoff - 1:]) ** 2) <= EDGE_POPULATION_TOL:
+            return cutoff
+
+
 @dataclass(frozen=True)
 class SchemePair:
     """One observable evaluated under the correct and the wrong route.
@@ -246,8 +256,9 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
     H = hbar g (a_A^dag a_B^dag + H.c.), g = |theta| |beta| Phi / hbar; the
     wrong route multiplies the coupling magnitude by the order-n prefactor
     ratio. For pump="quantum" the full three-mode evolution runs instead,
-    with the pump in a truncated coherent state of amplitude 2 (undepleted
-    but quantum). The series holds <n_A>(t) per route.
+    with the pump in a coherent state of amplitude 2, truncated at
+    ``coherent_cutoff(2)`` or n_max, whichever is larger. The series holds
+    <n_A>(t) per route.
     """
     if cfg.classical_pump:
         g = _coupling(params, cfg, hbar)
@@ -258,7 +269,7 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
             return two_mode_squeezer(scale * g)
     else:
         beta = 2.0  # modest amplitude; keeps the pump sector truncation-safe
-        pump_cutoff = max(cfg.n_max, int(abs(beta) ** 2 + 6 * abs(beta)))
+        pump_cutoff = max(cfg.n_max, coherent_cutoff(beta))
         space = FockSpace(modes=(0, 1, 2),
                           cutoff={0: cfg.n_max, 1: cfg.n_max, 2: pump_cutoff})
         term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)},

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import dquant
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
@@ -232,6 +233,16 @@ class TestSweeps:
         assert 0.0 < result["r_correct"] < result["r_wrong"]
         assert result["ratio"] == pytest.approx(2.0, abs=0.05)
 
+    @pytest.mark.parametrize("pump", ["1.0", "quantum"])
+    def test_defaults_are_truncation_safe(self, tmp_path, capsys, pump):
+        out = tmp_path / pump
+        assert main(["spdc", "--pump", pump, "--out", str(out)]) == 0
+        assert "truncation-unsafe" not in capsys.readouterr().err
+        result = json.loads((out / "spdc_result.json").read_text())
+        assert result["truncation_safe"] is True
+        if pump != "quantum":
+            assert result["ratio"] == pytest.approx(2.0, abs=1e-4)
+
     def test_quantum_pump_convert_exits_2(self, capsys):
         assert main(["convert", "--pump", "quantum", "--n-max", "4"]) == 2
         assert "classical pump" in capsys.readouterr().err
@@ -275,25 +286,47 @@ class TestSweeps:
 
 
 def test_import_leaves_scipy_sparse_and_optimize_unloaded():
-    code = ("import sys, dquant; "
-            "print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))")
+    # the package namespace is lazy: no submodule, numpy or scipy until a name is used
+    code = ("import sys, dquant; print(sorted(m for m in sys.modules "
+            "if m.startswith(('dquant.', 'numpy', 'scipy'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"],
-    ["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"],
-    ["compare", "--observable", "squeezing"],
-], ids=["spdc", "convert", "compare-squeezing"])
-def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv):
+def test_public_names_resolve_to_their_defining_submodule():
+    for name in dquant.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(dquant, name)
+        assert obj.__module__.startswith("dquant.")
+        # a second access reads the cached name
+        assert obj is getattr(dquant, name) is getattr(sys.modules[obj.__module__], name)
+    assert set(dquant.__all__) <= set(dir(dquant))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dquant.no_such_name
+
+
+@pytest.mark.parametrize("argv, runs, unused", [
+    (["invert"], "susceptibility",
+     ("boson_algebra", "modes", "fields", "hamiltonian", "dynamics", "maxwell")),
+    (["verify", "--modes", "1"], "maxwell", ("hamiltonian", "dynamics")),
+    (["phasematch", "--points", "3"], "hamiltonian", ("dynamics", "maxwell")),
+    (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",)),
+    (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",)),
+    (["compare", "--observable", "squeezing"], "dynamics", ("maxwell",)),
+], ids=["invert", "verify", "phasematch", "spdc", "convert", "compare-squeezing"])
+def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
+    # each command imports only the modules it runs, and none of them loads scipy
+    if argv[0] in ("invert", "verify"):
+        argv = [*argv, "--medium", write_medium(tmp_path, [0.5, 0.3])]
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dquant", *argv,
                            "--out", str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "dquant.dynamics" in imported
+    assert f"dquant.{runs}" in imported
+    assert not {f"dquant.{u}" for u in unused} & set(imported)
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 

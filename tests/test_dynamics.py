@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from dquant.boson_algebra import BosonicPolynomial, FockSpace, number
 from dquant.dynamics import (
+    EDGE_POPULATION_TOL,
     EvolutionConfig,
     _sector,
     beamsplitter,
+    coherent_cutoff,
     coherent_state,
     compare_schemes,
     evolve,
@@ -190,6 +192,12 @@ class TestSpdcSqueezing:
         # undepleted regime: agreement at the percent level, not exact
         assert r_quantum == pytest.approx(r_classical, rel=0.05)
 
+    @pytest.mark.parametrize("n_max", [4, 16])
+    def test_quantum_pump_is_truncation_safe_for_short_times(self, n_max):
+        # the pump cutoff alone must not put the coherent state on the edge
+        cfg = EvolutionConfig(n_max=n_max, t_final=0.01, steps=2, pump="quantum")
+        assert spdc_squeezing(params_with(theta=0.02), cfg).truncation_safe
+
 
 class TestFrequencyConversion:
     def test_complete_conversion_at_half_period(self):
@@ -306,6 +314,15 @@ class TestCoherentState:
         psi = coherent_state(space, 0, 1.5)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         assert occupation_expectation(space, psi, 0) == pytest.approx(1.5**2, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha, cutoff", [(0.0, 2), (2.0, 19), (2j, 19)])
+    def test_cutoff_is_the_smallest_with_a_safe_edge(self, alpha, cutoff):
+        def edge(c):
+            psi = coherent_state(FockSpace(modes=(0,), cutoff=c), 0, alpha)
+            return np.sum(np.abs(psi[c - 1:]) ** 2)
+
+        assert coherent_cutoff(alpha) == cutoff
+        assert edge(cutoff) <= EDGE_POPULATION_TOL < edge(cutoff - 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
