@@ -144,8 +144,9 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
 
     Per mode: coefficient sqrt(hbar*omega/2)*sqrt(w)*d at +m on the
     annihilation operator, plus the conjugate at -m, and likewise with the
-    induction amplitude b. Requires flat profiles (the operator-valued
-    Fourier algebra carries no transverse structure).
+    induction amplitude b. Requires flat profiles of unit cross-section:
+    the operator-valued Fourier algebra carries no transverse structure, so
+    a product of fields is integrated over unit area.
     """
     if not ms.modes:
         raise ValueError("cannot expand fields of an empty mode set")
@@ -153,6 +154,9 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
     d_comp: dict[int, BosonicPolynomial] = {}
     b_comp: dict[int, BosonicPolynomial] = {}
     for mode in ms.modes:
+        if not mode.profile.is_flat or mode.profile.weights[0] != 1.0:
+            raise ValueError(f"mode {mode.label}: field expansion needs a flat profile "
+                             "of unit cross-section")
         amp = sqrt(units.hbar * mode.omega / 2.0) * sqrt(w)
         cd = amp * mode.profile.d_value()
         cb = amp * mode.profile.b_value()

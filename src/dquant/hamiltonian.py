@@ -23,7 +23,7 @@ import numpy as np
 
 from .boson_algebra import BosonicPolynomial, number
 from .fields import FieldOperator, expand_fields, integrate_density, sinc
-from .modes import Mode, ModeSet, flat_profile
+from .modes import Mode, ModeSet, plane_wave_mode
 from .susceptibility import (
     MediumSpec,
     SusceptibilityTensor,
@@ -150,79 +150,28 @@ def linear_from_energy_density(
 
 
 # ---------------------------------------------------------------------------
-# cubic three-wave builders (ordered-leg expansion with transverse overlaps)
+# cubic three-wave builders (the field expansion cubed on the triple's region)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Leg:
-    family: str
-    label: int
-    k: float
-    amplitude: complex
-    profile_samples: np.ndarray
-    weights: np.ndarray
-    is_creation: bool
-    op: BosonicPolynomial
-
-
-def _field_legs(modes, ms: ModeSet, units: UnitSystem, scale: float = 1.0) -> list[_Leg]:
-    """Both legs (annihilation at +k, creation at -k) of each mode's field."""
-    from .boson_algebra import annihilation, creation
-
-    legs = []
-    for mode in modes:
-        amp = scale * sqrt(units.hbar * mode.omega / 2.0) * sqrt(ms.w)
-        legs.append(_Leg(mode.family, mode.label, mode.k, amp * 1.0,
-                         mode.profile.d, mode.profile.weights, False,
-                         annihilation(mode.label)))
-        legs.append(_Leg(mode.family, mode.label, -mode.k, np.conj(amp),
-                         np.conj(mode.profile.d), mode.profile.weights, True,
-                         creation(mode.label)))
-    return legs
-
-
-def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem, tensor_value,
-                       prefactor: float, leg_scale: float = 1.0):
-    """Sum over ordered leg triples of the cubic density integral on the triple.
+def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem, weight: float,
+                       x_scale: float = 1.0):
+    """weight * integral of X^3, X = x_scale * D, over the triple's region.
 
     The one body of the three cubic builders, each of which first checks the
-    full permutation symmetry that the 3! collection of orderings needs.
-    Returns (resonant, anti_resonant) polynomials; the resonant sector is the
-    leg content {A^dag, B^dag, C} and its conjugate.
+    full permutation symmetry that the 3! collection of orderings needs. D
+    is expanded on the triple's modes alone. Returns (resonant,
+    anti_resonant) polynomials; the resonant sector is a_A^dag a_B^dag a_C
+    and its conjugate.
     """
-    legs = _field_legs(_triple_modes_in(ms, triple), ms, units, scale=leg_scale)
-    length = triple.length
-    fam_a, fam_b, fam_c = triple.mode_a.family, triple.mode_b.family, triple.mode_c.family
-    res_content = frozenset([(fam_a, True), (fam_b, True), (fam_c, False)])
-    conj_content = frozenset([(fam_a, False), (fam_b, False), (fam_c, True)])
-    resonant = BosonicPolynomial.zero()
-    anti = BosonicPolynomial.zero()
-    for l1 in legs:
-        for l2 in legs:
-            for l3 in legs:
-                if not np.array_equal(l1.weights, l2.weights) or not np.array_equal(
-                    l1.weights, l3.weights
-                ):
-                    raise ValueError("leg profiles must share a transverse grid")
-                overlap = np.dot(
-                    l1.weights,
-                    tensor_value * l1.profile_samples * l2.profile_samples * l3.profile_samples,
-                )
-                k_total = l1.k + l2.k + l3.k
-                z_factor = length * sinc(k_total * length / 2.0) / (2 * pi) ** 1.5
-                coeff = prefactor * l1.amplitude * l2.amplitude * l3.amplitude
-                coeff = coeff * overlap * z_factor
-                if coeff == 0.0:
-                    continue
-                term = coeff * (l1.op * l2.op * l3.op)
-                content = frozenset(
-                    (leg.family, leg.is_creation) for leg in (l1, l2, l3)
-                )
-                if content == res_content or content == conj_content:
-                    resonant = resonant + term
-                else:
-                    anti = anti + term
+    d_field, _ = expand_fields(ModeSet(modes=_triple_modes_in(ms, triple), l_box=ms.l_box),
+                               units)
+    x = x_scale * d_field
+    h = weight * integrate_density(x * x * x, ms.l_box, region_length=triple.length)
+    pump_term = BosonicPolynomial.monomial(_resonant_powers(triple))
+    sector = set(pump_term.terms) | set(pump_term.dagger().terms)
+    resonant = BosonicPolynomial({k: c for k, c in h.terms.items() if k in sector})
+    anti = BosonicPolynomial({k: c for k, c in h.terms.items() if k not in sector})
     return resonant, anti
 
 
@@ -246,13 +195,13 @@ def _require_symmetric(tensor: SusceptibilityTensor):
 
 def _nonlinear_D(ms, eta2, triple, units):
     _require_symmetric(eta2)
-    return _cubic_hamiltonian(ms, triple, units, eta2.item(), 1.0 / 3.0)
+    return _cubic_hamiltonian(ms, triple, units, eta2.item() / 3.0)
 
 
 def _nonlinear_E_wrong(ms, chi2, eta1, triple, units):
     _require_symmetric(chi2)
-    return _cubic_hamiltonian(ms, triple, units, units.eps0 * chi2.item(), 2.0 / 3.0,
-                              leg_scale=eta1.item())
+    return _cubic_hamiltonian(ms, triple, units, units.eps0 * (2.0 / 3.0) * chi2.item(),
+                              x_scale=eta1.item())
 
 
 def _quadratic_E_correction(eta1, eta2, ms, triple, units):
@@ -260,7 +209,7 @@ def _quadratic_E_correction(eta1, eta2, ms, triple, units):
     # eps0 (1 + chi1) eta1 = 1 written out through the given eta1
     one_plus_chi1 = 1.0 / (units.eps0 * eta1.item())
     factor = units.eps0 * one_plus_chi1 * eta1.item() * eta2.item()
-    return _cubic_hamiltonian(ms, triple, units, factor, 1.0)
+    return _cubic_hamiltonian(ms, triple, units, factor)
 
 
 def _select(sectors, resonant_only: bool, provenance: str) -> BosonicPolynomial:
@@ -280,7 +229,7 @@ def build_nonlinear_D(
 ):
     """(1/3) integral eta2 D^3 reduced to the three-wave sector.
 
-    The six orderings of the distinct legs collect into an overall factor
+    The six orderings of a_A^dag, a_B^dag and a_C in D^3 collect into a factor
     3!/3 = 2 on the mode-overlap integral.
     """
     return _select(_nonlinear_D(ms, eta2, triple, units), resonant_only, "D-based")
@@ -330,13 +279,13 @@ def _audit_dropped(anti: BosonicPolynomial, provenance: str):
 
 def resonant_coefficient(poly: BosonicPolynomial, triple: ModeTriple) -> complex:
     """Coefficient of a_A^dag a_B^dag a_C in a three-wave Hamiltonian."""
-    return poly.coefficient(
-        {
-            triple.mode_a.label: (1, 0),
-            triple.mode_b.label: (1, 0),
-            triple.mode_c.label: (0, 1),
-        }
-    )
+    return poly.coefficient(_resonant_powers(triple))
+
+
+def _resonant_powers(triple: ModeTriple) -> dict:
+    """Mode powers of a_A^dag a_B^dag a_C."""
+    return {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
+            triple.mode_c.label: (0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +304,9 @@ def _pure_order_modeset(order: int, chi1: float, units: UnitSystem) -> tuple[Mod
     """n signal modes at m = 1..n plus the matched pump at m = n(n+1)/2."""
     n_index = sqrt(1.0 + chi1)
     l_box = 2 * pi
-    w = 1.0
-    modes = []
-    for i in range(1, order + 1):
-        k = w * i
-        omega = units.c * k / n_index
-        modes.append(Mode(label=i - 1, family=f"W{i}", m=i, k=k, omega=omega,
-                          profile=flat_profile(n_index, omega, k, units)))
-    m_pump = order * (order + 1) // 2
-    k_pump = w * m_pump
-    omega_pump = units.c * k_pump / n_index
-    modes.append(Mode(label=order, family="P", m=m_pump, k=k_pump, omega=omega_pump,
-                      profile=flat_profile(n_index, omega_pump, k_pump, units)))
+    modes = [plane_wave_mode(i - 1, f"W{i}", i, n_index, l_box, units)
+             for i in range(1, order + 1)]
+    modes.append(plane_wave_mode(order, "P", order * (order + 1) // 2, n_index, l_box, units))
     ms = ModeSet(modes=tuple(modes), l_box=l_box)
     monomial = {i: (1, 0) for i in range(order)}
     monomial[order] = (0, 1)
@@ -461,14 +401,7 @@ def build_interaction(
     phi = sinc(delta_k * length / 2.0)
     params = InteractionParams(theta=theta, delta_k=delta_k,
                                delta=triple.delta_omega, phi=phi)
-    term = BosonicPolynomial.monomial(
-        {
-            triple.mode_a.label: (1, 0),
-            triple.mode_b.label: (1, 0),
-            triple.mode_c.label: (0, 1),
-        },
-        coeff=theta * phi,
-    )
+    term = BosonicPolynomial.monomial(_resonant_powers(triple), coeff=theta * phi)
     return params, term + term.dagger()
 
 
@@ -498,15 +431,8 @@ def make_three_wave_modes(
     """
     if m_a <= 0 or m_b <= 0 or m_a == m_b:
         raise ValueError("signal indices must be positive and distinct")
-    w = 2 * pi / l_box
-    modes = []
-    for label, (family, m) in enumerate(
-        [("A", m_a), ("B", m_b), ("C", m_a + m_b)]
-    ):
-        k = w * m
-        omega = units.c * k / n_index
-        modes.append(Mode(label=label, family=family, m=m, k=k, omega=omega,
-                          profile=flat_profile(n_index, omega, k, units)))
+    modes = [plane_wave_mode(label, family, m, n_index, l_box, units)
+             for label, (family, m) in enumerate([("A", m_a), ("B", m_b), ("C", m_a + m_b)])]
     ms = ModeSet(modes=tuple(modes), l_box=l_box)
     triple = ModeTriple(mode_a=modes[0], mode_b=modes[1], mode_c=modes[2],
                         length=length if length is not None else l_box)

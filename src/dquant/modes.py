@@ -175,13 +175,20 @@ def flat_profile(n_index: float, omega: float, k: float, units: UnitSystem,
     )
 
 
+def plane_wave_mode(label: int, family: str, m: int, n_index: float, l_box: float,
+                    units: UnitSystem) -> Mode:
+    """Flat-profile plane wave on the box grid: k = 2*pi*m/l_box, omega = c |k| / n."""
+    k = 2 * pi / l_box * m
+    omega = units.c * abs(k) / n_index
+    return Mode(label=label, family=family, m=m, k=k, omega=omega,
+                profile=flat_profile(n_index, omega, k, units))
+
+
 def make_uniform_medium_modes(
     n_index: float,
     l_box: float,
     m_range: Sequence[int],
     units: UnitSystem,
-    family: str = "U",
-    area: float = 1.0,
     label_start: int = 0,
 ) -> ModeSet:
     """Plane-wave modes of a uniform medium: omega = c |k| / n.
@@ -193,7 +200,6 @@ def make_uniform_medium_modes(
         raise ValueError("refractive index must be >= 1")
     if l_box <= 0:
         raise ValueError("box length must be positive")
-    w = 2 * pi / l_box
     dropped = False
     modes = []
     label = label_start
@@ -202,12 +208,7 @@ def make_uniform_medium_modes(
             dropped = True
             logger.warning("zero-frequency m=0 mode excluded from the basis")
             continue
-        k = w * m
-        omega = units.c * abs(k) / n_index
-        modes.append(
-            Mode(label=label, family=family, m=int(m), k=k, omega=omega,
-                 profile=flat_profile(n_index, omega, k, units, area=area))
-        )
+        modes.append(plane_wave_mode(label, "U", int(m), n_index, l_box, units))
         label += 1
     return ModeSet(modes=tuple(modes), l_box=l_box, dropped_zero_mode=dropped)
 
@@ -282,12 +283,18 @@ def _propagate_layer(e, ep, kappa_sq, t):
     return e + ep * t, ep
 
 
+def _transfer_walk(beta, k0, stack: SlabStack) -> list:
+    """(E, E') at each interface, from the decaying left-cladding tail E = 1."""
+    gamma_l = np.sqrt(beta**2 - (stack.indices[0] * k0) ** 2)
+    values = [(1.0, gamma_l)]
+    for t, n in zip(stack.thicknesses[1:-1], stack.indices[1:-1]):
+        values.append(_propagate_layer(*values[-1], (n * k0) ** 2 - beta**2, t))
+    return values
+
+
 def _dispersion_mismatch(beta, k0, stack: SlabStack) -> float:
     """Decay-matching residual at the right cladding; zero on a guided mode."""
-    gamma_l = np.sqrt(beta**2 - (stack.indices[0] * k0) ** 2)
-    e, ep = 1.0, gamma_l
-    for t, n in zip(stack.thicknesses[1:-1], stack.indices[1:-1]):
-        e, ep = _propagate_layer(e, ep, (n * k0) ** 2 - beta**2, t)
+    e, ep = _transfer_walk(beta, k0, stack)[-1]
     gamma_r = np.sqrt(beta**2 - (stack.indices[-1] * k0) ** 2)
     return ep + gamma_r * e
 
@@ -320,22 +327,13 @@ class SlabModeSolution:
         out[left] = e_left * np.exp(gamma_l * (x[left] - ifaces[0]))
         right = x >= ifaces[-1]
         out[right] = e_right * np.exp(-gamma_r * (x[right] - ifaces[-1]))
-        for j, (t, n) in enumerate(zip(self.stack.thicknesses[1:-1], self.stack.indices[1:-1])):
-            lo, hi = ifaces[j], ifaces[j + 1]
-            sel = (x > lo) & (x < hi)
-            if not np.any(sel):
-                continue
+        # half-open layers: a sample on an inner interface belongs to the layer it opens
+        for j, n in enumerate(self.stack.indices[1:-1]):
+            lo = ifaces[j]
+            sel = (x >= lo) & (x < ifaces[j + 1])
             e0, ep0 = self.boundary_values[j]
             kappa_sq = (n * self.k0) ** 2 - self.beta**2
-            dx = x[sel] - lo
-            if kappa_sq > 0:
-                kap = np.sqrt(kappa_sq)
-                out[sel] = e0 * np.cos(kap * dx) + ep0 * np.sin(kap * dx) / kap
-            elif kappa_sq < 0:
-                gam = np.sqrt(-kappa_sq)
-                out[sel] = e0 * np.cosh(gam * dx) + ep0 * np.sinh(gam * dx) / gam
-            else:
-                out[sel] = e0 + ep0 * dx
+            out[sel] = _propagate_layer(e0, ep0, kappa_sq, x[sel] - lo)[0]
         return out
 
 
@@ -358,16 +356,9 @@ def _solve_slab_betas(stack: SlabStack, omega: float, units: UnitSystem,
         elif vals[i] * vals[i + 1] < 0:
             roots.append(brentq(_dispersion_mismatch, betas[i], betas[i + 1],
                                 args=(k0, stack), xtol=1e-14, rtol=1e-15))
-    solutions = []
-    for beta in roots:
-        gamma_l = np.sqrt(beta**2 - (stack.indices[0] * k0) ** 2)
-        bvals = [(1.0, gamma_l)]
-        e, ep = 1.0, gamma_l
-        for t, n in zip(stack.thicknesses[1:-1], stack.indices[1:-1]):
-            e, ep = _propagate_layer(e, ep, (n * k0) ** 2 - beta**2, t)
-            bvals.append((e, ep))
-        solutions.append(SlabModeSolution(stack=stack, omega=omega, k0=k0, beta=beta,
-                                          boundary_values=tuple(bvals)))
+    solutions = [SlabModeSolution(stack=stack, omega=omega, k0=k0, beta=beta,
+                                  boundary_values=tuple(_transfer_walk(beta, k0, stack)))
+                 for beta in roots]
     # fundamental (largest n_eff) first
     return sorted(solutions, key=lambda s: -s.beta)
 

@@ -1,0 +1,44 @@
+"""Ordered-leg expansion of a cubic three-wave density integral.
+
+An oracle for the cubic builders of ``dquant.hamiltonian`` that is
+independent of the field algebra they are built on: every mode contributes
+an annihilation leg at +k and a creation leg at -k, and each of the 27
+ordered leg triples is integrated over the triple's region on its own.
+"""
+
+from math import pi, sqrt
+
+import numpy as np
+
+from dquant.boson_algebra import BosonicPolynomial, annihilation, creation
+from dquant.fields import sinc
+
+
+def cubic_sectors(triple, ms, units, tensor_value, prefactor, leg_scale=1.0):
+    """(resonant, anti_resonant) parts of prefactor * integral tensor X^3, X = leg_scale D."""
+    legs = []
+    for mode in triple.modes():
+        amp = leg_scale * sqrt(units.hbar * mode.omega / 2.0) * sqrt(ms.w)
+        legs.append((mode.family, False, mode.k, amp * mode.profile.d_value(),
+                     annihilation(mode.label)))
+        legs.append((mode.family, True, -mode.k, np.conj(amp * mode.profile.d_value()),
+                     creation(mode.label)))
+    fam = [m.family for m in triple.modes()]
+    resonant_content = {frozenset([(fam[0], True), (fam[1], True), (fam[2], False)]),
+                        frozenset([(fam[0], False), (fam[1], False), (fam[2], True)])}
+    length = triple.length
+    resonant = anti = BosonicPolynomial.zero()
+    for l1 in legs:
+        for l2 in legs:
+            for l3 in legs:
+                k_total = l1[2] + l2[2] + l3[2]
+                z_factor = length * sinc(k_total * length / 2.0) / (2 * pi) ** 1.5
+                coeff = prefactor * tensor_value * l1[3] * l2[3] * l3[3] * z_factor
+                if coeff == 0.0:
+                    continue
+                term = coeff * (l1[4] * l2[4] * l3[4])
+                if frozenset(leg[:2] for leg in (l1, l2, l3)) in resonant_content:
+                    resonant = resonant + term
+                else:
+                    anti = anti + term
+    return resonant, anti

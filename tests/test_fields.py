@@ -14,7 +14,13 @@ from dquant.fields import (
     integrate_density,
     sinc,
 )
-from dquant.modes import make_uniform_medium_modes
+from dquant.modes import (
+    Mode,
+    ModeSet,
+    flat_profile,
+    make_uniform_medium_modes,
+    solve_slab_modes,
+)
 from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem
 
@@ -85,6 +91,24 @@ class TestExpandFields:
                                                label_start=mode.label)
             d_one, _ = expand_fields(single, NAT)
             assert d_two.component(mode.m).isclose(d_one.component(mode.m))
+
+
+    def test_rejects_profiles_of_other_cross_section(self):
+        # the field algebra integrates products over unit area: a flat profile
+        # of area 2.5 would come out mis-scaled, so it is refused
+        omega = k = 1.0
+        mode = Mode(label=0, family="U", m=1, k=k, omega=omega,
+                    profile=flat_profile(1.3, omega, k, NAT, area=2.5))
+        with pytest.raises(ValueError, match="unit cross-section"):
+            expand_fields(ModeSet(modes=(mode,), l_box=2 * pi), NAT)
+
+    def test_rejects_sampled_profiles(self):
+        (profile,) = solve_slab_modes([(6.0, 1.45), (1.0, 2.0), (6.0, 1.45)], omega=1.0,
+                                      units=NAT, with_group_velocity=False,
+                                      points_per_layer=50)
+        mode = Mode(label=0, family="U", m=1, k=1.0, omega=1.0, profile=profile)
+        with pytest.raises(ValueError, match="flat profile"):
+            expand_fields(ModeSet(modes=(mode,), l_box=2 * pi), NAT)
 
 
 class TestElectricFieldFromD:

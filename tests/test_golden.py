@@ -1,0 +1,75 @@
+"""Byte-for-byte CLI outputs against the files in tests/golden/.
+
+Only outputs that pass through neither a LAPACK eigensolver nor ``np.sinc``
+are pinned: those may differ in the last digit from one platform to the
+next. Each golden file holds a command's stdout, except
+``convert_interaction.json``, the file ``convert --out`` writes. Regenerate
+them with ``PYTHONPATH=src python tests/test_golden.py``, only at a commit
+whose outputs are trusted.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from dquant.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CHI3 = {"units": "natural", "dim": 1, "chi": {"1": [0.6], "2": [0.0], "3": [0.2]}}
+CHI2 = {"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [0.3]}}
+
+#: golden file -> argv of the command whose stdout it holds ({chi3}: the medium file)
+STDOUT_CASES = {
+    **{f"compare_coefficient_{n}.txt": ["compare", "--observable", "coefficient",
+                                        "--order", str(n)] for n in (2, 3, 4)},
+    "invert_chi3.txt": ["invert", "--medium", "{chi3}"],
+    "verify_chi3_m2.txt": ["verify", "--medium", "{chi3}", "--modes", "2"],
+}
+CONVERT = ["convert", "--medium", "{chi2}", "--length", "1.7", "--n-max", "4"]
+
+
+def _run(argv, workdir: Path) -> tuple[int, str, str]:
+    media = {}
+    for name, doc in (("chi3", CHI3), ("chi2", CHI2)):
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        media[name] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**media) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_is_golden(name, tmp_path):
+    code, out, err = _run(STDOUT_CASES[name], tmp_path)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_interaction_json_is_golden(tmp_path):
+    code, _, err = _run(CONVERT + ["--out", str(tmp_path / "out")], tmp_path)
+    assert (code, err) == (0, "")
+    golden = (GOLDEN / "convert_interaction.json").read_bytes()
+    assert (tmp_path / "out" / "interaction.json").read_bytes() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, argv in STDOUT_CASES.items():
+            code, out, err = _run(argv, workdir)
+            if (code, err) != (0, ""):
+                sys.exit(f"{name}: exit {code}, stderr {err!r}")
+            (GOLDEN / name).write_bytes(out.encode())
+        code, _, err = _run(CONVERT + ["--out", str(workdir / "out")], workdir)
+        if (code, err) != (0, ""):
+            sys.exit(f"convert: exit {code}, stderr {err!r}")
+        (GOLDEN / "convert_interaction.json").write_bytes(
+            (workdir / "out" / "interaction.json").read_bytes())

@@ -2,6 +2,7 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
+from leg_oracle import cubic_sectors
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
 import dquant.hamiltonian as hamiltonian
@@ -188,6 +189,68 @@ class TestCorrection:
         ms, triple, _, etas = three_wave_setup()
         corr = quadratic_E_correction(etas[0], scalar(2, 0.0, role="eta"), ms, triple, NAT)
         assert corr.is_zero
+
+
+#: (m_a, m_b, chi1, chi2, l_box, length): box-filling and shorter regions
+ORACLE_CASES = [
+    (1, 2, 0.0, 0.4, 2 * pi, None),
+    (1, 3, 1.25, 0.5, 2 * pi, 1.7),
+    (2, 3, 0.6, -0.3, 6.0, 2.3),
+]
+
+
+def _oracle(builder, ms, triple, medium, etas):
+    """(resonant, anti_resonant) of one cubic term by the ordered-leg expansion."""
+    eta1, eta2 = etas[0].item(), etas[1].item()
+    if builder == "D":
+        return cubic_sectors(triple, ms, NAT, eta2, 1.0 / 3.0)
+    if builder == "E-wrong":
+        return cubic_sectors(triple, ms, NAT, NAT.eps0 * medium.chi(2).item(), 2.0 / 3.0,
+                             leg_scale=eta1)
+    # eps0 (1 + chi1) eta1 = 1 makes the correction + integral eta2 D^3
+    return cubic_sectors(triple, ms, NAT, eta2, 1.0)
+
+
+class TestLegOracle:
+    """Full cubic polynomials, anti-resonant terms included, against the leg expansion."""
+
+    @staticmethod
+    def setup(case):
+        m_a, m_b, chi1, chi2, l_box, length = case
+        return three_wave_setup(chi1=chi1, chi2=chi2, l_box=l_box, length=length,
+                                m_a=m_a, m_b=m_b)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("builder", ["D", "E-wrong", "correction"])
+    def test_full_polynomial(self, case, builder):
+        ms, triple, medium, etas = self.setup(case)
+        got = {
+            "D": lambda: build_nonlinear_D(ms, etas[1], triple, NAT, resonant_only=False),
+            "E-wrong": lambda: build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple,
+                                                       NAT, resonant_only=False),
+            "correction": lambda: quadratic_E_correction(etas[0], etas[1], ms, triple, NAT,
+                                                         resonant_only=False),
+        }[builder]()
+        resonant, anti = _oracle(builder, ms, triple, medium, etas)
+        expected = resonant + anti
+        assert len(anti.terms) > 0
+        assert set(got.terms) == set(expected.terms)
+        scale = expected.max_abs_coeff()
+        assert max(abs(got.terms[k] - c) for k, c in expected.terms.items()) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("scheme", ["D-based", "E-based-wrong", "E-based-corrected"])
+    def test_dropped_terms(self, case, scheme):
+        ms, triple, medium, etas = self.setup(case)
+        if scheme == "D-based":
+            anti = _oracle("D", ms, triple, medium, etas)[1]
+        else:
+            anti = _oracle("E-wrong", ms, triple, medium, etas)[1]
+            if scheme == "E-based-corrected":
+                anti = anti + _oracle("correction", ms, triple, medium, etas)[1]
+        spec = assemble(ms, medium, triple, scheme, NAT)
+        assert spec.dropped_terms == len(anti.terms)
+        assert spec.dropped_norm == pytest.approx(anti.norm(), rel=1e-13)
 
 
 class TestPrefactorRatio:

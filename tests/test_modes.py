@@ -12,6 +12,7 @@ from dquant.modes import (
     make_uniform_medium_modes,
     normalization_integral,
     normalize,
+    plane_wave_mode,
     slab_profile,
     solve_slab_modes,
 )
@@ -82,6 +83,14 @@ class TestUniformModes:
         for mode in ms.modes:
             assert mode.k == pytest.approx(2 * pi * mode.m / 3.0, rel=1e-15)
 
+    def test_plane_wave_mode_is_the_uniform_medium_mode(self):
+        mode = plane_wave_mode(0, "U", -3, 1.7, 4.0, NAT)
+        (ref,) = make_uniform_medium_modes(1.7, 4.0, [-3], NAT).modes
+        assert (mode.label, mode.family, mode.m, mode.k, mode.omega) == (
+            ref.label, ref.family, ref.m, 2 * pi / 4.0 * -3, NAT.c * abs(ref.k) / 1.7)
+        assert mode.profile.d.tolist() == ref.profile.d.tolist()
+        assert mode.profile.b.tolist() == ref.profile.b.tolist()
+
     def test_to_dict_roundtrippable(self):
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1], NAT)
         doc = ms.to_dict()
@@ -141,6 +150,23 @@ class TestSlabModes:
         layers = [(6.0, 1.45), (4.0, 2.0), (6.0, 1.45)]
         for p in solve_slab_modes(layers, omega=1.0, units=NAT, points_per_layer=2000):
             assert normalization_integral(p, 1.0, NAT) == pytest.approx(1.0, abs=1e-8)
+
+    def test_field_at_interfaces_is_the_transfer_walk(self):
+        # samples exactly on an inner interface belong to the layer they open
+        stack = SlabStack.from_layers([(5, 1.0), (4, 2.0), (1.5, 1.6), (3, 2.2), (5, 1.3)])
+        solutions = _solve_slab_betas(stack, 1.0, NAT)
+        assert len(solutions) > 1
+        for sol in solutions:
+            np.testing.assert_array_equal(sol.field(stack.interfaces()),
+                                          [e for e, _ in sol.boundary_values])
+
+    def test_five_layer_profiles_are_deterministic(self):
+        layers = [(5, 1.0), (4, 2.0), (1.5, 1.6), (3, 2.2), (5, 1.3)]
+        runs = [solve_slab_modes(layers, omega=1.0, units=NAT, with_group_velocity=False,
+                                 points_per_layer=800) for _ in range(2)]
+        for p, q in zip(*runs):
+            np.testing.assert_array_equal(p.d, q.d)
+            assert np.all(np.isfinite(p.d))
 
     def test_grid_refinement_convergence(self):
         stack = SlabStack.from_layers([(6.0, 1.45), (4.0, 2.0), (6.0, 1.45)])
