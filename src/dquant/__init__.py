@@ -17,15 +17,16 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "boson_algebra": ("BosonicPolynomial", "FockSpace", "commutator", "degree",
-                      "heisenberg_derivative", "normal_order", "to_matrix"),
-    "dynamics": ("ComparisonReport", "EvolutionConfig", "compare_schemes", "evolve"),
-    "hamiltonian": ("HamiltonianSpec", "InteractionParams", "ModeTriple",
+    "boson_algebra": ("BosonicPolynomial", "commutator", "degree", "heisenberg_derivative",
+                      "normal_order"),
+    "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve", "to_matrix"),
+    "hamiltonian": ("ComparisonReport", "HamiltonianSpec", "InteractionParams", "ModeTriple",
                     "build_interaction", "build_linear", "build_nonlinear_D",
                     "build_nonlinear_E_wrong", "prefactor_ratio", "quadratic_E_correction"),
     "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_ampere",
                 "verify_faraday", "verify_scheme"),
-    "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes", "solve_slab_modes"),
+    "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes"),
+    "slab": ("solve_slab_modes",),
     "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_prefactors",
                        "invert_series"),
     "units": ("UnitSystem", "natural_units", "si_units"),

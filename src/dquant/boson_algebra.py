@@ -1,4 +1,4 @@
-"""Exact multi-mode bosonic operator polynomials and their Fock-space matrices.
+"""Exact multi-mode bosonic operator polynomials.
 
 A polynomial is stored as a map from normally-ordered monomials to complex
 coefficients. A monomial is a sorted tuple of ``(mode, cre, ann)`` triples,
@@ -14,16 +14,10 @@ keep term counts bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
-from math import comb, factorial, prod
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from math import comb, factorial, sqrt
+from numbers import Number
+from typing import Iterable, Mapping
 
 #: absolute coefficient threshold below which a term is discarded
 PRUNE_TOL = 1e-15
@@ -108,7 +102,7 @@ class BosonicPolynomial:
         return BosonicPolynomial({k: scalar * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if np.isscalar(other):
+        if isinstance(other, Number):
             return BosonicPolynomial({k: other * v for k, v in self.terms.items()})
         return self.product(other)
 
@@ -133,7 +127,7 @@ class BosonicPolynomial:
     def dagger(self) -> "BosonicPolynomial":
         """Hermitian conjugate; stays normally ordered term by term."""
         return BosonicPolynomial(
-            {tuple((m, a, c) for m, c, a in key): np.conj(v) for key, v in self.terms.items()}
+            {tuple((m, a, c) for m, c, a in key): v.conjugate() for key, v in self.terms.items()}
         )
 
     # -- queries ------------------------------------------------------
@@ -152,7 +146,7 @@ class BosonicPolynomial:
         """L2 norm of the coefficient vector."""
         if not self.terms:
             return 0.0
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.terms.values())))
+        return sqrt(sum(abs(v) ** 2 for v in self.terms.values()))
 
     def max_abs_coeff(self) -> float:
         return max((abs(v) for v in self.terms.values()), default=0.0)
@@ -191,7 +185,7 @@ def _sort_key(key: Monomial):
 def _as_poly(x) -> BosonicPolynomial:
     if isinstance(x, BosonicPolynomial):
         return x
-    if np.isscalar(x):
+    if isinstance(x, Number):
         return BosonicPolynomial.identity(x)
     raise TypeError(f"cannot interpret {x!r} as a bosonic polynomial")
 
@@ -302,107 +296,3 @@ def degree(p: BosonicPolynomial) -> int:
     if not p.terms:
         return -1
     return max(sum(c + a for _, c, a in key) for key in p.terms)
-
-
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated multi-mode number basis with a cached occupation table.
-
-    ``cutoff`` is the max occupation per mode (same for all modes when an
-    int). Basis states enumerate occupations row-major over ``shape``, the
-    first mode slowest.
-    """
-
-    modes: tuple
-    cutoff: int | Mapping[int, int] = 2
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError("mode labels must be unique")
-
-    def n_max(self, mode: int) -> int:
-        if isinstance(self.cutoff, Mapping):
-            return int(self.cutoff[mode])
-        return int(self.cutoff)
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        """Levels per mode, n_max + 1, in mode order: the row-major basis layout."""
-        return tuple(self.n_max(m) + 1 for m in self.modes)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.shape)
-
-    def occupations(self) -> np.ndarray:
-        """(dim, n_modes) array of basis-state occupation numbers."""
-        if "occ" not in self._cache:
-            grids = np.meshgrid(*[np.arange(n) for n in self.shape], indexing="ij")
-            occ = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
-            self._cache["occ"] = occ
-        return self._cache["occ"]
-
-    def index(self, occs: Sequence[int]) -> int:
-        idx = 0
-        for m, levels, n in zip(self.modes, self.shape, occs):
-            if not 0 <= n < levels:
-                raise ValueError(f"occupation {n} outside cutoff for mode {m}")
-            idx = idx * levels + n
-        return idx
-
-    def basis_state(self, occs: Sequence[int]) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[self.index(occs)] = 1.0
-        return psi
-
-    def vacuum(self) -> np.ndarray:
-        return self.basis_state([0] * len(self.modes))
-
-
-def fock_transitions(p: BosonicPolynomial, space: FockSpace, occ: np.ndarray):
-    """The nonzero matrix elements of p in the columns ``occ`` ((k, n_modes) occupations).
-
-    A term ``coef (a^dag)^cre a^ann`` moves |n> to |n - ann + cre> when
-    n >= ann in every mode and n - ann + cre stays within the cutoffs; it
-    annihilates every other state. Returns, term after term, the positions in
-    ``occ`` of the states moved, their targets' basis indices and the
-    amplitudes coef <target| (a^dag)^cre a^ann |n>. This is the one
-    truncated-Fock rule: :func:`to_matrix` and the sector evolution of
-    :mod:`dquant.dynamics` are both built on it.
-    """
-    unknown = p.modes() - set(space.modes)
-    if unknown:
-        raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
-    shape = space.shape
-    col = {m: i for i, m in enumerate(space.modes)}
-    powers = np.zeros((len(p.terms), 2, len(shape)), dtype=int)  # (term, cre|ann, mode)
-    for t, key in enumerate(p.terms):
-        for m, c, a in key:
-            powers[t, :, col[m]] = c, a
-    cre, ann = powers[:, None, 0], powers[:, None, 1]
-    low = occ - ann  # (term, state, mode)
-    terms, src = ((low >= 0).all(axis=2) & (low + cre < shape).all(axis=2)).nonzero()
-    low = low[terms, src]
-    cre, ann = cre[terms, 0], ann[terms, 0]
-    # sqrt(n! / low! * (low + cre)! / low!) per mode: a product of integers,
-    # exact in floats below 2^53
-    amp2 = np.ones(len(low))
-    for j in range(powers.max(initial=0)):
-        amp2 *= (np.where(j < ann, low + 1 + j, 1)
-                 * np.where(j < cre, low + 1 + j, 1)).prod(axis=1, dtype=float)
-    coefs = np.array(list(p.terms.values()), dtype=complex)
-    return src, np.ravel_multi_index((low + cre).T, shape), coefs[terms] * np.sqrt(amp2)
-
-
-def to_matrix(p: BosonicPolynomial, space: FockSpace) -> sp.csr_matrix:
-    """Matrix of p in the truncated number basis.
-
-    Exact on the subspace whose occupations stay at least degree(p) below
-    every cutoff; edge states feel the truncation (see :func:`fock_transitions`).
-    """
-    import scipy.sparse as sp
-
-    src, target, amp = fock_transitions(p, space, space.occupations())
-    return sp.coo_matrix((amp, (target, src)), shape=(space.dim, space.dim)).tocsr()

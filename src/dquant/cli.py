@@ -4,12 +4,16 @@ Commands: invert, verify, compare, phasematch, spdc, convert. Exit codes:
 0 success, 1 a verification expectation failed, 2 bad input. All emitted
 JSON/CSV is byte-deterministic for a given configuration. Each command
 imports only the modules it runs: start-up is most of a short command.
+Only the commands that diagonalize (spdc, convert and the dynamical
+compares) load numpy, with OpenBLAS single-threaded unless
+OPENBLAS_NUM_THREADS is set: its idle threads would spin on other cores.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import pi, sqrt
 from pathlib import Path
@@ -50,8 +54,8 @@ def cmd_invert(args) -> int:
     doc = {
         "dim": medium.dim,
         "max_order": order,
-        "eta": {str(t.order): t.entries.ravel().tolist() for t in etas},
-        "gamma": {str(t.order): t.entries.ravel().tolist() for t in gammas},
+        "eta": {str(t.order): list(t.entries) for t in etas},
+        "gamma": {str(t.order): list(t.entries) for t in gammas},
     }
     _emit(args, "inverse_tables.json", dumps(doc))
     return EXIT_OK
@@ -94,21 +98,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .dynamics import compare_schemes
+    if args.observable == "coefficient":
+        from .hamiltonian import compare_coefficients
 
-    report = compare_schemes(args.observable, args.order)
+        report = compare_coefficients(args.order)
+    else:
+        from .dynamics import compare_schemes
+
+        report = compare_schemes(args.observable, args.order)
     _emit(args, "comparison.json", dumps(report.to_dict()))
     print(f"{args.observable} order {args.order}: ratio {report.ratio:.6g} "
           f"(expected {report.expected_ratio:.6g}) -> {'pass' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_EXPECTATION_FAILED
 
 
-def cmd_phasematch(args) -> int:
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)``: i * step + start, and stop exactly last."""
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    div = max(num - 1, 1)
+    step = (stop - start) / div
+    # a step that underflows to zero scales i / div instead, as numpy does
+    grid = [(i * step if step else i / div * (stop - start)) + start for i in range(num)]
+    return grid[:-1] + [stop] if num > 1 else grid
 
+
+def cmd_phasematch(args) -> int:
     from .hamiltonian import phase_matching_curve
 
-    grid = np.linspace(args.dk_min, args.dk_max, args.points)
+    grid = _linspace(args.dk_min, args.dk_max, args.points)
     curve = phase_matching_curve(args.length, grid)
     text = csv_text(["delta_k", "phi2"], curve)
     _emit(args, "phase_matching.csv", text)
@@ -256,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy first loads
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

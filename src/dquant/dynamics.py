@@ -11,12 +11,11 @@ States evolve only on the sector of number states the Hamiltonian reaches
 from the initial state (the parametric Hamiltonians conserve photon-number
 differences, so the squeezer reaches n_max + 1 of the (n_max + 1)^2 states
 from the vacuum): the Hamiltonian restricted to that sector is built
-directly as a dense matrix, from the truncated-Fock rule
-``boson_algebra.fock_transitions`` that ``to_matrix`` also uses, and
-diagonalized exactly, at a cost cubic in the sector dimension. Norm and
-energy drifts are monitored and any population within two levels of a
-cutoff beyond 1e-6 flags the run as truncation-unsafe rather than silently
-reporting numbers.
+directly as a dense matrix, from the truncated-Fock rule ``fock_transitions``
+that ``to_matrix`` also uses, and diagonalized exactly, at a cost cubic in
+the sector dimension. Norm and energy drifts are monitored and any
+population within two levels of a cutoff beyond 1e-6 flags the run as
+truncation-unsafe rather than silently reporting numbers.
 
 The observables build their generators as rates (H / hbar) and evolve them
 at hbar = 1, so that SI couplings of ~1e-11 1/s are not lost to the
@@ -25,17 +24,127 @@ absolute ``PRUNE_TOL`` that an energy hbar g ~ 1e-45 J would fall under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
-from math import asinh, factorial, sqrt
+from math import asinh, factorial, prod, sqrt
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .boson_algebra import BosonicPolynomial, FockSpace, fock_transitions
-from .hamiltonian import InteractionParams, prefactor_ratio, scheme_resonant_coefficients
+from .boson_algebra import BosonicPolynomial
+from .hamiltonian import (ComparisonReport, InteractionParams, compare_coefficients,
+                          prefactor_ratio)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 NORM_TOL = 1e-10
 EDGE_POPULATION_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class FockSpace:
+    """Truncated multi-mode number basis with a cached occupation table.
+
+    ``cutoff`` is the max occupation per mode (same for all modes when an
+    int). Basis states enumerate occupations row-major over ``shape``, the
+    first mode slowest.
+    """
+
+    modes: tuple
+    cutoff: int | Mapping[int, int] = 2
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(self.modes))
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError("mode labels must be unique")
+
+    def n_max(self, mode: int) -> int:
+        if isinstance(self.cutoff, Mapping):
+            return int(self.cutoff[mode])
+        return int(self.cutoff)
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        """Levels per mode, n_max + 1, in mode order: the row-major basis layout."""
+        return tuple(self.n_max(m) + 1 for m in self.modes)
+
+    @property
+    def dim(self) -> int:
+        return prod(self.shape)
+
+    def occupations(self) -> np.ndarray:
+        """(dim, n_modes) array of basis-state occupation numbers."""
+        if "occ" not in self._cache:
+            grids = np.meshgrid(*[np.arange(n) for n in self.shape], indexing="ij")
+            occ = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
+            self._cache["occ"] = occ
+        return self._cache["occ"]
+
+    def index(self, occs: Sequence[int]) -> int:
+        idx = 0
+        for m, levels, n in zip(self.modes, self.shape, occs):
+            if not 0 <= n < levels:
+                raise ValueError(f"occupation {n} outside cutoff for mode {m}")
+            idx = idx * levels + n
+        return idx
+
+    def basis_state(self, occs: Sequence[int]) -> np.ndarray:
+        psi = np.zeros(self.dim, dtype=complex)
+        psi[self.index(occs)] = 1.0
+        return psi
+
+    def vacuum(self) -> np.ndarray:
+        return self.basis_state([0] * len(self.modes))
+
+
+def fock_transitions(p: BosonicPolynomial, space: FockSpace, occ: np.ndarray):
+    """The nonzero matrix elements of p in the columns ``occ`` ((k, n_modes) occupations).
+
+    A term ``coef (a^dag)^cre a^ann`` moves |n> to |n - ann + cre> when
+    n >= ann in every mode and n - ann + cre stays within the cutoffs; it
+    annihilates every other state. Returns, term after term, the positions in
+    ``occ`` of the states moved, their targets' basis indices and the
+    amplitudes coef <target| (a^dag)^cre a^ann |n>. This is the one
+    truncated-Fock rule: :func:`to_matrix` and the sector evolution are
+    both built on it.
+    """
+    unknown = p.modes() - set(space.modes)
+    if unknown:
+        raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
+    shape = space.shape
+    col = {m: i for i, m in enumerate(space.modes)}
+    powers = np.zeros((len(p.terms), 2, len(shape)), dtype=int)  # (term, cre|ann, mode)
+    for t, key in enumerate(p.terms):
+        for m, c, a in key:
+            powers[t, :, col[m]] = c, a
+    cre, ann = powers[:, None, 0], powers[:, None, 1]
+    low = occ - ann  # (term, state, mode)
+    terms, src = ((low >= 0).all(axis=2) & (low + cre < shape).all(axis=2)).nonzero()
+    low = low[terms, src]
+    cre, ann = cre[terms, 0], ann[terms, 0]
+    # sqrt(n! / low! * (low + cre)! / low!) per mode: a product of integers,
+    # exact in floats below 2^53
+    amp2 = np.ones(len(low))
+    for j in range(powers.max(initial=0)):
+        amp2 *= (np.where(j < ann, low + 1 + j, 1)
+                 * np.where(j < cre, low + 1 + j, 1)).prod(axis=1, dtype=float)
+    coefs = np.array(list(p.terms.values()), dtype=complex)
+    return src, np.ravel_multi_index((low + cre).T, shape), coefs[terms] * np.sqrt(amp2)
+
+
+def to_matrix(p: BosonicPolynomial, space: FockSpace) -> sp.csr_matrix:
+    """Matrix of p in the truncated number basis.
+
+    Exact on the subspace whose occupations stay at least degree(p) below
+    every cutoff; edge states feel the truncation (see :func:`fock_transitions`).
+    """
+    import scipy.sparse as sp
+
+    src, target, amp = fock_transitions(p, space, space.occupations())
+    return sp.coo_matrix((amp, (target, src)), shape=(space.dim, space.dim)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -81,11 +190,11 @@ class EvolutionResult:
 def _sector(h: BosonicPolynomial, space: FockSpace, support: np.ndarray):
     """Basis states reachable from ``support`` under h, and h restricted to them.
 
-    A breadth-first walk applies :func:`~dquant.boson_algebra.fock_transitions`
-    to each newly reached state once, so every matrix element of h with its
-    column in the sector is collected on the way. Returns the sector's
-    full-space indices (sorted), their occupations and the dense d_S x d_S
-    matrix of h on it, whose span h maps into itself.
+    A breadth-first walk applies :func:`fock_transitions` to each newly
+    reached state once, so every matrix element of h with its column in the
+    sector is collected on the way. Returns the sector's full-space indices
+    (sorted), their occupations and the dense d_S x d_S matrix of h on it,
+    whose span h maps into itself.
     """
     seen = np.zeros(space.dim, dtype=bool)
     seen[support] = True
@@ -118,11 +227,11 @@ def evolve(
     Requires a Hermitian generator and a normalized initial state. The
     evolution runs on the sector of basis states that h reaches from the
     support of psi0 (within the cutoffs of ``space``, truncated by
-    :func:`~dquant.boson_algebra.fock_transitions`, the rule ``to_matrix``
-    shares): h restricted to it is diagonalized exactly once, and
-    every sample is psi0 + V[(exp(-i w t / hbar) - 1) * V^dag psi0], with
-    the phase factor written as -2i sin(x/2) exp(-ix/2) so that t = 0
-    returns psi0 exactly and weak couplings keep their relative accuracy.
+    :func:`fock_transitions`, the rule ``to_matrix`` shares): h restricted
+    to it is diagonalized exactly once, and every sample is
+    psi0 + V[(exp(-i w t / hbar) - 1) * V^dag psi0], with the phase factor
+    written as -2i sin(x/2) exp(-ix/2) so that t = 0 returns psi0 exactly
+    and weak couplings keep their relative accuracy.
     The cost is cubic in the sector dimension d_S, not in space.dim; norm
     and energy drifts and the edge population are measured on the sector
     amplitudes, and the states are scattered back into the full space.
@@ -303,35 +412,6 @@ def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
                       series=series)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Correct-vs-wrong value of one observable with its expected ratio."""
-
-    observable: str
-    order: int
-    value_correct: float
-    value_wrong: float
-    ratio: float
-    expected_ratio: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.ratio - self.expected_ratio) <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "observable": self.observable,
-            "order": self.order,
-            "value_correct": self.value_correct,
-            "value_wrong": self.value_wrong,
-            "ratio": self.ratio,
-            "expected_ratio": self.expected_ratio,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
 def _default_interaction(theta: float = 0.05) -> InteractionParams:
     return InteractionParams(theta=theta, delta_k=0.0, delta=0.0, phi=1.0)
 
@@ -342,18 +422,13 @@ def compare_schemes(observable: str, order: int = 2,
                     hbar: float = 1.0) -> ComparisonReport:
     """Quantify the wrong/correct discrepancy for one observable.
 
-    Expected ratios: resonant coefficient -n, squeezing magnitude n,
+    Expected ratios: resonant coefficient -n (see
+    :func:`~dquant.hamiltonian.compare_coefficients`), squeezing magnitude n,
     small-t conversion probability n^2.
     """
-    params = params or _default_interaction()
     if observable == "coefficient":
-        c_correct, c_wrong = scheme_resonant_coefficients(order)
-        ratio = (c_wrong / c_correct).real
-        return ComparisonReport(observable=observable, order=order,
-                                value_correct=c_correct.real,
-                                value_wrong=c_wrong.real, ratio=ratio,
-                                expected_ratio=float(prefactor_ratio(order)),
-                                tolerance=1e-12)
+        return compare_coefficients(order)
+    params = params or _default_interaction()
     if observable == "squeezing":
         cfg = cfg or EvolutionConfig(n_max=16, t_final=0.2 / abs(params.theta), steps=8)
         pair = spdc_squeezing(params, cfg, hbar=hbar, order=order)

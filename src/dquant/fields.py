@@ -16,9 +16,8 @@ waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
-
-import numpy as np
+from math import pi, sin, sqrt
+from numbers import Number
 
 from .boson_algebra import BosonicPolynomial, annihilation, creation, degree
 from .modes import ModeSet
@@ -31,7 +30,8 @@ def sinc(x: float) -> float:
     y = x / pi
     if y == int(y):
         return 1.0 if y == 0 else 0.0
-    return float(np.sinc(y))
+    # np.sinc's arithmetic: sin(pi y) / (pi y)
+    return sin(pi * y) / (pi * y)
 
 
 @dataclass
@@ -65,7 +65,7 @@ class FieldOperator:
                              kind=self.kind)
 
     def __mul__(self, other):
-        if np.isscalar(other):
+        if isinstance(other, Number):
             return self.__rmul__(other)
         return self.product(other)
 
@@ -127,7 +127,7 @@ class FieldOperator:
 
     @property
     def leakage_norm(self) -> float:
-        return float(np.sqrt(sum(v**2 for v in self.leakage.values())))
+        return sqrt(sum(v**2 for v in self.leakage.values()))
 
 
 def _operator_product(p1: BosonicPolynomial, p2: BosonicPolynomial, support):
@@ -164,7 +164,7 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
         ad_op = creation(mode.label)
         for comp, c in ((d_comp, cd), (b_comp, cb)):
             plus = c * a_op
-            minus = np.conj(c) * ad_op
+            minus = c.conjugate() * ad_op
             comp[mode.m] = comp[mode.m] + plus if mode.m in comp else plus
             comp[-mode.m] = comp[-mode.m] + minus if -mode.m in comp else minus
     return (FieldOperator(d_comp, w, kind="D"), FieldOperator(b_comp, w, kind="B"))

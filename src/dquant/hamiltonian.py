@@ -15,11 +15,9 @@ and counted, never silently lost.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import pi, sqrt
-
-import numpy as np
 
 from .boson_algebra import BosonicPolynomial, number
 from .fields import FieldOperator, expand_fields, integrate_density, sinc
@@ -361,6 +359,35 @@ def constructed_prefactor_ratio(order: int, chi1: float = 0.5,
     return c_wrong / c_correct
 
 
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Correct-vs-wrong value of one observable with its expected ratio."""
+
+    observable: str
+    order: int
+    value_correct: float
+    value_wrong: float
+    ratio: float
+    expected_ratio: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.ratio - self.expected_ratio) <= self.tolerance
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "passed": self.passed}
+
+
+def compare_coefficients(order: int) -> ComparisonReport:
+    """Resonant coefficients of both routes for a pure order-n medium; expected ratio -n."""
+    c_correct, c_wrong = scheme_resonant_coefficients(order)
+    return ComparisonReport(observable="coefficient", order=order,
+                            value_correct=c_correct.real, value_wrong=c_wrong.real,
+                            ratio=(c_wrong / c_correct).real,
+                            expected_ratio=float(prefactor_ratio(order)), tolerance=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # interaction picture
 # ---------------------------------------------------------------------------
@@ -379,9 +406,11 @@ def build_interaction(
     mismatch is exposed for the dynamics layer (the builder itself is the
     t = 0 snapshot of the e^(i Delta t) phase).
     """
+    import numpy as np
+
     _require_symmetric(eta2)
     p_a, p_b, p_c = profiles
-    if not (np.array_equal(p_a.x, p_b.x) and np.array_equal(p_a.x, p_c.x)):
+    if not p_a.x == p_b.x == p_c.x:
         raise ValueError("interaction profiles must share a transverse grid")
     length = triple.length
     delta_k = triple.delta_k
@@ -409,7 +438,7 @@ def phase_matching_curve(length: float, delta_k_grid) -> list[tuple[float, float
     """|Phi|^2 = sinc^2(delta_k L / 2) tabulated over a wavevector-mismatch grid."""
     if length <= 0:
         raise ValueError("interaction length must be positive")
-    return [(float(dk), sinc(dk * length / 2.0) ** 2) for dk in np.asarray(delta_k_grid)]
+    return [(float(dk), sinc(dk * length / 2.0) ** 2) for dk in delta_k_grid]
 
 
 # ---------------------------------------------------------------------------

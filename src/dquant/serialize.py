@@ -7,9 +7,8 @@ through the same %.12e normalization before serialization.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
-
-import numpy as np
 
 
 def fmt_float(x: float) -> str:
@@ -23,17 +22,16 @@ def round12(x: float) -> float:
 
 def to_jsonable(obj):
     """Recursively normalize floats and numpy scalars for stable dumps."""
+    numpy = sys.modules.get("numpy")  # no numpy scalar exists before numpy is imported
+    if numpy is not None and isinstance(obj, numpy.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
     if isinstance(obj, complex):
         return {"re": round12(obj.real), "im": round12(obj.imag)}
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return round12(obj)
     return obj
 

@@ -10,9 +10,11 @@ Three tensor families describe the same medium:
 
 A rank-(n+1) tensor of order n maps n field vectors to one; at dim=1 every
 tensor is a single number and the contractions collapse to scalar algebra.
-The energy-density prefactor tables of the two quantization routes
-(n/(n+1) for the E-series, 1/(n+1) for the D-series) live here as exact
-rationals.
+Tensors are flat row-major tuples of floats and the contractions are plain
+Python, multiplying left to right and summing in the order ``np.einsum``
+does, so at dim=1 they reproduce it bit for bit. The energy-density
+prefactor tables of the two quantization routes (n/(n+1) for the E-series,
+1/(n+1) for the D-series) live here as exact rationals.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
-
-import numpy as np
 
 from .units import UnitSystem, units_from_name
 
@@ -37,19 +37,39 @@ class NonInvertibleLinearResponseError(ValueError):
     """Raised when (1 + chi1) is singular and eta1 does not exist."""
 
 
+def _leaves(raw) -> list:
+    """Row-major leaves of a scalar, a nested sequence or an array (``tolist``)."""
+    raw = raw.tolist() if hasattr(raw, "tolist") else raw
+    if isinstance(raw, (list, tuple)):
+        return [x for item in raw for x in _leaves(item)]
+    return [raw]
+
+
+def _real(x) -> float:
+    if isinstance(x, complex):
+        if abs(x.imag) > EXACT_TOL:
+            raise ValueError("lossless media require real tensor entries")
+        x = x.real
+    try:
+        return float(x)
+    except TypeError:
+        raise ValueError(f"tensor entries must be real numbers, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class SusceptibilityTensor:
     """Dense rank-(order+1) Cartesian tensor of one constitutive series.
 
-    ``entries`` has shape ``(dim,) * (order + 1)``; the first index is the
-    output component, the remaining ``order`` indices contract with field
-    vectors. Lossless media only: entries must be real.
+    ``entries`` is the tuple of its dim**(order + 1) floats in row-major
+    order (built from any nested sequence or array of that size); the first
+    index is the output component, the remaining ``order`` indices contract
+    with field vectors. Lossless media only: entries must be real.
     """
 
     order: int
     role: str
     dim: int
-    entries: np.ndarray
+    entries: tuple
     symmetric: bool = False
 
     def __post_init__(self):
@@ -59,14 +79,12 @@ class SusceptibilityTensor:
             raise ValueError(f"role must be one of {TENSOR_ROLES}, got {self.role!r}")
         if self.dim not in (1, 3):
             raise ValueError("spatial dimension must be 1 or 3")
-        arr = np.asarray(self.entries)
-        if np.iscomplexobj(arr):
-            if np.max(np.abs(arr.imag)) > EXACT_TOL:
-                raise ValueError("lossless media require real tensor entries")
-            arr = arr.real
-        arr = np.array(arr, dtype=float).reshape((self.dim,) * (self.order + 1))
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        entries = tuple(_real(x) for x in _leaves(self.entries))
+        size = self.dim ** (self.order + 1)
+        if len(entries) != size:
+            raise ValueError(f"an order-{self.order} tensor at dim {self.dim} has {size} "
+                             f"entries, got {len(entries)}")
+        object.__setattr__(self, "entries", entries)
         if self.symmetric:
             ok, dev = check_permutation_symmetry(self)
             if not ok:
@@ -75,20 +93,20 @@ class SusceptibilityTensor:
     @classmethod
     def scalar(cls, order: int, value: float, role: str = "chi") -> "SusceptibilityTensor":
         """One-dimensional tensor holding a single coefficient."""
-        return cls(order=order, role=role, dim=1, entries=np.array(value, dtype=float))
+        return cls(order=order, role=role, dim=1, entries=(value,))
 
     @classmethod
     def zero(cls, order: int, dim: int, role: str = "chi") -> "SusceptibilityTensor":
-        return cls(order=order, role=role, dim=dim, entries=np.zeros((dim,) * (order + 1)))
+        return cls(order=order, role=role, dim=dim, entries=(0.0,) * dim ** (order + 1))
 
     def item(self) -> float:
         """Scalar value; only meaningful at dim=1."""
         if self.dim != 1:
             raise ValueError("item() requires dim=1")
-        return float(self.entries.reshape(-1)[0])
+        return self.entries[0]
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.entries)) <= tol)
+        return max(abs(x) for x in self.entries) <= tol
 
 
 @dataclass(frozen=True)
@@ -159,8 +177,7 @@ def medium_from_dict(doc: dict) -> MediumSpec:
         if raw is None:
             tensors.append(SusceptibilityTensor.zero(n, dim))
         else:
-            arr = np.array(raw, dtype=float)
-            tensors.append(SusceptibilityTensor(order=n, role="chi", dim=dim, entries=arr))
+            tensors.append(SusceptibilityTensor(order=n, role="chi", dim=dim, entries=raw))
     return MediumSpec(units=units, tensors=tuple(tensors))
 
 
@@ -170,34 +187,30 @@ def load_medium(path: str | Path) -> MediumSpec:
     return medium_from_dict(doc)
 
 
-def _identity(dim: int) -> np.ndarray:
-    return np.eye(dim)
+def _identity(dim: int) -> tuple:
+    return tuple(float(q % (dim + 1) == 0) for q in range(dim * dim))
+
+
+def _adjugate(mat: tuple, dim: int) -> tuple[float, list]:
+    """Determinant and adjugate of a row-major 1x1 or 3x3 matrix."""
+    if dim == 1:
+        return mat[0], [1.0]
+    a, b, c, d, e, f, g, h, k = mat
+    adj = [e * k - f * h, c * h - b * k, b * f - c * e,
+           f * g - d * k, a * k - c * g, c * d - a * f,
+           d * h - e * g, b * g - a * h, a * e - b * d]
+    return a * adj[0] + b * adj[3] + c * adj[6], adj
 
 
 def invert_linear(chi1: SusceptibilityTensor, units: UnitSystem) -> SusceptibilityTensor:
     """eta1 = eps0^-1 (1 + chi1)^-1 as a dim x dim matrix inverse."""
     if chi1.order != 1:
         raise ValueError("invert_linear expects an order-1 tensor")
-    mat = _identity(chi1.dim) + chi1.entries
-    if abs(np.linalg.det(mat)) < 1e-14:
+    det, adj = _adjugate([i + x for i, x in zip(_identity(chi1.dim), chi1.entries)], chi1.dim)
+    if abs(det) < 1e-14:
         raise NonInvertibleLinearResponseError("non-invertible linear response")
-    inv = np.linalg.inv(mat) / units.eps0
-    return SusceptibilityTensor(order=1, role="eta", dim=chi1.dim, entries=inv)
-
-
-def eta2_from_chi2(
-    chi2: SusceptibilityTensor,
-    eta1: SusceptibilityTensor,
-    units: UnitSystem,
-) -> SusceptibilityTensor:
-    """eta2_jnp = -eps0 * eta1_jk chi2_klm eta1_ln eta1_mp."""
-    if chi2.order != 2 or eta1.order != 1:
-        raise ValueError("eta2_from_chi2 expects chi of order 2 and eta of order 1")
-    if chi2.dim != eta1.dim:
-        raise ValueError("dimension mismatch between chi2 and eta1")
-    e1 = eta1.entries
-    ent = -units.eps0 * np.einsum("jk,klm,ln,mp->jnp", e1, chi2.entries, e1, e1)
-    return SusceptibilityTensor(order=2, role="eta", dim=chi2.dim, entries=ent)
+    return SusceptibilityTensor(order=1, role="eta", dim=chi1.dim,
+                                entries=[x / det / units.eps0 for x in adj])
 
 
 def _compositions(total: int, parts: int):
@@ -211,42 +224,52 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _contract_series_term(f_n: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
-    """Contract f_n (indices i, j1..jn) with one lower-order tensor per slot j."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    sub_f = letters[0]
-    out = letters[0]
-    subs = []
-    pos = 1
-    for g in parts:
-        j = letters[pos]
-        pos += 1
-        m = g.ndim - 1
-        alphas = letters[pos : pos + m]
-        pos += m
-        sub_f += j
-        subs.append(j + alphas)
-        out += alphas
-    return np.einsum(sub_f + "," + ",".join(subs) + "->" + out, f_n, *parts)
+def _contract_first(t, g, dim: int) -> list:
+    """Contract index 1 of t with index 0 of g; g's remaining indices go last.
+
+    Each output entry is 0.0 + t[.., 0, ..] g[0, ..] + t[.., 1, ..] g[1, ..] + ...,
+    the sum ``np.einsum`` forms.
+    """
+    rest = len(t) // (dim * dim)
+    tail = len(g) // dim
+    out = []
+    for a in range(dim):
+        for r in range(rest):
+            col = t[a * dim * rest + r::rest][:dim]
+            for al in range(tail):
+                acc = 0.0
+                for j in range(dim):
+                    acc += col[j] * g[j * tail + al]
+                out.append(acc)
+    return out
 
 
-def _symmetrize_lower(arr: np.ndarray) -> np.ndarray:
+def _transpose(entries, dim: int, axes) -> list:
+    """``np.transpose(entries, axes)`` of a row-major tensor, flattened row-major."""
+    strides = [dim ** (len(axes) - 1 - a) for a in axes]
+    return [entries[sum(i * s for i, s in zip(idx, strides))]
+            for idx in product(range(dim), repeat=len(axes))]
+
+
+def _symmetrize_lower(entries, dim: int, rank: int):
     """Average over permutations of all indices but the first."""
-    if arr.ndim <= 2 or arr.shape[0] == 1:
-        return arr
-    perms = list(permutations(range(1, arr.ndim)))
-    acc = np.zeros_like(arr)
+    if rank <= 2 or dim == 1:
+        return entries
+    perms = list(permutations(range(1, rank)))
+    acc = [0.0] * len(entries)
     for p in perms:
-        acc += np.transpose(arr, (0,) + p)
-    return acc / len(perms)
+        acc = [s + x for s, x in zip(acc, _transpose(entries, dim, (0,) + p))]
+    return [s / len(perms) for s in acc]
 
 
 def invert_series(medium: MediumSpec, max_order: int) -> list[SusceptibilityTensor]:
     """Order-by-order inverse of the D(E) power series.
 
     Returns eta tensors 1..max_order such that composing D(E(D)) reproduces
-    the identity through ``max_order``. Orders 1 and 2 coincide with the
-    closed forms of :func:`invert_linear` and :func:`eta2_from_chi2`.
+    the identity through ``max_order``. Order 1 is :func:`invert_linear`;
+    order 2 is the closed form eta2_jnp = -eps0 eta1_jk chi2_klm eta1_ln eta1_mp.
+    Each term of order m contracts eps0 chi_n with one lower-order eta per
+    slot, one slot at a time, and eta_m = -eta1 . (sum of the terms).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -256,16 +279,19 @@ def invert_series(medium: MediumSpec, max_order: int) -> list[SusceptibilityTens
     g = {1: eta1.entries}
     n_chi = len(medium.tensors)
     for m in range(2, max_order + 1):
-        total = np.zeros((dim,) * (m + 1))
+        total = [0.0] * dim ** (m + 1)
         for n in range(2, min(m, n_chi) + 1):
             chi_n = medium.chi(n)
             if chi_n.is_zero():
                 continue
-            f_n = units.eps0 * chi_n.entries
+            f_n = [units.eps0 * x for x in chi_n.entries]
             for comp in _compositions(m, n):
-                total += _contract_series_term(f_n, [g[t] for t in comp])
-        g_m = -np.einsum("ij,j...->i...", eta1.entries, total)
-        g[m] = _symmetrize_lower(g_m)
+                term = f_n
+                for t in comp:
+                    term = _contract_first(term, g[t], dim)
+                total = [s + x for s, x in zip(total, term)]
+        g[m] = _symmetrize_lower([-x for x in _contract_first(eta1.entries, total, dim)],
+                                 dim, m + 1)
     return [
         SusceptibilityTensor(order=m, role="eta", dim=dim, entries=g[m])
         for m in range(1, max_order + 1)
@@ -277,21 +303,10 @@ def gamma_from_eta(eta: SusceptibilityTensor, units: UnitSystem) -> Susceptibili
     if eta.role != "eta":
         raise ValueError("gamma_from_eta expects an eta tensor")
     if eta.order == 1:
-        ent = _identity(eta.dim) - units.eps0 * eta.entries
+        ent = [i - units.eps0 * x for i, x in zip(_identity(eta.dim), eta.entries)]
     else:
-        ent = -units.eps0 * eta.entries
+        ent = [-units.eps0 * x for x in eta.entries]
     return SusceptibilityTensor(order=eta.order, role="gamma", dim=eta.dim, entries=ent)
-
-
-def eta_from_gamma(gamma: SusceptibilityTensor, units: UnitSystem) -> SusceptibilityTensor:
-    """Inverse of :func:`gamma_from_eta`."""
-    if gamma.role != "gamma":
-        raise ValueError("eta_from_gamma expects a gamma tensor")
-    if gamma.order == 1:
-        ent = (_identity(gamma.dim) - gamma.entries) / units.eps0
-    else:
-        ent = -gamma.entries / units.eps0
-    return SusceptibilityTensor(order=gamma.order, role="eta", dim=gamma.dim, entries=ent)
 
 
 def energy_prefactors(approach: str, n_top: int) -> list[Fraction]:
@@ -310,37 +325,9 @@ def energy_prefactors(approach: str, n_top: int) -> list[Fraction]:
 
 def check_permutation_symmetry(t: SusceptibilityTensor) -> tuple[bool, float]:
     """Full permutation symmetry over all order+1 indices, by enumeration."""
-    arr = t.entries
     max_dev = 0.0
-    for p in permutations(range(arr.ndim)):
-        dev = float(np.max(np.abs(np.transpose(arr, p) - arr)))
+    for p in permutations(range(t.order + 1)):
+        dev = max(abs(x - y) for x, y in zip(_transpose(t.entries, t.dim, p), t.entries))
         if dev > max_dev:
             max_dev = dev
     return max_dev <= EXACT_TOL, max_dev
-
-
-def _apply_series(tensors, values: np.ndarray) -> np.ndarray:
-    """Evaluate sum_n T_n v^n on shape (samples, dim) inputs."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    total = np.zeros_like(values)
-    for t in tensors:
-        term = np.broadcast_to(t.entries, (len(values),) + t.entries.shape)
-        for _ in range(t.order):
-            term = np.einsum("s...j,sj->s...", term, values)
-        total += term
-    return total
-
-
-def displacement_from_field(medium: MediumSpec, e_values: np.ndarray) -> np.ndarray:
-    """Evaluate D(E) = eps0 [E + chi1 E + chi2 E^2 + ...] on sample vectors.
-
-    ``e_values`` has shape (samples, dim); used by the numeric inversion
-    oracle and the round-trip checks.
-    """
-    e_values = np.atleast_2d(np.asarray(e_values, dtype=float))
-    return medium.units.eps0 * (e_values + _apply_series(medium.tensors, e_values))
-
-
-def field_from_displacement(etas: list[SusceptibilityTensor], d_values: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated series E(D) = sum eta_n D^n on sample vectors."""
-    return _apply_series(etas, d_values)

@@ -1,6 +1,6 @@
 """Dense Kronecker-product matrices of bosonic polynomials.
 
-An oracle for ``dquant.boson_algebra.to_matrix`` and the sector evolution
+An oracle for ``dquant.dynamics.to_matrix`` and the sector evolution
 that is independent of their shared truncated-Fock rule: each term is the
 Kronecker product, over modes, of powers of the truncated ladder matrices.
 """

@@ -30,23 +30,17 @@ from dquant.hamiltonian import (
     resonant_coefficient,
 )
 from dquant.maxwell import verify_ampere, verify_faraday
-from dquant.modes import (
+from dquant.modes import make_uniform_medium_modes
+from dquant.slab import (
     SlabStack,
     _solve_slab_betas,
-    make_uniform_medium_modes,
     normalization_integral,
     slab_profile,
     solve_slab_modes,
 )
-from dquant.susceptibility import (
-    MediumSpec,
-    displacement_from_field,
-    eta2_from_chi2,
-    field_from_displacement,
-    invert_linear,
-    invert_series,
-)
+from dquant.susceptibility import MediumSpec, invert_linear, invert_series
 from dquant.units import UnitSystem
+from tensor_oracle import displacement_from_field, eta2_from_chi2, field_from_displacement
 
 NAT = UnitSystem()
 

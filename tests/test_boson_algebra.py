@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dquant.boson_algebra import (
     BosonicPolynomial,
-    FockSpace,
     NotHermitianError,
     annihilation,
     commutator,
@@ -15,8 +14,8 @@ from dquant.boson_algebra import (
     heisenberg_derivative,
     normal_order,
     number,
-    to_matrix,
 )
+from dquant.dynamics import FockSpace, to_matrix
 from fock_oracle import kron_matrix
 
 a = annihilation(0)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -51,6 +52,15 @@ class TestInvert:
     def test_order_zero_exits_2(self, tmp_path):
         medium = write_medium(tmp_path, [0.5, 0.3])
         assert main(["invert", "--medium", medium, "--order", "0"]) == 2
+
+    @pytest.mark.parametrize("chi", [{"1": [0.5, 0.1]}, {"1": ["x"]}, {"1": [{"re": 0.5}]},
+                                     {"1": [0.5], "2": [[0.1], [0.2]]}],
+                             ids=["count", "string", "object", "nested-count"])
+    def test_bad_entries_exit_2(self, tmp_path, chi, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"units": "natural", "dim": 1, "chi": chi}))
+        assert main(["invert", "--medium", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerify:
@@ -307,17 +317,34 @@ def test_public_names_resolve_to_their_defining_submodule():
         dquant.no_such_name
 
 
-@pytest.mark.parametrize("argv, runs, unused", [
+#: the modules of the exact algebra, which import neither numpy nor scipy
+ALGEBRA_MODULES = ("boson_algebra", "fields", "modes", "maxwell", "susceptibility",
+                   "hamiltonian", "serialize")
+
+
+def test_algebra_modules_leave_numpy_unloaded():
+    code = ("import sys; import " + ", ".join(f"dquant.{m}" for m in ALGEBRA_MODULES)
+            + "; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, runs, unused, numpy", [
     (["invert"], "susceptibility",
-     ("boson_algebra", "modes", "fields", "hamiltonian", "dynamics", "maxwell")),
-    (["verify", "--modes", "1"], "maxwell", ("hamiltonian", "dynamics")),
-    (["phasematch", "--points", "3"], "hamiltonian", ("dynamics", "maxwell")),
-    (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",)),
-    (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",)),
-    (["compare", "--observable", "squeezing"], "dynamics", ("maxwell",)),
-], ids=["invert", "verify", "phasematch", "spdc", "convert", "compare-squeezing"])
-def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
-    # each command imports only the modules it runs, and none of them loads scipy
+     ("boson_algebra", "modes", "fields", "hamiltonian", "dynamics", "maxwell"), False),
+    (["verify", "--modes", "1"], "maxwell", ("hamiltonian", "dynamics"), False),
+    (["compare", "--observable", "coefficient"], "hamiltonian", ("dynamics", "maxwell"), False),
+    (["phasematch", "--points", "3"], "hamiltonian", ("dynamics", "maxwell"), False),
+    (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",), True),
+    (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",),
+     True),
+    (["compare", "--observable", "squeezing"], "dynamics", ("maxwell",), True),
+], ids=["invert", "verify", "compare-coefficient", "phasematch", "spdc", "convert",
+        "compare-squeezing"])
+def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused, numpy):
+    # each command imports only the modules it runs, none of them loads scipy,
+    # and only the commands that diagonalize load numpy
     if argv[0] in ("invert", "verify"):
         argv = [*argv, "--medium", write_medium(tmp_path, [0.5, 0.3])]
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dquant", *argv,
@@ -328,6 +355,22 @@ def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
     assert f"dquant.{runs}" in imported
     assert not {f"dquant.{u}" for u in unused} & set(imported)
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert ("numpy" in imported) == numpy
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_openblas_threads_default_to_one(tmp_path, preset):
+    # OpenBLAS reads the variable when numpy loads, which is after main() starts
+    code = ("import os, sys; from dquant.cli import main; loaded = 'numpy' in sys.modules; "
+            f"main(['spdc', '--n-max', '4', '--steps', '2', '--out', {str(tmp_path)!r}]); "
+            "print(loaded, 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["False", "True", preset or "1"]
 
 
 def test_module_entry_point(tmp_path):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dquant.boson_algebra import BosonicPolynomial, FockSpace, number
+from dquant.boson_algebra import BosonicPolynomial, number
 from dquant.dynamics import (
     EDGE_POPULATION_TOL,
     EvolutionConfig,
+    FockSpace,
     _sector,
     beamsplitter,
     coherent_cutoff,

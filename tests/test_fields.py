@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dquant.boson_algebra import BosonicPolynomial, FockSpace, to_matrix
+from dquant.boson_algebra import BosonicPolynomial
+from dquant.dynamics import FockSpace, to_matrix
 from dquant.fields import (
     FieldOperator,
     electric_field_from_D,
@@ -14,13 +15,8 @@ from dquant.fields import (
     integrate_density,
     sinc,
 )
-from dquant.modes import (
-    Mode,
-    ModeSet,
-    flat_profile,
-    make_uniform_medium_modes,
-    solve_slab_modes,
-)
+from dquant.modes import Mode, ModeSet, flat_profile, make_uniform_medium_modes
+from dquant.slab import solve_slab_modes
 from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem
 

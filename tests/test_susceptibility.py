@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -12,11 +13,7 @@ from dquant.susceptibility import (
     NonInvertibleLinearResponseError,
     SusceptibilityTensor,
     check_permutation_symmetry,
-    displacement_from_field,
     energy_prefactors,
-    eta2_from_chi2,
-    eta_from_gamma,
-    field_from_displacement,
     gamma_from_eta,
     invert_linear,
     invert_series,
@@ -24,6 +21,13 @@ from dquant.susceptibility import (
     medium_from_dict,
 )
 from dquant.units import UnitSystem
+import tensor_oracle
+from tensor_oracle import (
+    displacement_from_field,
+    eta2_from_chi2,
+    eta_from_gamma,
+    field_from_displacement,
+)
 
 NAT = UnitSystem()
 
@@ -59,7 +63,7 @@ class TestInvertLinear:
     def test_diagonal_3d(self):
         chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.diag([1.0, 1.0, 3.0]))
         eta1 = invert_linear(chi1, NAT)
-        assert np.allclose(eta1.entries, np.diag([0.5, 0.5, 0.25]), atol=1e-14)
+        assert np.allclose(eta1.entries, np.diag([0.5, 0.5, 0.25]).ravel(), atol=1e-14)
 
     def test_singular_raises(self):
         with pytest.raises(NonInvertibleLinearResponseError):
@@ -134,8 +138,8 @@ class TestInvertSeries:
             ent2[i, i, i] = 0.5
         chi2 = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent2)
         etas = invert_series(MediumSpec(units=NAT, tensors=(chi1, chi2)), 2)
-        assert etas[0].entries[0, 0] == pytest.approx(0.25, abs=1e-14)
-        assert etas[1].entries[0, 0, 0] == pytest.approx(-0.5 * 0.25**3, abs=1e-14)
+        assert etas[0].entries[0] == pytest.approx(0.25, abs=1e-14)  # [0, 0]
+        assert etas[1].entries[0] == pytest.approx(-0.5 * 0.25**3, abs=1e-14)  # [0, 0, 0]
 
     def test_propagates_singular_error(self):
         with pytest.raises(NonInvertibleLinearResponseError):
@@ -162,6 +166,81 @@ def test_series_round_trip(chi1, chi2, chi3):
     e_vals = field_from_displacement(etas, d_grid)
     back = displacement_from_field(medium, e_vals)
     assert np.max(np.abs(back - d_grid)) < 1e-8
+
+
+def _bits(values) -> list[str]:
+    """Exact float identity, the sign of zero included (it reaches the JSON)."""
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chi1=st.floats(-5.0, 5.0).filter(lambda c: abs(1.0 + c) >= 0.1),
+    chis=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), max_size=5),
+    max_order=st.integers(1, 8),
+)
+def test_dim1_inversion_is_the_einsum_reference_bit_for_bit(chi1, chis, max_order):
+    medium = MediumSpec.from_scalars([chi1] + chis)
+    got = invert_series(medium, max_order)
+    ref = tensor_oracle.invert_series(medium, max_order)
+    assert [_bits(t.entries) for t in got] == [_bits(a.ravel()) for a in ref]
+
+
+def _dim3_medium(draw, orders: int, symmetric: bool) -> MediumSpec:
+    def entries(order, lo, hi):
+        arr = np.reshape(draw(st.lists(st.floats(lo, hi), min_size=3 ** (order + 1),
+                                       max_size=3 ** (order + 1))), (3,) * (order + 1))
+        if symmetric:
+            perms = list(permutations(range(order + 1)))
+            arr = sum(np.transpose(arr, p) for p in perms) / len(perms)
+        return arr
+
+    # diagonally dominant 1 + chi1: invertible, with condition number below 10
+    chi1 = entries(1, -0.3, 0.3) + np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=3,
+                                                         max_size=3)))
+    tensors = [SusceptibilityTensor(order=1, role="chi", dim=3, entries=chi1)]
+    tensors += [SusceptibilityTensor(order=n, role="chi", dim=3, entries=entries(n, -1.0, 1.0))
+                for n in range(2, orders + 1)]
+    return MediumSpec(units=UnitSystem(eps0=draw(st.floats(0.5, 2.0))), tensors=tuple(tensors))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), orders=st.integers(1, 3), max_order=st.integers(1, 4),
+       symmetric=st.booleans())
+def test_dim3_inversion_matches_the_einsum_reference(data, orders, max_order, symmetric):
+    # general media too: a symmetric one hides a transposed index
+    medium = _dim3_medium(data.draw, orders, symmetric)
+    got = invert_series(medium, max_order)
+    ref = tensor_oracle.invert_series(medium, max_order)
+    for t, arr in zip(got, ref):
+        assert np.max(np.abs(np.array(t.entries) - arr.ravel())) <= 1e-14 * np.max(np.abs(arr))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_3x3_inverse_matches_numpy(data):
+    medium = _dim3_medium(data.draw, 1, symmetric=False)
+    chi1 = tensor_oracle.array(medium.chi(1))
+    eta1 = invert_linear(medium.chi(1), medium.units)
+    want = np.linalg.inv(np.eye(3) + chi1) / medium.units.eps0
+    assert np.max(np.abs(np.array(eta1.entries) - want.ravel())) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("one_plus_chi1", [[[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+                                           [[2, 0, 1], [0, 0, 0], [1, 0, 3]]],
+                         ids=["proportional-rows", "zero-row"])
+def test_singular_3x3_raises(one_plus_chi1):
+    chi1 = np.array(one_plus_chi1, dtype=float) - np.eye(3)
+    with pytest.raises(NonInvertibleLinearResponseError):
+        invert_linear(SusceptibilityTensor(order=1, role="chi", dim=3, entries=chi1), NAT)
+
+
+def test_permutation_deviation_matches_the_transposes():
+    rng = np.random.default_rng(3)
+    for order in (1, 2, 3):
+        t = SusceptibilityTensor(order=order, role="chi", dim=3,
+                                 entries=rng.uniform(-1, 1, 3 ** (order + 1)))
+        assert check_permutation_symmetry(t)[1] == tensor_oracle.permutation_deviation(t)
 
 
 class TestGamma:
@@ -248,7 +327,7 @@ class TestMediumJson:
         ent = np.arange(9.0).reshape(3, 3)
         doc = {"units": "natural", "dim": 3, "chi": {"1": ent.ravel().tolist()}}
         medium = medium_from_dict(doc)
-        assert np.allclose(medium.chi(1).entries, ent)
+        assert medium.chi(1).entries == tuple(ent.ravel())
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "medium.json"
@@ -259,3 +338,15 @@ class TestMediumJson:
     def test_malformed_raises(self):
         with pytest.raises(ValueError):
             medium_from_dict({"units": "natural", "dim": 1})
+
+    @pytest.mark.parametrize("raw", [[0.5, 0.1], ["x"], [None], [[0.5], [0.1]]],
+                             ids=["count", "string", "null", "nested-count"])
+    def test_bad_entries_raise(self, raw):
+        with pytest.raises(ValueError):
+            medium_from_dict({"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": raw}})
+
+    def test_complex_entries(self):
+        with pytest.raises(ValueError, match="lossless"):
+            SusceptibilityTensor(order=1, role="chi", dim=1, entries=[0.5 + 0.1j])
+        real = SusceptibilityTensor(order=1, role="chi", dim=1, entries=[0.5 + 0j])
+        assert real.entries == (0.5,)
