@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "boson_algebra": ("BosonicPolynomial", "commutator", "degree", "heisenberg_derivative",
                       "normal_order"),
-    "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve", "to_matrix"),
+    "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
     "hamiltonian": ("ComparisonReport", "HamiltonianSpec", "InteractionParams", "ModeTriple",
                     "build_interaction", "build_linear", "build_nonlinear_D",
                     "build_nonlinear_E_wrong", "prefactor_ratio", "quadratic_E_correction"),

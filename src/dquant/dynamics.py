@@ -7,28 +7,32 @@ beamsplitter (frequency conversion), both with closed-form references.
 The full three-mode quantum evolution is available behind the same API for
 ``pump="quantum"``.
 
-States evolve only on the sector of number states the Hamiltonian reaches
-from the initial state (the parametric Hamiltonians conserve photon-number
-differences, so the squeezer reaches n_max + 1 of the (n_max + 1)^2 states
-from the vacuum): the Hamiltonian restricted to that sector is built
-directly as a dense matrix, from the truncated-Fock rule ``fock_transitions``
-that ``to_matrix`` also uses, and diagonalized exactly, at a cost cubic in
-the sector dimension. Norm and energy drifts are monitored and any
-population within two levels of a cutoff beyond 1e-6 flags the run as
-truncation-unsafe rather than silently reporting numbers.
+States are sparse {occupation tuple: amplitude} mappings, evolved only on
+the sector of number states the Hamiltonian reaches from the initial state
+(the squeezer reaches n_max + 1 of the (n_max + 1)^2 states from the
+vacuum). A breadth-first walk over occupation tuples builds the sector and
+splits it into the blocks the Hamiltonian connects (the trilinear one
+conserves n_A - n_B and n_A + n_C, so its sector is a sum of short chains),
+and each block is diagonalized exactly. Samples, observables, drifts and
+the edge population are all sector-sized; any population within two levels
+of a cutoff beyond 1e-6 flags the run as truncation-unsafe rather than
+silently reporting numbers.
 
 The observables build their generators as rates (H / hbar) and evolve them
 at hbar = 1, so that SI couplings of ~1e-11 1/s are not lost to the
 absolute ``PRUNE_TOL`` that an energy hbar g ~ 1e-45 J would fall under.
+The wrong route's rate is |prefactor ratio| times the correct one's, so
+its state at t is the correct route's at |ratio| t: one evolution, sampled
+at both times, serves both routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from math import asinh, factorial, prod, sqrt
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,25 +40,22 @@ from .boson_algebra import BosonicPolynomial
 from .hamiltonian import (ComparisonReport, InteractionParams, compare_coefficients,
                           prefactor_ratio)
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 NORM_TOL = 1e-10
 EDGE_POPULATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated multi-mode number basis with a cached occupation table.
+    """Truncated multi-mode number basis.
 
     ``cutoff`` is the max occupation per mode (same for all modes when an
-    int). Basis states enumerate occupations row-major over ``shape``, the
-    first mode slowest.
+    int). A basis state is a tuple of occupations in mode order; its index
+    is row-major over ``shape``, the first mode slowest, so sorting the
+    tuples sorts the indices.
     """
 
     modes: tuple
     cutoff: int | Mapping[int, int] = 2
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -71,19 +72,9 @@ class FockSpace:
         """Levels per mode, n_max + 1, in mode order: the row-major basis layout."""
         return tuple(self.n_max(m) + 1 for m in self.modes)
 
-    @property
-    def dim(self) -> int:
-        return prod(self.shape)
-
-    def occupations(self) -> np.ndarray:
-        """(dim, n_modes) array of basis-state occupation numbers."""
-        if "occ" not in self._cache:
-            grids = np.meshgrid(*[np.arange(n) for n in self.shape], indexing="ij")
-            occ = np.stack([g.ravel() for g in grids], axis=1) if grids else np.zeros((1, 0))
-            self._cache["occ"] = occ
-        return self._cache["occ"]
-
     def index(self, occs: Sequence[int]) -> int:
+        if len(occs) != len(self.modes):
+            raise ValueError(f"need {len(self.modes)} occupations, got {len(occs)}")
         idx = 0
         for m, levels, n in zip(self.modes, self.shape, occs):
             if not 0 <= n < levels:
@@ -91,60 +82,13 @@ class FockSpace:
             idx = idx * levels + n
         return idx
 
-    def basis_state(self, occs: Sequence[int]) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[self.index(occs)] = 1.0
-        return psi
+    def basis_state(self, occs: Sequence[int]) -> dict:
+        """|occs> as a sparse state: {occupation tuple: amplitude}."""
+        self.index(occs)
+        return {tuple(occs): 1.0}
 
-    def vacuum(self) -> np.ndarray:
+    def vacuum(self) -> dict:
         return self.basis_state([0] * len(self.modes))
-
-
-def fock_transitions(p: BosonicPolynomial, space: FockSpace, occ: np.ndarray):
-    """The nonzero matrix elements of p in the columns ``occ`` ((k, n_modes) occupations).
-
-    A term ``coef (a^dag)^cre a^ann`` moves |n> to |n - ann + cre> when
-    n >= ann in every mode and n - ann + cre stays within the cutoffs; it
-    annihilates every other state. Returns, term after term, the positions in
-    ``occ`` of the states moved, their targets' basis indices and the
-    amplitudes coef <target| (a^dag)^cre a^ann |n>. This is the one
-    truncated-Fock rule: :func:`to_matrix` and the sector evolution are
-    both built on it.
-    """
-    unknown = p.modes() - set(space.modes)
-    if unknown:
-        raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
-    shape = space.shape
-    col = {m: i for i, m in enumerate(space.modes)}
-    powers = np.zeros((len(p.terms), 2, len(shape)), dtype=int)  # (term, cre|ann, mode)
-    for t, key in enumerate(p.terms):
-        for m, c, a in key:
-            powers[t, :, col[m]] = c, a
-    cre, ann = powers[:, None, 0], powers[:, None, 1]
-    low = occ - ann  # (term, state, mode)
-    terms, src = ((low >= 0).all(axis=2) & (low + cre < shape).all(axis=2)).nonzero()
-    low = low[terms, src]
-    cre, ann = cre[terms, 0], ann[terms, 0]
-    # sqrt(n! / low! * (low + cre)! / low!) per mode: a product of integers,
-    # exact in floats below 2^53
-    amp2 = np.ones(len(low))
-    for j in range(powers.max(initial=0)):
-        amp2 *= (np.where(j < ann, low + 1 + j, 1)
-                 * np.where(j < cre, low + 1 + j, 1)).prod(axis=1, dtype=float)
-    coefs = np.array(list(p.terms.values()), dtype=complex)
-    return src, np.ravel_multi_index((low + cre).T, shape), coefs[terms] * np.sqrt(amp2)
-
-
-def to_matrix(p: BosonicPolynomial, space: FockSpace) -> sp.csr_matrix:
-    """Matrix of p in the truncated number basis.
-
-    Exact on the subspace whose occupations stay at least degree(p) below
-    every cutoff; edge states feel the truncation (see :func:`fock_transitions`).
-    """
-    import scipy.sparse as sp
-
-    src, target, amp = fock_transitions(p, space, space.occupations())
-    return sp.coo_matrix((amp, (target, src)), shape=(space.dim, space.dim)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -173,88 +117,131 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state plus the sanity bookkeeping of one evolution."""
+    """Sector-sized samples plus the sanity bookkeeping of one evolution.
 
-    states: np.ndarray  # (num_samples, dim)
+    ``states[i]`` holds the amplitudes at ``times[i]`` on the reached basis
+    states, whose sorted row-major indices are ``sector``.
+    """
+
+    sector: np.ndarray  # (d_S,)
+    occupations: np.ndarray  # (d_S, n_modes)
+    states: np.ndarray  # (num_samples, d_S)
     times: np.ndarray
     norm_drift: float
     energy_drift: float
     edge_population: float
     truncation_safe: bool
 
-    @property
-    def state(self) -> np.ndarray:
-        return self.states[-1]
 
+def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
+    """Basis states reachable from ``support`` under h, split into the blocks h connects.
 
-def _sector(h: BosonicPolynomial, space: FockSpace, support: np.ndarray):
-    """Basis states reachable from ``support`` under h, and h restricted to them.
-
-    A breadth-first walk applies :func:`fock_transitions` to each newly
-    reached state once, so every matrix element of h with its column in the
-    sector is collected on the way. Returns the sector's full-space indices
-    (sorted), their occupations and the dense d_S x d_S matrix of h on it,
-    whose span h maps into itself.
+    The walk applies the truncated-Fock rule to each reached state once: a
+    term ``coef (a^dag)^cre a^ann`` moves |n> to |low + cre>, low = n - ann,
+    with amplitude coef sqrt(n! / low! * (low + cre)! / low!) per mode if
+    low >= 0 and low + cre is within the cutoffs, and annihilates n
+    otherwise; a union-find over the moves labels the blocks. Returns the
+    sorted occupation tuples and, per block, its states' positions among
+    them and the dense matrix of h on them (a span h maps into itself).
     """
-    seen = np.zeros(space.dim, dtype=bool)
-    seen[support] = True
-    frontier = support
-    moves = []
-    while frontier.size:
-        occ = np.stack(np.unravel_index(frontier, space.shape), axis=1)
-        src, to, amp = fock_transitions(h, space, occ)
-        moves.append((frontier[src], to, amp))
-        frontier = np.unique(to[~seen[to]])
-        seen[frontier] = True
+    unknown = h.modes() - set(space.modes)
+    if unknown:
+        raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
+    col = {m: i for i, m in enumerate(space.modes)}
+    terms = []  # (cre, ann, coef), the powers listed over the space's modes
+    for key, coef in h.terms.items():
+        cre, ann = [0] * len(col), [0] * len(col)
+        for m, c, a in key:
+            cre[col[m]], ann[col[m]] = c, a
+        terms.append((cre, ann, coef))
 
-    sector = np.flatnonzero(seen)
-    src, to, amp = (np.concatenate(parts) for parts in zip(*moves))
-    h_s = np.zeros((sector.size, sector.size), dtype=complex)
-    np.add.at(h_s, (np.searchsorted(sector, to), np.searchsorted(sector, src)), amp)
-    return sector, np.stack(np.unravel_index(sector, space.shape), axis=1), h_s
+    root = dict.fromkeys(support)  # state -> its union-find parent (None: a root)
+
+    def find(n):
+        while root[n] is not None:
+            n = root[n]
+        return n
+
+    levels = space.shape
+    moves = []  # (source, target, matrix element)
+    frontier = list(root)
+    while frontier:
+        reached = []
+        for n in frontier:
+            for cre, ann, coef in terms:
+                low = [k - a for k, a in zip(n, ann)]
+                to = tuple(k + c for k, c in zip(low, cre))
+                if min(low, default=0) < 0 or any(k >= lv for k, lv in zip(to, levels)):
+                    continue
+                if to not in root:
+                    root[to] = None
+                    reached.append(to)
+                src_root, to_root = find(n), find(to)
+                if src_root != to_root:
+                    root[to_root] = src_root
+                # n! / low! * (low + cre)! / low! per mode, an exact integer
+                amp2 = prod(prod(range(k + 1, k + a + 1)) * prod(range(k + 1, k + c + 1))
+                            for k, c, a in zip(low, cre, ann))
+                moves.append((n, to, coef * sqrt(amp2)))
+        frontier = reached
+
+    occs = sorted(root)
+    members = {}
+    for i, n in enumerate(occs):
+        members.setdefault(find(n), []).append(i)
+    local = {occs[i]: j for sel in members.values() for j, i in enumerate(sel)}
+    mats = {b: np.zeros((len(sel), len(sel)), dtype=complex) for b, sel in members.items()}
+    for n, to, amp in moves:
+        mats[find(n)][local[to], local[n]] += amp
+    return occs, [(np.array(sel), mats[b]) for b, sel in members.items()]
 
 
 def evolve(
     h: BosonicPolynomial,
     space: FockSpace,
-    psi0: np.ndarray,
-    t: float,
+    psi0: Mapping[tuple, complex],
+    times: Sequence[float],
     hbar: float = 1.0,
-    steps: int = 1,
 ) -> EvolutionResult:
-    """exp(-i H t / hbar) psi0 sampled at steps+1 equally spaced times.
+    """exp(-i H t / hbar) psi0 sampled at each of ``times``.
 
-    Requires a Hermitian generator and a normalized initial state. The
-    evolution runs on the sector of basis states that h reaches from the
-    support of psi0 (within the cutoffs of ``space``, truncated by
-    :func:`fock_transitions`, the rule ``to_matrix`` shares): h restricted
-    to it is diagonalized exactly once, and every sample is
-    psi0 + V[(exp(-i w t / hbar) - 1) * V^dag psi0], with the phase factor
-    written as -2i sin(x/2) exp(-ix/2) so that t = 0 returns psi0 exactly
-    and weak couplings keep their relative accuracy.
-    The cost is cubic in the sector dimension d_S, not in space.dim; norm
-    and energy drifts and the edge population are measured on the sector
-    amplitudes, and the states are scattered back into the full space.
+    Requires a Hermitian generator and a normalized initial state, given as
+    {occupation tuple: amplitude}. The evolution runs on the sector of basis
+    states that h reaches from the support of psi0 (within the cutoffs of
+    ``space``), block by block: h on each block is diagonalized exactly
+    once, and every sample is psi0 + V[(exp(-i w t / hbar) - 1) * V^dag psi0],
+    with the phase factor written as -2i sin(x/2) exp(-ix/2) so that t = 0
+    returns psi0 exactly and weak couplings keep their relative accuracy.
+    The cost is cubic in the block sizes, not in the full dimension.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian not Hermitian")
-    norm0 = np.linalg.norm(psi0)
+    support = [tuple(n) for n, amp in psi0.items() if amp]
+    for n in support:
+        space.index(n)
+    norm0 = np.linalg.norm(np.array(list(psi0.values()), dtype=complex))
     if abs(norm0 - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    sector, occ, h_s = _sector(h, space, np.flatnonzero(psi0))
-    psi0_s = psi0[sector].astype(complex)
-    w, v = np.linalg.eigh(h_s)
-    times = np.linspace(0.0, t, steps + 1)
-    x = np.outer(times, w / hbar)
-    phase = -2j * np.sin(x / 2) * np.exp(-0.5j * x)
-    states_s = psi0_s + (phase * (v.conj().T @ psi0_s)) @ v.T
-    norms = np.linalg.norm(states_s, axis=1)
-    energies = np.real(np.einsum("si,is->s", states_s.conj(), h_s @ states_s.T))
+    occs, blocks = _sector(h, space, support)
+    psi0_s = np.array([psi0.get(n, 0.0) for n in occs], dtype=complex)
+    times = np.asarray(times, dtype=float)
+    states = np.empty((times.size, len(occs)), dtype=complex)
+    energies = np.zeros(times.size)
+    for sel, h_b in blocks:
+        w, v = np.linalg.eigh(h_b)
+        x = np.outer(times, w / hbar)
+        phase = -2j * np.sin(x / 2) * np.exp(-0.5j * x)
+        p0 = psi0_s[sel]
+        states_b = p0 + (phase * (v.conj().T @ p0)) @ v.T
+        states[:, sel] = states_b
+        energies += np.real(np.einsum("si,is->s", states_b.conj(), h_b @ states_b.T))
+    occ = np.array(occs).reshape(len(occs), len(space.modes))
+    norms = np.linalg.norm(states, axis=1)
     near_edge = np.any(occ >= np.array(space.shape) - 2, axis=1)
-    edge = float(np.max(np.sum(np.abs(states_s[:, near_edge]) ** 2, axis=1)))
-    states = np.zeros((steps + 1, space.dim), dtype=complex)
-    states[:, sector] = states_s
+    edge = float(np.max(np.sum(np.abs(states[:, near_edge]) ** 2, axis=1)))
     return EvolutionResult(
+        sector=np.ravel_multi_index(occ.T, space.shape),
+        occupations=occ,
         states=states,
         times=times,
         norm_drift=float(np.max(np.abs(norms - norm0))),
@@ -264,34 +251,41 @@ def evolve(
     )
 
 
-def occupation_expectation(space: FockSpace, psi: np.ndarray, mode: int) -> float:
-    occ = space.occupations()
-    col = list(space.modes).index(mode)
-    return float(np.sum(np.abs(psi) ** 2 * occ[:, col]))
+def occupation_expectation(space: FockSpace, res: EvolutionResult, mode: int) -> list[float]:
+    """<n_mode> at every sample of an evolution on ``space``."""
+    n = res.occupations[:, space.modes.index(mode)]
+    return [float(np.sum(np.abs(s) ** 2 * n)) for s in res.states]
 
 
-def coherent_state(space: FockSpace, mode: int, alpha: complex) -> np.ndarray:
-    """Truncated coherent state on one mode (vacuum elsewhere), renormalized."""
-    n_max = space.n_max(mode)
+def population(space: FockSpace, res: EvolutionResult, occs: Sequence[int]) -> list[float]:
+    """|<occs|psi(t)>|^2 at every sample of an evolution on ``space`` (0 off its sector)."""
+    hit = res.sector == space.index(occs)
+    return [float(p) for p in np.abs(res.states[:, hit].sum(axis=1)) ** 2]
+
+
+def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
+    """<n|alpha> for n = 0..n_max, renormalized on the truncation."""
     amps = np.array([alpha**n / sqrt(factorial(n)) for n in range(n_max + 1)],
                     dtype=complex)
     amps *= np.exp(-abs(alpha) ** 2 / 2.0)
-    amps /= np.linalg.norm(amps)
-    psi = np.zeros(space.dim, dtype=complex)
-    col = list(space.modes).index(mode)
-    occ = space.occupations()
-    others = [c for c in range(len(space.modes)) if c != col]
-    sel = np.all(occ[:, others] == 0, axis=1) if others else np.ones(space.dim, bool)
-    psi[sel] = amps[occ[sel, col]]
-    return psi
+    return amps / np.linalg.norm(amps)
+
+
+def coherent_state(space: FockSpace, mode: int, alpha: complex) -> dict:
+    """Truncated coherent state on one mode (vacuum elsewhere), renormalized,
+    as {occupation tuple: amplitude}: cutoff + 1 entries."""
+    col = space.modes.index(mode)
+    vac = (0,) * len(space.modes)
+    return {vac[:col] + (n,) + vac[col + 1:]: amp
+            for n, amp in enumerate(_coherent_amplitudes(alpha, space.n_max(mode)))}
 
 
 def coherent_cutoff(alpha: complex) -> int:
     """Smallest cutoff at which the truncated coherent state of amplitude alpha
     keeps at most EDGE_POPULATION_TOL on the edge states (n >= cutoff - 1)."""
     for cutoff in count(1):
-        psi = coherent_state(FockSpace(modes=(0,), cutoff=cutoff), 0, alpha)
-        if np.sum(np.abs(psi[cutoff - 1:]) ** 2) <= EDGE_POPULATION_TOL:
+        amps = _coherent_amplitudes(alpha, cutoff)
+        if np.sum(np.abs(amps[cutoff - 1:]) ** 2) <= EDGE_POPULATION_TOL:
             return cutoff
 
 
@@ -329,22 +323,22 @@ def beamsplitter(g: float) -> BosonicPolynomial:
     return hop + hop.dagger()
 
 
-def _scheme_series(hamiltonian, space: FockSpace, psi0: np.ndarray, observable,
-                   cfg: EvolutionConfig, order: int):
-    """(t, correct, wrong) samples of observable(state), and whether both runs are safe.
+def _scheme_series(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex],
+                   observable, cfg: EvolutionConfig, order: int):
+    """(t, correct, wrong) samples of an observable, and whether the evolution is safe.
 
-    ``hamiltonian(scale)`` is the interaction, as a rate H / hbar, at
-    ``scale`` times the correct route's strength; the wrong route runs at
-    the magnitude of the order-n prefactor ratio. Each route is evolved
-    once, at hbar = 1.
+    h is the correct route's interaction as a rate H / hbar. The wrong
+    route's is |prefactor ratio| times it, so its state at t is the correct
+    route's at |ratio| t: one evolution at hbar = 1, sampled at both times,
+    serves both routes. ``observable(res)`` lists the observable at every
+    sample of the evolution ``res``.
     """
-    samples = []
-    safe = True
-    for scale in (1.0, abs(float(prefactor_ratio(order)))):
-        res = evolve(hamiltonian(scale), space, psi0, cfg.t_final, steps=cfg.steps)
-        samples.append([observable(s) for s in res.states])
-        safe = safe and res.truncation_safe
-    return tuple((float(t), c, w) for t, c, w in zip(res.times, *samples)), safe
+    times = np.linspace(0.0, cfg.t_final, cfg.steps + 1)
+    scale = abs(float(prefactor_ratio(order)))
+    res = evolve(h, space, psi0, np.concatenate([times, scale * times]))
+    values = observable(res)
+    rows = zip(times, values[:times.size], values[times.size:])
+    return tuple((float(t), c, w) for t, c, w in rows), res.truncation_safe
 
 
 def _sinh2_fit(series, column: int) -> float:
@@ -373,9 +367,7 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
         g = _coupling(params, cfg, hbar)
         space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
         psi0 = space.vacuum()
-
-        def hamiltonian(scale):
-            return two_mode_squeezer(scale * g)
+        h = two_mode_squeezer(g)
     else:
         beta = 2.0  # modest amplitude; keeps the pump sector truncation-safe
         pump_cutoff = max(cfg.n_max, coherent_cutoff(beta))
@@ -383,13 +375,10 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
                           cutoff={0: cfg.n_max, 1: cfg.n_max, 2: pump_cutoff})
         term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)},
                                           coeff=params.theta * params.phi / hbar)
-        h3 = term + term.dagger()
+        h = term + term.dagger()
         psi0 = coherent_state(space, 2, beta)
-
-        def hamiltonian(scale):
-            return scale * h3
-    series, safe = _scheme_series(hamiltonian, space, psi0,
-                                  lambda s: occupation_expectation(space, s, 0),
+    series, safe = _scheme_series(h, space, psi0,
+                                  lambda res: occupation_expectation(space, res, 0),
                                   cfg, order)
     return SchemePair(correct=_sinh2_fit(series, 1), wrong=_sinh2_fit(series, 2),
                       truncation_safe=safe, series=series)
@@ -403,11 +392,8 @@ def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
     """
     g = _coupling(params, cfg, hbar)
     space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
-    target = space.basis_state([0, 1])
-    series, safe = _scheme_series(lambda scale: beamsplitter(scale * g), space,
-                                  space.basis_state([1, 0]),
-                                  lambda s: float(np.abs(np.vdot(target, s)) ** 2),
-                                  cfg, order)
+    series, safe = _scheme_series(beamsplitter(g), space, space.basis_state([1, 0]),
+                                  lambda res: population(space, res, (0, 1)), cfg, order)
     return SchemePair(correct=series[-1][1], wrong=series[-1][2], truncation_safe=safe,
                       series=series)
 

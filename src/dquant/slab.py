@@ -1,6 +1,6 @@
 """Guided TE modes of a planar slab stack and the normalization integral of
-:mod:`dquant.modes` profiles: the one numpy (and scipy ``brentq``) module of
-the mode layer, which the plane-wave modes do without.
+:mod:`dquant.modes` profiles: the one numpy module of the mode layer, which
+the plane-wave modes do without.
 """
 
 from __future__ import annotations
@@ -148,10 +148,23 @@ class SlabModeSolution:
         return out
 
 
+def _bisect(f, a: float, b: float, xtol: float = 1e-14, rtol: float = 1e-15) -> float:
+    """A root of f in [a, b], where f changes sign, to within xtol + rtol |root|."""
+    fa = f(a)
+    while b - a > xtol + rtol * abs(a):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0 or mid in (a, b):
+            return mid
+        if (fm < 0) == (fa < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def _solve_slab_betas(stack: SlabStack, omega: float, units: UnitSystem,
                       scan_points: int = 1500) -> list[SlabModeSolution]:
-    from scipy.optimize import brentq
-
     k0 = omega / units.c
     lo = stack.n_cladding * k0
     hi = stack.n_core * k0
@@ -165,8 +178,8 @@ def _solve_slab_betas(stack: SlabStack, omega: float, units: UnitSystem,
         if vals[i] == 0.0:
             roots.append(betas[i])
         elif vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(_dispersion_mismatch, betas[i], betas[i + 1],
-                                args=(k0, stack), xtol=1e-14, rtol=1e-15))
+            roots.append(_bisect(lambda b: _dispersion_mismatch(b, k0, stack),
+                                 betas[i], betas[i + 1]))
     solutions = [SlabModeSolution(stack=stack, omega=omega, k0=k0, beta=beta,
                                   boundary_values=tuple(_transfer_walk(beta, k0, stack)))
                  for beta in roots]

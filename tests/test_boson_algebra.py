@@ -15,8 +15,8 @@ from dquant.boson_algebra import (
     normal_order,
     number,
 )
-from dquant.dynamics import FockSpace, to_matrix
-from fock_oracle import kron_matrix
+from dquant.dynamics import FockSpace
+from fock_oracle import dim, kron_matrix, occupations, to_matrix
 
 a = annihilation(0)
 ad = creation(0)
@@ -30,7 +30,7 @@ def dense(p, space):
 
 def interior_indices(space, margin):
     """Basis indices whose occupations are all <= n_max - margin."""
-    occ = space.occupations()
+    occ = occupations(space)
     limits = np.array([space.n_max(m) - margin for m in space.modes])
     return np.nonzero(np.all(occ <= limits, axis=1))[0]
 
@@ -156,7 +156,7 @@ class TestToMatrix:
     def test_dimension(self):
         space = FockSpace(modes=(0, 1, 2), cutoff={0: 1, 1: 2, 2: 3})
         assert space.shape == (2, 3, 4)
-        assert space.dim == 2 * 3 * 4
+        assert dim(space) == 2 * 3 * 4
 
     def test_zero_polynomial(self):
         m = to_matrix(BosonicPolynomial.zero(), FockSpace(modes=(0, 1), cutoff=2))

@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,8 +345,8 @@ def test_algebra_modules_leave_numpy_unloaded():
 ], ids=["invert", "verify", "compare-coefficient", "phasematch", "spdc", "convert",
         "compare-squeezing"])
 def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused, numpy):
-    # each command imports only the modules it runs, none of them loads scipy,
-    # and only the commands that diagonalize load numpy
+    # each command imports only the modules it runs, none of them loads scipy
+    # or numpy.ma, and only the commands that diagonalize load numpy
     if argv[0] in ("invert", "verify"):
         argv = [*argv, "--medium", write_medium(tmp_path, [0.5, 0.3])]
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dquant", *argv,
@@ -355,7 +357,37 @@ def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused, nu
     assert f"dquant.{runs}" in imported
     assert not {f"dquant.{u}" for u in unused} & set(imported)
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert "numpy.ma" not in imported
     assert ("numpy" in imported) == numpy
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: no module of the package imports it
+    offenders = []
+    for path in sorted(Path(dquant.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            offenders += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_quantum_pump_output_is_independent_of_the_blas_thread_count(tmp_path):
+    # each block of the quantum-pump sector is diagonalized on its own
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "dquant", "spdc", "--pump", "quantum",
+                               "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 3
 
 
 @pytest.mark.parametrize("preset", [None, "2"])

@@ -18,15 +18,20 @@ from dquant.dynamics import (
     evolve,
     frequency_conversion,
     occupation_expectation,
+    population,
     spdc_squeezing,
     two_mode_squeezer,
 )
 from dquant.hamiltonian import InteractionParams
-from fock_oracle import kron_matrix
+from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations, to_matrix
 
 
 def params_with(theta=0.05, phi=1.0):
     return InteractionParams(theta=theta, delta_k=0.0, delta=0.0, phi=phi)
+
+
+def samples(t, steps=1):
+    return np.linspace(0.0, t, steps + 1)
 
 
 class TestEvolve:
@@ -34,43 +39,52 @@ class TestEvolve:
         space = FockSpace(modes=(0,), cutoff=6)
         h = 1.3 * number(0)
         psi0 = space.basis_state([1])
-        res = evolve(h, space, psi0, t=2.7, steps=4)
-        assert abs(np.vdot(space.basis_state([1]), res.state)) == pytest.approx(1.0, abs=1e-12)
+        res = evolve(h, space, psi0, samples(2.7, 4))
+        overlap = np.vdot(full_vector(psi0, space), full_states(res, space)[-1])
+        assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_hamiltonian(self):
         space = FockSpace(modes=(0,), cutoff=4)
         psi0 = space.basis_state([2])
-        res = evolve(BosonicPolynomial.zero(), space, psi0, t=5.0)
-        assert np.allclose(res.state, psi0)
+        res = evolve(BosonicPolynomial.zero(), space, psi0, samples(5.0))
+        assert np.allclose(full_states(res, space)[-1], full_vector(psi0, space))
 
     def test_two_mode_squeezing_matches_sinh(self):
         g, t = 1.0, 0.1
         space = FockSpace(modes=(0, 1), cutoff=12)
-        res = evolve(two_mode_squeezer(g), space, space.vacuum(), t, steps=2)
-        n_a = occupation_expectation(space, res.state, 0)
+        res = evolve(two_mode_squeezer(g), space, space.vacuum(), samples(t, 2))
+        n_a = occupation_expectation(space, res, 0)[-1]
         assert n_a == pytest.approx(sinh(g * t) ** 2, abs=1e-6)
 
     def test_norm_and_energy_preserved(self):
         space = FockSpace(modes=(0, 1), cutoff=10)
-        res = evolve(two_mode_squeezer(0.8), space, space.vacuum(), 0.3, steps=6)
+        res = evolve(two_mode_squeezer(0.8), space, space.vacuum(), samples(0.3, 6))
         assert res.norm_drift < 1e-10
         assert res.energy_drift < 1e-10
 
     def test_truncation_flag_raised_when_cutoff_reached(self):
         space = FockSpace(modes=(0, 1), cutoff=3)
-        res = evolve(two_mode_squeezer(1.0), space, space.vacuum(), 2.0, steps=4)
+        res = evolve(two_mode_squeezer(1.0), space, space.vacuum(), samples(2.0, 4))
         assert res.edge_population > 1e-6
         assert not res.truncation_safe
+
+    def test_edge_population_is_the_top_two_levels(self):
+        space = FockSpace(modes=(0, 1), cutoff=5)
+        res = evolve(two_mode_squeezer(0.6), space, space.vacuum(), samples(1.0, 4))
+        near_edge = np.any(occupations(space) >= 4, axis=1)
+        want = np.max(np.sum(np.abs(full_states(res, space)[:, near_edge]) ** 2, axis=1))
+        assert res.edge_population == pytest.approx(want, rel=1e-12)
+        assert res.edge_population > 1e-3
 
     def test_rejects_non_hermitian(self):
         space = FockSpace(modes=(0,), cutoff=3)
         with pytest.raises(ValueError):
-            evolve(BosonicPolynomial.from_ops("0"), space, space.vacuum(), 1.0)
+            evolve(BosonicPolynomial.from_ops("0"), space, space.vacuum(), samples(1.0))
 
     def test_rejects_unnormalized_state(self):
         space = FockSpace(modes=(0,), cutoff=3)
         with pytest.raises(ValueError):
-            evolve(number(0), space, 2.0 * space.vacuum(), 1.0)
+            evolve(number(0), space, {(0,): 2.0}, samples(1.0))
 
 
 @st.composite
@@ -87,20 +101,27 @@ def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_terms=3, max_power=2
                     for c, a in [(draw(power), draw(power))] if c or a)
         terms[key] = complex(draw(coef), draw(coef))
     h = BosonicPolynomial(terms)
-    support = draw(st.lists(st.integers(0, space.dim - 1), min_size=1, max_size=3,
+    support = draw(st.lists(st.integers(0, dim(space) - 1), min_size=1, max_size=3,
                             unique=True))
-    psi0 = np.zeros(space.dim, dtype=complex)
-    for i in support:
-        psi0[i] = complex(draw(coef), draw(coef))
-    if np.linalg.norm(psi0) < 1e-3:
-        psi0[support[0]] = 1.0
-    return h + h.dagger(), space, psi0 / np.linalg.norm(psi0)
+    occs = [tuple(int(n) for n in np.unravel_index(i, space.shape)) for i in support]
+    amps = np.array([complex(draw(coef), draw(coef)) for _ in occs])
+    if np.linalg.norm(amps) < 1e-3:
+        amps[0] = 1.0
+    return h + h.dagger(), space, dict(zip(occs, amps / np.linalg.norm(amps)))
+
+
+def block_diagonal(occs, blocks):
+    """The sector matrix assembled from _sector's blocks."""
+    h_s = np.zeros((len(occs), len(occs)), dtype=complex)
+    for sel, h_b in blocks:
+        h_s[np.ix_(sel, sel)] = h_b
+    return h_s
 
 
 class TestSectorEvolution:
     """evolve works on the reachable sector only; the full-space kron matrix is the oracle.
 
-    ``to_matrix`` shares the sector's truncated-Fock rule, so it cannot serve.
+    The sector states are scattered into the full space here, in the test.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -109,49 +130,90 @@ class TestSectorEvolution:
         from scipy.linalg import expm
 
         h, space, psi0 = problem
-        res = evolve(h, space, psi0, t, steps=3)
+        res = evolve(h, space, psi0, samples(t, 3))
         hmat = kron_matrix(h, space)
-        for s, state in zip(res.times, res.states):
-            assert np.max(np.abs(state - expm(-1j * s * hmat) @ psi0)) <= 1e-12
+        full0 = full_vector(psi0, space)
+        for s, state in zip(res.times, full_states(res, space)):
+            assert np.max(np.abs(state - expm(-1j * s * hmat) @ full0)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(problem=hermitian_problems())
     def test_sector_matrix_is_the_restricted_full_matrix(self, problem):
         h, space, psi0 = problem
-        sector, occ, h_s = _sector(h, space, np.flatnonzero(psi0))
+        occs, blocks = _sector(h, space, list(psi0))
+        sector = np.array([space.index(n) for n in occs])
         hmat = kron_matrix(h, space)
-        assert set(np.flatnonzero(psi0)) <= set(sector)
+        assert set(psi0) <= set(occs)
         assert np.array_equal(sector, np.sort(sector))
-        assert np.array_equal(occ, space.occupations()[sector])
+        assert sorted(np.concatenate([sel for sel, _ in blocks])) == list(range(len(occs)))
+        h_s = block_diagonal(occs, blocks)
         scale = max(1.0, np.max(np.abs(hmat)))
+        # off-block entries of the restricted matrix vanish: the blocks are invariant
         assert np.max(np.abs(h_s - hmat[np.ix_(sector, sector)])) <= 1e-14 * scale
-        outside = np.setdiff1d(np.arange(space.dim), sector)
+        outside = np.setdiff1d(np.arange(dim(space)), sector)
         assert not np.any(hmat[np.ix_(outside, sector)])  # H maps the sector into itself
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=hermitian_problems())
+    def test_walk_agrees_with_the_vectorized_fock_rule(self, problem):
+        h, space, psi0 = problem
+        occs, blocks = _sector(h, space, list(psi0))
+        sector = [space.index(n) for n in occs]
+        want = to_matrix(h, space).toarray()[np.ix_(sector, sector)]
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(block_diagonal(occs, blocks) - want)) <= 1e-15 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(problem=hermitian_problems(), t=st.floats(0.05, 1.0))
     def test_first_sample_is_the_initial_state(self, problem, t):
         h, space, psi0 = problem
-        assert np.array_equal(evolve(h, space, psi0, t, steps=2).states[0], psi0)
+        res = evolve(h, space, psi0, samples(t, 2))
+        assert np.array_equal(full_states(res, space)[0], full_vector(psi0, space))
 
     def test_weak_coupling_keeps_relative_accuracy(self):
         g = 4e-11  # an SI squeezing rate in 1/s
         space = FockSpace(modes=(0, 1), cutoff=6)
-        res = evolve(two_mode_squeezer(g), space, space.vacuum(), 1.0, steps=4)
-        for t, state in zip(res.times[1:], res.states[1:]):
+        res = evolve(two_mode_squeezer(g), space, space.vacuum(), samples(1.0, 4))
+        for t, n_a in zip(res.times[1:], occupation_expectation(space, res, 0)[1:]):
             want = sinh(g * t) ** 2
-            assert abs(occupation_expectation(space, state, 0) - want) <= 1e-12 * want
+            assert abs(n_a - want) <= 1e-12 * want
 
     def test_squeezer_sector_is_the_pair_states(self):
         space = FockSpace(modes=(0, 1), cutoff=128)
-        sector, _, h_s = _sector(two_mode_squeezer(0.1), space, np.array([0]))
-        assert list(sector) == [space.index([n, n]) for n in range(129)]
-        assert h_s.shape == (129, 129)
+        occs, blocks = _sector(two_mode_squeezer(0.1), space, [(0, 0)])
+        assert occs == [(n, n) for n in range(129)]
+        assert len(blocks) == 1 and blocks[0][1].shape == (129, 129)
+
+    def test_squeezer_states_are_sector_sized(self):
+        space = FockSpace(modes=(0, 1), cutoff=128)
+        res = evolve(two_mode_squeezer(0.1), space, space.vacuum(), samples(0.5, 20))
+        assert res.states.shape == (21, 129)
+        assert list(res.sector) == [space.index([n, n]) for n in range(129)]
+        assert res.occupations.tolist() == [[n, n] for n in range(129)]
+
+    def test_quantum_pump_sector_splits_into_chains(self):
+        # n_A - n_B and n_A + n_C are conserved: one chain per pump number c
+        space = FockSpace(modes=(0, 1, 2), cutoff=48)
+        term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)}, coeff=0.05)
+        occs, blocks = _sector(term + term.dagger(), space,
+                               list(coherent_state(space, 2, 2.0)))
+        assert len(occs) == 1225
+        assert len(blocks) == 49
+        assert sorted(len(sel) for sel, _ in blocks) == list(range(1, 50))
+        for sel, _ in blocks:
+            assert len({occs[i][0] + occs[i][2] for i in sel}) == 1
+            assert all(occs[i][0] == occs[i][1] for i in sel)
 
     def test_unknown_mode_rejected(self):
         space = FockSpace(modes=(0,), cutoff=3)
         with pytest.raises(KeyError):
-            evolve(number(1), space, space.vacuum(), 1.0)
+            evolve(number(1), space, space.vacuum(), samples(1.0))
+
+    @pytest.mark.parametrize("occs", [(4,), (-1,), (0, 0)])
+    def test_state_outside_the_space_rejected(self, occs):
+        space = FockSpace(modes=(0,), cutoff=3)
+        with pytest.raises(ValueError):
+            evolve(number(0), space, {occs: 1.0}, samples(1.0))
 
 
 class TestSpdcSqueezing:
@@ -177,10 +239,9 @@ class TestSpdcSqueezing:
     def test_pair_production_symmetry(self):
         g, t = 0.7, 0.35
         space = FockSpace(modes=(0, 1), cutoff=14)
-        res = evolve(two_mode_squeezer(g), space, space.vacuum(), t, steps=7)
-        for state in res.states:
-            n_a = occupation_expectation(space, state, 0)
-            n_b = occupation_expectation(space, state, 1)
+        res = evolve(two_mode_squeezer(g), space, space.vacuum(), samples(t, 7))
+        for n_a, n_b in zip(occupation_expectation(space, res, 0),
+                            occupation_expectation(space, res, 1)):
             assert n_a == pytest.approx(n_b, abs=1e-8)
 
     def test_quantum_pump_agrees_with_parametric_limit(self):
@@ -233,11 +294,13 @@ class TestFrequencyConversion:
 
     def test_excitation_conserved(self):
         space = FockSpace(modes=(0, 1), cutoff=3)
-        res = evolve(beamsplitter(0.9), space, space.basis_state([1, 0]), 1.7, steps=9)
-        for state in res.states:
-            total = (occupation_expectation(space, state, 0)
-                     + occupation_expectation(space, state, 1))
-            assert total == pytest.approx(1.0, abs=1e-8)
+        res = evolve(beamsplitter(0.9), space, space.basis_state([1, 0]), samples(1.7, 9))
+        for n_a, n_b in zip(occupation_expectation(space, res, 0),
+                            occupation_expectation(space, res, 1)):
+            assert n_a + n_b == pytest.approx(1.0, abs=1e-8)
+        lost = [1 - p - q for p, q in zip(population(space, res, (1, 0)),
+                                          population(space, res, (0, 1)))]
+        assert max(map(abs, lost)) <= 1e-12
 
 
 class TestSeries:
@@ -313,14 +376,20 @@ class TestCoherentState:
     def test_mean_occupation(self):
         space = FockSpace(modes=(0,), cutoff=30)
         psi = coherent_state(space, 0, 1.5)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        assert occupation_expectation(space, psi, 0) == pytest.approx(1.5**2, abs=1e-6)
+        assert np.linalg.norm(list(psi.values())) == pytest.approx(1.0, abs=1e-12)
+        mean = sum(n * abs(amp) ** 2 for (n,), amp in psi.items())
+        assert mean == pytest.approx(1.5**2, abs=1e-6)
+
+    def test_support_is_the_pump_ladder(self):
+        space = FockSpace(modes=(0, 1, 2), cutoff={0: 4, 1: 4, 2: 19})
+        psi = coherent_state(space, 2, 2.0)
+        assert list(psi) == [(0, 0, n) for n in range(20)]
 
     @pytest.mark.parametrize("alpha, cutoff", [(0.0, 2), (2.0, 19), (2j, 19)])
     def test_cutoff_is_the_smallest_with_a_safe_edge(self, alpha, cutoff):
         def edge(c):
             psi = coherent_state(FockSpace(modes=(0,), cutoff=c), 0, alpha)
-            return np.sum(np.abs(psi[c - 1:]) ** 2)
+            return sum(abs(amp) ** 2 for (n,), amp in psi.items() if n >= c - 1)
 
         assert coherent_cutoff(alpha) == cutoff
         assert edge(cutoff) <= EDGE_POPULATION_TOL < edge(cutoff - 1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dquant.boson_algebra import BosonicPolynomial
-from dquant.dynamics import FockSpace, to_matrix
+from dquant.dynamics import FockSpace
 from dquant.fields import (
     FieldOperator,
     electric_field_from_D,
@@ -19,6 +19,7 @@ from dquant.modes import Mode, ModeSet, flat_profile, make_uniform_medium_modes
 from dquant.slab import solve_slab_modes
 from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem
+from fock_oracle import to_matrix
 
 NAT = UnitSystem()
 
