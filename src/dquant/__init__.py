@@ -21,10 +21,8 @@ _EXPORTS = {
                       "normal_order"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
     "hamiltonian": ("ComparisonReport", "HamiltonianSpec", "InteractionParams", "ModeTriple",
-                    "build_interaction", "build_linear", "build_nonlinear_D",
-                    "build_nonlinear_E_wrong", "prefactor_ratio", "quadratic_E_correction"),
-    "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_ampere",
-                "verify_faraday", "verify_scheme"),
+                    "assemble", "build_interaction", "build_linear", "prefactor_ratio"),
+    "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_scheme"),
     "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes"),
     "slab": ("solve_slab_modes",),
     "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_prefactors",

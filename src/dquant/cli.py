@@ -142,11 +142,8 @@ def _interaction_from_args(args):
         raise ValueError("three-wave mixing needs a medium with nonzero chi(2)")
     units = medium.units
     n_index = sqrt(1.0 + medium.chi(1).item())
-    ms, triple = make_three_wave_modes(1, 2, n_index, 2 * pi, units, length=args.length)
-    etas = invert_series(medium, 2)
-    profiles = tuple(m.profile for m in triple.modes())
-    params, _ = build_interaction(triple, profiles, etas[1], units)
-    return params, units
+    _, triple = make_three_wave_modes(1, 2, n_index, 2 * pi, units, length=args.length)
+    return build_interaction(triple, invert_series(medium, 2)[1], units), units
 
 
 def _interaction_doc(params) -> dict:

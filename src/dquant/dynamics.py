@@ -40,7 +40,6 @@ from .boson_algebra import BosonicPolynomial
 from .hamiltonian import (ComparisonReport, InteractionParams, compare_coefficients,
                           prefactor_ratio)
 
-NORM_TOL = 1e-10
 EDGE_POPULATION_TOL = 1e-6
 
 
@@ -399,7 +398,7 @@ def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
 
 
 def _default_interaction(theta: float = 0.05) -> InteractionParams:
-    return InteractionParams(theta=theta, delta_k=0.0, delta=0.0, phi=1.0)
+    return InteractionParams(theta=theta, delta_k=0.0, phi=1.0)
 
 
 def compare_schemes(observable: str, order: int = 2,

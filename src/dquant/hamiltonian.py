@@ -7,9 +7,10 @@ n/(n+1) weights. For an order-n nonlinearity the resonant coefficients of
 the two routes differ by a factor of exactly -n, and the cubic-in-D part
 of the quadratic chi-series term restores the difference.
 
-All nonlinear builders work in the resonant (rotating-wave) sector
-a_A^dag a_B^dag a_C + H.c. by default; anti-resonant terms are constructed
-and counted, never silently lost.
+:func:`assemble` is the one builder of three-wave Hamiltonians. It keeps
+the resonant (rotating-wave) sector a_A^dag a_B^dag a_C + H.c. as the
+nonlinear part; the anti-resonant terms are constructed and kept beside it
+as ``dropped``, never silently lost.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ logger = logging.getLogger(__name__)
 
 #: generous phase-matching budget: |delta_k| L / 2 below this many radians
 MATCHING_BUDGET = 10 * pi
+
+#: the three-wave Hamiltonians :func:`assemble` builds
+SCHEMES = ("D-based", "E-based-wrong", "E-based-corrected")
 
 
 class PermutationSymmetryError(ValueError):
@@ -87,7 +91,6 @@ class InteractionParams:
 
     theta: complex
     delta_k: float
-    delta: float
     phi: float
 
     def __post_init__(self):
@@ -97,19 +100,20 @@ class InteractionParams:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Assembled linear + nonlinear operator with provenance and audit."""
+    """Assembled linear + resonant nonlinear operator, with the dropped rest.
+
+    ``dropped`` is the anti-resonant part of the scheme's cubic term, which
+    the rotating-wave ``nonlinear`` part leaves out.
+    """
 
     linear: BosonicPolynomial
     nonlinear: BosonicPolynomial
+    dropped: BosonicPolynomial
     provenance: str
     order: int
-    dropped_terms: int = 0
-    dropped_norm: float = 0.0
 
     def __post_init__(self):
-        if self.provenance not in (
-            "D-based", "E-based-wrong", "E-based-corrected", "interaction-picture",
-        ):
+        if self.provenance not in SCHEMES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         for part, name in ((self.linear, "linear"), (self.nonlinear, "nonlinear")):
             if not part.is_hermitian():
@@ -121,6 +125,14 @@ class HamiltonianSpec:
     @property
     def total(self) -> BosonicPolynomial:
         return self.linear + self.nonlinear
+
+    @property
+    def dropped_terms(self) -> int:
+        return len(self.dropped.terms)
+
+    @property
+    def dropped_norm(self) -> float:
+        return self.dropped.norm()
 
 
 def build_linear(ms: ModeSet, units: UnitSystem) -> BosonicPolynomial:
@@ -156,11 +168,11 @@ def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem, weigh
                        x_scale: float = 1.0):
     """weight * integral of X^3, X = x_scale * D, over the triple's region.
 
-    The one body of the three cubic builders, each of which first checks the
-    full permutation symmetry that the 3! collection of orderings needs. D
-    is expanded on the triple's modes alone. Returns (resonant,
-    anti_resonant) polynomials; the resonant sector is a_A^dag a_B^dag a_C
-    and its conjugate.
+    The one body of the cubic terms :func:`assemble` builds, each after
+    checking the full permutation symmetry that the 3! collection of
+    orderings needs. D is expanded on the triple's modes alone. Returns
+    (resonant, anti_resonant) polynomials; the resonant sector is
+    a_A^dag a_B^dag a_C and its conjugate.
     """
     d_field, _ = expand_fields(ModeSet(modes=_triple_modes_in(ms, triple), l_box=ms.l_box),
                                units)
@@ -188,90 +200,6 @@ def _require_symmetric(tensor: SusceptibilityTensor):
         raise PermutationSymmetryError(
             f"tensor breaks full permutation symmetry by {dev:.3e}; "
             "the 3! collection of orderings would be invalid"
-        )
-
-
-def _nonlinear_D(ms, eta2, triple, units):
-    _require_symmetric(eta2)
-    return _cubic_hamiltonian(ms, triple, units, eta2.item() / 3.0)
-
-
-def _nonlinear_E_wrong(ms, chi2, eta1, triple, units):
-    _require_symmetric(chi2)
-    return _cubic_hamiltonian(ms, triple, units, units.eps0 * (2.0 / 3.0) * chi2.item(),
-                              x_scale=eta1.item())
-
-
-def _quadratic_E_correction(eta1, eta2, ms, triple, units):
-    _require_symmetric(eta2)
-    # eps0 (1 + chi1) eta1 = 1 written out through the given eta1
-    one_plus_chi1 = 1.0 / (units.eps0 * eta1.item())
-    factor = units.eps0 * one_plus_chi1 * eta1.item() * eta2.item()
-    return _cubic_hamiltonian(ms, triple, units, factor)
-
-
-def _select(sectors, resonant_only: bool, provenance: str) -> BosonicPolynomial:
-    resonant, anti = sectors
-    if resonant_only:
-        _audit_dropped(anti, provenance)
-        return resonant
-    return resonant + anti
-
-
-def build_nonlinear_D(
-    ms: ModeSet,
-    eta2: SusceptibilityTensor,
-    triple: ModeTriple,
-    units: UnitSystem,
-    resonant_only: bool = True,
-):
-    """(1/3) integral eta2 D^3 reduced to the three-wave sector.
-
-    The six orderings of a_A^dag, a_B^dag and a_C in D^3 collect into a factor
-    3!/3 = 2 on the mode-overlap integral.
-    """
-    return _select(_nonlinear_D(ms, eta2, triple, units), resonant_only, "D-based")
-
-
-def build_nonlinear_E_wrong(
-    ms: ModeSet,
-    chi2: SusceptibilityTensor,
-    eta1: SusceptibilityTensor,
-    triple: ModeTriple,
-    units: UnitSystem,
-    resonant_only: bool = True,
-):
-    """(2/3) eps0 integral chi2 E~^3 with E~ = eta1 D kept (wrongly) linear.
-
-    Equals -(2/3) integral eta2 D^3 in the resonant sector: wrong sign and
-    twice the magnitude of :func:`build_nonlinear_D`.
-    """
-    return _select(_nonlinear_E_wrong(ms, chi2, eta1, triple, units), resonant_only,
-                   "E-based-wrong")
-
-
-def quadratic_E_correction(
-    eta1: SusceptibilityTensor,
-    eta2: SusceptibilityTensor,
-    ms: ModeSet,
-    triple: ModeTriple,
-    units: UnitSystem,
-    resonant_only: bool = True,
-):
-    """Cubic-in-D part of eps0 (1 + chi1) E_full^2 / 2 with E_full = eta1 D + eta2 D^2.
-
-    The cross terms give exactly +1 * integral eta2 D^3, which added to the
-    wrong Hamiltonian restores the correct one.
-    """
-    return _select(_quadratic_E_correction(eta1, eta2, ms, triple, units), resonant_only,
-                   "quadratic-E correction")
-
-
-def _audit_dropped(anti: BosonicPolynomial, provenance: str):
-    if anti.terms:
-        logger.debug(
-            "%s: filtered %d anti-resonant terms (norm %.3e)",
-            provenance, len(anti.terms), anti.norm(),
         )
 
 
@@ -351,14 +279,6 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
     return c_correct, c_wrong
 
 
-def constructed_prefactor_ratio(order: int, chi1: float = 0.5,
-                                chi_n: float = 0.37,
-                                units: UnitSystem | None = None) -> complex:
-    """Measure the wrong/correct ratio by building both Hamiltonians."""
-    c_correct, c_wrong = scheme_resonant_coefficients(order, chi1, chi_n, units)
-    return c_wrong / c_correct
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Correct-vs-wrong value of one observable with its expected ratio."""
@@ -389,49 +309,38 @@ def compare_coefficients(order: int) -> ComparisonReport:
 
 
 # ---------------------------------------------------------------------------
-# interaction picture
+# three-wave coupling and phase matching
 # ---------------------------------------------------------------------------
 
 
-def build_interaction(
-    triple: ModeTriple,
-    profiles,
-    eta2: SusceptibilityTensor,
-    units: UnitSystem,
-) -> tuple[InteractionParams, BosonicPolynomial]:
-    """Single-wavevector interaction Hamiltonian theta * Phi * a_A^dag a_B^dag a_C + H.c.
+def build_interaction(triple: ModeTriple, eta2: SusceptibilityTensor,
+                      units: UnitSystem) -> InteractionParams:
+    """Coupling of the interaction theta * Phi * a_A^dag a_B^dag a_C + H.c.
 
-    theta = 2 L sqrt(prod hbar omega / 4 pi) * integral eta2 dA* dB* dC over
-    the shared transverse grid; Phi = sinc(delta_k L / 2). The frequency
-    mismatch is exposed for the dynamics layer (the builder itself is the
-    t = 0 snapshot of the e^(i Delta t) phase).
+    theta = 2 L sqrt(prod hbar omega / 4 pi) * eta2 dA* dB* dC times the
+    cross-section of the triple's flat profiles; Phi = sinc(delta_k L / 2).
+    The flat-profile product is the one-point quadrature of the transverse
+    overlap integral. Raises ``ValueError`` for profiles that are not flat.
     """
-    import numpy as np
-
     _require_symmetric(eta2)
-    p_a, p_b, p_c = profiles
-    if not p_a.x == p_b.x == p_c.x:
-        raise ValueError("interaction profiles must share a transverse grid")
+    p_a, p_b, p_c = (mode.profile for mode in triple.modes())
+    if not (p_a.is_flat and p_b.is_flat and p_c.is_flat):
+        raise ValueError("the interaction coupling needs flat profiles")
     length = triple.length
     delta_k = triple.delta_k
     if abs(delta_k) * length / 2 >= MATCHING_BUDGET:
         raise MatchingBudgetError(
             f"|delta_k| L/2 = {abs(delta_k) * length / 2:.3g} exceeds the budget"
         )
-    overlap = complex(
-        np.dot(p_a.weights, eta2.item() * np.conj(p_a.d) * np.conj(p_b.d) * p_c.d)
-    )
+    overlap = p_a.weights[0] * (eta2.item() * p_a.d[0].conjugate() * p_b.d[0].conjugate()
+                                * p_c.d[0])
     omegas = (triple.mode_a.omega, triple.mode_b.omega, triple.mode_c.omega)
     theta = 2.0 * length * sqrt(
         units.hbar * omegas[0] / (4 * pi)
         * units.hbar * omegas[1] / (4 * pi)
         * units.hbar * omegas[2] / (4 * pi)
     ) * overlap
-    phi = sinc(delta_k * length / 2.0)
-    params = InteractionParams(theta=theta, delta_k=delta_k,
-                               delta=triple.delta_omega, phi=phi)
-    term = BosonicPolynomial.monomial(_resonant_powers(triple), coeff=theta * phi)
-    return params, term + term.dagger()
+    return InteractionParams(theta=theta, delta_k=delta_k, phi=sinc(delta_k * length / 2.0))
 
 
 def phase_matching_curve(length: float, delta_k_grid) -> list[tuple[float, float]]:
@@ -475,29 +384,43 @@ def assemble(
     scheme: str,
     units: UnitSystem,
 ) -> HamiltonianSpec:
-    """Linear plus three-wave nonlinear Hamiltonian with provenance and audit."""
+    """Linear plus three-wave nonlinear Hamiltonian of one scheme.
+
+    The cubic terms of the schemes:
+
+    - ``"D-based"``: (1/3) integral eta2 D^3. The six orderings of
+      a_A^dag, a_B^dag and a_C in D^3 collect into a factor 3!/3 = 2 on the
+      mode-overlap integral.
+    - ``"E-based-wrong"``: (2/3) eps0 integral chi2 E~^3 with E~ = eta1 D
+      kept (wrongly) linear. Its resonant part is -(2/3) integral eta2 D^3:
+      wrong sign and twice the magnitude of the D-based one.
+    - ``"E-based-corrected"``: the wrong term plus the cubic-in-D part of
+      eps0 (1 + chi1) E_full^2 / 2 with E_full = eta1 D + eta2 D^2. Its
+      cross terms give exactly +1 * integral eta2 D^3, which restores the
+      D-based Hamiltonian.
+    """
     linear = build_linear(ms, units)
     etas = invert_series(medium, 2)
-    if scheme == "interaction-picture":
-        profiles = tuple(m.profile for m in triple.modes())
-        _, nonlinear = build_interaction(triple, profiles, etas[1], units)
-        return HamiltonianSpec(linear=linear, nonlinear=nonlinear, provenance=scheme,
-                               order=medium.highest_order)
-
-    def corrected():
-        wrong = _nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, units)
-        correction = _quadratic_E_correction(etas[0], etas[1], ms, triple, units)
-        return tuple(w + c for w, c in zip(wrong, correction))
-
-    sectors = {
-        "D-based": lambda: _nonlinear_D(ms, etas[1], triple, units),
-        "E-based-wrong": lambda: _nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, units),
-        "E-based-corrected": corrected,
-    }
-    if scheme not in sectors:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    resonant, dropped = sectors[scheme]()
-    _audit_dropped(dropped, scheme)
-    return HamiltonianSpec(linear=linear, nonlinear=resonant, provenance=scheme,
-                           order=medium.highest_order,
-                           dropped_terms=len(dropped.terms), dropped_norm=dropped.norm())
+    chi2 = medium.chi(2)
+    cubic_tensors = {"D-based": (etas[1],), "E-based-wrong": (chi2,),
+                     "E-based-corrected": (chi2, etas[1])}
+    if scheme not in cubic_tensors:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    for tensor in cubic_tensors[scheme]:
+        _require_symmetric(tensor)
+    eta1, eta2 = etas[0].item(), etas[1].item()
+    # each cubic term is weight * integral (x_scale D)^3, given as (weight, x_scale)
+    wrong = (units.eps0 * (2.0 / 3.0) * chi2.item(), eta1)
+    # eps0 (1 + chi1) eta1 = 1 written out through the given eta1
+    one_plus_chi1 = 1.0 / (units.eps0 * eta1)
+    correction = (units.eps0 * one_plus_chi1 * eta1 * eta2, 1.0)
+    terms = {"D-based": [(eta2 / 3.0, 1.0)], "E-based-wrong": [wrong],
+             "E-based-corrected": [wrong, correction]}[scheme]
+    sectors = [_cubic_hamiltonian(ms, triple, units, weight, x_scale)
+               for weight, x_scale in terms]
+    resonant, dropped = (sum(parts[1:], parts[0]) for parts in zip(*sectors))
+    if dropped.terms:
+        logger.debug("%s: filtered %d anti-resonant terms (norm %.3e)",
+                     scheme, len(dropped.terms), dropped.norm())
+    return HamiltonianSpec(linear=linear, nonlinear=resonant, dropped=dropped,
+                           provenance=scheme, order=medium.highest_order)

@@ -153,7 +153,25 @@ def _scheme_hamiltonian(
     return h - BosonicPolynomial.identity(h.coefficient({}))
 
 
-def _verify_laws(ms, medium, scheme, laws, units, tolerance):
+def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
+                  units: UnitSystem | None = None,
+                  tolerance: float = RESIDUAL_TOL) -> tuple[FaradayReport, FaradayReport]:
+    """Faraday's and Ampere's law for one scheme, from one Hamiltonian build.
+
+    Returns ``(faraday, ampere)``, per retained Fourier component:
+
+    - Faraday, d B/dt = -curl E. The D route passes exactly on retained
+      components (out-of-basis products appear as leakage); the linear-E
+      route fails for any nonlinear medium with a polynomial-degree mismatch
+      N vs 1.
+    - Ampere, d D/dt = curl(B)/mu0.
+
+    The fields, the inverse coefficients and the scheme Hamiltonian are built
+    once, and the Hamiltonian's Hermiticity is checked once (raising
+    :class:`NotHermitianError`); both laws take their Heisenberg derivatives
+    from it. Raises ``ValueError`` when a retained field component prunes to
+    zero, as SI-scale coefficients do.
+    """
     units = units or UnitSystem()
     _check_consistency(ms, medium, units)
     etas = invert_series(medium, medium.highest_order)
@@ -166,7 +184,7 @@ def _verify_laws(ms, medium, scheme, laws, units, tolerance):
     if not h.is_hermitian():
         raise NotHermitianError("Hamiltonian not Hermitian")
     reports = []
-    for law in laws:
+    for law in ("faraday", "ampere"):
         if law == "faraday":
             e_field = (electric_field_from_D(d_field, etas, medium.highest_order, retained)
                        if scheme == "D-based" else etas[0].item() * d_field)
@@ -184,40 +202,7 @@ def _verify_laws(ms, medium, scheme, laws, units, tolerance):
         reports.append(FaradayReport(
             scheme=scheme, law=law, tolerance=tolerance, residuals=residuals,
             leakage=dict(rhs_source.leakage), degree_lhs=degree_lhs, degree_rhs=degree_rhs))
-    return reports
-
-
-def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
-                  units: UnitSystem | None = None,
-                  tolerance: float = RESIDUAL_TOL) -> tuple[FaradayReport, FaradayReport]:
-    """Faraday's and Ampere's law for one scheme, from one Hamiltonian build.
-
-    The fields, the inverse coefficients and the scheme Hamiltonian are built
-    once, and the Hamiltonian's Hermiticity is checked once (raising
-    :class:`NotHermitianError`); both laws take their Heisenberg derivatives
-    from it. Returns ``(faraday, ampere)``. Raises ``ValueError`` when a
-    retained field component prunes to zero, as SI-scale coefficients do.
-    """
-    return tuple(_verify_laws(ms, medium, scheme, ("faraday", "ampere"), units, tolerance))
-
-
-def verify_faraday(ms: ModeSet, medium: MediumSpec, scheme: str,
-                   units: UnitSystem | None = None,
-                   tolerance: float = RESIDUAL_TOL) -> FaradayReport:
-    """d B/dt = -curl E, per retained Fourier component.
-
-    The D-route passes exactly on retained components (out-of-basis products
-    appear as leakage); the linear-E route fails for any nonlinear medium
-    with a polynomial-degree mismatch N vs 1.
-    """
-    return _verify_laws(ms, medium, scheme, ("faraday",), units, tolerance)[0]
-
-
-def verify_ampere(ms: ModeSet, medium: MediumSpec, scheme: str,
-                  units: UnitSystem | None = None,
-                  tolerance: float = RESIDUAL_TOL) -> FaradayReport:
-    """d D/dt = curl(B)/mu0, per retained Fourier component."""
-    return _verify_laws(ms, medium, scheme, ("ampere",), units, tolerance)[0]
+    return tuple(reports)
 
 
 @dataclass(frozen=True)

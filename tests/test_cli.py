@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import dquant
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
+from dquant.hamiltonian import ComparisonReport
 from dquant.units import si_units
 
 
@@ -325,8 +327,16 @@ ALGEBRA_MODULES = ("boson_algebra", "fields", "modes", "maxwell", "susceptibilit
 
 
 def test_algebra_modules_leave_numpy_unloaded():
-    code = ("import sys; import " + ", ".join(f"dquant.{m}" for m in ALGEBRA_MODULES)
-            + "; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))")
+    # importing the algebra, and building the coupling of the CLI's default
+    # triple, loads neither numpy nor scipy
+    code = "\n".join([
+        "import sys",
+        "import " + ", ".join(f"dquant.{m}" for m in ALGEBRA_MODULES),
+        "from dquant.cli import _interaction_from_args, build_parser",
+        "params, _ = _interaction_from_args(build_parser().parse_args(['spdc']))",
+        "assert params.theta != 0 and params.phi == 1.0",
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -413,3 +423,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert '"eta"' in proc.stdout
+
+
+@pytest.mark.parametrize("failing, code", [(None, 0), ("conversion", 1)])
+def test_scheme_comparison_script_exits_1_on_a_missed_ratio(monkeypatch, capsys, failing, code):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_scheme_comparison.py"
+    spec = importlib.util.spec_from_file_location("run_scheme_comparison", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def report(observable, order):
+        ratio = 0.0 if observable == failing else 1.0
+        return ComparisonReport(observable=observable, order=order, value_correct=1.0,
+                                value_wrong=ratio, ratio=ratio, expected_ratio=1.0,
+                                tolerance=1e-12)
+
+    monkeypatch.setattr(script, "compare_schemes", report)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    assert script.main() == code
+    assert capsys.readouterr().out.count("False") == (failing is not None)

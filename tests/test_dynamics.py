@@ -27,7 +27,7 @@ from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations,
 
 
 def params_with(theta=0.05, phi=1.0):
-    return InteractionParams(theta=theta, delta_k=0.0, delta=0.0, phi=phi)
+    return InteractionParams(theta=theta, delta_k=0.0, phi=phi)
 
 
 def samples(t, steps=1):
@@ -270,7 +270,7 @@ class TestFrequencyConversion:
         assert pair.correct == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_coupling_never_converts(self):
-        params = InteractionParams(theta=0.0, delta_k=0.0, delta=0.0, phi=1.0)
+        params = InteractionParams(theta=0.0, delta_k=0.0, phi=1.0)
         cfg = EvolutionConfig(n_max=4, t_final=3.0, steps=4, pump=1.0)
         pair = frequency_conversion(params, cfg)
         assert pair.correct == pytest.approx(0.0, abs=1e-12)

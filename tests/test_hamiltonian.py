@@ -15,18 +15,15 @@ from dquant.hamiltonian import (
     assemble,
     build_interaction,
     build_linear,
-    build_nonlinear_D,
-    build_nonlinear_E_wrong,
-    constructed_prefactor_ratio,
     linear_from_energy_density,
     make_three_wave_modes,
     phase_matching_curve,
     prefactor_ratio,
-    quadratic_E_correction,
     resonant_coefficient,
     scheme_resonant_coefficients,
 )
 from dquant.modes import make_uniform_medium_modes
+from dquant.slab import solve_slab_modes
 from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
 from dquant.units import UnitSystem
 
@@ -43,6 +40,18 @@ def three_wave_setup(chi1=0.0, chi2=0.4, l_box=2 * pi, length=None, m_a=1, m_b=2
     medium = MediumSpec.from_scalars([chi1, chi2])
     etas = invert_series(medium, 2)
     return ms, triple, medium, etas
+
+
+def nonlinear(scheme, ms, triple, medium, full=False):
+    """Resonant nonlinear part of assemble's spec, or with the dropped rest added."""
+    spec = assemble(ms, medium, triple, scheme, NAT)
+    return spec.nonlinear + spec.dropped if full else spec.nonlinear
+
+
+def correction(ms, triple, medium, full=False):
+    """The quadratic-E correction: E-based-corrected minus E-based-wrong."""
+    return (nonlinear("E-based-corrected", ms, triple, medium, full)
+            - nonlinear("E-based-wrong", ms, triple, medium, full))
 
 
 class TestBuildLinear:
@@ -89,15 +98,13 @@ class TestBuildLinear:
 
 class TestBuildNonlinearD:
     def test_zero_tensor(self):
-        ms, triple, _, etas = three_wave_setup(chi2=0.0)
-        h = build_nonlinear_D(ms, scalar(2, 0.0, role="eta"), triple, NAT)
-        assert h.is_zero
+        ms, triple, medium, _ = three_wave_setup(chi2=0.0)
+        assert nonlinear("D-based", ms, triple, medium, full=True).is_zero
 
     def test_flat_profile_coefficient_formula(self):
-        ms, triple, _, etas = three_wave_setup(chi1=0.0, chi2=0.4)
+        ms, triple, medium, etas = three_wave_setup(chi1=0.0, chi2=0.4)
         eta2 = etas[1]
-        h = build_nonlinear_D(ms, eta2, triple, NAT)
-        got = resonant_coefficient(h, triple)
+        got = resonant_coefficient(nonlinear("D-based", ms, triple, medium), triple)
         ma, mb, mc = triple.modes()
         amps = sqrt(NAT.hbar * ma.omega / 2 * NAT.hbar * mb.omega / 2
                     * NAT.hbar * mc.omega / 2)
@@ -114,18 +121,16 @@ class TestBuildNonlinearD:
         assert cube.coefficient({0: (1, 0), 1: (1, 0), 2: (0, 1)}) == pytest.approx(6.0)
 
     def test_hermitian(self):
-        ms, triple, _, etas = three_wave_setup()
-        assert build_nonlinear_D(ms, etas[1], triple, NAT).is_hermitian()
-        assert build_nonlinear_D(ms, etas[1], triple, NAT,
-                                 resonant_only=False).is_hermitian()
+        ms, triple, medium, _ = three_wave_setup()
+        assert nonlinear("D-based", ms, triple, medium).is_hermitian()
+        assert nonlinear("D-based", ms, triple, medium, full=True).is_hermitian()
 
     def test_resonant_filter_audit(self):
-        ms, triple, _, etas = three_wave_setup()
-        resonant = build_nonlinear_D(ms, etas[1], triple, NAT)
-        full = build_nonlinear_D(ms, etas[1], triple, NAT, resonant_only=False)
-        dropped = full - resonant
-        assert len(dropped.terms) > 0
-        for key in resonant.terms:
+        ms, triple, medium, _ = three_wave_setup()
+        spec = assemble(ms, medium, triple, "D-based", NAT)
+        assert len(spec.dropped.terms) > 0
+        assert not set(spec.dropped.terms) & set(spec.nonlinear.terms)
+        for key in spec.nonlinear.terms:
             powers = {m: (c, a) for m, c, a in key}
             assert powers in (
                 {0: (1, 0), 1: (1, 0), 2: (0, 1)},
@@ -136,9 +141,12 @@ class TestBuildNonlinearD:
         ms, triple, _, _ = three_wave_setup()
         ent = np.zeros((3, 3, 3))
         ent[0, 1, 2] = 1.0
-        bad = SusceptibilityTensor(order=2, role="eta", dim=3, entries=ent)
-        with pytest.raises(PermutationSymmetryError):
-            build_nonlinear_D(ms, bad, triple, NAT)
+        chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
+        bad = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
+        medium = MediumSpec(units=NAT, tensors=(chi1, bad))
+        for scheme in ("D-based", "E-based-wrong", "E-based-corrected"):
+            with pytest.raises(PermutationSymmetryError):
+                assemble(ms, medium, triple, scheme, NAT)
 
     def test_degenerate_triple_rejected(self):
         ms, triple, _, _ = three_wave_setup()
@@ -149,46 +157,43 @@ class TestBuildNonlinearD:
 
 class TestWrongScheme:
     def test_ratio_minus_two_vacuum_linear(self):
-        ms, triple, medium, etas = three_wave_setup(chi1=0.0, chi2=0.8)
-        correct = build_nonlinear_D(ms, etas[1], triple, NAT)
-        wrong = build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, NAT)
+        ms, triple, medium, _ = three_wave_setup(chi1=0.0, chi2=0.8)
+        correct = nonlinear("D-based", ms, triple, medium)
+        wrong = nonlinear("E-based-wrong", ms, triple, medium)
         ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_ratio_minus_two_dressed_linear(self):
-        ms, triple, medium, etas = three_wave_setup(chi1=1.25, chi2=0.5)
-        correct = build_nonlinear_D(ms, etas[1], triple, NAT)
-        wrong = build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, NAT)
+        ms, triple, medium, _ = three_wave_setup(chi1=1.25, chi2=0.5)
+        correct = nonlinear("D-based", ms, triple, medium)
+        wrong = nonlinear("E-based-wrong", ms, triple, medium)
         ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_zero_chi2(self):
-        ms, triple, medium, etas = three_wave_setup(chi2=0.0)
-        wrong = build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, NAT)
-        assert wrong.is_zero
+        ms, triple, medium, _ = three_wave_setup(chi2=0.0)
+        assert nonlinear("E-based-wrong", ms, triple, medium, full=True).is_zero
 
 
 class TestCorrection:
     def test_wrong_plus_correction_is_correct(self):
-        ms, triple, medium, etas = three_wave_setup(chi1=0.6, chi2=0.3)
-        correct = build_nonlinear_D(ms, etas[1], triple, NAT)
-        wrong = build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, NAT)
-        corr = quadratic_E_correction(etas[0], etas[1], ms, triple, NAT)
-        repaired = wrong + corr
+        ms, triple, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
+        correct = nonlinear("D-based", ms, triple, medium)
+        repaired = (nonlinear("E-based-wrong", ms, triple, medium)
+                    + correction(ms, triple, medium))
         diff = repaired - correct
         assert diff.max_abs_coeff() < 1e-12
 
     def test_correction_is_plus_three_times_correct(self):
-        ms, triple, medium, etas = three_wave_setup(chi1=0.6, chi2=0.3)
-        correct = build_nonlinear_D(ms, etas[1], triple, NAT)
-        corr = quadratic_E_correction(etas[0], etas[1], ms, triple, NAT)
+        ms, triple, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
+        correct = nonlinear("D-based", ms, triple, medium)
+        corr = correction(ms, triple, medium)
         ratio = resonant_coefficient(corr, triple) / resonant_coefficient(correct, triple)
         assert ratio == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_eta2_zero_correction(self):
-        ms, triple, _, etas = three_wave_setup()
-        corr = quadratic_E_correction(etas[0], scalar(2, 0.0, role="eta"), ms, triple, NAT)
-        assert corr.is_zero
+        ms, triple, medium, _ = three_wave_setup(chi2=0.0)
+        assert correction(ms, triple, medium, full=True).is_zero
 
 
 #: (m_a, m_b, chi1, chi2, l_box, length): box-filling and shorter regions
@@ -225,11 +230,9 @@ class TestLegOracle:
     def test_full_polynomial(self, case, builder):
         ms, triple, medium, etas = self.setup(case)
         got = {
-            "D": lambda: build_nonlinear_D(ms, etas[1], triple, NAT, resonant_only=False),
-            "E-wrong": lambda: build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple,
-                                                       NAT, resonant_only=False),
-            "correction": lambda: quadratic_E_correction(etas[0], etas[1], ms, triple, NAT,
-                                                         resonant_only=False),
+            "D": lambda: nonlinear("D-based", ms, triple, medium, full=True),
+            "E-wrong": lambda: nonlinear("E-based-wrong", ms, triple, medium, full=True),
+            "correction": lambda: correction(ms, triple, medium, full=True),
         }[builder]()
         resonant, anti = _oracle(builder, ms, triple, medium, etas)
         expected = resonant + anti
@@ -264,7 +267,8 @@ class TestPrefactorRatio:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_symbolic_construction_oracle(self, n):
-        measured = constructed_prefactor_ratio(n)
+        c_correct, c_wrong = scheme_resonant_coefficients(n)
+        measured = c_wrong / c_correct
         assert measured.imag == pytest.approx(0.0, abs=1e-12)
         assert measured.real == pytest.approx(float(prefactor_ratio(n)), abs=1e-12)
 
@@ -297,19 +301,18 @@ class TestBuildInteraction:
     def setup(self, chi1=0.0, chi2=0.4, l_box=2 * pi, length=None):
         ms, triple, medium, etas = three_wave_setup(chi1=chi1, chi2=chi2,
                                                     l_box=l_box, length=length)
-        profiles = tuple(m.profile for m in triple.modes())
-        return ms, triple, etas[1], profiles
+        return ms, triple, etas[1]
 
     def test_phi_values(self):
-        ms, triple, eta2, profiles = self.setup()
-        params, _ = build_interaction(triple, profiles, eta2, NAT)
+        ms, triple, eta2 = self.setup()
+        params = build_interaction(triple, eta2, NAT)
         assert params.phi == 1.0  # matched triple
         assert params.delta_k == pytest.approx(0.0, abs=1e-15)
-        assert params.delta == pytest.approx(0.0, abs=1e-15)
+        assert triple.delta_omega == pytest.approx(0.0, abs=1e-15)
 
     def test_theta_formula(self):
-        ms, triple, eta2, profiles = self.setup(length=1.7)
-        params, poly = build_interaction(triple, profiles, eta2, NAT)
+        ms, triple, eta2 = self.setup(length=1.7)
+        params = build_interaction(triple, eta2, NAT)
         ma, mb, mc = triple.modes()
         expected = (2.0 * 1.7
                     * sqrt(ma.omega / (4 * pi) * mb.omega / (4 * pi) * mc.omega / (4 * pi))
@@ -317,46 +320,54 @@ class TestBuildInteraction:
                     * np.conj(ma.profile.d_value()) * np.conj(mb.profile.d_value())
                     * mc.profile.d_value())
         assert params.theta == pytest.approx(expected, rel=1e-13)
-        assert resonant_coefficient(poly, triple) == pytest.approx(
-            params.theta * params.phi, rel=1e-13)
 
     @pytest.mark.parametrize("factor", [2.0, 10.0])
     def test_theta_linear_in_length(self, factor):
-        _, triple1, eta2, profiles = self.setup(length=0.9)
-        _, triple2, _, _ = self.setup(length=0.9 * factor)
-        p1, _ = build_interaction(triple1, profiles, eta2, NAT)
-        p2, _ = build_interaction(triple2, profiles, eta2, NAT)
+        _, triple1, eta2 = self.setup(length=0.9)
+        _, triple2, _ = self.setup(length=0.9 * factor)
+        p1 = build_interaction(triple1, eta2, NAT)
+        p2 = build_interaction(triple2, eta2, NAT)
         assert abs(p2.theta / p1.theta - factor) < 1e-12
 
     @pytest.mark.parametrize("factor", [2.0, 10.0])
     def test_theta_linear_in_eta2(self, factor):
-        _, triple, eta2, profiles = self.setup()
+        _, triple, eta2 = self.setup()
         scaled = scalar(2, factor * eta2.item(), role="eta")
-        p1, _ = build_interaction(triple, profiles, eta2, NAT)
-        p2, _ = build_interaction(triple, profiles, scaled, NAT)
+        p1 = build_interaction(triple, eta2, NAT)
+        p2 = build_interaction(triple, scaled, NAT)
         assert abs(p2.theta / p1.theta - factor) < 1e-12
 
     @pytest.mark.parametrize("l_box", [2 * pi, pi, 6.0])
     def test_consistent_with_cubic_builder(self, l_box):
         # resonant coefficient of (1/3) integral eta2 D^3 equals w^(3/2) theta phi
         ms, triple, medium, etas = three_wave_setup(chi2=0.4, l_box=l_box)
-        profiles = tuple(m.profile for m in triple.modes())
-        params, _ = build_interaction(triple, profiles, etas[1], NAT)
-        h = build_nonlinear_D(ms, etas[1], triple, NAT)
-        got = resonant_coefficient(h, triple)
+        params = build_interaction(triple, etas[1], NAT)
+        got = resonant_coefficient(nonlinear("D-based", ms, triple, medium), triple)
         assert got == pytest.approx(ms.w**1.5 * params.theta * params.phi, rel=1e-12)
 
     def test_budget_error_for_mismatched_triple(self):
         from dataclasses import replace
 
-        ms, triple, _, etas = three_wave_setup()
-        profiles = tuple(m.profile for m in triple.modes())
+        ms, triple, eta2 = self.setup()
         # shift the pump off the matched wavevector by one grid step
         off_c = replace(triple.mode_c, m=triple.mode_c.m + 8, k=triple.mode_c.k + 8 * ms.w)
         bad = ModeTriple(mode_a=triple.mode_a, mode_b=triple.mode_b, mode_c=off_c,
                          length=10.0)
         with pytest.raises(MatchingBudgetError):
-            build_interaction(bad, profiles, etas[1], NAT)
+            build_interaction(bad, eta2, NAT)
+
+    def test_rejects_sampled_profiles(self):
+        from dataclasses import replace
+
+        _, triple, eta2 = self.setup()
+        (profile,) = solve_slab_modes([(6.0, 1.45), (1.0, 2.0), (6.0, 1.45)], omega=1.0,
+                                      units=NAT, with_group_velocity=False,
+                                      points_per_layer=50)
+        sampled = replace(triple.mode_b, profile=profile)
+        bad = ModeTriple(mode_a=triple.mode_a, mode_b=sampled, mode_c=triple.mode_c,
+                         length=triple.length)
+        with pytest.raises(ValueError, match="flat profiles"):
+            build_interaction(bad, eta2, NAT)
 
 
 class TestPhaseMatchingCurve:
@@ -394,12 +405,6 @@ class TestAssemble:
         diff = d_spec.nonlinear - c_spec.nonlinear
         assert diff.max_abs_coeff() < 1e-12
 
-    def test_interaction_picture_spec(self):
-        ms, triple, medium, _ = three_wave_setup()
-        spec = assemble(ms, medium, triple, "interaction-picture", NAT)
-        assert spec.provenance == "interaction-picture"
-        assert spec.nonlinear.is_hermitian()
-
     def test_unknown_scheme(self):
         ms, triple, medium, _ = three_wave_setup()
         with pytest.raises(ValueError):
@@ -422,22 +427,28 @@ class TestAssemble:
 
     @pytest.mark.parametrize("scheme", ["D-based", "E-based-wrong", "E-based-corrected"])
     def test_dropped_audit_matches_the_two_build_reference(self, scheme):
-        # reference: build the resonant sector, then everything, and subtract
+        # reference: each cubic term of the scheme's density built whole from the
+        # field expansion, then the resonant sector subtracted from the sum
         ms, triple, medium, etas = three_wave_setup(chi1=0.2, chi2=0.4)
+        eta1, eta2 = etas[0].item(), etas[1].item()
+        d_field, _ = expand_fields(ms, NAT)
 
-        def build(only):
-            if scheme == "D-based":
-                return build_nonlinear_D(ms, etas[1], triple, NAT, resonant_only=only)
-            h = build_nonlinear_E_wrong(ms, medium.chi(2), etas[0], triple, NAT,
-                                        resonant_only=only)
-            if scheme == "E-based-corrected":
-                h = h + quadratic_E_correction(etas[0], etas[1], ms, triple, NAT,
-                                               resonant_only=only)
-            return h
+        def cubic(weight, x):
+            return weight * integrate_density(x * x * x, ms.l_box, region_length=triple.length)
 
-        resonant = build(True)
-        dropped = build(False) - resonant
+        wrong = cubic(NAT.eps0 * 2.0 / 3.0 * medium.chi(2).item(), eta1 * d_field)
+        full = {"D-based": lambda: cubic(eta2 / 3.0, d_field),
+                "E-based-wrong": lambda: wrong,
+                "E-based-corrected": lambda: wrong + cubic(eta2, d_field)}[scheme]()
+        powers = {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
+                  triple.mode_c.label: (0, 1)}
+        conjugate = {m: (a, c) for m, (c, a) in powers.items()}
+        pump = BosonicPolynomial.monomial(powers)
+        resonant = (full.coefficient(powers) * pump
+                    + full.coefficient(conjugate) * pump.dagger())
+        dropped = full - resonant
         spec = assemble(ms, medium, triple, scheme, NAT)
-        assert spec.nonlinear.terms == resonant.terms
+        assert set(spec.nonlinear.terms) == set(resonant.terms)
+        assert (spec.nonlinear - resonant).max_abs_coeff() <= 1e-14 * resonant.max_abs_coeff()
         assert spec.dropped_terms == len(dropped.terms) > 0
-        assert spec.dropped_norm == dropped.norm()
+        assert spec.dropped_norm == pytest.approx(dropped.norm(), rel=1e-13)

@@ -11,8 +11,6 @@ from dquant.maxwell import (
     _scheme_hamiltonian,
     degree_contradiction_report,
     spectral_curl,
-    verify_ampere,
-    verify_faraday,
     verify_scheme,
 )
 from dquant.modes import make_uniform_medium_modes
@@ -94,7 +92,7 @@ class TestLinearMedium:
     def test_both_schemes_pass(self):
         ms, medium = uniform_setup(0.9, 2)
         for scheme in ("D-based", "E-linear-wrong"):
-            report = verify_faraday(ms, medium, scheme)
+            report = verify_scheme(ms, medium, scheme)[0]
             assert report.passed
             assert report.max_residual < 1e-10
             assert report.degree_lhs == report.degree_rhs == 1
@@ -113,7 +111,7 @@ class TestLinearMedium:
 class TestNonlinearMedium:
     def test_d_based_passes_with_leakage_reported(self):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3,))
-        report = verify_faraday(ms, medium, "D-based")
+        report = verify_scheme(ms, medium, "D-based")[0]
         assert report.passed
         assert report.max_residual < 1e-10
         assert report.degree_lhs == report.degree_rhs == 2
@@ -121,7 +119,7 @@ class TestNonlinearMedium:
 
     def test_wrong_scheme_fails_with_degree_mismatch(self):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3,))
-        report = verify_faraday(ms, medium, "E-linear-wrong")
+        report = verify_scheme(ms, medium, "E-linear-wrong")[0]
         assert not report.passed
         assert report.degree_lhs == 2
         assert report.degree_rhs == 1
@@ -131,29 +129,29 @@ class TestNonlinearMedium:
         # the nonlinearity lives in the D-sector, so D's own EOM stays linear
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3,))
         for scheme in ("D-based", "E-linear-wrong"):
-            report = verify_ampere(ms, medium, scheme)
+            report = verify_scheme(ms, medium, scheme)[1]
             assert report.max_residual < 1e-10
             assert report.degree_lhs == report.degree_rhs == 1
 
     def test_cubic_medium_degree_three(self):
         ms, medium = uniform_setup(0.0, 2, chis_higher=(0.0, 0.2))
-        report = verify_faraday(ms, medium, "E-linear-wrong")
+        report = verify_scheme(ms, medium, "E-linear-wrong")[0]
         assert report.degree_lhs == 3
         assert report.degree_rhs == 1
-        good = verify_faraday(ms, medium, "D-based")
+        good = verify_scheme(ms, medium, "D-based")[0]
         assert good.passed
 
     def test_residual_not_growing_with_basis(self):
         maxima = []
         for m_max in (1, 2, 3):
             ms, medium = uniform_setup(0.5, m_max, chis_higher=(0.3,))
-            maxima.append(verify_faraday(ms, medium, "D-based").max_residual)
+            maxima.append(verify_scheme(ms, medium, "D-based")[0].max_residual)
         assert maxima[1] <= maxima[0] + 1e-12
         assert maxima[2] <= maxima[1] + 1e-12
 
     def test_report_serializable(self):
         ms, medium = uniform_setup(0.5, 1, chis_higher=(0.3,))
-        doc = verify_faraday(ms, medium, "D-based").to_dict()
+        doc = verify_scheme(ms, medium, "D-based")[0].to_dict()
         assert doc["scheme"] == "D-based"
         assert doc["law"] == "faraday"
         assert set(doc["residuals"]) == {"-1", "1"}
@@ -170,16 +168,14 @@ class TestVerifyScheme:
             verify_scheme(ms, medium, "D-based")
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_single_law_wrappers_match_and_skip_the_other_law(self, monkeypatch, scheme):
+    def test_builds_the_electric_field_only_for_the_d_route(self, monkeypatch, scheme):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3, -0.15))
-        faraday, ampere = verify_scheme(ms, medium, scheme)
         e_builds = []
         from_d = maxwell.electric_field_from_D
         monkeypatch.setattr(maxwell, "electric_field_from_D",
                             lambda *args: e_builds.append(1) or from_d(*args))
-        assert verify_ampere(ms, medium, scheme).to_dict() == ampere.to_dict()
-        assert e_builds == []
-        assert verify_faraday(ms, medium, scheme).to_dict() == faraday.to_dict()
+        faraday, ampere = verify_scheme(ms, medium, scheme)
+        assert (faraday.law, ampere.law) == ("faraday", "ampere")
         assert len(e_builds) == (scheme == "D-based")
 
 
@@ -189,13 +185,13 @@ class TestConsistencyGuards:
         ms, _ = uniform_setup(0.0, 1)
         medium = MediumSpec.from_scalars([1.5, 0.1])
         with pytest.raises(InconsistentModeSetError):
-            verify_faraday(ms, medium, "D-based")
+            verify_scheme(ms, medium, "D-based")
 
     def test_asymmetric_basis_rejected(self):
         medium = MediumSpec.from_scalars([0.0, 0.1])
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1, 2, -1], NAT)
         with pytest.raises(InconsistentModeSetError):
-            verify_faraday(ms, medium, "D-based")
+            verify_scheme(ms, medium, "D-based")
 
 
 class TestDegreeContradiction:
