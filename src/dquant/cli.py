@@ -4,16 +4,14 @@ Commands: invert, verify, compare, phasematch, spdc, convert. Exit codes:
 0 success, 1 a verification expectation failed, 2 bad input. All emitted
 JSON/CSV is byte-deterministic for a given configuration. Each command
 imports only the modules it runs: start-up is most of a short command.
-Only the commands that diagonalize (spdc, convert and the dynamical
-compares) load numpy, with OpenBLAS single-threaded unless
-OPENBLAS_NUM_THREADS is set: its idle threads would spin on other cores.
+No command loads numpy: the commands that diagonalize (spdc, convert and
+the dynamical compares) run the pure-Python eigensolver of ``linalg``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import pi, sqrt
 from pathlib import Path
@@ -112,21 +110,11 @@ def cmd_compare(args) -> int:
     return EXIT_OK if report.passed else EXIT_EXPECTATION_FAILED
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``np.linspace(start, stop, num)``: i * step + start, and stop exactly last."""
-    if num < 0:
-        raise ValueError(f"Number of samples, {num}, must be non-negative.")
-    div = max(num - 1, 1)
-    step = (stop - start) / div
-    # a step that underflows to zero scales i / div instead, as numpy does
-    grid = [(i * step if step else i / div * (stop - start)) + start for i in range(num)]
-    return grid[:-1] + [stop] if num > 1 else grid
-
-
 def cmd_phasematch(args) -> int:
     from .hamiltonian import phase_matching_curve
+    from .linalg import linspace
 
-    grid = _linspace(args.dk_min, args.dk_max, args.points)
+    grid = linspace(args.dk_min, args.dk_max, args.points)
     curve = phase_matching_curve(args.length, grid)
     text = csv_text(["delta_k", "phi2"], curve)
     _emit(args, "phase_matching.csv", text)
@@ -271,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy first loads
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -13,10 +13,15 @@ the sector of number states the Hamiltonian reaches from the initial state
 vacuum). A breadth-first walk over occupation tuples builds the sector and
 splits it into the blocks the Hamiltonian connects (the trilinear one
 conserves n_A - n_B and n_A + n_C, so its sector is a sum of short chains),
-and each block is diagonalized exactly. Samples, observables, drifts and
-the edge population are all sector-sized; any population within two levels
-of a cutoff beyond 1e-6 flags the run as truncation-unsafe rather than
-silently reporting numbers.
+and each block is diagonalized exactly by the pure-Python eigensolver of
+:mod:`dquant.linalg` (Householder to real tridiagonal form, implicit QL,
+inverse iteration). Every chain block is tridiagonal in sorted order, so it
+needs no reflector, and each sample is two real matrix-vector products in
+the tridiagonal basis; a time listed twice is evaluated once. Samples,
+observables, drifts and the edge population are all sector-sized, in
+tuples; any population within two levels of a cutoff beyond 1e-6 flags the
+run as truncation-unsafe rather than silently reporting numbers. The
+module runs on the standard library alone.
 
 The observables build their generators as rates (H / hbar) and evolve them
 at hbar = 1, so that SI couplings of ~1e-11 1/s are not lost to the
@@ -31,14 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from math import asinh, factorial, prod, sqrt
+from math import asinh, cos, exp, factorial, fsum, hypot, prod, sin, sqrt
+from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .boson_algebra import BosonicPolynomial
 from .hamiltonian import (ComparisonReport, InteractionParams, compare_coefficients,
                           prefactor_ratio)
+from .linalg import eigh, linspace
 
 EDGE_POPULATION_TOL = 1e-6
 
@@ -122,10 +127,10 @@ class EvolutionResult:
     states, whose sorted row-major indices are ``sector``.
     """
 
-    sector: np.ndarray  # (d_S,)
-    occupations: np.ndarray  # (d_S, n_modes)
-    states: np.ndarray  # (num_samples, d_S)
-    times: np.ndarray
+    sector: tuple[int, ...]  # d_S basis indices
+    occupations: tuple[tuple[int, ...], ...]  # d_S occupation tuples
+    states: tuple[tuple[complex, ...], ...]  # num_samples rows of d_S amplitudes
+    times: tuple[float, ...]
     norm_drift: float
     energy_drift: float
     edge_population: float
@@ -189,10 +194,10 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
     for i, n in enumerate(occs):
         members.setdefault(find(n), []).append(i)
     local = {occs[i]: j for sel in members.values() for j, i in enumerate(sel)}
-    mats = {b: np.zeros((len(sel), len(sel)), dtype=complex) for b, sel in members.items()}
+    mats = {b: [[0j] * len(sel) for _ in sel] for b, sel in members.items()}
     for n, to, amp in moves:
-        mats[find(n)][local[to], local[n]] += amp
-    return occs, [(np.array(sel), mats[b]) for b, sel in members.items()]
+        mats[find(n)][local[to]][local[n]] += amp
+    return occs, [(sel, mats[b]) for b, sel in members.items()]
 
 
 def evolve(
@@ -211,63 +216,105 @@ def evolve(
     once, and every sample is psi0 + V[(exp(-i w t / hbar) - 1) * V^dag psi0],
     with the phase factor written as -2i sin(x/2) exp(-ix/2) so that t = 0
     returns psi0 exactly and weak couplings keep their relative accuracy.
-    The cost is cubic in the block sizes, not in the full dimension.
+    A time listed twice is evaluated once: both samples are the same row.
+    The cost grows with the block sizes, not with the full dimension: the
+    diagonalization is quadratic in the size of a tridiagonal block (every
+    chain) and cubic otherwise, and each sample is quadratic.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian not Hermitian")
     support = [tuple(n) for n, amp in psi0.items() if amp]
     for n in support:
         space.index(n)
-    norm0 = np.linalg.norm(np.array(list(psi0.values()), dtype=complex))
+    norm0 = sqrt(fsum(abs(amp) ** 2 for amp in psi0.values()))
     if abs(norm0 - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
     occs, blocks = _sector(h, space, support)
-    psi0_s = np.array([psi0.get(n, 0.0) for n in occs], dtype=complex)
-    times = np.asarray(times, dtype=float)
-    states = np.empty((times.size, len(occs)), dtype=complex)
-    energies = np.zeros(times.size)
+    psi0_s = [complex(psi0.get(n, 0.0)) for n in occs]
+    times = tuple(float(t) for t in times)
+    distinct = list(dict.fromkeys(times))
+    rows = [[0j] * len(occs) for _ in distinct]
+    energies = [0.0] * len(distinct)
     for sel, h_b in blocks:
-        w, v = np.linalg.eigh(h_b)
-        x = np.outer(times, w / hbar)
-        phase = -2j * np.sin(x / 2) * np.exp(-0.5j * x)
-        p0 = psi0_s[sel]
-        states_b = p0 + (phase * (v.conj().T @ p0)) @ v.T
-        states[:, sel] = states_b
-        energies += np.real(np.einsum("si,is->s", states_b.conj(), h_b @ states_b.T))
-    occ = np.array(occs).reshape(len(occs), len(space.modes))
-    norms = np.linalg.norm(states, axis=1)
-    near_edge = np.any(occ >= np.array(space.shape) - 2, axis=1)
-    edge = float(np.max(np.sum(np.abs(states[:, near_edge]) ** 2, axis=1)))
+        entries = [(i, j, v) for i, h_row in enumerate(h_b) for j, v in enumerate(h_row) if v]
+        samples = _block_samples(h_b, [psi0_s[i] for i in sel], distinct, hbar)
+        for k, (row, state_b) in enumerate(zip(rows, samples)):
+            for i, amp in zip(sel, state_b):
+                row[i] = amp
+            energies[k] += sum(state_b[i].conjugate() * v * state_b[j]
+                               for i, j, v in entries).real
+    rows = [tuple(row) for row in rows]
+    norms = [hypot(*map(abs, row)) for row in rows]
+    edge_levels = [lv - 2 for lv in space.shape]
+    near_edge = [i for i, n in enumerate(occs) if any(map(ge, n, edge_levels))]
+    edge = max(hypot(*[abs(row[i]) for i in near_edge]) ** 2 for row in rows)
+    row_of = dict(zip(distinct, rows))
     return EvolutionResult(
-        sector=np.ravel_multi_index(occ.T, space.shape),
-        occupations=occ,
-        states=states,
+        sector=tuple(space.index(n) for n in occs),
+        occupations=tuple(occs),
+        states=tuple(row_of[t] for t in times),
         times=times,
-        norm_drift=float(np.max(np.abs(norms - norm0))),
-        energy_drift=float(np.max(np.abs(energies - energies[0]))),
+        norm_drift=max(abs(norm - norm0) for norm in norms),
+        energy_drift=max(abs(energy - energies[0]) for energy in energies),
         edge_population=edge,
         truncation_safe=edge <= EDGE_POPULATION_TOL,
     )
 
 
+def _block_samples(h_b, p0: list[complex], times: Sequence[float], hbar: float):
+    """The states p0 + V[phase(t) * V^dag p0] of one block, one list per time.
+
+    V = U Z from :func:`~dquant.linalg.eigh`, with Z real: p0 is carried
+    into the tridiagonal basis once, as y = Z^T U^dag p0, and each sample is
+    two real matrix-vector products there and one map back. With s and c
+    the sine and cosine of x/2, the phase factor is -2 s (s + i c).
+    """
+    eig = eigh(h_b)
+    y = eig.to_tridiagonal(p0)
+    y_re, y_im = [v.real for v in y], [v.imag for v in y]
+    # -2 y, so that phase * y = (s s + i s c) * (-2 y)
+    a = [-2.0 * sum(map(mul, z, y_re)) for z in eig.vectors]
+    b = [-2.0 * sum(map(mul, z, y_im)) for z in eig.vectors]
+    rates = [w / hbar for w in eig.values]
+    z_rows = list(zip(*eig.vectors))
+    for t in times:
+        halves = [t * rate / 2 for rate in rates]
+        sin_half = list(map(sin, halves))
+        ss = list(map(mul, sin_half, sin_half))
+        sc = list(map(mul, sin_half, map(cos, halves)))
+        c_re = list(map(sub, map(mul, ss, a), map(mul, sc, b)))
+        c_im = list(map(add, map(mul, ss, b), map(mul, sc, a)))
+        back = eig.from_tridiagonal(list(map(complex, [sum(map(mul, z, c_re)) for z in z_rows],
+                                             [sum(map(mul, z, c_im)) for z in z_rows])))
+        yield list(map(add, p0, back))
+
+
 def occupation_expectation(space: FockSpace, res: EvolutionResult, mode: int) -> list[float]:
     """<n_mode> at every sample of an evolution on ``space``."""
-    n = res.occupations[:, space.modes.index(mode)]
-    return [float(np.sum(np.abs(s) ** 2 * n)) for s in res.states]
+    col = space.modes.index(mode)
+    n = [occ[col] for occ in res.occupations]
+    out = []
+    for state in res.states:
+        mag = list(map(abs, state))
+        out.append(fsum(map(mul, map(mul, mag, mag), n)))
+    return out
 
 
 def population(space: FockSpace, res: EvolutionResult, occs: Sequence[int]) -> list[float]:
     """|<occs|psi(t)>|^2 at every sample of an evolution on ``space`` (0 off its sector)."""
-    hit = res.sector == space.index(occs)
-    return [float(p) for p in np.abs(res.states[:, hit].sum(axis=1)) ** 2]
+    index = space.index(occs)
+    if index not in res.sector:
+        return [0.0] * len(res.states)
+    at = res.sector.index(index)
+    return [abs(state[at]) ** 2 for state in res.states]
 
 
-def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
+def _coherent_amplitudes(alpha: complex, n_max: int) -> list[complex]:
     """<n|alpha> for n = 0..n_max, renormalized on the truncation."""
-    amps = np.array([alpha**n / sqrt(factorial(n)) for n in range(n_max + 1)],
-                    dtype=complex)
-    amps *= np.exp(-abs(alpha) ** 2 / 2.0)
-    return amps / np.linalg.norm(amps)
+    damping = exp(-abs(alpha) ** 2 / 2.0)
+    amps = [complex(alpha**n / sqrt(factorial(n))) * damping for n in range(n_max + 1)]
+    norm = sqrt(fsum(abs(amp) ** 2 for amp in amps))
+    return [amp / norm for amp in amps]
 
 
 def coherent_state(space: FockSpace, mode: int, alpha: complex) -> dict:
@@ -284,7 +331,7 @@ def coherent_cutoff(alpha: complex) -> int:
     keeps at most EDGE_POPULATION_TOL on the edge states (n >= cutoff - 1)."""
     for cutoff in count(1):
         amps = _coherent_amplitudes(alpha, cutoff)
-        if np.sum(np.abs(amps[cutoff - 1:]) ** 2) <= EDGE_POPULATION_TOL:
+        if fsum(abs(amp) ** 2 for amp in amps[cutoff - 1:]) <= EDGE_POPULATION_TOL:
             return cutoff
 
 
@@ -332,12 +379,12 @@ def _scheme_series(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, 
     serves both routes. ``observable(res)`` lists the observable at every
     sample of the evolution ``res``.
     """
-    times = np.linspace(0.0, cfg.t_final, cfg.steps + 1)
+    times = linspace(0.0, cfg.t_final, cfg.steps + 1)
     scale = abs(float(prefactor_ratio(order)))
-    res = evolve(h, space, psi0, np.concatenate([times, scale * times]))
+    res = evolve(h, space, psi0, times + [scale * t for t in times])
     values = observable(res)
-    rows = zip(times, values[:times.size], values[times.size:])
-    return tuple((float(t), c, w) for t, c, w in rows), res.truncation_safe
+    rows = zip(times, values[:len(times)], values[len(times):])
+    return tuple(rows), res.truncation_safe
 
 
 def _sinh2_fit(series, column: int) -> float:
@@ -345,9 +392,9 @@ def _sinh2_fit(series, column: int) -> float:
 
     The last sample of the series is at t_final.
     """
-    ts = np.array([row[0] for row in series[1:]])
-    ys = np.array([asinh(sqrt(row[column])) for row in series[1:]])
-    return float(np.dot(ts, ys) / np.dot(ts, ts)) * series[-1][0]
+    ts = [row[0] for row in series[1:]]
+    ys = [asinh(sqrt(row[column])) for row in series[1:]]
+    return fsum(map(mul, ts, ys)) / fsum(t * t for t in ts) * series[-1][0]
 
 
 def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,

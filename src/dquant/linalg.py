@@ -1,0 +1,298 @@
+"""Pure-Python numerics for the dynamics and the CLI: a grid and a Hermitian eigensolver.
+
+``linspace`` is numpy's evenly spaced grid, float for float. ``eigh``
+diagonalizes a dense Hermitian matrix in three steps, one path for every
+matrix:
+
+- Householder reflectors reduce it to a Hermitian tridiagonal matrix, and a
+  diagonal phase makes that real symmetric. A matrix that is already
+  tridiagonal (every chain block of the three-wave dynamics, in sorted
+  order) needs no reflector, only the phase.
+- Implicit-QL sweeps give the eigenvalues of each unreduced piece: the
+  tridiagonal splits where an off-diagonal is at most eps times its 1-norm.
+- Inverse iteration gives the eigenvectors, as LAPACK ``dstein`` does: a
+  pivoted tridiagonal LU per eigenvalue, and Gram-Schmidt against the
+  earlier vectors of a cluster of close eigenvalues.
+
+The eigenvectors come out real, those of the real tridiagonal form; the
+reflectors and the phase map vectors between that form and the original
+basis.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from math import copysign, frexp, fsum, hypot, ldexp, sqrt
+from operator import mul
+from typing import Sequence
+
+EPS = 2.0**-52
+#: implicit-QL sweeps allowed per eigenvalue
+QL_MAX_SWEEPS = 30
+#: inverse iterations allowed per eigenvector, and the extra ones after its
+#: growth test first passes (LAPACK dstein takes two; a second brings no
+#: measurable gain in orthogonality or residual on the dynamics' chains)
+INVERSE_MAX_ITERATIONS = 5
+INVERSE_EXTRA_ITERATIONS = 1
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)``: i * step + start, and stop exactly last."""
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    div = max(num - 1, 1)
+    step = (stop - start) / div
+    # a step that underflows to zero scales i / div instead, as numpy does
+    grid = [(i * step if step else i / div * (stop - start)) + start for i in range(num)]
+    return grid[:-1] + [stop] if num > 1 else grid
+
+
+@dataclass(frozen=True)
+class Eigensystem:
+    """A Hermitian matrix A = U diag(values) U^dag with U = Q P Z.
+
+    ``values`` ascend; ``vectors[k]`` is the real eigenvector Z[:, k] of the
+    real symmetric tridiagonal form. Q is the product of the Householder
+    ``reflectors`` (k, u, beta), each I - beta u u^dag acting on the entries
+    from k on; P is the diagonal ``phases``.
+    """
+
+    values: tuple[float, ...]
+    vectors: tuple[tuple[float, ...], ...]
+    reflectors: tuple[tuple[int, list, float], ...]
+    phases: tuple[complex, ...]
+
+    def to_tridiagonal(self, x: Sequence[complex]) -> list[complex]:
+        """(Q P)^dag x: a vector of the original basis in the tridiagonal one."""
+        x = [complex(v) for v in x]
+        for k, u, beta in self.reflectors:
+            _reflect(x, k, u, beta)
+        return [p.conjugate() * v for p, v in zip(self.phases, x)]
+
+    def from_tridiagonal(self, y: Sequence[complex]) -> list[complex]:
+        """Q P y: a vector of the tridiagonal basis in the original one."""
+        y = [p * v for p, v in zip(self.phases, y)]
+        for k, u, beta in reversed(self.reflectors):
+            _reflect(y, k, u, beta)
+        return y
+
+
+def _reflect(x: list, k: int, u: list, beta: float) -> None:
+    """x <- (I - beta u u^dag) x in place, u acting on the entries from k on."""
+    s = beta * sum(a.conjugate() * b for a, b in zip(u, x[k:]))
+    for i, a in enumerate(u, k):
+        x[i] -= s * a
+
+
+def eigh(a: Sequence[Sequence[complex]]) -> Eigensystem:
+    """Eigen-decomposition of the dense Hermitian matrix ``a`` (a list of rows).
+
+    A matrix whose largest entry lies outside [2^-500, 2^500] is first
+    scaled by a power of two, exactly, so that no step under- or overflows.
+    The tridiagonal form splits where an off-diagonal is at most eps times
+    its 1-norm: setting it to zero moves no eigenvalue by more than that.
+    """
+    big = max((abs(v) for row in a for v in row), default=0.0)
+    shift = -frexp(big)[1] if big and not 2.0**-500 < big < 2.0**500 else 0
+    if shift:
+        a = [[complex(ldexp(v.real, shift), ldexp(v.imag, shift)) for v in row] for row in a]
+    diag, sub, reflectors = _tridiagonalize(a)
+    n = len(diag)
+    off = list(map(abs, sub))
+    split = EPS * _one_norm(diag, off)
+    phases = [1.0 + 0j]  # T = P T_r P^dag: P_(i+1) = P_i e_i / |e_i| where e_i is kept
+    for e, size in zip(sub, off):
+        phase = phases[-1] * (e / size) if size > split else phases[-1]
+        phases.append(phase / abs(phase))
+    values, vectors = [], []
+    lo = 0
+    for hi in range(1, n + 1):
+        if hi < n and off[hi - 1] > split:
+            continue
+        d, e = diag[lo:hi], off[lo:hi - 1]
+        w = _ql_eigenvalues(d, e)
+        for z in _inverse_iteration(d, e, w):
+            vectors.append([0.0] * lo + z + [0.0] * (n - hi))
+        values += w
+        lo = hi
+    order = sorted(range(n), key=values.__getitem__)
+    return Eigensystem(values=tuple(ldexp(values[k], -shift) for k in order),
+                       vectors=tuple(tuple(vectors[k]) for k in order),
+                       reflectors=tuple(reflectors), phases=tuple(phases))
+
+
+def _one_norm(d: list[float], e: list[float]) -> float:
+    """The largest absolute row sum of the symmetric tridiagonal (d, e)."""
+    pad = [0.0, *e, 0.0]
+    return max(map(sum, zip(map(abs, d), pad, pad[1:])), default=0.0)
+
+
+def _tridiagonalize(a):
+    """Real diagonal, complex subdiagonal and reflectors of a = Q T Q^dag.
+
+    Column k is reflected only when it holds a nonzero entry below the
+    subdiagonal, so a tridiagonal matrix passes through unchanged. The
+    reflector of the column x is I - beta u u^dag with u = x + phase(x_0)
+    |x| e_1, scaled to u_0 = 1 (as LAPACK ``zlarfg`` does), so that neither
+    |x| nor beta under- or overflows.
+    """
+    a = [[complex(v) for v in row] for row in a]
+    n = len(a)
+    reflectors = []
+    for k in range(n - 2):
+        x = [a[i][k] for i in range(k + 1, n)]
+        if not any(x[1:]):
+            continue
+        phase = x[0] / abs(x[0]) if x[0] else 1.0
+        lead = x[0] + phase / abs(phase) * hypot(*map(abs, x))  # |phase| = 1 for subnormal x_0
+        u = [1.0 + 0j] + [v / lead for v in x[1:]]
+        beta = 2.0 / fsum(abs(v) ** 2 for v in u)
+        # a <- R a R with R = I - beta u u^dag on rows and columns k+1..n-1:
+        # a rank-2 update a - u q^dag - q u^dag, p = beta a u, q = p - (beta u^dag p / 2) u
+        p = [beta * sum(row[j] * uj for j, uj in enumerate(u, k + 1)) for row in a]
+        half = beta * sum(uj.conjugate() * p[j] for j, uj in enumerate(u, k + 1)).real / 2
+        q = list(p)
+        for j, uj in enumerate(u, k + 1):
+            q[j] -= half * uj
+        uu = [0j] * (k + 1) + u
+        for i in range(n):
+            row, ui, qi = a[i], uu[i], q[i]
+            for j in range(n):
+                row[j] -= ui * q[j].conjugate() + qi * uu[j].conjugate()
+        reflectors.append((k + 1, u, beta))
+    return [a[i][i].real for i in range(n)], [a[i + 1][i] for i in range(n - 1)], reflectors
+
+
+def _ql_eigenvalues(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the real symmetric tridiagonal (d, e) by implicit-QL sweeps."""
+    d, e = list(d), list(e) + [0.0]
+    n = len(d)
+    for l in range(n):
+        for sweep in range(QL_MAX_SWEEPS + 1):
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweep == QL_MAX_SWEEPS:
+                raise ArithmeticError("implicit QL did not converge")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # an off-diagonal underflowed: split there and sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return sorted(d)
+
+
+def _inverse_iteration(d: list[float], e: list[float], w: list[float]) -> list[list[float]]:
+    """Orthonormal eigenvectors of the unreduced tridiagonal (d, e) at the ascending ``w``.
+
+    Follows LAPACK ``dstein``: a seeded random start, the solve scaled so
+    that it cannot overflow, close eigenvalues nudged apart by 10 eps |w|,
+    and each vector of a cluster (eigenvalues within 1e-3 of the matrix
+    1-norm) kept orthogonal to the cluster's earlier ones; the largest
+    entry of each vector is positive.
+    """
+    n = len(d)
+    if n == 1:
+        return [[1.0]]
+    onenrm = _one_norm(d, e)
+    ortol, tol = 1e-3 * onenrm, EPS * onenrm
+    converged = sqrt(0.1 / n)
+    rng = random.Random(n)
+    vectors = []
+    first = 0  # index of the first vector of the current cluster
+    prev = None
+    for j, x in enumerate(w):
+        if prev is not None:
+            x = max(x, prev + 10.0 * abs(EPS * x))
+            if x - prev > ortol:
+                first = j
+        prev = x
+        lu = _tridiagonal_lu(d, e, x, tol)
+        z = [2.0 * rng.random() - 1.0 for _ in range(n)]
+        checks = 0
+        for _ in range(INVERSE_MAX_ITERATIONS):
+            scale = n * onenrm * max(EPS, abs(lu[1][-1][0])) / fsum(map(abs, z))
+            z = _lu_solve(lu, [scale * v for v in z])
+            for v in vectors[first:j] * 2:  # twice: one pass can cancel to rounding
+                dot = fsum(map(mul, v, z))
+                z = [zi - dot * vi for zi, vi in zip(z, v)]
+            if max(map(abs, z)) >= converged:
+                checks += 1
+                if checks > INVERSE_EXTRA_ITERATIONS:
+                    break
+        else:
+            if not checks:
+                raise ArithmeticError("inverse iteration did not converge")
+        big = max(z, key=abs)
+        norm = copysign(sqrt(fsum(v * v for v in z)), big)
+        vectors.append([v / norm for v in z])
+    return vectors
+
+
+def _tridiagonal_lu(d, e, x, tol):
+    """LU with partial pivoting of T - x I, pivots smaller than ``tol`` raised to it.
+
+    Returns, per row i, the multiplier that eliminated row i + 1 below it
+    and whether rows i and i + 1 were swapped first, and U by rows: the
+    pivot and the two entries right of it.
+    """
+    elim, rows = [], []
+    piv, right = d[0] - x, e[0]  # row i of the partly eliminated matrix from the pivot on
+    for sub, diag, nxt in zip(e, d[1:], e[1:] + [0.0]):
+        diag -= x
+        if abs(piv) >= abs(sub):
+            m = sub / piv
+            rows.append((piv if abs(piv) >= tol else copysign(tol, piv), right, 0.0))
+            piv, right = diag - m * right, nxt
+            elim.append((m, False))
+        else:
+            m = piv / sub
+            rows.append((sub, diag, nxt))  # |sub| > |piv|: no pivot to raise
+            piv, right = right - m * diag, -m * nxt
+            elim.append((m, True))
+    rows.append((piv if abs(piv) >= tol else copysign(tol, piv), 0.0, 0.0))
+    return elim, rows
+
+
+def _lu_solve(lu, b: list[float]) -> list[float]:
+    """Solve (T - x I) z = b from its pivoted LU."""
+    elim, rows = lu
+    y = []
+    c = b[0]
+    for (m, swapped), nxt in zip(elim, b[1:]):
+        if swapped:
+            c, nxt = nxt, c
+        y.append(c)
+        c = nxt - m * c
+    y.append(c)
+    z = []
+    z1 = z2 = 0.0
+    for yi, (p, r1, r2) in zip(reversed(y), reversed(rows)):
+        z2, z1 = z1, (yi - r1 * z1 - r2 * z2) / p
+        z.append(z1)
+    z.reverse()
+    return z

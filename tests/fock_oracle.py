@@ -40,8 +40,8 @@ def full_vector(psi, space):
 
 def full_states(res, space):
     """An evolution's sector-sized samples scattered into the full space."""
-    out = np.zeros((res.states.shape[0], dim(space)), dtype=complex)
-    out[:, res.sector] = res.states
+    out = np.zeros((len(res.states), dim(space)), dtype=complex)
+    out[:, list(res.sector)] = res.states
     return out
 
 

@@ -23,6 +23,7 @@ from dquant.dynamics import (
     two_mode_squeezer,
 )
 from dquant.hamiltonian import InteractionParams
+from eigh_oracle import eigh_states
 from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations, to_matrix
 
 
@@ -137,6 +138,33 @@ class TestSectorEvolution:
             assert np.max(np.abs(state - expm(-1j * s * hmat) @ full0)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
+    @given(problem=hermitian_problems(), t=st.floats(0.05, 1.0))
+    def test_matches_the_lapack_eigh_evolution(self, problem, t):
+        h, space, psi0 = problem
+        res = evolve(h, space, psi0, samples(t, 3))
+        occs, want = eigh_states(h, space, psi0, res.times)
+        assert list(res.occupations) == occs
+        assert np.max(np.abs(np.array(res.states) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("g, t", [(0.1, 0.5), (0.02, 4.0), (1.0, 0.05)])
+    def test_squeezer_chain_matches_the_lapack_eigh_evolution(self, g, t):
+        space = FockSpace(modes=(0, 1), cutoff=128)
+        h, times = two_mode_squeezer(g), samples(t, 20)
+        res = evolve(h, space, space.vacuum(), np.concatenate([times, 2 * times]))
+        _, want = eigh_states(h, space, space.vacuum(), res.times)
+        assert np.max(np.abs(np.array(res.states) - want)) <= 1e-12
+
+    def test_a_repeated_time_gives_the_same_row(self):
+        space = FockSpace(modes=(0, 1), cutoff=16)
+        res = evolve(two_mode_squeezer(0.3), space, space.vacuum(), [0.0, 0.4, 0.8, 0.4, 0.0])
+        assert res.states[1] is res.states[3]
+        assert res.states[0] is res.states[4]
+        alone = evolve(two_mode_squeezer(0.3), space, space.vacuum(), [0.4])
+        assert res.states[1] == alone.states[0]
+        assert res.states[0] == tuple(full_vector(space.vacuum(), space)[list(res.sector)])
+        assert res.times == (0.0, 0.4, 0.8, 0.4, 0.0)
+
+    @settings(max_examples=60, deadline=None)
     @given(problem=hermitian_problems())
     def test_sector_matrix_is_the_restricted_full_matrix(self, problem):
         h, space, psi0 = problem
@@ -182,14 +210,14 @@ class TestSectorEvolution:
         space = FockSpace(modes=(0, 1), cutoff=128)
         occs, blocks = _sector(two_mode_squeezer(0.1), space, [(0, 0)])
         assert occs == [(n, n) for n in range(129)]
-        assert len(blocks) == 1 and blocks[0][1].shape == (129, 129)
+        assert len(blocks) == 1 and np.shape(blocks[0][1]) == (129, 129)
 
     def test_squeezer_states_are_sector_sized(self):
         space = FockSpace(modes=(0, 1), cutoff=128)
         res = evolve(two_mode_squeezer(0.1), space, space.vacuum(), samples(0.5, 20))
-        assert res.states.shape == (21, 129)
+        assert np.shape(res.states) == (21, 129)
         assert list(res.sector) == [space.index([n, n]) for n in range(129)]
-        assert res.occupations.tolist() == [[n, n] for n in range(129)]
+        assert list(res.occupations) == [(n, n) for n in range(129)]
 
     def test_quantum_pump_sector_splits_into_chains(self):
         # n_A - n_B and n_A + n_C are conserved: one chain per pump number c
