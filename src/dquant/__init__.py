@@ -25,7 +25,7 @@ _EXPORTS = {
     "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_scheme"),
     "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes"),
     "slab": ("solve_slab_modes",),
-    "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_prefactors",
+    "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_density",
                        "invert_series"),
     "units": ("UnitSystem", "natural_units", "si_units"),
 }

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .serialize import csv_text, dumps, write_text
 from .susceptibility import (
+    ROUTES,
     MediumSpec,
     NonInvertibleLinearResponseError,
     gamma_from_eta,
@@ -60,7 +61,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .maxwell import SCHEMES, verify_scheme
+    from .maxwell import verify_scheme
     from .modes import make_uniform_medium_modes
 
     medium = _load_medium_arg(args)
@@ -69,7 +70,7 @@ def cmd_verify(args) -> int:
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
 
-    reports = [rep for scheme in SCHEMES
+    reports = [rep for scheme in ROUTES
                for rep in verify_scheme(ms, medium, scheme, units=medium.units)]
     print(f"{'scheme':<16} {'law':<8} {'m':>4} {'residual':<13} {'degrees':<8} pass")
     for rep in reports:

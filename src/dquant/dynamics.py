@@ -380,7 +380,7 @@ def _scheme_series(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, 
     sample of the evolution ``res``.
     """
     times = linspace(0.0, cfg.t_final, cfg.steps + 1)
-    scale = abs(float(prefactor_ratio(order)))
+    scale = abs(prefactor_ratio(order))
     res = evolve(h, space, psi0, times + [scale * t for t in times])
     values = observable(res)
     rows = zip(times, values[:len(times)], values[len(times):])

@@ -1,32 +1,36 @@
 """Hamiltonians of the two quantization routes and their wave-mixing sectors.
 
-The correct route integrates the D-series energy density,
-sum_n eta_n D^(n+1) / (n+1); the incorrect route keeps only the linear
-constitutive relation E~ = eta1 D inside the chi-series density with its
-n/(n+1) weights. For an order-n nonlinearity the resonant coefficients of
-the two routes differ by a factor of exactly -n, and the cubic-in-D part
-of the quadratic chi-series term restores the difference.
+Both routes' energy densities come from
+:func:`~dquant.susceptibility.energy_density`: the correct route integrates
+the D series, sum_n eta_n D^(n+1) / (n+1); the incorrect route keeps only
+the linear constitutive relation E~ = eta1 D inside the chi-series density
+with its n/(n+1) weights. For a pure order-n nonlinearity the resonant
+coefficients of the two routes differ by a factor of exactly -n, and the
+cubic-in-D part of the quadratic chi-series term restores the difference.
 
 :func:`assemble` is the one builder of three-wave Hamiltonians. It keeps
 the resonant (rotating-wave) sector a_A^dag a_B^dag a_C + H.c. as the
 nonlinear part; the anti-resonant terms are constructed and kept beside it
-as ``dropped``, never silently lost.
+as ``dropped``, never silently lost. On a linear medium the box builder of
+:mod:`~dquant.maxwell` integrates the quadratic form, which equals
+:func:`build_linear`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from math import pi, sqrt
 
 from .boson_algebra import BosonicPolynomial, number
 from .fields import FieldOperator, expand_fields, integrate_density, sinc
 from .modes import Mode, ModeSet, plane_wave_mode
 from .susceptibility import (
+    ROUTES,
     MediumSpec,
     SusceptibilityTensor,
     check_permutation_symmetry,
+    energy_density,
     invert_series,
 )
 from .units import UnitSystem
@@ -37,7 +41,7 @@ logger = logging.getLogger(__name__)
 MATCHING_BUDGET = 10 * pi
 
 #: the three-wave Hamiltonians :func:`assemble` builds
-SCHEMES = ("D-based", "E-based-wrong", "E-based-corrected")
+SCHEMES = ROUTES + ("E-based-corrected",)
 
 
 class PermutationSymmetryError(ValueError):
@@ -143,22 +147,6 @@ def build_linear(ms: ModeSet, units: UnitSystem) -> BosonicPolynomial:
     return h
 
 
-def linear_from_energy_density(
-    ms: ModeSet, eta1: SusceptibilityTensor, units: UnitSystem
-) -> BosonicPolynomial:
-    """Evaluate integral of B^2/(2 mu0) + eta1 D^2 / 2 and drop the constant.
-
-    For a mode set solving the dispersion of the same eta1 this reproduces
-    :func:`build_linear` exactly; it is the quadratic-form cross-check.
-    """
-    d_field, b_field = expand_fields(ms, units)
-    density = (1.0 / (2 * units.mu0)) * b_field.product_k0(b_field) + (
-        eta1.item() / 2.0
-    ) * d_field.product_k0(d_field)
-    h = integrate_density(FieldOperator({0: density}, ms.w), ms.l_box)
-    return h - BosonicPolynomial.identity(h.coefficient({}))
-
-
 # ---------------------------------------------------------------------------
 # cubic three-wave builders (the field expansion cubed on the triple's region)
 # ---------------------------------------------------------------------------
@@ -219,11 +207,11 @@ def _resonant_powers(triple: ModeTriple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def prefactor_ratio(order: int) -> Fraction:
+def prefactor_ratio(order: int) -> int:
     """(wrong / correct) resonant-coefficient ratio for a pure order-n medium."""
     if order < 2:
         raise ValueError("the routes differ only for nonlinear orders n >= 2")
-    return Fraction(-order, 1)
+    return -order
 
 
 def _pure_order_modeset(order: int, chi1: float, units: UnitSystem) -> tuple[ModeSet, dict]:
@@ -257,8 +245,6 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
     chis = [chi1] + [0.0] * (order - 2) + [chi_n]
     medium = MediumSpec.from_scalars(chis, units=units)
     etas = invert_series(medium, order)
-    eta1 = etas[0].item()
-    eta_n = etas[order - 1].item()
 
     ms, monomial = _pure_order_modeset(order, chi1, units)
     d_field, _ = expand_fields(ms, units)
@@ -268,12 +254,10 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
     top = d_power.product_k0(d_field, support=monomial)
     base = integrate_density(FieldOperator({0: top}, ms.w), ms.l_box)
 
-    correct = (eta_n / (order + 1)) * base
-    e_tilde_power = (eta1 ** (order + 1)) * base
-    wrong = (order / (order + 1)) * units.eps0 * chi_n * e_tilde_power
-
-    c_correct = correct.coefficient(monomial)
-    c_wrong = wrong.coefficient(monomial)
+    _, d_coeffs = energy_density(medium, etas, "D-based")
+    scale, e_coeffs = energy_density(medium, etas, "E-linear-wrong")
+    c_correct = (d_coeffs[-1] * base).coefficient(monomial)
+    c_wrong = (e_coeffs[-1] * ((scale ** (order + 1)) * base)).coefficient(monomial)
     if c_correct == 0:
         raise RuntimeError("resonant coefficient vanished; mode construction broken")
     return c_correct, c_wrong
@@ -391,31 +375,33 @@ def assemble(
     - ``"D-based"``: (1/3) integral eta2 D^3. The six orderings of
       a_A^dag, a_B^dag and a_C in D^3 collect into a factor 3!/3 = 2 on the
       mode-overlap integral.
-    - ``"E-based-wrong"``: (2/3) eps0 integral chi2 E~^3 with E~ = eta1 D
+    - ``"E-linear-wrong"``: (2/3) eps0 integral chi2 E~^3 with E~ = eta1 D
       kept (wrongly) linear. Its resonant part is -(2/3) integral eta2 D^3:
       wrong sign and twice the magnitude of the D-based one.
     - ``"E-based-corrected"``: the wrong term plus the cubic-in-D part of
       eps0 (1 + chi1) E_full^2 / 2 with E_full = eta1 D + eta2 D^2. Its
       cross terms give exactly +1 * integral eta2 D^3, which restores the
       D-based Hamiltonian.
+
+    The weights are the routes' X^3 and X^2 terms from
+    :func:`~dquant.susceptibility.energy_density`.
     """
     linear = build_linear(ms, units)
     etas = invert_series(medium, 2)
     chi2 = medium.chi(2)
-    cubic_tensors = {"D-based": (etas[1],), "E-based-wrong": (chi2,),
+    cubic_tensors = {"D-based": (etas[1],), "E-linear-wrong": (chi2,),
                      "E-based-corrected": (chi2, etas[1])}
     if scheme not in cubic_tensors:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     for tensor in cubic_tensors[scheme]:
         _require_symmetric(tensor)
-    eta1, eta2 = etas[0].item(), etas[1].item()
+    scale, coeffs = energy_density(medium, etas,
+                                   "D-based" if scheme == "D-based" else "E-linear-wrong")
     # each cubic term is weight * integral (x_scale D)^3, given as (weight, x_scale)
-    wrong = (units.eps0 * (2.0 / 3.0) * chi2.item(), eta1)
-    # eps0 (1 + chi1) eta1 = 1 written out through the given eta1
-    one_plus_chi1 = 1.0 / (units.eps0 * eta1)
-    correction = (units.eps0 * one_plus_chi1 * eta1 * eta2, 1.0)
-    terms = {"D-based": [(eta2 / 3.0, 1.0)], "E-based-wrong": [wrong],
-             "E-based-corrected": [wrong, correction]}[scheme]
+    terms = [(coeffs[1], scale)]
+    if scheme == "E-based-corrected":
+        # coeffs[0] E_full^2 with E_full = eta1 D + eta2 D^2: its cubic-in-D cross terms
+        terms.append((2 * coeffs[0] * etas[0].item() * etas[1].item(), 1.0))
     sectors = [_cubic_hamiltonian(ms, triple, units, weight, x_scale)
                for weight, x_scale in terms]
     resonant, dropped = (sum(parts[1:], parts[0]) for parts in zip(*sectors))

@@ -23,14 +23,12 @@ from math import sqrt
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, commutator, degree
 from .fields import FieldOperator, electric_field_from_D, expand_fields, integrate_density
 from .modes import ModeSet
-from .susceptibility import MediumSpec, invert_series
+from .susceptibility import MediumSpec, energy_density, invert_series
 from .units import UnitSystem
 
 logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10
-
-SCHEMES = ("D-based", "E-linear-wrong")
 
 
 class InconsistentModeSetError(ValueError):
@@ -126,23 +124,13 @@ def _scheme_hamiltonian(
 ) -> BosonicPolynomial:
     """Box integral of the scheme's energy density over the retained basis.
 
-    The density is B^2/(2 mu0) plus a power series in one field X (D, or
-    E~ = eta1 D). The box integral keeps only its k = 0 component, so only
-    that component is summed, and the highest power of X is built at k = 0
-    alone.
+    The density is B^2/(2 mu0) plus the route's power series in one field
+    X = scale * D (:func:`~dquant.susceptibility.energy_density`). The box
+    integral keeps only its k = 0 component, so only that component is
+    summed, and the highest power of X is built at k = 0 alone.
     """
-    n_top = medium.highest_order
-    if scheme == "D-based":
-        x = d_field
-        coeffs = [etas[n - 1].item() / (n + 1) for n in range(1, n_top + 1)]
-    elif scheme == "E-linear-wrong":
-        x = etas[0].item() * d_field
-        chi1 = medium.chi(1).item()
-        coeffs = [units.eps0 * (1.0 + chi1) / 2.0] + [
-            units.eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)
-        ]
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    scale, coeffs = energy_density(medium, etas, scheme)
+    x = scale * d_field
     density = (1.0 / (2 * units.mu0)) * b_field.product_k0(b_field)
     power = x
     for coeff in coeffs[:-1]:
@@ -236,10 +224,9 @@ def degree_contradiction_report(order: int) -> DegreeContradictionReport:
     """
     if order < 1:
         raise ValueError("nonlinearity order must be >= 1")
-    from .boson_algebra import BosonicPolynomial as BP
-
-    linear_field = BP.from_ops("0") + BP.from_ops("0^")
-    generator = BP.monomial({0: (order + 1, 0)}) + BP.monomial({0: (0, order + 1)})
+    linear_field = BosonicPolynomial.from_ops("0") + BosonicPolynomial.from_ops("0^")
+    generator = (BosonicPolynomial.monomial({0: (order + 1, 0)})
+                 + BosonicPolynomial.monomial({0: (0, order + 1)}))
     deg_heis = degree(commutator(linear_field, generator))
     deg_curl = degree(linear_field)  # ik multiplication never changes the degree
     return DegreeContradictionReport(order=order, degree_heisenberg=deg_heis,

@@ -7,7 +7,6 @@ through the same %.12e normalization before serialization.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 
@@ -21,10 +20,7 @@ def round12(x: float) -> float:
 
 
 def to_jsonable(obj):
-    """Recursively normalize floats and numpy scalars for stable dumps."""
-    numpy = sys.modules.get("numpy")  # no numpy scalar exists before numpy is imported
-    if numpy is not None and isinstance(obj, numpy.generic):
-        obj = obj.item()
+    """Recursively normalize floats for stable dumps."""
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

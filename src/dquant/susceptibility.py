@@ -12,16 +12,15 @@ A rank-(n+1) tensor of order n maps n field vectors to one; at dim=1 every
 tensor is a single number and the contractions collapse to scalar algebra.
 Tensors are flat row-major tuples of floats and the contractions are plain
 Python, multiplying left to right and summing in the order ``np.einsum``
-does, so at dim=1 they reproduce it bit for bit. The energy-density
-prefactor tables of the two quantization routes (n/(n+1) for the E-series,
-1/(n+1) for the D-series) live here as exact rationals.
+does, so at dim=1 they reproduce it bit for bit. The energy densities of
+the two quantization routes (:func:`energy_density`) are defined here once,
+and every Hamiltonian builder reads them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
@@ -309,18 +308,30 @@ def gamma_from_eta(eta: SusceptibilityTensor, units: UnitSystem) -> Susceptibili
     return SusceptibilityTensor(order=eta.order, role="gamma", dim=eta.dim, entries=ent)
 
 
-def energy_prefactors(approach: str, n_top: int) -> list[Fraction]:
-    """Exact rational weights of the order-n term in each energy density.
+#: the two quantization routes: the D series, and the chi series with E kept linear in D
+ROUTES = ("D-based", "E-linear-wrong")
 
-    E-based: 1/2, then n/(n+1) for n >= 2. D-based: 1/(n+1) for every n.
+
+def energy_density(medium: MediumSpec, etas, route: str) -> tuple[float, list[float]]:
+    """A route's energy density beyond B^2/(2 mu0), on a scalar medium.
+
+    Returns ``(scale, coeffs)``: the density is sum_n coeffs[n-1] X^(n+1)
+    with X = scale * D, through order ``len(etas)``.
+
+    - ``"D-based"`` integrates E = dH/dD = sum_n eta_n D^n: X = D and
+      coeffs[n-1] = eta_n / (n+1).
+    - ``"E-linear-wrong"`` keeps E~ = eta1 D linear inside the chi series:
+      X = E~, with eps0 (1 + chi1) / 2 at n = 1 and eps0 n/(n+1) chi_n above.
     """
-    if n_top < 1:
-        raise ValueError("N must be >= 1")
-    if approach == "E-based":
-        return [Fraction(1, 2)] + [Fraction(n, n + 1) for n in range(2, n_top + 1)]
-    if approach == "D-based":
-        return [Fraction(1, n + 1) for n in range(1, n_top + 1)]
-    raise ValueError("approach must be 'E-based' or 'D-based'")
+    n_top = len(etas)
+    if route == "D-based":
+        return 1.0, [etas[n - 1].item() / (n + 1) for n in range(1, n_top + 1)]
+    if route == "E-linear-wrong":
+        eps0 = medium.units.eps0
+        return etas[0].item(), [eps0 * (1.0 + medium.chi(1).item()) / 2.0] + [
+            eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)
+        ]
+    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
 def check_permutation_symmetry(t: SusceptibilityTensor) -> tuple[bool, float]:

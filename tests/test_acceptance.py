@@ -59,7 +59,7 @@ def _three_wave(chi1, chi2):
 def test_criterion_1_prefactor_discrepancy():
     ms, triple, medium, _ = _three_wave(0.3, 0.6)
     correct = assemble(ms, medium, triple, "D-based", NAT).nonlinear
-    wrong = assemble(ms, medium, triple, "E-based-wrong", NAT).nonlinear
+    wrong = assemble(ms, medium, triple, "E-linear-wrong", NAT).nonlinear
     ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
     ok = abs(ratio - (-2.0)) < 1e-12
     for n in range(3, 11):

@@ -1,9 +1,16 @@
 """Byte-for-byte CLI outputs against the files in tests/golden/.
 
-Only outputs that pass through neither a LAPACK eigensolver nor ``np.sinc``
-are pinned: those may differ in the last digit from one platform to the
-next. Each golden file holds a command's stdout, except
-``convert_interaction.json``, the file ``convert --out`` writes. Regenerate
+The pinned outputs are the algebraic ones: the order-2..4 resonant
+coefficients (``compare --observable coefficient``), the inverse tables and
+the two-mode Maxwell residuals of a chi3 medium (``invert``, ``verify``),
+and the coupling theta that ``convert`` writes. Each is a fixed sequence of
+float operations in pure Python, so its bytes pin the construction itself:
+a refactor that reorders one operation shows here. The time series of
+``spdc``, ``convert`` and the dynamical compares are not pinned: they pass
+through many ``exp``, ``sin`` and ``cos`` calls whose last bit the
+platform's C math library decides, and the tests check them against closed
+forms with tolerances instead. Each golden file holds a command's stdout,
+except ``convert_interaction.json``, the file ``convert --out`` writes. Regenerate
 them with ``PYTHONPATH=src python tests/test_golden.py``, only at a commit
 whose outputs are trusted.
 """

@@ -15,13 +15,13 @@ from dquant.hamiltonian import (
     assemble,
     build_interaction,
     build_linear,
-    linear_from_energy_density,
     make_three_wave_modes,
     phase_matching_curve,
     prefactor_ratio,
     resonant_coefficient,
     scheme_resonant_coefficients,
 )
+from dquant.maxwell import _scheme_hamiltonian
 from dquant.modes import make_uniform_medium_modes
 from dquant.slab import solve_slab_modes
 from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
@@ -48,10 +48,17 @@ def nonlinear(scheme, ms, triple, medium, full=False):
     return spec.nonlinear + spec.dropped if full else spec.nonlinear
 
 
+def box_linear(ms, eta1):
+    """The box builder's Hamiltonian of a linear medium: integral B^2/(2 mu0) + eta1 D^2/2."""
+    d_field, b_field = expand_fields(ms, NAT)
+    medium = MediumSpec.from_scalars([1.0 / (NAT.eps0 * eta1.item()) - 1.0])
+    return _scheme_hamiltonian(d_field, b_field, medium, [eta1], "D-based", ms.l_box, NAT)
+
+
 def correction(ms, triple, medium, full=False):
-    """The quadratic-E correction: E-based-corrected minus E-based-wrong."""
+    """The quadratic-E correction: E-based-corrected minus E-linear-wrong."""
     return (nonlinear("E-based-corrected", ms, triple, medium, full)
-            - nonlinear("E-based-wrong", ms, triple, medium, full))
+            - nonlinear("E-linear-wrong", ms, triple, medium, full))
 
 
 class TestBuildLinear:
@@ -71,7 +78,7 @@ class TestBuildLinear:
         n_index = 1.5
         ms = make_uniform_medium_modes(n_index, 2 * pi, [-2, -1, 1, 2], NAT)
         eta1 = scalar(1, 1.0 / (NAT.eps0 * n_index**2), role="eta")
-        via_density = linear_from_energy_density(ms, eta1, NAT)
+        via_density = box_linear(ms, eta1)
         diagonal = build_linear(ms, NAT)
         diff = via_density - diagonal
         assert diff.max_abs_coeff() < 1e-10
@@ -81,7 +88,7 @@ class TestBuildLinear:
         n_index = 2.0
         ms = make_uniform_medium_modes(n_index, 2 * pi, [-1, 1], NAT)
         eta1 = scalar(1, 1.0 / (NAT.eps0 * n_index**2), role="eta")
-        h = linear_from_energy_density(ms, eta1, NAT)
+        h = box_linear(ms, eta1)
         for key in h.terms:
             assert all(c == a for _, c, a in key)
 
@@ -93,7 +100,7 @@ class TestBuildLinear:
             eta1.item() / 2.0) * (d_field * d_field)
         h = integrate_density(density, ms.l_box)
         reference = h - BosonicPolynomial.identity(h.coefficient({}))
-        assert linear_from_energy_density(ms, eta1, NAT).terms == reference.terms
+        assert box_linear(ms, eta1).terms == reference.terms
 
 
 class TestBuildNonlinearD:
@@ -144,7 +151,7 @@ class TestBuildNonlinearD:
         chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
         bad = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
         medium = MediumSpec(units=NAT, tensors=(chi1, bad))
-        for scheme in ("D-based", "E-based-wrong", "E-based-corrected"):
+        for scheme in ("D-based", "E-linear-wrong", "E-based-corrected"):
             with pytest.raises(PermutationSymmetryError):
                 assemble(ms, medium, triple, scheme, NAT)
 
@@ -159,27 +166,27 @@ class TestWrongScheme:
     def test_ratio_minus_two_vacuum_linear(self):
         ms, triple, medium, _ = three_wave_setup(chi1=0.0, chi2=0.8)
         correct = nonlinear("D-based", ms, triple, medium)
-        wrong = nonlinear("E-based-wrong", ms, triple, medium)
+        wrong = nonlinear("E-linear-wrong", ms, triple, medium)
         ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_ratio_minus_two_dressed_linear(self):
         ms, triple, medium, _ = three_wave_setup(chi1=1.25, chi2=0.5)
         correct = nonlinear("D-based", ms, triple, medium)
-        wrong = nonlinear("E-based-wrong", ms, triple, medium)
+        wrong = nonlinear("E-linear-wrong", ms, triple, medium)
         ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_zero_chi2(self):
         ms, triple, medium, _ = three_wave_setup(chi2=0.0)
-        assert nonlinear("E-based-wrong", ms, triple, medium, full=True).is_zero
+        assert nonlinear("E-linear-wrong", ms, triple, medium, full=True).is_zero
 
 
 class TestCorrection:
     def test_wrong_plus_correction_is_correct(self):
         ms, triple, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
         correct = nonlinear("D-based", ms, triple, medium)
-        repaired = (nonlinear("E-based-wrong", ms, triple, medium)
+        repaired = (nonlinear("E-linear-wrong", ms, triple, medium)
                     + correction(ms, triple, medium))
         diff = repaired - correct
         assert diff.max_abs_coeff() < 1e-12
@@ -231,7 +238,7 @@ class TestLegOracle:
         ms, triple, medium, etas = self.setup(case)
         got = {
             "D": lambda: nonlinear("D-based", ms, triple, medium, full=True),
-            "E-wrong": lambda: nonlinear("E-based-wrong", ms, triple, medium, full=True),
+            "E-wrong": lambda: nonlinear("E-linear-wrong", ms, triple, medium, full=True),
             "correction": lambda: correction(ms, triple, medium, full=True),
         }[builder]()
         resonant, anti = _oracle(builder, ms, triple, medium, etas)
@@ -242,7 +249,7 @@ class TestLegOracle:
         assert max(abs(got.terms[k] - c) for k, c in expected.terms.items()) <= 1e-14 * scale
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
-    @pytest.mark.parametrize("scheme", ["D-based", "E-based-wrong", "E-based-corrected"])
+    @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong", "E-based-corrected"])
     def test_dropped_terms(self, case, scheme):
         ms, triple, medium, etas = self.setup(case)
         if scheme == "D-based":
@@ -411,7 +418,7 @@ class TestAssemble:
             assemble(ms, medium, triple, "nonsense", NAT)
 
     @pytest.mark.parametrize("scheme, builds", [
-        ("D-based", 1), ("E-based-wrong", 1), ("E-based-corrected", 2)])
+        ("D-based", 1), ("E-linear-wrong", 1), ("E-based-corrected", 2)])
     def test_builds_each_cubic_term_once(self, monkeypatch, scheme, builds):
         calls = []
         inner = hamiltonian._cubic_hamiltonian
@@ -425,7 +432,7 @@ class TestAssemble:
         assemble(ms, medium, triple, scheme, NAT)
         assert len(calls) == builds
 
-    @pytest.mark.parametrize("scheme", ["D-based", "E-based-wrong", "E-based-corrected"])
+    @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong", "E-based-corrected"])
     def test_dropped_audit_matches_the_two_build_reference(self, scheme):
         # reference: each cubic term of the scheme's density built whole from the
         # field expansion, then the resonant sector subtracted from the sum
@@ -438,7 +445,7 @@ class TestAssemble:
 
         wrong = cubic(NAT.eps0 * 2.0 / 3.0 * medium.chi(2).item(), eta1 * d_field)
         full = {"D-based": lambda: cubic(eta2 / 3.0, d_field),
-                "E-based-wrong": lambda: wrong,
+                "E-linear-wrong": lambda: wrong,
                 "E-based-corrected": lambda: wrong + cubic(eta2, d_field)}[scheme]()
         powers = {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
                   triple.mode_c.label: (0, 1)}

@@ -6,7 +6,6 @@ import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial, NotHermitianError
 from dquant.fields import expand_fields, integrate_density
 from dquant.maxwell import (
-    SCHEMES,
     InconsistentModeSetError,
     _scheme_hamiltonian,
     degree_contradiction_report,
@@ -14,7 +13,7 @@ from dquant.maxwell import (
     verify_scheme,
 )
 from dquant.modes import make_uniform_medium_modes
-from dquant.susceptibility import MediumSpec, invert_series
+from dquant.susceptibility import ROUTES, MediumSpec, invert_series
 from dquant.units import UnitSystem
 
 NAT = UnitSystem()
@@ -167,7 +166,7 @@ class TestVerifyScheme:
         with pytest.raises(NotHermitianError):
             verify_scheme(ms, medium, "D-based")
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", ROUTES)
     def test_builds_the_electric_field_only_for_the_d_route(self, monkeypatch, scheme):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3, -0.15))
         e_builds = []

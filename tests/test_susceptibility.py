@@ -1,19 +1,19 @@
 import json
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from dquant.hamiltonian import prefactor_ratio
 from dquant.susceptibility import (
     MediumSpec,
     NonInvertibleLinearResponseError,
     SusceptibilityTensor,
     check_permutation_symmetry,
-    energy_prefactors,
+    energy_density,
     gamma_from_eta,
     invert_linear,
     invert_series,
@@ -265,25 +265,74 @@ class TestGamma:
         assert back.item() == pytest.approx(value, abs=1e-15)
 
 
+CHIS_6 = (0.7, 0.3, -0.2, 0.15, 0.05, -0.1)
+
+
+def route_densities(chis, eps0=1.0):
+    """(medium, etas, D route, E route) of a scalar medium, through its top order."""
+    medium = MediumSpec.from_scalars(chis, units=UnitSystem(eps0=eps0))
+    etas = invert_series(medium, len(chis))
+    return (medium, etas, energy_density(medium, etas, "D-based"),
+            energy_density(medium, etas, "E-linear-wrong"))
+
+
+def route_weights(chis, eps0=1.0):
+    """Per-order weights: D coeff / eta_n, and E coeff / eps0 chi_n (eps0 (1 + chi1) at n = 1)."""
+    medium, etas, (_, d_coeffs), (_, e_coeffs) = route_densities(chis, eps0)
+    d_weights = [c / eta.item() for c, eta in zip(d_coeffs, etas)]
+    e_weights = [e_coeffs[0] / (eps0 * (1.0 + chis[0]))] + [
+        c / (eps0 * medium.chi(n).item()) for n, c in enumerate(e_coeffs[1:], start=2)]
+    return d_weights, e_weights
+
+
 class TestEnergyPrefactors:
     def test_d_based(self):
-        assert energy_prefactors("D-based", 2) == [Fraction(1, 2), Fraction(1, 3)]
+        _, etas, (scale, d_coeffs), _ = route_densities(CHIS_6)
+        assert scale == 1.0
+        assert len(d_coeffs) == 6
+        for n, (c, eta) in enumerate(zip(d_coeffs, etas), start=1):
+            assert (n + 1) * c == pytest.approx(eta.item(), rel=1e-15)
 
     def test_e_based(self):
-        assert energy_prefactors("E-based", 2) == [Fraction(1, 2), Fraction(2, 3)]
-        assert energy_prefactors("E-based", 3) == [
-            Fraction(1, 2),
-            Fraction(2, 3),
-            Fraction(3, 4),
-        ]
+        _, etas, _, (scale, e_coeffs) = route_densities(CHIS_6, eps0=1.7)
+        assert scale == etas[0].item()
+        assert len(e_coeffs) == 6
+        _, e_weights = route_weights(CHIS_6, eps0=1.7)
+        assert e_weights[0] == 0.5
+        for n in range(2, 7):
+            assert e_weights[n - 1] == pytest.approx(n / (n + 1), rel=1e-15)
 
     def test_discrepancy_vanishes_only_linearly(self):
-        e_pref = energy_prefactors("E-based", 6)
-        d_pref = energy_prefactors("D-based", 6)
+        d_weights, e_weights = route_weights(CHIS_6)
         for n in range(1, 7):
-            diff = e_pref[n - 1] - d_pref[n - 1]
-            assert diff == Fraction(n - 1, n + 1)
+            diff = e_weights[n - 1] - d_weights[n - 1]
+            assert diff == pytest.approx((n - 1) / (n + 1), abs=1e-15)
             assert (diff == 0) == (n == 1)
+
+    def test_unknown_route(self):
+        medium, etas, _, _ = route_densities(CHIS_6[:2])
+        with pytest.raises(ValueError):
+            energy_density(medium, etas, "E-based")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), order=st.integers(2, 4), pure=st.booleans(),
+       eps0=st.sampled_from([1.0, 1.7, 8.8541878128e-12]))
+def test_top_coefficient_ratio_closed_form(data, order, pure, eps0):
+    # wrong / correct top coefficient of D^(n+1) is n eps0 chi_n eta1^(n+1) / eta_n,
+    # and -n when no lower nonlinear order cascades into eta_n
+    chi1 = data.draw(st.floats(-0.5, 3.0))
+    middle = [0.0 if pure else data.draw(st.floats(-0.5, 0.5)) for _ in range(order - 2)]
+    chi_n = data.draw(st.floats(0.01, 0.5)) * data.draw(st.sampled_from([-1.0, 1.0]))
+    medium, etas, (_, d_coeffs), (scale, e_coeffs) = route_densities(
+        [chi1, *middle, chi_n], eps0)
+    eta1, eta_n = etas[0].item(), etas[-1].item()
+    assume(eta_n != 0.0)
+    ratio = e_coeffs[-1] * scale ** (order + 1) / d_coeffs[-1]
+    closed_form = order * eps0 * chi_n * eta1 ** (order + 1) / eta_n
+    assert ratio == pytest.approx(closed_form, rel=1e-12)
+    if pure:
+        assert ratio == pytest.approx(prefactor_ratio(order), rel=1e-12)
 
 
 class TestPermutationSymmetry:
