@@ -6,6 +6,10 @@ JSON/CSV is byte-deterministic for a given configuration. Each command
 imports only the modules it runs: start-up is most of a short command.
 No command loads numpy: the commands that diagonalize (spdc, convert and
 the dynamical compares) run the pure-Python eigensolver of ``linalg``.
+Nor does any command load ``dataclasses`` (which brings ``inspect``,
+``ast`` and ``dis``) or ``logging``: the value classes come from
+:func:`~dquant.record.record`, and ``logging`` is imported only in the
+branches that log a message.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import pi, sqrt
+from math import inf, pi, sqrt
 from pathlib import Path
 
 from .serialize import csv_text, dumps, write_text
@@ -201,8 +205,13 @@ def cmd_convert(args) -> int:
 
 
 def pump_amplitude(text: str) -> float | str:
-    """``quantum`` (a quantized pump) or a classical pump amplitude."""
-    return text if text == "quantum" else float(text)
+    """``quantum`` (a quantized pump) or a finite, nonzero classical pump amplitude."""
+    if text == "quantum":
+        return text
+    amplitude = float(text)
+    if not 0 < abs(amplitude) < inf:
+        raise argparse.ArgumentTypeError(f"pump amplitude must be finite and nonzero: {text!r}")
+    return amplitude
 
 
 def build_parser() -> argparse.ArgumentParser:

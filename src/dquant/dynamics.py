@@ -33,10 +33,9 @@ at both times, serves both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from math import asinh, cos, exp, factorial, fsum, hypot, prod, sin, sqrt
+from math import asinh, cos, exp, factorial, fsum, hypot, inf, prod, sin, sqrt
 from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
 
@@ -44,11 +43,12 @@ from .boson_algebra import BosonicPolynomial
 from .hamiltonian import (ComparisonReport, InteractionParams, compare_coefficients,
                           prefactor_ratio)
 from .linalg import eigh, linspace
+from .record import record
 
 EDGE_POPULATION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class FockSpace:
     """Truncated multi-mode number basis.
 
@@ -95,7 +95,7 @@ class FockSpace:
         return self.basis_state([0] * len(self.modes))
 
 
-@dataclass(frozen=True)
+@record
 class EvolutionConfig:
     """Cutoffs, duration, sampling and pump treatment of one evolution."""
 
@@ -109,8 +109,8 @@ class EvolutionConfig:
             raise ValueError("fock cutoff must be at least 2")
         if self.steps < 1:
             raise ValueError("need at least one evolution step")
-        if self.t_final <= 0:
-            raise ValueError("evolution time must be positive")
+        if not 0 < self.t_final < inf:
+            raise ValueError("evolution time must be positive and finite")
         if isinstance(self.pump, str) and self.pump != "quantum":
             raise ValueError("pump must be 'quantum' or a classical amplitude")
 
@@ -119,7 +119,7 @@ class EvolutionConfig:
         return not isinstance(self.pump, str)
 
 
-@dataclass(frozen=True)
+@record
 class EvolutionResult:
     """Sector-sized samples plus the sanity bookkeeping of one evolution.
 
@@ -335,7 +335,7 @@ def coherent_cutoff(alpha: complex) -> int:
             return cutoff
 
 
-@dataclass(frozen=True)
+@record
 class SchemePair:
     """One observable evaluated under the correct and the wrong route.
 

@@ -15,12 +15,12 @@ waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import pi, sin, sqrt
 from numbers import Number
 
 from .boson_algebra import BosonicPolynomial, annihilation, creation, degree
 from .modes import ModeSet
+from .record import record
 from .susceptibility import SusceptibilityTensor
 from .units import UnitSystem
 
@@ -34,15 +34,19 @@ def sinc(x: float) -> float:
     return sin(pi * y) / (pi * y)
 
 
-@dataclass
+@record(frozen=False)
 class FieldOperator:
     """Fourier-component map of one (possibly composite) field."""
 
     components: dict
     w: float
     kind: str = "derived"
-    #: coefficient norms of components dropped by a basis restriction
-    leakage: dict = field(default_factory=dict)
+    #: coefficient norms of components dropped by a basis restriction (a fresh dict if None)
+    leakage: dict | None = None
+
+    def __post_init__(self):
+        if self.leakage is None:
+            self.leakage = {}
 
     def k(self, m: int) -> float:
         return self.w * m

@@ -18,13 +18,12 @@ as ``dropped``, never silently lost. On a linear medium the box builder of
 
 from __future__ import annotations
 
-import logging
-from dataclasses import asdict, dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 from .boson_algebra import BosonicPolynomial, number
 from .fields import FieldOperator, expand_fields, integrate_density, sinc
 from .modes import Mode, ModeSet, plane_wave_mode
+from .record import record
 from .susceptibility import (
     ROUTES,
     MediumSpec,
@@ -34,8 +33,6 @@ from .susceptibility import (
     invert_series,
 )
 from .units import UnitSystem
-
-logger = logging.getLogger(__name__)
 
 #: generous phase-matching budget: |delta_k| L / 2 below this many radians
 MATCHING_BUDGET = 10 * pi
@@ -56,7 +53,7 @@ class MatchingBudgetError(ValueError):
     """Phase or energy mismatch beyond the stated detuning budget."""
 
 
-@dataclass(frozen=True)
+@record
 class ModeTriple:
     """Three phase- and energy-matched modes plus the interaction length."""
 
@@ -66,16 +63,19 @@ class ModeTriple:
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("interaction length must be positive")
+        if not 0 < self.length < inf:
+            raise ValueError("interaction length must be positive and finite")
         families = {self.mode_a.family, self.mode_b.family, self.mode_c.family}
         if len(families) != 3:
             raise DegenerateTripleError(
                 "three-wave construction requires three distinct mode families"
             )
         if abs(self.delta_k) * self.length / 2 >= MATCHING_BUDGET:
-            logger.warning("triple exceeds the phase-matching budget: |dk| L/2 = %.3g",
-                           abs(self.delta_k) * self.length / 2)
+            import logging  # only here: no command should pay for its import
+
+            logging.getLogger(__name__).warning(
+                "triple exceeds the phase-matching budget: |dk| L/2 = %.3g",
+                abs(self.delta_k) * self.length / 2)
 
     @property
     def delta_k(self) -> float:
@@ -89,7 +89,7 @@ class ModeTriple:
         return (self.mode_a, self.mode_b, self.mode_c)
 
 
-@dataclass(frozen=True)
+@record
 class InteractionParams:
     """Coupling theta, mismatches and the phase-matching amplitude."""
 
@@ -102,7 +102,7 @@ class InteractionParams:
             raise ValueError("phase-matching amplitude cannot exceed one")
 
 
-@dataclass(frozen=True)
+@record
 class HamiltonianSpec:
     """Assembled linear + resonant nonlinear operator, with the dropped rest.
 
@@ -263,7 +263,7 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
     return c_correct, c_wrong
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
     """Correct-vs-wrong value of one observable with its expected ratio."""
 
@@ -280,7 +280,16 @@ class ComparisonReport:
         return abs(self.ratio - self.expected_ratio) <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {
+            "observable": self.observable,
+            "order": self.order,
+            "value_correct": self.value_correct,
+            "value_wrong": self.value_wrong,
+            "ratio": self.ratio,
+            "expected_ratio": self.expected_ratio,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+        }
 
 
 def compare_coefficients(order: int) -> ComparisonReport:
@@ -329,8 +338,8 @@ def build_interaction(triple: ModeTriple, eta2: SusceptibilityTensor,
 
 def phase_matching_curve(length: float, delta_k_grid) -> list[tuple[float, float]]:
     """|Phi|^2 = sinc^2(delta_k L / 2) tabulated over a wavevector-mismatch grid."""
-    if length <= 0:
-        raise ValueError("interaction length must be positive")
+    if not 0 < length < inf:
+        raise ValueError("interaction length must be positive and finite")
     return [(float(dk), sinc(dk * length / 2.0) ** 2) for dk in delta_k_grid]
 
 
@@ -406,7 +415,9 @@ def assemble(
                for weight, x_scale in terms]
     resonant, dropped = (sum(parts[1:], parts[0]) for parts in zip(*sectors))
     if dropped.terms:
-        logger.debug("%s: filtered %d anti-resonant terms (norm %.3e)",
-                     scheme, len(dropped.terms), dropped.norm())
+        import logging  # only here: no command should pay for its import
+
+        logging.getLogger(__name__).debug("%s: filtered %d anti-resonant terms (norm %.3e)",
+                                          scheme, len(dropped.terms), dropped.norm())
     return HamiltonianSpec(linear=linear, nonlinear=resonant, dropped=dropped,
                            provenance=scheme, order=medium.highest_order)

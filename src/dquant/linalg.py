@@ -22,10 +22,11 @@ basis.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import copysign, frexp, fsum, hypot, ldexp, sqrt
 from operator import mul
 from typing import Sequence
+
+from .record import record
 
 EPS = 2.0**-52
 #: implicit-QL sweeps allowed per eigenvalue
@@ -48,7 +49,7 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return grid[:-1] + [stop] if num > 1 else grid
 
 
-@dataclass(frozen=True)
+@record
 class Eigensystem:
     """A Hermitian matrix A = U diag(values) U^dag with U = Q P Z.
 

@@ -16,17 +16,14 @@ y-polarized, so (curl F)_y = +ik F_x per component while (curl B)_x = -ik B_y.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from math import sqrt
 
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, commutator, degree
 from .fields import FieldOperator, electric_field_from_D, expand_fields, integrate_density
 from .modes import ModeSet
+from .record import record
 from .susceptibility import MediumSpec, energy_density, invert_series
 from .units import UnitSystem
-
-logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-10
 
@@ -50,7 +47,7 @@ def spectral_curl(f: FieldOperator) -> FieldOperator:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FaradayReport:
     """Per-wavevector residuals of one EOM check for one scheme."""
 
@@ -193,7 +190,7 @@ def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
     return tuple(reports)
 
 
-@dataclass(frozen=True)
+@record
 class DegreeContradictionReport:
     """Operator-counting form of the linear-E inconsistency argument."""
 

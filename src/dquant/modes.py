@@ -15,17 +15,14 @@ the induction field. Guided TE slab modes come from :mod:`dquant.slab`.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 from typing import Sequence
 
+from .record import record
 from .units import UnitSystem
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
+@record
 class ModeProfile:
     """Transverse profile samples of one guided or plane-wave mode.
 
@@ -70,7 +67,7 @@ class ModeProfile:
         return complex(self.b[0])
 
 
-@dataclass(frozen=True)
+@record
 class Mode:
     label: int
     family: str
@@ -80,7 +77,7 @@ class Mode:
     profile: ModeProfile
 
 
-@dataclass(frozen=True)
+@record
 class ModeSet:
     """Discrete mode basis on a periodic box."""
 
@@ -90,8 +87,8 @@ class ModeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        if self.l_box <= 0:
-            raise ValueError("box length must be positive")
+        if not 0 < self.l_box < inf:
+            raise ValueError("box length must be positive and finite")
         labels = [m.label for m in self.modes]
         if len(set(labels)) != len(labels):
             raise ValueError("mode labels must be unique")
@@ -174,15 +171,17 @@ def make_uniform_medium_modes(
     """
     if n_index < 1.0:
         raise ValueError("refractive index must be >= 1")
-    if l_box <= 0:
-        raise ValueError("box length must be positive")
+    if not 0 < l_box < inf:
+        raise ValueError("box length must be positive and finite")
     dropped = False
     modes = []
     label = label_start
     for m in m_range:
         if m == 0:
             dropped = True
-            logger.warning("zero-frequency m=0 mode excluded from the basis")
+            import logging  # only here: no command should pay for its import
+
+            logging.getLogger(__name__).warning("zero-frequency m=0 mode excluded from the basis")
             continue
         modes.append(plane_wave_mode(label, "U", int(m), n_index, l_box, units))
         label += 1

@@ -33,7 +33,8 @@ def to_jsonable(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; NaN and infinities raise ValueError, as JSON has neither."""
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(header, rows) -> str:

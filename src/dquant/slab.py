@@ -5,11 +5,10 @@ the plane-wave modes do without.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .modes import ModeProfile
+from .record import record
 from .units import UnitSystem
 
 
@@ -26,10 +25,12 @@ def normalization_integral(p: ModeProfile, omega: float, units: UnitSystem) -> f
 def normalize(p: ModeProfile, omega: float, units: UnitSystem) -> ModeProfile:
     """Rescale d and b so the normalization integral equals one."""
     scale = 1.0 / np.sqrt(normalization_integral(p, omega, units))
-    return replace(p, d=(np.asarray(p.d) * scale).tolist(), b=(np.asarray(p.b) * scale).tolist())
+    return ModeProfile(x=p.x, weights=p.weights, d=(np.asarray(p.d) * scale).tolist(),
+                       b=(np.asarray(p.b) * scale).tolist(), index=p.index, vp=p.vp, vg=p.vg,
+                       k_eff=p.k_eff)
 
 
-@dataclass(frozen=True)
+@record
 class SlabStack:
     """Layer stack (thickness, index); outer thicknesses bound the plot grid."""
 
@@ -110,7 +111,7 @@ def _dispersion_mismatch(beta, k0, stack: SlabStack) -> float:
     return ep + gamma_r * e
 
 
-@dataclass(frozen=True)
+@record
 class SlabModeSolution:
     """One guided TE mode: analytic piecewise field plus metadata."""
 

@@ -20,10 +20,10 @@ and every Hamiltonian builder reads them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import permutations, product
 from pathlib import Path
 
+from .record import record
 from .units import UnitSystem, units_from_name
 
 TENSOR_ROLES = ("chi", "eta", "gamma")
@@ -55,7 +55,7 @@ def _real(x) -> float:
         raise ValueError(f"tensor entries must be real numbers, got {x!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class SusceptibilityTensor:
     """Dense rank-(order+1) Cartesian tensor of one constitutive series.
 
@@ -108,12 +108,12 @@ class SusceptibilityTensor:
         return max(abs(x) for x in self.entries) <= tol
 
 
-@dataclass(frozen=True)
+@record
 class MediumSpec:
     """A medium given by its chi tensors, contiguous orders 1..N."""
 
     units: UnitSystem
-    tensors: tuple = field(default_factory=tuple)
+    tensors: tuple = ()
 
     def __post_init__(self):
         tensors = tuple(self.tensors)

@@ -7,10 +7,10 @@ headline results are unit-free ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class UnitSystem:
     """Vacuum permittivity, permeability, hbar and light speed."""
 

@@ -14,6 +14,7 @@ import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
 from dquant.hamiltonian import ComparisonReport
+from dquant.serialize import dumps
 from dquant.units import si_units
 
 
@@ -299,6 +300,47 @@ class TestSweeps:
         assert abs(doc["ratio"]) == pytest.approx(ratio, rel=1e-9)
 
 
+NON_FINITE_OR_ZERO = [
+    (["spdc", "--time", "nan"], "evolution time"),
+    (["convert", "--time", "nan"], "evolution time"),
+    (["spdc", "--time", "inf"], "evolution time"),
+    (["spdc", "--pump", "nan"], "pump amplitude"),
+    (["convert", "--pump", "inf"], "pump amplitude"),
+    (["spdc", "--pump", "0"], "pump amplitude"),
+    (["convert", "--pump", "0"], "pump amplitude"),
+    (["spdc", "--length", "nan"], "interaction length"),
+    (["convert", "--length", "inf"], "interaction length"),
+    (["phasematch", "--length", "nan"], "interaction length"),
+    (["phasematch", "--length", "inf"], "interaction length"),
+    (["verify", "--l-box", "nan"], "box length"),
+    (["verify", "--l-box", "inf"], "box length"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NON_FINITE_OR_ZERO,
+                         ids=["-".join(argv) for argv, _ in NON_FINITE_OR_ZERO])
+def test_non_finite_or_zero_input_exits_2_naming_it(tmp_path, capsys, argv, message):
+    # a NaN passes every `x <= 0` guard and would reach the JSON as NaN (not
+    # JSON) or fail far from the argument that caused it
+    if argv[0] == "verify":
+        argv = [*argv, "--medium", write_medium(tmp_path, [0.5, 0.3])]
+    if argv[0] in ("spdc", "convert"):
+        argv = [*argv, "--n-max", "4"]
+    out = tmp_path / "out"
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a malformed option value
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dumps_refuses_nan():
+    with pytest.raises(ValueError):
+        dumps({"ratio": float("nan")})
+
+
 def test_import_leaves_scipy_sparse_and_optimize_unloaded():
     # the package namespace is lazy: no submodule, numpy or scipy until a name is used
     code = ("import sys, dquant; print(sorted(m for m in sys.modules "
@@ -358,7 +400,8 @@ def test_algebra_modules_leave_numpy_unloaded():
         "compare-squeezing", "compare-conversion", "spdc-quantum"])
 def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
     # each command imports only the modules it runs, and none of them loads
-    # scipy or numpy: the dynamics diagonalizes in pure Python
+    # scipy or numpy: the dynamics diagonalizes in pure Python; nor
+    # dataclasses (with inspect) or logging, which cost start-up only
     if argv[0] in ("invert", "verify"):
         argv = [*argv, "--medium", write_medium(tmp_path, [0.5, 0.3])]
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dquant", *argv,
@@ -369,6 +412,9 @@ def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
     assert f"dquant.{runs}" in imported
     assert not {f"dquant.{u}" for u in unused} & set(imported)
     assert not [m for m in imported if m.split(".")[0] in ("scipy", "numpy")]
+    # what the interpreter's start-up (site hooks included) loads is not the command's
+    first = next(i for i, m in enumerate(imported) if m.split(".")[0] == "dquant")
+    assert not {"dataclasses", "inspect", "logging"} & set(imported[first:])
 
 
 def test_no_module_imports_scipy():

@@ -22,7 +22,7 @@ from dquant.hamiltonian import (
     scheme_resonant_coefficients,
 )
 from dquant.maxwell import _scheme_hamiltonian
-from dquant.modes import make_uniform_medium_modes
+from dquant.modes import Mode, make_uniform_medium_modes
 from dquant.slab import solve_slab_modes
 from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
 from dquant.units import UnitSystem
@@ -353,24 +353,24 @@ class TestBuildInteraction:
         assert got == pytest.approx(ms.w**1.5 * params.theta * params.phi, rel=1e-12)
 
     def test_budget_error_for_mismatched_triple(self):
-        from dataclasses import replace
-
         ms, triple, eta2 = self.setup()
         # shift the pump off the matched wavevector by one grid step
-        off_c = replace(triple.mode_c, m=triple.mode_c.m + 8, k=triple.mode_c.k + 8 * ms.w)
+        c = triple.mode_c
+        off_c = Mode(label=c.label, family=c.family, m=c.m + 8, k=c.k + 8 * ms.w,
+                     omega=c.omega, profile=c.profile)
         bad = ModeTriple(mode_a=triple.mode_a, mode_b=triple.mode_b, mode_c=off_c,
                          length=10.0)
         with pytest.raises(MatchingBudgetError):
             build_interaction(bad, eta2, NAT)
 
     def test_rejects_sampled_profiles(self):
-        from dataclasses import replace
-
         _, triple, eta2 = self.setup()
         (profile,) = solve_slab_modes([(6.0, 1.45), (1.0, 2.0), (6.0, 1.45)], omega=1.0,
                                       units=NAT, with_group_velocity=False,
                                       points_per_layer=50)
-        sampled = replace(triple.mode_b, profile=profile)
+        b = triple.mode_b
+        sampled = Mode(label=b.label, family=b.family, m=b.m, k=b.k, omega=b.omega,
+                       profile=profile)
         bad = ModeTriple(mode_a=triple.mode_a, mode_b=sampled, mode_c=triple.mode_c,
                          length=triple.length)
         with pytest.raises(ValueError, match="flat profiles"):
