@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Run every script and each dquant command once, writing into OUT_DIR. Fails
+# on the first command that fails or warns of a truncation-unsafe evolution.
+# Usage: bash .github/smoke.sh OUT_DIR  (from the repository root)
+set -euo pipefail
+out=${1:?usage: smoke.sh OUT_DIR}
+mkdir -p "$out"
+
+python scripts/run_maxwell_audit.py
+python scripts/run_scheme_comparison.py
+python scripts/run_phasematch_scan.py --out "$out/scan.csv"
+
+run() {
+  dquant "$@" 2> "$out/stderr.txt" || { cat "$out/stderr.txt"; exit 1; }
+  cat "$out/stderr.txt"
+  if grep -q truncation-unsafe "$out/stderr.txt"; then exit 1; fi
+}
+echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [0.3]}}' > "$out/chi2.json"
+run invert --medium "$out/chi2.json" --out "$out/invert"
+run verify --medium "$out/chi2.json" --modes 2 --out "$out/verify"
+echo '{"units": "natural", "dim": 1, "chi": {"1": [0.6], "2": [0.2], "3": [-0.15]}}' > "$out/chi3.json"
+run verify --medium "$out/chi3.json" --modes 2 --out "$out/verify-chi3"
+run compare --out "$out/compare"
+run compare --observable squeezing --out "$out/compare-squeezing"
+run compare --observable conversion --out "$out/compare-conversion"
+run phasematch --out "$out/phasematch"
+run spdc --out "$out/spdc"
+run spdc --pump quantum --out "$out/spdc-quantum"
+run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
+run convert --out "$out/convert"

@@ -6,9 +6,8 @@ import argparse
 from math import pi
 from pathlib import Path
 
-import numpy as np
-
 from dquant.hamiltonian import phase_matching_curve
+from dquant.linalg import linspace
 from dquant.serialize import csv_text, write_text
 
 
@@ -19,7 +18,7 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("phasematch_scan.csv"))
     args = parser.parse_args()
 
-    grid = np.linspace(-6 * pi, 6 * pi, args.points)
+    grid = linspace(-6 * pi, 6 * pi, args.points)
     rows = []
     for length in args.lengths:
         for dk, phi2 in phase_matching_curve(length, grid):

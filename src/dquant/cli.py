@@ -4,8 +4,9 @@ Commands: invert, verify, compare, phasematch, spdc, convert. Exit codes:
 0 success, 1 a verification expectation failed, 2 bad input. All emitted
 JSON/CSV is byte-deterministic for a given configuration. Each command
 imports only the modules it runs: start-up is most of a short command.
-No command loads numpy: the commands that diagonalize (spdc, convert and
-the dynamical compares) run the pure-Python eigensolver of ``linalg``.
+The package has no runtime dependency, so no command loads numpy: the
+commands that diagonalize (spdc, convert and the dynamical compares) run
+the pure-Python eigensolver of ``linalg``.
 Nor does any command load ``dataclasses`` (which brings ``inspect``,
 ``ast`` and ``dis``) or ``logging``: the value classes come from
 :func:`~dquant.record.record`, and ``logging`` is imported only in the
@@ -119,6 +120,11 @@ def cmd_phasematch(args) -> int:
     from .hamiltonian import phase_matching_curve
     from .linalg import linspace
 
+    for flag, value in (("--dk-min", args.dk_min), ("--dk-max", args.dk_max)):
+        if not -inf < value < inf:
+            raise ValueError(f"{flag} must be finite, got {value}")
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     grid = linspace(args.dk_min, args.dk_max, args.points)
     curve = phase_matching_curve(args.length, grid)
     text = csv_text(["delta_k", "phi2"], curve)

@@ -10,7 +10,9 @@ Profiles are normalized so that
     (v_p / v_g) * integral dx |d(x)|^2 / (eps0 n(x)^2) = 1,
 
 which assigns half a photon's energy to the displacement field and half to
-the induction field. Guided TE slab modes come from :mod:`dquant.slab`.
+the induction field. Guided TE slab modes, and the normalization integral
+of sampled profiles, come from :mod:`dquant.slab`; like this module it
+runs on the standard library alone.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
-"""Guided TE modes of a planar slab stack and the normalization integral of
-:mod:`dquant.modes` profiles: the one numpy module of the mode layer, which
-the plane-wave modes do without.
+"""Guided TE modes of a planar slab stack, found by a transfer walk across its
+layers, and the normalization integral of :mod:`dquant.modes` profiles, on
+the standard library alone.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
+from itertools import accumulate
+from math import cos, cosh, exp, fsum, inf, sin, sinh, sqrt
 
+from .linalg import linspace
 from .modes import ModeProfile
 from .record import record
 from .units import UnitSystem
@@ -15,8 +18,8 @@ from .units import UnitSystem
 def normalization_integral(p: ModeProfile, omega: float, units: UnitSystem) -> float:
     """(v_p/v_g) * integral |d|^2 / (eps0 n^2) over the transverse grid."""
     del omega  # non-dispersive materials: the profile already carries its frequency data
-    dens = np.abs(np.asarray(p.d)) ** 2 / (units.eps0 * np.asarray(p.index) ** 2)
-    val = float(np.dot(p.weights, dens)) * (p.vp / p.vg)
+    val = fsum(w * (abs(d) ** 2 / (units.eps0 * n**2))
+               for w, d, n in zip(p.weights, p.d, p.index)) * (p.vp / p.vg)
     if val == 0.0:
         raise ValueError("zero profile has no normalization")
     return val
@@ -24,40 +27,40 @@ def normalization_integral(p: ModeProfile, omega: float, units: UnitSystem) -> f
 
 def normalize(p: ModeProfile, omega: float, units: UnitSystem) -> ModeProfile:
     """Rescale d and b so the normalization integral equals one."""
-    scale = 1.0 / np.sqrt(normalization_integral(p, omega, units))
-    return ModeProfile(x=p.x, weights=p.weights, d=(np.asarray(p.d) * scale).tolist(),
-                       b=(np.asarray(p.b) * scale).tolist(), index=p.index, vp=p.vp, vg=p.vg,
+    scale = 1.0 / sqrt(normalization_integral(p, omega, units))
+    return ModeProfile(x=p.x, weights=p.weights, d=[v * scale for v in p.d],
+                       b=[v * scale for v in p.b], index=p.index, vp=p.vp, vg=p.vg,
                        k_eff=p.k_eff)
 
 
 @record
 class SlabStack:
-    """Layer stack (thickness, index); outer thicknesses bound the plot grid."""
+    """Layer stack (thickness, index), claddings first and last.
 
-    thicknesses: np.ndarray
-    indices: np.ndarray
+    Nothing reads the cladding thicknesses: the decay constants fix the sampled tails.
+    """
+
+    thicknesses: tuple
+    indices: tuple
 
     def __post_init__(self):
-        t = np.asarray(self.thicknesses, dtype=float)
-        n = np.asarray(self.indices, dtype=float)
+        t = tuple(map(float, self.thicknesses))
+        n = tuple(map(float, self.indices))
         if len(t) != len(n) or len(t) < 3:
             raise ValueError("a slab stack needs at least three (thickness, index) layers")
-        if np.any(n < 1.0):
-            raise ValueError("refractive indices must be >= 1")
-        t.setflags(write=False)
-        n.setflags(write=False)
+        for layer, (thickness, index) in enumerate(zip(t, n)):
+            if not 0.0 < thickness < inf:
+                raise ValueError(f"layer {layer}: thickness {thickness} is not finite and > 0")
+            if not 1.0 <= index < inf:
+                raise ValueError(f"layer {layer}: refractive index {index} is not finite and >= 1")
         object.__setattr__(self, "thicknesses", t)
         object.__setattr__(self, "indices", n)
 
     @classmethod
     def from_layers(cls, layers) -> "SlabStack":
         if isinstance(layers[0], dict):
-            t = [lay["d"] for lay in layers]
-            n = [lay["n"] for lay in layers]
-        else:
-            t = [lay[0] for lay in layers]
-            n = [lay[1] for lay in layers]
-        return cls(np.array(t, dtype=float), np.array(n, dtype=float))
+            return cls([lay["d"] for lay in layers], [lay["n"] for lay in layers])
+        return cls([lay[0] for lay in layers], [lay[1] for lay in layers])
 
     @classmethod
     def from_json(cls, path) -> "SlabStack":
@@ -74,31 +77,34 @@ class SlabStack:
 
     @property
     def n_core(self) -> float:
-        return float(np.max(self.indices[1:-1]))
+        return max(self.indices[1:-1])
 
-    def interfaces(self) -> np.ndarray:
+    def interfaces(self) -> list[float]:
         """Interface x-positions, leftmost at 0."""
-        inner = self.thicknesses[1:-1]
-        return np.concatenate([[0.0], np.cumsum(inner)])
+        return list(accumulate(self.thicknesses[1:-1], initial=0.0))
 
 
 def _propagate_layer(e, ep, kappa_sq, t):
     """Advance (E, E') across one layer of thickness t."""
     if kappa_sq > 0:
-        kap = np.sqrt(kappa_sq)
-        c, s = np.cos(kap * t), np.sin(kap * t)
+        kap = sqrt(kappa_sq)
+        c, s = cos(kap * t), sin(kap * t)
         return e * c + ep * s / kap, -e * kap * s + ep * c
     if kappa_sq < 0:
-        gam = np.sqrt(-kappa_sq)
-        c, s = np.cosh(gam * t), np.sinh(gam * t)
+        gam = sqrt(-kappa_sq)
+        c, s = cosh(gam * t), sinh(gam * t)
         return e * c + ep * s / gam, e * gam * s + ep * c
     return e + ep * t, ep
 
 
+def _decay(beta, k0, n):
+    """Decay constant of a cladding of index n."""
+    return sqrt(beta**2 - (n * k0) ** 2)
+
+
 def _transfer_walk(beta, k0, stack: SlabStack) -> list:
     """(E, E') at each interface, from the decaying left-cladding tail E = 1."""
-    gamma_l = np.sqrt(beta**2 - (stack.indices[0] * k0) ** 2)
-    values = [(1.0, gamma_l)]
+    values = [(1.0, _decay(beta, k0, stack.indices[0]))]
     for t, n in zip(stack.thicknesses[1:-1], stack.indices[1:-1]):
         values.append(_propagate_layer(*values[-1], (n * k0) ** 2 - beta**2, t))
     return values
@@ -107,8 +113,7 @@ def _transfer_walk(beta, k0, stack: SlabStack) -> list:
 def _dispersion_mismatch(beta, k0, stack: SlabStack) -> float:
     """Decay-matching residual at the right cladding; zero on a guided mode."""
     e, ep = _transfer_walk(beta, k0, stack)[-1]
-    gamma_r = np.sqrt(beta**2 - (stack.indices[-1] * k0) ** 2)
-    return ep + gamma_r * e
+    return ep + _decay(beta, k0, stack.indices[-1]) * e
 
 
 @record
@@ -126,26 +131,28 @@ class SlabModeSolution:
     def n_eff(self) -> float:
         return self.beta / self.k0
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        """E_y(x) with analytic exponential tails in the claddings."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        ifaces = self.stack.interfaces()
-        gamma_l = np.sqrt(self.beta**2 - (self.stack.indices[0] * self.k0) ** 2)
-        gamma_r = np.sqrt(self.beta**2 - (self.stack.indices[-1] * self.k0) ** 2)
+    def field(self, x) -> list[float]:
+        """E_y at each sample of x, with analytic exponential tails in the claddings.
+
+        Inner layers are half-open: a sample on an inner interface belongs to the layer it opens.
+        """
+        stack, k0, beta = self.stack, self.k0, self.beta
+        ifaces = stack.interfaces()
+        gamma_l = _decay(beta, k0, stack.indices[0])
+        gamma_r = _decay(beta, k0, stack.indices[-1])
         e_left = self.boundary_values[0][0]
         e_right = self.boundary_values[-1][0]
-        left = x <= ifaces[0]
-        out[left] = e_left * np.exp(gamma_l * (x[left] - ifaces[0]))
-        right = x >= ifaces[-1]
-        out[right] = e_right * np.exp(-gamma_r * (x[right] - ifaces[-1]))
-        # half-open layers: a sample on an inner interface belongs to the layer it opens
-        for j, n in enumerate(self.stack.indices[1:-1]):
-            lo = ifaces[j]
-            sel = (x >= lo) & (x < ifaces[j + 1])
-            e0, ep0 = self.boundary_values[j]
-            kappa_sq = (n * self.k0) ** 2 - self.beta**2
-            out[sel] = _propagate_layer(e0, ep0, kappa_sq, x[sel] - lo)[0]
+        kappa_sq = [(n * k0) ** 2 - beta**2 for n in stack.indices[1:-1]]
+        out = []
+        for xi in x:
+            j = bisect_right(ifaces, xi)
+            if j == 0:
+                out.append(e_left * exp(gamma_l * (xi - ifaces[0])))
+            elif j == len(ifaces):
+                out.append(e_right * exp(-gamma_r * (xi - ifaces[-1])))
+            else:
+                e0, ep0 = self.boundary_values[j - 1]
+                out.append(_propagate_layer(e0, ep0, kappa_sq[j - 1], xi - ifaces[j - 1])[0])
         return out
 
 
@@ -172,8 +179,8 @@ def _solve_slab_betas(stack: SlabStack, omega: float, units: UnitSystem,
     if hi <= lo:
         return []
     margin = (hi - lo) * 1e-9
-    betas = np.linspace(lo + margin, hi - margin, scan_points)
-    vals = np.array([_dispersion_mismatch(b, k0, stack) for b in betas])
+    betas = linspace(lo + margin, hi - margin, scan_points)
+    vals = [_dispersion_mismatch(b, k0, stack) for b in betas]
     roots = []
     for i in range(len(betas) - 1):
         if vals[i] == 0.0:
@@ -188,28 +195,21 @@ def _solve_slab_betas(stack: SlabStack, omega: float, units: UnitSystem,
     return sorted(solutions, key=lambda s: -s.beta)
 
 
-def _slab_grid(sol: SlabModeSolution, points_per_layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _slab_grid(sol: SlabModeSolution, points_per_layer: int) -> tuple[list, list, list]:
     """Piecewise grid with duplicated interface points so index jumps integrate cleanly."""
     stack = sol.stack
     ifaces = stack.interfaces()
-    gamma_l = np.sqrt(sol.beta**2 - (stack.indices[0] * sol.k0) ** 2)
-    gamma_r = np.sqrt(sol.beta**2 - (stack.indices[-1] * sol.k0) ** 2)
-    tail_l = min(18.0 / gamma_l, 1e4 / sol.k0)
-    tail_r = min(18.0 / gamma_r, 1e4 / sol.k0)
-    segments = [(ifaces[0] - tail_l, ifaces[0], stack.indices[0])]
-    for j, n in enumerate(stack.indices[1:-1]):
-        segments.append((ifaces[j], ifaces[j + 1], n))
-    segments.append((ifaces[-1], ifaces[-1] + tail_r, stack.indices[-1]))
+    tail_l = min(18.0 / _decay(sol.beta, sol.k0, stack.indices[0]), 1e4 / sol.k0)
+    tail_r = min(18.0 / _decay(sol.beta, sol.k0, stack.indices[-1]), 1e4 / sol.k0)
+    bounds = [ifaces[0] - tail_l, *ifaces, ifaces[-1] + tail_r]
     xs, ws, ns = [], [], []
-    for lo, hi, n in segments:
-        grid = np.linspace(lo, hi, points_per_layer)
+    for lo, hi, n in zip(bounds, bounds[1:], stack.indices):
+        grid = linspace(lo, hi, points_per_layer)
         h = grid[1] - grid[0]
-        weights = np.full(points_per_layer, h)
-        weights[0] = weights[-1] = h / 2
-        xs.append(grid)
-        ws.append(weights)
-        ns.append(np.full(points_per_layer, n))
-    return np.concatenate(xs), np.concatenate(ws), np.concatenate(ns)
+        xs += grid
+        ws += [h / 2] + [h] * (points_per_layer - 2) + [h / 2]
+        ns += [n] * points_per_layer
+    return xs, ws, ns
 
 
 def slab_profile(sol: SlabModeSolution, units: UnitSystem,
@@ -221,14 +221,11 @@ def slab_profile(sol: SlabModeSolution, units: UnitSystem,
     surrogate keeps the uniform-medium relation b = mu0 omega d / beta.
     """
     x, weights, n_of_x = _slab_grid(sol, points_per_layer)
-    e_y = sol.field(x)
-    d = units.eps0 * n_of_x**2 * e_y
-    b = units.mu0 * sol.omega * d / sol.beta
+    d = [units.eps0 * n**2 * e for n, e in zip(n_of_x, sol.field(x))]
+    b = [units.mu0 * sol.omega * v / sol.beta for v in d]
     vp = sol.omega / sol.beta
-    profile = ModeProfile(x=x.tolist(), weights=weights.tolist(),
-                          d=d.astype(complex).tolist(), b=b.astype(complex).tolist(),
-                          index=n_of_x.tolist(), vp=vp, vg=vg if vg is not None else vp,
-                          k_eff=sol.beta)
+    profile = ModeProfile(x=x, weights=weights, d=d, b=b, index=n_of_x, vp=vp,
+                          vg=vg if vg is not None else vp, k_eff=sol.beta)
     return normalize(profile, sol.omega, units) if normalized else profile
 
 

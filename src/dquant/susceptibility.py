@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from itertools import permutations, product
+from math import isfinite
 from pathlib import Path
 
 from .record import record
@@ -181,9 +182,15 @@ def medium_from_dict(doc: dict) -> MediumSpec:
 
 
 def load_medium(path: str | Path) -> MediumSpec:
+    """Read a medium document (see :func:`medium_from_dict`); its entries must be finite."""
     with open(path) as fh:
         doc = json.load(fh)
-    return medium_from_dict(doc)
+    medium = medium_from_dict(doc)
+    for t in medium.tensors:
+        if not all(map(isfinite, t.entries)):
+            raise ValueError(f"medium {path}: chi({t.order}) entries must be finite, "
+                             f"got {list(t.entries)}")
+    return medium
 
 
 def _identity(dim: int) -> tuple:

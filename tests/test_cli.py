@@ -312,6 +312,10 @@ NON_FINITE_OR_ZERO = [
     (["convert", "--length", "inf"], "interaction length"),
     (["phasematch", "--length", "nan"], "interaction length"),
     (["phasematch", "--length", "inf"], "interaction length"),
+    (["phasematch", "--dk-min", "nan"], "--dk-min"),
+    (["phasematch", "--dk-min", "inf"], "--dk-min"),
+    (["phasematch", "--dk-max", "nan"], "--dk-max"),
+    (["phasematch", "--points", "0"], "--points"),
     (["verify", "--l-box", "nan"], "box length"),
     (["verify", "--l-box", "inf"], "box length"),
 ]
@@ -333,6 +337,22 @@ def test_non_finite_or_zero_input_exits_2_naming_it(tmp_path, capsys, argv, mess
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("chi", [{"1": [float("nan")], "2": [0.3]},
+                                 {"1": [0.5], "2": [float("inf")]}],
+                         ids=["nan-chi1", "infinity-chi2"])
+@pytest.mark.parametrize("command", [["invert"], ["verify"], ["spdc", "--n-max", "4"]],
+                         ids=["invert", "verify", "spdc"])
+def test_non_finite_medium_entries_exit_2_naming_the_file(tmp_path, chi, command, capsys):
+    # json reads NaN and Infinity; they were once caught only by the JSON
+    # writer, which names no file, or blamed on PRUNE_TOL by verify
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps({"units": "natural", "dim": 1, "chi": chi}))
+    out = tmp_path / "out"
+    assert main([*command, "--medium", str(path), "--out", str(out)]) == 2
+    assert f"medium {path}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -417,10 +437,13 @@ def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
     assert not {"dataclasses", "inspect", "logging"} & set(imported[first:])
 
 
-def test_no_module_imports_scipy():
-    # scipy is a test dependency only: no module of the package imports it
+@pytest.mark.parametrize("dependency", ["scipy", "numpy"])
+def test_no_module_imports(dependency):
+    # scipy and numpy are test dependencies only: no module of the package
+    # and no script imports them
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
     offenders = []
-    for path in sorted(Path(dquant.__file__).parent.glob("*.py")):
+    for path in sorted([*Path(dquant.__file__).parent.glob("*.py"), *scripts.glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -428,7 +451,7 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""] if node.level == 0 else []
             else:
                 continue
-            offenders += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+            offenders += [(path.name, n) for n in names if n.split(".")[0] == dependency]
     assert offenders == []
 
 

@@ -13,9 +13,22 @@ from dquant.slab import (
     slab_profile,
     solve_slab_modes,
 )
-from dquant.units import UnitSystem
+from dquant.units import UnitSystem, si_units
+from slab_oracle import slab_oracle
 
 NAT = UnitSystem()
+
+#: (layers, omega, units) of the stacks the numpy oracle checks: the three-
+#: and five-layer test stacks, a thick core with 14 modes, a higher frequency,
+#: a thin core with one mode, and an SI stack at an optical frequency
+ORACLE_STACKS = [
+    ([(6.0, 1.45), (4.0, 2.0), (6.0, 1.45)], 1.0, NAT),
+    ([(5, 1.0), (4, 2.0), (1.5, 1.6), (3, 2.2), (5, 1.3)], 1.0, NAT),
+    ([(10.0, 1.45), (30.0, 2.0), (10.0, 1.45)], 1.0, NAT),
+    ([(6.0, 1.45), (4.0, 2.0), (6.0, 1.45)], 1.3, NAT),
+    ([(6.0, 1.45), (1.0, 2.0), (6.0, 1.45)], 1.0, NAT),
+    ([(2e-6, 1.45), (1e-6, 2.0), (2e-6, 1.45)], 1.2e15, si_units()),
+]
 
 
 def symmetric_slab_fundamental_neff(n_clad, n_core, thickness, omega, units=NAT):
@@ -205,6 +218,36 @@ class TestSlabModes:
             {"d": 1.0, "n": 1.45}, {"d": 0.5, "n": 2.0}, {"d": 1.0, "n": 1.45}]}))
         stack = SlabStack.from_json(path)
         assert stack.n_core == 2.0
+
+    @pytest.mark.parametrize("layers, omega, units", ORACLE_STACKS,
+                             ids=["three-layer", "five-layer", "thick-core", "omega-1.3",
+                                  "thin-core", "si"])
+    def test_matches_the_numpy_oracle(self, layers, omega, units):
+        ref = slab_oracle(layers, omega, units, points_per_layer=500)
+        solutions = _solve_slab_betas(SlabStack.from_layers(layers), omega, units)
+        assert ref and len(solutions) == len(ref)
+        for (beta, x, weights, index, d, b), sol in zip(ref, solutions):
+            # the bisection's own tolerance, xtol + rtol |beta|
+            assert abs(sol.beta - beta) <= 1e-14 + 1e-15 * abs(beta)
+            p = slab_profile(sol, units, points_per_layer=500, normalized=False)
+            assert (p.x, p.weights, p.index) == (tuple(x), tuple(weights), tuple(index))
+            assert np.max(np.abs(np.array(p.d) - d)) <= 1e-14 * np.max(np.abs(d))
+            assert np.max(np.abs(np.array(p.b) - b)) <= 1e-14 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("layers, message", [
+        ([(6, 1.45), (-4, 2.0), (6, 1.45)], "layer 1: thickness"),
+        ([(6, 1.45), (float("inf"), 2.0), (6, 1.45)], "layer 1: thickness"),
+        ([(6, 1.45), (float("nan"), 2.0), (6, 1.45)], "layer 1: thickness"),
+        ([(6, 1.45), (4, float("nan")), (6, 1.45)], "layer 1: refractive index"),
+        ([(6, 1.45), (4, float("inf")), (6, 1.45)], "layer 1: refractive index"),
+        ([(6, 1.45), (4, 2.0), (0, 1.45)], "layer 2: thickness"),
+    ], ids=["negative-thickness", "infinite-thickness", "nan-thickness", "nan-index",
+            "infinite-index", "zero-cladding-thickness"])
+    def test_bad_layer_rejected_naming_it(self, layers, message):
+        # a bad layer once went unchecked: all but the last of these returned
+        # an empty mode list, which reads as an unguided stack
+        with pytest.raises(ValueError, match=message):
+            solve_slab_modes(layers, omega=1.0, units=NAT)
 
     def test_te_only(self):
         with pytest.raises(ValueError):
