@@ -20,6 +20,7 @@ run invert --medium "$out/chi2.json" --out "$out/invert"
 run verify --medium "$out/chi2.json" --modes 2 --out "$out/verify"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [0.6], "2": [0.2], "3": [-0.15]}}' > "$out/chi3.json"
 run verify --medium "$out/chi3.json" --modes 2 --out "$out/verify-chi3"
+run verify --medium "$out/chi3.json" --modes 5 --out "$out/verify-chi3-m5"
 run compare --out "$out/compare"
 run compare --observable squeezing --out "$out/compare-squeezing"
 run compare --observable conversion --out "$out/compare-conversion"

@@ -6,9 +6,9 @@ linear-E route breaks with a degree mismatch once chi2 or chi3 is switched on.""
 import argparse
 from math import sqrt, pi
 
-from dquant.maxwell import verify_scheme
+from dquant.maxwell import verify_routes
 from dquant.modes import make_uniform_medium_modes
-from dquant.susceptibility import ROUTES, MediumSpec
+from dquant.susceptibility import MediumSpec
 from dquant.units import UnitSystem
 
 CHI3 = -0.15
@@ -22,8 +22,8 @@ def audit(chis, m_max):
     print(f"\nchi = {tuple(chis)}, {len(ms.modes)} modes")
     print(f"{'scheme':<16} {'law':<8} {'max residual':<14} {'leakage':<10} "
           f"{'degrees':<8} pass")
-    for scheme in ROUTES:
-        for rep in verify_scheme(ms, medium, scheme):
+    for scheme, reports in verify_routes(ms, medium).items():
+        for rep in reports:
             print(f"{scheme:<16} {rep.law:<8} {rep.max_residual:<14.3e} "
                   f"{rep.leakage_norm:<10.3e} {rep.degree_lhs} vs {rep.degree_rhs}  "
                   f"{rep.passed}")

@@ -22,7 +22,7 @@ _EXPORTS = {
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
     "hamiltonian": ("ComparisonReport", "HamiltonianSpec", "InteractionParams", "ModeTriple",
                     "assemble", "build_interaction", "build_linear", "prefactor_ratio"),
-    "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_scheme"),
+    "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_routes"),
     "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes"),
     "slab": ("solve_slab_modes",),
     "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_density",

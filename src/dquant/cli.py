@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .serialize import csv_text, dumps, write_text
 from .susceptibility import (
-    ROUTES,
     MediumSpec,
     NonInvertibleLinearResponseError,
     gamma_from_eta,
@@ -66,7 +65,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .maxwell import verify_scheme
+    from .maxwell import verify_routes
     from .modes import make_uniform_medium_modes
 
     medium = _load_medium_arg(args)
@@ -75,8 +74,8 @@ def cmd_verify(args) -> int:
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
 
-    reports = [rep for scheme in ROUTES
-               for rep in verify_scheme(ms, medium, scheme, units=medium.units)]
+    reports = [rep for pair in verify_routes(ms, medium, units=medium.units).values()
+               for rep in pair]
     print(f"{'scheme':<16} {'law':<8} {'m':>4} {'residual':<13} {'degrees':<8} pass")
     for rep in reports:
         degrees = f"{rep.degree_lhs} vs {rep.degree_rhs}"
@@ -113,6 +112,7 @@ def cmd_compare(args) -> int:
     _emit(args, "comparison.json", dumps(report.to_dict()))
     print(f"{args.observable} order {args.order}: ratio {report.ratio:.6g} "
           f"(expected {report.expected_ratio:.6g}) -> {'pass' if report.passed else 'FAIL'}")
+    _warn_if_unsafe(report.truncation_safe)
     return EXIT_OK if report.passed else EXIT_EXPECTATION_FAILED
 
 
@@ -168,46 +168,40 @@ def _sweep_output(args, rows, series_name: str) -> None:
         _emit(args, f"{series_name}.json", dumps(doc))
 
 
-def cmd_spdc(args) -> int:
-    from .dynamics import EvolutionConfig, spdc_squeezing
+#: per sweep command: its dynamics observable, file stem, result-key prefix and stdout line
+SWEEPS = {
+    "spdc": ("spdc_squeezing", "spdc", "r",
+             "squeezing r: correct {0:.6g}, wrong {1:.6g}, |ratio| {2:.6g}"),
+    "convert": ("frequency_conversion", "conversion", "p",
+                "conversion P: correct {0:.6g}, wrong {1:.6g}"),
+}
 
+
+def cmd_sweep(args) -> int:
+    from . import dynamics
+
+    observable, stem, key, line = SWEEPS[args.command]
     params, units = _interaction_from_args(args)
-    cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
-                          pump=args.pump)
-    pair = spdc_squeezing(params, cfg, hbar=units.hbar)
+    cfg = dynamics.EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
+                                   pump=args.pump)
+    pair = getattr(dynamics, observable)(params, cfg, hbar=units.hbar)
     _emit(args, "interaction.json", dumps(_interaction_doc(params)))
-    _sweep_output(args, pair.series, "spdc_sweep")
-    _emit(args, "spdc_result.json", dumps({
-        "r_correct": pair.correct,
-        "r_wrong": pair.wrong,
+    _sweep_output(args, pair.series, f"{stem}_sweep")
+    _emit(args, f"{stem}_result.json", dumps({
+        f"{key}_correct": pair.correct,
+        f"{key}_wrong": pair.wrong,
         "ratio": abs(pair.ratio),
         "truncation_safe": pair.truncation_safe,
     }))
-    print(f"squeezing r: correct {pair.correct:.6g}, wrong {pair.wrong:.6g}, "
-          f"|ratio| {abs(pair.ratio):.6g}")
-    if not pair.truncation_safe:
+    print(line.format(pair.correct, pair.wrong, abs(pair.ratio)))
+    _warn_if_unsafe(pair.truncation_safe)
+    return EXIT_OK
+
+
+def _warn_if_unsafe(truncation_safe: bool) -> None:
+    if not truncation_safe:
         print("warning: truncation-unsafe evolution (population near cutoff)",
               file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_convert(args) -> int:
-    from .dynamics import EvolutionConfig, frequency_conversion
-
-    params, units = _interaction_from_args(args)
-    cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
-                          pump=args.pump)
-    pair = frequency_conversion(params, cfg, hbar=units.hbar)
-    _emit(args, "interaction.json", dumps(_interaction_doc(params)))
-    _sweep_output(args, pair.series, "conversion_sweep")
-    _emit(args, "conversion_result.json", dumps({
-        "p_correct": pair.correct,
-        "p_wrong": pair.wrong,
-        "ratio": pair.ratio,
-        "truncation_safe": pair.truncation_safe,
-    }))
-    print(f"conversion P: correct {pair.correct:.6g}, wrong {pair.wrong:.6g}")
-    return EXIT_OK
 
 
 def pump_amplitude(text: str) -> float | str:
@@ -229,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, medium=False):
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="csv",
-                       help="sweep output format")
         if medium:
             p.add_argument("--medium", default=None, help="medium JSON file")
 
@@ -260,16 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.set_defaults(fn=cmd_phasematch)
 
-    for name, fn in (("spdc", cmd_spdc), ("convert", cmd_convert)):
+    for name in SWEEPS:
         p = sub.add_parser(name, help=f"{name} scheme comparison sweep")
         common(p, medium=True)
+        p.add_argument("--format", choices=("json", "csv"), default="csv",
+                       help="sweep output format")
         p.add_argument("--n-max", type=int, default=16, help="Fock cutoff per mode")
         p.add_argument("--time", type=float, default=0.5, help="total evolution time")
         p.add_argument("--steps", type=int, default=20)
         p.add_argument("--pump", type=pump_amplitude, default=1.0,
                        help="classical pump amplitude, or 'quantum'")
         p.add_argument("--length", type=float, default=None, help="interaction length")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_sweep)
 
     return parser
 

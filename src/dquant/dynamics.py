@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import count
-from math import asinh, cos, exp, factorial, fsum, hypot, inf, prod, sin, sqrt
+from math import asinh, cos, exp, factorial, fsum, hypot, inf, prod, sin, sqrt, tanh
 from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
 
@@ -335,6 +335,14 @@ def coherent_cutoff(alpha: complex) -> int:
             return cutoff
 
 
+def squeezing_cutoff(r: float) -> int:
+    """Smallest cutoff >= 16 at which the two-mode squeezed vacuum of parameter r
+    keeps at most EDGE_POPULATION_TOL on the edge states: tanh^2(r)^(cutoff - 1)."""
+    for cutoff in count(16):
+        if tanh(r) ** (2 * (cutoff - 1)) <= EDGE_POPULATION_TOL:
+            return cutoff
+
+
 @record
 class SchemePair:
     """One observable evaluated under the correct and the wrong route.
@@ -462,12 +470,14 @@ def compare_schemes(observable: str, order: int = 2,
         return compare_coefficients(order)
     params = params or _default_interaction()
     if observable == "squeezing":
-        cfg = cfg or EvolutionConfig(n_max=16, t_final=0.2 / abs(params.theta), steps=8)
+        # the wrong route squeezes to r = |ratio| g t_final = 0.2 order
+        cfg = cfg or EvolutionConfig(n_max=squeezing_cutoff(0.2 * order),
+                                     t_final=0.2 / abs(params.theta), steps=8)
         pair = spdc_squeezing(params, cfg, hbar=hbar, order=order)
         return ComparisonReport(observable=observable, order=order,
                                 value_correct=pair.correct, value_wrong=pair.wrong,
                                 ratio=abs(pair.ratio), expected_ratio=float(order),
-                                tolerance=1e-4 * order)
+                                tolerance=1e-4 * order, truncation_safe=pair.truncation_safe)
     if observable == "conversion":
         g = abs(params.theta)
         cfg = cfg or EvolutionConfig(n_max=4, t_final=0.01 / g, steps=4)
@@ -478,5 +488,5 @@ def compare_schemes(observable: str, order: int = 2,
         return ComparisonReport(observable=observable, order=order,
                                 value_correct=pair.correct, value_wrong=pair.wrong,
                                 ratio=pair.ratio, expected_ratio=float(order**2),
-                                tolerance=tol)
+                                tolerance=tol, truncation_safe=pair.truncation_safe)
     raise ValueError(f"unknown observable {observable!r}")

@@ -21,7 +21,6 @@ from numbers import Number
 from .boson_algebra import BosonicPolynomial, annihilation, creation, degree
 from .modes import ModeSet
 from .record import record
-from .susceptibility import SusceptibilityTensor
 from .units import UnitSystem
 
 
@@ -172,44 +171,6 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
             comp[mode.m] = comp[mode.m] + plus if mode.m in comp else plus
             comp[-mode.m] = comp[-mode.m] + minus if -mode.m in comp else minus
     return (FieldOperator(d_comp, w, kind="D"), FieldOperator(b_comp, w, kind="B"))
-
-
-def _scalar_tensor_value(t: SusceptibilityTensor) -> float:
-    if t.dim != 1:
-        raise ValueError("field-operator contractions support dim=1 tensors only")
-    return t.item()
-
-
-def electric_field_from_D(
-    d_field: FieldOperator,
-    etas: list[SusceptibilityTensor],
-    max_order: int,
-    retained_k: set[int] | None = None,
-) -> FieldOperator:
-    """E = sum_n eta_n D^n as Fourier-space convolutions of coefficients.
-
-    All intermediate products keep every generated component; when
-    ``retained_k`` is given, out-of-basis components of the result are
-    moved into the field's leakage record rather than silently dropped.
-    """
-    if max_order > len(etas):
-        raise ValueError("not enough eta tensors for the requested order")
-    acc: FieldOperator | None = None
-    power = d_field
-    for n in range(1, max_order + 1):
-        coeff = _scalar_tensor_value(etas[n - 1])
-        if coeff != 0.0:
-            term = coeff * power
-            acc = term if acc is None else acc + term
-        if n < max_order:
-            power = power * d_field
-    if acc is None:
-        acc = FieldOperator({}, d_field.w, kind="E")
-    acc.kind = "E"
-    if retained_k is not None:
-        acc = acc.restrict(set(retained_k))
-        acc.kind = "E"
-    return acc
 
 
 def integrate_density(f: FieldOperator, l_box: float,

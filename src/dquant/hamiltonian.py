@@ -1,10 +1,11 @@
 """Hamiltonians of the two quantization routes and their wave-mixing sectors.
 
 Both routes' energy densities come from
-:func:`~dquant.susceptibility.energy_density`: the correct route integrates
-the D series, sum_n eta_n D^(n+1) / (n+1); the incorrect route keeps only
-the linear constitutive relation E~ = eta1 D inside the chi-series density
-with its n/(n+1) weights. For a pure order-n nonlinearity the resonant
+:func:`~dquant.susceptibility.energy_density` as weights of the same powers
+of D: the correct route integrates the D series, sum_n eta_n D^(n+1) / (n+1);
+the incorrect route keeps only the linear constitutive relation E~ = eta1 D
+inside the chi-series density with its n/(n+1) weights, so its weight of
+D^(n+1) carries eta1^(n+1). For a pure order-n nonlinearity the resonant
 coefficients of the two routes differ by a factor of exactly -n, and the
 cubic-in-D part of the quadratic chi-series term restores the difference.
 
@@ -152,20 +153,17 @@ def build_linear(ms: ModeSet, units: UnitSystem) -> BosonicPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem, weight: float,
-                       x_scale: float = 1.0):
-    """weight * integral of X^3, X = x_scale * D, over the triple's region.
+def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem):
+    """Integral of D^3 over the triple's region, split by sector.
 
-    The one body of the cubic terms :func:`assemble` builds, each after
-    checking the full permutation symmetry that the 3! collection of
-    orderings needs. D is expanded on the triple's modes alone. Returns
-    (resonant, anti_resonant) polynomials; the resonant sector is
-    a_A^dag a_B^dag a_C and its conjugate.
+    The one body of the cubic terms :func:`assemble` builds, each scheme
+    scaling it by its own weight. D is expanded on the triple's modes
+    alone. Returns (resonant, anti_resonant) polynomials; the resonant
+    sector is a_A^dag a_B^dag a_C and its conjugate.
     """
     d_field, _ = expand_fields(ModeSet(modes=_triple_modes_in(ms, triple), l_box=ms.l_box),
                                units)
-    x = x_scale * d_field
-    h = weight * integrate_density(x * x * x, ms.l_box, region_length=triple.length)
+    h = integrate_density(d_field * d_field * d_field, ms.l_box, region_length=triple.length)
     pump_term = BosonicPolynomial.monomial(_resonant_powers(triple))
     sector = set(pump_term.terms) | set(pump_term.dagger().terms)
     resonant = BosonicPolynomial({k: c for k, c in h.terms.items() if k in sector})
@@ -254,10 +252,8 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
     top = d_power.product_k0(d_field, support=monomial)
     base = integrate_density(FieldOperator({0: top}, ms.w), ms.l_box)
 
-    _, d_coeffs = energy_density(medium, etas, "D-based")
-    scale, e_coeffs = energy_density(medium, etas, "E-linear-wrong")
-    c_correct = (d_coeffs[-1] * base).coefficient(monomial)
-    c_wrong = (e_coeffs[-1] * ((scale ** (order + 1)) * base)).coefficient(monomial)
+    c_correct = (energy_density(medium, etas, "D-based")[-1] * base).coefficient(monomial)
+    c_wrong = (energy_density(medium, etas, "E-linear-wrong")[-1] * base).coefficient(monomial)
     if c_correct == 0:
         raise RuntimeError("resonant coefficient vanished; mode construction broken")
     return c_correct, c_wrong
@@ -265,7 +261,12 @@ def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
 
 @record
 class ComparisonReport:
-    """Correct-vs-wrong value of one observable with its expected ratio."""
+    """Correct-vs-wrong value of one observable with its expected ratio.
+
+    ``truncation_safe`` is the evolution's verdict for a dynamical
+    observable (see :mod:`~dquant.dynamics`); a coefficient involves no
+    truncation. A truncation-unsafe comparison never passes.
+    """
 
     observable: str
     order: int
@@ -274,10 +275,11 @@ class ComparisonReport:
     ratio: float
     expected_ratio: float
     tolerance: float
+    truncation_safe: bool
 
     @property
     def passed(self) -> bool:
-        return abs(self.ratio - self.expected_ratio) <= self.tolerance
+        return self.truncation_safe and abs(self.ratio - self.expected_ratio) <= self.tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -288,6 +290,7 @@ class ComparisonReport:
             "ratio": self.ratio,
             "expected_ratio": self.expected_ratio,
             "tolerance": self.tolerance,
+            "truncation_safe": self.truncation_safe,
             "passed": self.passed,
         }
 
@@ -298,7 +301,8 @@ def compare_coefficients(order: int) -> ComparisonReport:
     return ComparisonReport(observable="coefficient", order=order,
                             value_correct=c_correct.real, value_wrong=c_wrong.real,
                             ratio=(c_wrong / c_correct).real,
-                            expected_ratio=float(prefactor_ratio(order)), tolerance=1e-12)
+                            expected_ratio=float(prefactor_ratio(order)), tolerance=1e-12,
+                            truncation_safe=True)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +396,9 @@ def assemble(
       cross terms give exactly +1 * integral eta2 D^3, which restores the
       D-based Hamiltonian.
 
-    The weights are the routes' X^3 and X^2 terms from
-    :func:`~dquant.susceptibility.energy_density`.
+    Each scheme scales one build of the integral of D^3 by one weight: the
+    route's D^3 weight from :func:`~dquant.susceptibility.energy_density`,
+    plus eps0 (1 + chi1) eta1 eta2 for ``"E-based-corrected"``.
     """
     linear = build_linear(ms, units)
     etas = invert_series(medium, 2)
@@ -404,16 +409,13 @@ def assemble(
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     for tensor in cubic_tensors[scheme]:
         _require_symmetric(tensor)
-    scale, coeffs = energy_density(medium, etas,
-                                   "D-based" if scheme == "D-based" else "E-linear-wrong")
-    # each cubic term is weight * integral (x_scale D)^3, given as (weight, x_scale)
-    terms = [(coeffs[1], scale)]
+    weight = energy_density(medium, etas,
+                            "D-based" if scheme == "D-based" else "E-linear-wrong")[1]
     if scheme == "E-based-corrected":
-        # coeffs[0] E_full^2 with E_full = eta1 D + eta2 D^2: its cubic-in-D cross terms
-        terms.append((2 * coeffs[0] * etas[0].item() * etas[1].item(), 1.0))
-    sectors = [_cubic_hamiltonian(ms, triple, units, weight, x_scale)
-               for weight, x_scale in terms]
-    resonant, dropped = (sum(parts[1:], parts[0]) for parts in zip(*sectors))
+        # eps0 (1 + chi1) E_full^2 / 2 with E_full = eta1 D + eta2 D^2: its cubic-in-D cross terms
+        weight += (medium.units.eps0 * (1.0 + medium.chi(1).item())
+                   * etas[0].item() * etas[1].item())
+    resonant, dropped = (weight * part for part in _cubic_hamiltonian(ms, triple, units))
     if dropped.terms:
         import logging  # only here: no command should pay for its import
 

@@ -5,9 +5,10 @@ Heisenberg derivative of each induction (displacement) component is compared
 with the curl side of Faraday's (Ampere's) law as polynomials in ladder
 operators, so Fock truncation never enters. Products of retained modes that
 land outside the basis are reported as leakage, never silently dropped.
-Each scheme's Hamiltonian is built once and serves both laws; the field
-components are linear, so their commutators with it are taken by formal
-differentiation (see :func:`~dquant.boson_algebra.commutator`).
+Both routes' Hamiltonians are summed from one ladder of D powers, and each
+serves both laws; the field components are linear, so their commutators
+with it are taken by formal differentiation (see
+:func:`~dquant.boson_algebra.commutator`).
 
 In the 1D scalar reduction the transverse orientations carry the curl signs:
 the displacement and electric fields are x-polarized, the induction field is
@@ -19,10 +20,10 @@ from __future__ import annotations
 from math import sqrt
 
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, commutator, degree
-from .fields import FieldOperator, electric_field_from_D, expand_fields, integrate_density
+from .fields import FieldOperator, expand_fields, integrate_density
 from .modes import ModeSet
 from .record import record
-from .susceptibility import MediumSpec, energy_density, invert_series
+from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from .units import UnitSystem
 
 RESIDUAL_TOL = 1e-10
@@ -110,40 +111,11 @@ def _check_consistency(ms: ModeSet, medium: MediumSpec, units: UnitSystem):
             )
 
 
-def _scheme_hamiltonian(
-    d_field: FieldOperator,
-    b_field: FieldOperator,
-    medium: MediumSpec,
-    etas,
-    scheme: str,
-    l_box: float,
-    units: UnitSystem,
-) -> BosonicPolynomial:
-    """Box integral of the scheme's energy density over the retained basis.
+def verify_routes(ms: ModeSet, medium: MediumSpec, units: UnitSystem | None = None,
+                  tolerance: float = RESIDUAL_TOL) -> dict[str, tuple[FaradayReport, ...]]:
+    """Faraday's and Ampere's law for both routes, from one ladder of D powers.
 
-    The density is B^2/(2 mu0) plus the route's power series in one field
-    X = scale * D (:func:`~dquant.susceptibility.energy_density`). The box
-    integral keeps only its k = 0 component, so only that component is
-    summed, and the highest power of X is built at k = 0 alone.
-    """
-    scale, coeffs = energy_density(medium, etas, scheme)
-    x = scale * d_field
-    density = (1.0 / (2 * units.mu0)) * b_field.product_k0(b_field)
-    power = x
-    for coeff in coeffs[:-1]:
-        power = power * x  # X^2 .. X^n_top
-        density = density + coeff * power.component(0)
-    density = density + coeffs[-1] * power.product_k0(x)  # X^(n_top + 1)
-    h = integrate_density(FieldOperator({0: density}, d_field.w), l_box)
-    return h - BosonicPolynomial.identity(h.coefficient({}))
-
-
-def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
-                  units: UnitSystem | None = None,
-                  tolerance: float = RESIDUAL_TOL) -> tuple[FaradayReport, FaradayReport]:
-    """Faraday's and Ampere's law for one scheme, from one Hamiltonian build.
-
-    Returns ``(faraday, ampere)``, per retained Fourier component:
+    Returns ``{route: (faraday, ampere)}``, per retained Fourier component:
 
     - Faraday, d B/dt = -curl E. The D route passes exactly on retained
       components (out-of-basis products appear as leakage); the linear-E
@@ -151,11 +123,14 @@ def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
       N vs 1.
     - Ampere, d D/dt = curl(B)/mu0.
 
-    The fields, the inverse coefficients and the scheme Hamiltonian are built
-    once, and the Hamiltonian's Hermiticity is checked once (raising
-    :class:`NotHermitianError`); both laws take their Heisenberg derivatives
-    from it. Raises ``ValueError`` when a retained field component prunes to
-    zero, as SI-scale coefficients do.
+    Both routes put the same powers of D into H and differ only in their
+    weights, so the consistency check, the inverse coefficients, the fields
+    and the ladder of D powers (:func:`_route_hamiltonians`) are built once.
+    Each route's Hamiltonian is checked for Hermiticity once (raising
+    :class:`NotHermitianError`), and both laws take their Heisenberg
+    derivatives from it. The D route's E = sum_n eta_n D^n is read from the
+    same ladder; the linear-E route's is eta1 D. Raises ``ValueError`` when a
+    retained field component prunes to zero, as SI-scale coefficients do.
     """
     units = units or UnitSystem()
     _check_consistency(ms, medium, units)
@@ -165,29 +140,71 @@ def verify_scheme(ms: ModeSet, medium: MediumSpec, scheme: str,
     if any(f.component(m).is_zero for f in (d_field, b_field) for m in retained):
         raise ValueError(f"field components fall below PRUNE_TOL = {PRUNE_TOL:g} and "
                          "prune to zero; run verify in natural units")
-    h = _scheme_hamiltonian(d_field, b_field, medium, etas, scheme, ms.l_box, units)
-    if not h.is_hermitian():
-        raise NotHermitianError("Hamiltonian not Hermitian")
-    reports = []
-    for law in ("faraday", "ampere"):
-        if law == "faraday":
-            e_field = (electric_field_from_D(d_field, etas, medium.highest_order, retained)
-                       if scheme == "D-based" else etas[0].item() * d_field)
-            lhs_field, rhs_source, rhs_scale = b_field, spectral_curl(e_field), -1.0
-        else:
-            lhs_field, rhs_source, rhs_scale = d_field, spectral_curl(b_field), 1.0 / units.mu0
-        residuals = {}
-        degree_lhs = degree_rhs = -1
-        for m in sorted(retained):
-            lhs = (-1j / units.hbar) * commutator(lhs_field.component(m), h)
-            rhs = rhs_scale * rhs_source.component(m)
-            residuals[m] = (lhs - rhs).norm()
-            degree_lhs = max(degree_lhs, degree(lhs))
-            degree_rhs = max(degree_rhs, degree(rhs))
-        reports.append(FaradayReport(
-            scheme=scheme, law=law, tolerance=tolerance, residuals=residuals,
-            leakage=dict(rhs_source.leakage), degree_lhs=degree_lhs, degree_rhs=degree_rhs))
-    return tuple(reports)
+    hamiltonians, powers = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box, units)
+    electric = {"D-based": _electric_field(etas, powers, retained),
+                "E-linear-wrong": etas[0].item() * d_field}
+    b_curl = spectral_curl(b_field)
+    reports = {}
+    for route, h in hamiltonians.items():
+        if not h.is_hermitian():
+            raise NotHermitianError("Hamiltonian not Hermitian")
+        laws = (("faraday", b_field, spectral_curl(electric[route]), -1.0),
+                ("ampere", d_field, b_curl, 1.0 / units.mu0))
+        reports[route] = tuple(
+            _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units, tolerance)
+            for law, lhs_field, rhs_source, rhs_scale in laws)
+    return reports
+
+
+def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: MediumSpec,
+                        etas, l_box: float, units: UnitSystem):
+    """Each route's box Hamiltonian, summed from one ladder of D powers.
+
+    Returns ``({route: H}, [D, D^2, .., D^n_top])`` with n_top = len(etas).
+    The box integral keeps only the k = 0 component of the density, so
+    only that component of each power is read, and D^(n_top + 1) is built
+    at k = 0 alone. H = integral(B^2/(2 mu0) + sum_n w_n D^(n+1)), added
+    in that order, with the route's weights w_n from
+    :func:`~dquant.susceptibility.energy_density`.
+    """
+    powers = [d_field]
+    for _ in etas[1:]:
+        powers.append(powers[-1] * d_field)
+    k0 = [p.component(0) for p in powers[1:]] + [powers[-1].product_k0(d_field)]
+    b_density = (1.0 / (2 * units.mu0)) * b_field.product_k0(b_field)
+    hamiltonians = {}
+    for route in ROUTES:
+        density = b_density
+        for weight, p in zip(energy_density(medium, etas, route), k0):
+            density = density + weight * p
+        h = integrate_density(FieldOperator({0: density}, d_field.w), l_box)
+        hamiltonians[route] = h - BosonicPolynomial.identity(h.coefficient({}))
+    return hamiltonians, powers
+
+
+def _electric_field(etas, powers: list[FieldOperator], retained: set[int]) -> FieldOperator:
+    """The D route's E = dH/dD = sum_n eta_n D^n from the ladder powers.
+
+    Components outside ``retained`` move into the field's leakage record
+    rather than being silently dropped.
+    """
+    terms = [eta.item() * p for eta, p in zip(etas, powers) if eta.item() != 0.0]
+    return sum(terms[1:], terms[0]).restrict(retained)
+
+
+def _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units, tolerance):
+    """(-i/hbar)[lhs_m, H] against rhs_scale * rhs_source_m on lhs's components."""
+    residuals = {}
+    degree_lhs = degree_rhs = -1
+    for m in lhs_field.wavevectors():
+        lhs = (-1j / units.hbar) * commutator(lhs_field.component(m), h)
+        rhs = rhs_scale * rhs_source.component(m)
+        residuals[m] = (lhs - rhs).norm()
+        degree_lhs = max(degree_lhs, degree(lhs))
+        degree_rhs = max(degree_rhs, degree(rhs))
+    return FaradayReport(scheme=route, law=law, tolerance=tolerance, residuals=residuals,
+                         leakage=dict(rhs_source.leakage), degree_lhs=degree_lhs,
+                         degree_rhs=degree_rhs)
 
 
 @record

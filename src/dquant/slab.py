@@ -103,10 +103,20 @@ def _decay(beta, k0, n):
 
 
 def _transfer_walk(beta, k0, stack: SlabStack) -> list:
-    """(E, E') at each interface, from the decaying left-cladding tail E = 1."""
+    """(E, E') at each interface, from the decaying left-cladding tail E = 1.
+
+    Raises ``ValueError`` naming an inner layer whose evanescent growth
+    across its thickness overflows a float.
+    """
     values = [(1.0, _decay(beta, k0, stack.indices[0]))]
-    for t, n in zip(stack.thicknesses[1:-1], stack.indices[1:-1]):
-        values.append(_propagate_layer(*values[-1], (n * k0) ** 2 - beta**2, t))
+    layers = zip(stack.thicknesses[1:-1], stack.indices[1:-1])
+    for layer, (t, n) in enumerate(layers, start=1):
+        try:
+            values.append(_propagate_layer(*values[-1], (n * k0) ** 2 - beta**2, t))
+        except OverflowError:
+            raise ValueError(f"layer {layer}: the field is evanescent across thickness {t} "
+                             "and its growth overflows; the transfer walk cannot cross "
+                             "this layer") from None
     return values
 
 

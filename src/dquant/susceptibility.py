@@ -13,8 +13,9 @@ tensor is a single number and the contractions collapse to scalar algebra.
 Tensors are flat row-major tuples of floats and the contractions are plain
 Python, multiplying left to right and summing in the order ``np.einsum``
 does, so at dim=1 they reproduce it bit for bit. The energy densities of
-the two quantization routes (:func:`energy_density`) are defined here once,
-and every Hamiltonian builder reads them.
+the two quantization routes (:func:`energy_density`), each a list of
+weights of the same powers of D, are defined here once, and every
+Hamiltonian builder reads them.
 """
 
 from __future__ import annotations
@@ -319,25 +320,27 @@ def gamma_from_eta(eta: SusceptibilityTensor, units: UnitSystem) -> Susceptibili
 ROUTES = ("D-based", "E-linear-wrong")
 
 
-def energy_density(medium: MediumSpec, etas, route: str) -> tuple[float, list[float]]:
+def energy_density(medium: MediumSpec, etas, route: str) -> list[float]:
     """A route's energy density beyond B^2/(2 mu0), on a scalar medium.
 
-    Returns ``(scale, coeffs)``: the density is sum_n coeffs[n-1] X^(n+1)
-    with X = scale * D, through order ``len(etas)``.
+    Both routes put the same powers of D into the Hamiltonian and differ
+    only in their weights: the density is sum_n w[n-1] D^(n+1) through order
+    ``len(etas)``, and the returned list is w.
 
-    - ``"D-based"`` integrates E = dH/dD = sum_n eta_n D^n: X = D and
-      coeffs[n-1] = eta_n / (n+1).
+    - ``"D-based"`` integrates E = dH/dD = sum_n eta_n D^n:
+      w[n-1] = eta_n / (n+1).
     - ``"E-linear-wrong"`` keeps E~ = eta1 D linear inside the chi series:
-      X = E~, with eps0 (1 + chi1) / 2 at n = 1 and eps0 n/(n+1) chi_n above.
+      w[n-1] = c_n eta1^(n+1), with c_1 = eps0 (1 + chi1) / 2 and
+      c_n = eps0 n/(n+1) chi_n above.
     """
     n_top = len(etas)
     if route == "D-based":
-        return 1.0, [etas[n - 1].item() / (n + 1) for n in range(1, n_top + 1)]
+        return [etas[n - 1].item() / (n + 1) for n in range(1, n_top + 1)]
     if route == "E-linear-wrong":
-        eps0 = medium.units.eps0
-        return etas[0].item(), [eps0 * (1.0 + medium.chi(1).item()) / 2.0] + [
-            eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)
-        ]
+        eps0, eta1 = medium.units.eps0, etas[0].item()
+        coeffs = [eps0 * (1.0 + medium.chi(1).item()) / 2.0] + [
+            eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)]
+        return [c * eta1 ** (n + 1) for n, c in enumerate(coeffs, start=1)]
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import dquant
-import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
+from dquant.fields import FieldOperator
 from dquant.hamiltonian import ComparisonReport
 from dquant.serialize import dumps
 from dquant.units import si_units
@@ -150,24 +150,26 @@ class TestVerify:
         assert (faraday["degree_lhs"], faraday["degree_rhs"]) == (3, 1)
         assert faraday["passed"] is False
 
-    def test_one_build_and_hermiticity_check_per_scheme(self, tmp_path, monkeypatch):
-        calls = {"build": 0, "hermitian": 0}
-        build, is_hermitian = maxwell._scheme_hamiltonian, BosonicPolynomial.is_hermitian
+    def test_one_ladder_and_one_hermiticity_check_per_route(self, tmp_path, monkeypatch):
+        # chi3: D^2 and D^3 are the only full field products, shared by both routes'
+        # Hamiltonians and the D route's E; D^4 is built at k = 0 alone
+        calls = {"product": 0, "hermitian": 0}
+        product, is_hermitian = FieldOperator.product, BosonicPolynomial.is_hermitian
 
-        def counted_build(*args, **kwargs):
-            calls["build"] += 1
-            return build(*args, **kwargs)
+        def counted_product(self, *args, **kwargs):
+            calls["product"] += 1
+            return product(self, *args, **kwargs)
 
         def counted_is_hermitian(self, *args, **kwargs):
             calls["hermitian"] += 1
             return is_hermitian(self, *args, **kwargs)
 
-        monkeypatch.setattr(maxwell, "_scheme_hamiltonian", counted_build)
+        monkeypatch.setattr(FieldOperator, "product", counted_product)
         monkeypatch.setattr(BosonicPolynomial, "is_hermitian", counted_is_hermitian)
-        medium = write_medium(tmp_path, [0.5, 0.3])
+        medium = write_medium(tmp_path, [0.6, 0.2, -0.15])
         assert main(["verify", "--medium", medium, "--modes", "3",
                      "--out", str(tmp_path / "reports")]) == 0
-        assert calls == {"build": 2, "hermitian": 2}
+        assert calls == {"product": 2, "hermitian": 2}
 
 
 class TestCompare:
@@ -178,6 +180,7 @@ class TestCompare:
                      "--out", str(out)]) == 0
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["ratio"] == pytest.approx(expected, abs=1e-12)
+        assert doc["truncation_safe"] is True
         assert doc["passed"] is True
 
     def test_conversion(self, tmp_path):
@@ -186,6 +189,29 @@ class TestCompare:
                      "--out", str(out)]) == 0
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["ratio"] == pytest.approx(4.0, abs=1e-3)
+
+
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    def test_squeezing_default_cutoff_is_truncation_safe(self, tmp_path, capsys, order):
+        # at cutoff 16 these orders pass the edge population limit; order 6 also missed
+        # its ratio there (5.99728 against 6 +/- 6e-4)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--observable", "squeezing", "--order", str(order),
+                     "--out", str(out)]) == 0
+        assert "truncation-unsafe" not in capsys.readouterr().err
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["truncation_safe"] is True
+        assert doc["passed"] is True
+
+    def test_truncation_unsafe_squeezing_does_not_pass(self):
+        from dquant.dynamics import EvolutionConfig, compare_schemes
+
+        report = compare_schemes("squeezing", 4,
+                                 cfg=EvolutionConfig(n_max=16, t_final=0.2 / 0.05, steps=8))
+        assert report.truncation_safe is False
+        assert abs(report.ratio - report.expected_ratio) <= report.tolerance
+        assert report.passed is False
+        assert report.to_dict()["truncation_safe"] is False
 
 
 class TestPhasematch:
@@ -257,6 +283,20 @@ class TestSweeps:
         assert result["truncation_safe"] is True
         if pump != "quantum":
             assert result["ratio"] == pytest.approx(2.0, abs=1e-4)
+
+    @pytest.mark.parametrize("command, result", [
+        ("spdc", "spdc_result.json"), ("convert", "conversion_result.json")])
+    def test_truncation_unsafe_run_warns(self, tmp_path, capsys, command, result):
+        out = tmp_path / command
+        assert main([command, "--n-max", "2", "--out", str(out)]) == 0
+        assert "truncation-unsafe" in capsys.readouterr().err
+        assert json.loads((out / result).read_text())["truncation_safe"] is False
+
+    @pytest.mark.parametrize("command", ["invert", "verify", "compare", "phasematch"])
+    def test_format_only_where_it_is_read(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "json"])
+        assert exc.value.code == 2
 
     def test_quantum_pump_convert_exits_2(self, capsys):
         assert main(["convert", "--pump", "quantum", "--n-max", "4"]) == 2
@@ -490,7 +530,7 @@ def test_scheme_comparison_script_exits_1_on_a_missed_ratio(monkeypatch, capsys,
         ratio = 0.0 if observable == failing else 1.0
         return ComparisonReport(observable=observable, order=order, value_correct=1.0,
                                 value_wrong=ratio, ratio=ratio, expected_ratio=1.0,
-                                tolerance=1e-12)
+                                tolerance=1e-12, truncation_safe=True)
 
     monkeypatch.setattr(script, "compare_schemes", report)
     monkeypatch.setattr(sys, "argv", [str(path)])

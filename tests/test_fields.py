@@ -8,13 +8,8 @@ from scipy.integrate import quad
 
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.dynamics import FockSpace
-from dquant.fields import (
-    FieldOperator,
-    electric_field_from_D,
-    expand_fields,
-    integrate_density,
-    sinc,
-)
+from dquant.fields import FieldOperator, expand_fields, integrate_density, sinc
+from dquant.maxwell import _electric_field
 from dquant.modes import Mode, ModeSet, flat_profile, make_uniform_medium_modes
 from dquant.slab import solve_slab_modes
 from dquant.susceptibility import SusceptibilityTensor
@@ -112,20 +107,24 @@ class TestElectricFieldFromD:
     def setup_method(self):
         self.ms = make_uniform_medium_modes(1.0, 2 * pi, [-1, 1], NAT)
         self.d_field, _ = expand_fields(self.ms, NAT)
+        self.ladder = [self.d_field, self.d_field * self.d_field]
+
+    def electric_field(self, etas, retained=(-2, -1, 0, 1, 2)):
+        return _electric_field(eta_scalars(etas), self.ladder, set(retained))
 
     def test_vacuum_identity(self):
-        e = electric_field_from_D(self.d_field, eta_scalars([1.0]), 1)
+        e = self.electric_field([1.0])
         for m in self.d_field.wavevectors():
             assert e.component(m).isclose(self.d_field.component(m))
 
     def test_linear_medium(self):
-        e = electric_field_from_D(self.d_field, eta_scalars([0.3, 0.0]), 2)
+        e = self.electric_field([0.3, 0.0])
         assert e.max_degree() == 1
         assert e.component(1).isclose(0.3 * self.d_field.component(1))
 
     def test_quadratic_components_hand_convolution(self):
         eta2 = 0.25
-        e = electric_field_from_D(self.d_field, eta_scalars([1.0, eta2]), 2)
+        e = self.electric_field([1.0, eta2])
         assert sorted(e.wavevectors()) == [-2, -1, 0, 1, 2]
         d1 = self.d_field.component(1)
         hand = eta2 / sqrt(2 * pi) * (d1 * d1)
@@ -137,18 +136,17 @@ class TestElectricFieldFromD:
         assert np.allclose(lhs, eta2 / sqrt(2 * pi) * md1 @ md1, atol=1e-13)
 
     def test_degree_two_for_quadratic_medium(self):
-        e = electric_field_from_D(self.d_field, eta_scalars([1.0, 0.1]), 2)
+        e = self.electric_field([1.0, 0.1])
         assert e.max_degree() == 2
 
     def test_leakage_tracked_not_dropped(self):
-        retained = {-1, 1}
-        e = electric_field_from_D(self.d_field, eta_scalars([1.0, 0.1]), 2, retained_k=retained)
+        e = self.electric_field([1.0, 0.1], retained={-1, 1})
         assert sorted(e.wavevectors()) == [-1, 1]
         assert set(e.leakage) == {-2, 0, 2}
         assert e.leakage_norm > 0
 
     def test_hermiticity_survives_nonlinearity(self):
-        e = electric_field_from_D(self.d_field, eta_scalars([1.0, 0.1]), 2)
+        e = self.electric_field([1.0, 0.1])
         assert e.is_hermitian_field(tol=1e-13)
 
 

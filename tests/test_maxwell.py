@@ -7,13 +7,13 @@ from dquant.boson_algebra import BosonicPolynomial, NotHermitianError
 from dquant.fields import expand_fields, integrate_density
 from dquant.maxwell import (
     InconsistentModeSetError,
-    _scheme_hamiltonian,
+    _route_hamiltonians,
     degree_contradiction_report,
     spectral_curl,
-    verify_scheme,
+    verify_routes,
 )
 from dquant.modes import make_uniform_medium_modes
-from dquant.susceptibility import ROUTES, MediumSpec, invert_series
+from dquant.susceptibility import MediumSpec, energy_density, invert_series
 from dquant.units import UnitSystem
 
 NAT = UnitSystem()
@@ -56,8 +56,23 @@ class TestSpectralCurl:
         assert curled.component(1).isclose((-1j) * b_field.component(1))
 
 
+def _box_hamiltonian(density, l_box):
+    h = integrate_density(density, l_box)
+    return h - BosonicPolynomial.identity(h.coefficient({}))
+
+
 def _full_density_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, units):
-    """Reference: the whole energy density, every component, then the box integral."""
+    """Reference: the weighted D ladder, every component, then the box integral."""
+    density = (1.0 / (2 * units.mu0)) * (b_field * b_field)
+    power = d_field
+    for weight in energy_density(medium, etas, scheme):
+        power = power * d_field
+        density = density + weight * power
+    return _box_hamiltonian(density, l_box)
+
+
+def _eta1_d_power_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, units):
+    """Second reference: the route's series in X = D or eta1 D, powers of X built whole."""
     n_top = medium.highest_order
     density = (1.0 / (2 * units.mu0)) * (b_field * b_field)
     if scheme == "D-based":
@@ -72,26 +87,45 @@ def _full_density_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, uni
         for n in range(2, n_top + 1):
             power = power * e_tilde
             density = density + (units.eps0 * n / (n + 1) * medium.chi(n).item()) * power
-    h = integrate_density(density, l_box)
-    return h - BosonicPolynomial.identity(h.coefficient({}))
+    return _box_hamiltonian(density, l_box)
+
+
+def route_hamiltonian(chis, m_max, scheme):
+    """(the ladder build, and the field setup) of one route's box Hamiltonian."""
+    ms, medium = uniform_setup(chis[0], m_max, chis[1])
+    etas = invert_series(medium, medium.highest_order)
+    d_field, b_field = expand_fields(ms, NAT)
+    args = (d_field, b_field, medium, etas, scheme, ms.l_box, NAT)
+    hamiltonians, _ = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box, NAT)
+    return hamiltonians[scheme], args
 
 
 class TestSchemeHamiltonian:
     @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong"])
     @pytest.mark.parametrize("chis,m_max", [((0.7, [-0.3]), 3), ((0.6, [0.2, -0.15]), 2)])
     def test_k0_build_equals_full_density_build(self, scheme, chis, m_max):
-        ms, medium = uniform_setup(chis[0], m_max, chis[1])
-        etas = invert_series(medium, medium.highest_order)
-        d_field, b_field = expand_fields(ms, NAT)
-        args = (d_field, b_field, medium, etas, scheme, ms.l_box, NAT)
-        assert _scheme_hamiltonian(*args).terms == _full_density_hamiltonian(*args).terms
+        h, args = route_hamiltonian(chis, m_max, scheme)
+        assert h.terms == _full_density_hamiltonian(*args).terms
+
+    @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong"])
+    @pytest.mark.parametrize("chis,m_max", [
+        ((0.9, []), 3), ((0.5, [0.3]), 3), ((0.7, [-0.3]), 3), ((0.6, [0.2, -0.15]), 2),
+        ((0.6, [0.0, 0.2]), 2), ((0.5, [0.3, 0.2, 0.1]), 1)])
+    def test_ladder_build_matches_the_eta1_d_power_build(self, scheme, chis, m_max):
+        # the E route's weights carry eta1^(n+1) where the old build scaled D by eta1
+        h, args = route_hamiltonian(chis, m_max, scheme)
+        reference = _eta1_d_power_hamiltonian(*args)
+        assert set(h.terms) == set(reference.terms)
+        # compared term by term: a difference polynomial would prune below PRUNE_TOL
+        deviation = max(abs(c - reference.terms[k]) for k, c in h.terms.items())
+        assert deviation <= 1e-15 * reference.max_abs_coeff()
 
 
 class TestLinearMedium:
     def test_both_schemes_pass(self):
         ms, medium = uniform_setup(0.9, 2)
         for scheme in ("D-based", "E-linear-wrong"):
-            report = verify_scheme(ms, medium, scheme)[0]
+            report = verify_routes(ms, medium)[scheme][0]
             assert report.passed
             assert report.max_residual < 1e-10
             assert report.degree_lhs == report.degree_rhs == 1
@@ -100,17 +134,14 @@ class TestLinearMedium:
         ms, medium = uniform_setup(0.9, 2)
         etas = invert_series(medium, 1)
         d_field, b_field = expand_fields(ms, NAT)
-        h_d = _scheme_hamiltonian(d_field, b_field, medium, etas, "D-based",
-                                  ms.l_box, NAT)
-        h_e = _scheme_hamiltonian(d_field, b_field, medium, etas, "E-linear-wrong",
-                                  ms.l_box, NAT)
-        assert (h_d - h_e).max_abs_coeff() < 1e-12
+        hams, _ = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box, NAT)
+        assert (hams["D-based"] - hams["E-linear-wrong"]).max_abs_coeff() < 1e-12
 
 
 class TestNonlinearMedium:
     def test_d_based_passes_with_leakage_reported(self):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3,))
-        report = verify_scheme(ms, medium, "D-based")[0]
+        report = verify_routes(ms, medium)["D-based"][0]
         assert report.passed
         assert report.max_residual < 1e-10
         assert report.degree_lhs == report.degree_rhs == 2
@@ -118,7 +149,7 @@ class TestNonlinearMedium:
 
     def test_wrong_scheme_fails_with_degree_mismatch(self):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3,))
-        report = verify_scheme(ms, medium, "E-linear-wrong")[0]
+        report = verify_routes(ms, medium)["E-linear-wrong"][0]
         assert not report.passed
         assert report.degree_lhs == 2
         assert report.degree_rhs == 1
@@ -128,29 +159,29 @@ class TestNonlinearMedium:
         # the nonlinearity lives in the D-sector, so D's own EOM stays linear
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3,))
         for scheme in ("D-based", "E-linear-wrong"):
-            report = verify_scheme(ms, medium, scheme)[1]
+            report = verify_routes(ms, medium)[scheme][1]
             assert report.max_residual < 1e-10
             assert report.degree_lhs == report.degree_rhs == 1
 
     def test_cubic_medium_degree_three(self):
         ms, medium = uniform_setup(0.0, 2, chis_higher=(0.0, 0.2))
-        report = verify_scheme(ms, medium, "E-linear-wrong")[0]
+        report = verify_routes(ms, medium)["E-linear-wrong"][0]
         assert report.degree_lhs == 3
         assert report.degree_rhs == 1
-        good = verify_scheme(ms, medium, "D-based")[0]
+        good = verify_routes(ms, medium)["D-based"][0]
         assert good.passed
 
     def test_residual_not_growing_with_basis(self):
         maxima = []
         for m_max in (1, 2, 3):
             ms, medium = uniform_setup(0.5, m_max, chis_higher=(0.3,))
-            maxima.append(verify_scheme(ms, medium, "D-based")[0].max_residual)
+            maxima.append(verify_routes(ms, medium)["D-based"][0].max_residual)
         assert maxima[1] <= maxima[0] + 1e-12
         assert maxima[2] <= maxima[1] + 1e-12
 
     def test_report_serializable(self):
         ms, medium = uniform_setup(0.5, 1, chis_higher=(0.3,))
-        doc = verify_scheme(ms, medium, "D-based")[0].to_dict()
+        doc = verify_routes(ms, medium)["D-based"][0].to_dict()
         assert doc["scheme"] == "D-based"
         assert doc["law"] == "faraday"
         assert set(doc["residuals"]) == {"-1", "1"}
@@ -160,22 +191,19 @@ class TestNonlinearMedium:
 class TestVerifyScheme:
     def test_non_hermitian_hamiltonian_rejected(self, monkeypatch):
         ms, medium = uniform_setup(0.5, 1, chis_higher=(0.3,))
-        label = ms.modes[0].label
-        monkeypatch.setattr(maxwell, "_scheme_hamiltonian",
-                            lambda *args: BosonicPolynomial.from_ops(str(label)))
+        monkeypatch.setattr(maxwell, "energy_density",
+                            lambda *args: [1j * w for w in energy_density(*args)])
         with pytest.raises(NotHermitianError):
-            verify_scheme(ms, medium, "D-based")
+            verify_routes(ms, medium)
 
-    @pytest.mark.parametrize("scheme", ROUTES)
-    def test_builds_the_electric_field_only_for_the_d_route(self, monkeypatch, scheme):
+    def test_reports_both_laws_of_both_routes(self):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3, -0.15))
-        e_builds = []
-        from_d = maxwell.electric_field_from_D
-        monkeypatch.setattr(maxwell, "electric_field_from_D",
-                            lambda *args: e_builds.append(1) or from_d(*args))
-        faraday, ampere = verify_scheme(ms, medium, scheme)
-        assert (faraday.law, ampere.law) == ("faraday", "ampere")
-        assert len(e_builds) == (scheme == "D-based")
+        reports = verify_routes(ms, medium)
+        assert list(reports) == ["D-based", "E-linear-wrong"]
+        for route, (faraday, ampere) in reports.items():
+            assert (faraday.scheme, ampere.scheme) == (route, route)
+            assert (faraday.law, ampere.law) == ("faraday", "ampere")
+        assert reports["D-based"][0].leakage and not reports["E-linear-wrong"][0].leakage
 
 
 class TestConsistencyGuards:
@@ -184,13 +212,13 @@ class TestConsistencyGuards:
         ms, _ = uniform_setup(0.0, 1)
         medium = MediumSpec.from_scalars([1.5, 0.1])
         with pytest.raises(InconsistentModeSetError):
-            verify_scheme(ms, medium, "D-based")
+            verify_routes(ms, medium)["D-based"]
 
     def test_asymmetric_basis_rejected(self):
         medium = MediumSpec.from_scalars([0.0, 0.1])
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1, 2, -1], NAT)
         with pytest.raises(InconsistentModeSetError):
-            verify_scheme(ms, medium, "D-based")
+            verify_routes(ms, medium)["D-based"]
 
 
 class TestDegreeContradiction:

@@ -241,11 +241,14 @@ class TestSlabModes:
         ([(6, 1.45), (4, float("nan")), (6, 1.45)], "layer 1: refractive index"),
         ([(6, 1.45), (4, float("inf")), (6, 1.45)], "layer 1: refractive index"),
         ([(6, 1.45), (4, 2.0), (0, 1.45)], "layer 2: thickness"),
+        ([(6, 1.45), (4, 2.0), (600, 1.45), (4, 2.0), (6, 1.45)],
+         "layer 2: the field is evanescent"),
     ], ids=["negative-thickness", "infinite-thickness", "nan-thickness", "nan-index",
-            "infinite-index", "zero-cladding-thickness"])
+            "infinite-index", "zero-cladding-thickness", "uncrossable-barrier"])
     def test_bad_layer_rejected_naming_it(self, layers, message):
-        # a bad layer once went unchecked: all but the last of these returned
-        # an empty mode list, which reads as an unguided stack
+        # a bad layer once went unchecked: the first five of these returned an
+        # empty mode list, which reads as an unguided stack, and cosh overflowed
+        # across the 600-wide barrier between the two cores of the last one
         with pytest.raises(ValueError, match=message):
             solve_slab_modes(layers, omega=1.0, units=NAT)
 

@@ -277,30 +277,34 @@ def route_densities(chis, eps0=1.0):
 
 
 def route_weights(chis, eps0=1.0):
-    """Per-order weights: D coeff / eta_n, and E coeff / eps0 chi_n (eps0 (1 + chi1) at n = 1)."""
-    medium, etas, (_, d_coeffs), (_, e_coeffs) = route_densities(chis, eps0)
-    d_weights = [c / eta.item() for c, eta in zip(d_coeffs, etas)]
-    e_weights = [e_coeffs[0] / (eps0 * (1.0 + chis[0]))] + [
-        c / (eps0 * medium.chi(n).item()) for n, c in enumerate(e_coeffs[1:], start=2)]
-    return d_weights, e_weights
+    """Per-order weights: D weight / eta_n, and E weight / eta1^(n+1) / eps0 chi_n
+    (eps0 (1 + chi1) at n = 1)."""
+    medium, etas, d_weights, e_weights = route_densities(chis, eps0)
+    eta1 = etas[0].item()
+    e_series = [w / eta1 ** (n + 1) for n, w in enumerate(e_weights, start=1)]
+    return ([w / eta.item() for w, eta in zip(d_weights, etas)],
+            [e_series[0] / (eps0 * (1.0 + chis[0]))] + [
+                c / (eps0 * medium.chi(n).item()) for n, c in enumerate(e_series[1:], start=2)])
 
 
 class TestEnergyPrefactors:
     def test_d_based(self):
-        _, etas, (scale, d_coeffs), _ = route_densities(CHIS_6)
-        assert scale == 1.0
-        assert len(d_coeffs) == 6
-        for n, (c, eta) in enumerate(zip(d_coeffs, etas), start=1):
-            assert (n + 1) * c == pytest.approx(eta.item(), rel=1e-15)
+        _, etas, d_weights, _ = route_densities(CHIS_6)
+        assert len(d_weights) == 6
+        for n, (w, eta) in enumerate(zip(d_weights, etas), start=1):
+            assert (n + 1) * w == pytest.approx(eta.item(), rel=1e-15)
 
     def test_e_based(self):
-        _, etas, _, (scale, e_coeffs) = route_densities(CHIS_6, eps0=1.7)
-        assert scale == etas[0].item()
-        assert len(e_coeffs) == 6
         _, e_weights = route_weights(CHIS_6, eps0=1.7)
+        assert len(e_weights) == 6
         assert e_weights[0] == 0.5
         for n in range(2, 7):
             assert e_weights[n - 1] == pytest.approx(n / (n + 1), rel=1e-15)
+
+    def test_routes_share_the_quadratic_weight(self):
+        # eps0 (1 + chi1) eta1^2 / 2 = eta1 / 2: both routes agree on a linear medium
+        _, etas, d_weights, e_weights = route_densities(CHIS_6, eps0=1.7)
+        assert e_weights[0] == pytest.approx(d_weights[0], rel=1e-15)
 
     def test_discrepancy_vanishes_only_linearly(self):
         d_weights, e_weights = route_weights(CHIS_6)
@@ -324,11 +328,10 @@ def test_top_coefficient_ratio_closed_form(data, order, pure, eps0):
     chi1 = data.draw(st.floats(-0.5, 3.0))
     middle = [0.0 if pure else data.draw(st.floats(-0.5, 0.5)) for _ in range(order - 2)]
     chi_n = data.draw(st.floats(0.01, 0.5)) * data.draw(st.sampled_from([-1.0, 1.0]))
-    medium, etas, (_, d_coeffs), (scale, e_coeffs) = route_densities(
-        [chi1, *middle, chi_n], eps0)
+    medium, etas, d_weights, e_weights = route_densities([chi1, *middle, chi_n], eps0)
     eta1, eta_n = etas[0].item(), etas[-1].item()
     assume(eta_n != 0.0)
-    ratio = e_coeffs[-1] * scale ** (order + 1) / d_coeffs[-1]
+    ratio = e_weights[-1] / d_weights[-1]
     closed_form = order * eps0 * chi_n * eta1 ** (order + 1) / eta_n
     assert ratio == pytest.approx(closed_form, rel=1e-12)
     if pure:
