@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import dquant
+import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
 from dquant.fields import FieldOperator
 from dquant.hamiltonian import ComparisonReport
 from dquant.serialize import dumps
+from dquant.susceptibility import ROUTES
 from dquant.units import si_units
 
 
@@ -150,11 +152,19 @@ class TestVerify:
         assert (faraday["degree_lhs"], faraday["degree_rhs"]) == (3, 1)
         assert faraday["passed"] is False
 
-    def test_one_ladder_and_one_hermiticity_check_per_route(self, tmp_path, monkeypatch):
-        # chi3: D^2 and D^3 are the only full field products, shared by both routes'
-        # Hamiltonians and the D route's E; D^4 is built at k = 0 alone
-        calls = {"product": 0, "hermitian": 0}
+    def test_one_build_and_hermiticity_check_per_scheme(self, tmp_path, monkeypatch):
+        # one ladder build yields both schemes' Hamiltonians, each checked for
+        # Hermiticity once; chi3: D^2 and D^3 are the only full field products,
+        # shared by both Hamiltonians and the D route's E; D^4 is built at k = 0 alone
+        calls = {"build": 0, "product": 0, "hermitian": 0}
+        build = maxwell._route_hamiltonians
         product, is_hermitian = FieldOperator.product, BosonicPolynomial.is_hermitian
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            hamiltonians, powers = build(*args, **kwargs)
+            assert list(hamiltonians) == list(ROUTES)
+            return hamiltonians, powers
 
         def counted_product(self, *args, **kwargs):
             calls["product"] += 1
@@ -164,12 +174,13 @@ class TestVerify:
             calls["hermitian"] += 1
             return is_hermitian(self, *args, **kwargs)
 
+        monkeypatch.setattr(maxwell, "_route_hamiltonians", counted_build)
         monkeypatch.setattr(FieldOperator, "product", counted_product)
         monkeypatch.setattr(BosonicPolynomial, "is_hermitian", counted_is_hermitian)
         medium = write_medium(tmp_path, [0.6, 0.2, -0.15])
         assert main(["verify", "--medium", medium, "--modes", "3",
                      "--out", str(tmp_path / "reports")]) == 0
-        assert calls == {"product": 2, "hermitian": 2}
+        assert calls == {"build": 1, "product": 2, "hermitian": 2}
 
 
 class TestCompare:

@@ -13,7 +13,7 @@ from dquant.maxwell import (
     verify_routes,
 )
 from dquant.modes import make_uniform_medium_modes
-from dquant.susceptibility import MediumSpec, energy_density, invert_series
+from dquant.susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from dquant.units import UnitSystem
 
 NAT = UnitSystem()
@@ -195,6 +195,20 @@ class TestVerifyScheme:
                             lambda *args: [1j * w for w in energy_density(*args)])
         with pytest.raises(NotHermitianError):
             verify_routes(ms, medium)
+
+    @pytest.mark.parametrize("scheme", ROUTES)
+    def test_builds_the_electric_field_only_for_the_d_route(self, monkeypatch, scheme):
+        # the D route's E = sum_n eta_n D^n is summed from the ladder once; the
+        # linear-E route's E is eta1 D, so its curl stays degree 1 against chi3
+        ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3, -0.15))
+        e_builds = []
+        from_ladder = maxwell._electric_field
+        monkeypatch.setattr(maxwell, "_electric_field",
+                            lambda *args: e_builds.append(1) or from_ladder(*args))
+        faraday, ampere = verify_routes(ms, medium)[scheme]
+        assert (faraday.law, ampere.law) == ("faraday", "ampere")
+        assert len(e_builds) == 1
+        assert faraday.degree_rhs == (3 if scheme == "D-based" else 1)
 
     def test_reports_both_laws_of_both_routes(self):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3, -0.15))
