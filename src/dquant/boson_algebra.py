@@ -41,12 +41,12 @@ class BosonicPolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, complex] | None = None, prune: bool = True):
+    def __init__(self, terms: Mapping[Monomial, complex] | None = None):
         self.terms: dict[Monomial, complex] = {}
         if terms:
             for key, coef in terms.items():
                 coef = complex(coef)
-                if not prune or abs(coef) > PRUNE_TOL:
+                if abs(coef) > PRUNE_TOL:
                     self.terms[key] = coef
 
     # -- constructors -------------------------------------------------
@@ -64,13 +64,13 @@ class BosonicPolynomial:
         return cls({key: complex(coeff)})
 
     @classmethod
-    def from_ops(cls, ops: str, coeff: complex = 1.0) -> "BosonicPolynomial":
+    def from_ops(cls, ops: str) -> "BosonicPolynomial":
         """Build from a left-to-right operator string, e.g. ``"1^ 0"`` = ad(1) a(0).
 
         The factors are multiplied in the given order, so the result comes
         out normally ordered whatever order the string uses.
         """
-        out = cls.identity(coeff)
+        out = cls.identity()
         for token in ops.split():
             if token.endswith("^"):
                 out = out * creation(int(token[:-1]))
@@ -155,8 +155,8 @@ class BosonicPolynomial:
         keys = set(self.terms) | set(other.terms)
         return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.isclose(self.dagger(), tol=tol)
+    def is_hermitian(self) -> bool:
+        return self.isclose(self.dagger(), tol=HERMITICITY_TOL)
 
     def __repr__(self):
         n = len(self.terms)

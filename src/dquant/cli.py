@@ -74,8 +74,7 @@ def cmd_verify(args) -> int:
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
 
-    reports = [rep for pair in verify_routes(ms, medium, units=medium.units).values()
-               for rep in pair]
+    reports = [rep for pair in verify_routes(ms, medium).values() for rep in pair]
     print(f"{'scheme':<16} {'law':<8} {'m':>4} {'residual':<13} {'degrees':<8} pass")
     for rep in reports:
         degrees = f"{rep.degree_lhs} vs {rep.degree_rhs}"
@@ -168,23 +167,24 @@ def _sweep_output(args, rows, series_name: str) -> None:
         _emit(args, f"{series_name}.json", dumps(doc))
 
 
-#: per sweep command: its dynamics observable, file stem, result-key prefix and stdout line
+#: per sweep command: its file stem, result-key prefix and stdout line
 SWEEPS = {
-    "spdc": ("spdc_squeezing", "spdc", "r",
-             "squeezing r: correct {0:.6g}, wrong {1:.6g}, |ratio| {2:.6g}"),
-    "convert": ("frequency_conversion", "conversion", "p",
-                "conversion P: correct {0:.6g}, wrong {1:.6g}"),
+    "spdc": ("spdc", "r", "squeezing r: correct {0:.6g}, wrong {1:.6g}, |ratio| {2:.6g}"),
+    "convert": ("conversion", "p", "conversion P: correct {0:.6g}, wrong {1:.6g}"),
 }
 
 
 def cmd_sweep(args) -> int:
-    from . import dynamics
+    from .dynamics import EvolutionConfig, frequency_conversion, spdc_squeezing
 
-    observable, stem, key, line = SWEEPS[args.command]
+    stem, key, line = SWEEPS[args.command]
     params, units = _interaction_from_args(args)
-    cfg = dynamics.EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
-                                   pump=args.pump)
-    pair = getattr(dynamics, observable)(params, cfg, hbar=units.hbar)
+    cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
+                          pump=args.pump)
+    if args.command == "spdc":
+        pair = spdc_squeezing(params, cfg, hbar=units.hbar)
+    else:
+        pair = frequency_conversion(params, cfg, hbar=units.hbar)
     _emit(args, "interaction.json", dumps(_interaction_doc(params)))
     _sweep_output(args, pair.series, f"{stem}_sweep")
     _emit(args, f"{stem}_result.json", dumps({
@@ -204,14 +204,20 @@ def _warn_if_unsafe(truncation_safe: bool) -> None:
               file=sys.stderr)
 
 
-def pump_amplitude(text: str) -> float | str:
-    """``quantum`` (a quantized pump) or a finite, nonzero classical pump amplitude."""
-    if text == "quantum":
-        return text
-    amplitude = float(text)
+def pump_amplitude(text: str) -> float:
+    """A finite, nonzero classical pump amplitude."""
+    try:
+        amplitude = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"pump amplitude must be a number: {text!r}") from None
     if not 0 < abs(amplitude) < inf:
         raise argparse.ArgumentTypeError(f"pump amplitude must be finite and nonzero: {text!r}")
     return amplitude
+
+
+def _spdc_pump(text: str) -> float | str:
+    """``quantum`` (a quantized pump) or a :func:`pump_amplitude`."""
+    return text if text == "quantum" else pump_amplitude(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, default=16, help="Fock cutoff per mode")
         p.add_argument("--time", type=float, default=0.5, help="total evolution time")
         p.add_argument("--steps", type=int, default=20)
-        p.add_argument("--pump", type=pump_amplitude, default=1.0,
-                       help="classical pump amplitude, or 'quantum'")
+        quantum = name == "spdc"  # only spdc evolves a quantized pump
+        p.add_argument("--pump", type=_spdc_pump if quantum else pump_amplitude, default=1.0,
+                       help="classical pump amplitude" + (", or 'quantum'" if quantum else ""))
         p.add_argument("--length", type=float, default=None, help="interaction length")
         p.set_defaults(fn=cmd_sweep)
 

@@ -23,9 +23,10 @@ tuples; any population within two levels of a cutoff beyond 1e-6 flags the
 run as truncation-unsafe rather than silently reporting numbers. The
 module runs on the standard library alone.
 
-The observables build their generators as rates (H / hbar) and evolve them
-at hbar = 1, so that SI couplings of ~1e-11 1/s are not lost to the
-absolute ``PRUNE_TOL`` that an energy hbar g ~ 1e-45 J would fall under.
+The observables build their generators as rates (H / hbar), and
+:func:`evolve` takes every generator as a rate: exp(-i H t) at hbar = 1. So
+SI couplings of ~1e-11 1/s are not lost to the absolute ``PRUNE_TOL`` that
+an energy hbar g ~ 1e-45 J would fall under.
 The wrong route's rate is |prefactor ratio| times the correct one's, so
 its state at t is the correct route's at |ratio| t: one evolution, sampled
 at both times, serves both routes.
@@ -200,20 +201,15 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
     return occs, [(sel, mats[b]) for b, sel in members.items()]
 
 
-def evolve(
-    h: BosonicPolynomial,
-    space: FockSpace,
-    psi0: Mapping[tuple, complex],
-    times: Sequence[float],
-    hbar: float = 1.0,
-) -> EvolutionResult:
-    """exp(-i H t / hbar) psi0 sampled at each of ``times``.
+def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex],
+           times: Sequence[float]) -> EvolutionResult:
+    """exp(-i H t) psi0 sampled at each of ``times``, for a rate H (hbar = 1).
 
     Requires a Hermitian generator and a normalized initial state, given as
     {occupation tuple: amplitude}. The evolution runs on the sector of basis
     states that h reaches from the support of psi0 (within the cutoffs of
     ``space``), block by block: h on each block is diagonalized exactly
-    once, and every sample is psi0 + V[(exp(-i w t / hbar) - 1) * V^dag psi0],
+    once, and every sample is psi0 + V[(exp(-i w t) - 1) * V^dag psi0],
     with the phase factor written as -2i sin(x/2) exp(-ix/2) so that t = 0
     returns psi0 exactly and weak couplings keep their relative accuracy.
     A time listed twice is evaluated once: both samples are the same row.
@@ -237,7 +233,7 @@ def evolve(
     energies = [0.0] * len(distinct)
     for sel, h_b in blocks:
         entries = [(i, j, v) for i, h_row in enumerate(h_b) for j, v in enumerate(h_row) if v]
-        samples = _block_samples(h_b, [psi0_s[i] for i in sel], distinct, hbar)
+        samples = _block_samples(h_b, [psi0_s[i] for i in sel], distinct)
         for k, (row, state_b) in enumerate(zip(rows, samples)):
             for i, amp in zip(sel, state_b):
                 row[i] = amp
@@ -261,7 +257,7 @@ def evolve(
     )
 
 
-def _block_samples(h_b, p0: list[complex], times: Sequence[float], hbar: float):
+def _block_samples(h_b, p0: list[complex], times: Sequence[float]):
     """The states p0 + V[phase(t) * V^dag p0] of one block, one list per time.
 
     V = U Z from :func:`~dquant.linalg.eigh`, with Z real: p0 is carried
@@ -275,10 +271,9 @@ def _block_samples(h_b, p0: list[complex], times: Sequence[float], hbar: float):
     # -2 y, so that phase * y = (s s + i s c) * (-2 y)
     a = [-2.0 * sum(map(mul, z, y_re)) for z in eig.vectors]
     b = [-2.0 * sum(map(mul, z, y_im)) for z in eig.vectors]
-    rates = [w / hbar for w in eig.values]
     z_rows = list(zip(*eig.vectors))
     for t in times:
-        halves = [t * rate / 2 for rate in rates]
+        halves = [t * rate / 2 for rate in eig.values]
         sin_half = list(map(sin, halves))
         ss = list(map(mul, sin_half, sin_half))
         sc = list(map(mul, sin_half, map(cos, halves)))
@@ -452,36 +447,30 @@ def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
                       series=series)
 
 
-def _default_interaction(theta: float = 0.05) -> InteractionParams:
-    return InteractionParams(theta=theta, delta_k=0.0, phi=1.0)
-
-
-def compare_schemes(observable: str, order: int = 2,
-                    params: InteractionParams | None = None,
-                    cfg: EvolutionConfig | None = None,
-                    hbar: float = 1.0) -> ComparisonReport:
+def compare_schemes(observable: str, order: int) -> ComparisonReport:
     """Quantify the wrong/correct discrepancy for one observable.
 
     Expected ratios: resonant coefficient -n (see
     :func:`~dquant.hamiltonian.compare_coefficients`), squeezing magnitude n,
-    small-t conversion probability n^2.
+    small-t conversion probability n^2. The dynamical observables run a
+    matched interaction of coupling theta = 0.05 in natural units.
     """
     if observable == "coefficient":
         return compare_coefficients(order)
-    params = params or _default_interaction()
+    params = InteractionParams(theta=0.05, delta_k=0.0, phi=1.0)
     if observable == "squeezing":
         # the wrong route squeezes to r = |ratio| g t_final = 0.2 order
-        cfg = cfg or EvolutionConfig(n_max=squeezing_cutoff(0.2 * order),
-                                     t_final=0.2 / abs(params.theta), steps=8)
-        pair = spdc_squeezing(params, cfg, hbar=hbar, order=order)
+        cfg = EvolutionConfig(n_max=squeezing_cutoff(0.2 * order),
+                              t_final=0.2 / abs(params.theta), steps=8)
+        pair = spdc_squeezing(params, cfg, order=order)
         return ComparisonReport(observable=observable, order=order,
                                 value_correct=pair.correct, value_wrong=pair.wrong,
                                 ratio=abs(pair.ratio), expected_ratio=float(order),
                                 tolerance=1e-4 * order, truncation_safe=pair.truncation_safe)
     if observable == "conversion":
         g = abs(params.theta)
-        cfg = cfg or EvolutionConfig(n_max=4, t_final=0.01 / g, steps=4)
-        pair = frequency_conversion(params, cfg, hbar=hbar, order=order)
+        cfg = EvolutionConfig(n_max=4, t_final=0.01 / g, steps=4)
+        pair = frequency_conversion(params, cfg, order=order)
         gt = g * abs(cfg.pump) * params.phi * cfg.t_final
         # sin^2(n x)/sin^2(x) deviates from n^2 by about n^2 (n^2-1) x^2 / 3
         tol = max(1e-3, 2.0 * order**2 * (order**2 - 1) / 3.0 * gt**2)

@@ -11,6 +11,10 @@ waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
 * integrating a product of fields over the box picks the zero-frequency
   component times (2*pi)**-0.5 * l_box, and over a centred region of length
   L contributes (2*pi)**-0.5 * L * sinc(k L / 2) per component.
+
+A field is a frozen record: sums, products and restrictions return new
+fields, and the leakage a restriction records travels with the field it
+returns.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from math import pi, sin, sqrt
 from numbers import Number
 
-from .boson_algebra import BosonicPolynomial, annihilation, creation, degree
+from .boson_algebra import BosonicPolynomial, annihilation, creation
 from .modes import ModeSet
 from .record import record
 from .units import UnitSystem
@@ -33,7 +37,7 @@ def sinc(x: float) -> float:
     return sin(pi * y) / (pi * y)
 
 
-@record(frozen=False)
+@record
 class FieldOperator:
     """Fourier-component map of one (possibly composite) field."""
 
@@ -45,7 +49,7 @@ class FieldOperator:
 
     def __post_init__(self):
         if self.leakage is None:
-            self.leakage = {}
+            object.__setattr__(self, "leakage", {})
 
     def k(self, m: int) -> float:
         return self.w * m
@@ -108,16 +112,6 @@ class FieldOperator:
         if abs(self.w - other.w) > 1e-12 * max(self.w, other.w):
             raise ValueError("field operators live on different wavevector grids")
 
-    def is_hermitian_field(self, tol: float = 1e-12) -> bool:
-        """The component at -k must be the dagger of the component at +k."""
-        for m, poly in self.components.items():
-            if not self.component(-m).isclose(poly.dagger(), tol=tol):
-                return False
-        return True
-
-    def max_degree(self) -> int:
-        return max((degree(p) for p in self.components.values()), default=-1)
-
     def restrict(self, retained: set[int]) -> "FieldOperator":
         """Drop out-of-basis components, recording their norms as leakage."""
         kept, leaked = {}, dict(self.leakage)
@@ -127,10 +121,6 @@ class FieldOperator:
             else:
                 leaked[m] = leaked.get(m, 0.0) + poly.norm()
         return FieldOperator(kept, self.w, kind=self.kind, leakage=leaked)
-
-    @property
-    def leakage_norm(self) -> float:
-        return sqrt(sum(v**2 for v in self.leakage.values()))
 
 
 def _operator_product(p1: BosonicPolynomial, p2: BosonicPolynomial, support):

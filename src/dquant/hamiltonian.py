@@ -15,6 +15,12 @@ nonlinear part; the anti-resonant terms are constructed and kept beside it
 as ``dropped``, never silently lost. On a linear medium the box builder of
 :mod:`~dquant.maxwell` integrates the quadratic form, which equals
 :func:`build_linear`.
+
+The builders run on scalar (dim=1) media and read their units from the
+medium. A scalar tensor is trivially permutation symmetric, so the 3!
+collection of orderings in D^3 needs no further check;
+:func:`~dquant.susceptibility.check_permutation_symmetry` audits dim-3
+tensors.
 """
 
 from __future__ import annotations
@@ -25,14 +31,7 @@ from .boson_algebra import BosonicPolynomial, number
 from .fields import FieldOperator, expand_fields, integrate_density, sinc
 from .modes import Mode, ModeSet, plane_wave_mode
 from .record import record
-from .susceptibility import (
-    ROUTES,
-    MediumSpec,
-    SusceptibilityTensor,
-    check_permutation_symmetry,
-    energy_density,
-    invert_series,
-)
+from .susceptibility import ROUTES, MediumSpec, SusceptibilityTensor, energy_density, invert_series
 from .units import UnitSystem
 
 #: generous phase-matching budget: |delta_k| L / 2 below this many radians
@@ -40,10 +39,6 @@ MATCHING_BUDGET = 10 * pi
 
 #: the three-wave Hamiltonians :func:`assemble` builds
 SCHEMES = ROUTES + ("E-based-corrected",)
-
-
-class PermutationSymmetryError(ValueError):
-    """The 3! collection of orderings needs a fully symmetric tensor."""
 
 
 class DegenerateTripleError(ValueError):
@@ -81,10 +76,6 @@ class ModeTriple:
     @property
     def delta_k(self) -> float:
         return self.mode_c.k - self.mode_b.k - self.mode_a.k
-
-    @property
-    def delta_omega(self) -> float:
-        return self.mode_a.omega + self.mode_b.omega - self.mode_c.omega
 
     def modes(self) -> tuple[Mode, Mode, Mode]:
         return (self.mode_a, self.mode_b, self.mode_c)
@@ -126,10 +117,6 @@ class HamiltonianSpec:
         for key in self.linear.terms:
             if any(c != a for _, c, a in key):
                 raise ValueError("linear part must be diagonal in the number basis")
-
-    @property
-    def total(self) -> BosonicPolynomial:
-        return self.linear + self.nonlinear
 
     @property
     def dropped_terms(self) -> int:
@@ -180,15 +167,6 @@ def _triple_modes_in(ms: ModeSet, triple: ModeTriple) -> list[Mode]:
     return modes
 
 
-def _require_symmetric(tensor: SusceptibilityTensor):
-    ok, dev = check_permutation_symmetry(tensor)
-    if not ok:
-        raise PermutationSymmetryError(
-            f"tensor breaks full permutation symmetry by {dev:.3e}; "
-            "the 3! collection of orderings would be invalid"
-        )
-
-
 def resonant_coefficient(poly: BosonicPolynomial, triple: ModeTriple) -> complex:
     """Coefficient of a_A^dag a_B^dag a_C in a three-wave Hamiltonian."""
     return poly.coefficient(_resonant_powers(triple))
@@ -225,23 +203,21 @@ def _pure_order_modeset(order: int, chi1: float, units: UnitSystem) -> tuple[Mod
     return ms, monomial
 
 
-def scheme_resonant_coefficients(order: int, chi1: float = 0.5,
-                                 chi_n: float = 0.37,
-                                 units: UnitSystem | None = None) -> tuple[complex, complex]:
+def scheme_resonant_coefficients(order: int) -> tuple[complex, complex]:
     """Resonant (correct, wrong) coefficients of a pure order-n medium.
 
-    A pure order-n scalar medium (all intermediate nonlinear orders zero)
-    drives an (n+1)-wave process with n signal modes and one pump; the
-    coefficients of a_1^dag .. a_n^dag a_pump in the two energy densities
-    are extracted from the operator power D^(n+1), built only from the
-    monomials that divide the resonant one (exact for its coefficient, the
-    top degree) and only at k = 0.
+    A pure order-n scalar medium (chi1 = 0.5, chi_n = 0.37, all intermediate
+    nonlinear orders zero, natural units) drives an (n+1)-wave process with
+    n signal modes and one pump; the coefficients of a_1^dag .. a_n^dag a_pump
+    in the two energy densities are extracted from the operator power
+    D^(n+1), built only from the monomials that divide the resonant one
+    (exact for its coefficient, the top degree) and only at k = 0.
     """
     if order < 2:
         raise ValueError("the routes differ only for nonlinear orders n >= 2")
-    units = units or UnitSystem()
-    chis = [chi1] + [0.0] * (order - 2) + [chi_n]
-    medium = MediumSpec.from_scalars(chis, units=units)
+    chi1 = 0.5
+    medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [0.37])
+    units = medium.units
     etas = invert_series(medium, order)
 
     ms, monomial = _pure_order_modeset(order, chi1, units)
@@ -317,9 +293,11 @@ def build_interaction(triple: ModeTriple, eta2: SusceptibilityTensor,
     theta = 2 L sqrt(prod hbar omega / 4 pi) * eta2 dA* dB* dC times the
     cross-section of the triple's flat profiles; Phi = sinc(delta_k L / 2).
     The flat-profile product is the one-point quadrature of the transverse
-    overlap integral. Raises ``ValueError`` for profiles that are not flat.
+    overlap integral. Raises ``ValueError`` for a tensor that is not scalar
+    (dim=1) and for profiles that are not flat.
     """
-    _require_symmetric(eta2)
+    if eta2.dim != 1:
+        raise ValueError("the three-wave coupling runs on scalar (dim=1) media")
     p_a, p_b, p_c = (mode.profile for mode in triple.modes())
     if not (p_a.is_flat and p_b.is_flat and p_c.is_flat):
         raise ValueError("the interaction coupling needs flat profiles")
@@ -374,14 +352,9 @@ def make_three_wave_modes(
     return ms, triple
 
 
-def assemble(
-    ms: ModeSet,
-    medium: MediumSpec,
-    triple: ModeTriple,
-    scheme: str,
-    units: UnitSystem,
-) -> HamiltonianSpec:
-    """Linear plus three-wave nonlinear Hamiltonian of one scheme.
+def assemble(ms: ModeSet, medium: MediumSpec, triple: ModeTriple,
+             scheme: str) -> HamiltonianSpec:
+    """Linear plus three-wave nonlinear Hamiltonian of one scheme, in the medium's units.
 
     The cubic terms of the schemes:
 
@@ -398,17 +371,17 @@ def assemble(
 
     Each scheme scales one build of the integral of D^3 by one weight: the
     route's D^3 weight from :func:`~dquant.susceptibility.energy_density`,
-    plus eps0 (1 + chi1) eta1 eta2 for ``"E-based-corrected"``.
+    plus eps0 (1 + chi1) eta1 eta2 for ``"E-based-corrected"``. Raises
+    ``ValueError`` for an unknown scheme and for a medium that is not
+    scalar (dim=1).
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if medium.dim != 1:
+        raise ValueError("three-wave Hamiltonians are built on scalar (dim=1) media")
+    units = medium.units
     linear = build_linear(ms, units)
     etas = invert_series(medium, 2)
-    chi2 = medium.chi(2)
-    cubic_tensors = {"D-based": (etas[1],), "E-linear-wrong": (chi2,),
-                     "E-based-corrected": (chi2, etas[1])}
-    if scheme not in cubic_tensors:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    for tensor in cubic_tensors[scheme]:
-        _require_symmetric(tensor)
     weight = energy_density(medium, etas,
                             "D-based" if scheme == "D-based" else "E-linear-wrong")[1]
     if scheme == "E-based-corrected":

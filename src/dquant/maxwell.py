@@ -10,6 +10,9 @@ serves both laws; the field components are linear, so their commutators
 with it are taken by formal differentiation (see
 :func:`~dquant.boson_algebra.commutator`).
 
+The checks read their units from the medium and hold each residual to
+``RESIDUAL_TOL``.
+
 In the 1D scalar reduction the transverse orientations carry the curl signs:
 the displacement and electric fields are x-polarized, the induction field is
 y-polarized, so (curl F)_y = +ik F_x per component while (curl B)_x = -ik B_y.
@@ -24,7 +27,6 @@ from .fields import FieldOperator, expand_fields, integrate_density
 from .modes import ModeSet
 from .record import record
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
-from .units import UnitSystem
 
 RESIDUAL_TOL = 1e-10
 
@@ -92,14 +94,14 @@ class FaradayReport:
         }
 
 
-def _check_consistency(ms: ModeSet, medium: MediumSpec, units: UnitSystem):
+def _check_consistency(ms: ModeSet, medium: MediumSpec):
     if medium.dim != 1:
         raise InconsistentModeSetError("field verification runs on scalar (dim=1) media")
     chi1 = medium.chi(1).item()
     n_medium = sqrt(1.0 + chi1)
     present = {(m.family, m.m) for m in ms.modes}
     for mode in ms.modes:
-        expected = units.c * abs(mode.k) / n_medium
+        expected = medium.units.c * abs(mode.k) / n_medium
         if abs(mode.omega - expected) > 1e-9 * expected:
             raise InconsistentModeSetError(
                 f"mode {mode.label} frequency {mode.omega} does not solve the "
@@ -111,8 +113,7 @@ def _check_consistency(ms: ModeSet, medium: MediumSpec, units: UnitSystem):
             )
 
 
-def verify_routes(ms: ModeSet, medium: MediumSpec, units: UnitSystem | None = None,
-                  tolerance: float = RESIDUAL_TOL) -> dict[str, tuple[FaradayReport, ...]]:
+def verify_routes(ms: ModeSet, medium: MediumSpec) -> dict[str, tuple[FaradayReport, ...]]:
     """Faraday's and Ampere's law for both routes, from one ladder of D powers.
 
     Returns ``{route: (faraday, ampere)}``, per retained Fourier component:
@@ -132,15 +133,15 @@ def verify_routes(ms: ModeSet, medium: MediumSpec, units: UnitSystem | None = No
     same ladder; the linear-E route's is eta1 D. Raises ``ValueError`` when a
     retained field component prunes to zero, as SI-scale coefficients do.
     """
-    units = units or UnitSystem()
-    _check_consistency(ms, medium, units)
+    units = medium.units
+    _check_consistency(ms, medium)
     etas = invert_series(medium, medium.highest_order)
     d_field, b_field = expand_fields(ms, units)
     retained = set(d_field.wavevectors())
     if any(f.component(m).is_zero for f in (d_field, b_field) for m in retained):
         raise ValueError(f"field components fall below PRUNE_TOL = {PRUNE_TOL:g} and "
                          "prune to zero; run verify in natural units")
-    hamiltonians, powers = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box, units)
+    hamiltonians, powers = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box)
     electric = {"D-based": _electric_field(etas, powers, retained),
                 "E-linear-wrong": etas[0].item() * d_field}
     b_curl = spectral_curl(b_field)
@@ -151,13 +152,13 @@ def verify_routes(ms: ModeSet, medium: MediumSpec, units: UnitSystem | None = No
         laws = (("faraday", b_field, spectral_curl(electric[route]), -1.0),
                 ("ampere", d_field, b_curl, 1.0 / units.mu0))
         reports[route] = tuple(
-            _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units, tolerance)
+            _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units)
             for law, lhs_field, rhs_source, rhs_scale in laws)
     return reports
 
 
 def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: MediumSpec,
-                        etas, l_box: float, units: UnitSystem):
+                        etas, l_box: float):
     """Each route's box Hamiltonian, summed from one ladder of D powers.
 
     Returns ``({route: H}, [D, D^2, .., D^n_top])`` with n_top = len(etas).
@@ -171,7 +172,7 @@ def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: 
     for _ in etas[1:]:
         powers.append(powers[-1] * d_field)
     k0 = [p.component(0) for p in powers[1:]] + [powers[-1].product_k0(d_field)]
-    b_density = (1.0 / (2 * units.mu0)) * b_field.product_k0(b_field)
+    b_density = (1.0 / (2 * medium.units.mu0)) * b_field.product_k0(b_field)
     hamiltonians = {}
     for route in ROUTES:
         density = b_density
@@ -192,7 +193,7 @@ def _electric_field(etas, powers: list[FieldOperator], retained: set[int]) -> Fi
     return sum(terms[1:], terms[0]).restrict(retained)
 
 
-def _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units, tolerance):
+def _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units):
     """(-i/hbar)[lhs_m, H] against rhs_scale * rhs_source_m on lhs's components."""
     residuals = {}
     degree_lhs = degree_rhs = -1
@@ -202,7 +203,7 @@ def _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units, toleranc
         residuals[m] = (lhs - rhs).norm()
         degree_lhs = max(degree_lhs, degree(lhs))
         degree_rhs = max(degree_rhs, degree(rhs))
-    return FaradayReport(scheme=route, law=law, tolerance=tolerance, residuals=residuals,
+    return FaradayReport(scheme=route, law=law, tolerance=RESIDUAL_TOL, residuals=residuals,
                          leakage=dict(rhs_source.leakage), degree_lhs=degree_lhs,
                          degree_rhs=degree_rhs)
 

@@ -129,18 +129,18 @@ class ModeSet:
         }
 
 
-def flat_profile(n_index: float, omega: float, k: float, units: UnitSystem,
-                 area: float = 1.0) -> ModeProfile:
-    """Exactly normalized constant profile over a cross-section of given area.
+def flat_profile(n_index: float, omega: float, k: float, units: UnitSystem) -> ModeProfile:
+    """Exactly normalized constant profile over a cross-section of unit area.
 
-    The induction amplitude follows from the harmonic Ampere relation
+    Unit area is the one :func:`~dquant.fields.expand_fields` accepts. The
+    induction amplitude follows from the harmonic Ampere relation
     b = mu0 * omega * d / k, with the sign of k preserved.
     """
-    d_val = sqrt(units.eps0 * n_index**2 / area)
+    d_val = sqrt(units.eps0 * n_index**2)
     b_val = units.mu0 * omega * d_val / k
     return ModeProfile(
         x=(0.0,),
-        weights=(area,),
+        weights=(1.0,),
         d=(d_val,),
         b=(b_val,),
         index=(n_index,),
@@ -159,14 +159,9 @@ def plane_wave_mode(label: int, family: str, m: int, n_index: float, l_box: floa
                 profile=flat_profile(n_index, omega, k, units))
 
 
-def make_uniform_medium_modes(
-    n_index: float,
-    l_box: float,
-    m_range: Sequence[int],
-    units: UnitSystem,
-    label_start: int = 0,
-) -> ModeSet:
-    """Plane-wave modes of a uniform medium: omega = c |k| / n.
+def make_uniform_medium_modes(n_index: float, l_box: float, m_range: Sequence[int],
+                              units: UnitSystem) -> ModeSet:
+    """Plane-wave modes of a uniform medium: omega = c |k| / n, labelled 0, 1, ...
 
     The m=0 entry has zero frequency and cannot be quantized; it is dropped
     and reported via ``dropped_zero_mode`` and a log record.
@@ -177,7 +172,7 @@ def make_uniform_medium_modes(
         raise ValueError("box length must be positive and finite")
     dropped = False
     modes = []
-    label = label_start
+    label = 0
     for m in m_range:
         if m == 0:
             dropped = True

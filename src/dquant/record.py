@@ -3,7 +3,10 @@
 ``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and builds every class by ``exec``-ing generated source: a
 measurable share of each short CLI command. :func:`record` gives a class the
-same behaviour the package relies on with a few plain closures.
+same behaviour the package relies on with a few plain closures. Every record
+is frozen, like a ``dataclass(frozen=True)``: a record holding a dict (the
+components of a :class:`~dquant.fields.FieldOperator`) may still change
+that dict's contents, but never rebinds a field.
 """
 
 from __future__ import annotations
@@ -13,22 +16,20 @@ from operator import attrgetter
 _MISSING = object()
 
 
-def record(cls=None, *, frozen: bool = True):
-    """Decorate ``cls`` as a value class, like a ``dataclass`` with ``frozen=frozen``.
+def record(cls):
+    """Decorate ``cls`` as a frozen value class, like a ``dataclass(frozen=True)``.
 
     The fields are the class's own annotations, in order; a class attribute
     of the same name is the field's default, and defaults must be hashable,
     so no two instances share a mutable one. ``__init__`` takes the fields by
     position or keyword, then calls ``__post_init__`` when the class has one.
     Equality compares the fields of two instances of the same class. A
-    frozen record refuses assignment and deletion (``__post_init__`` may
-    still normalize a field through ``object.__setattr__``) and hashes by
-    its fields; a mutable one is unhashable. These methods replace any the
-    class defines. Instances keep a ``__dict__``, so
-    ``functools.cached_property`` works on frozen records.
+    record refuses assignment and deletion (``__post_init__`` may still
+    normalize a field through ``object.__setattr__``) and hashes by its
+    fields, so one holding a dict is unhashable. These methods replace any
+    the class defines. Instances keep a ``__dict__``, so
+    ``functools.cached_property`` works on records.
     """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
     names = tuple(cls.__annotations__)
     defaults = {}
     for name in names:
@@ -76,21 +77,16 @@ def record(cls=None, *, frozen: bool = True):
             return values(self) == values(other)
         return NotImplemented
 
-    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__}
-    if frozen:
-        def __setattr__(self, name, value):
-            raise AttributeError(f"cannot assign to field {name!r} of frozen {qualname}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of frozen {qualname}")
 
-        def __delattr__(self, name):
-            raise AttributeError(f"cannot delete field {name!r} of frozen {qualname}")
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of frozen {qualname}")
 
-        def __hash__(self):
-            return hash(values(self))
+    def __hash__(self):
+        return hash(values(self))
 
-        methods.update(__setattr__=__setattr__, __delattr__=__delattr__, __hash__=__hash__)
-    for name, method in methods.items():
-        method.__qualname__ = f"{qualname}.{name}"
-        setattr(cls, name, method)
-    if not frozen:
-        cls.__hash__ = None
+    for method in (__init__, __repr__, __eq__, __setattr__, __delattr__, __hash__):
+        method.__qualname__ = f"{qualname}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     return cls

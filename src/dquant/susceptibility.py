@@ -71,7 +71,6 @@ class SusceptibilityTensor:
     role: str
     dim: int
     entries: tuple
-    symmetric: bool = False
 
     def __post_init__(self):
         if self.order < 1:
@@ -86,10 +85,6 @@ class SusceptibilityTensor:
             raise ValueError(f"an order-{self.order} tensor at dim {self.dim} has {size} "
                              f"entries, got {len(entries)}")
         object.__setattr__(self, "entries", entries)
-        if self.symmetric:
-            ok, dev = check_permutation_symmetry(self)
-            if not ok:
-                raise ValueError(f"tensor flagged symmetric but deviates by {dev:.3e}")
 
     @classmethod
     def scalar(cls, order: int, value: float, role: str = "chi") -> "SusceptibilityTensor":
@@ -97,8 +92,8 @@ class SusceptibilityTensor:
         return cls(order=order, role=role, dim=1, entries=(value,))
 
     @classmethod
-    def zero(cls, order: int, dim: int, role: str = "chi") -> "SusceptibilityTensor":
-        return cls(order=order, role=role, dim=dim, entries=(0.0,) * dim ** (order + 1))
+    def zero(cls, order: int, dim: int) -> "SusceptibilityTensor":
+        return cls(order=order, role="chi", dim=dim, entries=(0.0,) * dim ** (order + 1))
 
     def item(self) -> float:
         """Scalar value; only meaningful at dim=1."""
@@ -106,8 +101,8 @@ class SusceptibilityTensor:
             raise ValueError("item() requires dim=1")
         return self.entries[0]
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return max(abs(x) for x in self.entries) <= tol
+    def is_zero(self) -> bool:
+        return not any(self.entries)
 
 
 @record
@@ -160,21 +155,25 @@ def medium_from_dict(doc: dict) -> MediumSpec:
     """Build a medium from the JSON document layout.
 
     ``{"units": "natural"|"si", "dim": 1|3, "chi": {"1": [...], ...}}``
-    with entries row-major (scalars accepted at dim=1).
+    with entries row-major (scalars accepted at dim=1). Each key names one
+    order of 1 or above; a missing order is a zero tensor.
     """
     try:
         units = units_from_name(doc.get("units", "natural"))
         dim = int(doc.get("dim", 1))
-        chi_map = doc["chi"]
-        orders = sorted(int(k) for k in chi_map)
-    except (KeyError, TypeError, ValueError) as exc:
+        chi_map = {int(key): raw for key, raw in doc["chi"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed medium document: {exc}") from exc
-    if not orders:
+    low = [key for key in doc["chi"] if int(key) < 1]
+    if low:
+        raise ValueError(f"chi order key {low[0]!r} is below 1: orders start at 1")
+    if len(chi_map) < len(doc["chi"]):
+        raise ValueError("malformed medium document: two chi keys name the same order")
+    if not chi_map:
         raise ValueError("medium document must define at least chi(1)")
-    n_top = max(orders)
     tensors = []
-    for n in range(1, n_top + 1):
-        raw = chi_map.get(str(n))
+    for n in range(1, max(chi_map) + 1):
+        raw = chi_map.get(n)
         if raw is None:
             tensors.append(SusceptibilityTensor.zero(n, dim))
         else:
@@ -183,10 +182,16 @@ def medium_from_dict(doc: dict) -> MediumSpec:
 
 
 def load_medium(path: str | Path) -> MediumSpec:
-    """Read a medium document (see :func:`medium_from_dict`); its entries must be finite."""
+    """Read a medium document (see :func:`medium_from_dict`); its entries must be finite.
+
+    Every error in the document names the file.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    medium = medium_from_dict(doc)
+    try:
+        medium = medium_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"medium {path}: {exc}") from None
     for t in medium.tensors:
         if not all(map(isfinite, t.entries)):
             raise ValueError(f"medium {path}: chi({t.order}) entries must be finite, "

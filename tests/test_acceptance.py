@@ -58,8 +58,8 @@ def _three_wave(chi1, chi2):
 
 def test_criterion_1_prefactor_discrepancy():
     ms, triple, medium, _ = _three_wave(0.3, 0.6)
-    correct = assemble(ms, medium, triple, "D-based", NAT).nonlinear
-    wrong = assemble(ms, medium, triple, "E-linear-wrong", NAT).nonlinear
+    correct = assemble(ms, medium, triple, "D-based").nonlinear
+    wrong = assemble(ms, medium, triple, "E-linear-wrong").nonlinear
     ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
     ok = abs(ratio - (-2.0)) < 1e-12
     for n in range(3, 11):
@@ -70,9 +70,9 @@ def test_criterion_1_prefactor_discrepancy():
 
 def test_criterion_2_resolution_identity():
     ms, triple, medium, _ = _three_wave(0.4, 0.5)
-    correct = assemble(ms, medium, triple, "D-based", NAT).nonlinear
+    correct = assemble(ms, medium, triple, "D-based").nonlinear
     # E-based-corrected is the wrong term plus the quadratic-E correction
-    repaired = assemble(ms, medium, triple, "E-based-corrected", NAT).nonlinear
+    repaired = assemble(ms, medium, triple, "E-based-corrected").nonlinear
     diff = repaired - correct
     ok = diff.max_abs_coeff() < 1e-12
     _report(2, ok, "wrong + quadratic-E correction = correct, coefficientwise 1e-12")

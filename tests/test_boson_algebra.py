@@ -111,6 +111,11 @@ class TestHeisenberg:
         assert np.allclose(dense(got, space)[np.ix_(interior, interior)],
                            brute[np.ix_(interior, interior)], atol=1e-12)
 
+    def test_hbar_divides_the_derivative(self):
+        omega, hbar = 1.7, 2.5
+        h = omega * number(0)
+        assert heisenberg_derivative(a, h, hbar=hbar).isclose(-1j * omega / hbar * a)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
             heisenberg_derivative(number(0), a)

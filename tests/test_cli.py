@@ -56,6 +56,15 @@ class TestInvert:
         path.write_text("{not json")
         assert main(["invert", "--medium", str(path)]) == 2
 
+    @pytest.mark.parametrize("key", ["0", "-3"])
+    def test_order_key_below_one_exits_2_naming_it(self, tmp_path, capsys, key):
+        # such a key was once dropped in silence and the command exited 0
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps({"chi": {key: [7.0], "1": [0.5], "2": [0.3]}}))
+        assert main(["invert", "--medium", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and str(path) in err
+
     def test_order_zero_exits_2(self, tmp_path):
         medium = write_medium(tmp_path, [0.5, 0.3])
         assert main(["invert", "--medium", medium, "--order", "0"]) == 2
@@ -215,10 +224,16 @@ class TestCompare:
         assert doc["passed"] is True
 
     def test_truncation_unsafe_squeezing_does_not_pass(self):
-        from dquant.dynamics import EvolutionConfig, compare_schemes
+        # the order-4 squeezing comparison at the old fixed cutoff of 16
+        from dquant.dynamics import EvolutionConfig, spdc_squeezing
+        from dquant.hamiltonian import InteractionParams
 
-        report = compare_schemes("squeezing", 4,
-                                 cfg=EvolutionConfig(n_max=16, t_final=0.2 / 0.05, steps=8))
+        pair = spdc_squeezing(InteractionParams(theta=0.05, delta_k=0.0, phi=1.0),
+                              EvolutionConfig(n_max=16, t_final=0.2 / 0.05, steps=8), order=4)
+        report = ComparisonReport(observable="squeezing", order=4, value_correct=pair.correct,
+                                  value_wrong=pair.wrong, ratio=abs(pair.ratio),
+                                  expected_ratio=4.0, tolerance=1e-4 * 4,
+                                  truncation_safe=pair.truncation_safe)
         assert report.truncation_safe is False
         assert abs(report.ratio - report.expected_ratio) <= report.tolerance
         assert report.passed is False
@@ -310,8 +325,17 @@ class TestSweeps:
         assert exc.value.code == 2
 
     def test_quantum_pump_convert_exits_2(self, capsys):
-        assert main(["convert", "--pump", "quantum", "--n-max", "4"]) == 2
-        assert "classical pump" in capsys.readouterr().err
+        # only spdc evolves a quantized pump; convert's parser refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", "--pump", "quantum", "--n-max", "4"])
+        assert exc.value.code == 2
+        assert "argument --pump" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, quantum", [("spdc", True), ("convert", False)])
+    def test_help_offers_the_quantum_pump_only_to_spdc(self, capsys, command, quantum):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("'quantum'" in capsys.readouterr().out) is quantum
 
     def test_malformed_pump_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dquant.boson_algebra import BosonicPolynomial
+from dquant.boson_algebra import BosonicPolynomial, degree
 from dquant.dynamics import FockSpace
 from dquant.fields import FieldOperator, expand_fields, integrate_density, sinc
 from dquant.maxwell import _electric_field
-from dquant.modes import Mode, ModeSet, flat_profile, make_uniform_medium_modes
+from dquant.modes import Mode, ModeProfile, ModeSet, flat_profile, make_uniform_medium_modes
 from dquant.slab import solve_slab_modes
 from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem
@@ -21,6 +21,15 @@ NAT = UnitSystem()
 
 def eta_scalars(values):
     return [SusceptibilityTensor.scalar(n, v, role="eta") for n, v in enumerate(values, 1)]
+
+
+def is_hermitian_field(f, tol=1e-12):
+    """The component at -k must be the dagger of the component at +k."""
+    return all(f.component(-m).isclose(p.dagger(), tol=tol) for m, p in f.components.items())
+
+
+def max_degree(f):
+    return max(degree(p) for p in f.components.values())
 
 
 class TestSinc:
@@ -60,13 +69,13 @@ class TestExpandFields:
     def test_hermitian_field_invariant(self):
         ms = make_uniform_medium_modes(1.5, 2 * pi, [-2, -1, 1, 2], NAT)
         d_field, b_field = expand_fields(ms, NAT)
-        assert d_field.is_hermitian_field()
-        assert b_field.is_hermitian_field()
+        assert is_hermitian_field(d_field)
+        assert is_hermitian_field(b_field)
 
     def test_degree_one_per_component(self):
         ms = make_uniform_medium_modes(1.0, 2 * pi, [-1, 1], NAT)
         d_field, _ = expand_fields(ms, NAT)
-        assert d_field.max_degree() == 1
+        assert max_degree(d_field) == 1
 
     def test_linearity_zero_field_addition(self):
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1], NAT)
@@ -79,18 +88,18 @@ class TestExpandFields:
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1, 2], NAT)
         d_two, _ = expand_fields(ms, NAT)
         for mode in ms.modes:
-            single = make_uniform_medium_modes(1.0, 2 * pi, [mode.m], NAT,
-                                               label_start=mode.label)
-            d_one, _ = expand_fields(single, NAT)
+            d_one, _ = expand_fields(ModeSet(modes=(mode,), l_box=2 * pi), NAT)
             assert d_two.component(mode.m).isclose(d_one.component(mode.m))
 
 
     def test_rejects_profiles_of_other_cross_section(self):
         # the field algebra integrates products over unit area: a flat profile
         # of area 2.5 would come out mis-scaled, so it is refused
-        omega = k = 1.0
-        mode = Mode(label=0, family="U", m=1, k=k, omega=omega,
-                    profile=flat_profile(1.3, omega, k, NAT, area=2.5))
+        unit = flat_profile(1.3, 1.0, 1.0, NAT)
+        profile = ModeProfile(x=unit.x, weights=(2.5,), d=[v / sqrt(2.5) for v in unit.d],
+                              b=[v / sqrt(2.5) for v in unit.b], index=unit.index,
+                              vp=unit.vp, vg=unit.vg)
+        mode = Mode(label=0, family="U", m=1, k=1.0, omega=1.0, profile=profile)
         with pytest.raises(ValueError, match="unit cross-section"):
             expand_fields(ModeSet(modes=(mode,), l_box=2 * pi), NAT)
 
@@ -119,7 +128,7 @@ class TestElectricFieldFromD:
 
     def test_linear_medium(self):
         e = self.electric_field([0.3, 0.0])
-        assert e.max_degree() == 1
+        assert max_degree(e) == 1
         assert e.component(1).isclose(0.3 * self.d_field.component(1))
 
     def test_quadratic_components_hand_convolution(self):
@@ -137,17 +146,17 @@ class TestElectricFieldFromD:
 
     def test_degree_two_for_quadratic_medium(self):
         e = self.electric_field([1.0, 0.1])
-        assert e.max_degree() == 2
+        assert max_degree(e) == 2
 
     def test_leakage_tracked_not_dropped(self):
         e = self.electric_field([1.0, 0.1], retained={-1, 1})
         assert sorted(e.wavevectors()) == [-1, 1]
         assert set(e.leakage) == {-2, 0, 2}
-        assert e.leakage_norm > 0
+        assert any(e.leakage.values())
 
     def test_hermiticity_survives_nonlinearity(self):
         e = self.electric_field([1.0, 0.1])
-        assert e.is_hermitian_field(tol=1e-13)
+        assert is_hermitian_field(e, tol=1e-13)
 
 
 class TestIntegrateDensity:

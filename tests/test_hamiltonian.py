@@ -11,7 +11,6 @@ from dquant.hamiltonian import (
     DegenerateTripleError,
     MatchingBudgetError,
     ModeTriple,
-    PermutationSymmetryError,
     assemble,
     build_interaction,
     build_linear,
@@ -44,7 +43,7 @@ def three_wave_setup(chi1=0.0, chi2=0.4, l_box=2 * pi, length=None, m_a=1, m_b=2
 
 def nonlinear(scheme, ms, triple, medium, full=False):
     """Resonant nonlinear part of assemble's spec, or with the dropped rest added."""
-    spec = assemble(ms, medium, triple, scheme, NAT)
+    spec = assemble(ms, medium, triple, scheme)
     return spec.nonlinear + spec.dropped if full else spec.nonlinear
 
 
@@ -52,7 +51,7 @@ def box_linear(ms, eta1):
     """The box builder's Hamiltonian of a linear medium: integral B^2/(2 mu0) + eta1 D^2/2."""
     d_field, b_field = expand_fields(ms, NAT)
     medium = MediumSpec.from_scalars([1.0 / (NAT.eps0 * eta1.item()) - 1.0])
-    hamiltonians, _ = _route_hamiltonians(d_field, b_field, medium, [eta1], ms.l_box, NAT)
+    hamiltonians, _ = _route_hamiltonians(d_field, b_field, medium, [eta1], ms.l_box)
     return hamiltonians["D-based"]
 
 
@@ -135,7 +134,7 @@ class TestBuildNonlinearD:
 
     def test_resonant_filter_audit(self):
         ms, triple, medium, _ = three_wave_setup()
-        spec = assemble(ms, medium, triple, "D-based", NAT)
+        spec = assemble(ms, medium, triple, "D-based")
         assert len(spec.dropped.terms) > 0
         assert not set(spec.dropped.terms) & set(spec.nonlinear.terms)
         for key in spec.nonlinear.terms:
@@ -146,6 +145,8 @@ class TestBuildNonlinearD:
             )
 
     def test_asymmetric_tensor_rejected(self):
+        # only a dim-3 tensor can break permutation symmetry, and the builders
+        # run on scalar media alone
         ms, triple, _, _ = three_wave_setup()
         ent = np.zeros((3, 3, 3))
         ent[0, 1, 2] = 1.0
@@ -153,8 +154,10 @@ class TestBuildNonlinearD:
         bad = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
         medium = MediumSpec(units=NAT, tensors=(chi1, bad))
         for scheme in ("D-based", "E-linear-wrong", "E-based-corrected"):
-            with pytest.raises(PermutationSymmetryError):
-                assemble(ms, medium, triple, scheme, NAT)
+            with pytest.raises(ValueError, match="scalar"):
+                assemble(ms, medium, triple, scheme)
+        with pytest.raises(ValueError, match="scalar"):
+            build_interaction(triple, invert_series(medium, 2)[1], NAT)
 
     def test_degenerate_triple_rejected(self):
         ms, triple, _, _ = three_wave_setup()
@@ -259,7 +262,7 @@ class TestLegOracle:
             anti = _oracle("E-wrong", ms, triple, medium, etas)[1]
             if scheme == "E-based-corrected":
                 anti = anti + _oracle("correction", ms, triple, medium, etas)[1]
-        spec = assemble(ms, medium, triple, scheme, NAT)
+        spec = assemble(ms, medium, triple, scheme)
         assert spec.dropped_terms == len(anti.terms)
         assert spec.dropped_norm == pytest.approx(anti.norm(), rel=1e-13)
 
@@ -317,7 +320,8 @@ class TestBuildInteraction:
         params = build_interaction(triple, eta2, NAT)
         assert params.phi == 1.0  # matched triple
         assert params.delta_k == pytest.approx(0.0, abs=1e-15)
-        assert triple.delta_omega == pytest.approx(0.0, abs=1e-15)
+        ma, mb, mc = triple.modes()
+        assert ma.omega + mb.omega - mc.omega == pytest.approx(0.0, abs=1e-15)
 
     def test_theta_formula(self):
         ms, triple, eta2 = self.setup(length=1.7)
@@ -401,7 +405,7 @@ class TestPhaseMatchingCurve:
 class TestAssemble:
     def test_d_based_spec(self):
         ms, triple, medium, _ = three_wave_setup(chi1=0.2, chi2=0.4)
-        spec = assemble(ms, medium, triple, "D-based", NAT)
+        spec = assemble(ms, medium, triple, "D-based")
         assert spec.provenance == "D-based"
         assert spec.order == 2
         assert spec.dropped_terms > 0
@@ -409,15 +413,15 @@ class TestAssemble:
 
     def test_corrected_equals_d_based(self):
         ms, triple, medium, _ = three_wave_setup(chi1=0.2, chi2=0.4)
-        d_spec = assemble(ms, medium, triple, "D-based", NAT)
-        c_spec = assemble(ms, medium, triple, "E-based-corrected", NAT)
+        d_spec = assemble(ms, medium, triple, "D-based")
+        c_spec = assemble(ms, medium, triple, "E-based-corrected")
         diff = d_spec.nonlinear - c_spec.nonlinear
         assert diff.max_abs_coeff() < 1e-12
 
     def test_unknown_scheme(self):
         ms, triple, medium, _ = three_wave_setup()
         with pytest.raises(ValueError):
-            assemble(ms, medium, triple, "nonsense", NAT)
+            assemble(ms, medium, triple, "nonsense")
 
     @pytest.mark.parametrize("scheme, builds", [
         ("D-based", 1), ("E-linear-wrong", 1), ("E-based-corrected", 1)])
@@ -432,7 +436,7 @@ class TestAssemble:
 
         monkeypatch.setattr(hamiltonian, "_cubic_hamiltonian", counting)
         ms, triple, medium, _ = three_wave_setup(chi1=0.2, chi2=0.4)
-        assemble(ms, medium, triple, scheme, NAT)
+        assemble(ms, medium, triple, scheme)
         assert len(calls) == builds
 
     @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong", "E-based-corrected"])
@@ -457,7 +461,7 @@ class TestAssemble:
         resonant = (full.coefficient(powers) * pump
                     + full.coefficient(conjugate) * pump.dagger())
         dropped = full - resonant
-        spec = assemble(ms, medium, triple, scheme, NAT)
+        spec = assemble(ms, medium, triple, scheme)
         assert set(spec.nonlinear.terms) == set(resonant.terms)
         assert (spec.nonlinear - resonant).max_abs_coeff() <= 1e-14 * resonant.max_abs_coeff()
         assert spec.dropped_terms == len(dropped.terms) > 0

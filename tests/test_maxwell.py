@@ -96,7 +96,7 @@ def route_hamiltonian(chis, m_max, scheme):
     etas = invert_series(medium, medium.highest_order)
     d_field, b_field = expand_fields(ms, NAT)
     args = (d_field, b_field, medium, etas, scheme, ms.l_box, NAT)
-    hamiltonians, _ = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box, NAT)
+    hamiltonians, _ = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box)
     return hamiltonians[scheme], args
 
 
@@ -134,7 +134,7 @@ class TestLinearMedium:
         ms, medium = uniform_setup(0.9, 2)
         etas = invert_series(medium, 1)
         d_field, b_field = expand_fields(ms, NAT)
-        hams, _ = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box, NAT)
+        hams, _ = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box)
         assert (hams["D-based"] - hams["E-linear-wrong"]).max_abs_coeff() < 1e-12
 
 

@@ -1,5 +1,5 @@
 import logging
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -109,8 +109,11 @@ class TestUniformModes:
 
 class TestNormalizationIntegral:
     def test_constant_profile_closed_form(self):
+        # a constant profile over area A normalizes at d = sqrt(eps0 n^2 / A)
         area, n = 2.5, 1.8
-        p = flat_profile(n, omega=1.0, k=1.0, units=NAT, area=area)
+        d = sqrt(NAT.eps0 * n**2 / area)
+        p = ModeProfile(x=(0.0,), weights=(area,), d=(d,), b=(NAT.mu0 * d,), index=(n,),
+                        vp=1.0 / n, vg=1.0 / n)
         assert normalization_integral(p, 1.0, NAT) == pytest.approx(1.0, abs=1e-15)
 
     def test_quadratic_scaling(self):
@@ -227,7 +230,7 @@ class TestSlabModes:
         solutions = _solve_slab_betas(SlabStack.from_layers(layers), omega, units)
         assert ref and len(solutions) == len(ref)
         for (beta, x, weights, index, d, b), sol in zip(ref, solutions):
-            # the bisection's own tolerance, xtol + rtol |beta|
+            # the bisection's own tolerance, 1e-14 + 1e-15 |beta|
             assert abs(sol.beta - beta) <= 1e-14 + 1e-15 * abs(beta)
             p = slab_profile(sol, units, points_per_layer=500, normalized=False)
             assert (p.x, p.weights, p.index) == (tuple(x), tuple(weights), tuple(index))
@@ -251,8 +254,3 @@ class TestSlabModes:
         # across the 600-wide barrier between the two cores of the last one
         with pytest.raises(ValueError, match=message):
             solve_slab_modes(layers, omega=1.0, units=NAT)
-
-    def test_te_only(self):
-        with pytest.raises(ValueError):
-            solve_slab_modes([(1.0, 1.0), (1.0, 2.0), (1.0, 1.0)], omega=1.0,
-                             polarization="TM", units=NAT)

@@ -391,6 +391,22 @@ class TestMediumJson:
         with pytest.raises(ValueError):
             medium_from_dict({"units": "natural", "dim": 1})
 
+    @pytest.mark.parametrize("chi, message", [
+        ({"0": [7.0], "1": [0.5]}, "key '0' is below 1"),
+        ({"-3": [7.0], "1": [0.5]}, "key '-3' is below 1"),
+        ({"1": [0.5], "01": [0.7]}, "same order"),
+        ([0.5, 0.3], "malformed"),
+    ], ids=["zero", "negative", "duplicate", "list"])
+    def test_keys_must_name_distinct_orders_from_one(self, chi, message):
+        # keys below 1 were once dropped in silence, a repeated order kept one
+        # of its entries, and a list of entries raised an AttributeError
+        with pytest.raises(ValueError, match=message):
+            medium_from_dict({"units": "natural", "dim": 1, "chi": chi})
+
+    def test_keys_are_read_as_orders(self):
+        medium = medium_from_dict({"units": "natural", "dim": 1, "chi": {"01": [0.5], 2: [0.3]}})
+        assert (medium.chi(1).item(), medium.chi(2).item()) == (0.5, 0.3)
+
     @pytest.mark.parametrize("raw", [[0.5, 0.1], ["x"], [None], [[0.5], [0.1]]],
                              ids=["count", "string", "null", "nested-count"])
     def test_bad_entries_raise(self, raw):
