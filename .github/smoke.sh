@@ -26,6 +26,7 @@ run compare --observable squeezing --out "$out/compare-squeezing"
 run compare --observable conversion --out "$out/compare-conversion"
 run phasematch --out "$out/phasematch"
 run spdc --out "$out/spdc"
+run spdc --n-max 127 --time 0.5 --out "$out/spdc-127"  # an even chain: no zero mode
 run spdc --pump quantum --out "$out/spdc-quantum"
 run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
 run convert --out "$out/convert"

@@ -49,6 +49,14 @@ def _load_medium_arg(args) -> MediumSpec:
     return load_medium(args.medium)
 
 
+def _refractive_index(medium: MediumSpec, path) -> float:
+    """sqrt(1 + chi1) of the medium read from ``path``, which must be scalar (dim=1)."""
+    if medium.dim != 1:
+        raise ValueError(f"medium {path}: this command runs on a scalar (dim=1) medium, "
+                         f"not dim={medium.dim}")
+    return sqrt(1.0 + medium.chi(1).item())
+
+
 def cmd_invert(args) -> int:
     medium = _load_medium_arg(args)
     order = args.order if args.order is not None else max(2, medium.highest_order)
@@ -69,7 +77,7 @@ def cmd_verify(args) -> int:
     from .modes import make_uniform_medium_modes
 
     medium = _load_medium_arg(args)
-    n_index = sqrt(1.0 + medium.chi(1).item())
+    n_index = _refractive_index(medium, args.medium)
     m_max = args.modes
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
@@ -136,10 +144,10 @@ def _interaction_from_args(args):
     from .hamiltonian import build_interaction, make_three_wave_modes
 
     medium = load_medium(args.medium) if args.medium else MediumSpec.from_scalars([0.0, 0.4])
+    n_index = _refractive_index(medium, args.medium)
     if medium.chi(2).is_zero():
         raise ValueError("three-wave mixing needs a medium with nonzero chi(2)")
     units = medium.units
-    n_index = sqrt(1.0 + medium.chi(1).item())
     _, triple = make_three_wave_modes(1, 2, n_index, 2 * pi, units, length=args.length)
     return build_interaction(triple, invert_series(medium, 2)[1], units), units
 

@@ -14,14 +14,22 @@ vacuum). A breadth-first walk over occupation tuples builds the sector and
 splits it into the blocks the Hamiltonian connects (the trilinear one
 conserves n_A - n_B and n_A + n_C, so its sector is a sum of short chains),
 and each block is diagonalized exactly by the pure-Python eigensolver of
-:mod:`dquant.linalg` (Householder to real tridiagonal form, implicit QL,
-inverse iteration). Every chain block is tridiagonal in sorted order, so it
-needs no reflector, and each sample is two real matrix-vector products in
-the tridiagonal basis; a time listed twice is evaluated once. Samples,
-observables, drifts and the edge population are all sector-sized, in
-tuples; any population within two levels of a cutoff beyond 1e-6 flags the
-run as truncation-unsafe rather than silently reporting numbers. The
-module runs on the standard library alone.
+:mod:`dquant.linalg` (implicit QL and inverse iteration). A chain block is
+tridiagonal in sorted order, so the walk hands it on as its diagonal and
+subdiagonal. Every resonant term only moves photons, so its chains have a
+zero diagonal: they are chiral, with eigenpairs (w, z) and (-w, S z), S
+negating the odd sites. The solver then runs inverse iteration for w > 0
+only (for the whole spectrum where a cluster of eigenvalues crosses 0),
+and each sample is formed by sublattice, skipping the products whose
+coefficients are exactly zero: from a real start on one sublattice (the
+vacuum, or |1, 0>) a sample costs two (n/2) x (n/2) real matrix-vector
+products. Any other chain costs two n x n products per sample, and any
+other block is first reduced by Householder reflectors. A time listed
+twice is evaluated once. Samples, observables, drifts and the edge
+population are all sector-sized, in tuples; any population within two
+levels of a cutoff beyond 1e-6 flags the run as truncation-unsafe rather
+than silently reporting numbers. The module runs on the standard library
+alone.
 
 The observables build their generators as rates (H / hbar), and
 :func:`evolve` takes every generator as a rate: exp(-i H t) at hbar = 1. So
@@ -34,7 +42,7 @@ at both times, serves both routes.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count
 from math import asinh, cos, exp, factorial, fsum, hypot, inf, prod, sin, sqrt, tanh
 from operator import add, ge, mul, sub
@@ -43,7 +51,7 @@ from typing import Mapping, Sequence
 from .boson_algebra import BosonicPolynomial
 from .hamiltonian import (ComparisonReport, InteractionParams, compare_coefficients,
                           prefactor_ratio)
-from .linalg import eigh, linspace
+from .linalg import eigh, eigh_tridiagonal, linspace
 from .record import record
 
 EDGE_POPULATION_TOL = 1e-6
@@ -145,9 +153,12 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
     term ``coef (a^dag)^cre a^ann`` moves |n> to |low + cre>, low = n - ann,
     with amplitude coef sqrt(n! / low! * (low + cre)! / low!) per mode if
     low >= 0 and low + cre is within the cutoffs, and annihilates n
-    otherwise; a union-find over the moves labels the blocks. Returns the
-    sorted occupation tuples and, per block, its states' positions among
-    them and the dense matrix of h on them (a span h maps into itself).
+    otherwise; a union-find over the moves labels the blocks. A block is a
+    chain when every move stays within one position of its source in sorted
+    order. Returns the sorted occupation tuples, per chain its states'
+    positions among them, the real diagonal and the subdiagonal of h on them
+    (entry i maps position i to i + 1), and per other block its positions
+    and the dense matrix of h on them (a span h maps into itself).
     """
     unknown = h.modes() - set(space.modes)
     if unknown:
@@ -195,10 +206,20 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
     for i, n in enumerate(occs):
         members.setdefault(find(n), []).append(i)
     local = {occs[i]: j for sel in members.values() for j, i in enumerate(sel)}
-    mats = {b: [[0j] * len(sel) for _ in sel] for b, sel in members.items()}
+    entries = {}  # block -> {(row, column): matrix element}, summed in walk order
     for n, to, amp in moves:
-        mats[find(n)][local[to]][local[n]] += amp
-    return occs, [(sel, mats[b]) for b, sel in members.items()]
+        block = entries.setdefault(find(n), {})
+        key = local[to], local[n]
+        block[key] = block.get(key, 0j) + amp
+    chains, dense = [], []
+    for b, sel in members.items():
+        block, size = entries.get(b, {}), len(sel)
+        if all(abs(i - j) <= 1 for i, j in block):
+            chains.append((sel, [block.get((i, i), 0j).real for i in range(size)],
+                           [block.get((i + 1, i), 0j) for i in range(size - 1)]))
+        else:
+            dense.append((sel, [[block.get((i, j), 0j) for j in range(size)] for i in range(size)]))
+    return occs, chains, dense
 
 
 def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex],
@@ -213,9 +234,15 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     with the phase factor written as -2i sin(x/2) exp(-ix/2) so that t = 0
     returns psi0 exactly and weak couplings keep their relative accuracy.
     A time listed twice is evaluated once: both samples are the same row.
-    The cost grows with the block sizes, not with the full dimension: the
-    diagonalization is quadratic in the size of a tridiagonal block (every
-    chain) and cubic otherwise, and each sample is quadratic.
+    The cost grows with the block sizes, not with the full dimension. A
+    chain (every block of the resonant three-wave dynamics) is handed to
+    the solver as its diagonal and subdiagonal: its diagonalization is
+    quadratic in its size, each sample is two real matrix-vector products
+    and its energy takes linear time. A chiral chain (zero diagonal, as in
+    every resonant interaction, which only moves photons) needs inverse
+    iteration for half its spectrum, and its samples are products over its
+    two sublattices, a quarter of the arithmetic. Any other block is
+    reduced by Householder reflectors, at a cubic cost.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian not Hermitian")
@@ -225,20 +252,24 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     norm0 = sqrt(fsum(abs(amp) ** 2 for amp in psi0.values()))
     if abs(norm0 - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    occs, blocks = _sector(h, space, support)
+    occs, chains, dense = _sector(h, space, support)
     psi0_s = [complex(psi0.get(n, 0.0)) for n in occs]
     times = tuple(float(t) for t in times)
     distinct = list(dict.fromkeys(times))
+
+    blocks = [(sel, eigh_tridiagonal(diag, sub), partial(_chain_energy, diag, sub))
+              for sel, diag, sub in chains]
+    for sel, h_b in dense:
+        entries = [(i, j, v) for i, h_row in enumerate(h_b) for j, v in enumerate(h_row) if v]
+        blocks.append((sel, eigh(h_b), partial(_dense_energy, entries)))
     rows = [[0j] * len(occs) for _ in distinct]
     energies = [0.0] * len(distinct)
-    for sel, h_b in blocks:
-        entries = [(i, j, v) for i, h_row in enumerate(h_b) for j, v in enumerate(h_row) if v]
-        samples = _block_samples(h_b, [psi0_s[i] for i in sel], distinct)
+    for sel, eig, energy in blocks:
+        samples = _samples(eig, [psi0_s[i] for i in sel], distinct)
         for k, (row, state_b) in enumerate(zip(rows, samples)):
             for i, amp in zip(sel, state_b):
                 row[i] = amp
-            energies[k] += sum(state_b[i].conjugate() * v * state_b[j]
-                               for i, j, v in entries).real
+            energies[k] += energy(state_b)
     rows = [tuple(row) for row in rows]
     norms = [hypot(*map(abs, row)) for row in rows]
     edge_levels = [lv - 2 for lv in space.shape]
@@ -257,31 +288,73 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     )
 
 
-def _block_samples(h_b, p0: list[complex], times: Sequence[float]):
-    """The states p0 + V[phase(t) * V^dag p0] of one block, one list per time.
+def _dense_energy(entries: list[tuple[int, int, complex]], state: list[complex]) -> float:
+    """<state|h|state> of the block whose nonzero entries h[i][j] = v are ``entries``."""
+    return sum(state[i].conjugate() * v * state[j] for i, j, v in entries).real
 
-    V = U Z from :func:`~dquant.linalg.eigh`, with Z real: p0 is carried
-    into the tridiagonal basis once, as y = Z^T U^dag p0, and each sample is
-    two real matrix-vector products there and one map back. With s and c
-    the sine and cosine of x/2, the phase factor is -2 s (s + i c).
+
+def _chain_energy(diag: list[float], sub: list[complex], state: list[complex]) -> float:
+    """<state|h|state> of the chain with real ``diag`` and subdiagonal ``sub``."""
+    return (sum(d * abs(v) ** 2 for d, v in zip(diag, state))
+            + 2.0 * sum(b.conjugate() * e * a for e, a, b in zip(sub, state, state[1:])).real)
+
+
+def _samples(eig, p0: list[complex], times: Sequence[float]):
+    """The states p0 + V[(exp(-i w t) - 1) * V^dag p0] of one block, one list per time.
+
+    V = U Z from the :class:`~dquant.linalg.Eigensystem` ``eig``, with Z
+    real: p0 is carried into the tridiagonal basis once, as y = U^dag p0,
+    and with s and c the sine and cosine of wt/2 each sample is
+
+        psi - p0 = U Z [-2 (s s + i s c) Z^T y]
+
+    by two real matrix-vector products. A ``mirrored`` eigensystem (a
+    chiral chain) pairs (w, z) with (-w, S z), S negating the odd sites.
+    Folding each pair in, with A the even sites, B the odd ones,
+    alpha = Z_A^T y_A and beta = Z_B^T y_B over the w > 0 half, a zero mode
+    drops out and
+
+        psi_A - p_A = Z_A [-4 (alpha s s + i beta s c)]
+        psi_B - p_B = Z_B [-4 (beta s s + i alpha s c)].
+
+    A product whose coefficient vector is exactly zero is skipped, so a
+    real start on one sublattice costs two (n/2) x (n/2) products per sample.
     """
-    eig = eigh(h_b)
     y = eig.to_tridiagonal(p0)
-    y_re, y_im = [v.real for v in y], [v.imag for v in y]
-    # -2 y, so that phase * y = (s s + i s c) * (-2 y)
-    a = [-2.0 * sum(map(mul, z, y_re)) for z in eig.vectors]
-    b = [-2.0 * sum(map(mul, z, y_im)) for z in eig.vectors]
-    z_rows = list(zip(*eig.vectors))
+    if eig.mirrored:
+        kept = [k for k, w in enumerate(eig.values) if w > 0]
+        step, factor, partner = 2, -4.0, (1, 0)
+    else:
+        kept = range(len(eig.values))
+        step, factor, partner = 1, -2.0, (0,)
+    rates = [eig.values[k] for k in kept]
+    parts = []  # per sublattice: rows of Z there, and factor * Z^T y, real and imaginary
+    for start in range(step):
+        zs = [eig.vectors[k][start::step] for k in kept]
+        y_re, y_im = [v.real for v in y[start::step]], [v.imag for v in y[start::step]]
+        parts.append((list(zip(*zs)) if zs else [()] * len(y_re),
+                      [factor * sum(map(mul, z, y_re)) for z in zs],
+                      [factor * sum(map(mul, z, y_im)) for z in zs]))
+    back = [0j] * len(p0)
     for t in times:
-        halves = [t * rate / 2 for rate in eig.values]
+        halves = [t * rate / 2 for rate in rates]
         sin_half = list(map(sin, halves))
         ss = list(map(mul, sin_half, sin_half))
         sc = list(map(mul, sin_half, map(cos, halves)))
-        c_re = list(map(sub, map(mul, ss, a), map(mul, sc, b)))
-        c_im = list(map(add, map(mul, ss, b), map(mul, sc, a)))
-        back = eig.from_tridiagonal(list(map(complex, [sum(map(mul, z, c_re)) for z in z_rows],
-                                             [sum(map(mul, z, c_im)) for z in z_rows])))
-        yield list(map(add, p0, back))
+        for start, (rows, a_re, a_im) in enumerate(parts):
+            _, b_re, b_im = parts[partner[start]]
+            back[start::step] = map(
+                complex, _product(rows, map(sub, map(mul, ss, a_re), map(mul, sc, b_im))),
+                _product(rows, map(add, map(mul, ss, a_im), map(mul, sc, b_re))))
+        yield list(map(add, p0, eig.from_tridiagonal(back)))
+
+
+def _product(rows, c) -> list[float]:
+    """rows @ c, or zeros without the product when c is exactly zero."""
+    c = list(c)
+    if not any(c):
+        return [0.0] * len(rows)
+    return [sum(map(mul, r, c)) for r in rows]
 
 
 def occupation_expectation(space: FockSpace, res: EvolutionResult, mode: int) -> list[float]:

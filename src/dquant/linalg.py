@@ -1,18 +1,23 @@
 """Pure-Python numerics for the dynamics and the CLI: a grid and a Hermitian eigensolver.
 
 ``linspace`` is numpy's evenly spaced grid, float for float. ``eigh``
-diagonalizes a dense Hermitian matrix in three steps, one path for every
-matrix:
+diagonalizes a dense Hermitian matrix and ``eigh_tridiagonal`` a Hermitian
+chain, given as its diagonal and subdiagonal, in the same steps:
 
-- Householder reflectors reduce it to a Hermitian tridiagonal matrix, and a
-  diagonal phase makes that real symmetric. A matrix that is already
-  tridiagonal (every chain block of the three-wave dynamics, in sorted
-  order) needs no reflector, only the phase.
+- Householder reflectors reduce a dense matrix to a Hermitian tridiagonal
+  one (a column that is already tridiagonal needs no reflector); a chain
+  is one already. A diagonal phase makes it real symmetric.
 - Implicit-QL sweeps give the eigenvalues of each unreduced piece: the
   tridiagonal splits where an off-diagonal is at most eps times its 1-norm.
 - Inverse iteration gives the eigenvectors, as LAPACK ``dstein`` does: a
   pivoted tridiagonal LU per eigenvalue, and Gram-Schmidt against the
   earlier vectors of a cluster of close eigenvalues.
+
+A chain with an exactly zero diagonal is chiral: its spectrum is symmetric
+about 0, and the vector of -w is that of w with the odd sites negated. Its
+lower half is then the mirror image of its upper half, values and vectors,
+and inverse iteration runs for the upper half only, unless a cluster of
+close eigenvalues reaches across 0.
 
 The eigenvectors come out real, those of the real tridiagonal form; the
 reflectors and the phase map vectors between that form and the original
@@ -31,6 +36,9 @@ from .record import record
 EPS = 2.0**-52
 #: implicit-QL sweeps allowed per eigenvalue
 QL_MAX_SWEEPS = 30
+#: eigenvalues closer than this times the matrix 1-norm form a cluster,
+#: whose eigenvectors inverse iteration keeps orthogonal to one another
+CLUSTER_TOL = 1e-3
 #: inverse iterations allowed per eigenvector, and the extra ones after its
 #: growth test first passes (LAPACK dstein takes two; a second brings no
 #: measurable gain in orthogonality or residual on the dynamics' chains)
@@ -56,13 +64,16 @@ class Eigensystem:
     ``values`` ascend; ``vectors[k]`` is the real eigenvector Z[:, k] of the
     real symmetric tridiagonal form. Q is the product of the Householder
     ``reflectors`` (k, u, beta), each I - beta u u^dag acting on the entries
-    from k on; P is the diagonal ``phases``.
+    from k on; P is the diagonal ``phases``. ``mirrored`` says that the
+    values pair as (w, -w) and that the vector of -w is that of w with its
+    odd sites negated (see :func:`eigh_tridiagonal`).
     """
 
     values: tuple[float, ...]
     vectors: tuple[tuple[float, ...], ...]
     reflectors: tuple[tuple[int, list, float], ...]
     phases: tuple[complex, ...]
+    mirrored: bool
 
     def to_tridiagonal(self, x: Sequence[complex]) -> list[complex]:
         """(Q P)^dag x: a vector of the original basis in the tridiagonal one."""
@@ -91,14 +102,44 @@ def eigh(a: Sequence[Sequence[complex]]) -> Eigensystem:
 
     A matrix whose largest entry lies outside [2^-500, 2^500] is first
     scaled by a power of two, exactly, so that no step under- or overflows.
-    The tridiagonal form splits where an off-diagonal is at most eps times
-    its 1-norm: setting it to zero moves no eigenvalue by more than that.
     """
-    big = max((abs(v) for row in a for v in row), default=0.0)
-    shift = -frexp(big)[1] if big and not 2.0**-500 < big < 2.0**500 else 0
+    shift = _shift(max((abs(v) for row in a for v in row), default=0.0))
     if shift:
         a = [[complex(ldexp(v.real, shift), ldexp(v.imag, shift)) for v in row] for row in a]
     diag, sub, reflectors = _tridiagonalize(a)
+    return _solve_tridiagonal(diag, sub, reflectors, shift, chiral=False)
+
+
+def eigh_tridiagonal(diag: Sequence[float], sub: Sequence[complex]) -> Eigensystem:
+    """Eigen-decomposition of the Hermitian tridiagonal matrix with real ``diag`` and
+    subdiagonal ``sub`` (entry i couples i to i + 1), scaled as :func:`eigh` scales.
+
+    A chain whose diagonal is exactly zero is chiral: its spectrum comes in
+    (w, -w) pairs, and S z is the eigenvector of -w when z is that of w, S
+    negating the odd sites. Each of its unreduced pieces is chiral too:
+    there the values pair exactly, inverse iteration runs for the w > 0
+    half and an odd piece's zero mode only, and the -w half's vectors are
+    the mirror images. The eigensystem is ``mirrored`` when every piece was
+    solved so; see :func:`_chiral_pairs` for the pieces that are not.
+    """
+    shift = _shift(max(map(abs, [*diag, *sub]), default=0.0))
+    if shift:
+        diag = [ldexp(v, shift) for v in diag]
+        sub = [complex(ldexp(v.real, shift), ldexp(v.imag, shift)) for v in sub]
+    return _solve_tridiagonal(diag, sub, (), shift, chiral=not any(diag))
+
+
+def _shift(big: float) -> int:
+    """The power of two that brings a largest entry ``big`` near 1, or 0 inside [2^-500, 2^500]."""
+    return -frexp(big)[1] if big and not 2.0**-500 < big < 2.0**500 else 0
+
+
+def _solve_tridiagonal(diag, sub, reflectors, shift, chiral) -> Eigensystem:
+    """The eigensystem from the Hermitian tridiagonal (diag, sub) of the matrix scaled by 2^shift.
+
+    The tridiagonal form splits where an off-diagonal is at most eps times
+    its 1-norm: setting it to zero moves no eigenvalue by more than that.
+    """
     n = len(diag)
     off = list(map(abs, sub))
     split = EPS * _one_norm(diag, off)
@@ -107,20 +148,55 @@ def eigh(a: Sequence[Sequence[complex]]) -> Eigensystem:
         phase = phases[-1] * (e / size) if size > split else phases[-1]
         phases.append(phase / abs(phase))
     values, vectors = [], []
+    mirrored = chiral
     lo = 0
     for hi in range(1, n + 1):
         if hi < n and off[hi - 1] > split:
             continue
         d, e = diag[lo:hi], off[lo:hi - 1]
         w = _ql_eigenvalues(d, e)
-        for z in _inverse_iteration(d, e, w):
+        if chiral:
+            w, zs, piece_mirrored = _chiral_pairs(d, e, w)
+            mirrored = mirrored and piece_mirrored
+        else:
+            zs = _inverse_iteration(d, e, w)
+        for z in zs:
             vectors.append([0.0] * lo + z + [0.0] * (n - hi))
         values += w
         lo = hi
     order = sorted(range(n), key=values.__getitem__)
     return Eigensystem(values=tuple(ldexp(values[k], -shift) for k in order),
                        vectors=tuple(tuple(vectors[k]) for k in order),
-                       reflectors=tuple(reflectors), phases=tuple(phases))
+                       reflectors=tuple(reflectors), phases=tuple(phases), mirrored=mirrored)
+
+
+def _chiral_pairs(d: list[float], e: list[float], w: list[float]):
+    """Ascending eigenvalues and vectors of the zero-diagonal tridiagonal (d, e), and
+    whether the vectors of its lower half are the mirror images of its upper half's.
+
+    Of the eigenvalues ``w`` from implicit QL, the upper half w > 0 is kept
+    and the lower half set to exactly its negative (an odd piece's middle
+    one to exactly 0). Inverse iteration then runs at 0 (odd pieces) and at
+    the w > 0 half, and the vector of -w is that of w with its odd sites
+    negated. Only when the smallest w > 0 lies within a cluster of its own
+    negative, or of 0 on an odd piece, does inverse iteration run over the
+    whole spectrum instead, to keep that cluster's vectors orthogonal.
+    """
+    n = len(w)
+    top = w[n - n // 2:]
+    zero = [0.0] * (n % 2)
+    values = [-x for x in reversed(top)] + zero + top
+    if top and top[0] * (2 - n % 2) <= CLUSTER_TOL * _one_norm(d, e):
+        return values, _inverse_iteration(d, e, values), False
+    zs = _inverse_iteration(d, e, zero + top)
+    return values, [_mirror(z) for z in reversed(zs[len(zero):])] + zs, True
+
+
+def _mirror(z: list[float]) -> list[float]:
+    """z with its odd sites negated."""
+    z = list(z)
+    z[1::2] = [-v for v in z[1::2]]
+    return z
 
 
 def _one_norm(d: list[float], e: list[float]) -> float:
@@ -212,15 +288,15 @@ def _inverse_iteration(d: list[float], e: list[float], w: list[float]) -> list[l
 
     Follows LAPACK ``dstein``: a seeded random start, the solve scaled so
     that it cannot overflow, close eigenvalues nudged apart by 10 eps |w|,
-    and each vector of a cluster (eigenvalues within 1e-3 of the matrix
-    1-norm) kept orthogonal to the cluster's earlier ones; the largest
-    entry of each vector is positive.
+    and each vector of a cluster (eigenvalues within ``CLUSTER_TOL`` of the
+    matrix 1-norm) kept orthogonal to the cluster's earlier ones; the
+    largest entry of each vector is positive.
     """
     n = len(d)
     if n == 1:
         return [[1.0]]
     onenrm = _one_norm(d, e)
-    ortol, tol = 1e-3 * onenrm, EPS * onenrm
+    ortol, tol = CLUSTER_TOL * onenrm, EPS * onenrm
     converged = sqrt(0.1 / n)
     rng = random.Random(n)
     vectors = []

@@ -3,7 +3,10 @@
 ``eigh_states`` is the evolution ``dquant.dynamics.evolve`` made with
 numpy: it takes the same sector walk and blocks, diagonalizes each block
 with ``numpy.linalg.eigh`` and forms every sample as
-psi0 + V[-2i sin(x/2) exp(-ix/2) * V^dag psi0], x = w t / hbar.
+psi0 + V[-2i sin(x/2) exp(-ix/2) * V^dag psi0], x = w t / hbar. A chain,
+which the walk gives as its diagonal and subdiagonal, is made the dense
+Hermitian matrix with that subdiagonal and its conjugate above; numpy
+knows nothing of its chirality.
 """
 
 import numpy as np
@@ -11,13 +14,20 @@ import numpy as np
 from dquant.dynamics import _sector
 
 
+def chain_matrix(diag, sub):
+    """The dense Hermitian tridiagonal matrix with real ``diag`` and subdiagonal ``sub``."""
+    sub = np.asarray(sub, dtype=complex)
+    return np.diag(np.asarray(diag, dtype=complex)) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
+
+
 def eigh_states(h, space, psi0, times, hbar=1.0):
     """(sector occupations, (len(times), d_S) array of states) of exp(-i H t / hbar) psi0."""
     support = [tuple(n) for n, amp in psi0.items() if amp]
-    occs, blocks = _sector(h, space, support)
+    occs, chains, dense = _sector(h, space, support)
     psi0_s = np.array([psi0.get(n, 0.0) for n in occs], dtype=complex)
     times = np.asarray(times, dtype=float)
     states = np.empty((times.size, len(occs)), dtype=complex)
+    blocks = [(sel, chain_matrix(diag, sub)) for sel, diag, sub in chains] + dense
     for sel, h_b in blocks:
         w, v = np.linalg.eigh(np.array(h_b, dtype=complex))
         x = np.outer(times, w / hbar)

@@ -431,6 +431,23 @@ def test_non_finite_medium_entries_exit_2_naming_the_file(tmp_path, chi, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["verify"], ["spdc", "--n-max", "4"],
+                                     ["convert", "--n-max", "4"]],
+                         ids=["verify", "spdc", "convert"])
+def test_dim_3_medium_exits_2_naming_the_file_and_the_scalar_requirement(tmp_path, command,
+                                                                         capsys):
+    # chi(1).item() once ran before any dimension check: "item() requires dim=1"
+    path = tmp_path / "dim3.json"
+    chi1 = [0.5, 0.0, 0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.7]
+    path.write_text(json.dumps({"units": "natural", "dim": 3,
+                                "chi": {"1": chi1, "2": [0.1] * 27}}))
+    out = tmp_path / "out"
+    assert main([*command, "--medium", str(path), "--out", str(out)]) == 2
+    assert f"medium {path}: this command runs on a scalar (dim=1) medium, not dim=3" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_dumps_refuses_nan():
     with pytest.raises(ValueError):
         dumps({"ratio": float("nan")})

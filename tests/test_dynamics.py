@@ -10,6 +10,7 @@ from dquant.dynamics import (
     EDGE_POPULATION_TOL,
     EvolutionConfig,
     FockSpace,
+    _samples,
     _sector,
     beamsplitter,
     coherent_cutoff,
@@ -23,7 +24,8 @@ from dquant.dynamics import (
     two_mode_squeezer,
 )
 from dquant.hamiltonian import InteractionParams
-from eigh_oracle import eigh_states
+from dquant.linalg import eigh
+from eigh_oracle import chain_matrix, eigh_states
 from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations, to_matrix
 
 
@@ -111,10 +113,10 @@ def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_terms=3, max_power=2
     return h + h.dagger(), space, dict(zip(occs, amps / np.linalg.norm(amps)))
 
 
-def block_diagonal(occs, blocks):
-    """The sector matrix assembled from _sector's blocks."""
+def block_diagonal(occs, chains, dense):
+    """The sector matrix assembled from _sector's chains and dense blocks."""
     h_s = np.zeros((len(occs), len(occs)), dtype=complex)
-    for sel, h_b in blocks:
+    for sel, h_b in [(sel, chain_matrix(diag, sub)) for sel, diag, sub in chains] + dense:
         h_s[np.ix_(sel, sel)] = h_b
     return h_s
 
@@ -168,13 +170,14 @@ class TestSectorEvolution:
     @given(problem=hermitian_problems())
     def test_sector_matrix_is_the_restricted_full_matrix(self, problem):
         h, space, psi0 = problem
-        occs, blocks = _sector(h, space, list(psi0))
+        occs, chains, dense = _sector(h, space, list(psi0))
         sector = np.array([space.index(n) for n in occs])
         hmat = kron_matrix(h, space)
         assert set(psi0) <= set(occs)
         assert np.array_equal(sector, np.sort(sector))
-        assert sorted(np.concatenate([sel for sel, _ in blocks])) == list(range(len(occs)))
-        h_s = block_diagonal(occs, blocks)
+        sels = [sel for sel, *_ in chains] + [sel for sel, _ in dense]
+        assert sorted(np.concatenate(sels)) == list(range(len(occs)))
+        h_s = block_diagonal(occs, chains, dense)
         scale = max(1.0, np.max(np.abs(hmat)))
         # off-block entries of the restricted matrix vanish: the blocks are invariant
         assert np.max(np.abs(h_s - hmat[np.ix_(sector, sector)])) <= 1e-14 * scale
@@ -185,11 +188,11 @@ class TestSectorEvolution:
     @given(problem=hermitian_problems())
     def test_walk_agrees_with_the_vectorized_fock_rule(self, problem):
         h, space, psi0 = problem
-        occs, blocks = _sector(h, space, list(psi0))
+        occs, chains, dense = _sector(h, space, list(psi0))
         sector = [space.index(n) for n in occs]
         want = to_matrix(h, space).toarray()[np.ix_(sector, sector)]
         scale = max(1.0, np.max(np.abs(want)))
-        assert np.max(np.abs(block_diagonal(occs, blocks) - want)) <= 1e-15 * scale
+        assert np.max(np.abs(block_diagonal(occs, chains, dense) - want)) <= 1e-15 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(problem=hermitian_problems(), t=st.floats(0.05, 1.0))
@@ -208,9 +211,14 @@ class TestSectorEvolution:
 
     def test_squeezer_sector_is_the_pair_states(self):
         space = FockSpace(modes=(0, 1), cutoff=128)
-        occs, blocks = _sector(two_mode_squeezer(0.1), space, [(0, 0)])
+        occs, chains, dense = _sector(two_mode_squeezer(0.1), space, [(0, 0)])
         assert occs == [(n, n) for n in range(129)]
-        assert len(blocks) == 1 and np.shape(blocks[0][1]) == (129, 129)
+        # one chain, handed on as its diagonal and subdiagonal: no 129 x 129 matrix
+        assert dense == [] and len(chains) == 1
+        sel, diag, sub = chains[0]
+        assert sel == list(range(129))
+        assert diag == [0.0] * 129
+        assert sub == pytest.approx([0.1 * (n + 1) for n in range(128)], rel=1e-15)
 
     def test_squeezer_states_are_sector_sized(self):
         space = FockSpace(modes=(0, 1), cutoff=128)
@@ -223,12 +231,12 @@ class TestSectorEvolution:
         # n_A - n_B and n_A + n_C are conserved: one chain per pump number c
         space = FockSpace(modes=(0, 1, 2), cutoff=48)
         term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)}, coeff=0.05)
-        occs, blocks = _sector(term + term.dagger(), space,
-                               list(coherent_state(space, 2, 2.0)))
+        occs, chains, dense = _sector(term + term.dagger(), space,
+                                      list(coherent_state(space, 2, 2.0)))
         assert len(occs) == 1225
-        assert len(blocks) == 49
-        assert sorted(len(sel) for sel, _ in blocks) == list(range(1, 50))
-        for sel, _ in blocks:
+        assert len(chains) == 49 and dense == []
+        assert sorted(len(sel) for sel, *_ in chains) == list(range(1, 50))
+        for sel, *_ in chains:
             assert len({occs[i][0] + occs[i][2] for i in sel}) == 1
             assert all(occs[i][0] == occs[i][1] for i in sel)
 
@@ -242,6 +250,78 @@ class TestSectorEvolution:
         space = FockSpace(modes=(0,), cutoff=3)
         with pytest.raises(ValueError):
             evolve(number(0), space, {occs: 1.0}, samples(1.0))
+
+
+#: per kind of resonant term: its mode powers, and the occupations of
+#: position a of its chain of length L (cutoff L - 1 on every mode)
+CHAIN_KINDS = {
+    "squeezer": ({0: (1, 0), 1: (1, 0)}, lambda a, length: (a, a)),
+    "hop": ({0: (1, 0), 1: (0, 1)}, lambda a, length: (a, length - 1 - a)),
+    "pump": ({0: (1, 0), 1: (1, 0), 2: (0, 1)}, lambda a, length: (a, a, length - 1 - a)),
+}
+
+
+@st.composite
+def chiral_chains(draw, length):
+    """(h, space, psi0): one zero-diagonal chain of a resonant term, its coupling real
+    or complex, started on its even sites, its odd sites or both."""
+    powers, occupation = CHAIN_KINDS[draw(st.sampled_from(sorted(CHAIN_KINDS)))]
+    size = draw(st.floats(0.05, 1.5))
+    phase = draw(st.sampled_from([1.0, -1.0, 1j, complex(0.6, -0.8)]))
+    term = BosonicPolynomial.monomial(powers, coeff=size * phase)
+    space = FockSpace(modes=tuple(range(len(powers))), cutoff=length - 1)
+    sites = draw(st.sampled_from(["even", "odd", "both"] if length > 1 else ["even"]))
+    allowed = {"even": range(0, length, 2), "odd": range(1, length, 2), "both": range(length)}
+    support = draw(st.lists(st.sampled_from(list(allowed[sites])), min_size=1, unique=True))
+    part = st.floats(-1.0, 1.0)
+    amps = np.array([complex(draw(part), draw(part)) for _ in support])
+    if np.linalg.norm(amps) < 1e-3:
+        amps[0] = 1.0
+    amps /= np.linalg.norm(amps)
+    return term + term.dagger(), space, {occupation(a, length): amp
+                                         for a, amp in zip(support, amps)}
+
+
+class TestChiralChains:
+    """Zero-diagonal chains evolve from the w > 0 half of their spectrum, by sublattice."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 8, 13])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), t=st.floats(0.05, 2.0))
+    def test_matches_the_lapack_eigh_evolution(self, length, data, t):
+        h, space, psi0 = data.draw(chiral_chains(length))
+        _, chains, dense = _sector(h, space, list(psi0))
+        assert dense == [] and [len(sel) for sel, *_ in chains] == [length]
+        assert not any(chains[0][1])
+        res = evolve(h, space, psi0, samples(t, 3))
+        occs, want = eigh_states(h, space, psi0, res.times)
+        assert list(res.occupations) == occs
+        assert np.max(np.abs(np.array(res.states) - want)) <= 1e-12
+
+    def test_real_start_on_one_sublattice_stays_real_there_and_imaginary_on_the_other(self):
+        # the squeezer from the vacuum: every sample is real on even sites, imaginary on odd
+        space = FockSpace(modes=(0, 1), cutoff=16)
+        res = evolve(two_mode_squeezer(0.3), space, space.vacuum(), samples(2.0, 4))
+        states = np.array(res.states)
+        assert not np.any(states[:, 0::2].imag) and not np.any(states[:, 1::2].real)
+
+    @pytest.mark.parametrize("h", [
+        two_mode_squeezer(0.4) + 0.3 * number(0),
+        two_mode_squeezer(0.4) + BosonicPolynomial.monomial({0: (2, 0), 1: (2, 0)}, coeff=0.1)
+        + BosonicPolynomial.monomial({0: (0, 2), 1: (0, 2)}, coeff=0.1),
+    ], ids=["detuned-squeezer", "non-chain"])
+    def test_other_blocks_take_the_general_path(self, h):
+        # the states are those of the dense Householder eigh and the full-spectrum
+        # samples, bit for bit, as before chiral chains had their own path
+        space = FockSpace(modes=(0, 1), cutoff=12)
+        times = list(samples(1.5, 6))
+        occs, chains, dense = _sector(h, space, [(0, 0)])
+        ((sel, h_b),) = [(sel, chain_matrix(d, e).tolist()) for sel, d, e in chains] + dense
+        if chains:  # the detuned squeezer is a chain, but not a chiral one
+            assert any(chains[0][1])
+        want = list(_samples(eigh(h_b), [1.0 + 0j] + [0j] * (len(sel) - 1), times))
+        res = evolve(h, space, space.vacuum(), times)
+        assert [list(state) for state in res.states] == want
 
 
 class TestSpdcSqueezing:

@@ -24,7 +24,7 @@ from dquant.maxwell import _route_hamiltonians
 from dquant.modes import Mode, make_uniform_medium_modes
 from dquant.slab import solve_slab_modes
 from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
-from dquant.units import UnitSystem
+from dquant.units import UnitSystem, si_units
 
 NAT = UnitSystem()
 
@@ -357,6 +357,21 @@ class TestBuildInteraction:
         params = build_interaction(triple, etas[1], NAT)
         got = resonant_coefficient(nonlinear("D-based", ms, triple, medium), triple)
         assert got == pytest.approx(ms.w**1.5 * params.theta * params.phi, rel=1e-12)
+
+    @pytest.mark.parametrize("units", [
+        pytest.param(NAT, id="natural"),
+        pytest.param(si_units(), id="si", marks=pytest.mark.xfail(
+            strict=True, reason="SI cubic terms (~1e-35) fall below the absolute PRUNE_TOL "
+                                "and are pruned: the assembled coefficient reads 0")),
+    ])
+    def test_assembled_coefficient_is_the_closed_form_theta(self, units):
+        # a matched triple in a 2 pi box: w = 1 and Phi = 1, so the D-based
+        # resonant coefficient is theta itself (-4.2553e-35 in SI)
+        medium = MediumSpec.from_scalars([0.5, 0.3], units=units)
+        ms, triple = make_three_wave_modes(1, 2, sqrt(1.5), 2 * pi, units, length=1.7)
+        theta = build_interaction(triple, invert_series(medium, 2)[1], units).theta
+        got = resonant_coefficient(assemble(ms, medium, triple, "D-based").nonlinear, triple)
+        assert abs(got - theta) <= 1e-12 * abs(theta)
 
     def test_budget_error_for_mismatched_triple(self):
         ms, triple, eta2 = self.setup()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dquant.linalg import eigh, linspace
+from dquant.linalg import eigh, eigh_tridiagonal, linspace
+from eigh_oracle import chain_matrix
 
 
 @pytest.mark.parametrize("steps", [1, 2, 8, 20])
@@ -39,10 +40,9 @@ def hermitian_matrices(draw, max_size=12):
     return a + a.conj().T
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=hermitian_matrices())
-def test_eigh_diagonalizes_hermitian_matrices(a):
-    w, u = decomposition(a)
+def assert_decomposes(es, a):
+    """es is an eigensystem of the Hermitian array a: sorted, orthonormal and exact."""
+    w, u = np.array(es.values), np.array([es.from_tridiagonal(z) for z in es.vectors]).T
     n = len(a)
     scale = max(1.0, np.abs(a).max())
     assert list(w) == sorted(w)
@@ -52,6 +52,12 @@ def test_eigh_diagonalizes_hermitian_matrices(a):
     assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-12
     assert np.max(np.abs(u @ np.diag(w) @ u.conj().T - a)) <= 1e-13 * n * scale
     assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13 * n * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hermitian_matrices())
+def test_eigh_diagonalizes_hermitian_matrices(a):
+    assert_decomposes(eigh(a.tolist()), a)
 
 
 @pytest.mark.parametrize("scale", [2.0**k for k in (-1060, -1030, -530, -66, 66, 996)])
@@ -87,6 +93,71 @@ def test_chain_needs_no_reflector():
     z = np.array(es.vectors).T
     assert np.max(np.abs(z.T @ z - np.eye(n))) <= 1e-14
     assert np.max(np.abs(np.array(es.values) - np.linalg.eigvalsh(a + a.T))) <= 1e-13
+
+
+@st.composite
+def chains(draw, max_size=16, chiral=False):
+    """(diag, sub) of a Hermitian chain; some couplings zero, so that it splits into pieces."""
+    n = draw(st.integers(1, max_size))
+    entry = st.floats(-2.0, 2.0)
+    coupling = st.one_of(st.just(0j), st.builds(complex, entry, entry),
+                         st.builds(complex, entry, st.just(0.0)))
+    diag = [0.0] * n if chiral else draw(st.lists(entry, min_size=n, max_size=n))
+    return diag, draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=chains(chiral=True))
+def test_chiral_chain_eigenvalues_pair_exactly(chain):
+    diag, sub = chain
+    es = eigh_tridiagonal(diag, sub)
+    # (w, -w) pairs, bit for bit, and an exact zero for each odd unreduced piece
+    assert es.values == tuple(-w for w in reversed(es.values))
+    pieces = np.split(np.arange(len(diag)), [i + 1 for i, e in enumerate(sub) if not e])
+    assert es.values.count(0.0) >= sum(len(piece) % 2 for piece in pieces)
+    assert_decomposes(es, chain_matrix(diag, sub))
+
+
+@pytest.mark.parametrize("sub, mirrored", [
+    ([1 + 0j, 1 + 0j, 0.5j], True),
+    ([1 + 0j, 1 + 0j, 1e-12j], False),  # a +-7e-13 pair: one cluster across 0
+    ([1 + 0j, 1j, 1e-9 + 0j, 1e-9j], False),  # a pair within a cluster of the zero mode
+], ids=["separated", "pair-across-zero", "pair-beside-zero-mode"])
+def test_chiral_chain_mirrors_its_vectors_unless_a_cluster_crosses_zero(sub, mirrored):
+    diag = [0.0] * (len(sub) + 1)
+    es = eigh_tridiagonal(diag, sub)
+    assert es.mirrored == mirrored
+    assert es.values == tuple(-w for w in reversed(es.values))
+    assert_decomposes(es, chain_matrix(diag, sub))
+    if mirrored:
+        for w, z in zip(es.values, es.vectors):
+            if w > 0:
+                mirror = tuple(-v if i % 2 else v for i, v in enumerate(z))
+                assert es.vectors[es.values.index(-w)] == mirror
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=chains())
+def test_chain_with_a_diagonal_is_solved_as_the_dense_matrix(chain):
+    diag, sub = chain
+    assume(any(diag))
+    a = chain_matrix(diag, sub)
+    es = eigh_tridiagonal(diag, sub)
+    assert es == eigh(a.tolist())  # bit for bit: the same QL and inverse iteration
+    assert_decomposes(es, a)
+
+
+@pytest.mark.parametrize("scale", [2.0**k for k in (-1000, -530, 530, 996)])
+@pytest.mark.parametrize("diag", [[0.0] * 5, [1.0, -2.0, 0.5, 0.0, 3.0]], ids=["chiral", "diag"])
+def test_chain_is_scale_free(scale, diag):
+    sub = [0.3 + 0.4j, -1.0 + 0j, 2j, 0.5 + 0j]
+    es = eigh_tridiagonal([d * scale for d in diag], [e * scale for e in sub])
+    want = np.linalg.eigvalsh(chain_matrix(diag, sub))
+    assert np.max(np.abs(np.array(es.values) - want * scale)) <= 1e-13 * 5 * np.max(np.abs(want)) * scale
+    z = np.array(es.vectors)
+    assert np.max(np.abs(z @ z.T - np.eye(5))) <= 1e-14 * 5
+    if not any(diag):
+        assert es.values == tuple(-w for w in reversed(es.values))
 
 
 def test_complex_chain_is_made_real_by_a_phase():
