@@ -30,3 +30,11 @@ run spdc --n-max 127 --time 0.5 --out "$out/spdc-127"  # an even chain: no zero 
 run spdc --pump quantum --out "$out/spdc-quantum"
 run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
 run convert --out "$out/convert"
+
+# a directory is no medium: bad input exits 2 with an error line, not 1 with a traceback
+status=0
+dquant invert --medium "$out" 2> "$out/stderr.txt" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q '^error:' "$out/stderr.txt"; then
+  cat "$out/stderr.txt"
+  exit 1
+fi

@@ -6,7 +6,7 @@ import argparse
 from math import pi
 from pathlib import Path
 
-from dquant.hamiltonian import phase_matching_curve
+from dquant.coupling import phase_matching_curve
 from dquant.linalg import linspace
 from dquant.serialize import csv_text, write_text
 

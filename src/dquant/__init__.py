@@ -19,9 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "boson_algebra": ("BosonicPolynomial", "commutator", "degree", "heisenberg_derivative",
                       "normal_order"),
+    "coupling": ("ComparisonReport", "InteractionParams", "ModeTriple", "build_interaction",
+                 "prefactor_ratio"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
-    "hamiltonian": ("ComparisonReport", "HamiltonianSpec", "InteractionParams", "ModeTriple",
-                    "assemble", "build_interaction", "build_linear", "prefactor_ratio"),
+    "hamiltonian": ("HamiltonianSpec", "assemble", "build_linear"),
     "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_routes"),
     "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes"),
     "slab": ("solve_slab_modes",),

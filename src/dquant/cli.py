@@ -1,9 +1,12 @@
 """Command-line front-end for reproducible runs.
 
 Commands: invert, verify, compare, phasematch, spdc, convert. Exit codes:
-0 success, 1 a verification expectation failed, 2 bad input. All emitted
-JSON/CSV is byte-deterministic for a given configuration. Each command
-imports only the modules it runs: start-up is most of a short command.
+0 success, 1 a verification expectation failed, 2 bad input, a path that
+cannot be read or written included. All emitted JSON/CSV is
+byte-deterministic for a given configuration. Each command imports only
+the modules it runs: start-up, which compiles each module imported when no
+bytecode is cached, is most of a short command. So the three-wave commands
+read theta and Phi from ``coupling`` without compiling ``hamiltonian``.
 The package has no runtime dependency, so no command loads numpy: the
 commands that diagonalize (spdc, convert and the dynamical compares) run
 the pure-Python eigensolver of ``linalg``.
@@ -16,19 +19,11 @@ branches that log a message.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import inf, pi, sqrt
 from pathlib import Path
 
 from .serialize import csv_text, dumps, write_text
-from .susceptibility import (
-    MediumSpec,
-    NonInvertibleLinearResponseError,
-    gamma_from_eta,
-    invert_series,
-    load_medium,
-)
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -44,6 +39,8 @@ def _emit(args, name: str, text: str):
 
 
 def _load_medium_arg(args) -> MediumSpec:
+    from .susceptibility import load_medium
+
     if not args.medium:
         raise ValueError("this command needs --medium FILE")
     return load_medium(args.medium)
@@ -58,6 +55,8 @@ def _refractive_index(medium: MediumSpec, path) -> float:
 
 
 def cmd_invert(args) -> int:
+    from .susceptibility import gamma_from_eta, invert_series
+
     medium = _load_medium_arg(args)
     order = args.order if args.order is not None else max(2, medium.highest_order)
     etas = invert_series(medium, order)
@@ -124,7 +123,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_phasematch(args) -> int:
-    from .hamiltonian import phase_matching_curve
+    from .coupling import phase_matching_curve
     from .linalg import linspace
 
     for flag, value in (("--dk-min", args.dk_min), ("--dk-max", args.dk_max)):
@@ -141,7 +140,8 @@ def cmd_phasematch(args) -> int:
 
 def _interaction_from_args(args):
     """Matched three-wave setup from the medium (or the built-in default)."""
-    from .hamiltonian import build_interaction, make_three_wave_modes
+    from .coupling import build_interaction, make_three_wave_modes
+    from .susceptibility import MediumSpec, invert_series, load_medium
 
     medium = load_medium(args.medium) if args.medium else MediumSpec.from_scalars([0.0, 0.4])
     n_index = _refractive_index(medium, args.medium)
@@ -153,7 +153,7 @@ def _interaction_from_args(args):
 
 
 def _interaction_doc(params) -> dict:
-    from .hamiltonian import prefactor_ratio
+    from .coupling import prefactor_ratio
 
     return {
         "theta": {"re": params.theta.real, "im": params.theta.imag},
@@ -287,8 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, json.JSONDecodeError, NonInvertibleLinearResponseError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

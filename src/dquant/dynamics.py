@@ -44,13 +44,12 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 from itertools import count
-from math import asinh, cos, exp, factorial, fsum, hypot, inf, prod, sin, sqrt, tanh
+from math import asinh, cos, exp, factorial, fsum, hypot, inf, perm, prod, sin, sqrt, tanh
 from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
 
 from .boson_algebra import BosonicPolynomial
-from .hamiltonian import (ComparisonReport, InteractionParams, compare_coefficients,
-                          prefactor_ratio)
+from .coupling import ComparisonReport, InteractionParams, prefactor_ratio
 from .linalg import eigh, eigh_tridiagonal, linspace
 from .record import record
 
@@ -184,6 +183,7 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
     while frontier:
         reached = []
         for n in frontier:
+            src_root = find(n)  # stays a root: n's own unions hang the targets' roots under it
             for cre, ann, coef in terms:
                 low = [k - a for k, a in zip(n, ann)]
                 to = tuple(k + c for k, c in zip(low, cre))
@@ -192,23 +192,23 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
                 if to not in root:
                     root[to] = None
                     reached.append(to)
-                src_root, to_root = find(n), find(to)
+                to_root = find(to)
                 if src_root != to_root:
                     root[to_root] = src_root
                 # n! / low! * (low + cre)! / low! per mode, an exact integer
-                amp2 = prod(prod(range(k + 1, k + a + 1)) * prod(range(k + 1, k + c + 1))
-                            for k, c, a in zip(low, cre, ann))
+                amp2 = prod(perm(k + a, a) * perm(k + c, c) for k, c, a in zip(low, cre, ann))
                 moves.append((n, to, coef * sqrt(amp2)))
         frontier = reached
 
     occs = sorted(root)
-    members = {}
+    members, block_of = {}, {}
     for i, n in enumerate(occs):
-        members.setdefault(find(n), []).append(i)
+        block_of[n] = b = find(n)
+        members.setdefault(b, []).append(i)
     local = {occs[i]: j for sel in members.values() for j, i in enumerate(sel)}
     entries = {}  # block -> {(row, column): matrix element}, summed in walk order
     for n, to, amp in moves:
-        block = entries.setdefault(find(n), {})
+        block = entries.setdefault(block_of[n], {})
         key = local[to], local[n]
         block[key] = block.get(key, 0j) + amp
     chains, dense = [], []
@@ -529,6 +529,8 @@ def compare_schemes(observable: str, order: int) -> ComparisonReport:
     matched interaction of coupling theta = 0.05 in natural units.
     """
     if observable == "coefficient":
+        from .hamiltonian import compare_coefficients
+
         return compare_coefficients(order)
     params = InteractionParams(theta=0.05, delta_k=0.0, phi=1.0)
     if observable == "squeezing":

@@ -10,7 +10,8 @@ waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
   factor (2*pi)**-0.5 per multiplication,
 * integrating a product of fields over the box picks the zero-frequency
   component times (2*pi)**-0.5 * l_box, and over a centred region of length
-  L contributes (2*pi)**-0.5 * L * sinc(k L / 2) per component.
+  L contributes (2*pi)**-0.5 * L * sinc(k L / 2) per component, with
+  :func:`~dquant.modes.sinc`.
 
 A field is a frozen record: sums, products and restrictions return new
 fields, and the leakage a restriction records travels with the field it
@@ -19,22 +20,13 @@ returns.
 
 from __future__ import annotations
 
-from math import pi, sin, sqrt
+from math import pi, sqrt
 from numbers import Number
 
 from .boson_algebra import BosonicPolynomial, annihilation, creation
-from .modes import ModeSet
+from .modes import ModeSet, sinc
 from .record import record
 from .units import UnitSystem
-
-
-def sinc(x: float) -> float:
-    """Unnormalized sinc: sin(x)/x with exact zeros at nonzero multiples of pi."""
-    y = x / pi
-    if y == int(y):
-        return 1.0 if y == 0 else 0.0
-    # np.sinc's arithmetic: sin(pi y) / (pi y)
-    return sin(pi * y) / (pi * y)
 
 
 @record

@@ -17,11 +17,20 @@ runs on the standard library alone.
 
 from __future__ import annotations
 
-from math import inf, pi, sqrt
+from math import inf, pi, sin, sqrt
 from typing import Sequence
 
 from .record import record
 from .units import UnitSystem
+
+
+def sinc(x: float) -> float:
+    """Unnormalized sinc: sin(x)/x with exact zeros at nonzero multiples of pi."""
+    y = x / pi
+    if y == int(y):
+        return 1.0 if y == 0 else 0.0
+    # np.sinc's arithmetic: sin(pi y) / (pi y)
+    return sin(pi * y) / (pi * y)
 
 
 @record

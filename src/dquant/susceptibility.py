@@ -186,10 +186,9 @@ def load_medium(path: str | Path) -> MediumSpec:
 
     Every error in the document names the file.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
-        medium = medium_from_dict(doc)
+        with open(path) as fh:
+            medium = medium_from_dict(json.load(fh))
     except ValueError as exc:
         raise ValueError(f"medium {path}: {exc}") from None
     for t in medium.tensors:

@@ -11,7 +11,7 @@ from math import pi, sqrt
 import numpy as np
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation
-from dquant.fields import sinc
+from dquant.modes import sinc
 
 
 def cubic_sectors(triple, ms, units, tensor_value, prefactor, leg_scale=1.0):

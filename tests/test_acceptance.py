@@ -10,6 +10,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
+from dquant.coupling import InteractionParams, make_three_wave_modes
 from dquant.dynamics import (
     EvolutionConfig,
     FockSpace,
@@ -19,16 +20,9 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
-from dquant.fields import sinc
-from dquant.hamiltonian import (
-    InteractionParams,
-    assemble,
-    make_three_wave_modes,
-    resonant_coefficient,
-    scheme_resonant_coefficients,
-)
+from dquant.hamiltonian import assemble, resonant_coefficient, scheme_resonant_coefficients
 from dquant.maxwell import verify_routes
-from dquant.modes import make_uniform_medium_modes
+from dquant.modes import make_uniform_medium_modes, sinc
 from dquant.slab import (
     SlabStack,
     _solve_slab_betas,

@@ -14,7 +14,7 @@ import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
 from dquant.fields import FieldOperator
-from dquant.hamiltonian import ComparisonReport
+from dquant.coupling import ComparisonReport
 from dquant.serialize import dumps
 from dquant.susceptibility import ROUTES
 from dquant.units import si_units
@@ -51,10 +51,31 @@ class TestInvert:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["invert", "--medium", str(tmp_path / "nope.json")]) == 2
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["invert", "--medium", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"chi": {"1": [0.5], "2": [0.3]}, "note": "\xe9\xff"}')
+        assert main(["invert", "--medium", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_directory_medium_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["invert", "--medium", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_out_onto_existing_file_exits_2_naming_it(self, tmp_path, capsys):
+        medium = write_medium(tmp_path, [0.5, 0.3])
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["invert", "--medium", medium, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
 
     @pytest.mark.parametrize("key", ["0", "-3"])
     def test_order_key_below_one_exits_2_naming_it(self, tmp_path, capsys, key):
@@ -226,7 +247,7 @@ class TestCompare:
     def test_truncation_unsafe_squeezing_does_not_pass(self):
         # the order-4 squeezing comparison at the old fixed cutoff of 16
         from dquant.dynamics import EvolutionConfig, spdc_squeezing
-        from dquant.hamiltonian import InteractionParams
+        from dquant.coupling import InteractionParams
 
         pair = spdc_squeezing(InteractionParams(theta=0.05, delta_k=0.0, phi=1.0),
                               EvolutionConfig(n_max=16, t_final=0.2 / 0.05, steps=8), order=4)
@@ -251,6 +272,13 @@ class TestPhasematch:
         last = [float(x) for x in lines[-1].split(",")]
         assert first[1] == pytest.approx(1.0)  # phi(0) = 1
         assert last[1] == pytest.approx(0.0, abs=1e-30)  # dk L/2 = pi
+
+    def test_out_below_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "file" / "sub"
+        out.parent.write_text("")
+        assert main(["phasematch", "--points", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
 
 class TestSweeps:
@@ -477,7 +505,7 @@ def test_public_names_resolve_to_their_defining_submodule():
 
 #: the modules of the exact algebra and the dynamics, which import neither numpy nor scipy
 ALGEBRA_MODULES = ("boson_algebra", "fields", "modes", "maxwell", "susceptibility",
-                   "hamiltonian", "serialize", "linalg", "dynamics")
+                   "hamiltonian", "coupling", "serialize", "linalg", "dynamics")
 
 
 def test_algebra_modules_leave_numpy_unloaded():
@@ -496,21 +524,34 @@ def test_algebra_modules_leave_numpy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv, runs, unused", [
+#: the dquant modules every command imports
+CLI_CORE = {"cli", "record", "serialize", "units"}
+#: the closure of a dynamical compare, which reads no medium
+DYNAMICS = CLI_CORE | {"boson_algebra", "coupling", "dynamics", "linalg", "modes"}
+
+
+@pytest.mark.parametrize("argv, runs, unused, closure", [
     (["invert"], "susceptibility",
-     ("boson_algebra", "modes", "fields", "hamiltonian", "dynamics", "maxwell")),
-    (["verify", "--modes", "1"], "maxwell", ("hamiltonian", "dynamics")),
-    (["compare", "--observable", "coefficient"], "hamiltonian", ("dynamics", "maxwell")),
-    (["phasematch", "--points", "3"], "hamiltonian", ("dynamics", "maxwell")),
-    (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",)),
-    (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",)),
-    (["compare", "--observable", "squeezing"], "dynamics", ("maxwell",)),
-    (["compare", "--observable", "conversion"], "dynamics", ("maxwell",)),
+     ("boson_algebra", "modes", "fields", "hamiltonian", "dynamics", "maxwell"),
+     CLI_CORE | {"susceptibility"}),
+    (["verify", "--modes", "1"], "maxwell", ("hamiltonian", "dynamics"),
+     CLI_CORE | {"boson_algebra", "fields", "maxwell", "modes", "susceptibility"}),
+    (["compare", "--observable", "coefficient"], "hamiltonian", ("dynamics", "maxwell"),
+     CLI_CORE | {"boson_algebra", "coupling", "fields", "hamiltonian", "modes",
+                 "susceptibility"}),
+    (["phasematch", "--points", "3"], "coupling", ("dynamics", "maxwell"),
+     CLI_CORE | {"coupling", "linalg", "modes"}),
+    (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",),
+     DYNAMICS | {"susceptibility"}),
+    (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",),
+     DYNAMICS | {"susceptibility"}),
+    (["compare", "--observable", "squeezing"], "dynamics", ("maxwell",), DYNAMICS),
+    (["compare", "--observable", "conversion"], "dynamics", ("maxwell",), DYNAMICS),
     (["spdc", "--pump", "quantum", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics",
-     ("maxwell",)),
+     ("maxwell",), DYNAMICS | {"susceptibility"}),
 ], ids=["invert", "verify", "compare-coefficient", "phasematch", "spdc", "convert",
         "compare-squeezing", "compare-conversion", "spdc-quantum"])
-def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
+def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused, closure):
     # each command imports only the modules it runs, and none of them loads
     # scipy or numpy: the dynamics diagonalizes in pure Python; nor
     # dataclasses (with inspect) or logging, which cost start-up only
@@ -523,6 +564,8 @@ def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused):
                 if line.startswith("import time:")]
     assert f"dquant.{runs}" in imported
     assert not {f"dquant.{u}" for u in unused} & set(imported)
+    # with no cached bytecode every module imported is compiled: none beyond the closure
+    assert {m.split(".", 1)[1] for m in imported if m.startswith("dquant.")} == closure
     assert not [m for m in imported if m.split(".")[0] in ("scipy", "numpy")]
     # what the interpreter's start-up (site hooks included) loads is not the command's
     first = next(i for i, m in enumerate(imported) if m.split(".")[0] == "dquant")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dquant.boson_algebra import BosonicPolynomial, number
+from dquant.coupling import InteractionParams
 from dquant.dynamics import (
     EDGE_POPULATION_TOL,
     EvolutionConfig,
@@ -23,7 +24,6 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
-from dquant.hamiltonian import InteractionParams
 from dquant.linalg import eigh
 from eigh_oracle import chain_matrix, eigh_states
 from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations, to_matrix

@@ -8,9 +8,10 @@ from scipy.integrate import quad
 
 from dquant.boson_algebra import BosonicPolynomial, degree
 from dquant.dynamics import FockSpace
-from dquant.fields import FieldOperator, expand_fields, integrate_density, sinc
+from dquant.fields import FieldOperator, expand_fields, integrate_density
 from dquant.maxwell import _electric_field
-from dquant.modes import Mode, ModeProfile, ModeSet, flat_profile, make_uniform_medium_modes
+from dquant.modes import (Mode, ModeProfile, ModeSet, flat_profile, make_uniform_medium_modes,
+                          sinc)
 from dquant.slab import solve_slab_modes
 from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem

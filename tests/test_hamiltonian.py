@@ -6,17 +6,19 @@ from leg_oracle import cubic_sectors
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
 import dquant.hamiltonian as hamiltonian
-from dquant.fields import expand_fields, integrate_density
-from dquant.hamiltonian import (
+from dquant.coupling import (
     DegenerateTripleError,
     MatchingBudgetError,
     ModeTriple,
-    assemble,
     build_interaction,
-    build_linear,
     make_three_wave_modes,
     phase_matching_curve,
     prefactor_ratio,
+)
+from dquant.fields import expand_fields, integrate_density
+from dquant.hamiltonian import (
+    assemble,
+    build_linear,
     resonant_coefficient,
     scheme_resonant_coefficients,
 )
