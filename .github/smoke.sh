@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Run every script and each dquant command once, writing into OUT_DIR. Fails
-# on the first command that fails or warns of a truncation-unsafe evolution.
+# Run every script, each dquant command and the README's Python example once,
+# writing into OUT_DIR. Fails on the first command that fails or warns of a
+# truncation-unsafe evolution.
 # Usage: bash .github/smoke.sh OUT_DIR  (from the repository root)
 set -euo pipefail
 out=${1:?usage: smoke.sh OUT_DIR}
@@ -9,6 +10,8 @@ mkdir -p "$out"
 python scripts/run_maxwell_audit.py
 python scripts/run_scheme_comparison.py
 python scripts/run_phasematch_scan.py --out "$out/scan.csv"
+awk '/^```python$/{f=1;next} /^```$/{f=0} f' README.md > "$out/readme_example.py"
+python "$out/readme_example.py"
 
 run() {
   dquant "$@" 2> "$out/stderr.txt" || { cat "$out/stderr.txt"; exit 1; }
@@ -31,10 +34,16 @@ run spdc --pump quantum --out "$out/spdc-quantum"
 run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
 run convert --out "$out/convert"
 
-# a directory is no medium: bad input exits 2 with an error line, not 1 with a traceback
-status=0
-dquant invert --medium "$out" 2> "$out/stderr.txt" || status=$?
-if [ "$status" -ne 2 ] || ! grep -q '^error:' "$out/stderr.txt"; then
-  cat "$out/stderr.txt"
-  exit 1
-fi
+# bad input exits 2 with an error line, not 1 with a traceback: a directory
+# is no medium, and 1 + chi1 = 0 has no refractive index
+expect_input_error() {
+  status=0
+  dquant "$@" 2> "$out/stderr.txt" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q '^error:' "$out/stderr.txt"; then
+    cat "$out/stderr.txt"
+    exit 1
+  fi
+}
+expect_input_error invert --medium "$out"
+echo '{"units": "natural", "dim": 1, "chi": {"1": [-1.0], "2": [0.3]}}' > "$out/chi1-minus-one.json"
+expect_input_error spdc --medium "$out/chi1-minus-one.json" --out "$out/spdc-chi1-minus-one"

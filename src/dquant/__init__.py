@@ -17,15 +17,13 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "boson_algebra": ("BosonicPolynomial", "commutator", "degree", "heisenberg_derivative",
-                      "normal_order"),
+    "boson_algebra": ("BosonicPolynomial", "commutator", "degree", "normal_order"),
     "coupling": ("ComparisonReport", "InteractionParams", "ModeTriple", "build_interaction",
                  "prefactor_ratio"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
     "hamiltonian": ("HamiltonianSpec", "assemble", "build_linear"),
     "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_routes"),
-    "modes": ("ModeProfile", "ModeSet", "make_uniform_medium_modes"),
-    "slab": ("solve_slab_modes",),
+    "modes": ("ModeSet", "make_uniform_medium_modes"),
     "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_density",
                        "invert_series"),
     "units": ("UnitSystem", "natural_units", "si_units"),

@@ -282,15 +282,6 @@ def commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:
     return BosonicPolynomial(acc)
 
 
-def heisenberg_derivative(
-    o: BosonicPolynomial, h: BosonicPolynomial, hbar: float = 1.0
-) -> BosonicPolynomial:
-    """dO/dt = [O, H] / (i hbar) for a Hermitian generator."""
-    if not h.is_hermitian():
-        raise NotHermitianError("Hamiltonian not Hermitian")
-    return (-1j / hbar) * commutator(o, h)
-
-
 def degree(p: BosonicPolynomial) -> int:
     """Max total operator power; -1 for the zero polynomial."""
     if not p.terms:

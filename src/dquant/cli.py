@@ -51,7 +51,10 @@ def _refractive_index(medium: MediumSpec, path) -> float:
     if medium.dim != 1:
         raise ValueError(f"medium {path}: this command runs on a scalar (dim=1) medium, "
                          f"not dim={medium.dim}")
-    return sqrt(1.0 + medium.chi(1).item())
+    one_plus_chi1 = 1.0 + medium.chi(1).item()
+    if not one_plus_chi1 > 0:
+        raise ValueError(f"medium {path}: 1 + chi1 = {one_plus_chi1} must be positive")
+    return sqrt(one_plus_chi1)
 
 
 def cmd_invert(args) -> int:

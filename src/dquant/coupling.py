@@ -122,30 +122,25 @@ def build_interaction(triple: ModeTriple, eta2: SusceptibilityTensor,
                       units: UnitSystem) -> InteractionParams:
     """Coupling of the interaction theta * Phi * a_A^dag a_B^dag a_C + H.c.
 
-    theta = 2 L sqrt(prod hbar omega / 4 pi) * eta2 dA* dB* dC times the
-    cross-section of the triple's flat profiles; Phi = sinc(delta_k L / 2).
-    The flat-profile product is the one-point quadrature of the transverse
-    overlap integral. Raises ``ValueError`` for a tensor that is not scalar
-    (dim=1) and for profiles that are not flat.
+    theta = 2 L sqrt(prod hbar omega / 4 pi) * eta2 dA* dB* dC, the
+    transverse overlap of the triple's flat profiles over the unit
+    cross-section; Phi = sinc(delta_k L / 2). Raises ``ValueError`` for a
+    tensor that is not scalar (dim=1).
     """
     if eta2.dim != 1:
         raise ValueError("the three-wave coupling runs on scalar (dim=1) media")
-    p_a, p_b, p_c = (mode.profile for mode in triple.modes())
-    if not (p_a.is_flat and p_b.is_flat and p_c.is_flat):
-        raise ValueError("the interaction coupling needs flat profiles")
+    mode_a, mode_b, mode_c = triple.modes()
     length = triple.length
     delta_k = triple.delta_k
     if abs(delta_k) * length / 2 >= MATCHING_BUDGET:
         raise MatchingBudgetError(
             f"|delta_k| L/2 = {abs(delta_k) * length / 2:.3g} exceeds the budget"
         )
-    overlap = p_a.weights[0] * (eta2.item() * p_a.d[0].conjugate() * p_b.d[0].conjugate()
-                                * p_c.d[0])
-    omegas = (triple.mode_a.omega, triple.mode_b.omega, triple.mode_c.omega)
+    overlap = eta2.item() * mode_a.d.conjugate() * mode_b.d.conjugate() * mode_c.d
     theta = 2.0 * length * sqrt(
-        units.hbar * omegas[0] / (4 * pi)
-        * units.hbar * omegas[1] / (4 * pi)
-        * units.hbar * omegas[2] / (4 * pi)
+        units.hbar * mode_a.omega / (4 * pi)
+        * units.hbar * mode_b.omega / (4 * pi)
+        * units.hbar * mode_c.omega / (4 * pi)
     ) * overlap
     return InteractionParams(theta=theta, delta_k=delta_k, phi=sinc(delta_k * length / 2.0))
 

@@ -5,7 +5,7 @@ to operator coefficients with respect to the continuum-normalized plane
 waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
 
 * the expansion coefficient of mode (J, m) is sqrt(hbar*omega/2) * sqrt(w)
-  times the transverse profile amplitude,
+  times the amplitude of its flat profile,
 * a pointwise product of fields convolves coefficients with one extra
   factor (2*pi)**-0.5 per multiplication,
 * integrating a product of fields over the box picks the zero-frequency
@@ -129,9 +129,8 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
 
     Per mode: coefficient sqrt(hbar*omega/2)*sqrt(w)*d at +m on the
     annihilation operator, plus the conjugate at -m, and likewise with the
-    induction amplitude b. Requires flat profiles of unit cross-section:
-    the operator-valued Fourier algebra carries no transverse structure, so
-    a product of fields is integrated over unit area.
+    induction amplitude b. Every profile is flat over unit cross-section,
+    so a product of fields is integrated over unit area.
     """
     if not ms.modes:
         raise ValueError("cannot expand fields of an empty mode set")
@@ -139,12 +138,9 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
     d_comp: dict[int, BosonicPolynomial] = {}
     b_comp: dict[int, BosonicPolynomial] = {}
     for mode in ms.modes:
-        if not mode.profile.is_flat or mode.profile.weights[0] != 1.0:
-            raise ValueError(f"mode {mode.label}: field expansion needs a flat profile "
-                             "of unit cross-section")
         amp = sqrt(units.hbar * mode.omega / 2.0) * sqrt(w)
-        cd = amp * mode.profile.d_value()
-        cb = amp * mode.profile.b_value()
+        cd = amp * mode.d
+        cb = amp * mode.b
         a_op = annihilation(mode.label)
         ad_op = creation(mode.label)
         for comp, c in ((d_comp, cd), (b_comp, cb)):

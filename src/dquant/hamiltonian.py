@@ -18,9 +18,7 @@ as ``dropped``, never silently lost. On a linear medium the box builder of
 
 The builders run on scalar (dim=1) media and read their units from the
 medium. A scalar tensor is trivially permutation symmetric, so the 3!
-collection of orderings in D^3 needs no further check;
-:func:`~dquant.susceptibility.check_permutation_symmetry` audits dim-3
-tensors.
+collection of orderings in D^3 needs no further check.
 
 The closed-form theta and Phi of a matched triple, the triple and the
 comparison record live in :mod:`~dquant.coupling`.

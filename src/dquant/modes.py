@@ -1,18 +1,19 @@
-"""Discrete mode bases: box-quantized plane waves and their mode profiles.
+"""Discrete mode bases: box-quantized plane waves with flat profiles.
 
 Box quantization maps the continuum onto a periodic box of length ``l_box``:
 wavevectors become k_m = 2*pi*m / l_box = w*m for integer m, integrals over
 k become w * sums, delta(k-k') becomes delta_mm' / w, and the continuum
 operators a(k) become w**-0.5 a_m so that [a_m, a_m'^dag] = delta_mm'.
 
-Profiles are normalized so that
+Every mode has a flat transverse profile over a cross-section of unit area,
+so the profile is the two amplitudes ``d`` and ``b`` of its :class:`Mode`.
+They are normalized so that
 
-    (v_p / v_g) * integral dx |d(x)|^2 / (eps0 n(x)^2) = 1,
+    (v_p / v_g) * |d|^2 / (eps0 n^2) = 1,
 
 which assigns half a photon's energy to the displacement field and half to
-the induction field. Guided TE slab modes, and the normalization integral
-of sampled profiles, come from :mod:`dquant.slab`; like this module it
-runs on the standard library alone.
+the induction field. A profile cannot move the routes' ratio: it holds
+pointwise, eta2(x) = -eps0 chi2(x) eta1(x)^3.
 """
 
 from __future__ import annotations
@@ -34,58 +35,20 @@ def sinc(x: float) -> float:
 
 
 @record
-class ModeProfile:
-    """Transverse profile samples of one guided or plane-wave mode.
+class Mode:
+    """One plane wave on the box grid.
 
-    ``x`` and ``weights`` define the quadrature rule (a single point of
-    weight A for a uniform cross-section of area A); ``d`` and ``b`` are the
-    complex displacement/induction samples and ``index`` the local refractive
-    index, all stored as tuples. ``k_eff`` carries the propagation constant.
+    ``d`` and ``b`` are the complex displacement and induction amplitudes
+    of its flat profile over the unit cross-section.
     """
 
-    x: tuple
-    weights: tuple
-    d: tuple
-    b: tuple
-    index: tuple
-    vp: float
-    vg: float
-    k_eff: float | None = None
-
-    def __post_init__(self):
-        for name, kind in (("x", float), ("weights", float), ("index", float),
-                           ("d", complex), ("b", complex)):
-            object.__setattr__(self, name, tuple(map(kind, getattr(self, name))))
-        n = len(self.x)
-        if not (len(self.weights) == len(self.d) == len(self.b) == len(self.index) == n):
-            raise ValueError("profile arrays must be conformable")
-        if self.vp <= 0 or self.vg <= 0:
-            raise ValueError("phase and group velocities must be positive")
-
-    @property
-    def is_flat(self) -> bool:
-        return len(self.x) == 1
-
-    def d_value(self) -> complex:
-        """Scalar amplitude of a flat profile."""
-        if not self.is_flat:
-            raise ValueError("d_value() requires a flat (single-point) profile")
-        return complex(self.d[0])
-
-    def b_value(self) -> complex:
-        if not self.is_flat:
-            raise ValueError("b_value() requires a flat (single-point) profile")
-        return complex(self.b[0])
-
-
-@record
-class Mode:
     label: int
     family: str
     m: int
     k: float
     omega: float
-    profile: ModeProfile
+    d: complex
+    b: complex
 
 
 @record
@@ -116,56 +79,20 @@ class ModeSet:
     def labels(self) -> list[int]:
         return [m.label for m in self.modes]
 
-    def to_dict(self) -> dict:
-        return {
-            "l_box": self.l_box,
-            "dropped_zero_mode": self.dropped_zero_mode,
-            "modes": [
-                {
-                    "label": m.label,
-                    "family": m.family,
-                    "m": m.m,
-                    "k": m.k,
-                    "omega": m.omega,
-                    "v_p": m.profile.vp,
-                    "v_g": m.profile.vg,
-                    "grid": list(m.profile.x),
-                    "d_re": [d.real for d in m.profile.d],
-                    "d_im": [d.imag for d in m.profile.d],
-                }
-                for m in self.modes
-            ],
-        }
-
-
-def flat_profile(n_index: float, omega: float, k: float, units: UnitSystem) -> ModeProfile:
-    """Exactly normalized constant profile over a cross-section of unit area.
-
-    Unit area is the one :func:`~dquant.fields.expand_fields` accepts. The
-    induction amplitude follows from the harmonic Ampere relation
-    b = mu0 * omega * d / k, with the sign of k preserved.
-    """
-    d_val = sqrt(units.eps0 * n_index**2)
-    b_val = units.mu0 * omega * d_val / k
-    return ModeProfile(
-        x=(0.0,),
-        weights=(1.0,),
-        d=(d_val,),
-        b=(b_val,),
-        index=(n_index,),
-        vp=units.c / n_index,
-        vg=units.c / n_index,
-        k_eff=k,
-    )
-
 
 def plane_wave_mode(label: int, family: str, m: int, n_index: float, l_box: float,
                     units: UnitSystem) -> Mode:
-    """Flat-profile plane wave on the box grid: k = 2*pi*m/l_box, omega = c |k| / n."""
+    """Flat-profile plane wave on the box grid: k = 2*pi*m/l_box, omega = c |k| / n.
+
+    d = sqrt(eps0 n^2) normalizes the profile exactly, and the induction
+    amplitude follows from the harmonic Ampere relation b = mu0 omega d / k,
+    with the sign of k preserved.
+    """
     k = 2 * pi / l_box * m
     omega = units.c * abs(k) / n_index
+    d = sqrt(units.eps0 * n_index**2)
     return Mode(label=label, family=family, m=m, k=k, omega=omega,
-                profile=flat_profile(n_index, omega, k, units))
+                d=complex(d), b=complex(units.mu0 * omega * d / k))
 
 
 def make_uniform_medium_modes(n_index: float, l_box: float, m_range: Sequence[int],

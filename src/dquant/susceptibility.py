@@ -30,7 +30,7 @@ from .units import UnitSystem, units_from_name
 
 TENSOR_ROLES = ("chi", "eta", "gamma")
 
-#: tolerance for exact-algebra identities (matrix round trips, symmetry)
+#: largest imaginary part a real tensor entry may carry
 EXACT_TOL = 1e-12
 
 
@@ -346,13 +346,3 @@ def energy_density(medium: MediumSpec, etas, route: str) -> list[float]:
             eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)]
         return [c * eta1 ** (n + 1) for n, c in enumerate(coeffs, start=1)]
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-
-
-def check_permutation_symmetry(t: SusceptibilityTensor) -> tuple[bool, float]:
-    """Full permutation symmetry over all order+1 indices, by enumeration."""
-    max_dev = 0.0
-    for p in permutations(range(t.order + 1)):
-        dev = max(abs(x - y) for x, y in zip(_transpose(t.entries, t.dim, p), t.entries))
-        if dev > max_dev:
-            max_dev = dev
-    return max_dev <= EXACT_TOL, max_dev

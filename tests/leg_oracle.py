@@ -19,9 +19,9 @@ def cubic_sectors(triple, ms, units, tensor_value, prefactor, leg_scale=1.0):
     legs = []
     for mode in triple.modes():
         amp = leg_scale * sqrt(units.hbar * mode.omega / 2.0) * sqrt(ms.w)
-        legs.append((mode.family, False, mode.k, amp * mode.profile.d_value(),
+        legs.append((mode.family, False, mode.k, amp * mode.d,
                      annihilation(mode.label)))
-        legs.append((mode.family, True, -mode.k, np.conj(amp * mode.profile.d_value()),
+        legs.append((mode.family, True, -mode.k, np.conj(amp * mode.d),
                      creation(mode.label)))
     fam = [m.family for m in triple.modes()]
     resonant_content = {frozenset([(fam[0], True), (fam[1], True), (fam[2], False)]),

@@ -93,13 +93,6 @@ def invert_series(medium, max_order) -> list[np.ndarray]:
     return [g[m] for m in range(1, max_order + 1)]
 
 
-def permutation_deviation(t: SusceptibilityTensor) -> float:
-    """Largest change of any entry under a permutation of all indices."""
-    arr = array(t)
-    return max(float(np.max(np.abs(np.transpose(arr, p) - arr)))
-               for p in permutations(range(arr.ndim)))
-
-
 def _apply_series(tensors, values):
     """Evaluate sum_n T_n v^n on shape (samples, dim) inputs."""
     values = np.atleast_2d(np.asarray(values, dtype=float))

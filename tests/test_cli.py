@@ -459,6 +459,21 @@ def test_non_finite_medium_entries_exit_2_naming_the_file(tmp_path, chi, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("chi1", [-1.0, -2.0])
+@pytest.mark.parametrize("command", [["verify"], ["spdc", "--n-max", "4"],
+                                     ["convert", "--n-max", "4"]],
+                         ids=["verify", "spdc", "convert"])
+def test_chi1_at_or_below_minus_one_exits_2_naming_the_file(tmp_path, command, chi1, capsys):
+    # n = sqrt(1 + chi1) once raised ZeroDivisionError (exit 1, a traceback)
+    # at chi1 = -1 and a bare "math domain error" below it
+    path = write_medium(tmp_path, [chi1, 0.3])
+    out = tmp_path / "out"
+    assert main([*command, "--medium", path, "--out", str(out)]) == 2
+    assert f"medium {path}: 1 + chi1 = {1.0 + chi1} must be positive" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["verify"], ["spdc", "--n-max", "4"],
                                      ["convert", "--n-max", "4"]],
                          ids=["verify", "spdc", "convert"])
@@ -530,7 +545,8 @@ CLI_CORE = {"cli", "record", "serialize", "units"}
 DYNAMICS = CLI_CORE | {"boson_algebra", "coupling", "dynamics", "linalg", "modes"}
 
 
-@pytest.mark.parametrize("argv, runs, unused, closure", [
+#: (argv, module it runs, modules it must not import, its dquant import closure)
+COMMAND_CLOSURES = [
     (["invert"], "susceptibility",
      ("boson_algebra", "modes", "fields", "hamiltonian", "dynamics", "maxwell"),
      CLI_CORE | {"susceptibility"}),
@@ -549,8 +565,13 @@ DYNAMICS = CLI_CORE | {"boson_algebra", "coupling", "dynamics", "linalg", "modes
     (["compare", "--observable", "conversion"], "dynamics", ("maxwell",), DYNAMICS),
     (["spdc", "--pump", "quantum", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics",
      ("maxwell",), DYNAMICS | {"susceptibility"}),
-], ids=["invert", "verify", "compare-coefficient", "phasematch", "spdc", "convert",
-        "compare-squeezing", "compare-conversion", "spdc-quantum"])
+]
+
+
+@pytest.mark.parametrize("argv, runs, unused, closure", COMMAND_CLOSURES,
+                         ids=["invert", "verify", "compare-coefficient", "phasematch", "spdc",
+                              "convert", "compare-squeezing", "compare-conversion",
+                              "spdc-quantum"])
 def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused, closure):
     # each command imports only the modules it runs, and none of them loads
     # scipy or numpy: the dynamics diagonalizes in pure Python; nor
@@ -570,6 +591,13 @@ def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused, cl
     # what the interpreter's start-up (site hooks included) loads is not the command's
     first = next(i for i, m in enumerate(imported) if m.split(".")[0] == "dquant")
     assert not {"dataclasses", "inspect", "logging"} & set(imported[first:])
+
+
+def test_every_module_is_some_commands_module():
+    # a module outside every command's closure is code no command reaches
+    reached = set().union(*(closure for *_, closure in COMMAND_CLOSURES))
+    src = Path(dquant.__file__).parent
+    assert reached == {p.stem for p in src.glob("*.py")} - {"__init__", "__main__"}
 
 
 @pytest.mark.parametrize("dependency", ["scipy", "numpy"])

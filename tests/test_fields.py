@@ -10,9 +10,7 @@ from dquant.boson_algebra import BosonicPolynomial, degree
 from dquant.dynamics import FockSpace
 from dquant.fields import FieldOperator, expand_fields, integrate_density
 from dquant.maxwell import _electric_field
-from dquant.modes import (Mode, ModeProfile, ModeSet, flat_profile, make_uniform_medium_modes,
-                          sinc)
-from dquant.slab import solve_slab_modes
+from dquant.modes import ModeSet, make_uniform_medium_modes, sinc
 from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem
 from fock_oracle import to_matrix
@@ -54,7 +52,7 @@ class TestExpandFields:
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1], NAT)
         d_field, b_field = expand_fields(ms, NAT)
         mode = ms.modes[0]
-        expected = sqrt(NAT.hbar * mode.omega / 2.0) * sqrt(ms.w) * abs(mode.profile.d_value())
+        expected = sqrt(NAT.hbar * mode.omega / 2.0) * sqrt(ms.w) * abs(mode.d)
         coeff = d_field.component(1).coefficient({mode.label: (0, 1)})
         assert abs(coeff) == pytest.approx(expected, rel=1e-14)
         assert b_field.component(1).coefficient({mode.label: (0, 1)}) != 0
@@ -63,7 +61,7 @@ class TestExpandFields:
         ms = make_uniform_medium_modes(1.0, 8 * pi, [4], NAT)  # k = 1 again
         d_field, _ = expand_fields(ms, NAT)
         mode = ms.modes[0]
-        expected = sqrt(NAT.hbar * mode.omega / 2.0) * sqrt(ms.w) * abs(mode.profile.d_value())
+        expected = sqrt(NAT.hbar * mode.omega / 2.0) * sqrt(ms.w) * abs(mode.d)
         coeff = d_field.component(4).coefficient({mode.label: (0, 1)})
         assert abs(coeff) == pytest.approx(expected, rel=1e-14)
 
@@ -91,26 +89,6 @@ class TestExpandFields:
         for mode in ms.modes:
             d_one, _ = expand_fields(ModeSet(modes=(mode,), l_box=2 * pi), NAT)
             assert d_two.component(mode.m).isclose(d_one.component(mode.m))
-
-
-    def test_rejects_profiles_of_other_cross_section(self):
-        # the field algebra integrates products over unit area: a flat profile
-        # of area 2.5 would come out mis-scaled, so it is refused
-        unit = flat_profile(1.3, 1.0, 1.0, NAT)
-        profile = ModeProfile(x=unit.x, weights=(2.5,), d=[v / sqrt(2.5) for v in unit.d],
-                              b=[v / sqrt(2.5) for v in unit.b], index=unit.index,
-                              vp=unit.vp, vg=unit.vg)
-        mode = Mode(label=0, family="U", m=1, k=1.0, omega=1.0, profile=profile)
-        with pytest.raises(ValueError, match="unit cross-section"):
-            expand_fields(ModeSet(modes=(mode,), l_box=2 * pi), NAT)
-
-    def test_rejects_sampled_profiles(self):
-        (profile,) = solve_slab_modes([(6.0, 1.45), (1.0, 2.0), (6.0, 1.45)], omega=1.0,
-                                      units=NAT, with_group_velocity=False,
-                                      points_per_layer=50)
-        mode = Mode(label=0, family="U", m=1, k=1.0, omega=1.0, profile=profile)
-        with pytest.raises(ValueError, match="flat profile"):
-            expand_fields(ModeSet(modes=(mode,), l_box=2 * pi), NAT)
 
 
 class TestElectricFieldFromD:

@@ -24,7 +24,6 @@ from dquant.hamiltonian import (
 )
 from dquant.maxwell import _route_hamiltonians
 from dquant.modes import Mode, make_uniform_medium_modes
-from dquant.slab import solve_slab_modes
 from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
 from dquant.units import UnitSystem, si_units
 
@@ -117,8 +116,8 @@ class TestBuildNonlinearD:
         ma, mb, mc = triple.modes()
         amps = sqrt(NAT.hbar * ma.omega / 2 * NAT.hbar * mb.omega / 2
                     * NAT.hbar * mc.omega / 2)
-        overlap = (np.conj(ma.profile.d_value()) * np.conj(mb.profile.d_value())
-                   * mc.profile.d_value())
+        overlap = (np.conj(ma.d) * np.conj(mb.d)
+                   * mc.d)
         weights = ms.w**1.5 * triple.length / (2 * pi) ** 1.5  # phi = 1, matched
         expected = 2.0 * eta2.item() * amps * overlap * weights
         assert got == pytest.approx(expected, rel=1e-13)
@@ -332,8 +331,8 @@ class TestBuildInteraction:
         expected = (2.0 * 1.7
                     * sqrt(ma.omega / (4 * pi) * mb.omega / (4 * pi) * mc.omega / (4 * pi))
                     * eta2.item()
-                    * np.conj(ma.profile.d_value()) * np.conj(mb.profile.d_value())
-                    * mc.profile.d_value())
+                    * np.conj(ma.d) * np.conj(mb.d)
+                    * mc.d)
         assert params.theta == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("factor", [2.0, 10.0])
@@ -380,23 +379,10 @@ class TestBuildInteraction:
         # shift the pump off the matched wavevector by one grid step
         c = triple.mode_c
         off_c = Mode(label=c.label, family=c.family, m=c.m + 8, k=c.k + 8 * ms.w,
-                     omega=c.omega, profile=c.profile)
+                     omega=c.omega, d=c.d, b=c.b)
         bad = ModeTriple(mode_a=triple.mode_a, mode_b=triple.mode_b, mode_c=off_c,
                          length=10.0)
         with pytest.raises(MatchingBudgetError):
-            build_interaction(bad, eta2, NAT)
-
-    def test_rejects_sampled_profiles(self):
-        _, triple, eta2 = self.setup()
-        (profile,) = solve_slab_modes([(6.0, 1.45), (1.0, 2.0), (6.0, 1.45)], omega=1.0,
-                                      units=NAT, with_group_velocity=False,
-                                      points_per_layer=50)
-        b = triple.mode_b
-        sampled = Mode(label=b.label, family=b.family, m=b.m, k=b.k, omega=b.omega,
-                       profile=profile)
-        bad = ModeTriple(mode_a=triple.mode_a, mode_b=sampled, mode_c=triple.mode_c,
-                         length=triple.length)
-        with pytest.raises(ValueError, match="flat profiles"):
             build_interaction(bad, eta2, NAT)
 
 

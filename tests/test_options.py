@@ -20,16 +20,7 @@ CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 #: option -> the test that sets it (path::[class::]function, whose calls are searched)
 TEST_ONLY = {
-    "boson_algebra.heisenberg_derivative(hbar)":
-        "tests/test_boson_algebra.py::TestHeisenberg::test_hbar_divides_the_derivative",
     "cli.main(argv)": "tests/test_cli.py::TestInvert::test_vacuum",
-    "slab.slab_profile(normalized)": "tests/test_acceptance.py::test_criterion_7_normalization",
-    "slab.solve_slab_modes(units)":
-        "tests/test_modes.py::TestSlabModes::test_no_guiding_returns_empty",
-    "slab.solve_slab_modes(points_per_layer)":
-        "tests/test_modes.py::TestSlabModes::test_modes_normalized",
-    "slab.solve_slab_modes(with_group_velocity)":
-        "tests/test_modes.py::TestSlabModes::test_profile_decays_in_cladding",
     "susceptibility.SusceptibilityTensor.scalar(role)":
         "tests/test_susceptibility.py::TestGamma::test_vacuum",
     "susceptibility.MediumSpec.from_scalars(units)":

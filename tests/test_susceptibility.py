@@ -12,7 +12,6 @@ from dquant.susceptibility import (
     MediumSpec,
     NonInvertibleLinearResponseError,
     SusceptibilityTensor,
-    check_permutation_symmetry,
     energy_density,
     gamma_from_eta,
     invert_linear,
@@ -235,14 +234,6 @@ def test_singular_3x3_raises(one_plus_chi1):
         invert_linear(SusceptibilityTensor(order=1, role="chi", dim=3, entries=chi1), NAT)
 
 
-def test_permutation_deviation_matches_the_transposes():
-    rng = np.random.default_rng(3)
-    for order in (1, 2, 3):
-        t = SusceptibilityTensor(order=order, role="chi", dim=3,
-                                 entries=rng.uniform(-1, 1, 3 ** (order + 1)))
-        assert check_permutation_symmetry(t)[1] == tensor_oracle.permutation_deviation(t)
-
-
 class TestGamma:
     def test_vacuum(self):
         g = gamma_from_eta(scalar(1, 1.0, role="eta"), NAT)
@@ -336,29 +327,6 @@ def test_top_coefficient_ratio_closed_form(data, order, pure, eps0):
     assert ratio == pytest.approx(closed_form, rel=1e-12)
     if pure:
         assert ratio == pytest.approx(prefactor_ratio(order), rel=1e-12)
-
-
-class TestPermutationSymmetry:
-    def test_scalar_always_symmetric(self):
-        ok, dev = check_permutation_symmetry(scalar(2, 0.7))
-        assert ok and dev == 0.0
-
-    def test_constructed_symmetric(self):
-        ent = np.zeros((3, 3, 3))
-        for p in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-            ent[p] = 1.0
-        t = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
-        ok, dev = check_permutation_symmetry(t)
-        assert ok and dev <= 1e-12
-
-    def test_single_entry_asymmetric(self):
-        ent = np.zeros((3, 3, 3))
-        ent[0, 1, 2] = 1.0
-        ok, dev = check_permutation_symmetry(
-            SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
-        )
-        assert not ok
-        assert dev == pytest.approx(1.0)
 
 
 class TestMediumJson:
