@@ -35,7 +35,8 @@ run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
 run convert --out "$out/convert"
 
 # bad input exits 2 with an error line, not 1 with a traceback: a directory
-# is no medium, and 1 + chi1 = 0 has no refractive index
+# is no medium, 1 + chi1 = 0 has no refractive index, and verify's box modes
+# need an index of at least 1
 expect_input_error() {
   status=0
   dquant "$@" 2> "$out/stderr.txt" || status=$?
@@ -47,3 +48,5 @@ expect_input_error() {
 expect_input_error invert --medium "$out"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [-1.0], "2": [0.3]}}' > "$out/chi1-minus-one.json"
 expect_input_error spdc --medium "$out/chi1-minus-one.json" --out "$out/spdc-chi1-minus-one"
+echo '{"units": "natural", "dim": 1, "chi": {"1": [-0.5], "2": [0.3]}}' > "$out/chi1-minus-half.json"
+expect_input_error verify --medium "$out/chi1-minus-half.json" --out "$out/verify-chi1-minus-half"

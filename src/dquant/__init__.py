@@ -21,8 +21,9 @@ _EXPORTS = {
     "coupling": ("ComparisonReport", "InteractionParams", "ModeTriple", "build_interaction",
                  "prefactor_ratio"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
-    "hamiltonian": ("HamiltonianSpec", "assemble", "build_linear"),
-    "maxwell": ("FaradayReport", "degree_contradiction_report", "verify_routes"),
+    "hamiltonian": ("HamiltonianSpec", "assemble", "build_linear",
+                    "scheme_resonant_coefficients"),
+    "maxwell": ("FaradayReport", "verify_routes"),
     "modes": ("ModeSet", "make_uniform_medium_modes"),
     "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_density",
                        "invert_series"),

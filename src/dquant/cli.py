@@ -80,6 +80,9 @@ def cmd_verify(args) -> int:
 
     medium = _load_medium_arg(args)
     n_index = _refractive_index(medium, args.medium)
+    if n_index < 1.0:  # the box modes of a uniform medium need one
+        raise ValueError(f"medium {args.medium}: refractive index sqrt(1 + chi1) = {n_index} "
+                         "must be >= 1")
     m_max = args.modes
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)

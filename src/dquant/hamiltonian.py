@@ -9,16 +9,19 @@ D^(n+1) carries eta1^(n+1). For a pure order-n nonlinearity the resonant
 coefficients of the two routes differ by a factor of exactly -n, and the
 cubic-in-D part of the quadratic chi-series term restores the difference.
 
-:func:`assemble` is the one builder of three-wave Hamiltonians. It keeps
-the resonant (rotating-wave) sector a_A^dag a_B^dag a_C + H.c. as the
-nonlinear part; the anti-resonant terms are constructed and kept beside it
-as ``dropped``, never silently lost. On a linear medium the box builder of
+:func:`scheme_resonant_coefficients` is the one builder of resonant
+coefficients, for any scheme, order and medium: one build of D^(n+1),
+scaled by each scheme's weight from one table (:func:`_top_weights`).
+:func:`assemble` builds whole three-wave Hamiltonians with weights from the
+same table: the resonant (rotating-wave) sector a_A^dag a_B^dag a_C + H.c.
+is the nonlinear part, and the anti-resonant terms are kept beside it as
+``dropped``, never silently lost. On a linear medium the box builder of
 :mod:`~dquant.maxwell` integrates the quadratic form, which equals
 :func:`build_linear`.
 
 The builders run on scalar (dim=1) media and read their units from the
-medium. A scalar tensor is trivially permutation symmetric, so the 3!
-collection of orderings in D^3 needs no further check.
+medium. A scalar tensor is trivially permutation symmetric, so the
+(n+1)! collection of orderings in D^(n+1) needs no further check.
 
 The closed-form theta and Phi of a matched triple, the triple and the
 comparison record live in :mod:`~dquant.coupling`.
@@ -30,7 +33,7 @@ from math import pi, sqrt
 
 from .boson_algebra import BosonicPolynomial, number
 from .coupling import ComparisonReport, ModeTriple, prefactor_ratio
-from .fields import FieldOperator, expand_fields, integrate_density
+from .fields import expand_fields, integrate_density
 from .modes import Mode, ModeSet, plane_wave_mode
 from .record import record
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
@@ -113,15 +116,67 @@ def _triple_modes_in(ms: ModeSet, triple: ModeTriple) -> list[Mode]:
     return modes
 
 
-def resonant_coefficient(poly: BosonicPolynomial, triple: ModeTriple) -> complex:
-    """Coefficient of a_A^dag a_B^dag a_C in a three-wave Hamiltonian."""
-    return poly.coefficient(_resonant_powers(triple))
-
-
 def _resonant_powers(triple: ModeTriple) -> dict:
     """Mode powers of a_A^dag a_B^dag a_C."""
     return {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
             triple.mode_c.label: (0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# resonant coefficients: one weight table, one D^(n+1) build
+# ---------------------------------------------------------------------------
+
+
+def _top_weights(medium: MediumSpec, n: int) -> dict[str, float]:
+    """Each scheme's weight of D^(n+1): the one weight table.
+
+    The two routes' top weights from
+    :func:`~dquant.susceptibility.energy_density`. At n = 2 also
+    ``"E-based-corrected"``: the E route's weight plus eps0 (1 + chi1)
+    eta1 eta2, the cubic-in-D cross terms of eps0 (1 + chi1) E_full^2 / 2
+    with E_full = eta1 D + eta2 D^2, which restore the D route's weight.
+    Raises ``ValueError`` for a medium that is not scalar (dim=1).
+    """
+    if medium.dim != 1:
+        raise ValueError("wave-mixing Hamiltonians are built on scalar (dim=1) media")
+    etas = invert_series(medium, n)
+    weights = {route: energy_density(medium, etas, route)[-1] for route in ROUTES}
+    if n == 2:
+        weights["E-based-corrected"] = weights["E-linear-wrong"] + (
+            medium.units.eps0 * (1.0 + medium.chi(1).item()) * etas[0].item() * etas[1].item())
+    return weights
+
+
+def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict,
+                                 length: float) -> dict[str, complex]:
+    """Each scheme's coefficient of a phase-matched monomial, ``{scheme: coefficient}``.
+
+    ``monomial`` maps mode labels of ``ms`` to (cre, ann) powers. Its degree
+    n + 1 picks out the one power D^(n+1), whose integral over a region of
+    ``length`` is scaled by each scheme's weight from :func:`_top_weights`.
+    D^(n+1) is built only from the monomials that divide this one (exact for
+    its coefficient, the top degree) and its last product only at k = 0,
+    where a phase-matched monomial lives and the region integral is
+    length / sqrt(2 pi). Contractions of D^(n+3) and higher powers reach the
+    same degree but depend on the basis size, so they stay out. Raises
+    ``ValueError`` for a monomial on modes outside ``ms`` or with a net
+    wavevector other than 0, and for a medium that is not scalar (dim=1).
+    """
+    grid = {mode.label: mode.m for mode in ms.modes}
+    if not set(monomial) <= set(grid):
+        raise ValueError(f"monomial modes {sorted(set(monomial) - set(grid))} are not in ms")
+    net = sum((a - c) * grid[label] for label, (c, a) in monomial.items())
+    if net != 0:
+        raise ValueError(f"monomial is not phase-matched: net wavevector index {net}, not 0")
+    n = sum(c + a for c, a in monomial.values()) - 1
+    weights = _top_weights(medium, n)
+    d_field, _ = expand_fields(ms, medium.units)
+    d_power = d_field
+    for _ in range(n - 1):
+        d_power = d_power.product(d_field, support=monomial)
+    top = d_power.product_k0(d_field, support=monomial)
+    base = length / sqrt(2 * pi) * top.coefficient(monomial)
+    return {scheme: weight * base for scheme, weight in weights.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -142,41 +197,22 @@ def _pure_order_modeset(order: int, chi1: float, units: UnitSystem) -> tuple[Mod
     return ms, monomial
 
 
-def scheme_resonant_coefficients(order: int) -> tuple[complex, complex]:
-    """Resonant (correct, wrong) coefficients of a pure order-n medium.
+def compare_coefficients(order: int) -> ComparisonReport:
+    """Resonant coefficients of both routes for a pure order-n medium; expected ratio -n.
 
     A pure order-n scalar medium (chi1 = 0.5, chi_n = 0.37, all intermediate
     nonlinear orders zero, natural units) drives an (n+1)-wave process with
-    n signal modes and one pump; the coefficients of a_1^dag .. a_n^dag a_pump
-    in the two energy densities are extracted from the operator power
-    D^(n+1), built only from the monomials that divide the resonant one
-    (exact for its coefficient, the top degree) and only at k = 0.
+    n signal modes and one pump; the coefficients of
+    a_1^dag .. a_n^dag a_pump come from :func:`scheme_resonant_coefficients`
+    over the whole box.
     """
     if order < 2:
         raise ValueError("the routes differ only for nonlinear orders n >= 2")
     chi1 = 0.5
     medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [0.37])
-    units = medium.units
-    etas = invert_series(medium, order)
-
-    ms, monomial = _pure_order_modeset(order, chi1, units)
-    d_field, _ = expand_fields(ms, units)
-    d_power = d_field
-    for _ in range(order - 1):
-        d_power = d_power.product(d_field, support=monomial)
-    top = d_power.product_k0(d_field, support=monomial)
-    base = integrate_density(FieldOperator({0: top}, ms.w), ms.l_box)
-
-    c_correct = (energy_density(medium, etas, "D-based")[-1] * base).coefficient(monomial)
-    c_wrong = (energy_density(medium, etas, "E-linear-wrong")[-1] * base).coefficient(monomial)
-    if c_correct == 0:
-        raise RuntimeError("resonant coefficient vanished; mode construction broken")
-    return c_correct, c_wrong
-
-
-def compare_coefficients(order: int) -> ComparisonReport:
-    """Resonant coefficients of both routes for a pure order-n medium; expected ratio -n."""
-    c_correct, c_wrong = scheme_resonant_coefficients(order)
+    ms, monomial = _pure_order_modeset(order, chi1, medium.units)
+    coefficients = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
+    c_correct, c_wrong = (coefficients[route] for route in ROUTES)
     return ComparisonReport(observable="coefficient", order=order,
                             value_correct=c_correct.real, value_wrong=c_wrong.real,
                             ratio=(c_wrong / c_correct).real,
@@ -206,30 +242,20 @@ def assemble(ms: ModeSet, medium: MediumSpec, triple: ModeTriple,
       cross terms give exactly +1 * integral eta2 D^3, which restores the
       D-based Hamiltonian.
 
-    Each scheme scales one build of the integral of D^3 by one weight: the
-    route's D^3 weight from :func:`~dquant.susceptibility.energy_density`,
-    plus eps0 (1 + chi1) eta1 eta2 for ``"E-based-corrected"``. Raises
+    Each scheme scales one full build of the integral of D^3, anti-resonant
+    terms included, by its weight from :func:`_top_weights`. Raises
     ``ValueError`` for an unknown scheme and for a medium that is not
     scalar (dim=1).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if medium.dim != 1:
-        raise ValueError("three-wave Hamiltonians are built on scalar (dim=1) media")
+    weight = _top_weights(medium, 2)[scheme]
     units = medium.units
-    linear = build_linear(ms, units)
-    etas = invert_series(medium, 2)
-    weight = energy_density(medium, etas,
-                            "D-based" if scheme == "D-based" else "E-linear-wrong")[1]
-    if scheme == "E-based-corrected":
-        # eps0 (1 + chi1) E_full^2 / 2 with E_full = eta1 D + eta2 D^2: its cubic-in-D cross terms
-        weight += (medium.units.eps0 * (1.0 + medium.chi(1).item())
-                   * etas[0].item() * etas[1].item())
     resonant, dropped = (weight * part for part in _cubic_hamiltonian(ms, triple, units))
     if dropped.terms:
         import logging  # only here: no command should pay for its import
 
         logging.getLogger(__name__).debug("%s: filtered %d anti-resonant terms (norm %.3e)",
                                           scheme, len(dropped.terms), dropped.norm())
-    return HamiltonianSpec(linear=linear, nonlinear=resonant, dropped=dropped,
+    return HamiltonianSpec(linear=build_linear(ms, units), nonlinear=resonant, dropped=dropped,
                            provenance=scheme, order=medium.highest_order)

@@ -8,7 +8,10 @@ land outside the basis are reported as leakage, never silently dropped.
 Both routes' Hamiltonians are summed from one ladder of D powers, and each
 serves both laws; the field components are linear, so their commutators
 with it are taken by formal differentiation (see
-:func:`~dquant.boson_algebra.commutator`).
+:func:`~dquant.boson_algebra.commutator`). Each report also carries the
+polynomial degree of both sides, measured on the built Hamiltonians: on a
+medium of top order N the linear-E route's d B/dt has degree N, while the
+curl of its linear E stays at degree 1.
 
 The checks read their units from the medium and hold each residual to
 ``RESIDUAL_TOL``.
@@ -206,43 +209,3 @@ def _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units):
     return FaradayReport(scheme=route, law=law, tolerance=RESIDUAL_TOL, residuals=residuals,
                          leakage=dict(rhs_source.leakage), degree_lhs=degree_lhs,
                          degree_rhs=degree_rhs)
-
-
-@record
-class DegreeContradictionReport:
-    """Operator-counting form of the linear-E inconsistency argument."""
-
-    order: int
-    degree_heisenberg: int
-    degree_curl: int
-
-    @property
-    def contradiction(self) -> bool:
-        return self.degree_heisenberg != self.degree_curl
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "degree_heisenberg": self.degree_heisenberg,
-            "degree_curl": self.degree_curl,
-            "contradiction": self.contradiction,
-        }
-
-
-def degree_contradiction_report(order: int) -> DegreeContradictionReport:
-    """Degrees of d B/dt vs curl E when E is forced linear at nonlinearity order N.
-
-    A linear field commuted with any degree-(N+1) generator has degree N; the
-    curl of a linear field stays linear. The degrees are measured on a
-    concrete witness pair, not quoted: p = a + a^dag against the Hermitian
-    generator a^(N+1) + (a^dag)^(N+1).
-    """
-    if order < 1:
-        raise ValueError("nonlinearity order must be >= 1")
-    linear_field = BosonicPolynomial.from_ops("0") + BosonicPolynomial.from_ops("0^")
-    generator = (BosonicPolynomial.monomial({0: (order + 1, 0)})
-                 + BosonicPolynomial.monomial({0: (0, order + 1)}))
-    deg_heis = degree(commutator(linear_field, generator))
-    deg_curl = degree(linear_field)  # ik multiplication never changes the degree
-    return DegreeContradictionReport(order=order, degree_heisenberg=deg_heis,
-                                     degree_curl=deg_curl)

@@ -20,7 +20,12 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
-from dquant.hamiltonian import assemble, resonant_coefficient, scheme_resonant_coefficients
+from dquant.hamiltonian import (
+    _pure_order_modeset,
+    _resonant_powers,
+    assemble,
+    scheme_resonant_coefficients,
+)
 from dquant.maxwell import verify_routes
 from dquant.modes import make_uniform_medium_modes, sinc
 from dquant.susceptibility import MediumSpec, invert_linear, invert_series
@@ -45,13 +50,17 @@ def _three_wave(chi1, chi2):
 
 def test_criterion_1_prefactor_discrepancy():
     ms, triple, medium, _ = _three_wave(0.3, 0.6)
+    powers = _resonant_powers(triple)
     correct = assemble(ms, medium, triple, "D-based").nonlinear
     wrong = assemble(ms, medium, triple, "E-linear-wrong").nonlinear
-    ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
+    ratio = wrong.coefficient(powers) / correct.coefficient(powers)
     ok = abs(ratio - (-2.0)) < 1e-12
     for n in range(3, 11):
-        c_correct, c_wrong = scheme_resonant_coefficients(n)
-        ok = ok and abs(c_wrong / c_correct - (-n)) < 1e-12 * n
+        # a pure chi^n medium, n signal modes and their matched pump
+        medium = MediumSpec.from_scalars([0.5] + [0.0] * (n - 2) + [0.37])
+        ms, monomial = _pure_order_modeset(n, 0.5, NAT)
+        built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
+        ok = ok and abs(built["E-linear-wrong"] / built["D-based"] - (-n)) < 1e-12 * n
     _report(1, ok, "wrong/correct = -2 for chi2, -n for pure chi^n up to n=10 (1e-12 n)")
 
 

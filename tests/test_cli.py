@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,25 @@ def test_chi1_at_or_below_minus_one_exits_2_naming_the_file(tmp_path, command, c
     assert f"medium {path}: 1 + chi1 = {1.0 + chi1} must be positive" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [(["verify"], 2), (["spdc", "--n-max", "4"], 0),
+                                           (["convert", "--n-max", "4"], 0)],
+                         ids=["verify", "spdc", "convert"])
+def test_index_below_one_exits_2_naming_the_file_in_verify_only(tmp_path, command, code,
+                                                                capsys):
+    # 0 < 1 + chi1 < 1: verify's box modes need n >= 1 and once exited 2 with an
+    # error that named no file; the three-wave commands accept the medium
+    path = write_medium(tmp_path, [-0.5, 0.3])
+    out = tmp_path / "out"
+    assert main([*command, "--medium", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert (f"error: medium {path}: refractive index sqrt(1 + chi1) = {sqrt(0.5)} "
+                "must be >= 1") in err
+        assert not out.exists()
+    else:
+        assert "error" not in err
 
 
 @pytest.mark.parametrize("command", [["verify"], ["spdc", "--n-max", "4"],

@@ -17,9 +17,11 @@ from dquant.coupling import (
 )
 from dquant.fields import expand_fields, integrate_density
 from dquant.hamiltonian import (
+    SCHEMES,
+    _pure_order_modeset,
+    _resonant_powers,
     assemble,
     build_linear,
-    resonant_coefficient,
     scheme_resonant_coefficients,
 )
 from dquant.maxwell import _route_hamiltonians
@@ -40,6 +42,24 @@ def three_wave_setup(chi1=0.0, chi2=0.4, l_box=2 * pi, length=None, m_a=1, m_b=2
     medium = MediumSpec.from_scalars([chi1, chi2])
     etas = invert_series(medium, 2)
     return ms, triple, medium, etas
+
+
+def resonant_coefficient(poly, triple):
+    """Coefficient of a_A^dag a_B^dag a_C in a three-wave Hamiltonian."""
+    return poly.coefficient(_resonant_powers(triple))
+
+
+def pure_order(order, chi1=0.5, chi_n=0.37):
+    """compare_coefficients' setup: a pure chi_n medium, its mode set and monomial."""
+    medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [chi_n], units=NAT)
+    return (medium, *_pure_order_modeset(order, chi1, NAT))
+
+
+def pure_order_coefficients(order):
+    """(D route, E route) coefficients of compare_coefficients' monomial."""
+    medium, ms, monomial = pure_order(order)
+    coefficients = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
+    return coefficients["D-based"], coefficients["E-linear-wrong"]
 
 
 def nonlinear(scheme, ms, triple, medium, full=False):
@@ -279,20 +299,18 @@ class TestPrefactorRatio:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_symbolic_construction_oracle(self, n):
-        c_correct, c_wrong = scheme_resonant_coefficients(n)
+        c_correct, c_wrong = pure_order_coefficients(n)
         measured = c_wrong / c_correct
         assert measured.imag == pytest.approx(0.0, abs=1e-12)
         assert measured.real == pytest.approx(float(prefactor_ratio(n)), abs=1e-12)
 
 
-def _full_build_coefficients(order, chi1=0.5, chi_n=0.37):
+def _full_build_coefficients(order):
     """Reference: every component and term of D^(n+1), then the one coefficient."""
-    from dquant.hamiltonian import _pure_order_modeset
-
-    medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [chi_n], units=NAT)
+    medium, ms, monomial = pure_order(order)
     etas = invert_series(medium, order)
     eta1, eta_n = etas[0].item(), etas[order - 1].item()
-    ms, monomial = _pure_order_modeset(order, chi1, NAT)
+    chi_n = medium.chi(order).item()
     d_field, _ = expand_fields(ms, NAT)
     d_power = d_field
     for _ in range(order):
@@ -307,7 +325,50 @@ def _full_build_coefficients(order, chi1=0.5, chi_n=0.37):
 class TestSchemeResonantCoefficients:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_full_build(self, n):
-        assert scheme_resonant_coefficients(n) == _full_build_coefficients(n)
+        assert pure_order_coefficients(n) == _full_build_coefficients(n)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_equals_the_assembled_coefficient(self, case):
+        # the support-filtered k = 0 ladder against assemble's full region build
+        ms, triple, medium, _ = TestLegOracle.setup(case)
+        powers = _resonant_powers(triple)
+        built = scheme_resonant_coefficients(ms, medium, powers, triple.length)
+        assert list(built) == list(SCHEMES)
+        for scheme in SCHEMES:
+            assert built[scheme] == assemble(ms, medium, triple, scheme).nonlinear.coefficient(
+                powers)
+
+    @pytest.mark.parametrize("chis, expected", [
+        ((0.5, 0.0, 0.2), -3.0), ((0.5, 0.3, 0.2), -7.5), ((0.5, 0.3, 0.2, 0.1), 10.0)])
+    def test_mixed_media_ratios(self, chis, expected):
+        # top D^(n+1) weights, E over D: -n only where the lower orders vanish
+        order = len(chis)
+        _, ms, monomial = pure_order(order)
+        medium = MediumSpec.from_scalars(list(chis), units=NAT)
+        built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
+        ratio = built["E-linear-wrong"] / built["D-based"]
+        assert abs(ratio - expected) <= 1e-12
+        assert list(built) == list(SCHEMES[:2])
+
+    def test_rejects_a_monomial_that_is_not_phase_matched(self):
+        medium, ms, monomial = pure_order(3)
+        # a_1^dag a_2^dag a_3^dag a_pump^dag: net wavevector index -(1 + 2 + 3 + 6)
+        powers = {label: (1, 0) for label in monomial}
+        with pytest.raises(ValueError, match="not phase-matched: net wavevector index -12"):
+            scheme_resonant_coefficients(ms, medium, powers, ms.l_box)
+
+    def test_rejects_a_monomial_outside_the_mode_set(self):
+        medium, ms, monomial = pure_order(2)
+        with pytest.raises(ValueError, match=r"modes \[7\] are not in ms"):
+            scheme_resonant_coefficients(ms, medium, {**monomial, 7: (1, 1)}, ms.l_box)
+
+    def test_rejects_a_dim_3_medium(self):
+        ms, triple, _, _ = three_wave_setup()
+        chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
+        chi2 = SusceptibilityTensor(order=2, role="chi", dim=3, entries=np.full((3, 3, 3), 0.1))
+        medium = MediumSpec(units=NAT, tensors=(chi1, chi2))
+        with pytest.raises(ValueError, match="scalar"):
+            scheme_resonant_coefficients(ms, medium, _resonant_powers(triple), triple.length)
 
 
 class TestBuildInteraction:
@@ -367,12 +428,16 @@ class TestBuildInteraction:
     ])
     def test_assembled_coefficient_is_the_closed_form_theta(self, units):
         # a matched triple in a 2 pi box: w = 1 and Phi = 1, so the D-based
-        # resonant coefficient is theta itself (-4.2553e-35 in SI)
+        # resonant coefficient is theta itself (-4.2553e-35 in SI), both as
+        # assembled and as the builder reads it
         medium = MediumSpec.from_scalars([0.5, 0.3], units=units)
         ms, triple = make_three_wave_modes(1, 2, sqrt(1.5), 2 * pi, units, length=1.7)
         theta = build_interaction(triple, invert_series(medium, 2)[1], units).theta
-        got = resonant_coefficient(assemble(ms, medium, triple, "D-based").nonlinear, triple)
-        assert abs(got - theta) <= 1e-12 * abs(theta)
+        assembled = resonant_coefficient(assemble(ms, medium, triple, "D-based").nonlinear, triple)
+        built = scheme_resonant_coefficients(ms, medium, _resonant_powers(triple),
+                                             triple.length)["D-based"]
+        assert [abs(got - theta) <= 1e-12 * abs(theta) for got in (assembled, built)] == [
+            True, True]
 
     def test_budget_error_for_mismatched_triple(self):
         ms, triple, eta2 = self.setup()

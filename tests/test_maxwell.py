@@ -8,7 +8,6 @@ from dquant.fields import expand_fields, integrate_density
 from dquant.maxwell import (
     InconsistentModeSetError,
     _route_hamiltonians,
-    degree_contradiction_report,
     spectral_curl,
     verify_routes,
 )
@@ -236,23 +235,22 @@ class TestConsistencyGuards:
 
 
 class TestDegreeContradiction:
+    """The degree argument, measured on the built Hamiltonians of pure media."""
+
     def test_linear_consistent(self):
-        report = degree_contradiction_report(1)
-        assert not report.contradiction
-        assert report.degree_heisenberg == report.degree_curl == 1
+        ms, medium = uniform_setup(0.5, 2)
+        for faraday, ampere in verify_routes(ms, medium).values():
+            assert faraday.passed and ampere.passed
+            assert faraday.degree_lhs == faraday.degree_rhs == 1
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_nonlinear_contradiction(self, order):
-        report = degree_contradiction_report(order)
-        assert report.contradiction
-        assert report.degree_heisenberg == order
-        assert report.degree_curl == 1
-
-    def test_serializable(self):
-        doc = degree_contradiction_report(2).to_dict()
-        assert doc == {
-            "order": 2,
-            "degree_heisenberg": 2,
-            "degree_curl": 1,
-            "contradiction": True,
-        }
+        # modes +-1 and +-2: at +-1 alone an odd power of D has no k = 0 term,
+        # so on chi2 and chi4 media both routes' d B/dt fall to degree 1
+        ms, medium = uniform_setup(0.5, 2, chis_higher=[0.0] * (order - 2) + [0.3])
+        reports = verify_routes(ms, medium)
+        wrong = reports["E-linear-wrong"][0]
+        assert (wrong.degree_lhs, wrong.degree_rhs) == (order, 1)
+        assert not wrong.passed
+        for report in reports["D-based"]:
+            assert report.passed
