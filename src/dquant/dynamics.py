@@ -12,24 +12,23 @@ the sector of number states the Hamiltonian reaches from the initial state
 (the squeezer reaches n_max + 1 of the (n_max + 1)^2 states from the
 vacuum). A breadth-first walk over occupation tuples builds the sector and
 splits it into the blocks the Hamiltonian connects (the trilinear one
-conserves n_A - n_B and n_A + n_C, so its sector is a sum of short chains),
-and each block is diagonalized exactly by the pure-Python eigensolver of
-:mod:`dquant.linalg` (implicit QL and inverse iteration). A chain block is
-tridiagonal in sorted order, so the walk hands it on as its diagonal and
-subdiagonal. Every resonant term only moves photons, so its chains have a
-zero diagonal: they are chiral, with eigenpairs (w, z) and (-w, S z), S
-negating the odd sites. The solver then runs inverse iteration for w > 0
-only (for the whole spectrum where a cluster of eigenvalues crosses 0),
-and each sample is formed by sublattice, skipping the products whose
-coefficients are exactly zero: from a real start on one sublattice (the
-vacuum, or |1, 0>) a sample costs two (n/2) x (n/2) real matrix-vector
-products. Any other chain costs two n x n products per sample, and any
-other block is first reduced by Householder reflectors. A time listed
-twice is evaluated once. Samples, observables, drifts and the edge
-population are all sector-sized, in tuples; any population within two
-levels of a cutoff beyond 1e-6 flags the run as truncation-unsafe rather
-than silently reporting numbers. The module runs on the standard library
-alone.
+conserves n_A - n_B and n_A + n_C, so its sector is a sum of short chains).
+Every block must be a chain, tridiagonal in sorted order: the walk hands
+it on as its diagonal and subdiagonal, and the pure-Python chain
+eigensolver of :mod:`dquant.linalg` (implicit QL and inverse iteration)
+diagonalizes it exactly. Every resonant term only moves photons, so its
+chains have a zero diagonal: they are chiral, with eigenpairs (w, z) and
+(-w, S z), S negating the odd sites. The solver then runs inverse
+iteration for w > 0 only (for the whole spectrum where a cluster of
+eigenvalues crosses 0), and each sample is formed by sublattice, skipping
+the products whose coefficients are exactly zero: from a real start on one
+sublattice (the vacuum, or |1, 0>) a sample costs two (n/2) x (n/2) real
+matrix-vector products. Any other chain costs two n x n products per
+sample. A time listed twice is evaluated once. Samples, observables,
+drifts and the edge population are all sector-sized, in tuples; any
+population within two levels of a cutoff beyond 1e-6 flags the run as
+truncation-unsafe rather than silently reporting numbers. The module runs
+on the standard library alone.
 
 The observables build their generators as rates (H / hbar), and
 :func:`evolve` takes every generator as a rate: exp(-i H t) at hbar = 1. So
@@ -42,7 +41,7 @@ at both times, serves both routes.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import count
 from math import asinh, cos, exp, factorial, fsum, hypot, inf, perm, prod, sin, sqrt, tanh
 from operator import add, ge, mul, sub
@@ -50,7 +49,7 @@ from typing import Mapping, Sequence
 
 from .boson_algebra import BosonicPolynomial
 from .coupling import ComparisonReport, InteractionParams, prefactor_ratio
-from .linalg import eigh, eigh_tridiagonal, linspace
+from .linalg import eigh_tridiagonal, linspace
 from .record import record
 
 EDGE_POPULATION_TOL = 1e-6
@@ -132,10 +131,9 @@ class EvolutionResult:
     """Sector-sized samples plus the sanity bookkeeping of one evolution.
 
     ``states[i]`` holds the amplitudes at ``times[i]`` on the reached basis
-    states, whose sorted row-major indices are ``sector``.
+    states ``occupations``, in sorted order.
     """
 
-    sector: tuple[int, ...]  # d_S basis indices
     occupations: tuple[tuple[int, ...], ...]  # d_S occupation tuples
     states: tuple[tuple[complex, ...], ...]  # num_samples rows of d_S amplitudes
     times: tuple[float, ...]
@@ -154,10 +152,9 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
     low >= 0 and low + cre is within the cutoffs, and annihilates n
     otherwise; a union-find over the moves labels the blocks. A block is a
     chain when every move stays within one position of its source in sorted
-    order. Returns the sorted occupation tuples, per chain its states'
+    order. Returns the sorted occupation tuples and, per chain, its states'
     positions among them, the real diagonal and the subdiagonal of h on them
-    (entry i maps position i to i + 1), and per other block its positions
-    and the dense matrix of h on them (a span h maps into itself).
+    (entry i maps position i to i + 1). Any other block raises ``ValueError``.
     """
     unknown = h.modes() - set(space.modes)
     if unknown:
@@ -211,15 +208,15 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
         block = entries.setdefault(block_of[n], {})
         key = local[to], local[n]
         block[key] = block.get(key, 0j) + amp
-    chains, dense = [], []
+    chains = []
     for b, sel in members.items():
         block, size = entries.get(b, {}), len(sel)
-        if all(abs(i - j) <= 1 for i, j in block):
-            chains.append((sel, [block.get((i, i), 0j).real for i in range(size)],
-                           [block.get((i + 1, i), 0j) for i in range(size - 1)]))
-        else:
-            dense.append((sel, [[block.get((i, j), 0j) for j in range(size)] for i in range(size)]))
-    return occs, chains, dense
+        if not all(abs(i - j) <= 1 for i, j in block):
+            raise ValueError(f"a block of {size} states is not a chain: evolve takes "
+                             "generators whose blocks are chains")
+        chains.append((sel, [block.get((i, i), 0j).real for i in range(size)],
+                       [block.get((i + 1, i), 0j) for i in range(size - 1)]))
+    return occs, chains
 
 
 def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex],
@@ -234,15 +231,19 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     with the phase factor written as -2i sin(x/2) exp(-ix/2) so that t = 0
     returns psi0 exactly and weak couplings keep their relative accuracy.
     A time listed twice is evaluated once: both samples are the same row.
-    The cost grows with the block sizes, not with the full dimension. A
-    chain (every block of the resonant three-wave dynamics) is handed to
-    the solver as its diagonal and subdiagonal: its diagonalization is
-    quadratic in its size, each sample is two real matrix-vector products
-    and its energy takes linear time. A chiral chain (zero diagonal, as in
-    every resonant interaction, which only moves photons) needs inverse
-    iteration for half its spectrum, and its samples are products over its
-    two sublattices, a quarter of the arithmetic. Any other block is
-    reduced by Householder reflectors, at a cubic cost.
+
+    Every block must be a chain; any other block raises ``ValueError``. A
+    Hermitian generator of one off-diagonal monomial and its conjugate,
+    plus number-conserving terms, always qualifies: each move shifts the
+    occupations by +-v, v the monomial's creation minus annihilation
+    powers, so a block is {n0 + k v}, which is monotone in sorted order.
+    Each chain goes to the solver as its diagonal and subdiagonal: its
+    diagonalization is quadratic in its size, each sample is two real
+    matrix-vector products and its energy takes linear time, so the cost
+    grows with the block sizes, not with the full dimension. A chiral chain
+    (zero diagonal, as in every resonant interaction, which only moves
+    photons) needs inverse iteration for half its spectrum, and its samples
+    are products over its two sublattices, a quarter of the arithmetic.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian not Hermitian")
@@ -252,24 +253,19 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     norm0 = sqrt(fsum(abs(amp) ** 2 for amp in psi0.values()))
     if abs(norm0 - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
-    occs, chains, dense = _sector(h, space, support)
+    occs, chains = _sector(h, space, support)
     psi0_s = [complex(psi0.get(n, 0.0)) for n in occs]
     times = tuple(float(t) for t in times)
     distinct = list(dict.fromkeys(times))
 
-    blocks = [(sel, eigh_tridiagonal(diag, sub), partial(_chain_energy, diag, sub))
-              for sel, diag, sub in chains]
-    for sel, h_b in dense:
-        entries = [(i, j, v) for i, h_row in enumerate(h_b) for j, v in enumerate(h_row) if v]
-        blocks.append((sel, eigh(h_b), partial(_dense_energy, entries)))
     rows = [[0j] * len(occs) for _ in distinct]
     energies = [0.0] * len(distinct)
-    for sel, eig, energy in blocks:
-        samples = _samples(eig, [psi0_s[i] for i in sel], distinct)
+    for sel, diag, sub in chains:
+        samples = _samples(eigh_tridiagonal(diag, sub), [psi0_s[i] for i in sel], distinct)
         for k, (row, state_b) in enumerate(zip(rows, samples)):
             for i, amp in zip(sel, state_b):
                 row[i] = amp
-            energies[k] += energy(state_b)
+            energies[k] += _chain_energy(diag, sub, state_b)
     rows = [tuple(row) for row in rows]
     norms = [hypot(*map(abs, row)) for row in rows]
     edge_levels = [lv - 2 for lv in space.shape]
@@ -277,7 +273,6 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     edge = max(hypot(*[abs(row[i]) for i in near_edge]) ** 2 for row in rows)
     row_of = dict(zip(distinct, rows))
     return EvolutionResult(
-        sector=tuple(space.index(n) for n in occs),
         occupations=tuple(occs),
         states=tuple(row_of[t] for t in times),
         times=times,
@@ -286,11 +281,6 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
         edge_population=edge,
         truncation_safe=edge <= EDGE_POPULATION_TOL,
     )
-
-
-def _dense_energy(entries: list[tuple[int, int, complex]], state: list[complex]) -> float:
-    """<state|h|state> of the block whose nonzero entries h[i][j] = v are ``entries``."""
-    return sum(state[i].conjugate() * v * state[j] for i, j, v in entries).real
 
 
 def _chain_energy(diag: list[float], sub: list[complex], state: list[complex]) -> float:
@@ -302,11 +292,11 @@ def _chain_energy(diag: list[float], sub: list[complex], state: list[complex]) -
 def _samples(eig, p0: list[complex], times: Sequence[float]):
     """The states p0 + V[(exp(-i w t) - 1) * V^dag p0] of one block, one list per time.
 
-    V = U Z from the :class:`~dquant.linalg.Eigensystem` ``eig``, with Z
-    real: p0 is carried into the tridiagonal basis once, as y = U^dag p0,
+    V = P Z from the :class:`~dquant.linalg.Eigensystem` ``eig``, with Z
+    real: p0 is carried into the tridiagonal basis once, as y = P^dag p0,
     and with s and c the sine and cosine of wt/2 each sample is
 
-        psi - p0 = U Z [-2 (s s + i s c) Z^T y]
+        psi - p0 = P Z [-2 (s s + i s c) Z^T y]
 
     by two real matrix-vector products. A ``mirrored`` eigensystem (a
     chiral chain) pairs (w, z) with (-w, S z), S negating the odd sites.
@@ -370,10 +360,11 @@ def occupation_expectation(space: FockSpace, res: EvolutionResult, mode: int) ->
 
 def population(space: FockSpace, res: EvolutionResult, occs: Sequence[int]) -> list[float]:
     """|<occs|psi(t)>|^2 at every sample of an evolution on ``space`` (0 off its sector)."""
-    index = space.index(occs)
-    if index not in res.sector:
+    space.index(occs)
+    occs = tuple(occs)
+    if occs not in res.occupations:
         return [0.0] * len(res.states)
-    at = res.sector.index(index)
+    at = res.occupations.index(occs)
     return [abs(state[at]) ** 2 for state in res.states]
 
 

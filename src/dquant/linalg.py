@@ -1,14 +1,12 @@
-"""Pure-Python numerics for the dynamics and the CLI: a grid and a Hermitian eigensolver.
+"""Pure-Python numerics for the dynamics and the CLI: a grid and a Hermitian chain eigensolver.
 
-``linspace`` is numpy's evenly spaced grid, float for float. ``eigh``
-diagonalizes a dense Hermitian matrix and ``eigh_tridiagonal`` a Hermitian
-chain, given as its diagonal and subdiagonal, in the same steps:
+``linspace`` is numpy's evenly spaced grid, float for float.
+``eigh_tridiagonal`` diagonalizes a Hermitian chain, given as its diagonal
+and subdiagonal:
 
-- Householder reflectors reduce a dense matrix to a Hermitian tridiagonal
-  one (a column that is already tridiagonal needs no reflector); a chain
-  is one already. A diagonal phase makes it real symmetric.
+- A diagonal phase makes it real symmetric.
 - Implicit-QL sweeps give the eigenvalues of each unreduced piece: the
-  tridiagonal splits where an off-diagonal is at most eps times its 1-norm.
+  chain splits where an off-diagonal is at most eps times its 1-norm.
 - Inverse iteration gives the eigenvectors, as LAPACK ``dstein`` does: a
   pivoted tridiagonal LU per eigenvalue, and Gram-Schmidt against the
   earlier vectors of a cluster of close eigenvalues.
@@ -20,8 +18,7 @@ and inverse iteration runs for the upper half only, unless a cluster of
 close eigenvalues reaches across 0.
 
 The eigenvectors come out real, those of the real tridiagonal form; the
-reflectors and the phase map vectors between that form and the original
-basis.
+phase maps vectors between that form and the chain's basis.
 """
 
 from __future__ import annotations
@@ -59,60 +56,37 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 @record
 class Eigensystem:
-    """A Hermitian matrix A = U diag(values) U^dag with U = Q P Z.
+    """A Hermitian chain A = U diag(values) U^dag with U = P Z.
 
     ``values`` ascend; ``vectors[k]`` is the real eigenvector Z[:, k] of the
-    real symmetric tridiagonal form. Q is the product of the Householder
-    ``reflectors`` (k, u, beta), each I - beta u u^dag acting on the entries
-    from k on; P is the diagonal ``phases``. ``mirrored`` says that the
-    values pair as (w, -w) and that the vector of -w is that of w with its
-    odd sites negated (see :func:`eigh_tridiagonal`).
+    real symmetric tridiagonal form, and P is the diagonal ``phases`` that
+    makes the chain real. ``mirrored`` says that the values pair as
+    (w, -w) and that the vector of -w is that of w with its odd sites
+    negated (see :func:`eigh_tridiagonal`).
     """
 
     values: tuple[float, ...]
     vectors: tuple[tuple[float, ...], ...]
-    reflectors: tuple[tuple[int, list, float], ...]
     phases: tuple[complex, ...]
     mirrored: bool
 
     def to_tridiagonal(self, x: Sequence[complex]) -> list[complex]:
-        """(Q P)^dag x: a vector of the original basis in the tridiagonal one."""
-        x = [complex(v) for v in x]
-        for k, u, beta in self.reflectors:
-            _reflect(x, k, u, beta)
-        return [p.conjugate() * v for p, v in zip(self.phases, x)]
+        """P^dag x: a vector of the chain's basis in the real tridiagonal one."""
+        return [p.conjugate() * complex(v) for p, v in zip(self.phases, x)]
 
     def from_tridiagonal(self, y: Sequence[complex]) -> list[complex]:
-        """Q P y: a vector of the tridiagonal basis in the original one."""
-        y = [p * v for p, v in zip(self.phases, y)]
-        for k, u, beta in reversed(self.reflectors):
-            _reflect(y, k, u, beta)
-        return y
-
-
-def _reflect(x: list, k: int, u: list, beta: float) -> None:
-    """x <- (I - beta u u^dag) x in place, u acting on the entries from k on."""
-    s = beta * sum(a.conjugate() * b for a, b in zip(u, x[k:]))
-    for i, a in enumerate(u, k):
-        x[i] -= s * a
-
-
-def eigh(a: Sequence[Sequence[complex]]) -> Eigensystem:
-    """Eigen-decomposition of the dense Hermitian matrix ``a`` (a list of rows).
-
-    A matrix whose largest entry lies outside [2^-500, 2^500] is first
-    scaled by a power of two, exactly, so that no step under- or overflows.
-    """
-    shift = _shift(max((abs(v) for row in a for v in row), default=0.0))
-    if shift:
-        a = [[complex(ldexp(v.real, shift), ldexp(v.imag, shift)) for v in row] for row in a]
-    diag, sub, reflectors = _tridiagonalize(a)
-    return _solve_tridiagonal(diag, sub, reflectors, shift, chiral=False)
+        """P y: a vector of the real tridiagonal basis in the chain's one."""
+        return [p * v for p, v in zip(self.phases, y)]
 
 
 def eigh_tridiagonal(diag: Sequence[float], sub: Sequence[complex]) -> Eigensystem:
     """Eigen-decomposition of the Hermitian tridiagonal matrix with real ``diag`` and
-    subdiagonal ``sub`` (entry i couples i to i + 1), scaled as :func:`eigh` scales.
+    subdiagonal ``sub`` (entry i couples i to i + 1).
+
+    A chain whose largest entry lies outside [2^-500, 2^500] is first
+    scaled by a power of two, exactly, so that no step under- or overflows.
+    The chain splits where an off-diagonal is at most eps times its 1-norm:
+    setting it to zero moves no eigenvalue by more than that.
 
     A chain whose diagonal is exactly zero is chiral: its spectrum comes in
     (w, -w) pairs, and S z is the eigenvector of -w when z is that of w, S
@@ -122,24 +96,12 @@ def eigh_tridiagonal(diag: Sequence[float], sub: Sequence[complex]) -> Eigensyst
     the mirror images. The eigensystem is ``mirrored`` when every piece was
     solved so; see :func:`_chiral_pairs` for the pieces that are not.
     """
-    shift = _shift(max(map(abs, [*diag, *sub]), default=0.0))
+    big = max(map(abs, [*diag, *sub]), default=0.0)
+    shift = -frexp(big)[1] if big and not 2.0**-500 < big < 2.0**500 else 0
     if shift:
         diag = [ldexp(v, shift) for v in diag]
         sub = [complex(ldexp(v.real, shift), ldexp(v.imag, shift)) for v in sub]
-    return _solve_tridiagonal(diag, sub, (), shift, chiral=not any(diag))
-
-
-def _shift(big: float) -> int:
-    """The power of two that brings a largest entry ``big`` near 1, or 0 inside [2^-500, 2^500]."""
-    return -frexp(big)[1] if big and not 2.0**-500 < big < 2.0**500 else 0
-
-
-def _solve_tridiagonal(diag, sub, reflectors, shift, chiral) -> Eigensystem:
-    """The eigensystem from the Hermitian tridiagonal (diag, sub) of the matrix scaled by 2^shift.
-
-    The tridiagonal form splits where an off-diagonal is at most eps times
-    its 1-norm: setting it to zero moves no eigenvalue by more than that.
-    """
+    chiral = not any(diag)
     n = len(diag)
     off = list(map(abs, sub))
     split = EPS * _one_norm(diag, off)
@@ -167,7 +129,7 @@ def _solve_tridiagonal(diag, sub, reflectors, shift, chiral) -> Eigensystem:
     order = sorted(range(n), key=values.__getitem__)
     return Eigensystem(values=tuple(ldexp(values[k], -shift) for k in order),
                        vectors=tuple(tuple(vectors[k]) for k in order),
-                       reflectors=tuple(reflectors), phases=tuple(phases), mirrored=mirrored)
+                       phases=tuple(phases), mirrored=mirrored)
 
 
 def _chiral_pairs(d: list[float], e: list[float], w: list[float]):
@@ -203,42 +165,6 @@ def _one_norm(d: list[float], e: list[float]) -> float:
     """The largest absolute row sum of the symmetric tridiagonal (d, e)."""
     pad = [0.0, *e, 0.0]
     return max(map(sum, zip(map(abs, d), pad, pad[1:])), default=0.0)
-
-
-def _tridiagonalize(a):
-    """Real diagonal, complex subdiagonal and reflectors of a = Q T Q^dag.
-
-    Column k is reflected only when it holds a nonzero entry below the
-    subdiagonal, so a tridiagonal matrix passes through unchanged. The
-    reflector of the column x is I - beta u u^dag with u = x + phase(x_0)
-    |x| e_1, scaled to u_0 = 1 (as LAPACK ``zlarfg`` does), so that neither
-    |x| nor beta under- or overflows.
-    """
-    a = [[complex(v) for v in row] for row in a]
-    n = len(a)
-    reflectors = []
-    for k in range(n - 2):
-        x = [a[i][k] for i in range(k + 1, n)]
-        if not any(x[1:]):
-            continue
-        phase = x[0] / abs(x[0]) if x[0] else 1.0
-        lead = x[0] + phase / abs(phase) * hypot(*map(abs, x))  # |phase| = 1 for subnormal x_0
-        u = [1.0 + 0j] + [v / lead for v in x[1:]]
-        beta = 2.0 / fsum(abs(v) ** 2 for v in u)
-        # a <- R a R with R = I - beta u u^dag on rows and columns k+1..n-1:
-        # a rank-2 update a - u q^dag - q u^dag, p = beta a u, q = p - (beta u^dag p / 2) u
-        p = [beta * sum(row[j] * uj for j, uj in enumerate(u, k + 1)) for row in a]
-        half = beta * sum(uj.conjugate() * p[j] for j, uj in enumerate(u, k + 1)).real / 2
-        q = list(p)
-        for j, uj in enumerate(u, k + 1):
-            q[j] -= half * uj
-        uu = [0j] * (k + 1) + u
-        for i in range(n):
-            row, ui, qi = a[i], uu[i], q[i]
-            for j in range(n):
-                row[j] -= ui * q[j].conjugate() + qi * uu[j].conjugate()
-        reflectors.append((k + 1, u, beta))
-    return [a[i][i].real for i in range(n)], [a[i + 1][i] for i in range(n - 1)], reflectors
 
 
 def _ql_eigenvalues(d: list[float], e: list[float]) -> list[float]:

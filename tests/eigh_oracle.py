@@ -1,12 +1,11 @@
 """Block evolution by LAPACK ``eigh``: an oracle for the pure-Python eigensolver.
 
 ``eigh_states`` is the evolution ``dquant.dynamics.evolve`` made with
-numpy: it takes the same sector walk and blocks, diagonalizes each block
-with ``numpy.linalg.eigh`` and forms every sample as
-psi0 + V[-2i sin(x/2) exp(-ix/2) * V^dag psi0], x = w t / hbar. A chain,
-which the walk gives as its diagonal and subdiagonal, is made the dense
-Hermitian matrix with that subdiagonal and its conjugate above; numpy
-knows nothing of its chirality.
+numpy: it takes the same sector walk and chains, makes each chain the
+dense Hermitian matrix with the walk's diagonal, its subdiagonal and that
+subdiagonal's conjugate above, diagonalizes it with ``numpy.linalg.eigh``
+and forms every sample as psi0 + V[-2i sin(x/2) exp(-ix/2) * V^dag psi0],
+x = w t / hbar. numpy knows nothing of a chain's chirality.
 """
 
 import numpy as np
@@ -23,13 +22,12 @@ def chain_matrix(diag, sub):
 def eigh_states(h, space, psi0, times, hbar=1.0):
     """(sector occupations, (len(times), d_S) array of states) of exp(-i H t / hbar) psi0."""
     support = [tuple(n) for n, amp in psi0.items() if amp]
-    occs, chains, dense = _sector(h, space, support)
+    occs, chains = _sector(h, space, support)
     psi0_s = np.array([psi0.get(n, 0.0) for n in occs], dtype=complex)
     times = np.asarray(times, dtype=float)
     states = np.empty((times.size, len(occs)), dtype=complex)
-    blocks = [(sel, chain_matrix(diag, sub)) for sel, diag, sub in chains] + dense
-    for sel, h_b in blocks:
-        w, v = np.linalg.eigh(np.array(h_b, dtype=complex))
+    for sel, diag, sub in chains:
+        w, v = np.linalg.eigh(chain_matrix(diag, sub))
         x = np.outer(times, w / hbar)
         phase = -2j * np.sin(x / 2) * np.exp(-0.5j * x)
         p0 = psi0_s[sel]

@@ -41,7 +41,7 @@ def full_vector(psi, space):
 def full_states(res, space):
     """An evolution's sector-sized samples scattered into the full space."""
     out = np.zeros((len(res.states), dim(space)), dtype=complex)
-    out[:, list(res.sector)] = res.states
+    out[:, [space.index(n) for n in res.occupations]] = res.states
     return out
 
 

@@ -2,7 +2,7 @@ from math import pi, sinh
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dquant.boson_algebra import BosonicPolynomial, number
@@ -24,7 +24,7 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
-from dquant.linalg import eigh
+from dquant.linalg import eigh_tridiagonal
 from eigh_oracle import chain_matrix, eigh_states
 from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations, to_matrix
 
@@ -84,6 +84,15 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(BosonicPolynomial.from_ops("0"), space, space.vacuum(), samples(1.0))
 
+    def test_rejects_a_block_that_is_not_a_chain(self):
+        # the squeezer moves pair states by (1, 1) and (a0^dag a1^dag)^2 by (2, 2):
+        # the vacuum's block of 13 pair states couples each to the next two
+        pair = BosonicPolynomial.monomial({0: (2, 0), 1: (2, 0)}, coeff=0.1)
+        h = two_mode_squeezer(0.4) + pair + pair.dagger()
+        space = FockSpace(modes=(0, 1), cutoff=12)
+        with pytest.raises(ValueError, match="a block of 13 states is not a chain"):
+            evolve(h, space, space.vacuum(), samples(1.5, 6))
+
     def test_rejects_unnormalized_state(self):
         space = FockSpace(modes=(0,), cutoff=3)
         with pytest.raises(ValueError):
@@ -91,17 +100,24 @@ class TestEvolve:
 
 
 @st.composite
-def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_terms=3, max_power=2):
-    """(h + h^dag, space, psi0): a small space and a normalized state of sparse support."""
+def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_diagonal_terms=2, max_power=2):
+    """(h + h^dag, space, psi0): a small space and a normalized state of sparse support.
+
+    h is one off-diagonal monomial and up to two number-conserving ones
+    ((a^dag)^k a^k per mode): every generator of that shape splits into
+    chains, the blocks that evolve accepts.
+    """
     n_modes = draw(st.integers(1, max_modes))
     space = FockSpace(modes=tuple(range(n_modes)),
                       cutoff={m: draw(st.integers(1, max_cutoff)) for m in range(n_modes)})
     coef = st.floats(-1.0, 1.0)
     power = st.integers(0, max_power)
-    terms = {}
-    for _ in range(draw(st.integers(1, max_terms))):
-        key = tuple((m, c, a) for m in range(n_modes)
-                    for c, a in [(draw(power), draw(power))] if c or a)
+    move = [(draw(power), draw(power)) for _ in range(n_modes)]
+    assume(any(c != a for c, a in move))
+    terms = {tuple((m, c, a) for m, (c, a) in enumerate(move) if c or a):
+             complex(draw(coef), draw(coef))}
+    for _ in range(draw(st.integers(0, max_diagonal_terms))):
+        key = tuple((m, k, k) for m in range(n_modes) for k in [draw(power)] if k)
         terms[key] = complex(draw(coef), draw(coef))
     h = BosonicPolynomial(terms)
     support = draw(st.lists(st.integers(0, dim(space) - 1), min_size=1, max_size=3,
@@ -113,11 +129,11 @@ def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_terms=3, max_power=2
     return h + h.dagger(), space, dict(zip(occs, amps / np.linalg.norm(amps)))
 
 
-def block_diagonal(occs, chains, dense):
-    """The sector matrix assembled from _sector's chains and dense blocks."""
+def block_diagonal(occs, chains):
+    """The sector matrix assembled from _sector's chains."""
     h_s = np.zeros((len(occs), len(occs)), dtype=complex)
-    for sel, h_b in [(sel, chain_matrix(diag, sub)) for sel, diag, sub in chains] + dense:
-        h_s[np.ix_(sel, sel)] = h_b
+    for sel, diag, sub in chains:
+        h_s[np.ix_(sel, sel)] = chain_matrix(diag, sub)
     return h_s
 
 
@@ -163,21 +179,21 @@ class TestSectorEvolution:
         assert res.states[0] is res.states[4]
         alone = evolve(two_mode_squeezer(0.3), space, space.vacuum(), [0.4])
         assert res.states[1] == alone.states[0]
-        assert res.states[0] == tuple(full_vector(space.vacuum(), space)[list(res.sector)])
+        sector = [space.index(n) for n in res.occupations]
+        assert res.states[0] == tuple(full_vector(space.vacuum(), space)[sector])
         assert res.times == (0.0, 0.4, 0.8, 0.4, 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=hermitian_problems())
     def test_sector_matrix_is_the_restricted_full_matrix(self, problem):
         h, space, psi0 = problem
-        occs, chains, dense = _sector(h, space, list(psi0))
+        occs, chains = _sector(h, space, list(psi0))
         sector = np.array([space.index(n) for n in occs])
         hmat = kron_matrix(h, space)
         assert set(psi0) <= set(occs)
         assert np.array_equal(sector, np.sort(sector))
-        sels = [sel for sel, *_ in chains] + [sel for sel, _ in dense]
-        assert sorted(np.concatenate(sels)) == list(range(len(occs)))
-        h_s = block_diagonal(occs, chains, dense)
+        assert sorted(np.concatenate([sel for sel, *_ in chains])) == list(range(len(occs)))
+        h_s = block_diagonal(occs, chains)
         scale = max(1.0, np.max(np.abs(hmat)))
         # off-block entries of the restricted matrix vanish: the blocks are invariant
         assert np.max(np.abs(h_s - hmat[np.ix_(sector, sector)])) <= 1e-14 * scale
@@ -188,11 +204,11 @@ class TestSectorEvolution:
     @given(problem=hermitian_problems())
     def test_walk_agrees_with_the_vectorized_fock_rule(self, problem):
         h, space, psi0 = problem
-        occs, chains, dense = _sector(h, space, list(psi0))
+        occs, chains = _sector(h, space, list(psi0))
         sector = [space.index(n) for n in occs]
         want = to_matrix(h, space).toarray()[np.ix_(sector, sector)]
         scale = max(1.0, np.max(np.abs(want)))
-        assert np.max(np.abs(block_diagonal(occs, chains, dense) - want)) <= 1e-15 * scale
+        assert np.max(np.abs(block_diagonal(occs, chains) - want)) <= 1e-15 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(problem=hermitian_problems(), t=st.floats(0.05, 1.0))
@@ -211,10 +227,10 @@ class TestSectorEvolution:
 
     def test_squeezer_sector_is_the_pair_states(self):
         space = FockSpace(modes=(0, 1), cutoff=128)
-        occs, chains, dense = _sector(two_mode_squeezer(0.1), space, [(0, 0)])
+        occs, chains = _sector(two_mode_squeezer(0.1), space, [(0, 0)])
         assert occs == [(n, n) for n in range(129)]
         # one chain, handed on as its diagonal and subdiagonal: no 129 x 129 matrix
-        assert dense == [] and len(chains) == 1
+        assert len(chains) == 1
         sel, diag, sub = chains[0]
         assert sel == list(range(129))
         assert diag == [0.0] * 129
@@ -224,17 +240,15 @@ class TestSectorEvolution:
         space = FockSpace(modes=(0, 1), cutoff=128)
         res = evolve(two_mode_squeezer(0.1), space, space.vacuum(), samples(0.5, 20))
         assert np.shape(res.states) == (21, 129)
-        assert list(res.sector) == [space.index([n, n]) for n in range(129)]
         assert list(res.occupations) == [(n, n) for n in range(129)]
 
     def test_quantum_pump_sector_splits_into_chains(self):
         # n_A - n_B and n_A + n_C are conserved: one chain per pump number c
         space = FockSpace(modes=(0, 1, 2), cutoff=48)
         term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)}, coeff=0.05)
-        occs, chains, dense = _sector(term + term.dagger(), space,
-                                      list(coherent_state(space, 2, 2.0)))
+        occs, chains = _sector(term + term.dagger(), space, list(coherent_state(space, 2, 2.0)))
         assert len(occs) == 1225
-        assert len(chains) == 49 and dense == []
+        assert len(chains) == 49
         assert sorted(len(sel) for sel, *_ in chains) == list(range(1, 50))
         for sel, *_ in chains:
             assert len({occs[i][0] + occs[i][2] for i in sel}) == 1
@@ -290,8 +304,8 @@ class TestChiralChains:
     @given(data=st.data(), t=st.floats(0.05, 2.0))
     def test_matches_the_lapack_eigh_evolution(self, length, data, t):
         h, space, psi0 = data.draw(chiral_chains(length))
-        _, chains, dense = _sector(h, space, list(psi0))
-        assert dense == [] and [len(sel) for sel, *_ in chains] == [length]
+        _, chains = _sector(h, space, list(psi0))
+        assert [len(sel) for sel, *_ in chains] == [length]
         assert not any(chains[0][1])
         res = evolve(h, space, psi0, samples(t, 3))
         occs, want = eigh_states(h, space, psi0, res.times)
@@ -305,21 +319,17 @@ class TestChiralChains:
         states = np.array(res.states)
         assert not np.any(states[:, 0::2].imag) and not np.any(states[:, 1::2].real)
 
-    @pytest.mark.parametrize("h", [
-        two_mode_squeezer(0.4) + 0.3 * number(0),
-        two_mode_squeezer(0.4) + BosonicPolynomial.monomial({0: (2, 0), 1: (2, 0)}, coeff=0.1)
-        + BosonicPolynomial.monomial({0: (0, 2), 1: (0, 2)}, coeff=0.1),
-    ], ids=["detuned-squeezer", "non-chain"])
+    @pytest.mark.parametrize("h", [two_mode_squeezer(0.4) + 0.3 * number(0)],
+                             ids=["detuned-squeezer"])
     def test_other_blocks_take_the_general_path(self, h):
-        # the states are those of the dense Householder eigh and the full-spectrum
-        # samples, bit for bit, as before chiral chains had their own path
+        # a chain with a diagonal is not chiral: its states are the full-spectrum samples
         space = FockSpace(modes=(0, 1), cutoff=12)
         times = list(samples(1.5, 6))
-        occs, chains, dense = _sector(h, space, [(0, 0)])
-        ((sel, h_b),) = [(sel, chain_matrix(d, e).tolist()) for sel, d, e in chains] + dense
-        if chains:  # the detuned squeezer is a chain, but not a chiral one
-            assert any(chains[0][1])
-        want = list(_samples(eigh(h_b), [1.0 + 0j] + [0j] * (len(sel) - 1), times))
+        _, ((sel, diag, sub),) = _sector(h, space, [(0, 0)])
+        assert any(diag)
+        eig = eigh_tridiagonal(diag, sub)
+        assert not eig.mirrored
+        want = list(_samples(eig, [1.0 + 0j] + [0j] * (len(sel) - 1), times))
         res = evolve(h, space, space.vacuum(), times)
         assert [list(state) for state in res.states] == want
 
@@ -409,6 +419,20 @@ class TestFrequencyConversion:
         lost = [1 - p - q for p, q in zip(population(space, res, (1, 0)),
                                           population(space, res, (0, 1)))]
         assert max(map(abs, lost)) <= 1e-12
+
+    def test_population_is_zero_off_the_sector(self):
+        space = FockSpace(modes=(0, 1), cutoff=3)
+        res = evolve(beamsplitter(0.9), space, space.basis_state([1, 0]), samples(1.7, 3))
+        assert (2, 0) not in res.occupations
+        assert population(space, res, (2, 0)) == [0.0] * 4
+        assert population(space, res, [0, 1]) == population(space, res, (0, 1))
+
+    @pytest.mark.parametrize("occs", [(4, 0), (0,), (-1, 0)])
+    def test_population_outside_the_space_rejected(self, occs):
+        space = FockSpace(modes=(0, 1), cutoff=3)
+        res = evolve(beamsplitter(0.9), space, space.basis_state([1, 0]), samples(1.7, 3))
+        with pytest.raises(ValueError):
+            population(space, res, occs)
 
 
 class TestSeries:
