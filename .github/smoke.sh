@@ -25,6 +25,7 @@ echo '{"units": "natural", "dim": 1, "chi": {"1": [0.6], "2": [0.2], "3": [-0.15
 run verify --medium "$out/chi3.json" --modes 2 --out "$out/verify-chi3"
 run verify --medium "$out/chi3.json" --modes 5 --out "$out/verify-chi3-m5"
 run compare --out "$out/compare"
+run compare --order 10 --out "$out/compare-10"  # above every bench order; exits 1 unless -10
 run compare --observable squeezing --out "$out/compare-squeezing"
 run compare --observable conversion --out "$out/compare-conversion"
 run phasematch --out "$out/phasematch"

@@ -106,21 +106,13 @@ class BosonicPolynomial:
             return BosonicPolynomial({k: other * v for k, v in self.terms.items()})
         return self.product(other)
 
-    def product(self, other: "BosonicPolynomial",
-                support: Mapping[int, tuple[int, int]] | None = None) -> "BosonicPolynomial":
-        """self * other; with ``support``, only the terms that divide it.
-
-        ``support`` maps modes to ``(cre, ann)`` powers. A term survives only
-        if its powers stay within the support's in every mode, and the others
-        are never built. Contractions only lower the degree, so along a chain
-        of such products the coefficient of a top-degree support monomial is
-        exact (bit for bit) while lower-degree terms come out incomplete.
-        """
+    def product(self, other: "BosonicPolynomial") -> "BosonicPolynomial":
+        """self * other, every contraction of every pair of monomials built."""
         acc: dict[Monomial, complex] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 base = c1 * c2
-                for key, weight in _reorder_product(k1, k2, support):
+                for key, weight in _reorder_product(k1, k2):
                     acc[key] = acc.get(key, 0.0) + base * weight
         return BosonicPolynomial(acc)
 
@@ -190,13 +182,8 @@ def _as_poly(x) -> BosonicPolynomial:
     raise TypeError(f"cannot interpret {x!r} as a bosonic polynomial")
 
 
-def _reorder_product(k1: Monomial, k2: Monomial,
-                     support: Mapping[int, tuple[int, int]] | None = None):
-    """All normally-ordered monomials of k1*k2 with combinatorial weights.
-
-    With a ``support``, only the monomials whose powers stay within it in
-    every mode; nothing is yielded once some mode has no such contraction.
-    """
+def _reorder_product(k1: Monomial, k2: Monomial):
+    """All normally-ordered monomials of k1*k2 with combinatorial weights."""
     d1 = {m: (c, a) for m, c, a in k1}
     d2 = {m: (c, a) for m, c, a in k2}
     modes = sorted(set(d1) | set(d2))
@@ -204,17 +191,10 @@ def _reorder_product(k1: Monomial, k2: Monomial,
     for m in modes:
         c1, a1 = d1.get(m, (0, 0))
         c2, a2 = d2.get(m, (0, 0))
-        lowest = 0
-        if support is not None:
-            # k contractions leave powers (c1 + c2 - k, a1 + a2 - k)
-            max_c, max_a = support.get(m, (0, 0))
-            lowest = max(0, c1 + c2 - max_c, a1 + a2 - max_a)
         choices = []
-        for k in range(lowest, min(a1, c2) + 1):
+        for k in range(min(a1, c2) + 1):
             weight = factorial(k) * comb(a1, k) * comb(c2, k)
             choices.append(((m, c1 + c2 - k, a1 + a2 - k), weight))
-        if not choices:
-            return
         options.append(choices)
     for combo in product(*options):
         key = _merge_mode(entry for entry, _ in combo)

@@ -195,10 +195,13 @@ def cmd_sweep(args) -> int:
     params, units = _interaction_from_args(args)
     cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
                           pump=args.pump)
-    if args.command == "spdc":
-        pair = spdc_squeezing(params, cfg, hbar=units.hbar)
-    else:
-        pair = frequency_conversion(params, cfg, hbar=units.hbar)
+    try:
+        if args.command == "spdc":
+            pair = spdc_squeezing(params, cfg, hbar=units.hbar)
+        else:
+            pair = frequency_conversion(params, cfg, hbar=units.hbar)
+    except OverflowError as exc:
+        raise ValueError(f"--time {args.time:g}: {exc}") from None
     _emit(args, "interaction.json", dumps(_interaction_doc(params)))
     _sweep_output(args, pair.series, f"{stem}_sweep")
     _emit(args, f"{stem}_result.json", dumps({

@@ -309,6 +309,7 @@ def _samples(eig, p0: list[complex], times: Sequence[float]):
 
     A product whose coefficient vector is exactly zero is skipped, so a
     real start on one sublattice costs two (n/2) x (n/2) products per sample.
+    Raises ``OverflowError`` when a phase w t is not a finite float.
     """
     y = eig.to_tridiagonal(p0)
     if eig.mirrored:
@@ -325,6 +326,9 @@ def _samples(eig, p0: list[complex], times: Sequence[float]):
         parts.append((list(zip(*zs)) if zs else [()] * len(y_re),
                       [factor * sum(map(mul, z, y_re)) for z in zs],
                       [factor * sum(map(mul, z, y_im)) for z in zs]))
+    t_max = max(map(abs, times), default=0.0)
+    if not t_max * max(map(abs, rates), default=0.0) < inf:
+        raise OverflowError(f"the phase w t overflows a float at t = {t_max:g}")
     back = [0j] * len(p0)
     for t in times:
         halves = [t * rate / 2 for rate in rates]

@@ -5,7 +5,8 @@ to operator coefficients with respect to the continuum-normalized plane
 waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
 
 * the expansion coefficient of mode (J, m) is sqrt(hbar*omega/2) * sqrt(w)
-  times the amplitude of its flat profile,
+  times the amplitude of its flat profile
+  (:func:`~dquant.modes.field_coefficients`),
 * a pointwise product of fields convolves coefficients with one extra
   factor (2*pi)**-0.5 per multiplication,
 * integrating a product of fields over the box picks the zero-frequency
@@ -24,7 +25,7 @@ from math import pi, sqrt
 from numbers import Number
 
 from .boson_algebra import BosonicPolynomial, annihilation, creation
-from .modes import ModeSet, sinc
+from .modes import ModeSet, field_coefficients, sinc
 from .record import record
 from .units import UnitSystem
 
@@ -68,23 +69,20 @@ class FieldOperator:
             return self.__rmul__(other)
         return self.product(other)
 
-    def product(self, other: "FieldOperator", support=None) -> "FieldOperator":
-        """Pointwise product; ``support`` filters each operator product.
-
-        See :meth:`BosonicPolynomial.product` for what the filter keeps.
-        """
+    def product(self, other: "FieldOperator") -> "FieldOperator":
+        """Pointwise product: each pair of components multiplied by ``*`` times (2*pi)**-0.5."""
         self._check_compatible(other)
         acc: dict[int, BosonicPolynomial] = {}
         norm = 1.0 / sqrt(2 * pi)
         for m1, p1 in self.components.items():
             for m2, p2 in other.components.items():
-                term = norm * _operator_product(p1, p2, support)
+                term = norm * (p1 * p2)
                 m = m1 + m2
                 acc[m] = acc[m] + term if m in acc else term
         return FieldOperator(_prune(acc), self.w, kind="derived")
 
-    def product_k0(self, other: "FieldOperator", support=None) -> BosonicPolynomial:
-        """``self.product(other, support).component(0)`` without the other components.
+    def product_k0(self, other: "FieldOperator") -> BosonicPolynomial:
+        """``self.product(other).component(0)`` without the other components.
 
         Only self[m] * other[-m] is built, accumulated over m in self's
         order: the float operations the full product performs for k = 0, so
@@ -96,7 +94,7 @@ class FieldOperator:
         norm = 1.0 / sqrt(2 * pi)
         for m, p1 in self.components.items():
             if -m in other.components:
-                term = norm * _operator_product(p1, other.components[-m], support)
+                term = norm * (p1 * other.components[-m])
                 acc = term if acc is None else acc + term
         return BosonicPolynomial.zero() if acc is None else acc
 
@@ -115,11 +113,6 @@ class FieldOperator:
         return FieldOperator(kept, self.w, kind=self.kind, leakage=leaked)
 
 
-def _operator_product(p1: BosonicPolynomial, p2: BosonicPolynomial, support):
-    # unfiltered products go through `*`, the product bench/tracer.py times
-    return p1 * p2 if support is None else p1.product(p2, support)
-
-
 def _prune(components: dict) -> dict:
     return {m: p for m, p in components.items() if not p.is_zero}
 
@@ -127,10 +120,10 @@ def _prune(components: dict) -> dict:
 def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldOperator]:
     """Displacement and induction fields of a mode set.
 
-    Per mode: coefficient sqrt(hbar*omega/2)*sqrt(w)*d at +m on the
-    annihilation operator, plus the conjugate at -m, and likewise with the
-    induction amplitude b. Every profile is flat over unit cross-section,
-    so a product of fields is integrated over unit area.
+    Per mode: its :func:`~dquant.modes.field_coefficients` at +m on the
+    annihilation operator, their conjugates at -m on the creation operator.
+    Every profile is flat over unit cross-section, so a product of fields is
+    integrated over unit area.
     """
     if not ms.modes:
         raise ValueError("cannot expand fields of an empty mode set")
@@ -138,9 +131,7 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
     d_comp: dict[int, BosonicPolynomial] = {}
     b_comp: dict[int, BosonicPolynomial] = {}
     for mode in ms.modes:
-        amp = sqrt(units.hbar * mode.omega / 2.0) * sqrt(w)
-        cd = amp * mode.d
-        cb = amp * mode.b
+        cd, cb = field_coefficients(mode, w, units)
         a_op = annihilation(mode.label)
         ad_op = creation(mode.label)
         for comp, c in ((d_comp, cd), (b_comp, cb)):

@@ -10,14 +10,14 @@ coefficients of the two routes differ by a factor of exactly -n, and the
 cubic-in-D part of the quadratic chi-series term restores the difference.
 
 :func:`scheme_resonant_coefficients` is the one builder of resonant
-coefficients, for any scheme, order and medium: one build of D^(n+1),
-scaled by each scheme's weight from one table (:func:`_top_weights`).
+coefficients, for any scheme, order and medium: a top-degree ladder of
+D^(n+1), scaled by each scheme's weight from one table (:func:`_top_weights`).
 :func:`assemble` builds whole three-wave Hamiltonians with weights from the
-same table: the resonant (rotating-wave) sector a_A^dag a_B^dag a_C + H.c.
-is the nonlinear part, and the anti-resonant terms are kept beside it as
-``dropped``, never silently lost. On a linear medium the box builder of
-:mod:`~dquant.maxwell` integrates the quadratic form, which equals
-:func:`build_linear`.
+same table, and alone imports the operator algebra: the resonant sector
+a_A^dag a_B^dag a_C + H.c. is the nonlinear part, and the anti-resonant
+terms are kept beside it as ``dropped``, never silently lost. On a linear
+medium the box builder of :mod:`~dquant.maxwell` integrates the quadratic
+form, which equals :func:`build_linear`.
 
 The builders run on scalar (dim=1) media and read their units from the
 medium. A scalar tensor is trivially permutation symmetric, so the
@@ -31,10 +31,8 @@ from __future__ import annotations
 
 from math import pi, sqrt
 
-from .boson_algebra import BosonicPolynomial, number
 from .coupling import ComparisonReport, ModeTriple, prefactor_ratio
-from .fields import expand_fields, integrate_density
-from .modes import Mode, ModeSet, plane_wave_mode
+from .modes import Mode, ModeSet, field_coefficients, plane_wave_mode
 from .record import record
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from .units import UnitSystem
@@ -78,6 +76,8 @@ class HamiltonianSpec:
 
 def build_linear(ms: ModeSet, units: UnitSystem) -> BosonicPolynomial:
     """Diagonal free Hamiltonian sum_m hbar omega_m n_m (zero point dropped)."""
+    from .boson_algebra import BosonicPolynomial, number  # only here: see the module doc
+
     h = BosonicPolynomial.zero()
     for mode in ms.modes:
         h = h + (units.hbar * mode.omega) * number(mode.label)
@@ -97,6 +97,9 @@ def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem):
     alone. Returns (resonant, anti_resonant) polynomials; the resonant
     sector is a_A^dag a_B^dag a_C and its conjugate.
     """
+    from .boson_algebra import BosonicPolynomial  # only here: see the module doc
+    from .fields import expand_fields, integrate_density
+
     d_field, _ = expand_fields(ModeSet(modes=_triple_modes_in(ms, triple), l_box=ms.l_box),
                                units)
     h = integrate_density(d_field * d_field * d_field, ms.l_box, region_length=triple.length)
@@ -154,29 +157,53 @@ def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict
     ``monomial`` maps mode labels of ``ms`` to (cre, ann) powers. Its degree
     n + 1 picks out the one power D^(n+1), whose integral over a region of
     ``length`` is scaled by each scheme's weight from :func:`_top_weights`.
-    D^(n+1) is built only from the monomials that divide this one (exact for
-    its coefficient, the top degree) and its last product only at k = 0,
-    where a phase-matched monomial lives and the region integral is
-    length / sqrt(2 pi). Contractions of D^(n+3) and higher powers reach the
-    same degree but depend on the basis size, so they stay out. Raises
-    ``ValueError`` for a monomial on modes outside ``ms`` or with a net
+    The monomial is of top degree, read with no operator product
+    (:func:`_top_degree_coefficient`), and at k = 0, where the region
+    integral is length / sqrt(2 pi). Contractions of D^(n+3) and higher
+    powers reach the same degree but depend on the basis size, so they stay
+    out. Raises ``ValueError`` for a monomial on modes outside ``ms``, with
+    a negative or non-integer power, of degree below 2 or with a net
     wavevector other than 0, and for a medium that is not scalar (dim=1).
     """
     grid = {mode.label: mode.m for mode in ms.modes}
     if not set(monomial) <= set(grid):
         raise ValueError(f"monomial modes {sorted(set(monomial) - set(grid))} are not in ms")
+    powers = [p for pair in monomial.values() for p in pair]
+    if not all(isinstance(p, int) and p >= 0 for p in powers) or sum(powers) < 2:
+        raise ValueError(f"monomial {monomial} needs non-negative integer powers and degree >= 2")
     net = sum((a - c) * grid[label] for label, (c, a) in monomial.items())
     if net != 0:
         raise ValueError(f"monomial is not phase-matched: net wavevector index {net}, not 0")
-    n = sum(c + a for c, a in monomial.values()) - 1
-    weights = _top_weights(medium, n)
-    d_field, _ = expand_fields(ms, medium.units)
-    d_power = d_field
-    for _ in range(n - 1):
-        d_power = d_power.product(d_field, support=monomial)
-    top = d_power.product_k0(d_field, support=monomial)
-    base = length / sqrt(2 * pi) * top.coefficient(monomial)
+    weights = _top_weights(medium, sum(powers) - 1)
+    base = length / sqrt(2 * pi) * _top_degree_coefficient(ms, medium.units, monomial)
     return {scheme: weight * base for scheme, weight in weights.items()}
+
+
+def _top_degree_coefficient(ms: ModeSet, units: UnitSystem, monomial: dict) -> complex:
+    """Coefficient of ``monomial``, of degree n + 1, in D^(n+1), by a ladder of its divisors.
+
+    Contractions only lower the degree, so the top-degree factors commute:
+    each step multiplies every {divisor: coefficient} by one more D coefficient
+    (conjugated for a^dag) and by (2 pi)^-1/2, summing over the orderings.
+    """
+    factors = []  # (power, D coefficient) of each ladder operator of the monomial
+    for mode in ms.modes:
+        if mode.label in monomial:
+            cd = field_coefficients(mode, ms.w, units)[0]
+            cre, ann = monomial[mode.label]
+            factors += [(p, c) for p, c in ((ann, cd), (cre, cd.conjugate())) if p]
+    norm = 1.0 / sqrt(2 * pi)
+    level = {tuple(int(j == i) for j in range(len(factors))): c
+             for i, (_, c) in enumerate(factors)}
+    for _ in range(sum(p for p, _ in factors) - 1):
+        nxt: dict[tuple, complex] = {}
+        for key, coef in level.items():
+            for i, (power, c) in enumerate(factors):
+                if key[i] < power:
+                    grown = key[:i] + (key[i] + 1,) + key[i + 1:]
+                    nxt[grown] = nxt.get(grown, 0.0) + norm * (coef * c)
+        level = nxt
+    return level[tuple(p for p, _ in factors)]
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ class ModeSet:
         return [m.label for m in self.modes]
 
 
+def field_coefficients(mode: Mode, w: float, units: UnitSystem) -> tuple[complex, complex]:
+    """The D and B coefficients sqrt(hbar*omega/2) * sqrt(w) * (d, b) of a mode's a."""
+    amp = sqrt(units.hbar * mode.omega / 2.0) * sqrt(w)
+    return amp * mode.d, amp * mode.b
+
+
 def plane_wave_mode(label: int, family: str, m: int, n_index: float, l_box: float,
                     units: UnitSystem) -> Mode:
     """Flat-profile plane wave on the box grid: k = 2*pi*m/l_box, omega = c |k| / n.

@@ -181,39 +181,6 @@ def polys(draw, max_modes=3, max_degree=3, max_terms=3):
     return BosonicPolynomial(terms)
 
 
-@st.composite
-def supports(draw, max_modes=3, max_power=3):
-    return {m: (draw(st.integers(0, max_power)), draw(st.integers(0, max_power)))
-            for m in range(max_modes) if draw(st.booleans())}
-
-
-def _divides(key, support):
-    return all(c <= support.get(m, (0, 0))[0] and a <= support.get(m, (0, 0))[1]
-               for m, c, a in key)
-
-
-@settings(max_examples=60, deadline=None)
-@given(p=polys(), q=polys(), support=supports())
-def test_support_filter_keeps_exactly_the_dividing_terms(p, q, support):
-    full = p * q
-    expected = {key: v for key, v in full.terms.items() if _divides(key, support)}
-    assert p.product(q, support).terms == expected
-
-
-def test_support_filter_keeps_top_degree_coefficient_of_a_chain():
-    # (a + a^dag)^3 filtered by (a^dag)^3: the top coefficient needs no
-    # contraction and stays exact; the a^dag coefficient loses the two
-    # contributions that pass through the discarded a^dag a
-    x = BosonicPolynomial.from_ops("0") + BosonicPolynomial.from_ops("0^")
-    target = {0: (3, 0)}
-    full = x * x * x
-    filtered = x.product(x, target).product(x, target)
-    assert filtered.coefficient(target) == full.coefficient(target) == 1.0
-    assert full.coefficient({0: (1, 0)}) == 3.0
-    assert filtered.coefficient({0: (1, 0)}) == 1.0
-    assert set(filtered.terms) == {((0, 3, 0),), ((0, 1, 0),)}
-
-
 @settings(max_examples=100, deadline=None)
 @given(p=polys(), cutoffs=st.lists(st.integers(1, 4), min_size=3, max_size=3))
 def test_to_matrix_matches_kron_oracle(p, cutoffs):

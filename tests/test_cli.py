@@ -444,6 +444,21 @@ def test_non_finite_or_zero_input_exits_2_naming_it(tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, t", [(["spdc", "--time", "8e307"], "1.6e+308"),
+                                     (["convert", "--time", "1e308"], "inf")],
+                         ids=["spdc", "convert"])
+def test_time_whose_phase_overflows_exits_2_naming_it(tmp_path, capsys, argv, t):
+    # the wrong route samples at |ratio| times --time, so a finite --time can
+    # still give a phase w t that is no finite float, which sin() rejects
+    # without naming the option
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --time {float(argv[2]):g}: ")
+    assert f"overflows a float at t = {t}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("chi", [{"1": [float("nan")], "2": [0.3]},
                                  {"1": [0.5], "2": [float("inf")]}],
                          ids=["nan-chi1", "infinity-chi2"])
@@ -572,9 +587,9 @@ COMMAND_CLOSURES = [
      CLI_CORE | {"susceptibility"}),
     (["verify", "--modes", "1"], "maxwell", ("hamiltonian", "dynamics"),
      CLI_CORE | {"boson_algebra", "fields", "maxwell", "modes", "susceptibility"}),
-    (["compare", "--observable", "coefficient"], "hamiltonian", ("dynamics", "maxwell"),
-     CLI_CORE | {"boson_algebra", "coupling", "fields", "hamiltonian", "modes",
-                 "susceptibility"}),
+    (["compare", "--observable", "coefficient"], "hamiltonian",
+     ("boson_algebra", "dynamics", "fields", "maxwell"),
+     CLI_CORE | {"coupling", "hamiltonian", "modes", "susceptibility"}),
     (["phasematch", "--points", "3"], "coupling", ("dynamics", "maxwell"),
      CLI_CORE | {"coupling", "linalg", "modes"}),
     (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",),

@@ -178,22 +178,11 @@ def field_operators(draw, max_modes=3, max_degree=2, max_m=2):
     return FieldOperator(components, 1.0)
 
 
-@st.composite
-def supports(draw, max_modes=3, max_power=2):
-    return {mode: (draw(st.integers(0, max_power)), draw(st.integers(0, max_power)))
-            for mode in range(max_modes) if draw(st.booleans())}
-
-
 class TestProductK0:
     @settings(max_examples=60, deadline=None)
     @given(a=field_operators(), b=field_operators())
     def test_equals_full_product_component(self, a, b):
         assert a.product_k0(b).terms == (a * b).component(0).terms
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=field_operators(), b=field_operators(), support=supports())
-    def test_equals_filtered_product_component(self, a, b, support):
-        assert a.product_k0(b, support).terms == a.product(b, support).component(0).terms
 
     def test_no_zero_component(self):
         a = FieldOperator({1: BosonicPolynomial.from_ops("0"),

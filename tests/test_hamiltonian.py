@@ -1,7 +1,10 @@
-from math import pi, sqrt
+import re
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from leg_oracle import cubic_sectors
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
@@ -25,7 +28,7 @@ from dquant.hamiltonian import (
     scheme_resonant_coefficients,
 )
 from dquant.maxwell import _route_hamiltonians
-from dquant.modes import Mode, make_uniform_medium_modes
+from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode
 from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
 from dquant.units import UnitSystem, si_units
 
@@ -322,14 +325,102 @@ def _full_build_coefficients(order):
     return correct.coefficient(monomial), wrong.coefficient(monomial)
 
 
+@st.composite
+def matched_monomials(draw):
+    """(mode set, monomial): degree 2-4 on one to three modes, net wavevector 0.
+
+    A mode's powers may repeat (a^dag^2) or mix (a^dag a). The last mode
+    with unequal powers takes the grid index that cancels the others', and a
+    spectator mode outside the monomial rides along. Each profile carries a
+    random phase, so a coefficient that misses its conjugate shows.
+    """
+    n_modes = draw(st.integers(1, 3))
+    powers = [(draw(st.integers(0, 2)), draw(st.integers(0, 2))) for _ in range(n_modes)]
+    assume(2 <= sum(c + a for c, a in powers) <= 4)
+    grid = [draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for _ in range(n_modes + 1)]
+    nets = [a - c for c, a in powers]
+    unbalanced = [i for i, net in enumerate(nets) if net]
+    if unbalanced:
+        j = unbalanced[-1]
+        rest = sum(net * m for i, (net, m) in enumerate(zip(nets, grid)) if i != j)
+        assume(rest != 0 and rest % nets[j] == 0)
+        grid[j] = -rest // nets[j]
+    l_box = draw(st.sampled_from((2 * pi, 6.0)))
+    modes = []
+    for label, m in enumerate(grid):
+        mode = plane_wave_mode(label, "U", m, sqrt(1.5), l_box, NAT)
+        x = draw(st.floats(0.0, 2 * pi))
+        phase = complex(cos(x), sin(x))
+        modes.append(Mode(label=label, family="U", m=m, k=mode.k, omega=mode.omega,
+                          d=phase * mode.d, b=phase * mode.b))
+    return ModeSet(modes=tuple(modes), l_box=l_box), dict(enumerate(powers))
+
+
 class TestSchemeResonantCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(case=matched_monomials())
+    def test_equals_the_unfiltered_product(self, case):
+        # the top-degree ladder against the k = 0 coefficient of D * ... * D,
+        # every contraction built
+        ms, monomial = case
+        degree = sum(c + a for c, a in monomial.values())
+        medium = MediumSpec.from_scalars([0.5, 0.3, 0.2], units=NAT)
+        d_field, _ = expand_fields(ms, NAT)
+        d_power = d_field
+        for _ in range(degree - 1):
+            d_power = d_power * d_field
+        weight = hamiltonian._top_weights(medium, degree - 1)["D-based"]
+        expected = weight * integrate_density(d_power, ms.l_box).coefficient(monomial)
+        built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)["D-based"]
+        assert expected != 0
+        assert abs(built - expected) <= 1e-14 * abs(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_classical_pump_reduction_ratio(self, n):
+        # a_s1^dag a_s2^dag a_P^(n-1), the order-n down-conversion whose n - 1
+        # pump photons a classical pump replaces: E over D is -n
+        medium = MediumSpec.from_scalars([0.5] + [0.0] * (n - 2) + [0.37], units=NAT)
+        ms = make_uniform_medium_modes(sqrt(1.5), 2 * pi, [1, 3 * n - 4, 3], NAT)
+        monomial = {0: (1, 0), 1: (1, 0), 2: (0, n - 1)}
+        built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
+        assert abs(built["E-linear-wrong"] / built["D-based"] + n) <= 1e-12
+
+    def test_kerr_coefficient(self):
+        # self-phase modulation a^dag^2 a^2 of one mode in a pure chi3 medium
+        medium = MediumSpec.from_scalars([0.5, 0.0, 0.2], units=NAT)
+        ms = make_uniform_medium_modes(sqrt(1.5), 2 * pi, [1], NAT)
+        built = scheme_resonant_coefficients(ms, medium, {0: (2, 2)}, ms.l_box)
+        k_d = -0.0035367765131532
+        assert abs(built["D-based"] - k_d) <= 1e-12 * abs(k_d)
+        assert abs(built["E-linear-wrong"] / built["D-based"] + 3) <= 1e-12
+
+    def test_si_coefficient_is_the_closed_form_theta(self):
+        # each D coefficient is ~1e-19 in SI, below PRUNE_TOL, but the ladder
+        # multiplies the coefficients themselves and prunes nothing
+        units = si_units()
+        medium = MediumSpec.from_scalars([0.5, 0.3], units=units)
+        ms, triple = make_three_wave_modes(1, 2, sqrt(1.5), 2 * pi, units, length=1.7)
+        theta = build_interaction(triple, invert_series(medium, 2)[1], units).theta
+        built = scheme_resonant_coefficients(ms, medium, _resonant_powers(triple),
+                                             triple.length)["D-based"]
+        assert abs(built - theta) <= 1e-12 * abs(theta)
+
+    @pytest.mark.parametrize("powers", [{0: (-1, 0)}, {0: (1.5, 0), 2: (0, 1)}, {}, {0: (0, 0)},
+                                        {2: (0, 1)}],
+                             ids=["negative", "fractional", "empty", "zero-powers", "linear"])
+    def test_rejects_a_malformed_monomial(self, powers):
+        medium, ms, _ = pure_order(2)
+        message = f"monomial {powers} needs non-negative integer powers and degree >= 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scheme_resonant_coefficients(ms, medium, powers, ms.l_box)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_full_build(self, n):
         assert pure_order_coefficients(n) == _full_build_coefficients(n)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_equals_the_assembled_coefficient(self, case):
-        # the support-filtered k = 0 ladder against assemble's full region build
+        # the top-degree ladder against assemble's full region build
         ms, triple, medium, _ = TestLegOracle.setup(case)
         powers = _resonant_powers(triple)
         built = scheme_resonant_coefficients(ms, medium, powers, triple.length)
