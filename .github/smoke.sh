@@ -36,8 +36,9 @@ run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
 run convert --out "$out/convert"
 
 # bad input exits 2 with an error line, not 1 with a traceback: a directory
-# is no medium, 1 + chi1 = 0 has no refractive index, and verify's box modes
-# need an index of at least 1
+# is no medium, 1 + chi1 = 0 has no refractive index, verify's box modes
+# need an index of at least 1, and a --time whose sinh^2 fit overflows
+# writes no file
 expect_input_error() {
   status=0
   dquant "$@" 2> "$out/stderr.txt" || status=$?
@@ -51,3 +52,8 @@ echo '{"units": "natural", "dim": 1, "chi": {"1": [-1.0], "2": [0.3]}}' > "$out/
 expect_input_error spdc --medium "$out/chi1-minus-one.json" --out "$out/spdc-chi1-minus-one"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [-0.5], "2": [0.3]}}' > "$out/chi1-minus-half.json"
 expect_input_error verify --medium "$out/chi1-minus-half.json" --out "$out/verify-chi1-minus-half"
+expect_input_error spdc --time 1e300 --out "$out/spdc-time-1e300"
+if [ -e "$out/spdc-time-1e300" ]; then
+  echo "spdc --time 1e300 wrote $out/spdc-time-1e300"
+  exit 1
+fi

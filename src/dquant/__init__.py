@@ -17,12 +17,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "boson_algebra": ("BosonicPolynomial", "commutator", "degree", "normal_order"),
+    "boson_algebra": ("BosonicPolynomial", "commutator", "degree"),
     "coupling": ("ComparisonReport", "InteractionParams", "ModeTriple", "build_interaction",
                  "prefactor_ratio"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
-    "hamiltonian": ("HamiltonianSpec", "assemble", "build_linear",
-                    "scheme_resonant_coefficients"),
+    "hamiltonian": ("scheme_resonant_coefficients",),
     "maxwell": ("FaradayReport", "verify_routes"),
     "modes": ("ModeSet", "make_uniform_medium_modes"),
     "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_density",

@@ -63,21 +63,6 @@ class BosonicPolynomial:
         key = _merge_mode((m, c, a) for m, (c, a) in sorted(powers.items()))
         return cls({key: complex(coeff)})
 
-    @classmethod
-    def from_ops(cls, ops: str) -> "BosonicPolynomial":
-        """Build from a left-to-right operator string, e.g. ``"1^ 0"`` = ad(1) a(0).
-
-        The factors are multiplied in the given order, so the result comes
-        out normally ordered whatever order the string uses.
-        """
-        out = cls.identity()
-        for token in ops.split():
-            if token.endswith("^"):
-                out = out * creation(int(token[:-1]))
-            else:
-                out = out * annihilation(int(token))
-        return out
-
     # -- algebra ------------------------------------------------------
     def __add__(self, other):
         other = _as_poly(other)
@@ -214,23 +199,6 @@ def annihilation(mode: int) -> BosonicPolynomial:
 
 def number(mode: int) -> BosonicPolynomial:
     return BosonicPolynomial.monomial({mode: (1, 1)})
-
-
-def normal_order(p) -> BosonicPolynomial:
-    """Canonical normally-ordered form.
-
-    Accepts a polynomial (idempotent: terms are already canonical, zeros are
-    pruned), an operator string like ``"0 0^"``, or a sequence of
-    ``(mode, is_creation)`` factors which are multiplied left to right.
-    """
-    if isinstance(p, BosonicPolynomial):
-        return BosonicPolynomial(p.terms)
-    if isinstance(p, str):
-        return BosonicPolynomial.from_ops(p)
-    out = BosonicPolynomial.identity()
-    for mode, is_creation in p:
-        out = out * (creation(mode) if is_creation else annihilation(mode))
-    return out
 
 
 def commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:

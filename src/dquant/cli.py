@@ -169,16 +169,16 @@ def _interaction_doc(params) -> dict:
     }
 
 
-def _sweep_output(args, rows, series_name: str) -> None:
+def _sweep_file(fmt: str, rows, series_name: str) -> tuple[str, str]:
+    """(file name, text) of a sweep series in long form, as CSV or JSON."""
     long_rows = []
     for t, correct, wrong in rows:
         long_rows.append((t, correct, "correct"))
         long_rows.append((t, wrong, "wrong"))
-    if args.format == "csv":
-        _emit(args, f"{series_name}.csv", csv_text(["t", "observable", "scheme"], long_rows))
-    else:
-        doc = {"rows": [{"t": t, "observable": v, "scheme": s} for t, v, s in long_rows]}
-        _emit(args, f"{series_name}.json", dumps(doc))
+    if fmt == "csv":
+        return f"{series_name}.csv", csv_text(["t", "observable", "scheme"], long_rows)
+    doc = {"rows": [{"t": t, "observable": v, "scheme": s} for t, v, s in long_rows]}
+    return f"{series_name}.json", dumps(doc)
 
 
 #: per sweep command: its file stem, result-key prefix and stdout line
@@ -202,14 +202,18 @@ def cmd_sweep(args) -> int:
             pair = frequency_conversion(params, cfg, hbar=units.hbar)
     except OverflowError as exc:
         raise ValueError(f"--time {args.time:g}: {exc}") from None
-    _emit(args, "interaction.json", dumps(_interaction_doc(params)))
-    _sweep_output(args, pair.series, f"{stem}_sweep")
-    _emit(args, f"{stem}_result.json", dumps({
-        f"{key}_correct": pair.correct,
-        f"{key}_wrong": pair.wrong,
-        "ratio": abs(pair.ratio),
-        "truncation_safe": pair.truncation_safe,
-    }))
+    # every text is rendered before the first is written, so a value JSON
+    # cannot hold leaves no partial outputs
+    files = [("interaction.json", dumps(_interaction_doc(params))),
+             _sweep_file(args.format, pair.series, f"{stem}_sweep"),
+             (f"{stem}_result.json", dumps({
+                 f"{key}_correct": pair.correct,
+                 f"{key}_wrong": pair.wrong,
+                 "ratio": abs(pair.ratio),
+                 "truncation_safe": pair.truncation_safe,
+             }))]
+    for name, text in files:
+        _emit(args, name, text)
     print(line.format(pair.correct, pair.wrong, abs(pair.ratio)))
     _warn_if_unsafe(pair.truncation_safe)
     return EXIT_OK

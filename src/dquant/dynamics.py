@@ -461,11 +461,18 @@ def _scheme_series(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, 
 def _sinh2_fit(series, column: int) -> float:
     """r = g t_final from a least-squares fit of <n_A> = sinh^2(g t) to one column.
 
-    The last sample of the series is at t_final.
+    The last sample of the series is at t_final. Raises ``OverflowError``
+    when the sum of t^2 is not a finite float.
     """
     ts = [row[0] for row in series[1:]]
     ys = [asinh(sqrt(row[column])) for row in series[1:]]
-    return fsum(map(mul, ts, ys)) / fsum(t * t for t in ts) * series[-1][0]
+    try:
+        norm = fsum(t * t for t in ts)
+    except OverflowError:  # fsum's own message names no sum: an intermediate one overflowed
+        norm = inf
+    if not norm < inf:
+        raise OverflowError(f"the fit's sum of t^2 overflows a float at t = {series[-1][0]:g}")
+    return fsum(map(mul, ts, ys)) / norm * series[-1][0]
 
 
 def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,

@@ -10,9 +10,7 @@ waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
 * a pointwise product of fields convolves coefficients with one extra
   factor (2*pi)**-0.5 per multiplication,
 * integrating a product of fields over the box picks the zero-frequency
-  component times (2*pi)**-0.5 * l_box, and over a centred region of length
-  L contributes (2*pi)**-0.5 * L * sinc(k L / 2) per component, with
-  :func:`~dquant.modes.sinc`.
+  component times (2*pi)**-0.5 * l_box.
 
 A field is a frozen record: sums, products and restrictions return new
 fields, and the leakage a restriction records travels with the field it
@@ -25,7 +23,7 @@ from math import pi, sqrt
 from numbers import Number
 
 from .boson_algebra import BosonicPolynomial, annihilation, creation
-from .modes import ModeSet, field_coefficients, sinc
+from .modes import ModeSet, field_coefficients
 from .record import record
 from .units import UnitSystem
 
@@ -142,20 +140,10 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
     return (FieldOperator(d_comp, w, kind="D"), FieldOperator(b_comp, w, kind="B"))
 
 
-def integrate_density(f: FieldOperator, l_box: float,
-                      region_length: float | None = None) -> BosonicPolynomial:
-    """Integrate an operator density over the box or a centred region.
+def integrate_density(f: FieldOperator, l_box: float) -> BosonicPolynomial:
+    """Integrate an operator density over the box.
 
-    Over the full box only the zero-wavevector component survives (the
-    k-grid makes exp(ikz) average to zero exactly); over a top-hat region
-    of length L each component picks up sinc(k L / 2).
+    Only the zero-wavevector component survives: the k-grid makes exp(ikz)
+    average to zero exactly.
     """
-    if region_length is None:
-        return (l_box / sqrt(2 * pi)) * f.component(0)
-    total = BosonicPolynomial.zero()
-    for m, poly in f.components.items():
-        phi = sinc(f.k(m) * region_length / 2.0)
-        if phi != 0.0:
-            total = total + (region_length / sqrt(2 * pi)) * phi * poly
-    return total
-
+    return (l_box / sqrt(2 * pi)) * f.component(0)

@@ -1,4 +1,4 @@
-"""Hamiltonians of the two quantization routes and their wave-mixing sectors.
+"""Resonant coefficients of the two quantization routes, for any wave-mixing order.
 
 Both routes' energy densities come from
 :func:`~dquant.susceptibility.energy_density` as weights of the same powers
@@ -12,14 +12,14 @@ cubic-in-D part of the quadratic chi-series term restores the difference.
 :func:`scheme_resonant_coefficients` is the one builder of resonant
 coefficients, for any scheme, order and medium: a top-degree ladder of
 D^(n+1), scaled by each scheme's weight from one table (:func:`_top_weights`).
-:func:`assemble` builds whole three-wave Hamiltonians with weights from the
-same table, and alone imports the operator algebra: the resonant sector
-a_A^dag a_B^dag a_C + H.c. is the nonlinear part, and the anti-resonant
-terms are kept beside it as ``dropped``, never silently lost. On a linear
-medium the box builder of :mod:`~dquant.maxwell` integrates the quadratic
-form, which equals :func:`build_linear`.
+It reads one phase-matched monomial, so the anti-resonant terms of D^(n+1)
+are never built: the rotating-wave approximation drops them for every
+scheme alike, with the same weight that scales the resonant term, so the
+routes' ratio does not depend on them. The whole Hamiltonians, linear part
+and anti-resonant terms included, are built on a box by
+:mod:`~dquant.maxwell`.
 
-The builders run on scalar (dim=1) media and read their units from the
+The builder runs on scalar (dim=1) media and reads its units from the
 medium. A scalar tensor is trivially permutation symmetric, so the
 (n+1)! collection of orderings in D^(n+1) needs no further check.
 
@@ -31,98 +31,10 @@ from __future__ import annotations
 
 from math import pi, sqrt
 
-from .coupling import ComparisonReport, ModeTriple, prefactor_ratio
-from .modes import Mode, ModeSet, field_coefficients, plane_wave_mode
-from .record import record
+from .coupling import ComparisonReport, prefactor_ratio
+from .modes import ModeSet, field_coefficients, plane_wave_mode
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from .units import UnitSystem
-
-#: the three-wave Hamiltonians :func:`assemble` builds
-SCHEMES = ROUTES + ("E-based-corrected",)
-
-
-@record
-class HamiltonianSpec:
-    """Assembled linear + resonant nonlinear operator, with the dropped rest.
-
-    ``dropped`` is the anti-resonant part of the scheme's cubic term, which
-    the rotating-wave ``nonlinear`` part leaves out.
-    """
-
-    linear: BosonicPolynomial
-    nonlinear: BosonicPolynomial
-    dropped: BosonicPolynomial
-    provenance: str
-    order: int
-
-    def __post_init__(self):
-        if self.provenance not in SCHEMES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        for part, name in ((self.linear, "linear"), (self.nonlinear, "nonlinear")):
-            if not part.is_hermitian():
-                raise ValueError(f"{name} part is not Hermitian")
-        for key in self.linear.terms:
-            if any(c != a for _, c, a in key):
-                raise ValueError("linear part must be diagonal in the number basis")
-
-    @property
-    def dropped_terms(self) -> int:
-        return len(self.dropped.terms)
-
-    @property
-    def dropped_norm(self) -> float:
-        return self.dropped.norm()
-
-
-def build_linear(ms: ModeSet, units: UnitSystem) -> BosonicPolynomial:
-    """Diagonal free Hamiltonian sum_m hbar omega_m n_m (zero point dropped)."""
-    from .boson_algebra import BosonicPolynomial, number  # only here: see the module doc
-
-    h = BosonicPolynomial.zero()
-    for mode in ms.modes:
-        h = h + (units.hbar * mode.omega) * number(mode.label)
-    return h
-
-
-# ---------------------------------------------------------------------------
-# cubic three-wave builders (the field expansion cubed on the triple's region)
-# ---------------------------------------------------------------------------
-
-
-def _cubic_hamiltonian(ms: ModeSet, triple: ModeTriple, units: UnitSystem):
-    """Integral of D^3 over the triple's region, split by sector.
-
-    The one body of the cubic terms :func:`assemble` builds, each scheme
-    scaling it by its own weight. D is expanded on the triple's modes
-    alone. Returns (resonant, anti_resonant) polynomials; the resonant
-    sector is a_A^dag a_B^dag a_C and its conjugate.
-    """
-    from .boson_algebra import BosonicPolynomial  # only here: see the module doc
-    from .fields import expand_fields, integrate_density
-
-    d_field, _ = expand_fields(ModeSet(modes=_triple_modes_in(ms, triple), l_box=ms.l_box),
-                               units)
-    h = integrate_density(d_field * d_field * d_field, ms.l_box, region_length=triple.length)
-    pump_term = BosonicPolynomial.monomial(_resonant_powers(triple))
-    sector = set(pump_term.terms) | set(pump_term.dagger().terms)
-    resonant = BosonicPolynomial({k: c for k, c in h.terms.items() if k in sector})
-    anti = BosonicPolynomial({k: c for k, c in h.terms.items() if k not in sector})
-    return resonant, anti
-
-
-def _triple_modes_in(ms: ModeSet, triple: ModeTriple) -> list[Mode]:
-    modes = []
-    for mode in triple.modes():
-        if mode.label not in ms.labels():
-            raise ValueError(f"triple mode {mode.label} is not part of the mode set")
-        modes.append(mode)
-    return modes
-
-
-def _resonant_powers(triple: ModeTriple) -> dict:
-    """Mode powers of a_A^dag a_B^dag a_C."""
-    return {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
-            triple.mode_c.label: (0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -246,43 +158,3 @@ def compare_coefficients(order: int) -> ComparisonReport:
                             expected_ratio=float(prefactor_ratio(order)), tolerance=1e-12,
                             truncation_safe=True)
 
-
-# ---------------------------------------------------------------------------
-# three-wave assembly
-# ---------------------------------------------------------------------------
-
-
-def assemble(ms: ModeSet, medium: MediumSpec, triple: ModeTriple,
-             scheme: str) -> HamiltonianSpec:
-    """Linear plus three-wave nonlinear Hamiltonian of one scheme, in the medium's units.
-
-    The cubic terms of the schemes:
-
-    - ``"D-based"``: (1/3) integral eta2 D^3. The six orderings of
-      a_A^dag, a_B^dag and a_C in D^3 collect into a factor 3!/3 = 2 on the
-      mode-overlap integral.
-    - ``"E-linear-wrong"``: (2/3) eps0 integral chi2 E~^3 with E~ = eta1 D
-      kept (wrongly) linear. Its resonant part is -(2/3) integral eta2 D^3:
-      wrong sign and twice the magnitude of the D-based one.
-    - ``"E-based-corrected"``: the wrong term plus the cubic-in-D part of
-      eps0 (1 + chi1) E_full^2 / 2 with E_full = eta1 D + eta2 D^2. Its
-      cross terms give exactly +1 * integral eta2 D^3, which restores the
-      D-based Hamiltonian.
-
-    Each scheme scales one full build of the integral of D^3, anti-resonant
-    terms included, by its weight from :func:`_top_weights`. Raises
-    ``ValueError`` for an unknown scheme and for a medium that is not
-    scalar (dim=1).
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    weight = _top_weights(medium, 2)[scheme]
-    units = medium.units
-    resonant, dropped = (weight * part for part in _cubic_hamiltonian(ms, triple, units))
-    if dropped.terms:
-        import logging  # only here: no command should pay for its import
-
-        logging.getLogger(__name__).debug("%s: filtered %d anti-resonant terms (norm %.3e)",
-                                          scheme, len(dropped.terms), dropped.norm())
-    return HamiltonianSpec(linear=build_linear(ms, units), nonlinear=resonant, dropped=dropped,
-                           provenance=scheme, order=medium.highest_order)

@@ -76,9 +76,6 @@ class ModeSet:
         """Discretization weight 2*pi / l_box."""
         return 2 * pi / self.l_box
 
-    def labels(self) -> list[int]:
-        return [m.label for m in self.modes]
-
 
 def field_coefficients(mode: Mode, w: float, units: UnitSystem) -> tuple[complex, complex]:
     """The D and B coefficients sqrt(hbar*omega/2) * sqrt(w) * (d, b) of a mode's a."""

@@ -1,9 +1,13 @@
 """Ordered-leg expansion of a cubic three-wave density integral.
 
-An oracle for the cubic builders of ``dquant.hamiltonian`` that is
-independent of the field algebra they are built on: every mode contributes
-an annihilation leg at +k and a creation leg at -k, and each of the 27
-ordered leg triples is integrated over the triple's region on its own.
+An oracle for the resonant coefficients of
+``dquant.hamiltonian.scheme_resonant_coefficients`` and for the box
+integral of D^3 that ``dquant.maxwell`` builds, independent of both the
+top-degree ladder and the field algebra: every mode contributes an
+annihilation leg at +k and a creation leg at -k, and each of the 27 ordered
+leg triples is integrated over the triple's region on its own. The
+resonant sector is a_A^dag a_B^dag a_C and its conjugate; the rest is the
+anti-resonant sector that the rotating-wave approximation drops.
 """
 
 from math import pi, sqrt

@@ -459,6 +459,19 @@ def test_time_whose_phase_overflows_exits_2_naming_it(tmp_path, capsys, argv, t)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("time", ["1e154", "1e300"])
+def test_time_whose_fit_overflows_exits_2_writing_nothing(tmp_path, capsys, time):
+    # the phases w t stay finite, but the sinh^2 fit's sum of t^2 does not:
+    # its r once read 0 on both routes, and the nan ratio failed only the
+    # third file, after two had been written
+    out = tmp_path / "out"
+    assert main(["spdc", "--time", time, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: --time {float(time):g}: the fit's sum of t^2 overflows a float "
+                   f"at t = {float(time):g}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("chi", [{"1": [float("nan")], "2": [0.3]},
                                  {"1": [0.5], "2": [float("inf")]}],
                          ids=["nan-chi1", "infinity-chi2"])

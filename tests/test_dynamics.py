@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dquant.boson_algebra import BosonicPolynomial, number
+from dquant.boson_algebra import BosonicPolynomial, annihilation, number
 from dquant.coupling import InteractionParams
 from dquant.dynamics import (
     EDGE_POPULATION_TOL,
@@ -82,7 +82,7 @@ class TestEvolve:
     def test_rejects_non_hermitian(self):
         space = FockSpace(modes=(0,), cutoff=3)
         with pytest.raises(ValueError):
-            evolve(BosonicPolynomial.from_ops("0"), space, space.vacuum(), samples(1.0))
+            evolve(annihilation(0), space, space.vacuum(), samples(1.0))
 
     def test_rejects_a_block_that_is_not_a_chain(self):
         # the squeezer moves pair states by (1, 1) and (a0^dag a1^dag)^2 by (2, 2):

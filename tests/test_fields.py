@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dquant.boson_algebra import BosonicPolynomial, degree
+from dquant.boson_algebra import BosonicPolynomial, annihilation, degree
 from dquant.dynamics import FockSpace
 from dquant.fields import FieldOperator, expand_fields, integrate_density
 from dquant.maxwell import _electric_field
@@ -118,7 +118,7 @@ class TestElectricFieldFromD:
         hand = eta2 / sqrt(2 * pi) * (d1 * d1)
         assert e.component(2).isclose(hand, tol=1e-14)
         # matrix oracle: the k=+2 coefficient equals eta2/sqrt(2 pi) * M(D_1)^2
-        space = FockSpace(modes=tuple(self.ms.labels()), cutoff=4)
+        space = FockSpace(modes=tuple(mode.label for mode in self.ms.modes), cutoff=4)
         lhs = to_matrix(e.component(2), space).toarray()
         md1 = to_matrix(d1, space).toarray()
         assert np.allclose(lhs, eta2 / sqrt(2 * pi) * md1 @ md1, atol=1e-13)
@@ -145,17 +145,6 @@ class TestIntegrateDensity:
         sq = d_field * d_field
         h = integrate_density(sq, ms.l_box)
         expected = (ms.l_box / sqrt(2 * pi)) * sq.component(0)
-        assert h.isclose(expected)
-
-    def test_region_integral_uses_sinc(self):
-        ms = make_uniform_medium_modes(1.0, 2 * pi, [1], NAT)
-        d_field, _ = expand_fields(ms, NAT)
-        length = 1.3
-        h = integrate_density(d_field, ms.l_box, region_length=length)
-        # sinc is even, so both +k and -k components of the one mode survive
-        expected = (length / sqrt(2 * pi)) * sinc(1.0 * length / 2) * (
-            d_field.component(1) + d_field.component(-1)
-        )
         assert h.isclose(expected)
 
 
@@ -185,8 +174,7 @@ class TestProductK0:
         assert a.product_k0(b).terms == (a * b).component(0).terms
 
     def test_no_zero_component(self):
-        a = FieldOperator({1: BosonicPolynomial.from_ops("0"),
-                           2: BosonicPolynomial.from_ops("1")}, 1.0)
+        a = FieldOperator({1: annihilation(0), 2: annihilation(1)}, 1.0)
         assert 0 not in (a * a).components
         assert a.product_k0(a).is_zero
 

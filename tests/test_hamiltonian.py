@@ -19,20 +19,16 @@ from dquant.coupling import (
     prefactor_ratio,
 )
 from dquant.fields import expand_fields, integrate_density
-from dquant.hamiltonian import (
-    SCHEMES,
-    _pure_order_modeset,
-    _resonant_powers,
-    assemble,
-    build_linear,
-    scheme_resonant_coefficients,
-)
+from dquant.hamiltonian import _pure_order_modeset, scheme_resonant_coefficients
 from dquant.maxwell import _route_hamiltonians
 from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode
-from dquant.susceptibility import MediumSpec, SusceptibilityTensor, invert_series
+from dquant.susceptibility import ROUTES, MediumSpec, SusceptibilityTensor, invert_series
 from dquant.units import UnitSystem, si_units
 
 NAT = UnitSystem()
+
+#: the schemes scheme_resonant_coefficients returns at n = 2, in order
+SCHEMES = ROUTES + ("E-based-corrected",)
 
 
 def scalar(order, value, role="chi"):
@@ -47,9 +43,15 @@ def three_wave_setup(chi1=0.0, chi2=0.4, l_box=2 * pi, length=None, m_a=1, m_b=2
     return ms, triple, medium, etas
 
 
-def resonant_coefficient(poly, triple):
-    """Coefficient of a_A^dag a_B^dag a_C in a three-wave Hamiltonian."""
-    return poly.coefficient(_resonant_powers(triple))
+def resonant_powers(triple):
+    """Mode powers of the resonant monomial a_A^dag a_B^dag a_C."""
+    return {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
+            triple.mode_c.label: (0, 1)}
+
+
+def triple_coefficients(ms, triple, medium):
+    """Each scheme's coefficient of a_A^dag a_B^dag a_C over the triple's region."""
+    return scheme_resonant_coefficients(ms, medium, resonant_powers(triple), triple.length)
 
 
 def pure_order(order, chi1=0.5, chi_n=0.37):
@@ -65,12 +67,6 @@ def pure_order_coefficients(order):
     return coefficients["D-based"], coefficients["E-linear-wrong"]
 
 
-def nonlinear(scheme, ms, triple, medium, full=False):
-    """Resonant nonlinear part of assemble's spec, or with the dropped rest added."""
-    spec = assemble(ms, medium, triple, scheme)
-    return spec.nonlinear + spec.dropped if full else spec.nonlinear
-
-
 def box_linear(ms, eta1):
     """The box builder's Hamiltonian of a linear medium: integral B^2/(2 mu0) + eta1 D^2/2."""
     d_field, b_field = expand_fields(ms, NAT)
@@ -79,31 +75,31 @@ def box_linear(ms, eta1):
     return hamiltonians["D-based"]
 
 
-def correction(ms, triple, medium, full=False):
-    """The quadratic-E correction: E-based-corrected minus E-linear-wrong."""
-    return (nonlinear("E-based-corrected", ms, triple, medium, full)
-            - nonlinear("E-linear-wrong", ms, triple, medium, full))
+def eta1_for(n_index):
+    """eta1 = 1 / (eps0 n^2) of a linear medium of refractive index n."""
+    return scalar(1, 1.0 / (NAT.eps0 * n_index**2), role="eta")
 
 
 class TestBuildLinear:
+    """The box builder's linear Hamiltonian is diagonal: sum_m hbar omega_m n_m."""
+
     def test_single_oscillator(self):
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1], NAT)
-        h = build_linear(ms, NAT)
         label = ms.modes[0].label
-        assert h.isclose(1.0 * number(label))
+        assert box_linear(ms, eta1_for(1.0)).isclose(1.0 * number(label))
 
     def test_two_modes(self):
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1, 2], NAT)
-        h = build_linear(ms, NAT)
-        la, lb = ms.labels()
-        assert h.isclose(number(la) + 2.0 * number(lb))
+        la, lb = (mode.label for mode in ms.modes)
+        assert box_linear(ms, eta1_for(1.0)).isclose(number(la) + 2.0 * number(lb))
 
     def test_matches_energy_density_quadratic_form(self):
         n_index = 1.5
         ms = make_uniform_medium_modes(n_index, 2 * pi, [-2, -1, 1, 2], NAT)
-        eta1 = scalar(1, 1.0 / (NAT.eps0 * n_index**2), role="eta")
-        via_density = box_linear(ms, eta1)
-        diagonal = build_linear(ms, NAT)
+        via_density = box_linear(ms, eta1_for(n_index))
+        diagonal = BosonicPolynomial.zero()
+        for mode in ms.modes:
+            diagonal = diagonal + (NAT.hbar * mode.omega) * number(mode.label)
         diff = via_density - diagonal
         assert diff.max_abs_coeff() < 1e-10
 
@@ -130,12 +126,12 @@ class TestBuildLinear:
 class TestBuildNonlinearD:
     def test_zero_tensor(self):
         ms, triple, medium, _ = three_wave_setup(chi2=0.0)
-        assert nonlinear("D-based", ms, triple, medium, full=True).is_zero
+        assert list(triple_coefficients(ms, triple, medium).values()) == [0, 0, 0]
 
     def test_flat_profile_coefficient_formula(self):
         ms, triple, medium, etas = three_wave_setup(chi1=0.0, chi2=0.4)
         eta2 = etas[1]
-        got = resonant_coefficient(nonlinear("D-based", ms, triple, medium), triple)
+        got = triple_coefficients(ms, triple, medium)["D-based"]
         ma, mb, mc = triple.modes()
         amps = sqrt(NAT.hbar * ma.omega / 2 * NAT.hbar * mb.omega / 2
                     * NAT.hbar * mc.omega / 2)
@@ -152,21 +148,28 @@ class TestBuildNonlinearD:
         assert cube.coefficient({0: (1, 0), 1: (1, 0), 2: (0, 1)}) == pytest.approx(6.0)
 
     def test_hermitian(self):
+        # the conjugate monomial a_A a_B a_C^dag carries the conjugate
+        # coefficient, on profiles with distinct phases
         ms, triple, medium, _ = three_wave_setup()
-        assert nonlinear("D-based", ms, triple, medium).is_hermitian()
-        assert nonlinear("D-based", ms, triple, medium, full=True).is_hermitian()
+        phases = [complex(cos(x), sin(x)) for x in (0.3, 1.1, -2.0)]
+        ms = ModeSet(modes=tuple(
+            Mode(label=m.label, family=m.family, m=m.m, k=m.k, omega=m.omega,
+                 d=p * m.d, b=p * m.b) for m, p in zip(ms.modes, phases)), l_box=ms.l_box)
+        powers = resonant_powers(triple)
+        conjugate = {label: (a, c) for label, (c, a) in powers.items()}
+        built = scheme_resonant_coefficients(ms, medium, powers, triple.length)
+        mirrored = scheme_resonant_coefficients(ms, medium, conjugate, triple.length)
+        for scheme, coefficient in built.items():
+            assert abs(coefficient.imag) > 1e-3 * abs(coefficient)
+            assert abs(mirrored[scheme] - coefficient.conjugate()) <= 1e-15 * abs(coefficient)
 
     def test_resonant_filter_audit(self):
+        # the rotating-wave approximation: the anti-resonant a_A a_B a_C is not
+        # phase-matched, and the builder reads no such monomial
         ms, triple, medium, _ = three_wave_setup()
-        spec = assemble(ms, medium, triple, "D-based")
-        assert len(spec.dropped.terms) > 0
-        assert not set(spec.dropped.terms) & set(spec.nonlinear.terms)
-        for key in spec.nonlinear.terms:
-            powers = {m: (c, a) for m, c, a in key}
-            assert powers in (
-                {0: (1, 0), 1: (1, 0), 2: (0, 1)},
-                {0: (0, 1), 1: (0, 1), 2: (1, 0)},
-            )
+        anti = {label: (0, 1) for label in resonant_powers(triple)}
+        with pytest.raises(ValueError, match="not phase-matched: net wavevector index 6"):
+            scheme_resonant_coefficients(ms, medium, anti, triple.length)
 
     def test_asymmetric_tensor_rejected(self):
         # only a dim-3 tensor can break permutation symmetry, and the builders
@@ -177,9 +180,8 @@ class TestBuildNonlinearD:
         chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
         bad = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
         medium = MediumSpec(units=NAT, tensors=(chi1, bad))
-        for scheme in ("D-based", "E-linear-wrong", "E-based-corrected"):
-            with pytest.raises(ValueError, match="scalar"):
-                assemble(ms, medium, triple, scheme)
+        with pytest.raises(ValueError, match="scalar"):
+            triple_coefficients(ms, triple, medium)
         with pytest.raises(ValueError, match="scalar"):
             build_interaction(triple, invert_series(medium, 2)[1], NAT)
 
@@ -193,42 +195,39 @@ class TestBuildNonlinearD:
 class TestWrongScheme:
     def test_ratio_minus_two_vacuum_linear(self):
         ms, triple, medium, _ = three_wave_setup(chi1=0.0, chi2=0.8)
-        correct = nonlinear("D-based", ms, triple, medium)
-        wrong = nonlinear("E-linear-wrong", ms, triple, medium)
-        ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
+        built = triple_coefficients(ms, triple, medium)
+        ratio = built["E-linear-wrong"] / built["D-based"]
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_ratio_minus_two_dressed_linear(self):
         ms, triple, medium, _ = three_wave_setup(chi1=1.25, chi2=0.5)
-        correct = nonlinear("D-based", ms, triple, medium)
-        wrong = nonlinear("E-linear-wrong", ms, triple, medium)
-        ratio = resonant_coefficient(wrong, triple) / resonant_coefficient(correct, triple)
+        built = triple_coefficients(ms, triple, medium)
+        ratio = built["E-linear-wrong"] / built["D-based"]
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_zero_chi2(self):
         ms, triple, medium, _ = three_wave_setup(chi2=0.0)
-        assert nonlinear("E-linear-wrong", ms, triple, medium, full=True).is_zero
+        assert triple_coefficients(ms, triple, medium)["E-linear-wrong"] == 0
 
 
 class TestCorrection:
+    """The quadratic-E correction: E-based-corrected minus E-linear-wrong."""
+
     def test_wrong_plus_correction_is_correct(self):
         ms, triple, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
-        correct = nonlinear("D-based", ms, triple, medium)
-        repaired = (nonlinear("E-linear-wrong", ms, triple, medium)
-                    + correction(ms, triple, medium))
-        diff = repaired - correct
-        assert diff.max_abs_coeff() < 1e-12
+        built = triple_coefficients(ms, triple, medium)
+        assert abs(built["E-based-corrected"] - built["D-based"]) < 1e-12
 
     def test_correction_is_plus_three_times_correct(self):
         ms, triple, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
-        correct = nonlinear("D-based", ms, triple, medium)
-        corr = correction(ms, triple, medium)
-        ratio = resonant_coefficient(corr, triple) / resonant_coefficient(correct, triple)
+        built = triple_coefficients(ms, triple, medium)
+        ratio = (built["E-based-corrected"] - built["E-linear-wrong"]) / built["D-based"]
         assert ratio == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_eta2_zero_correction(self):
         ms, triple, medium, _ = three_wave_setup(chi2=0.0)
-        assert correction(ms, triple, medium, full=True).is_zero
+        built = triple_coefficients(ms, triple, medium)
+        assert built["E-based-corrected"] - built["E-linear-wrong"] == 0
 
 
 #: (m_a, m_b, chi1, chi2, l_box, length): box-filling and shorter regions
@@ -252,7 +251,7 @@ def _oracle(builder, ms, triple, medium, etas):
 
 
 class TestLegOracle:
-    """Full cubic polynomials, anti-resonant terms included, against the leg expansion."""
+    """Whole cubic polynomials, anti-resonant terms included, against the leg expansion."""
 
     @staticmethod
     def setup(case):
@@ -263,32 +262,42 @@ class TestLegOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     @pytest.mark.parametrize("builder", ["D", "E-wrong", "correction"])
     def test_full_polynomial(self, case, builder):
-        ms, triple, medium, etas = self.setup(case)
-        got = {
-            "D": lambda: nonlinear("D-based", ms, triple, medium, full=True),
-            "E-wrong": lambda: nonlinear("E-linear-wrong", ms, triple, medium, full=True),
-            "correction": lambda: correction(ms, triple, medium, full=True),
-        }[builder]()
+        # the box build verify uses, the integral of D^3 over the box scaled by
+        # the scheme's weight, against the leg expansion over a box-filling region
+        ms, triple, medium, etas = self.setup(case[:-1] + (None,))
+        weights = hamiltonian._top_weights(medium, 2)
+        weight = {"D": weights["D-based"], "E-wrong": weights["E-linear-wrong"],
+                  "correction": weights["E-based-corrected"] - weights["E-linear-wrong"]}[builder]
+        d_field, _ = expand_fields(ms, NAT)
+        got = weight * integrate_density(d_field * d_field * d_field, ms.l_box)
         resonant, anti = _oracle(builder, ms, triple, medium, etas)
         expected = resonant + anti
-        assert len(anti.terms) > 0
+        # over the box an anti-resonant term survives only if phase-matched:
+        # a_A^2 a_B^dag and its conjugate, where m_B = 2 m_A
+        assert bool(anti.terms) == (case[1] == 2 * case[0])
         assert set(got.terms) == set(expected.terms)
         scale = expected.max_abs_coeff()
         assert max(abs(got.terms[k] - c) for k, c in expected.terms.items()) <= 1e-14 * scale
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
-    @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong", "E-based-corrected"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_dropped_terms(self, case, scheme):
+        # the rotating-wave approximation drops each scheme's anti-resonant
+        # terms, which are the D route's scaled by the builder's ratio of the
+        # resonant coefficients: the routes' ratio does not depend on them
         ms, triple, medium, etas = self.setup(case)
+        built = triple_coefficients(ms, triple, medium)
+        anti_d = _oracle("D", ms, triple, medium, etas)[1]
+        anti = _oracle("E-wrong", ms, triple, medium, etas)[1]
         if scheme == "D-based":
-            anti = _oracle("D", ms, triple, medium, etas)[1]
-        else:
-            anti = _oracle("E-wrong", ms, triple, medium, etas)[1]
-            if scheme == "E-based-corrected":
-                anti = anti + _oracle("correction", ms, triple, medium, etas)[1]
-        spec = assemble(ms, medium, triple, scheme)
-        assert spec.dropped_terms == len(anti.terms)
-        assert spec.dropped_norm == pytest.approx(anti.norm(), rel=1e-13)
+            anti = anti_d
+        elif scheme == "E-based-corrected":
+            anti = anti + _oracle("correction", ms, triple, medium, etas)[1]
+        ratio = built[scheme] / built["D-based"]
+        assert len(anti.terms) > 0 and set(anti.terms) == set(anti_d.terms)
+        scale = anti.max_abs_coeff()
+        assert max(abs(c - ratio * anti_d.terms[k]) for k, c in anti.terms.items()) <= (
+            1e-14 * scale)
 
 
 class TestPrefactorRatio:
@@ -401,8 +410,7 @@ class TestSchemeResonantCoefficients:
         medium = MediumSpec.from_scalars([0.5, 0.3], units=units)
         ms, triple = make_three_wave_modes(1, 2, sqrt(1.5), 2 * pi, units, length=1.7)
         theta = build_interaction(triple, invert_series(medium, 2)[1], units).theta
-        built = scheme_resonant_coefficients(ms, medium, _resonant_powers(triple),
-                                             triple.length)["D-based"]
+        built = triple_coefficients(ms, triple, medium)["D-based"]
         assert abs(built - theta) <= 1e-12 * abs(theta)
 
     @pytest.mark.parametrize("powers", [{0: (-1, 0)}, {0: (1.5, 0), 2: (0, 1)}, {}, {0: (0, 0)},
@@ -420,14 +428,19 @@ class TestSchemeResonantCoefficients:
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_equals_the_assembled_coefficient(self, case):
-        # the top-degree ladder against assemble's full region build
-        ms, triple, medium, _ = TestLegOracle.setup(case)
-        powers = _resonant_powers(triple)
+        # the top-degree ladder against the resonant sector of the cubic
+        # polynomial the leg oracle assembles, over regions that fill the box
+        # or fall short of it
+        ms, triple, medium, etas = TestLegOracle.setup(case)
+        powers = resonant_powers(triple)
         built = scheme_resonant_coefficients(ms, medium, powers, triple.length)
         assert list(built) == list(SCHEMES)
+        legs = {"D-based": ["D"], "E-linear-wrong": ["E-wrong"],
+                "E-based-corrected": ["E-wrong", "correction"]}
         for scheme in SCHEMES:
-            assert built[scheme] == assemble(ms, medium, triple, scheme).nonlinear.coefficient(
-                powers)
+            expected = sum(_oracle(leg, ms, triple, medium, etas)[0].coefficient(powers)
+                           for leg in legs[scheme])
+            assert abs(built[scheme] - expected) <= 1e-14 * abs(expected)
 
     @pytest.mark.parametrize("chis, expected", [
         ((0.5, 0.0, 0.2), -3.0), ((0.5, 0.3, 0.2), -7.5), ((0.5, 0.3, 0.2, 0.1), 10.0)])
@@ -439,7 +452,7 @@ class TestSchemeResonantCoefficients:
         built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
         ratio = built["E-linear-wrong"] / built["D-based"]
         assert abs(ratio - expected) <= 1e-12
-        assert list(built) == list(SCHEMES[:2])
+        assert list(built) == list(ROUTES)
 
     def test_rejects_a_monomial_that_is_not_phase_matched(self):
         medium, ms, monomial = pure_order(3)
@@ -459,7 +472,7 @@ class TestSchemeResonantCoefficients:
         chi2 = SusceptibilityTensor(order=2, role="chi", dim=3, entries=np.full((3, 3, 3), 0.1))
         medium = MediumSpec(units=NAT, tensors=(chi1, chi2))
         with pytest.raises(ValueError, match="scalar"):
-            scheme_resonant_coefficients(ms, medium, _resonant_powers(triple), triple.length)
+            triple_coefficients(ms, triple, medium)
 
 
 class TestBuildInteraction:
@@ -508,27 +521,8 @@ class TestBuildInteraction:
         # resonant coefficient of (1/3) integral eta2 D^3 equals w^(3/2) theta phi
         ms, triple, medium, etas = three_wave_setup(chi2=0.4, l_box=l_box)
         params = build_interaction(triple, etas[1], NAT)
-        got = resonant_coefficient(nonlinear("D-based", ms, triple, medium), triple)
+        got = triple_coefficients(ms, triple, medium)["D-based"]
         assert got == pytest.approx(ms.w**1.5 * params.theta * params.phi, rel=1e-12)
-
-    @pytest.mark.parametrize("units", [
-        pytest.param(NAT, id="natural"),
-        pytest.param(si_units(), id="si", marks=pytest.mark.xfail(
-            strict=True, reason="SI cubic terms (~1e-35) fall below the absolute PRUNE_TOL "
-                                "and are pruned: the assembled coefficient reads 0")),
-    ])
-    def test_assembled_coefficient_is_the_closed_form_theta(self, units):
-        # a matched triple in a 2 pi box: w = 1 and Phi = 1, so the D-based
-        # resonant coefficient is theta itself (-4.2553e-35 in SI), both as
-        # assembled and as the builder reads it
-        medium = MediumSpec.from_scalars([0.5, 0.3], units=units)
-        ms, triple = make_three_wave_modes(1, 2, sqrt(1.5), 2 * pi, units, length=1.7)
-        theta = build_interaction(triple, invert_series(medium, 2)[1], units).theta
-        assembled = resonant_coefficient(assemble(ms, medium, triple, "D-based").nonlinear, triple)
-        built = scheme_resonant_coefficients(ms, medium, _resonant_powers(triple),
-                                             triple.length)["D-based"]
-        assert [abs(got - theta) <= 1e-12 * abs(theta) for got in (assembled, built)] == [
-            True, True]
 
     def test_budget_error_for_mismatched_triple(self):
         ms, triple, eta2 = self.setup()
@@ -560,68 +554,3 @@ class TestPhaseMatchingCurve:
         with pytest.raises(ValueError):
             phase_matching_curve(0.0, [0.0])
 
-
-class TestAssemble:
-    def test_d_based_spec(self):
-        ms, triple, medium, _ = three_wave_setup(chi1=0.2, chi2=0.4)
-        spec = assemble(ms, medium, triple, "D-based")
-        assert spec.provenance == "D-based"
-        assert spec.order == 2
-        assert spec.dropped_terms > 0
-        assert spec.linear.is_hermitian() and spec.nonlinear.is_hermitian()
-
-    def test_corrected_equals_d_based(self):
-        ms, triple, medium, _ = three_wave_setup(chi1=0.2, chi2=0.4)
-        d_spec = assemble(ms, medium, triple, "D-based")
-        c_spec = assemble(ms, medium, triple, "E-based-corrected")
-        diff = d_spec.nonlinear - c_spec.nonlinear
-        assert diff.max_abs_coeff() < 1e-12
-
-    def test_unknown_scheme(self):
-        ms, triple, medium, _ = three_wave_setup()
-        with pytest.raises(ValueError):
-            assemble(ms, medium, triple, "nonsense")
-
-    @pytest.mark.parametrize("scheme, builds", [
-        ("D-based", 1), ("E-linear-wrong", 1), ("E-based-corrected", 1)])
-    def test_builds_each_cubic_term_once(self, monkeypatch, scheme, builds):
-        # every scheme scales the one integral of D^3 by its own weight
-        calls = []
-        inner = hamiltonian._cubic_hamiltonian
-
-        def counting(*args, **kwargs):
-            calls.append(scheme)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(hamiltonian, "_cubic_hamiltonian", counting)
-        ms, triple, medium, _ = three_wave_setup(chi1=0.2, chi2=0.4)
-        assemble(ms, medium, triple, scheme)
-        assert len(calls) == builds
-
-    @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong", "E-based-corrected"])
-    def test_dropped_audit_matches_the_two_build_reference(self, scheme):
-        # reference: each cubic term of the scheme's density built whole from the
-        # field expansion, then the resonant sector subtracted from the sum
-        ms, triple, medium, etas = three_wave_setup(chi1=0.2, chi2=0.4)
-        eta1, eta2 = etas[0].item(), etas[1].item()
-        d_field, _ = expand_fields(ms, NAT)
-
-        def cubic(weight, x):
-            return weight * integrate_density(x * x * x, ms.l_box, region_length=triple.length)
-
-        wrong = cubic(NAT.eps0 * 2.0 / 3.0 * medium.chi(2).item(), eta1 * d_field)
-        full = {"D-based": lambda: cubic(eta2 / 3.0, d_field),
-                "E-linear-wrong": lambda: wrong,
-                "E-based-corrected": lambda: wrong + cubic(eta2, d_field)}[scheme]()
-        powers = {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
-                  triple.mode_c.label: (0, 1)}
-        conjugate = {m: (a, c) for m, (c, a) in powers.items()}
-        pump = BosonicPolynomial.monomial(powers)
-        resonant = (full.coefficient(powers) * pump
-                    + full.coefficient(conjugate) * pump.dagger())
-        dropped = full - resonant
-        spec = assemble(ms, medium, triple, scheme)
-        assert set(spec.nonlinear.terms) == set(resonant.terms)
-        assert (spec.nonlinear - resonant).max_abs_coeff() <= 1e-14 * resonant.max_abs_coeff()
-        assert spec.dropped_terms == len(dropped.terms) > 0
-        assert spec.dropped_norm == pytest.approx(dropped.norm(), rel=1e-13)
