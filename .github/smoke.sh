@@ -24,6 +24,7 @@ run verify --medium "$out/chi2.json" --modes 2 --out "$out/verify"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [0.6], "2": [0.2], "3": [-0.15]}}' > "$out/chi3.json"
 run verify --medium "$out/chi3.json" --modes 2 --out "$out/verify-chi3"
 run verify --medium "$out/chi3.json" --modes 5 --out "$out/verify-chi3-m5"
+run verify --medium "$out/chi3.json" --modes 8 --out "$out/verify-chi3-m8"  # the largest Wick build
 run compare --out "$out/compare"
 run compare --order 10 --out "$out/compare-10"  # above every bench order; exits 1 unless -10
 run compare --observable squeezing --out "$out/compare-squeezing"
@@ -37,8 +38,8 @@ run convert --out "$out/convert"
 
 # bad input exits 2 with an error line, not 1 with a traceback: a directory
 # is no medium, 1 + chi1 = 0 has no refractive index, verify's box modes
-# need an index of at least 1, and a --time whose sinh^2 fit overflows
-# writes no file
+# need an index of at least 1, and a --time whose sinh^2 fit overflows or
+# whose phase w t reaches 2^53 writes no file
 expect_input_error() {
   status=0
   dquant "$@" 2> "$out/stderr.txt" || status=$?
@@ -55,5 +56,10 @@ expect_input_error verify --medium "$out/chi1-minus-half.json" --out "$out/verif
 expect_input_error spdc --time 1e300 --out "$out/spdc-time-1e300"
 if [ -e "$out/spdc-time-1e300" ]; then
   echo "spdc --time 1e300 wrote $out/spdc-time-1e300"
+  exit 1
+fi
+expect_input_error convert --time 1e300 --out "$out/convert-time-1e300"
+if [ -e "$out/convert-time-1e300" ]; then
+  echo "convert --time 1e300 wrote $out/convert-time-1e300"
   exit 1
 fi

@@ -2,20 +2,19 @@
 
 A polynomial is stored as a map from normally-ordered monomials to complex
 coefficients. A monomial is a sorted tuple of ``(mode, cre, ann)`` triples,
-one per participating mode; the empty tuple is the identity. Products are
-reordered exactly with the per-mode identity
-
-    a^p (a†)^q = sum_k k! C(p,k) C(q,k) (a†)^(q-k) a^(p-k),
-
-so every polynomial handed out by the algebra is already in canonical form.
-Coefficients are complex doubles; terms below ``PRUNE_TOL`` are dropped to
-keep term counts bounded.
+one per participating mode; the empty tuple is the identity. A polynomial
+is added to another or scaled by a number, never multiplied by another:
+the package needs no operator product. The powers of a linear field come
+from Wick's theorem (:func:`~dquant.fields.linear_field_powers`), and the
+commutator of a ladder operator with a polynomial from formal
+differentiation (:func:`commutator`), so every polynomial handed out by the
+algebra is already in canonical form. Coefficients are complex doubles;
+terms below ``PRUNE_TOL`` are dropped to keep term counts bounded.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb, factorial, sqrt
+from math import sqrt
 from numbers import Number
 from typing import Iterable, Mapping
 
@@ -83,23 +82,12 @@ class BosonicPolynomial:
     def __neg__(self):
         return (-1.0) * self
 
-    def __rmul__(self, scalar):
+    def __mul__(self, scalar):
+        if not isinstance(scalar, Number):
+            return NotImplemented  # no product of two polynomials: a TypeError
         return BosonicPolynomial({k: scalar * v for k, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, Number):
-            return BosonicPolynomial({k: other * v for k, v in self.terms.items()})
-        return self.product(other)
-
-    def product(self, other: "BosonicPolynomial") -> "BosonicPolynomial":
-        """self * other, every contraction of every pair of monomials built."""
-        acc: dict[Monomial, complex] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                base = c1 * c2
-                for key, weight in _reorder_product(k1, k2):
-                    acc[key] = acc.get(key, 0.0) + base * weight
-        return BosonicPolynomial(acc)
+    __rmul__ = __mul__
 
     def dagger(self) -> "BosonicPolynomial":
         """Hermitian conjugate; stays normally ordered term by term."""
@@ -167,28 +155,6 @@ def _as_poly(x) -> BosonicPolynomial:
     raise TypeError(f"cannot interpret {x!r} as a bosonic polynomial")
 
 
-def _reorder_product(k1: Monomial, k2: Monomial):
-    """All normally-ordered monomials of k1*k2 with combinatorial weights."""
-    d1 = {m: (c, a) for m, c, a in k1}
-    d2 = {m: (c, a) for m, c, a in k2}
-    modes = sorted(set(d1) | set(d2))
-    options = []
-    for m in modes:
-        c1, a1 = d1.get(m, (0, 0))
-        c2, a2 = d2.get(m, (0, 0))
-        choices = []
-        for k in range(min(a1, c2) + 1):
-            weight = factorial(k) * comb(a1, k) * comb(c2, k)
-            choices.append(((m, c1 + c2 - k, a1 + a2 - k), weight))
-        options.append(choices)
-    for combo in product(*options):
-        key = _merge_mode(entry for entry, _ in combo)
-        weight = 1
-        for _, w in combo:
-            weight *= w
-        yield key, weight
-
-
 def creation(mode: int) -> BosonicPolynomial:
     return BosonicPolynomial.monomial({mode: (1, 0)})
 
@@ -202,16 +168,16 @@ def number(mode: int) -> BosonicPolynomial:
 
 
 def commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:
-    """[p, q] = p*q - q*p, or, when p has degree <= 1, term by term on q's
-    normally ordered monomials by formal differentiation:
+    """[p, q] for p of degree <= 1, term by term on q's normally ordered
+    monomials by formal differentiation:
 
         [a, (a†)^c a^n] = c (a†)^(c-1) a^n,    [a†, (a†)^c a^n] = -n (a†)^c a^(n-1).
 
-    That path never builds the zero-contraction terms of p*q and q*p, which
-    cancel only up to rounding; the constant part of p commutes with all.
+    The constant part of p commutes with all. Raises ``ValueError`` when p
+    has degree > 1.
     """
     if degree(p) > 1:
-        return p * q - q * p
+        raise ValueError(f"commutator needs a left side of degree <= 1, not {degree(p)}")
     acc: dict[Monomial, complex] = {}
     for k1, c1 in p.terms.items():
         if not k1:

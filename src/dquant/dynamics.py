@@ -53,6 +53,7 @@ from .linalg import eigh_tridiagonal, linspace
 from .record import record
 
 EDGE_POPULATION_TOL = 1e-6
+PHASE_LIMIT = 2.0**53  # from here on a float phase w t is an even integer: no digit of its angle
 
 
 @record
@@ -141,6 +142,7 @@ class EvolutionResult:
     energy_drift: float
     edge_population: float
     truncation_safe: bool
+    max_phase: float  # the largest |w| t over every block's eigenvalues w and every sample time t
 
 
 def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
@@ -244,6 +246,8 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     (zero diagonal, as in every resonant interaction, which only moves
     photons) needs inverse iteration for half its spectrum, and its samples
     are products over its two sublattices, a quarter of the arithmetic.
+    The result reports the largest phase |w| t as ``max_phase``; a phase
+    that is no finite float raises ``OverflowError``.
     """
     if not h.is_hermitian():
         raise ValueError("Hamiltonian not Hermitian")
@@ -260,8 +264,14 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
 
     rows = [[0j] * len(occs) for _ in distinct]
     energies = [0.0] * len(distinct)
+    t_max = max(map(abs, distinct), default=0.0)
+    max_phase = 0.0
     for sel, diag, sub in chains:
-        samples = _samples(eigh_tridiagonal(diag, sub), [psi0_s[i] for i in sel], distinct)
+        eig = eigh_tridiagonal(diag, sub)
+        max_phase = max(max_phase, t_max * max(map(abs, eig.values), default=0.0))
+        if not max_phase < inf:
+            raise OverflowError(f"the phase w t overflows a float at t = {t_max:g}")
+        samples = _samples(eig, [psi0_s[i] for i in sel], distinct)
         for k, (row, state_b) in enumerate(zip(rows, samples)):
             for i, amp in zip(sel, state_b):
                 row[i] = amp
@@ -280,6 +290,7 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
         energy_drift=max(abs(energy - energies[0]) for energy in energies),
         edge_population=edge,
         truncation_safe=edge <= EDGE_POPULATION_TOL,
+        max_phase=max_phase,
     )
 
 
@@ -309,7 +320,6 @@ def _samples(eig, p0: list[complex], times: Sequence[float]):
 
     A product whose coefficient vector is exactly zero is skipped, so a
     real start on one sublattice costs two (n/2) x (n/2) products per sample.
-    Raises ``OverflowError`` when a phase w t is not a finite float.
     """
     y = eig.to_tridiagonal(p0)
     if eig.mirrored:
@@ -326,9 +336,6 @@ def _samples(eig, p0: list[complex], times: Sequence[float]):
         parts.append((list(zip(*zs)) if zs else [()] * len(y_re),
                       [factor * sum(map(mul, z, y_re)) for z in zs],
                       [factor * sum(map(mul, z, y_im)) for z in zs]))
-    t_max = max(map(abs, times), default=0.0)
-    if not t_max * max(map(abs, rates), default=0.0) < inf:
-        raise OverflowError(f"the phase w t overflows a float at t = {t_max:g}")
     back = [0j] * len(p0)
     for t in times:
         halves = [t * rate / 2 for rate in rates]
@@ -448,14 +455,21 @@ def _scheme_series(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, 
     route's is |prefactor ratio| times it, so its state at t is the correct
     route's at |ratio| t: one evolution at hbar = 1, sampled at both times,
     serves both routes. ``observable(res)`` lists the observable at every
-    sample of the evolution ``res``.
+    sample of the evolution ``res``, which is returned too.
     """
     times = linspace(0.0, cfg.t_final, cfg.steps + 1)
     scale = abs(prefactor_ratio(order))
     res = evolve(h, space, psi0, times + [scale * t for t in times])
     values = observable(res)
     rows = zip(times, values[:len(times)], values[len(times):])
-    return tuple(rows), res.truncation_safe
+    return tuple(rows), res
+
+
+def _check_phase(res: EvolutionResult) -> None:
+    """Raise ``OverflowError`` when the largest phase w t reaches ``PHASE_LIMIT``."""
+    if not res.max_phase < PHASE_LIMIT:
+        raise OverflowError(f"the phase w t = {res.max_phase:g} reaches 2^53, where a float "
+                            "keeps no digit of its angle mod 2 pi")
 
 
 def _sinh2_fit(series, column: int) -> float:
@@ -485,7 +499,8 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
     ratio. For pump="quantum" the full three-mode evolution runs instead,
     with the pump in a coherent state of amplitude 2, truncated at
     ``coherent_cutoff(2)`` or n_max, whichever is larger. The series holds
-    <n_A>(t) per route.
+    <n_A>(t) per route. Raises ``OverflowError`` when a phase w t or the
+    fit's sum of t^2 overflows a float, or a phase reaches ``PHASE_LIMIT``.
     """
     if cfg.classical_pump:
         g = _coupling(params, cfg, hbar)
@@ -501,11 +516,12 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
                                           coeff=params.theta * params.phi / hbar)
         h = term + term.dagger()
         psi0 = coherent_state(space, 2, beta)
-    series, safe = _scheme_series(h, space, psi0,
-                                  lambda res: occupation_expectation(space, res, 0),
-                                  cfg, order)
-    return SchemePair(correct=_sinh2_fit(series, 1), wrong=_sinh2_fit(series, 2),
-                      truncation_safe=safe, series=series)
+    series, res = _scheme_series(h, space, psi0,
+                                 lambda res: occupation_expectation(space, res, 0), cfg, order)
+    pair = SchemePair(correct=_sinh2_fit(series, 1), wrong=_sinh2_fit(series, 2),
+                      truncation_safe=res.truncation_safe, series=series)
+    _check_phase(res)  # after the fits: an overflowing sum of t^2 is named first
+    return pair
 
 
 def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
@@ -513,13 +529,16 @@ def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
     """P(|1,0> -> |0,1>) at t_final per scheme: sin^2(g t) Rabi exchange.
 
     The series holds the conversion probability at every sample time.
+    Raises ``OverflowError`` when a phase w t overflows a float or reaches
+    ``PHASE_LIMIT``.
     """
     g = _coupling(params, cfg, hbar)
     space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
-    series, safe = _scheme_series(beamsplitter(g), space, space.basis_state([1, 0]),
-                                  lambda res: population(space, res, (0, 1)), cfg, order)
-    return SchemePair(correct=series[-1][1], wrong=series[-1][2], truncation_safe=safe,
-                      series=series)
+    series, res = _scheme_series(beamsplitter(g), space, space.basis_state([1, 0]),
+                                 lambda res: population(space, res, (0, 1)), cfg, order)
+    _check_phase(res)
+    return SchemePair(correct=series[-1][1], wrong=series[-1][2],
+                      truncation_safe=res.truncation_safe, series=series)
 
 
 def compare_schemes(observable: str, order: int) -> ComparisonReport:

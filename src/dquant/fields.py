@@ -12,14 +12,18 @@ waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
 * integrating a product of fields over the box picks the zero-frequency
   component times (2*pi)**-0.5 * l_box.
 
-A field is a frozen record: sums, products and restrictions return new
-fields, and the leakage a restriction records travels with the field it
+No two fields are multiplied: a mode set's fields are linear, so
+:func:`linear_field_powers` builds their powers by Wick's theorem.
+
+A field is a frozen record: sums, scalar multiples and restrictions return
+new fields, and the leakage a restriction records travels with the field it
 returns.
 """
 
 from __future__ import annotations
 
-from math import pi, sqrt
+from itertools import combinations_with_replacement, groupby
+from math import factorial, pi, prod, sqrt
 from numbers import Number
 
 from .boson_algebra import BosonicPolynomial, annihilation, creation
@@ -52,53 +56,20 @@ class FieldOperator:
         return self.components.get(m, BosonicPolynomial.zero())
 
     def __add__(self, other: "FieldOperator") -> "FieldOperator":
-        self._check_compatible(other)
+        if abs(self.w - other.w) > 1e-12 * max(self.w, other.w):
+            raise ValueError("field operators live on different wavevector grids")
         acc = dict(self.components)
         for m, poly in other.components.items():
             acc[m] = acc[m] + poly if m in acc else poly
         return FieldOperator(_prune(acc), self.w, kind=self.kind if self.kind == other.kind else "derived")
 
-    def __rmul__(self, scalar) -> "FieldOperator":
+    def __mul__(self, scalar) -> "FieldOperator":
+        if not isinstance(scalar, Number):
+            return NotImplemented  # no product of two fields: a TypeError
         return FieldOperator({m: scalar * p for m, p in self.components.items()}, self.w,
                              kind=self.kind)
 
-    def __mul__(self, other):
-        if isinstance(other, Number):
-            return self.__rmul__(other)
-        return self.product(other)
-
-    def product(self, other: "FieldOperator") -> "FieldOperator":
-        """Pointwise product: each pair of components multiplied by ``*`` times (2*pi)**-0.5."""
-        self._check_compatible(other)
-        acc: dict[int, BosonicPolynomial] = {}
-        norm = 1.0 / sqrt(2 * pi)
-        for m1, p1 in self.components.items():
-            for m2, p2 in other.components.items():
-                term = norm * (p1 * p2)
-                m = m1 + m2
-                acc[m] = acc[m] + term if m in acc else term
-        return FieldOperator(_prune(acc), self.w, kind="derived")
-
-    def product_k0(self, other: "FieldOperator") -> BosonicPolynomial:
-        """``self.product(other).component(0)`` without the other components.
-
-        Only self[m] * other[-m] is built, accumulated over m in self's
-        order: the float operations the full product performs for k = 0, so
-        the result is bit-identical to its component. Enough wherever only
-        the box integral of the product is read.
-        """
-        self._check_compatible(other)
-        acc = None
-        norm = 1.0 / sqrt(2 * pi)
-        for m, p1 in self.components.items():
-            if -m in other.components:
-                term = norm * (p1 * other.components[-m])
-                acc = term if acc is None else acc + term
-        return BosonicPolynomial.zero() if acc is None else acc
-
-    def _check_compatible(self, other: "FieldOperator"):
-        if abs(self.w - other.w) > 1e-12 * max(self.w, other.w):
-            raise ValueError("field operators live on different wavevector grids")
+    __rmul__ = __mul__
 
     def restrict(self, retained: set[int]) -> "FieldOperator":
         """Drop out-of-basis components, recording their norms as leakage."""
@@ -138,6 +109,50 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
             comp[mode.m] = comp[mode.m] + plus if mode.m in comp else plus
             comp[-mode.m] = comp[-mode.m] + minus if -mode.m in comp else minus
     return (FieldOperator(d_comp, w, kind="D"), FieldOperator(b_comp, w, kind="B"))
+
+
+def linear_field_powers(f: FieldOperator, top: int) -> tuple[list, list]:
+    """``([f, .., f^top], [f^2, .., f^(top+1) at k = 0])`` of a linear field, by Wick's theorem.
+
+    Each ladder operator of f sits at one wavevector, a_l at +m and a_l^dag
+    at -m, as :func:`expand_fields` places them, so the contraction of
+    f(z) f(z) is the one constant c = sum_l c(a_l) c(a_l^dag) / (2 pi), and
+
+        f^p = sum_j p! / (2^j j! (p - 2j)!) c^j :f^(p - 2j):,
+
+    with :f^0: the constant field sqrt(2 pi) at k = 0. The normally ordered
+    power :f^q: sums the multisets mu of f's ladder operators, each
+    enumerated once: q! / prod(mu!) times the product of their coefficients
+    times (2 pi)^-((q - 1) / 2), at the sum of their wavevectors (at k = 0
+    alone for q = top + 1). Raises ``ValueError`` for a field with a term
+    that is not one ladder operator.
+    """
+    ops = [(m, key, c) for m, poly in f.components.items() for key, c in poly.terms.items()]
+    if any(len(key) != 1 or key[0][1] + key[0][2] != 1 for _, key, _ in ops):
+        raise ValueError("Wick's theorem needs a field linear in ladder operators")
+    lowering = {key[0][0]: c for _, key, c in ops if key[0][2]}  # mode label -> c(a_l)
+    contraction = sum(lowering.get(key[0][0], 0.0) * c
+                      for _, key, c in ops if key[0][1]) / (2 * pi)
+    normal = [FieldOperator({0: BosonicPolynomial.identity(sqrt(2 * pi))}, f.w)]
+    for q in range(1, top + 2):
+        scale = (2 * pi) ** (-(q - 1) / 2)
+        components: dict[int, dict] = {}
+        for combo in combinations_with_replacement(ops, q):
+            k = sum(m for m, _, _ in combo)
+            if q > top and k:
+                continue
+            counts: dict[int, tuple] = {}  # mode label -> (cre, ann) powers of the multiset
+            for _, ((label, cre, ann),), _ in combo:
+                c0, a0 = counts.get(label, (0, 0))
+                counts[label] = (c0 + cre, a0 + ann)
+            key = tuple((label, c, a) for label, (c, a) in sorted(counts.items()))
+            weight = factorial(q) // prod(factorial(len(list(run))) for _, run in groupby(combo))
+            components.setdefault(k, {})[key] = weight * prod(c for _, _, c in combo) * scale
+        normal.append(FieldOperator({k: BosonicPolynomial(t) for k, t in components.items()}, f.w))
+    powers = [sum(((factorial(p) // (2**j * factorial(j) * factorial(p - 2 * j)) * contraction**j)
+                   * normal[p - 2 * j] for j in range(1, p // 2 + 1)), normal[p])
+              for p in range(1, top + 2)]
+    return powers[:top], [power.component(0) for power in powers[1:]]
 
 
 def integrate_density(f: FieldOperator, l_box: float) -> BosonicPolynomial:

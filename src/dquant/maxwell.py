@@ -5,7 +5,8 @@ Heisenberg derivative of each induction (displacement) component is compared
 with the curl side of Faraday's (Ampere's) law as polynomials in ladder
 operators, so Fock truncation never enters. Products of retained modes that
 land outside the basis are reported as leakage, never silently dropped.
-Both routes' Hamiltonians are summed from one ladder of D powers, and each
+Both routes' Hamiltonians are summed from one ladder of D powers, built by
+Wick's theorem (:func:`~dquant.fields.linear_field_powers`), and each
 serves both laws; the field components are linear, so their commutators
 with it are taken by formal differentiation (see
 :func:`~dquant.boson_algebra.commutator`). Each report also carries the
@@ -26,7 +27,7 @@ from __future__ import annotations
 from math import sqrt
 
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, commutator, degree
-from .fields import FieldOperator, expand_fields, integrate_density
+from .fields import FieldOperator, expand_fields, integrate_density, linear_field_powers
 from .modes import ModeSet
 from .record import record
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
@@ -164,18 +165,16 @@ def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: 
                         etas, l_box: float):
     """Each route's box Hamiltonian, summed from one ladder of D powers.
 
-    Returns ``({route: H}, [D, D^2, .., D^n_top])`` with n_top = len(etas).
+    Returns ``({route: H}, [D, D^2, .., D^n_top])`` with n_top = len(etas),
+    the powers by Wick's theorem (:func:`~dquant.fields.linear_field_powers`).
     The box integral keeps only the k = 0 component of the density, so
-    only that component of each power is read, and D^(n_top + 1) is built
-    at k = 0 alone. H = integral(B^2/(2 mu0) + sum_n w_n D^(n+1)), added
-    in that order, with the route's weights w_n from
+    only that component of each power is read, and D^(n_top + 1) and B^2
+    are built at k = 0 alone. H = integral(B^2/(2 mu0) + sum_n w_n D^(n+1)),
+    added in that order, with the route's weights w_n from
     :func:`~dquant.susceptibility.energy_density`.
     """
-    powers = [d_field]
-    for _ in etas[1:]:
-        powers.append(powers[-1] * d_field)
-    k0 = [p.component(0) for p in powers[1:]] + [powers[-1].product_k0(d_field)]
-    b_density = (1.0 / (2 * medium.units.mu0)) * b_field.product_k0(b_field)
+    powers, k0 = linear_field_powers(d_field, len(etas))
+    b_density = (1.0 / (2 * medium.units.mu0)) * linear_field_powers(b_field, 1)[1][0]
     hamiltonians = {}
     for route in ROUTES:
         density = b_density

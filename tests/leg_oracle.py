@@ -3,7 +3,7 @@
 An oracle for the resonant coefficients of
 ``dquant.hamiltonian.scheme_resonant_coefficients`` and for the box
 integral of D^3 that ``dquant.maxwell`` builds, independent of both the
-top-degree ladder and the field algebra: every mode contributes an
+top-degree ladder and the Wick powers of the field algebra: every mode contributes an
 annihilation leg at +k and a creation leg at -k, and each of the 27 ordered
 leg triples is integrated over the triple's region on its own. The
 resonant sector is a_A^dag a_B^dag a_C and its conjugate; the rest is the
@@ -16,6 +16,7 @@ import numpy as np
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation
 from dquant.modes import sinc
+from product_oracle import multiply
 
 
 def cubic_sectors(triple, ms, units, tensor_value, prefactor, leg_scale=1.0):
@@ -40,7 +41,7 @@ def cubic_sectors(triple, ms, units, tensor_value, prefactor, leg_scale=1.0):
                 coeff = prefactor * tensor_value * l1[3] * l2[3] * l3[3] * z_factor
                 if coeff == 0.0:
                     continue
-                term = coeff * (l1[4] * l2[4] * l3[4])
+                term = coeff * multiply(multiply(l1[4], l2[4]), l3[4])
                 if frozenset(leg[:2] for leg in (l1, l2, l3)) in resonant_content:
                     resonant = resonant + term
                 else:

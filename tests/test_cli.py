@@ -14,7 +14,6 @@ import dquant
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
-from dquant.fields import FieldOperator
 from dquant.coupling import ComparisonReport
 from dquant.serialize import dumps
 from dquant.susceptibility import ROUTES
@@ -185,33 +184,33 @@ class TestVerify:
 
     def test_one_build_and_hermiticity_check_per_scheme(self, tmp_path, monkeypatch):
         # one ladder build yields both schemes' Hamiltonians, each checked for
-        # Hermiticity once; chi3: D^2 and D^3 are the only full field products,
-        # shared by both Hamiltonians and the D route's E; D^4 is built at k = 0 alone
-        calls = {"build": 0, "product": 0, "hermitian": 0}
-        build = maxwell._route_hamiltonians
-        product, is_hermitian = FieldOperator.product, BosonicPolynomial.is_hermitian
+        # Hermiticity once; Wick's theorem builds the powers of D (D to D^3 whole,
+        # D^4 at k = 0), shared by both Hamiltonians and the D route's E, and B^2
+        calls = {"build": 0, "powers": 0, "hermitian": 0}
+        build, powers = maxwell._route_hamiltonians, maxwell.linear_field_powers
+        is_hermitian = BosonicPolynomial.is_hermitian
 
         def counted_build(*args, **kwargs):
             calls["build"] += 1
-            hamiltonians, powers = build(*args, **kwargs)
+            hamiltonians, ladder = build(*args, **kwargs)
             assert list(hamiltonians) == list(ROUTES)
-            return hamiltonians, powers
+            return hamiltonians, ladder
 
-        def counted_product(self, *args, **kwargs):
-            calls["product"] += 1
-            return product(self, *args, **kwargs)
+        def counted_powers(*args, **kwargs):
+            calls["powers"] += 1
+            return powers(*args, **kwargs)
 
         def counted_is_hermitian(self, *args, **kwargs):
             calls["hermitian"] += 1
             return is_hermitian(self, *args, **kwargs)
 
         monkeypatch.setattr(maxwell, "_route_hamiltonians", counted_build)
-        monkeypatch.setattr(FieldOperator, "product", counted_product)
+        monkeypatch.setattr(maxwell, "linear_field_powers", counted_powers)
         monkeypatch.setattr(BosonicPolynomial, "is_hermitian", counted_is_hermitian)
         medium = write_medium(tmp_path, [0.6, 0.2, -0.15])
         assert main(["verify", "--medium", medium, "--modes", "3",
                      "--out", str(tmp_path / "reports")]) == 0
-        assert calls == {"build": 1, "product": 2, "hermitian": 2}
+        assert calls == {"build": 1, "powers": 2, "hermitian": 2}
 
 
 class TestCompare:
@@ -456,6 +455,20 @@ def test_time_whose_phase_overflows_exits_2_naming_it(tmp_path, capsys, argv, t)
     err = capsys.readouterr().err
     assert err.startswith(f"error: --time {float(argv[2]):g}: ")
     assert f"overflows a float at t = {t}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["convert", "--time", "1e300"], ["spdc", "--time", "1e20"]],
+                         ids=["convert", "spdc"])
+def test_time_whose_phase_keeps_no_digit_exits_2_writing_nothing(tmp_path, capsys, argv):
+    # from 2^53 on a float phase w t is an even integer, so sin and cos of it
+    # are noise: convert --time 1e300 once exited 0 with a truncation-safe
+    # flag and noise for P; spdc's fit holds at 1e20, so the phase is named
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --time {float(argv[2]):g}: the phase w t = ")
+    assert "reaches 2^53" in err
     assert not out.exists()
 
 

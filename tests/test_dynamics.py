@@ -9,6 +9,7 @@ from dquant.boson_algebra import BosonicPolynomial, annihilation, number
 from dquant.coupling import InteractionParams
 from dquant.dynamics import (
     EDGE_POPULATION_TOL,
+    PHASE_LIMIT,
     EvolutionConfig,
     FockSpace,
     _samples,
@@ -426,6 +427,19 @@ class TestFrequencyConversion:
         assert (2, 0) not in res.occupations
         assert population(space, res, (2, 0)) == [0.0] * 4
         assert population(space, res, [0, 1]) == population(space, res, (0, 1))
+
+    def test_max_phase_is_the_largest_rate_times_the_largest_time(self):
+        # the beamsplitter's block {|1,0>, |0,1>} has eigenvalues +-g
+        space = FockSpace(modes=(0, 1), cutoff=3)
+        res = evolve(beamsplitter(0.9), space, space.basis_state([1, 0]), samples(1.7, 3))
+        assert res.max_phase == pytest.approx(0.9 * 1.7, rel=1e-15)
+
+    @pytest.mark.parametrize("t_final", [0.6 * PHASE_LIMIT, 2.0 * PHASE_LIMIT])
+    def test_phase_past_the_limit_raises(self, t_final):
+        # the wrong route samples at 2 t, so its phase 2 g t passes 2^53 at both times
+        cfg = EvolutionConfig(n_max=4, t_final=t_final, steps=2, pump=1.0)
+        with pytest.raises(OverflowError, match="reaches 2\\^53"):
+            frequency_conversion(params_with(theta=1.0), cfg)
 
     @pytest.mark.parametrize("occs", [(4, 0), (0,), (-1, 0)])
     def test_population_outside_the_space_rejected(self, occs):

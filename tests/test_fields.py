@@ -1,3 +1,4 @@
+from cmath import exp
 from math import pi, sqrt
 
 import numpy as np
@@ -6,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dquant.boson_algebra import BosonicPolynomial, annihilation, degree
+from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, degree
 from dquant.dynamics import FockSpace
-from dquant.fields import FieldOperator, expand_fields, integrate_density
+from dquant.fields import FieldOperator, expand_fields, integrate_density, linear_field_powers
 from dquant.maxwell import _electric_field
-from dquant.modes import ModeSet, make_uniform_medium_modes, sinc
+from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode, sinc
 from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem
 from fock_oracle import to_matrix
+from product_oracle import field_power, field_product, multiply
 
 NAT = UnitSystem()
 
@@ -95,7 +97,7 @@ class TestElectricFieldFromD:
     def setup_method(self):
         self.ms = make_uniform_medium_modes(1.0, 2 * pi, [-1, 1], NAT)
         self.d_field, _ = expand_fields(self.ms, NAT)
-        self.ladder = [self.d_field, self.d_field * self.d_field]
+        self.ladder = linear_field_powers(self.d_field, 2)[0]
 
     def electric_field(self, etas, retained=(-2, -1, 0, 1, 2)):
         return _electric_field(eta_scalars(etas), self.ladder, set(retained))
@@ -115,7 +117,7 @@ class TestElectricFieldFromD:
         e = self.electric_field([1.0, eta2])
         assert sorted(e.wavevectors()) == [-2, -1, 0, 1, 2]
         d1 = self.d_field.component(1)
-        hand = eta2 / sqrt(2 * pi) * (d1 * d1)
+        hand = eta2 / sqrt(2 * pi) * multiply(d1, d1)
         assert e.component(2).isclose(hand, tol=1e-14)
         # matrix oracle: the k=+2 coefficient equals eta2/sqrt(2 pi) * M(D_1)^2
         space = FockSpace(modes=tuple(mode.label for mode in self.ms.modes), cutoff=4)
@@ -142,39 +144,59 @@ class TestIntegrateDensity:
     def test_box_integral_selects_zero_component(self):
         ms = make_uniform_medium_modes(1.0, 2 * pi, [-1, 1], NAT)
         d_field, _ = expand_fields(ms, NAT)
-        sq = d_field * d_field
+        sq = field_product(d_field, d_field)
         h = integrate_density(sq, ms.l_box)
         expected = (ms.l_box / sqrt(2 * pi)) * sq.component(0)
         assert h.isclose(expected)
 
 
 @st.composite
-def field_operators(draw, max_modes=3, max_degree=2, max_m=2):
-    """Fields on the w = 1 grid: a few components, each a small random polynomial."""
-    components = {}
-    for m in draw(st.lists(st.integers(-max_m, max_m), min_size=1, max_size=4, unique=True)):
-        terms = {}
-        for _ in range(draw(st.integers(1, 3))):
-            powers = {}
-            for mode in range(max_modes):
-                cre = draw(st.integers(0, max_degree))
-                ann = draw(st.integers(0, max_degree - cre))
-                if cre or ann:
-                    powers[mode] = (cre, ann)
-            key = tuple((mode, c, a) for mode, (c, a) in sorted(powers.items()))
-            terms[key] = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-        components[m] = BosonicPolynomial(terms)
-    return FieldOperator(components, 1.0)
+def linear_fields(draw):
+    """D of a +-m basis of 1-4 modes, on a box of length 2 pi or 6, each profile a random phase."""
+    grid = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    grid = [sign * m for m in grid for sign in (1, -1)][:draw(st.integers(1, 2 * len(grid)))]
+    l_box = draw(st.sampled_from((2 * pi, 6.0)))
+    modes = []
+    for label, m in enumerate(grid):
+        mode = plane_wave_mode(label, "U", m, sqrt(1.5), l_box, NAT)
+        phase = exp(1j * draw(st.floats(0.0, 2 * pi)))
+        modes.append(Mode(label=label, family="U", m=m, k=mode.k, omega=mode.omega,
+                          d=phase * mode.d, b=phase * mode.b))
+    return expand_fields(ModeSet(modes=tuple(modes), l_box=l_box), NAT)[0]
 
 
-class TestProductK0:
+class TestLinearFieldPowers:
     @settings(max_examples=60, deadline=None)
-    @given(a=field_operators(), b=field_operators())
-    def test_equals_full_product_component(self, a, b):
-        assert a.product_k0(b).terms == (a * b).component(0).terms
+    @given(f=linear_fields(), top=st.integers(1, 4))
+    def test_equals_the_oracle_powers(self, f, top):
+        # Wick's theorem against the product oracle's f * f * .. * f, coefficient
+        # by coefficient: every component of f .. f^top, and f^(top+1) at k = 0
+        powers, k0 = linear_field_powers(f, top)
+        assert len(powers) == top and len(k0) == top
+        oracle = [field_power(f, p) for p in range(1, top + 2)]
+        pairs = [(got.component(m), want.component(m)) for got, want in zip(powers, oracle)
+                 for m in set(got.components) | set(want.components)]
+        pairs += [(got, want.component(0)) for got, want in zip(k0, oracle[1:])]
+        for got, want in pairs:
+            scale = want.max_abs_coeff()
+            assert set(got.terms) == set(want.terms)
+            assert all(abs(c - want.terms[key]) <= 1e-14 * scale for key, c in got.terms.items())
 
     def test_no_zero_component(self):
-        a = FieldOperator({1: annihilation(0), 2: annihilation(1)}, 1.0)
-        assert 0 not in (a * a).components
-        assert a.product_k0(a).is_zero
+        # a^2 and a b sit at k = 2, 3 and 4: the square has no k = 0 part to read
+        f = FieldOperator({1: annihilation(0), 2: annihilation(1)}, 1.0)
+        powers, k0 = linear_field_powers(f, 2)
+        assert 0 not in powers[1].components
+        assert k0[0].is_zero
 
+    def test_nonlinear_field_rejected(self):
+        f = FieldOperator({0: BosonicPolynomial.monomial({0: (1, 1)}), 1: creation(0)}, 1.0)
+        with pytest.raises(ValueError, match="linear in ladder operators"):
+            linear_field_powers(f, 2)
+
+
+def test_no_product_of_two_fields():
+    f = FieldOperator({1: annihilation(0)}, 1.0)
+    with pytest.raises(TypeError):
+        f * f
+    assert (f * 2.0).component(1).isclose(2.0 * annihilation(0))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from leg_oracle import cubic_sectors
+from product_oracle import field_power, field_product, multiply
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
 import dquant.hamiltonian as hamiltonian
@@ -116,8 +117,8 @@ class TestBuildLinear:
         ms = make_uniform_medium_modes(sqrt(1.7), 2 * pi, [-2, -1, 1, 2], NAT)
         eta1 = scalar(1, 1.0 / (NAT.eps0 * 1.7), role="eta")
         d_field, b_field = expand_fields(ms, NAT)
-        density = (1.0 / (2 * NAT.mu0)) * (b_field * b_field) + (
-            eta1.item() / 2.0) * (d_field * d_field)
+        density = (1.0 / (2 * NAT.mu0)) * field_product(b_field, b_field) + (
+            eta1.item() / 2.0) * field_product(d_field, d_field)
         h = integrate_density(density, ms.l_box)
         reference = h - BosonicPolynomial.identity(h.coefficient({}))
         assert box_linear(ms, eta1).terms == reference.terms
@@ -144,7 +145,7 @@ class TestBuildNonlinearD:
     def test_combinatorial_factor_by_term_counting(self):
         # the 3! orderings of distinct legs all produce the same monomial
         x = creation(0) + creation(1) + annihilation(2)
-        cube = x * x * x
+        cube = multiply(multiply(x, x), x)
         assert cube.coefficient({0: (1, 0), 1: (1, 0), 2: (0, 1)}) == pytest.approx(6.0)
 
     def test_hermitian(self):
@@ -269,7 +270,7 @@ class TestLegOracle:
         weight = {"D": weights["D-based"], "E-wrong": weights["E-linear-wrong"],
                   "correction": weights["E-based-corrected"] - weights["E-linear-wrong"]}[builder]
         d_field, _ = expand_fields(ms, NAT)
-        got = weight * integrate_density(d_field * d_field * d_field, ms.l_box)
+        got = weight * integrate_density(field_power(d_field, 3), ms.l_box)
         resonant, anti = _oracle(builder, ms, triple, medium, etas)
         expected = resonant + anti
         # over the box an anti-resonant term survives only if phase-matched:
@@ -324,10 +325,7 @@ def _full_build_coefficients(order):
     eta1, eta_n = etas[0].item(), etas[order - 1].item()
     chi_n = medium.chi(order).item()
     d_field, _ = expand_fields(ms, NAT)
-    d_power = d_field
-    for _ in range(order):
-        d_power = d_power * d_field
-    base = integrate_density(d_power, ms.l_box)
+    base = integrate_density(field_power(d_field, order + 1), ms.l_box)
     correct = (eta_n / (order + 1)) * base
     # the E route's weight of D^(n+1): eps0 n/(n+1) chi_n eta1^(n+1)
     wrong = (NAT.eps0 * order / (order + 1) * chi_n * eta1 ** (order + 1)) * base
@@ -375,9 +373,7 @@ class TestSchemeResonantCoefficients:
         degree = sum(c + a for c, a in monomial.values())
         medium = MediumSpec.from_scalars([0.5, 0.3, 0.2], units=NAT)
         d_field, _ = expand_fields(ms, NAT)
-        d_power = d_field
-        for _ in range(degree - 1):
-            d_power = d_power * d_field
+        d_power = field_power(d_field, degree)
         weight = hamiltonian._top_weights(medium, degree - 1)["D-based"]
         expected = weight * integrate_density(d_power, ms.l_box).coefficient(monomial)
         built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)["D-based"]

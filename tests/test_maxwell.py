@@ -14,6 +14,7 @@ from dquant.maxwell import (
 from dquant.modes import make_uniform_medium_modes
 from dquant.susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from dquant.units import UnitSystem
+from product_oracle import field_product
 
 NAT = UnitSystem()
 
@@ -30,7 +31,7 @@ class TestSpectralCurl:
     def test_zero_component_annihilated(self):
         ms, _ = uniform_setup(0.0, 1)
         d_field, _ = expand_fields(ms, NAT)
-        squared = d_field * d_field  # has a k = 0 component
+        squared = field_product(d_field, d_field)  # has a k = 0 component
         curled = spectral_curl(squared)
         assert curled.component(0).is_zero
 
@@ -61,11 +62,12 @@ def _box_hamiltonian(density, l_box):
 
 
 def _full_density_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, units):
-    """Reference: the weighted D ladder, every component, then the box integral."""
-    density = (1.0 / (2 * units.mu0)) * (b_field * b_field)
+    """Reference: the weighted D ladder, every component built by the product oracle,
+    then the box integral."""
+    density = (1.0 / (2 * units.mu0)) * field_product(b_field, b_field)
     power = d_field
     for weight in energy_density(medium, etas, scheme):
-        power = power * d_field
+        power = field_product(power, d_field)
         density = density + weight * power
     return _box_hamiltonian(density, l_box)
 
@@ -73,18 +75,18 @@ def _full_density_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, uni
 def _eta1_d_power_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, units):
     """Second reference: the route's series in X = D or eta1 D, powers of X built whole."""
     n_top = medium.highest_order
-    density = (1.0 / (2 * units.mu0)) * (b_field * b_field)
+    density = (1.0 / (2 * units.mu0)) * field_product(b_field, b_field)
     if scheme == "D-based":
         power = d_field
         for n in range(1, n_top + 1):
-            power = power * d_field
+            power = field_product(power, d_field)
             density = density + (etas[n - 1].item() / (n + 1)) * power
     else:
         e_tilde = etas[0].item() * d_field
-        power = e_tilde * e_tilde
+        power = field_product(e_tilde, e_tilde)
         density = density + (units.eps0 * (1.0 + medium.chi(1).item()) / 2.0) * power
         for n in range(2, n_top + 1):
-            power = power * e_tilde
+            power = field_product(power, e_tilde)
             density = density + (units.eps0 * n / (n + 1) * medium.chi(n).item()) * power
     return _box_hamiltonian(density, l_box)
 
@@ -103,8 +105,12 @@ class TestSchemeHamiltonian:
     @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong"])
     @pytest.mark.parametrize("chis,m_max", [((0.7, [-0.3]), 3), ((0.6, [0.2, -0.15]), 2)])
     def test_k0_build_equals_full_density_build(self, scheme, chis, m_max):
+        # Wick's powers at k = 0 against the oracle's whole products, term by term
         h, args = route_hamiltonian(chis, m_max, scheme)
-        assert h.terms == _full_density_hamiltonian(*args).terms
+        reference = _full_density_hamiltonian(*args)
+        assert set(h.terms) == set(reference.terms)
+        deviation = max(abs(c - reference.terms[k]) for k, c in h.terms.items())
+        assert deviation <= 1e-15 * reference.max_abs_coeff()
 
     @pytest.mark.parametrize("scheme", ["D-based", "E-linear-wrong"])
     @pytest.mark.parametrize("chis,m_max", [
