@@ -17,7 +17,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "boson_algebra": ("BosonicPolynomial", "commutator", "degree"),
+    "boson_algebra": ("BosonicPolynomial", "degree"),
     "coupling": ("ComparisonReport", "InteractionParams", "ModeTriple", "build_interaction",
                  "prefactor_ratio"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),

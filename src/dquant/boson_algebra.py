@@ -3,13 +3,14 @@
 A polynomial is stored as a map from normally-ordered monomials to complex
 coefficients. A monomial is a sorted tuple of ``(mode, cre, ann)`` triples,
 one per participating mode; the empty tuple is the identity. A polynomial
-is added to another or scaled by a number, never multiplied by another:
-the package needs no operator product. The powers of a linear field come
-from Wick's theorem (:func:`~dquant.fields.linear_field_powers`), and the
-commutator of a ladder operator with a polynomial from formal
-differentiation (:func:`commutator`), so every polynomial handed out by the
-algebra is already in canonical form. Coefficients are complex doubles;
-terms below ``PRUNE_TOL`` are dropped to keep term counts bounded.
+is added to another, scaled by a number or conjugated, never multiplied by
+another: the package needs no operator product. The powers of a linear
+field come from Wick's theorem (:func:`~dquant.fields.linear_field_powers`),
+and the commutators of a linear field with a Hamiltonian from its formal
+derivatives (:func:`~dquant.maxwell.verify_routes`), so every polynomial
+handed out by the algebra is already in canonical form. Coefficients are
+complex doubles; terms below ``PRUNE_TOL`` are dropped to keep term counts
+bounded.
 """
 
 from __future__ import annotations
@@ -165,35 +166,6 @@ def annihilation(mode: int) -> BosonicPolynomial:
 
 def number(mode: int) -> BosonicPolynomial:
     return BosonicPolynomial.monomial({mode: (1, 1)})
-
-
-def commutator(p: BosonicPolynomial, q: BosonicPolynomial) -> BosonicPolynomial:
-    """[p, q] for p of degree <= 1, term by term on q's normally ordered
-    monomials by formal differentiation:
-
-        [a, (a†)^c a^n] = c (a†)^(c-1) a^n,    [a†, (a†)^c a^n] = -n (a†)^c a^(n-1).
-
-    The constant part of p commutes with all. Raises ``ValueError`` when p
-    has degree > 1.
-    """
-    if degree(p) > 1:
-        raise ValueError(f"commutator needs a left side of degree <= 1, not {degree(p)}")
-    acc: dict[Monomial, complex] = {}
-    for k1, c1 in p.terms.items():
-        if not k1:
-            continue
-        ((mode, is_cre, _),) = k1
-        for k2, c2 in q.terms.items():
-            for i, (m, c, n) in enumerate(k2):
-                if m != mode:
-                    continue
-                power = -n if is_cre else c
-                if power:
-                    entry = (m, c, n - 1) if is_cre else (m, c - 1, n)
-                    key = k2[:i] + _merge_mode((entry,)) + k2[i + 1:]
-                    acc[key] = acc.get(key, 0.0) + c1 * c2 * power
-                break
-    return BosonicPolynomial(acc)
 
 
 def degree(p: BosonicPolynomial) -> int:

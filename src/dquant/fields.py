@@ -9,8 +9,9 @@ waves phi_k(z) = (2*pi)**-0.5 * exp(i k z). In that basis
   (:func:`~dquant.modes.field_coefficients`),
 * a pointwise product of fields convolves coefficients with one extra
   factor (2*pi)**-0.5 per multiplication,
-* integrating a product of fields over the box picks the zero-frequency
-  component times (2*pi)**-0.5 * l_box.
+* integrating a density over the box keeps its zero-frequency component
+  alone, times (2*pi)**-0.5 * l_box: exp(ikz) averages to zero exactly on
+  the k-grid (:mod:`dquant.maxwell` builds its Hamiltonians so).
 
 No two fields are multiplied: a mode set's fields are linear, so
 :func:`linear_field_powers` builds their powers by Wick's theorem.
@@ -154,11 +155,3 @@ def linear_field_powers(f: FieldOperator, top: int) -> tuple[list, list]:
               for p in range(1, top + 2)]
     return powers[:top], [power.component(0) for power in powers[1:]]
 
-
-def integrate_density(f: FieldOperator, l_box: float) -> BosonicPolynomial:
-    """Integrate an operator density over the box.
-
-    Only the zero-wavevector component survives: the k-grid makes exp(ikz)
-    average to zero exactly.
-    """
-    return (l_box / sqrt(2 * pi)) * f.component(0)

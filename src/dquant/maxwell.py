@@ -7,12 +7,12 @@ operators, so Fock truncation never enters. Products of retained modes that
 land outside the basis are reported as leakage, never silently dropped.
 Both routes' Hamiltonians are summed from one ladder of D powers, built by
 Wick's theorem (:func:`~dquant.fields.linear_field_powers`), and each
-serves both laws; the field components are linear, so their commutators
-with it are taken by formal differentiation (see
-:func:`~dquant.boson_algebra.commutator`). Each report also carries the
-polynomial degree of both sides, measured on the built Hamiltonians: on a
-medium of top order N the linear-E route's d B/dt has degree N, while the
-curl of its linear E stays at degree 1.
+serves both laws. The field components are linear, so their commutators
+with H are sums of H's formal derivatives, tabulated in one pass over H
+(:func:`_derivative_table`). Each report also carries the polynomial
+degree of both sides, measured on the built Hamiltonians: on a medium of
+top order N the linear-E route's d B/dt has degree N, while the curl of its
+linear E stays at degree 1.
 
 The checks read their units from the medium and hold each residual to
 ``RESIDUAL_TOL``.
@@ -24,10 +24,10 @@ y-polarized, so (curl F)_y = +ik F_x per component while (curl B)_x = -ik B_y.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import pi, sqrt
 
-from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, commutator, degree
-from .fields import FieldOperator, expand_fields, integrate_density, linear_field_powers
+from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, degree
+from .fields import FieldOperator, expand_fields, linear_field_powers
 from .modes import ModeSet
 from .record import record
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
@@ -132,9 +132,10 @@ def verify_routes(ms: ModeSet, medium: MediumSpec) -> dict[str, tuple[FaradayRep
     weights, so the consistency check, the inverse coefficients, the fields
     and the ladder of D powers (:func:`_route_hamiltonians`) are built once.
     Each route's Hamiltonian is checked for Hermiticity once (raising
-    :class:`NotHermitianError`), and both laws take their Heisenberg
-    derivatives from it. The D route's E = sum_n eta_n D^n is read from the
-    same ladder; the linear-E route's is eta1 D. Raises ``ValueError`` when a
+    :class:`NotHermitianError`) and differentiated once
+    (:func:`_derivative_table`), and both laws take their Heisenberg
+    derivatives from that table. The D route's E = sum_n eta_n D^n is read
+    from the same ladder; the linear-E route's is eta1 D. Raises ``ValueError`` when a
     retained field component prunes to zero, as SI-scale coefficients do.
     """
     units = medium.units
@@ -153,10 +154,11 @@ def verify_routes(ms: ModeSet, medium: MediumSpec) -> dict[str, tuple[FaradayRep
     for route, h in hamiltonians.items():
         if not h.is_hermitian():
             raise NotHermitianError("Hamiltonian not Hermitian")
+        table = _derivative_table(h)
         laws = (("faraday", b_field, spectral_curl(electric[route]), -1.0),
                 ("ampere", d_field, b_curl, 1.0 / units.mu0))
         reports[route] = tuple(
-            _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units)
+            _law_report(route, law, table, lhs_field, rhs_source, rhs_scale, units)
             for law, lhs_field, rhs_source, rhs_scale in laws)
     return reports
 
@@ -167,9 +169,9 @@ def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: 
 
     Returns ``({route: H}, [D, D^2, .., D^n_top])`` with n_top = len(etas),
     the powers by Wick's theorem (:func:`~dquant.fields.linear_field_powers`).
-    The box integral keeps only the k = 0 component of the density, so
-    only that component of each power is read, and D^(n_top + 1) and B^2
-    are built at k = 0 alone. H = integral(B^2/(2 mu0) + sum_n w_n D^(n+1)),
+    The box integral is l_box / sqrt(2 pi) times the k = 0 component of the
+    density, so only that component of each power is read, and D^(n_top + 1)
+    and B^2 are built at k = 0 alone. H = integral(B^2/(2 mu0) + sum_n w_n D^(n+1)),
     added in that order, with the route's weights w_n from
     :func:`~dquant.susceptibility.energy_density`.
     """
@@ -180,7 +182,7 @@ def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: 
         density = b_density
         for weight, p in zip(energy_density(medium, etas, route), k0):
             density = density + weight * p
-        h = integrate_density(FieldOperator({0: density}, d_field.w), l_box)
+        h = (l_box / sqrt(2 * pi)) * density
         hamiltonians[route] = h - BosonicPolynomial.identity(h.coefficient({}))
     return hamiltonians, powers
 
@@ -195,12 +197,42 @@ def _electric_field(etas, powers: list[FieldOperator], retained: set[int]) -> Fi
     return sum(terms[1:], terms[0]).restrict(retained)
 
 
-def _law_report(route, law, h, lhs_field, rhs_source, rhs_scale, units):
-    """(-i/hbar)[lhs_m, H] against rhs_scale * rhs_source_m on lhs's components."""
+def _derivative_table(h: BosonicPolynomial) -> dict:
+    """H's formal derivatives by every ladder operator, in one pass over H.
+
+    ``{(mode, is_cre): [(monomial, coefficient, power)]}`` in H's term order:
+    [a, H] and [a^dag, H] as sums of power * coefficient * monomial, by
+    [a, (a^dag)^c a^n] = c (a^dag)^(c-1) a^n and [a^dag, (a^dag)^c a^n] = -n (a^dag)^c a^(n-1).
+    """
+    table: dict = {}
+    for key, coef in h.terms.items():
+        for i, (m, c, n) in enumerate(key):
+            for is_cre, power, entry in ((0, c, (m, c - 1, n)), (1, -n, (m, c, n - 1))):
+                if power:
+                    reduced = key[:i] + ((entry,) if entry[1] or entry[2] else ()) + key[i + 1:]
+                    table.setdefault((m, is_cre), []).append((reduced, coef, power))
+    return table
+
+
+def _linear_bracket(p: BosonicPolynomial, table: dict) -> BosonicPolynomial:
+    """[p, H] for a linear p, summed from H's table: p's terms outside, its entries inside.
+
+    The entries stay unsummed: a polynomial per operator would regroup the
+    sums and move the residuals' last digits.
+    """
+    acc: dict = {}
+    for ((mode, is_cre, _),), c1 in p.terms.items():
+        for key, c2, power in table.get((mode, is_cre), ()):
+            acc[key] = acc.get(key, 0.0) + c1 * c2 * power
+    return BosonicPolynomial(acc)
+
+
+def _law_report(route, law, table, lhs_field, rhs_source, rhs_scale, units):
+    """(-i/hbar)[lhs_m, H] from H's table against rhs_scale * rhs_source_m, per lhs component."""
     residuals = {}
     degree_lhs = degree_rhs = -1
     for m in lhs_field.wavevectors():
-        lhs = (-1j / units.hbar) * commutator(lhs_field.component(m), h)
+        lhs = (-1j / units.hbar) * _linear_bracket(lhs_field.component(m), table)
         rhs = rhs_scale * rhs_source.component(m)
         residuals[m] = (lhs - rhs).norm()
         degree_lhs = max(degree_lhs, degree(lhs))

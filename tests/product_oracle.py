@@ -2,8 +2,9 @@
 
 ``dquant`` multiplies a polynomial or a field only by a scalar: the powers
 of its linear fields come from Wick's theorem
-(:func:`dquant.fields.linear_field_powers`), with no product of two
-operators. The tests check that builder, the commutator and the Fock
+(:func:`dquant.fields.linear_field_powers`), and the commutators of verify
+from formal derivatives (:func:`dquant.maxwell._derivative_table`), with no
+product of two operators. The tests check those paths and the Fock
 matrices against the product built here by brute force:
 
 - ``reorder_product``: every normally ordered monomial of k1 * k2 with its
@@ -14,7 +15,10 @@ matrices against the product built here by brute force:
 - ``multiply``: p * q, every contraction of every pair of monomials built;
 - ``commutator``: p * q - q * p, for left sides of any degree;
 - ``field_product`` and ``field_power``: the pointwise product of fields,
-  each pair of components multiplied and scaled by (2*pi)**-0.5.
+  each pair of components multiplied and scaled by (2*pi)**-0.5;
+- ``box_integral``: the integral of a field over the box, its k = 0
+  component times l_box (2*pi)**-0.5, the quantity verify's route
+  Hamiltonians are built as.
 """
 
 from itertools import product
@@ -76,3 +80,8 @@ def field_power(f, n):
     for _ in range(n - 1):
         power = field_product(power, f)
     return power
+
+
+def box_integral(f, l_box):
+    """The integral of f over a box of length l_box: only k = 0 survives."""
+    return (l_box / sqrt(2 * pi)) * f.component(0)

@@ -3,15 +3,17 @@
 The pinned outputs are the algebraic ones: the order-2, 3, 4 and 6
 resonant coefficients (``compare --observable coefficient``), the inverse
 tables of a chi3 medium (``invert``), the two-mode Maxwell residuals of a
-chi3, a chi2 and a mixed chi2-chi3 medium (``verify``), and the coupling
-theta that ``convert`` writes. Each is a fixed sequence of
+chi3, a chi2 and a mixed chi2-chi3 medium (``verify``), the four reports
+that ``verify --out`` writes for the mixed medium on a ten-mode basis, and
+the coupling theta that ``convert`` writes. Each is a fixed sequence of
 float operations in pure Python, so its bytes pin the construction itself:
 a refactor that reorders one operation shows here. The time series of
 ``spdc``, ``convert`` and the dynamical compares are not pinned: they pass
 through many ``exp``, ``sin`` and ``cos`` calls whose last bit the
 platform's C math library decides, and the tests check them against closed
 forms with tolerances instead. Each golden file holds a command's stdout,
-except ``convert_interaction.json``, the file ``convert --out`` writes, and
+except ``convert_interaction.json``, the file ``convert --out`` writes, the
+files of ``verify_mixed_m5/``, the files ``verify --out`` writes, and
 ``verify_routes_units.json``, the reports of
 :func:`~dquant.maxwell.verify_routes` on a medium whose units are neither
 natural nor SI. Regenerate them with
@@ -52,6 +54,10 @@ STDOUT_CASES = {
     "verify_mixed_m2.txt": ["verify", "--medium", "{mixed}", "--modes", "2"],
 }
 CONVERT = ["convert", "--medium", "{chi2}", "--length", "1.7", "--n-max", "4"]
+#: golden directory -> argv of the command whose --out files it holds
+OUT_CASES = {
+    "verify_mixed_m5": ["verify", "--medium", "{mixed}", "--modes", "5"],
+}
 #: units with eps0 mu0 = 1 (so c = 1) that differ from the natural ones in every other way
 UNITS = UnitSystem(eps0=0.5, mu0=2.0, hbar=2.0)
 
@@ -82,6 +88,20 @@ def test_interaction_json_is_golden(tmp_path):
     assert (tmp_path / "out" / "interaction.json").read_bytes() == golden
 
 
+def _out_files(argv, workdir: Path) -> dict[str, bytes]:
+    out = workdir / "out"
+    code, _, err = _run(argv + ["--out", str(out)], workdir)
+    if (code, err) != (0, ""):
+        raise RuntimeError(f"{argv}: exit {code}, stderr {err!r}")
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_out_files_are_golden(name, tmp_path):
+    golden = {path.name: path.read_bytes() for path in sorted((GOLDEN / name).iterdir())}
+    assert _out_files(OUT_CASES[name], tmp_path) == golden
+
+
 def _verify_routes_doc(medium: MediumSpec) -> str:
     ms = make_uniform_medium_modes(sqrt(1.5), 2 * pi, [-2, -1, 1, 2], medium.units)
     reports = verify_routes(ms, medium)
@@ -110,5 +130,11 @@ if __name__ == "__main__":
             sys.exit(f"convert: exit {code}, stderr {err!r}")
         (GOLDEN / "convert_interaction.json").write_bytes(
             (workdir / "out" / "interaction.json").read_bytes())
+    for name, argv in OUT_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            files = _out_files(argv, Path(tmp))
+        (GOLDEN / name).mkdir(exist_ok=True)
+        for file, data in files.items():
+            (GOLDEN / name / file).write_bytes(data)
     (GOLDEN / "verify_routes_units.json").write_text(
         _verify_routes_doc(MediumSpec.from_scalars([0.5, 0.3], units=UNITS)))

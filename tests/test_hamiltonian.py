@@ -1,12 +1,13 @@
 import re
+from itertools import product
 from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from leg_oracle import cubic_sectors
-from product_oracle import field_power, field_product, multiply
+from product_oracle import box_integral, field_power, field_product, multiply
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
 import dquant.hamiltonian as hamiltonian
@@ -19,7 +20,7 @@ from dquant.coupling import (
     phase_matching_curve,
     prefactor_ratio,
 )
-from dquant.fields import expand_fields, integrate_density
+from dquant.fields import expand_fields
 from dquant.hamiltonian import _pure_order_modeset, scheme_resonant_coefficients
 from dquant.maxwell import _route_hamiltonians
 from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode
@@ -119,7 +120,7 @@ class TestBuildLinear:
         d_field, b_field = expand_fields(ms, NAT)
         density = (1.0 / (2 * NAT.mu0)) * field_product(b_field, b_field) + (
             eta1.item() / 2.0) * field_product(d_field, d_field)
-        h = integrate_density(density, ms.l_box)
+        h = box_integral(density, ms.l_box)
         reference = h - BosonicPolynomial.identity(h.coefficient({}))
         assert box_linear(ms, eta1).terms == reference.terms
 
@@ -270,7 +271,7 @@ class TestLegOracle:
         weight = {"D": weights["D-based"], "E-wrong": weights["E-linear-wrong"],
                   "correction": weights["E-based-corrected"] - weights["E-linear-wrong"]}[builder]
         d_field, _ = expand_fields(ms, NAT)
-        got = weight * integrate_density(field_power(d_field, 3), ms.l_box)
+        got = weight * box_integral(field_power(d_field, 3), ms.l_box)
         resonant, anti = _oracle(builder, ms, triple, medium, etas)
         expected = resonant + anti
         # over the box an anti-resonant term survives only if phase-matched:
@@ -325,33 +326,49 @@ def _full_build_coefficients(order):
     eta1, eta_n = etas[0].item(), etas[order - 1].item()
     chi_n = medium.chi(order).item()
     d_field, _ = expand_fields(ms, NAT)
-    base = integrate_density(field_power(d_field, order + 1), ms.l_box)
+    base = box_integral(field_power(d_field, order + 1), ms.l_box)
     correct = (eta_n / (order + 1)) * base
     # the E route's weight of D^(n+1): eps0 n/(n+1) chi_n eta1^(n+1)
     wrong = (NAT.eps0 * order / (order + 1) * chi_n * eta1 ** (order + 1)) * base
     return correct.coefficient(monomial), wrong.coefficient(monomial)
 
 
+#: grid indices a mode of a matched monomial may sit at
+GRID = (-3, -2, -1, 1, 2, 3)
+#: degree -> the (a^dag, a) powers, 0-2 each, of one to three modes that a grid
+#: can phase-match: no mode or at least two modes with unequal powers, since
+#: a lone unequal mode's wavevector has nothing to cancel it
+MATCHABLE_POWERS = {
+    degree: [powers for n_modes in (1, 2, 3)
+             for powers in product(product(range(3), repeat=2), repeat=n_modes)
+             if sum(c + a for c, a in powers) == degree
+             and sum(c != a for c, a in powers) != 1]
+    for degree in (2, 3, 4)
+}
+
+
 @st.composite
 def matched_monomials(draw):
     """(mode set, monomial): degree 2-4 on one to three modes, net wavevector 0.
 
-    A mode's powers may repeat (a^dag^2) or mix (a^dag a). The last mode
-    with unequal powers takes the grid index that cancels the others', and a
-    spectator mode outside the monomial rides along. Each profile carries a
-    random phase, so a coefficient that misses its conjugate shows.
+    A mode's powers may repeat (a^dag^2) or mix (a^dag a). The degree is
+    drawn first, then powers of that degree. The last mode with unequal
+    powers takes the grid index that cancels the others', the one before it
+    an index that leaves a nonzero multiple of the last one's net power to
+    cancel, and a spectator mode outside the monomial rides along. Each
+    profile carries a random phase, so a coefficient that misses its
+    conjugate shows.
     """
-    n_modes = draw(st.integers(1, 3))
-    powers = [(draw(st.integers(0, 2)), draw(st.integers(0, 2))) for _ in range(n_modes)]
-    assume(2 <= sum(c + a for c, a in powers) <= 4)
-    grid = [draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for _ in range(n_modes + 1)]
+    powers = draw(st.sampled_from(MATCHABLE_POWERS[draw(st.integers(2, 4))]))
+    grid = [draw(st.sampled_from(GRID)) for _ in range(len(powers) + 1)]
     nets = [a - c for c, a in powers]
     unbalanced = [i for i, net in enumerate(nets) if net]
     if unbalanced:
-        j = unbalanced[-1]
-        rest = sum(net * m for i, (net, m) in enumerate(zip(nets, grid)) if i != j)
-        assume(rest != 0 and rest % nets[j] == 0)
-        grid[j] = -rest // nets[j]
+        *free, i, j = unbalanced
+        rest = sum(nets[f] * grid[f] for f in free)
+        grid[i] = draw(st.sampled_from([m for m in GRID if rest + nets[i] * m != 0
+                                        and (rest + nets[i] * m) % nets[j] == 0]))
+        grid[j] = -(rest + nets[i] * grid[i]) // nets[j]
     l_box = draw(st.sampled_from((2 * pi, 6.0)))
     modes = []
     for label, m in enumerate(grid):
@@ -375,7 +392,7 @@ class TestSchemeResonantCoefficients:
         d_field, _ = expand_fields(ms, NAT)
         d_power = field_power(d_field, degree)
         weight = hamiltonian._top_weights(medium, degree - 1)["D-based"]
-        expected = weight * integrate_density(d_power, ms.l_box).coefficient(monomial)
+        expected = weight * box_integral(d_power, ms.l_box).coefficient(monomial)
         built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)["D-based"]
         assert expected != 0
         assert abs(built - expected) <= 1e-14 * abs(expected)

@@ -4,7 +4,7 @@ import pytest
 
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial, NotHermitianError
-from dquant.fields import expand_fields, integrate_density
+from dquant.fields import expand_fields
 from dquant.maxwell import (
     InconsistentModeSetError,
     _route_hamiltonians,
@@ -14,7 +14,7 @@ from dquant.maxwell import (
 from dquant.modes import make_uniform_medium_modes
 from dquant.susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from dquant.units import UnitSystem
-from product_oracle import field_product
+from product_oracle import box_integral, field_product
 
 NAT = UnitSystem()
 
@@ -57,7 +57,7 @@ class TestSpectralCurl:
 
 
 def _box_hamiltonian(density, l_box):
-    h = integrate_density(density, l_box)
+    h = box_integral(density, l_box)
     return h - BosonicPolynomial.identity(h.coefficient({}))
 
 
@@ -214,6 +214,21 @@ class TestVerifyScheme:
         assert (faraday.law, ampere.law) == ("faraday", "ampere")
         assert len(e_builds) == 1
         assert faraday.degree_rhs == (3 if scheme == "D-based" else 1)
+
+    @pytest.mark.parametrize("m_max", [1, 2, 3, 4, 5])
+    def test_differentiates_each_route_hamiltonian_once(self, monkeypatch, m_max):
+        # one pass over each route's H tabulates its derivatives; all four law
+        # reports read their commutators from those two tables
+        ms, medium = uniform_setup(0.5, m_max, chis_higher=(0.3, -0.15))
+        built, tables = [], []
+        route_hamiltonians, derivative_table = maxwell._route_hamiltonians, maxwell._derivative_table
+        monkeypatch.setattr(maxwell, "_route_hamiltonians",
+                            lambda *args: built.append(route_hamiltonians(*args)) or built[-1])
+        monkeypatch.setattr(maxwell, "_derivative_table",
+                            lambda h: tables.append(h) or derivative_table(h))
+        verify_routes(ms, medium)
+        assert len(built) == 1
+        assert [id(h) for h in tables] == [id(built[0][0][route]) for route in ROUTES]
 
     def test_reports_both_laws_of_both_routes(self):
         ms, medium = uniform_setup(0.5, 2, chis_higher=(0.3, -0.15))
