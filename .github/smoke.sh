@@ -38,8 +38,9 @@ run convert --out "$out/convert"
 
 # bad input exits 2 with an error line, not 1 with a traceback: a directory
 # is no medium, 1 + chi1 = 0 has no refractive index, verify's box modes
-# need an index of at least 1, and a --time whose sinh^2 fit overflows or
-# whose phase w t reaches 2^53 writes no file
+# need an index of at least 1, a --time whose sinh^2 fit overflows or
+# underflows or whose phase w t reaches 2^53, a coupling rate at or below
+# PRUNE_TOL and a medium whose operator checks overflow write no file
 expect_input_error() {
   status=0
   dquant "$@" 2> "$out/stderr.txt" || status=$?
@@ -48,18 +49,24 @@ expect_input_error() {
     exit 1
   fi
 }
+# expect_nothing_written NAME ARGS...: an input error that leaves no --out directory NAME
+expect_nothing_written() {
+  dir="$out/$1"
+  shift
+  expect_input_error "$@" --out "$dir"
+  if [ -e "$dir" ]; then
+    echo "dquant $* wrote $dir"
+    exit 1
+  fi
+}
 expect_input_error invert --medium "$out"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [-1.0], "2": [0.3]}}' > "$out/chi1-minus-one.json"
-expect_input_error spdc --medium "$out/chi1-minus-one.json" --out "$out/spdc-chi1-minus-one"
+expect_nothing_written spdc-chi1-minus-one spdc --medium "$out/chi1-minus-one.json"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [-0.5], "2": [0.3]}}' > "$out/chi1-minus-half.json"
-expect_input_error verify --medium "$out/chi1-minus-half.json" --out "$out/verify-chi1-minus-half"
-expect_input_error spdc --time 1e300 --out "$out/spdc-time-1e300"
-if [ -e "$out/spdc-time-1e300" ]; then
-  echo "spdc --time 1e300 wrote $out/spdc-time-1e300"
-  exit 1
-fi
-expect_input_error convert --time 1e300 --out "$out/convert-time-1e300"
-if [ -e "$out/convert-time-1e300" ]; then
-  echo "convert --time 1e300 wrote $out/convert-time-1e300"
-  exit 1
-fi
+expect_nothing_written verify-chi1-minus-half verify --medium "$out/chi1-minus-half.json"
+expect_nothing_written spdc-time-1e300 spdc --time 1e300
+expect_nothing_written convert-time-1e300 convert --time 1e300
+expect_nothing_written spdc-time-1e-300 spdc --time 1e-300
+expect_nothing_written spdc-pump-1e-16 spdc --pump 1e-16
+echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [1e200]}}' > "$out/chi2-1e200.json"
+expect_nothing_written verify-chi2-1e200 verify --medium "$out/chi2-1e200.json"

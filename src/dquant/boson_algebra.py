@@ -22,9 +22,6 @@ from typing import Iterable, Mapping
 #: absolute coefficient threshold below which a term is discarded
 PRUNE_TOL = 1e-15
 
-#: tolerance for Hermiticity checks on Hamiltonians
-HERMITICITY_TOL = 1e-12
-
 Monomial = tuple  # tuple[(mode, cre, ann), ...] sorted by mode
 
 
@@ -55,7 +52,7 @@ class BosonicPolynomial:
         return cls()
 
     @classmethod
-    def identity(cls, coeff: complex = 1.0) -> "BosonicPolynomial":
+    def identity(cls, coeff: complex) -> "BosonicPolynomial":
         return cls({(): complex(coeff)})
 
     @classmethod
@@ -110,8 +107,6 @@ class BosonicPolynomial:
 
     def norm(self) -> float:
         """L2 norm of the coefficient vector."""
-        if not self.terms:
-            return 0.0
         return sqrt(sum(abs(v) ** 2 for v in self.terms.values()))
 
     def max_abs_coeff(self) -> float:
@@ -122,7 +117,7 @@ class BosonicPolynomial:
         return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys)
 
     def is_hermitian(self) -> bool:
-        return self.isclose(self.dagger(), tol=HERMITICITY_TOL)
+        return self.isclose(self.dagger())
 
     def __repr__(self):
         n = len(self.terms)

@@ -12,8 +12,7 @@ commands that diagonalize (spdc, convert and the dynamical compares) run
 the pure-Python eigensolver of ``linalg``.
 Nor does any command load ``dataclasses`` (which brings ``inspect``,
 ``ast`` and ``dis``) or ``logging``: the value classes come from
-:func:`~dquant.record.record`, and ``logging`` is imported only in the
-branches that log a message.
+:func:`~dquant.record.record`, and no module logs.
 """
 
 from __future__ import annotations
@@ -87,7 +86,12 @@ def cmd_verify(args) -> int:
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
 
-    reports = [rep for pair in verify_routes(ms, medium).values() for rep in pair]
+    try:
+        routes = verify_routes(ms, medium)
+    except OverflowError:
+        raise ValueError(f"medium {args.medium}: a coefficient norm of the operator checks "
+                         "overflows a float") from None
+    reports = [rep for pair in routes.values() for rep in pair]
     print(f"{'scheme':<16} {'law':<8} {'m':>4} {'residual':<13} {'degrees':<8} pass")
     for rep in reports:
         degrees = f"{rep.degree_lhs} vs {rep.degree_rhs}"
@@ -189,7 +193,8 @@ SWEEPS = {
 
 
 def cmd_sweep(args) -> int:
-    from .dynamics import EvolutionConfig, frequency_conversion, spdc_squeezing
+    from .dynamics import (EvolutionConfig, ZeroGeneratorError, frequency_conversion,
+                           spdc_squeezing)
 
     stem, key, line = SWEEPS[args.command]
     params, units = _interaction_from_args(args)
@@ -200,8 +205,13 @@ def cmd_sweep(args) -> int:
             pair = spdc_squeezing(params, cfg, hbar=units.hbar)
         else:
             pair = frequency_conversion(params, cfg, hbar=units.hbar)
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"--time {args.time:g}: {exc}") from None
+    except ZeroGeneratorError as exc:
+        raise ValueError(f"--medium, --length and --pump set too weak a coupling: {exc}") from None
+    if not pair.correct:
+        raise ValueError(f"--time {args.time:g}: the correct route reads 0, which leaves the "
+                         "ratio wrong/correct undefined")
     # every text is rendered before the first is written, so a value JSON
     # cannot hold leaves no partial outputs
     files = [("interaction.json", dumps(_interaction_doc(params))),

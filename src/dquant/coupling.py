@@ -47,12 +47,6 @@ class ModeTriple:
             raise DegenerateTripleError(
                 "three-wave construction requires three distinct mode families"
             )
-        if abs(self.delta_k) * self.length / 2 >= MATCHING_BUDGET:
-            import logging  # only here: no command should pay for its import
-
-            logging.getLogger(__name__).warning(
-                "triple exceeds the phase-matching budget: |dk| L/2 = %.3g",
-                abs(self.delta_k) * self.length / 2)
 
     @property
     def delta_k(self) -> float:

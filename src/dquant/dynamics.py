@@ -33,7 +33,9 @@ on the standard library alone.
 The observables build their generators as rates (H / hbar), and
 :func:`evolve` takes every generator as a rate: exp(-i H t) at hbar = 1. So
 SI couplings of ~1e-11 1/s are not lost to the absolute ``PRUNE_TOL`` that
-an energy hbar g ~ 1e-45 J would fall under.
+an energy hbar g ~ 1e-45 J would fall under. A rate at or below it still
+prunes the generator to zero, and :func:`evolve` refuses that generator
+rather than report both routes at 0.
 The wrong route's rate is |prefactor ratio| times the correct one's, so
 its state at t is the correct route's at |ratio| t: one evolution, sampled
 at both times, serves both routes.
@@ -47,13 +49,17 @@ from math import asinh, cos, exp, factorial, fsum, hypot, inf, perm, prod, sin, 
 from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
 
-from .boson_algebra import BosonicPolynomial
+from .boson_algebra import PRUNE_TOL, BosonicPolynomial
 from .coupling import ComparisonReport, InteractionParams, prefactor_ratio
 from .linalg import eigh_tridiagonal, linspace
 from .record import record
 
 EDGE_POPULATION_TOL = 1e-6
 PHASE_LIMIT = 2.0**53  # from here on a float phase w t is an even integer: no digit of its angle
+
+
+class ZeroGeneratorError(ValueError):
+    """A generator whose every rate pruned away: nothing would evolve."""
 
 
 @record
@@ -67,7 +73,7 @@ class FockSpace:
     """
 
     modes: tuple
-    cutoff: int | Mapping[int, int] = 2
+    cutoff: int | Mapping[int, int]
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -107,9 +113,9 @@ class FockSpace:
 class EvolutionConfig:
     """Cutoffs, duration, sampling and pump treatment of one evolution."""
 
-    n_max: int = 16
-    t_final: float = 1.0
-    steps: int = 20
+    n_max: int
+    t_final: float
+    steps: int
     pump: complex | str = 1.0 + 0.0j
 
     def __post_init__(self):
@@ -247,8 +253,13 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     photons) needs inverse iteration for half its spectrum, and its samples
     are products over its two sublattices, a quarter of the arithmetic.
     The result reports the largest phase |w| t as ``max_phase``; a phase
-    that is no finite float raises ``OverflowError``.
+    that is no finite float raises ``OverflowError``. A zero generator, whose
+    every rate was at or below ``PRUNE_TOL``, raises :class:`ZeroGeneratorError`
+    rather than reporting a state that never moved.
     """
+    if h.is_zero:
+        raise ZeroGeneratorError(f"the generator prunes to zero: every rate is at or below "
+                                 f"PRUNE_TOL = {PRUNE_TOL:g}")
     if not h.is_hermitian():
         raise ValueError("Hamiltonian not Hermitian")
     support = [tuple(n) for n, amp in psi0.items() if amp]
@@ -476,7 +487,8 @@ def _sinh2_fit(series, column: int) -> float:
     """r = g t_final from a least-squares fit of <n_A> = sinh^2(g t) to one column.
 
     The last sample of the series is at t_final. Raises ``OverflowError``
-    when the sum of t^2 is not a finite float.
+    when the sum of t^2 is not a finite float, and ``FloatingPointError``
+    when it underflows to 0.
     """
     ts = [row[0] for row in series[1:]]
     ys = [asinh(sqrt(row[column])) for row in series[1:]]
@@ -486,6 +498,8 @@ def _sinh2_fit(series, column: int) -> float:
         norm = inf
     if not norm < inf:
         raise OverflowError(f"the fit's sum of t^2 overflows a float at t = {series[-1][0]:g}")
+    if not norm:
+        raise FloatingPointError(f"the fit's sum of t^2 underflows to 0 at t = {series[-1][0]:g}")
     return fsum(map(mul, ts, ys)) / norm * series[-1][0]
 
 
@@ -500,7 +514,8 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
     with the pump in a coherent state of amplitude 2, truncated at
     ``coherent_cutoff(2)`` or n_max, whichever is larger. The series holds
     <n_A>(t) per route. Raises ``OverflowError`` when a phase w t or the
-    fit's sum of t^2 overflows a float, or a phase reaches ``PHASE_LIMIT``.
+    fit's sum of t^2 overflows a float, or a phase reaches ``PHASE_LIMIT``,
+    and ``FloatingPointError`` when that sum underflows to 0.
     """
     if cfg.classical_pump:
         g = _coupling(params, cfg, hbar)

@@ -39,7 +39,6 @@ class FieldOperator:
 
     components: dict
     w: float
-    kind: str = "derived"
     #: coefficient norms of components dropped by a basis restriction (a fresh dict if None)
     leakage: dict | None = None
 
@@ -62,13 +61,12 @@ class FieldOperator:
         acc = dict(self.components)
         for m, poly in other.components.items():
             acc[m] = acc[m] + poly if m in acc else poly
-        return FieldOperator(_prune(acc), self.w, kind=self.kind if self.kind == other.kind else "derived")
+        return FieldOperator(_prune(acc), self.w)
 
     def __mul__(self, scalar) -> "FieldOperator":
         if not isinstance(scalar, Number):
             return NotImplemented  # no product of two fields: a TypeError
-        return FieldOperator({m: scalar * p for m, p in self.components.items()}, self.w,
-                             kind=self.kind)
+        return FieldOperator({m: scalar * p for m, p in self.components.items()}, self.w)
 
     __rmul__ = __mul__
 
@@ -80,7 +78,7 @@ class FieldOperator:
                 kept[m] = poly
             else:
                 leaked[m] = leaked.get(m, 0.0) + poly.norm()
-        return FieldOperator(kept, self.w, kind=self.kind, leakage=leaked)
+        return FieldOperator(kept, self.w, leakage=leaked)
 
 
 def _prune(components: dict) -> dict:
@@ -109,7 +107,7 @@ def expand_fields(ms: ModeSet, units: UnitSystem) -> tuple[FieldOperator, FieldO
             minus = c.conjugate() * ad_op
             comp[mode.m] = comp[mode.m] + plus if mode.m in comp else plus
             comp[-mode.m] = comp[-mode.m] + minus if -mode.m in comp else minus
-    return (FieldOperator(d_comp, w, kind="D"), FieldOperator(b_comp, w, kind="B"))
+    return FieldOperator(d_comp, w), FieldOperator(b_comp, w)
 
 
 def linear_field_powers(f: FieldOperator, top: int) -> tuple[list, list]:

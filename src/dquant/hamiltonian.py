@@ -55,7 +55,7 @@ def _top_weights(medium: MediumSpec, n: int) -> dict[str, float]:
     if medium.dim != 1:
         raise ValueError("wave-mixing Hamiltonians are built on scalar (dim=1) media")
     etas = invert_series(medium, n)
-    weights = {route: energy_density(medium, etas, route)[-1] for route in ROUTES}
+    weights = {route: w[-1] for route, w in energy_density(medium, etas).items()}
     if n == 2:
         weights["E-based-corrected"] = weights["E-linear-wrong"] + (
             medium.units.eps0 * (1.0 + medium.chi(1).item()) * etas[0].item() * etas[1].item())

@@ -17,9 +17,10 @@ linear E stays at degree 1.
 The checks read their units from the medium and hold each residual to
 ``RESIDUAL_TOL``.
 
-In the 1D scalar reduction the transverse orientations carry the curl signs:
-the displacement and electric fields are x-polarized, the induction field is
-y-polarized, so (curl F)_y = +ik F_x per component while (curl B)_x = -ik B_y.
+In the 1D scalar reduction the transverse orientations carry the curl signs,
+which each law passes to :func:`spectral_curl`: the displacement and
+electric fields are x-polarized, the induction field is y-polarized, so
+(curl F)_y = +ik F_x per component while (curl B)_x = -ik B_y.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .boson_algebra import PRUNE_TOL, BosonicPolynomial, NotHermitianError, degr
 from .fields import FieldOperator, expand_fields, linear_field_powers
 from .modes import ModeSet
 from .record import record
-from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
+from .susceptibility import MediumSpec, energy_density, invert_series
 
 RESIDUAL_TOL = 1e-10
 
@@ -39,19 +40,14 @@ class InconsistentModeSetError(ValueError):
     """Mode set was not solved from the medium's linear response."""
 
 
-def spectral_curl(f: FieldOperator) -> FieldOperator:
-    """Curl in the 1D reduction: ik per component, sign per polarization.
+def spectral_curl(f: FieldOperator, sign: float) -> FieldOperator:
+    """Curl in the 1D reduction: sign * ik per component.
 
-    x-polarized fields (D, E) map through +ik; the y-polarized induction
-    maps through -ik. Composite fields default to the x-polarized rule.
+    The law supplies the sign of the field's polarization: +1 for the
+    x-polarized D and E, -1 for the y-polarized induction.
     """
-    sign = -1.0 if f.kind == "B" else 1.0
-    return FieldOperator(
-        {m: (sign * 1j * f.k(m)) * p for m, p in f.components.items()},
-        f.w,
-        kind="derived",
-        leakage=dict(f.leakage),
-    )
+    return FieldOperator({m: (sign * 1j * f.k(m)) * p for m, p in f.components.items()},
+                         f.w, leakage=dict(f.leakage))
 
 
 @record
@@ -149,13 +145,13 @@ def verify_routes(ms: ModeSet, medium: MediumSpec) -> dict[str, tuple[FaradayRep
     hamiltonians, powers = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box)
     electric = {"D-based": _electric_field(etas, powers, retained),
                 "E-linear-wrong": etas[0].item() * d_field}
-    b_curl = spectral_curl(b_field)
+    b_curl = spectral_curl(b_field, -1.0)
     reports = {}
     for route, h in hamiltonians.items():
         if not h.is_hermitian():
             raise NotHermitianError("Hamiltonian not Hermitian")
         table = _derivative_table(h)
-        laws = (("faraday", b_field, spectral_curl(electric[route]), -1.0),
+        laws = (("faraday", b_field, spectral_curl(electric[route], 1.0), -1.0),
                 ("ampere", d_field, b_curl, 1.0 / units.mu0))
         reports[route] = tuple(
             _law_report(route, law, table, lhs_field, rhs_source, rhs_scale, units)
@@ -178,9 +174,9 @@ def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: 
     powers, k0 = linear_field_powers(d_field, len(etas))
     b_density = (1.0 / (2 * medium.units.mu0)) * linear_field_powers(b_field, 1)[1][0]
     hamiltonians = {}
-    for route in ROUTES:
+    for route, weights in energy_density(medium, etas).items():
         density = b_density
-        for weight, p in zip(energy_density(medium, etas, route), k0):
+        for weight, p in zip(weights, k0):
             density = density + weight * p
         h = (l_box / sqrt(2 * pi)) * density
         hamiltonians[route] = h - BosonicPolynomial.identity(h.coefficient({}))

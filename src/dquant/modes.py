@@ -57,7 +57,6 @@ class ModeSet:
 
     modes: tuple
     l_box: float
-    dropped_zero_mode: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -102,23 +101,14 @@ def make_uniform_medium_modes(n_index: float, l_box: float, m_range: Sequence[in
                               units: UnitSystem) -> ModeSet:
     """Plane-wave modes of a uniform medium: omega = c |k| / n, labelled 0, 1, ...
 
-    The m=0 entry has zero frequency and cannot be quantized; it is dropped
-    and reported via ``dropped_zero_mode`` and a log record.
+    Raises ``ValueError`` for an m = 0 entry: it has zero frequency and
+    cannot be quantized.
     """
     if n_index < 1.0:
         raise ValueError("refractive index must be >= 1")
     if not 0 < l_box < inf:
         raise ValueError("box length must be positive and finite")
-    dropped = False
-    modes = []
-    label = 0
-    for m in m_range:
-        if m == 0:
-            dropped = True
-            import logging  # only here: no command should pay for its import
-
-            logging.getLogger(__name__).warning("zero-frequency m=0 mode excluded from the basis")
-            continue
-        modes.append(plane_wave_mode(label, "U", int(m), n_index, l_box, units))
-        label += 1
-    return ModeSet(modes=tuple(modes), l_box=l_box, dropped_zero_mode=dropped)
+    if 0 in m_range:
+        raise ValueError("the m = 0 mode has zero frequency and cannot be quantized")
+    return ModeSet(modes=tuple(plane_wave_mode(label, "U", int(m), n_index, l_box, units)
+                               for label, m in enumerate(m_range)), l_box=l_box)

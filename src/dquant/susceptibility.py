@@ -110,7 +110,7 @@ class MediumSpec:
     """A medium given by its chi tensors, contiguous orders 1..N."""
 
     units: UnitSystem
-    tensors: tuple = ()
+    tensors: tuple
 
     def __post_init__(self):
         tensors = tuple(self.tensors)
@@ -324,12 +324,12 @@ def gamma_from_eta(eta: SusceptibilityTensor, units: UnitSystem) -> Susceptibili
 ROUTES = ("D-based", "E-linear-wrong")
 
 
-def energy_density(medium: MediumSpec, etas, route: str) -> list[float]:
-    """A route's energy density beyond B^2/(2 mu0), on a scalar medium.
+def energy_density(medium: MediumSpec, etas) -> dict[str, list[float]]:
+    """Each route's energy density beyond B^2/(2 mu0), on a scalar medium.
 
     Both routes put the same powers of D into the Hamiltonian and differ
-    only in their weights: the density is sum_n w[n-1] D^(n+1) through order
-    ``len(etas)``, and the returned list is w.
+    only in their weights: a route's density is sum_n w[n-1] D^(n+1) through
+    order ``len(etas)``. Returns ``{route: w}`` in :data:`ROUTES` order:
 
     - ``"D-based"`` integrates E = dH/dD = sum_n eta_n D^n:
       w[n-1] = eta_n / (n+1).
@@ -338,11 +338,9 @@ def energy_density(medium: MediumSpec, etas, route: str) -> list[float]:
       c_n = eps0 n/(n+1) chi_n above.
     """
     n_top = len(etas)
-    if route == "D-based":
-        return [etas[n - 1].item() / (n + 1) for n in range(1, n_top + 1)]
-    if route == "E-linear-wrong":
-        eps0, eta1 = medium.units.eps0, etas[0].item()
-        coeffs = [eps0 * (1.0 + medium.chi(1).item()) / 2.0] + [
-            eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)]
-        return [c * eta1 ** (n + 1) for n, c in enumerate(coeffs, start=1)]
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    eps0, eta1 = medium.units.eps0, etas[0].item()
+    coeffs = [eps0 * (1.0 + medium.chi(1).item()) / 2.0] + [
+        eps0 * n / (n + 1) * medium.chi(n).item() for n in range(2, n_top + 1)]
+    return dict(zip(ROUTES, (
+        [etas[n - 1].item() / (n + 1) for n in range(1, n_top + 1)],
+        [c * eta1 ** (n + 1) for n, c in enumerate(coeffs, start=1)])))

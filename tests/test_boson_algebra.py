@@ -58,7 +58,7 @@ class TestNormalOrder:
 
 class TestCommutator:
     def test_canonical(self):
-        assert commutator(a, ad).isclose(BosonicPolynomial.identity())
+        assert commutator(a, ad).isclose(BosonicPolynomial.identity(1.0))
 
     def test_number_lowering(self):
         # [a, n] = a

@@ -485,6 +485,59 @@ def test_time_whose_fit_overflows_exits_2_writing_nothing(tmp_path, capsys, time
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pump", ["1", "quantum"])
+def test_time_whose_fit_underflows_exits_2_writing_nothing(tmp_path, capsys, pump):
+    # the sinh^2 fit's sum of t^2 underflows to 0: dividing by it once ended
+    # in a ZeroDivisionError traceback under exit 1
+    out = tmp_path / "out"
+    assert main(["spdc", "--pump", pump, "--time", "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --time 1e-300: the fit's sum of t^2 underflows "
+                                       "to 0 at t = 1e-300\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, chis", [
+    (["spdc", "--pump", "1e-15"], None),
+    (["spdc", "--pump", "1e-16"], None),
+    (["convert", "--pump", "1e-20"], None),
+    (["spdc", "--length", "1e-300"], None),
+    (["spdc", "--pump", "quantum", "--length", "1e-300"], None),
+    (["spdc"], [0.5, 1e-300]),
+    (["spdc"], [1e300, 0.3]),
+    (["convert"], [1e300, 0.3]),
+], ids=["spdc-pump-1e-15", "spdc-pump-1e-16", "convert-pump-1e-20", "spdc-length-1e-300",
+        "quantum-length-1e-300", "spdc-chi2-1e-300", "spdc-chi1-1e300", "convert-chi1-1e300"])
+def test_coupling_rate_at_prune_tol_exits_2_writing_nothing(tmp_path, capsys, argv, chis):
+    # the generator prunes to the zero polynomial: nothing evolved, both routes
+    # read 0 and the nan ratio once failed the JSON writer with no cause named
+    medium = ["--medium", write_medium(tmp_path, chis)] if chis else []
+    out = tmp_path / "out"
+    assert main([*argv, *medium, "--n-max", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --medium, --length and --pump set too weak a coupling: the generator prunes "
+        "to zero: every rate is at or below PRUNE_TOL = 1e-15\n")
+    assert not out.exists()
+
+
+def test_correct_route_reading_0_exits_2_writing_nothing(tmp_path, capsys):
+    # P = sin^2(g t) underflows to 0 on the correct route: the ratio is undefined
+    out = tmp_path / "out"
+    assert main(["convert", "--time", "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --time 1e-300: the correct route reads 0, which "
+                                       "leaves the ratio wrong/correct undefined\n")
+    assert not out.exists()
+
+
+def test_verify_overflow_exits_2_naming_the_medium(tmp_path, capsys):
+    # a coefficient norm of chi2 = 1e200 once overflowed in a traceback under exit 1
+    medium = write_medium(tmp_path, [0.5, 1e200])
+    out = tmp_path / "out"
+    assert main(["verify", "--medium", medium, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: medium {medium}: a coefficient norm of the "
+                                       "operator checks overflows a float\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("chi", [{"1": [float("nan")], "2": [0.3]},
                                  {"1": [0.5], "2": [float("inf")]}],
                          ids=["nan-chi1", "infinity-chi2"])
@@ -661,10 +714,10 @@ def test_every_module_is_some_commands_module():
     assert reached == {p.stem for p in src.glob("*.py")} - {"__init__", "__main__"}
 
 
-@pytest.mark.parametrize("dependency", ["scipy", "numpy"])
+@pytest.mark.parametrize("dependency", ["scipy", "numpy", "logging"])
 def test_no_module_imports(dependency):
-    # scipy and numpy are test dependencies only: no module of the package
-    # and no script imports them
+    # scipy and numpy are test dependencies only, and nothing logs: no module
+    # of the package and no script imports them
     scripts = Path(__file__).resolve().parent.parent / "scripts"
     offenders = []
     for path in sorted([*Path(dquant.__file__).parent.glob("*.py"), *scripts.glob("*.py")]):

@@ -32,27 +32,27 @@ class TestSpectralCurl:
         ms, _ = uniform_setup(0.0, 1)
         d_field, _ = expand_fields(ms, NAT)
         squared = field_product(d_field, d_field)  # has a k = 0 component
-        curled = spectral_curl(squared)
+        curled = spectral_curl(squared, 1.0)
         assert curled.component(0).is_zero
 
     def test_ik_rule(self):
         ms, _ = uniform_setup(0.0, 2)
         d_field, _ = expand_fields(ms, NAT)
-        curled = spectral_curl(d_field)
+        curled = spectral_curl(d_field, 1.0)
         assert curled.component(2).isclose((2j) * d_field.component(2))
 
     def test_linearity(self):
         ms, _ = uniform_setup(0.0, 2)
         d_field, _ = expand_fields(ms, NAT)
-        lhs = spectral_curl(d_field + d_field)
-        rhs = spectral_curl(d_field) + spectral_curl(d_field)
+        lhs = spectral_curl(d_field + d_field, 1.0)
+        rhs = spectral_curl(d_field, 1.0) + spectral_curl(d_field, 1.0)
         for m in lhs.wavevectors():
             assert lhs.component(m).isclose(rhs.component(m))
 
     def test_induction_orientation_flips_sign(self):
         ms, _ = uniform_setup(0.0, 1)
         _, b_field = expand_fields(ms, NAT)
-        curled = spectral_curl(b_field)
+        curled = spectral_curl(b_field, -1.0)
         assert curled.component(1).isclose((-1j) * b_field.component(1))
 
 
@@ -66,7 +66,7 @@ def _full_density_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, uni
     then the box integral."""
     density = (1.0 / (2 * units.mu0)) * field_product(b_field, b_field)
     power = d_field
-    for weight in energy_density(medium, etas, scheme):
+    for weight in energy_density(medium, etas)[scheme]:
         power = field_product(power, d_field)
         density = density + weight * power
     return _box_hamiltonian(density, l_box)
@@ -197,7 +197,8 @@ class TestVerifyScheme:
     def test_non_hermitian_hamiltonian_rejected(self, monkeypatch):
         ms, medium = uniform_setup(0.5, 1, chis_higher=(0.3,))
         monkeypatch.setattr(maxwell, "energy_density",
-                            lambda *args: [1j * w for w in energy_density(*args)])
+                            lambda *args: {route: [1j * w for w in weights] for route, weights
+                                           in energy_density(*args).items()})
         with pytest.raises(NotHermitianError):
             verify_routes(ms, medium)
 

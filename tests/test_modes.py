@@ -1,4 +1,3 @@
-import logging
 from math import pi
 
 import pytest
@@ -32,12 +31,10 @@ class TestUniformModes:
                 1.0, abs=1e-15
             )
 
-    def test_zero_mode_reported(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            ms = make_uniform_medium_modes(1.0, 2 * pi, range(0, 3), NAT)
-        assert ms.dropped_zero_mode
-        assert [m.m for m in ms.modes] == [1, 2]
-        assert any("m=0" in rec.message for rec in caplog.records)
+    def test_zero_mode_rejected(self):
+        # m = 0 has zero frequency: a basis that lists it is refused, not trimmed
+        with pytest.raises(ValueError, match="m = 0"):
+            make_uniform_medium_modes(1.0, 2 * pi, range(0, 3), NAT)
 
     def test_transverse_scalar_structure(self):
         # 1D propagation: profiles are scalar transverse amplitudes by

@@ -1,12 +1,15 @@
-"""Every option has a caller.
+"""Every option has a caller, and every default a caller that relies on it.
 
 For each function parameter and record field with a default in
 ``src/dquant``, some call in ``src/dquant`` or ``scripts/`` must pass it,
-by keyword or by position past its index. Calls are matched by the
-function's or class's name (a call to a class sets its ``__init__``
-parameters, or its fields when it is a record); ``cls(...)`` inside a
-classmethod is a call to the class. An option that only a test sets is
-listed in ``TEST_ONLY`` with the test that sets it.
+by keyword or by position past its index, and some such call must leave it
+out: a default that no call relies on should be a required parameter.
+Calls are matched by the function's or class's name (a call to a class
+sets its ``__init__`` parameters, or its fields when it is a record);
+``cls(...)`` inside a classmethod is a call to the class. An option that
+only a test sets is listed in ``TEST_ONLY`` with the test that sets it; a
+default that every call passes is listed in ``ALWAYS_PASSED`` with the
+reason it stays.
 """
 
 import ast
@@ -25,6 +28,14 @@ TEST_ONLY = {
         "tests/test_susceptibility.py::TestGamma::test_vacuum",
     "susceptibility.MediumSpec.from_scalars(units)":
         "tests/test_golden.py::test_verify_routes_reads_the_medium_units",
+    "boson_algebra.BosonicPolynomial.isclose(tol)":
+        "tests/test_boson_algebra.py::test_conjugation_symmetry",
+}
+
+#: option -> why it keeps a default that every call passes
+ALWAYS_PASSED = {
+    "coupling.make_three_wave_modes(length)":
+        "the CLI passes args.length, which is None without --length",
 }
 
 
@@ -84,8 +95,17 @@ def _calls(tree: ast.AST):
     return visit(tree, None)
 
 
+def _passes(keywords: set, n: int, index, keyword: str) -> bool:
+    return keyword in keywords or (index is not None and n > index)
+
+
 def _sets(calls, name: str, index, keyword: str) -> bool:
-    return any(called == name and (keyword in keywords or (index is not None and n > index))
+    return any(called == name and _passes(keywords, n, index, keyword)
+               for called, n, keywords in calls)
+
+
+def _relies(calls, name: str, index, keyword: str) -> bool:
+    return any(called == name and not _passes(keywords, n, index, keyword)
                for called, n, keywords in calls)
 
 
@@ -97,6 +117,20 @@ def test_every_option_is_set_by_a_caller():
     unset = [key for key, name, index, keyword in OPTIONS
              if key not in TEST_ONLY and not _sets(CALLS, name, index, keyword)]
     assert unset == [], "options no caller in src/dquant or scripts/ sets"
+
+
+def test_every_default_is_relied_on_by_a_caller():
+    unused = [key for key, name, index, keyword in OPTIONS
+              if key not in ALWAYS_PASSED and not _relies(CALLS, name, index, keyword)]
+    assert unused == [], "defaults every call in src/dquant and scripts/ overrides"
+
+
+@pytest.mark.parametrize("key", sorted(ALWAYS_PASSED))
+def test_always_passed_default_has_no_relying_caller(key):
+    option = {o[0]: o for o in OPTIONS}.get(key)
+    assert option is not None, f"{key} is no longer an option"
+    _, name, index, keyword = option
+    assert not _relies(CALLS, name, index, keyword), f"{key} now has a relying caller"
 
 
 @pytest.mark.parametrize("key", sorted(TEST_ONLY))
