@@ -35,12 +35,18 @@ run spdc --n-max 127 --time 0.5 --out "$out/spdc-127"  # an even chain: no zero 
 run spdc --pump quantum --out "$out/spdc-quantum"
 run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
 run convert --out "$out/convert"
+# theta and the route ratio built in SI, where theta is ~1e-35 J
+echo '{"units": "si", "dim": 1, "chi": {"1": [0.5], "2": [0.3]}}' > "$out/chi2-si.json"
+run spdc --medium "$out/chi2-si.json" --length 1.7 --out "$out/spdc-si"
+run convert --medium "$out/chi2-si.json" --length 1.7 --out "$out/convert-si"
 
 # bad input exits 2 with an error line, not 1 with a traceback: a directory
 # is no medium, 1 + chi1 = 0 has no refractive index, verify's box modes
 # need an index of at least 1, a --time whose sinh^2 fit overflows or
 # underflows or whose phase w t reaches 2^53, a coupling rate at or below
-# PRUNE_TOL and a medium whose operator checks overflow write no file
+# PRUNE_TOL or built coefficients that underflow to 0, a medium whose
+# operator checks overflow, and verify's fields or nonlinear order that
+# prune to zero write no file
 expect_input_error() {
   status=0
   dquant "$@" 2> "$out/stderr.txt" || status=$?
@@ -70,3 +76,8 @@ expect_nothing_written spdc-time-1e-300 spdc --time 1e-300
 expect_nothing_written spdc-pump-1e-16 spdc --pump 1e-16
 echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [1e200]}}' > "$out/chi2-1e200.json"
 expect_nothing_written verify-chi2-1e200 verify --medium "$out/chi2-1e200.json"
+echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [1e-300]}}' > "$out/chi2-1e-300.json"
+expect_nothing_written spdc-length-1e-30 spdc --medium "$out/chi2-1e-300.json" --length 1e-30
+expect_nothing_written verify-chi2-1e-300 verify --medium "$out/chi2-1e-300.json"
+echo '{"units": "natural", "dim": 1, "chi": {"1": [1e300], "2": [0.3]}}' > "$out/chi1-1e300.json"
+expect_nothing_written verify-chi1-1e300 verify --medium "$out/chi1-1e300.json"

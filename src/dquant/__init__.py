@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "boson_algebra": ("BosonicPolynomial", "degree"),
-    "coupling": ("ComparisonReport", "InteractionParams", "ModeTriple", "build_interaction",
-                 "prefactor_ratio"),
+    "coupling": ("ComparisonReport", "prefactor_ratio", "pure_order_modeset"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
     "hamiltonian": ("scheme_resonant_coefficients",),
     "maxwell": ("FaradayReport", "verify_routes"),

@@ -5,8 +5,9 @@ Commands: invert, verify, compare, phasematch, spdc, convert. Exit codes:
 cannot be read or written included. All emitted JSON/CSV is
 byte-deterministic for a given configuration. Each command imports only
 the modules it runs: start-up, which compiles each module imported when no
-bytecode is cached, is most of a short command. So the three-wave commands
-read theta and Phi from ``coupling`` without compiling ``hamiltonian``.
+bytecode is cached, is most of a short command. The three-wave commands
+read theta and the route ratio from the resonant builder of
+``hamiltonian`` (no operator algebra, no fields).
 The package has no runtime dependency, so no command loads numpy: the
 commands that diagonalize (spdc, convert and the dynamical compares) run
 the pure-Python eigensolver of ``linalg``.
@@ -91,6 +92,8 @@ def cmd_verify(args) -> int:
     except OverflowError:
         raise ValueError(f"medium {args.medium}: a coefficient norm of the operator checks "
                          "overflows a float") from None
+    except ValueError as exc:
+        raise ValueError(f"medium {args.medium}: {exc}") from None
     reports = [rep for pair in routes.values() for rep in pair]
     print(f"{'scheme':<16} {'law':<8} {'m':>4} {'residual':<13} {'degrees':<8} pass")
     for rep in reports:
@@ -149,28 +152,39 @@ def cmd_phasematch(args) -> int:
 
 
 def _interaction_from_args(args):
-    """Matched three-wave setup from the medium (or the built-in default)."""
-    from .coupling import build_interaction, make_three_wave_modes
-    from .susceptibility import MediumSpec, invert_series, load_medium
+    """theta, the route ratio, hbar and ``interaction.json`` of the matched triple.
+
+    The medium (or the built-in default) couples the triple m = 1, 2, 3 on
+    the 2 pi box over ``--length`` (default: the box). theta is the D
+    route's coefficient of a_A^dag a_B^dag a_C from
+    :func:`~dquant.hamiltonian.scheme_resonant_coefficients`, and the ratio
+    the E route's over it. A theta that underflows to 0 leaves the ratio
+    undefined (nan): the dynamics then refuses the zero generator, and no
+    state is evolved.
+    """
+    from .coupling import pure_order_modeset
+    from .hamiltonian import scheme_resonant_coefficients
+    from .modes import sinc
+    from .susceptibility import MediumSpec, load_medium
 
     medium = load_medium(args.medium) if args.medium else MediumSpec.from_scalars([0.0, 0.4])
-    n_index = _refractive_index(medium, args.medium)
+    _refractive_index(medium, args.medium)  # rejects a medium with no index
     if medium.chi(2).is_zero():
         raise ValueError("three-wave mixing needs a medium with nonzero chi(2)")
-    units = medium.units
-    _, triple = make_three_wave_modes(1, 2, n_index, 2 * pi, units, length=args.length)
-    return build_interaction(triple, invert_series(medium, 2)[1], units), units
-
-
-def _interaction_doc(params) -> dict:
-    from .coupling import prefactor_ratio
-
-    return {
-        "theta": {"re": params.theta.real, "im": params.theta.imag},
-        "delta_k": params.delta_k,
-        "phi": params.phi,
-        "ratio": float(prefactor_ratio(2)),
+    ms, monomial = pure_order_modeset(2, medium.chi(1).item(), medium.units)
+    length = args.length if args.length is not None else ms.l_box
+    built = scheme_resonant_coefficients(ms, medium, monomial, length)
+    theta = built["D-based"]
+    ratio = (built["E-linear-wrong"] / theta).real if theta else float("nan")
+    mode_a, mode_b, mode_c = ms.modes
+    delta_k = mode_c.k - mode_b.k - mode_a.k
+    doc = {
+        "theta": {"re": theta.real, "im": theta.imag},
+        "delta_k": delta_k,
+        "phi": sinc(delta_k * length / 2.0),
+        "ratio": ratio,
     }
+    return theta, ratio, medium.units.hbar, doc
 
 
 def _sweep_file(fmt: str, rows, series_name: str) -> tuple[str, str]:
@@ -197,14 +211,14 @@ def cmd_sweep(args) -> int:
                            spdc_squeezing)
 
     stem, key, line = SWEEPS[args.command]
-    params, units = _interaction_from_args(args)
+    theta, ratio, hbar, interaction = _interaction_from_args(args)
     cfg = EvolutionConfig(n_max=args.n_max, t_final=args.time, steps=args.steps,
                           pump=args.pump)
     try:
         if args.command == "spdc":
-            pair = spdc_squeezing(params, cfg, hbar=units.hbar)
+            pair = spdc_squeezing(theta, ratio, cfg, hbar=hbar)
         else:
-            pair = frequency_conversion(params, cfg, hbar=units.hbar)
+            pair = frequency_conversion(theta, ratio, cfg, hbar=hbar)
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"--time {args.time:g}: {exc}") from None
     except ZeroGeneratorError as exc:
@@ -214,7 +228,7 @@ def cmd_sweep(args) -> int:
                          "ratio wrong/correct undefined")
     # every text is rendered before the first is written, so a value JSON
     # cannot hold leaves no partial outputs
-    files = [("interaction.json", dumps(_interaction_doc(params))),
+    files = [("interaction.json", dumps(interaction)),
              _sweep_file(args.format, pair.series, f"{stem}_sweep"),
              (f"{stem}_result.json", dumps({
                  f"{key}_correct": pair.correct,

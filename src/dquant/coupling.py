@@ -1,72 +1,24 @@
-"""Closed-form three-wave coupling: matched triples, theta, Phi and the route ratio.
+"""Three-wave coupling helpers: matched modes, the expected route ratio and the report.
 
-A matched triple (:class:`ModeTriple`) couples as
-theta * Phi * a_A^dag a_B^dag a_C + H.c. with closed-form theta and
-Phi = sinc(delta_k L / 2) (:func:`build_interaction`). For a pure order-n
-medium the routes' resonant coefficients differ by -n
-(:func:`prefactor_ratio`); the coefficient and the dynamical comparisons
-both report it as a :class:`ComparisonReport`. The module imports only
-``modes`` and ``record``, so the commands that read theta and Phi compile
-no operator builder; the tensor and unit types in its annotations are
-never evaluated.
+:func:`pure_order_modeset` builds the matched modes of an order-n process,
+the n signal modes and their pump, with the monomial that couples them;
+:func:`~dquant.hamiltonian.scheme_resonant_coefficients` reads each
+route's coefficient of that monomial, and the three-wave commands take
+theta and the route ratio from it. For a pure order-n medium the routes'
+resonant coefficients differ by -n (:func:`prefactor_ratio`, the expected
+value the comparisons test the built ratio against); the coefficient and
+the dynamical comparisons both report it as a :class:`ComparisonReport`.
+:func:`phase_matching_curve` tabulates the sinc^2 phase-matching factor.
+The module imports only ``modes`` and ``record``; the unit type in its
+annotations is never evaluated.
 """
 
 from __future__ import annotations
 
 from math import inf, pi, sqrt
 
-from .modes import Mode, ModeSet, plane_wave_mode, sinc
+from .modes import ModeSet, plane_wave_mode, sinc
 from .record import record
-
-#: generous phase-matching budget: |delta_k| L / 2 below this many radians
-MATCHING_BUDGET = 10 * pi
-
-
-class DegenerateTripleError(ValueError):
-    """Degenerate mixing (equal families) changes the combinatorics; rejected."""
-
-
-class MatchingBudgetError(ValueError):
-    """Phase or energy mismatch beyond the stated detuning budget."""
-
-
-@record
-class ModeTriple:
-    """Three phase- and energy-matched modes plus the interaction length."""
-
-    mode_a: Mode
-    mode_b: Mode
-    mode_c: Mode
-    length: float
-
-    def __post_init__(self):
-        if not 0 < self.length < inf:
-            raise ValueError("interaction length must be positive and finite")
-        families = {self.mode_a.family, self.mode_b.family, self.mode_c.family}
-        if len(families) != 3:
-            raise DegenerateTripleError(
-                "three-wave construction requires three distinct mode families"
-            )
-
-    @property
-    def delta_k(self) -> float:
-        return self.mode_c.k - self.mode_b.k - self.mode_a.k
-
-    def modes(self) -> tuple[Mode, Mode, Mode]:
-        return (self.mode_a, self.mode_b, self.mode_c)
-
-
-@record
-class InteractionParams:
-    """Coupling theta, mismatches and the phase-matching amplitude."""
-
-    theta: complex
-    delta_k: float
-    phi: float
-
-    def __post_init__(self):
-        if abs(self.phi) > 1.0 + 1e-12:
-            raise ValueError("phase-matching amplitude cannot exceed one")
 
 
 def prefactor_ratio(order: int) -> int:
@@ -112,31 +64,24 @@ class ComparisonReport:
         }
 
 
-def build_interaction(triple: ModeTriple, eta2: SusceptibilityTensor,
-                      units: UnitSystem) -> InteractionParams:
-    """Coupling of the interaction theta * Phi * a_A^dag a_B^dag a_C + H.c.
+def pure_order_modeset(order: int, chi1: float, units: UnitSystem) -> tuple[ModeSet, dict]:
+    """The matched modes of an order-n process and the monomial that couples them.
 
-    theta = 2 L sqrt(prod hbar omega / 4 pi) * eta2 dA* dB* dC, the
-    transverse overlap of the triple's flat profiles over the unit
-    cross-section; Phi = sinc(delta_k L / 2). Raises ``ValueError`` for a
-    tensor that is not scalar (dim=1).
+    n signal modes, labelled 0..n-1 at m = 1..n, and their pump, labelled n
+    at m = n(n+1)/2, on the 2 pi box of a medium of index sqrt(1 + chi1),
+    with the monomial a_0^dag .. a_(n-1)^dag a_n. At n = 2 this is the
+    three-wave triple m = 1, 2, 3, k_C = k_A + k_B, and the linear
+    dispersion omega = c k / n makes energy matching automatic.
     """
-    if eta2.dim != 1:
-        raise ValueError("the three-wave coupling runs on scalar (dim=1) media")
-    mode_a, mode_b, mode_c = triple.modes()
-    length = triple.length
-    delta_k = triple.delta_k
-    if abs(delta_k) * length / 2 >= MATCHING_BUDGET:
-        raise MatchingBudgetError(
-            f"|delta_k| L/2 = {abs(delta_k) * length / 2:.3g} exceeds the budget"
-        )
-    overlap = eta2.item() * mode_a.d.conjugate() * mode_b.d.conjugate() * mode_c.d
-    theta = 2.0 * length * sqrt(
-        units.hbar * mode_a.omega / (4 * pi)
-        * units.hbar * mode_b.omega / (4 * pi)
-        * units.hbar * mode_c.omega / (4 * pi)
-    ) * overlap
-    return InteractionParams(theta=theta, delta_k=delta_k, phi=sinc(delta_k * length / 2.0))
+    n_index = sqrt(1.0 + chi1)
+    l_box = 2 * pi
+    modes = [plane_wave_mode(i - 1, f"W{i}", i, n_index, l_box, units)
+             for i in range(1, order + 1)]
+    modes.append(plane_wave_mode(order, "P", order * (order + 1) // 2, n_index, l_box, units))
+    ms = ModeSet(modes=tuple(modes), l_box=l_box)
+    monomial = {i: (1, 0) for i in range(order)}
+    monomial[order] = (0, 1)
+    return ms, monomial
 
 
 def phase_matching_curve(length: float, delta_k_grid) -> list[tuple[float, float]]:
@@ -144,25 +89,3 @@ def phase_matching_curve(length: float, delta_k_grid) -> list[tuple[float, float
     if not 0 < length < inf:
         raise ValueError("interaction length must be positive and finite")
     return [(float(dk), sinc(dk * length / 2.0) ** 2) for dk in delta_k_grid]
-
-
-def make_three_wave_modes(
-    m_a: int,
-    m_b: int,
-    n_index: float,
-    l_box: float,
-    units: UnitSystem,
-    length: float | None = None,
-) -> tuple[ModeSet, ModeTriple]:
-    """Exactly matched uniform-medium triple: k_C = k_A + k_B on the box grid.
-
-    The linear dispersion omega = c k / n makes energy matching automatic.
-    """
-    if m_a <= 0 or m_b <= 0 or m_a == m_b:
-        raise ValueError("signal indices must be positive and distinct")
-    modes = [plane_wave_mode(label, family, m, n_index, l_box, units)
-             for label, (family, m) in enumerate([("A", m_a), ("B", m_b), ("C", m_a + m_b)])]
-    ms = ModeSet(modes=tuple(modes), l_box=l_box)
-    triple = ModeTriple(mode_a=modes[0], mode_b=modes[1], mode_c=modes[2],
-                        length=length if length is not None else l_box)
-    return ms, triple

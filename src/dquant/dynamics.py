@@ -2,8 +2,12 @@
 
 The classical-pump (parametric) limit is the workhorse: replacing the pump
 operator by an amplitude beta turns the three-wave interaction into a
-two-mode squeezer (SPDC, coupling g = |theta| |beta| Phi / hbar) or a
+two-mode squeezer (SPDC, coupling g = |theta| |beta| / hbar) or a
 beamsplitter (frequency conversion), both with closed-form references.
+Theta and the route ratio c = E/D are built, not quoted: the CLI takes
+both from :func:`~dquant.hamiltonian.scheme_resonant_coefficients` on its
+matched triple, and :func:`compare_schemes` takes c from
+:func:`~dquant.hamiltonian.compare_coefficients`.
 The full three-mode quantum evolution is available behind the same API for
 ``pump="quantum"``.
 
@@ -36,9 +40,10 @@ SI couplings of ~1e-11 1/s are not lost to the absolute ``PRUNE_TOL`` that
 an energy hbar g ~ 1e-45 J would fall under. A rate at or below it still
 prunes the generator to zero, and :func:`evolve` refuses that generator
 rather than report both routes at 0.
-The wrong route's rate is |prefactor ratio| times the correct one's, so
-its state at t is the correct route's at |ratio| t: one evolution, sampled
-at both times, serves both routes.
+The wrong route's resonant term is c times the correct one's, so its
+state at t is the correct route's at |c| t (the sign of c is a phase on
+one signal mode, which neither <n> nor P sees): one evolution, sampled at
+both times, serves both routes.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
 
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial
-from .coupling import ComparisonReport, InteractionParams, prefactor_ratio
+from .coupling import ComparisonReport
+from .hamiltonian import compare_coefficients
 from .linalg import eigh_tridiagonal, linspace
 from .record import record
 
@@ -441,10 +447,10 @@ class SchemePair:
         return self.wrong / self.correct if self.correct else float("nan")
 
 
-def _coupling(params: InteractionParams, cfg: EvolutionConfig, hbar: float) -> float:
+def _coupling(theta: complex, cfg: EvolutionConfig, hbar: float) -> float:
     if not cfg.classical_pump:
         raise ValueError("parametric observables need a classical pump amplitude")
-    return abs(params.theta) * abs(cfg.pump) * params.phi / hbar
+    return abs(theta) * abs(cfg.pump) / hbar
 
 
 def two_mode_squeezer(g: float) -> BosonicPolynomial:
@@ -459,17 +465,17 @@ def beamsplitter(g: float) -> BosonicPolynomial:
 
 
 def _scheme_series(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex],
-                   observable, cfg: EvolutionConfig, order: int):
+                   observable, cfg: EvolutionConfig, ratio: float):
     """(t, correct, wrong) samples of an observable, and whether the evolution is safe.
 
     h is the correct route's interaction as a rate H / hbar. The wrong
-    route's is |prefactor ratio| times it, so its state at t is the correct
-    route's at |ratio| t: one evolution at hbar = 1, sampled at both times,
-    serves both routes. ``observable(res)`` lists the observable at every
-    sample of the evolution ``res``, which is returned too.
+    route's is ``ratio`` times it, so its state at t is the correct route's
+    at |ratio| t: one evolution at hbar = 1, sampled at both times, serves
+    both routes. ``observable(res)`` lists the observable at every sample
+    of the evolution ``res``, which is returned too.
     """
     times = linspace(0.0, cfg.t_final, cfg.steps + 1)
-    scale = abs(prefactor_ratio(order))
+    scale = abs(ratio)
     res = evolve(h, space, psi0, times + [scale * t for t in times])
     values = observable(res)
     rows = zip(times, values[:len(times)], values[len(times):])
@@ -503,22 +509,23 @@ def _sinh2_fit(series, column: int) -> float:
     return fsum(map(mul, ts, ys)) / norm * series[-1][0]
 
 
-def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
-                   hbar: float = 1.0, order: int = 2) -> SchemePair:
+def spdc_squeezing(theta: complex, ratio: float, cfg: EvolutionConfig,
+                   hbar: float = 1.0) -> SchemePair:
     """Two-mode squeezing parameter r per scheme, from the sinh^2 law.
 
-    With a classical pump the interaction reduces to
-    H = hbar g (a_A^dag a_B^dag + H.c.), g = |theta| |beta| Phi / hbar; the
-    wrong route multiplies the coupling magnitude by the order-n prefactor
-    ratio. For pump="quantum" the full three-mode evolution runs instead,
-    with the pump in a coherent state of amplitude 2, truncated at
+    theta is the correct route's coefficient of a_A^dag a_B^dag a_C and
+    ``ratio`` the wrong route's over it. With a classical pump the
+    interaction reduces to H = hbar g (a_A^dag a_B^dag + H.c.),
+    g = |theta| |beta| / hbar; the wrong route multiplies the coupling by
+    ``ratio``. For pump="quantum" the full three-mode evolution runs
+    instead, with the pump in a coherent state of amplitude 2, truncated at
     ``coherent_cutoff(2)`` or n_max, whichever is larger. The series holds
     <n_A>(t) per route. Raises ``OverflowError`` when a phase w t or the
     fit's sum of t^2 overflows a float, or a phase reaches ``PHASE_LIMIT``,
     and ``FloatingPointError`` when that sum underflows to 0.
     """
     if cfg.classical_pump:
-        g = _coupling(params, cfg, hbar)
+        g = _coupling(theta, cfg, hbar)
         space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
         psi0 = space.vacuum()
         h = two_mode_squeezer(g)
@@ -528,29 +535,30 @@ def spdc_squeezing(params: InteractionParams, cfg: EvolutionConfig,
         space = FockSpace(modes=(0, 1, 2),
                           cutoff={0: cfg.n_max, 1: cfg.n_max, 2: pump_cutoff})
         term = BosonicPolynomial.monomial({0: (1, 0), 1: (1, 0), 2: (0, 1)},
-                                          coeff=params.theta * params.phi / hbar)
+                                          coeff=theta / hbar)
         h = term + term.dagger()
         psi0 = coherent_state(space, 2, beta)
     series, res = _scheme_series(h, space, psi0,
-                                 lambda res: occupation_expectation(space, res, 0), cfg, order)
+                                 lambda res: occupation_expectation(space, res, 0), cfg, ratio)
     pair = SchemePair(correct=_sinh2_fit(series, 1), wrong=_sinh2_fit(series, 2),
                       truncation_safe=res.truncation_safe, series=series)
     _check_phase(res)  # after the fits: an overflowing sum of t^2 is named first
     return pair
 
 
-def frequency_conversion(params: InteractionParams, cfg: EvolutionConfig,
-                         hbar: float = 1.0, order: int = 2) -> SchemePair:
+def frequency_conversion(theta: complex, ratio: float, cfg: EvolutionConfig,
+                         hbar: float = 1.0) -> SchemePair:
     """P(|1,0> -> |0,1>) at t_final per scheme: sin^2(g t) Rabi exchange.
 
-    The series holds the conversion probability at every sample time.
-    Raises ``OverflowError`` when a phase w t overflows a float or reaches
+    theta, ``ratio`` and g = |theta| |beta| / hbar are those of
+    :func:`spdc_squeezing`. The series holds the conversion probability at
+    every sample time. Raises ``OverflowError`` when a phase w t overflows a float or reaches
     ``PHASE_LIMIT``.
     """
-    g = _coupling(params, cfg, hbar)
+    g = _coupling(theta, cfg, hbar)
     space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
     series, res = _scheme_series(beamsplitter(g), space, space.basis_state([1, 0]),
-                                 lambda res: population(space, res, (0, 1)), cfg, order)
+                                 lambda res: population(space, res, (0, 1)), cfg, ratio)
     _check_phase(res)
     return SchemePair(correct=series[-1][1], wrong=series[-1][2],
                       truncation_safe=res.truncation_safe, series=series)
@@ -562,27 +570,28 @@ def compare_schemes(observable: str, order: int) -> ComparisonReport:
     Expected ratios: resonant coefficient -n (see
     :func:`~dquant.hamiltonian.compare_coefficients`), squeezing magnitude n,
     small-t conversion probability n^2. The dynamical observables run a
-    matched interaction of coupling theta = 0.05 in natural units.
+    matched interaction of coupling theta = 0.05 in natural units, and
+    sample the wrong route at the ratio E/D that
+    :func:`~dquant.hamiltonian.compare_coefficients` builds.
     """
+    report = compare_coefficients(order)
     if observable == "coefficient":
-        from .hamiltonian import compare_coefficients
-
-        return compare_coefficients(order)
-    params = InteractionParams(theta=0.05, delta_k=0.0, phi=1.0)
+        return report
+    theta = 0.05
     if observable == "squeezing":
         # the wrong route squeezes to r = |ratio| g t_final = 0.2 order
         cfg = EvolutionConfig(n_max=squeezing_cutoff(0.2 * order),
-                              t_final=0.2 / abs(params.theta), steps=8)
-        pair = spdc_squeezing(params, cfg, order=order)
+                              t_final=0.2 / abs(theta), steps=8)
+        pair = spdc_squeezing(theta, report.ratio, cfg)
         return ComparisonReport(observable=observable, order=order,
                                 value_correct=pair.correct, value_wrong=pair.wrong,
                                 ratio=abs(pair.ratio), expected_ratio=float(order),
                                 tolerance=1e-4 * order, truncation_safe=pair.truncation_safe)
     if observable == "conversion":
-        g = abs(params.theta)
+        g = abs(theta)
         cfg = EvolutionConfig(n_max=4, t_final=0.01 / g, steps=4)
-        pair = frequency_conversion(params, cfg, order=order)
-        gt = g * abs(cfg.pump) * params.phi * cfg.t_final
+        pair = frequency_conversion(theta, report.ratio, cfg)
+        gt = g * abs(cfg.pump) * cfg.t_final
         # sin^2(n x)/sin^2(x) deviates from n^2 by about n^2 (n^2-1) x^2 / 3
         tol = max(1e-3, 2.0 * order**2 * (order**2 - 1) / 3.0 * gt**2)
         return ComparisonReport(observable=observable, order=order,

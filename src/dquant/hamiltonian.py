@@ -23,16 +23,19 @@ The builder runs on scalar (dim=1) media and reads its units from the
 medium. A scalar tensor is trivially permutation symmetric, so the
 (n+1)! collection of orderings in D^(n+1) needs no further check.
 
-The closed-form theta and Phi of a matched triple, the triple and the
+The builder is the one owner of the three-wave coupling: ``spdc`` and
+``convert`` evolve its D-route coefficient as theta and sample the wrong
+route at the built ratio E/D, and the dynamical comparisons take that
+ratio from :func:`compare_coefficients`. The matched modes and the
 comparison record live in :mod:`~dquant.coupling`.
 """
 
 from __future__ import annotations
 
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
-from .coupling import ComparisonReport, prefactor_ratio
-from .modes import ModeSet, field_coefficients, plane_wave_mode
+from .coupling import ComparisonReport, prefactor_ratio, pure_order_modeset
+from .modes import ModeSet, field_coefficients
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from .units import UnitSystem
 
@@ -75,8 +78,11 @@ def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict
     powers reach the same degree but depend on the basis size, so they stay
     out. Raises ``ValueError`` for a monomial on modes outside ``ms``, with
     a negative or non-integer power, of degree below 2 or with a net
-    wavevector other than 0, and for a medium that is not scalar (dim=1).
+    wavevector other than 0, for a length that is not positive and finite,
+    and for a medium that is not scalar (dim=1).
     """
+    if not 0 < length < inf:
+        raise ValueError("interaction length must be positive and finite")
     grid = {mode.label: mode.m for mode in ms.modes}
     if not set(monomial) <= set(grid):
         raise ValueError(f"monomial modes {sorted(set(monomial) - set(grid))} are not in ms")
@@ -123,19 +129,6 @@ def _top_degree_coefficient(ms: ModeSet, units: UnitSystem, monomial: dict) -> c
 # ---------------------------------------------------------------------------
 
 
-def _pure_order_modeset(order: int, chi1: float, units: UnitSystem) -> tuple[ModeSet, dict]:
-    """n signal modes at m = 1..n plus the matched pump at m = n(n+1)/2."""
-    n_index = sqrt(1.0 + chi1)
-    l_box = 2 * pi
-    modes = [plane_wave_mode(i - 1, f"W{i}", i, n_index, l_box, units)
-             for i in range(1, order + 1)]
-    modes.append(plane_wave_mode(order, "P", order * (order + 1) // 2, n_index, l_box, units))
-    ms = ModeSet(modes=tuple(modes), l_box=l_box)
-    monomial = {i: (1, 0) for i in range(order)}
-    monomial[order] = (0, 1)
-    return ms, monomial
-
-
 def compare_coefficients(order: int) -> ComparisonReport:
     """Resonant coefficients of both routes for a pure order-n medium; expected ratio -n.
 
@@ -143,13 +136,14 @@ def compare_coefficients(order: int) -> ComparisonReport:
     nonlinear orders zero, natural units) drives an (n+1)-wave process with
     n signal modes and one pump; the coefficients of
     a_1^dag .. a_n^dag a_pump come from :func:`scheme_resonant_coefficients`
-    over the whole box.
+    over the whole box. Their ratio is the route ratio at which the
+    dynamical comparisons sample the wrong route.
     """
     if order < 2:
         raise ValueError("the routes differ only for nonlinear orders n >= 2")
     chi1 = 0.5
     medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [0.37])
-    ms, monomial = _pure_order_modeset(order, chi1, medium.units)
+    ms, monomial = pure_order_modeset(order, chi1, medium.units)
     coefficients = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
     c_correct, c_wrong = (coefficients[route] for route in ROUTES)
     return ComparisonReport(observable="coefficient", order=order,

@@ -32,6 +32,7 @@ from .fields import FieldOperator, expand_fields, linear_field_powers
 from .modes import ModeSet
 from .record import record
 from .susceptibility import MediumSpec, energy_density, invert_series
+from .units import UnitSystem
 
 RESIDUAL_TOL = 1e-10
 
@@ -132,16 +133,23 @@ def verify_routes(ms: ModeSet, medium: MediumSpec) -> dict[str, tuple[FaradayRep
     (:func:`_derivative_table`), and both laws take their Heisenberg
     derivatives from that table. The D route's E = sum_n eta_n D^n is read
     from the same ladder; the linear-E route's is eta1 D. Raises ``ValueError`` when a
-    retained field component prunes to zero, as SI-scale coefficients do.
+    retained component of D or B prunes to zero, as SI-scale coefficients
+    and extreme refractive indices make them, and when a nonlinear order
+    of H prunes away (:func:`_route_hamiltonians`).
     """
     units = medium.units
     _check_consistency(ms, medium)
     etas = invert_series(medium, medium.highest_order)
     d_field, b_field = expand_fields(ms, units)
     retained = set(d_field.wavevectors())
-    if any(f.component(m).is_zero for f in (d_field, b_field) for m in retained):
-        raise ValueError(f"field components fall below PRUNE_TOL = {PRUNE_TOL:g} and "
-                         "prune to zero; run verify in natural units")
+    pruned = [name for name, field in (("D", d_field), ("B", b_field))
+              if any(field.component(m).is_zero for m in retained)]
+    if pruned:
+        cause = ("run verify in natural units" if units != UnitSystem() else
+                 f"their scale is set by the refractive index "
+                 f"{sqrt(1.0 + medium.chi(1).item()):g} and the box length {ms.l_box:g}")
+        raise ValueError(f"{' and '.join(pruned)} field components fall below PRUNE_TOL = "
+                         f"{PRUNE_TOL:g} and prune to zero; {cause}")
     hamiltonians, powers = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box)
     electric = {"D-based": _electric_field(etas, powers, retained),
                 "E-linear-wrong": etas[0].item() * d_field}
@@ -169,15 +177,27 @@ def _route_hamiltonians(d_field: FieldOperator, b_field: FieldOperator, medium: 
     density, so only that component of each power is read, and D^(n_top + 1)
     and B^2 are built at k = 0 alone. H = integral(B^2/(2 mu0) + sum_n w_n D^(n+1)),
     added in that order, with the route's weights w_n from
-    :func:`~dquant.susceptibility.energy_density`.
+    :func:`~dquant.susceptibility.energy_density`. Raises ``ValueError``
+    naming the order n when D^(n+1) is nonzero but every nonzero weight w_n
+    prunes w_n D^(n+1) to zero: that order would drop out of every route's
+    H unreported. (One route may lose an order alone, where its weight
+    cancels to rounding, as the D route's eta3 does at chi3 = 2 chi2^2 / (1 + chi1).)
     """
     powers, k0 = linear_field_powers(d_field, len(etas))
     b_density = (1.0 / (2 * medium.units.mu0)) * linear_field_powers(b_field, 1)[1][0]
+    weights = energy_density(medium, etas)
+    terms = {route: [weight * p for weight, p in zip(ws, k0)] for route, ws in weights.items()}
+    for i, p in enumerate(k0):
+        kept = [terms[route][i] for route, ws in weights.items() if ws[i]]
+        if kept and not p.is_zero and all(term.is_zero for term in kept):
+            raise ValueError(f"every route's order-{i + 1} term, its weight times D^{i + 2}, "
+                             f"prunes to zero: each coefficient is at or below PRUNE_TOL = "
+                             f"{PRUNE_TOL:g}")
     hamiltonians = {}
-    for route, weights in energy_density(medium, etas).items():
+    for route, route_terms in terms.items():
         density = b_density
-        for weight, p in zip(weights, k0):
-            density = density + weight * p
+        for term in route_terms:
+            density = density + term
         h = (l_box / sqrt(2 * pi)) * density
         hamiltonians[route] = h - BosonicPolynomial.identity(h.coefficient({}))
     return hamiltonians, powers

@@ -19,19 +19,22 @@ from dquant.modes import sinc
 from product_oracle import multiply
 
 
-def cubic_sectors(triple, ms, units, tensor_value, prefactor, leg_scale=1.0):
-    """(resonant, anti_resonant) parts of prefactor * integral tensor X^3, X = leg_scale D."""
+def cubic_sectors(ms, labels, length, units, tensor_value, prefactor, leg_scale=1.0):
+    """(resonant, anti_resonant) parts of prefactor * integral tensor X^3, X = leg_scale D.
+
+    ``labels`` names the triple's modes A, B, C in ``ms``; the integral runs
+    over a region of ``length``.
+    """
+    modes = {mode.label: mode for mode in ms.modes}
     legs = []
-    for mode in triple.modes():
+    for label in labels:
+        mode = modes[label]
         amp = leg_scale * sqrt(units.hbar * mode.omega / 2.0) * sqrt(ms.w)
-        legs.append((mode.family, False, mode.k, amp * mode.d,
-                     annihilation(mode.label)))
-        legs.append((mode.family, True, -mode.k, np.conj(amp * mode.d),
-                     creation(mode.label)))
-    fam = [m.family for m in triple.modes()]
-    resonant_content = {frozenset([(fam[0], True), (fam[1], True), (fam[2], False)]),
-                        frozenset([(fam[0], False), (fam[1], False), (fam[2], True)])}
-    length = triple.length
+        legs.append((label, False, mode.k, amp * mode.d, annihilation(label)))
+        legs.append((label, True, -mode.k, np.conj(amp * mode.d), creation(label)))
+    la, lb, lc = labels
+    resonant_content = {frozenset([(la, True), (lb, True), (lc, False)]),
+                        frozenset([(la, False), (lb, False), (lc, True)])}
     resonant = anti = BosonicPolynomial.zero()
     for l1 in legs:
         for l2 in legs:

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
-from dquant.coupling import InteractionParams, make_three_wave_modes
+from dquant.coupling import pure_order_modeset
 from dquant.dynamics import (
     EvolutionConfig,
     FockSpace,
@@ -20,7 +20,7 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
-from dquant.hamiltonian import _pure_order_modeset, scheme_resonant_coefficients
+from dquant.hamiltonian import scheme_resonant_coefficients
 from dquant.maxwell import verify_routes
 from dquant.modes import make_uniform_medium_modes, sinc
 from dquant.susceptibility import MediumSpec, invert_linear, invert_series
@@ -36,12 +36,10 @@ def _report(num: int, ok: bool, text: str):
 
 
 def _three_wave(chi1, chi2):
-    """Each scheme's coefficient of a_A^dag a_B^dag a_C on a matched triple."""
-    ms, triple = make_three_wave_modes(1, 2, sqrt(1.0 + chi1), 2 * pi, NAT)
-    powers = {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
-              triple.mode_c.label: (0, 1)}
+    """Each scheme's coefficient of a_A^dag a_B^dag a_C on the CLI's matched triple."""
+    ms, powers = pure_order_modeset(2, chi1, NAT)
     medium = MediumSpec.from_scalars([chi1, chi2])
-    return scheme_resonant_coefficients(ms, medium, powers, triple.length)
+    return scheme_resonant_coefficients(ms, medium, powers, ms.l_box)
 
 
 def test_criterion_1_prefactor_discrepancy():
@@ -50,7 +48,7 @@ def test_criterion_1_prefactor_discrepancy():
     for n in range(3, 11):
         # a pure chi^n medium, n signal modes and their matched pump
         medium = MediumSpec.from_scalars([0.5] + [0.0] * (n - 2) + [0.37])
-        ms, monomial = _pure_order_modeset(n, 0.5, NAT)
+        ms, monomial = pure_order_modeset(n, 0.5, NAT)
         built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
         ok = ok and abs(built["E-linear-wrong"] / built["D-based"] - (-n)) < 1e-12 * n
     _report(1, ok, "wrong/correct = -2 for chi2, -n for pure chi^n up to n=10 (1e-12 n)")
@@ -118,15 +116,28 @@ def test_criterion_4_inverse_susceptibilities():
     _report(4, ok, "closed forms to 1e-12; round-trip oracle to 1e-8 on 100 random media")
 
 
-def test_criterion_5_observable_ratios():
-    params = InteractionParams(theta=0.05, delta_k=0.0, phi=1.0)
+def _observable_ratios_ok(ratio):
+    """Squeezing ratio 2 (1e-4) and small-t conversion ratio 4 (1e-3) at route ratio ``ratio``."""
     cfg = EvolutionConfig(n_max=16, t_final=4.0, steps=8, pump=1.0)  # r = 0.2
-    squeeze = spdc_squeezing(params, cfg)
+    squeeze = spdc_squeezing(0.05, ratio, cfg)
     ok = abs(abs(squeeze.ratio) - 2.0) < 1e-4 and squeeze.truncation_safe
     conv_cfg = EvolutionConfig(n_max=4, t_final=0.2, steps=4, pump=1.0)  # g t = 0.01
-    conv = frequency_conversion(params, conv_cfg)
-    ok = ok and abs(conv.ratio - 4.0) < 1e-3
+    conv = frequency_conversion(0.05, ratio, conv_cfg)
+    return ok and abs(conv.ratio - 4.0) < 1e-3
+
+
+def test_criterion_5_observable_ratios():
+    ok = _observable_ratios_ok(-2.0)
     _report(5, ok, "squeezing ratio 2.0 +/- 1e-4; small-t conversion ratio 4.0 +/- 1e-3")
+
+
+def test_criterion_5_observable_ratios_from_the_built_coefficients():
+    # the route ratio measured on the triple spdc and convert build (the
+    # CLI's default medium chi (0, 0.4)), not quoted
+    built = _three_wave(0.0, 0.4)
+    ok = _observable_ratios_ok((built["E-linear-wrong"] / built["D-based"]).real)
+    _report(5, ok, "built route ratio: squeezing ratio 2.0 +/- 1e-4; small-t conversion "
+                   "ratio 4.0 +/- 1e-3")
 
 
 def test_criterion_6_dynamics_sanity():

@@ -138,9 +138,49 @@ class TestVerify:
         out = tmp_path / "reports"
         assert main(["verify", "--medium", str(path), "--modes", "2",
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "PRUNE_TOL" in err and "natural units" in err
+        assert capsys.readouterr().err == (
+            f"error: medium {path}: D and B field components fall below PRUNE_TOL = 1e-15 and "
+            "prune to zero; run verify in natural units\n")
         assert not out.exists()
+
+    def test_natural_medium_whose_index_prunes_b_exits_2_naming_it(self, tmp_path, capsys):
+        # in natural units the index 1e150 scales B's coefficients to ~1e-76:
+        # natural units are no remedy, so the message names the index instead
+        medium = write_medium(tmp_path, [1e300, 0.3])
+        out = tmp_path / "reports"
+        assert main(["verify", "--medium", medium, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: medium {medium}: B field components fall below PRUNE_TOL = 1e-15 and "
+            "prune to zero; their scale is set by the refractive index 1e+150 and the box "
+            "length 6.28319\n")
+        assert not out.exists()
+
+    def test_pruned_nonlinearity_exits_2_naming_the_order(self, tmp_path, capsys):
+        # every coefficient of (eta2 / 3) D^3 falls below PRUNE_TOL at chi2 = 1e-300:
+        # both routes once read degree 1 vs 1 and verify exited 0, as if linear
+        medium = write_medium(tmp_path, [0.5, 1e-300])
+        out = tmp_path / "reports"
+        assert main(["verify", "--medium", medium, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: medium {medium}: every route's order-2 term, its weight times D^3, prunes "
+            "to zero: each coefficient is at or below PRUNE_TOL = 1e-15\n")
+        assert not out.exists()
+
+    def test_basis_without_a_cubic_term_is_no_pruned_nonlinearity(self, tmp_path):
+        # at --modes 1 D^3 has no k = 0 term at all: nothing prunes, and the
+        # medium is linear on this basis
+        medium = write_medium(tmp_path, [0.5, 1e-300])
+        assert main(["verify", "--medium", medium, "--modes", "1"]) == 0
+
+    def test_order_that_one_route_cancels_is_no_pruned_nonlinearity(self, tmp_path):
+        # at chi3 = 2 chi2^2 / (1 + chi1) the D route's eta3 cancels to ~1e-18 and
+        # its D^4 term prunes, while the E route keeps its weight 0.0178: the
+        # order is still in H, and verify runs
+        medium = write_medium(tmp_path, [0.5, 0.3, 0.12])
+        out = tmp_path / "reports"
+        assert main(["verify", "--medium", medium, "--out", str(out)]) == 0
+        wrong = json.loads((out / "verify_faraday_E-linear-wrong.json").read_text())
+        assert wrong["degree_lhs"] == 3
 
     def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
         # DQUANT_THREADS, the thread-pool knob of earlier versions, is ignored:
@@ -247,10 +287,8 @@ class TestCompare:
     def test_truncation_unsafe_squeezing_does_not_pass(self):
         # the order-4 squeezing comparison at the old fixed cutoff of 16
         from dquant.dynamics import EvolutionConfig, spdc_squeezing
-        from dquant.coupling import InteractionParams
 
-        pair = spdc_squeezing(InteractionParams(theta=0.05, delta_k=0.0, phi=1.0),
-                              EvolutionConfig(n_max=16, t_final=0.2 / 0.05, steps=8), order=4)
+        pair = spdc_squeezing(0.05, -4.0, EvolutionConfig(n_max=16, t_final=0.2 / 0.05, steps=8))
         report = ComparisonReport(observable="squeezing", order=4, value_correct=pair.correct,
                                   value_wrong=pair.wrong, ratio=abs(pair.ratio),
                                   expected_ratio=4.0, tolerance=1e-4 * 4,
@@ -294,6 +332,31 @@ class TestSweeps:
         csv_lines = (out / "spdc_sweep.csv").read_text().splitlines()
         assert csv_lines[0] == "t,observable,scheme"
         assert any(line.endswith("correct") for line in csv_lines[1:])
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_interaction_is_the_built_coupling(self, tmp_path, units):
+        # theta and the ratio of interaction.json are the resonant builder's
+        # D coefficient and E/D on the triple m = 1, 2, 3 over --length
+        from dquant.coupling import pure_order_modeset
+        from dquant.hamiltonian import scheme_resonant_coefficients
+        from dquant.susceptibility import load_medium
+
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps({"units": units, "dim": 1, "chi": {"1": [0.5], "2": [0.3]}}))
+        out = tmp_path / "spdc"
+        assert main(["spdc", "--medium", str(path), "--length", "1.7", "--n-max", "4",
+                     "--time", "0.5", "--steps", "2", "--out", str(out)]) == 0
+        medium = load_medium(path)
+        ms, monomial = pure_order_modeset(2, 0.5, medium.units)
+        built = scheme_resonant_coefficients(ms, medium, monomial, 1.7)
+        text = (out / "interaction.json").read_text()
+        assert '"ratio": -2.0,' in text  # the serializer's 12 digits of the built E/D
+        doc = json.loads(text)
+        assert doc["ratio"] == pytest.approx((built["E-linear-wrong"] / built["D-based"]).real,
+                                             rel=1e-12)
+        theta = complex(doc["theta"]["re"], doc["theta"]["im"])
+        assert theta == pytest.approx(built["D-based"], rel=1e-12)
+        assert (doc["delta_k"], doc["phi"]) == (0.0, 1.0)
 
     def test_convert_outputs(self, tmp_path):
         out = tmp_path / "conv"
@@ -519,6 +582,27 @@ def test_coupling_rate_at_prune_tol_exits_2_writing_nothing(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spdc", "convert"])
+def test_coefficients_that_underflow_exit_2_writing_nothing(tmp_path, capsys, command):
+    # at chi2 = 1e-300 over --length 1e-30 both routes' built coefficients
+    # underflow to exactly 0, so their ratio E/D is undefined: the command
+    # refuses the zero generator rather than end in a ZeroDivisionError
+    from dquant.coupling import pure_order_modeset
+    from dquant.hamiltonian import scheme_resonant_coefficients
+    from dquant.susceptibility import load_medium
+
+    medium = write_medium(tmp_path, [0.5, 1e-300])
+    ms, monomial = pure_order_modeset(2, 0.5, load_medium(medium).units)
+    built = scheme_resonant_coefficients(ms, load_medium(medium), monomial, 1e-30)
+    assert built["D-based"] == built["E-linear-wrong"] == 0
+    out = tmp_path / "out"
+    assert main([command, "--medium", medium, "--length", "1e-30", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --medium, --length and --pump set too weak a coupling: the generator prunes "
+        "to zero: every rate is at or below PRUNE_TOL = 1e-15\n")
+    assert not out.exists()
+
+
 def test_correct_route_reading_0_exits_2_writing_nothing(tmp_path, capsys):
     # P = sin^2(g t) underflows to 0 on the correct route: the ratio is undefined
     out = tmp_path / "out"
@@ -644,8 +728,8 @@ def test_algebra_modules_leave_numpy_unloaded():
         "import sys",
         "import " + ", ".join(f"dquant.{m}" for m in ALGEBRA_MODULES),
         "from dquant.cli import _interaction_from_args, build_parser",
-        "params, _ = _interaction_from_args(build_parser().parse_args(['spdc']))",
-        "assert params.theta != 0 and params.phi == 1.0",
+        "theta, ratio, _, doc = _interaction_from_args(build_parser().parse_args(['spdc']))",
+        "assert theta != 0 and abs(ratio + 2) < 1e-15 and doc['phi'] == 1.0",
         "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -655,8 +739,10 @@ def test_algebra_modules_leave_numpy_unloaded():
 
 #: the dquant modules every command imports
 CLI_CORE = {"cli", "record", "serialize", "units"}
-#: the closure of a dynamical compare, which reads no medium
-DYNAMICS = CLI_CORE | {"boson_algebra", "coupling", "dynamics", "linalg", "modes"}
+#: the closure of a dynamical compare, which builds its route ratio with the
+#: resonant builder on a pure order-n medium
+DYNAMICS = CLI_CORE | {"boson_algebra", "coupling", "dynamics", "hamiltonian", "linalg", "modes",
+                       "susceptibility"}
 
 
 #: (argv, module it runs, modules it must not import, its dquant import closure)
@@ -671,14 +757,14 @@ COMMAND_CLOSURES = [
      CLI_CORE | {"coupling", "hamiltonian", "modes", "susceptibility"}),
     (["phasematch", "--points", "3"], "coupling", ("dynamics", "maxwell"),
      CLI_CORE | {"coupling", "linalg", "modes"}),
-    (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",),
-     DYNAMICS | {"susceptibility"}),
-    (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics", ("maxwell",),
-     DYNAMICS | {"susceptibility"}),
-    (["compare", "--observable", "squeezing"], "dynamics", ("maxwell",), DYNAMICS),
-    (["compare", "--observable", "conversion"], "dynamics", ("maxwell",), DYNAMICS),
+    (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics",
+     ("fields", "maxwell"), DYNAMICS),
+    (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics",
+     ("fields", "maxwell"), DYNAMICS),
+    (["compare", "--observable", "squeezing"], "dynamics", ("fields", "maxwell"), DYNAMICS),
+    (["compare", "--observable", "conversion"], "dynamics", ("fields", "maxwell"), DYNAMICS),
     (["spdc", "--pump", "quantum", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics",
-     ("maxwell",), DYNAMICS | {"susceptibility"}),
+     ("fields", "maxwell"), DYNAMICS),
 ]
 
 

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, number
-from dquant.coupling import InteractionParams
 from dquant.dynamics import (
     EDGE_POPULATION_TOL,
     PHASE_LIMIT,
@@ -26,13 +25,14 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
+from dquant.hamiltonian import compare_coefficients
 from dquant.linalg import eigh_tridiagonal
 from eigh_oracle import chain_matrix, eigh_states
 from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations, to_matrix
 
 
-def params_with(theta=0.05, phi=1.0):
-    return InteractionParams(theta=theta, delta_k=0.0, phi=phi)
+#: the route ratio E/D of a chi2 medium: the wrong route's rate is twice the correct one's
+RATIO = -2.0
 
 
 def samples(t, steps=1):
@@ -342,22 +342,22 @@ class TestChiralChains:
 
 class TestSpdcSqueezing:
     def test_recovers_closed_form_r(self):
-        params = params_with(theta=0.05)
+        theta = 0.05
         cfg = EvolutionConfig(n_max=16, t_final=4.0, steps=8, pump=1.0)
-        pair = spdc_squeezing(params, cfg)
+        pair = spdc_squeezing(theta, RATIO, cfg)
         assert pair.correct == pytest.approx(0.2, abs=1e-4)
         assert pair.truncation_safe
 
     def test_r_linear_in_theta(self):
         cfg = EvolutionConfig(n_max=16, t_final=2.0, steps=6, pump=1.0)
-        r1 = spdc_squeezing(params_with(theta=0.05), cfg).correct
-        r2 = spdc_squeezing(params_with(theta=0.10), cfg).correct
+        r1 = spdc_squeezing(0.05, RATIO, cfg).correct
+        r2 = spdc_squeezing(0.10, RATIO, cfg).correct
         assert r2 / r1 == pytest.approx(2.0, abs=1e-6)
 
     def test_wrong_scheme_doubles_r(self):
-        params = params_with(theta=0.05)
+        theta = 0.05
         cfg = EvolutionConfig(n_max=16, t_final=3.0, steps=8, pump=1.0)
-        pair = spdc_squeezing(params, cfg)
+        pair = spdc_squeezing(theta, RATIO, cfg)
         assert abs(pair.ratio) == pytest.approx(2.0, abs=1e-6)
 
     def test_pair_production_symmetry(self):
@@ -369,12 +369,12 @@ class TestSpdcSqueezing:
             assert n_a == pytest.approx(n_b, abs=1e-8)
 
     def test_quantum_pump_agrees_with_parametric_limit(self):
-        params = params_with(theta=0.02)
+        theta = 0.02
         beta = 2.0  # matches the quantum-pump default amplitude
         cfg_q = EvolutionConfig(n_max=6, t_final=1.0, steps=5, pump="quantum")
         cfg_c = EvolutionConfig(n_max=6, t_final=1.0, steps=5, pump=beta)
-        r_quantum = spdc_squeezing(params, cfg_q).correct
-        r_classical = spdc_squeezing(params, cfg_c).correct
+        r_quantum = spdc_squeezing(theta, RATIO, cfg_q).correct
+        r_classical = spdc_squeezing(theta, RATIO, cfg_c).correct
         # undepleted regime: agreement at the percent level, not exact
         assert r_quantum == pytest.approx(r_classical, rel=0.05)
 
@@ -382,39 +382,35 @@ class TestSpdcSqueezing:
     def test_quantum_pump_is_truncation_safe_for_short_times(self, n_max):
         # the pump cutoff alone must not put the coherent state on the edge
         cfg = EvolutionConfig(n_max=n_max, t_final=0.01, steps=2, pump="quantum")
-        assert spdc_squeezing(params_with(theta=0.02), cfg).truncation_safe
+        assert spdc_squeezing(0.02, RATIO, cfg).truncation_safe
 
 
 class TestFrequencyConversion:
     def test_complete_conversion_at_half_period(self):
         g = 0.2
-        params = params_with(theta=g)
         cfg = EvolutionConfig(n_max=4, t_final=(pi / 2) / g, steps=8, pump=1.0)
-        pair = frequency_conversion(params, cfg)
+        pair = frequency_conversion(g, RATIO, cfg)
         assert pair.correct == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_coupling_never_converts(self):
         # both routes would read P = 0 and leave the ratio undefined: the zero
         # generator is refused instead
-        params = InteractionParams(theta=0.0, delta_k=0.0, phi=1.0)
         cfg = EvolutionConfig(n_max=4, t_final=3.0, steps=4, pump=1.0)
         with pytest.raises(ZeroGeneratorError):
-            frequency_conversion(params, cfg)
+            frequency_conversion(0.0, RATIO, cfg)
 
     def test_rabi_law(self):
         g = 0.3
-        params = params_with(theta=g)
         t = 0.8
         cfg = EvolutionConfig(n_max=4, t_final=t, steps=4, pump=1.0)
-        pair = frequency_conversion(params, cfg)
+        pair = frequency_conversion(g, RATIO, cfg)
         assert pair.correct == pytest.approx(np.sin(g * t) ** 2, abs=1e-10)
         assert pair.wrong == pytest.approx(np.sin(2 * g * t) ** 2, abs=1e-10)
 
     def test_small_t_ratio_approaches_four(self):
         g = 1.0
-        params = params_with(theta=g)
         cfg = EvolutionConfig(n_max=4, t_final=0.01, steps=2, pump=1.0)
-        pair = frequency_conversion(params, cfg)
+        pair = frequency_conversion(g, RATIO, cfg)
         assert pair.ratio == pytest.approx(4.0, abs=1e-3)
 
     def test_excitation_conserved(self):
@@ -445,7 +441,7 @@ class TestFrequencyConversion:
         # the wrong route samples at 2 t, so its phase 2 g t passes 2^53 at both times
         cfg = EvolutionConfig(n_max=4, t_final=t_final, steps=2, pump=1.0)
         with pytest.raises(OverflowError, match="reaches 2\\^53"):
-            frequency_conversion(params_with(theta=1.0), cfg)
+            frequency_conversion(1.0, RATIO, cfg)
 
     @pytest.mark.parametrize("occs", [(4, 0), (0,), (-1, 0)])
     def test_population_outside_the_space_rejected(self, occs):
@@ -455,11 +451,47 @@ class TestFrequencyConversion:
             population(space, res, occs)
 
 
+class TestWrongRouteOracle:
+    """The wrong route sampled at |c| t against the wrong route's own evolution.
+
+    c is the route ratio E/D that the resonant builder measures; the wrong
+    route's generator is |c| times the correct one's (the sign of c is a
+    phase on one signal mode, which neither <n> nor P sees).
+    """
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_squeezing(self, order):
+        ratio = compare_coefficients(order).ratio
+        g = 0.05
+        cfg = EvolutionConfig(n_max=24, t_final=2.0, steps=8, pump=1.0)
+        pair = spdc_squeezing(g, ratio, cfg)
+        space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
+        res = evolve(two_mode_squeezer(abs(ratio) * g), space, space.vacuum(),
+                     [t for t, _, _ in pair.series])
+        assert res.truncation_safe
+        wrong = [w for _, _, w in pair.series]
+        assert max(map(abs, np.subtract(occupation_expectation(space, res, 0), wrong))) <= 1e-12
+        assert wrong[-1] > 0.01
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_conversion(self, order):
+        ratio = compare_coefficients(order).ratio
+        g = 0.3
+        cfg = EvolutionConfig(n_max=4, t_final=1.0, steps=8, pump=1.0)
+        pair = frequency_conversion(g, ratio, cfg)
+        space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
+        res = evolve(beamsplitter(abs(ratio) * g), space, space.basis_state([1, 0]),
+                     [t for t, _, _ in pair.series])
+        wrong = [w for _, _, w in pair.series]
+        assert max(map(abs, np.subtract(population(space, res, (0, 1)), wrong))) <= 1e-12
+        assert wrong[-1] > 0.01
+
+
 class TestSeries:
     def test_conversion_series_shape_and_endpoints(self):
-        params = params_with(theta=0.2)
+        theta = 0.2
         cfg = EvolutionConfig(n_max=4, t_final=1.0, steps=5, pump=1.0)
-        pair = frequency_conversion(params, cfg)
+        pair = frequency_conversion(theta, RATIO, cfg)
         rows = pair.series
         assert len(rows) == 6
         assert rows[0][1] == pytest.approx(0.0, abs=1e-12)
@@ -467,9 +499,9 @@ class TestSeries:
         assert (pair.correct, pair.wrong) == rows[-1][1:]
 
     def test_squeezing_series_monotone(self):
-        params = params_with(theta=0.1)
+        theta = 0.1
         cfg = EvolutionConfig(n_max=12, t_final=1.5, steps=5, pump=1.0)
-        pair = spdc_squeezing(params, cfg)
+        pair = spdc_squeezing(theta, RATIO, cfg)
         rows = pair.series
         values = [r[1] for r in rows]
         assert values == sorted(values)
@@ -481,7 +513,7 @@ class TestSeries:
 
     def test_quantum_pump_series(self):
         cfg = EvolutionConfig(n_max=4, t_final=0.5, steps=3, pump="quantum")
-        pair = spdc_squeezing(params_with(theta=0.02), cfg)
+        pair = spdc_squeezing(0.02, RATIO, cfg)
         assert len(pair.series) == 4
         assert pair.series[0][1:] == (0.0, 0.0)
 
@@ -509,9 +541,9 @@ class TestCompareSchemes:
 
     def test_ratio_invariant_under_theta_rescaling(self):
         for scale in (0.1, 10.0):
-            params = params_with(theta=0.05 * scale)
-            cfg = EvolutionConfig(n_max=16, t_final=0.2 / abs(params.theta), steps=6)
-            assert abs(spdc_squeezing(params, cfg).ratio) == pytest.approx(2.0, abs=1e-4)
+            theta = 0.05 * scale
+            cfg = EvolutionConfig(n_max=16, t_final=0.2 / abs(theta), steps=6)
+            assert abs(spdc_squeezing(theta, RATIO, cfg).ratio) == pytest.approx(2.0, abs=1e-4)
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):

@@ -11,19 +11,11 @@ from product_oracle import box_integral, field_power, field_product, multiply
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
 import dquant.hamiltonian as hamiltonian
-from dquant.coupling import (
-    DegenerateTripleError,
-    MatchingBudgetError,
-    ModeTriple,
-    build_interaction,
-    make_three_wave_modes,
-    phase_matching_curve,
-    prefactor_ratio,
-)
+from dquant.coupling import phase_matching_curve, prefactor_ratio, pure_order_modeset
 from dquant.fields import expand_fields
-from dquant.hamiltonian import _pure_order_modeset, scheme_resonant_coefficients
+from dquant.hamiltonian import scheme_resonant_coefficients
 from dquant.maxwell import _route_hamiltonians
-from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode
+from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode, sinc
 from dquant.susceptibility import ROUTES, MediumSpec, SusceptibilityTensor, invert_series
 from dquant.units import UnitSystem, si_units
 
@@ -37,29 +29,43 @@ def scalar(order, value, role="chi"):
     return SusceptibilityTensor.scalar(order, value, role=role)
 
 
-def three_wave_setup(chi1=0.0, chi2=0.4, l_box=2 * pi, length=None, m_a=1, m_b=2):
-    n_index = sqrt(1.0 + chi1)
-    ms, triple = make_three_wave_modes(m_a, m_b, n_index, l_box, NAT, length=length)
-    medium = MediumSpec.from_scalars([chi1, chi2])
-    etas = invert_series(medium, 2)
-    return ms, triple, medium, etas
+#: labels of a triple's modes A, B, C, and its resonant monomial a_A^dag a_B^dag a_C
+LABELS = (0, 1, 2)
+RESONANT = {0: (1, 0), 1: (1, 0), 2: (0, 1)}
 
 
-def resonant_powers(triple):
-    """Mode powers of the resonant monomial a_A^dag a_B^dag a_C."""
-    return {triple.mode_a.label: (1, 0), triple.mode_b.label: (1, 0),
-            triple.mode_c.label: (0, 1)}
+def three_wave_setup(chi1=0.0, chi2=0.4, l_box=2 * pi, length=None, m_a=1, m_b=2, units=NAT):
+    """(mode set, length, medium, etas) of the matched triple m_a, m_b, m_a + m_b.
+
+    The modes A, B, C carry the labels 0, 1, 2; the region length defaults
+    to the box.
+    """
+    ms = make_uniform_medium_modes(sqrt(1.0 + chi1), l_box, [m_a, m_b, m_a + m_b], units)
+    medium = MediumSpec.from_scalars([chi1, chi2], units=units)
+    return ms, l_box if length is None else length, medium, invert_series(medium, 2)
 
 
-def triple_coefficients(ms, triple, medium):
-    """Each scheme's coefficient of a_A^dag a_B^dag a_C over the triple's region."""
-    return scheme_resonant_coefficients(ms, medium, resonant_powers(triple), triple.length)
+def triple_coefficients(ms, length, medium):
+    """Each scheme's coefficient of a_A^dag a_B^dag a_C over a region of ``length``."""
+    return scheme_resonant_coefficients(ms, medium, RESONANT, length)
+
+
+def closed_form_theta(ms, length, eta2, units):
+    """theta = 2 L sqrt(prod hbar omega / 4 pi) eta2 dA* dB* dC of a matched triple.
+
+    The closed-form three-wave coupling, an oracle of the builder: its D
+    coefficient of a_A^dag a_B^dag a_C is w^(3/2) theta, w = 2 pi / l_box.
+    """
+    ma, mb, mc = ms.modes
+    return 2.0 * length * sqrt(units.hbar * ma.omega / (4 * pi) * units.hbar * mb.omega / (4 * pi)
+                               * units.hbar * mc.omega / (4 * pi)) * (
+        eta2 * ma.d.conjugate() * mb.d.conjugate() * mc.d)
 
 
 def pure_order(order, chi1=0.5, chi_n=0.37):
     """compare_coefficients' setup: a pure chi_n medium, its mode set and monomial."""
     medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [chi_n], units=NAT)
-    return (medium, *_pure_order_modeset(order, chi1, NAT))
+    return (medium, *pure_order_modeset(order, chi1, NAT))
 
 
 def pure_order_coefficients(order):
@@ -127,19 +133,19 @@ class TestBuildLinear:
 
 class TestBuildNonlinearD:
     def test_zero_tensor(self):
-        ms, triple, medium, _ = three_wave_setup(chi2=0.0)
-        assert list(triple_coefficients(ms, triple, medium).values()) == [0, 0, 0]
+        ms, length, medium, _ = three_wave_setup(chi2=0.0)
+        assert list(triple_coefficients(ms, length, medium).values()) == [0, 0, 0]
 
     def test_flat_profile_coefficient_formula(self):
-        ms, triple, medium, etas = three_wave_setup(chi1=0.0, chi2=0.4)
+        ms, length, medium, etas = three_wave_setup(chi1=0.0, chi2=0.4)
         eta2 = etas[1]
-        got = triple_coefficients(ms, triple, medium)["D-based"]
-        ma, mb, mc = triple.modes()
+        got = triple_coefficients(ms, length, medium)["D-based"]
+        ma, mb, mc = ms.modes
         amps = sqrt(NAT.hbar * ma.omega / 2 * NAT.hbar * mb.omega / 2
                     * NAT.hbar * mc.omega / 2)
         overlap = (np.conj(ma.d) * np.conj(mb.d)
                    * mc.d)
-        weights = ms.w**1.5 * triple.length / (2 * pi) ** 1.5  # phi = 1, matched
+        weights = ms.w**1.5 * length / (2 * pi) ** 1.5  # phi = 1, matched
         expected = 2.0 * eta2.item() * amps * overlap * weights
         assert got == pytest.approx(expected, rel=1e-13)
 
@@ -152,15 +158,14 @@ class TestBuildNonlinearD:
     def test_hermitian(self):
         # the conjugate monomial a_A a_B a_C^dag carries the conjugate
         # coefficient, on profiles with distinct phases
-        ms, triple, medium, _ = three_wave_setup()
+        ms, length, medium, _ = three_wave_setup()
         phases = [complex(cos(x), sin(x)) for x in (0.3, 1.1, -2.0)]
         ms = ModeSet(modes=tuple(
             Mode(label=m.label, family=m.family, m=m.m, k=m.k, omega=m.omega,
                  d=p * m.d, b=p * m.b) for m, p in zip(ms.modes, phases)), l_box=ms.l_box)
-        powers = resonant_powers(triple)
-        conjugate = {label: (a, c) for label, (c, a) in powers.items()}
-        built = scheme_resonant_coefficients(ms, medium, powers, triple.length)
-        mirrored = scheme_resonant_coefficients(ms, medium, conjugate, triple.length)
+        conjugate = {label: (a, c) for label, (c, a) in RESONANT.items()}
+        built = scheme_resonant_coefficients(ms, medium, RESONANT, length)
+        mirrored = scheme_resonant_coefficients(ms, medium, conjugate, length)
         for scheme, coefficient in built.items():
             assert abs(coefficient.imag) > 1e-3 * abs(coefficient)
             assert abs(mirrored[scheme] - coefficient.conjugate()) <= 1e-15 * abs(coefficient)
@@ -168,67 +173,59 @@ class TestBuildNonlinearD:
     def test_resonant_filter_audit(self):
         # the rotating-wave approximation: the anti-resonant a_A a_B a_C is not
         # phase-matched, and the builder reads no such monomial
-        ms, triple, medium, _ = three_wave_setup()
-        anti = {label: (0, 1) for label in resonant_powers(triple)}
+        ms, length, medium, _ = three_wave_setup()
+        anti = {label: (0, 1) for label in RESONANT}
         with pytest.raises(ValueError, match="not phase-matched: net wavevector index 6"):
-            scheme_resonant_coefficients(ms, medium, anti, triple.length)
+            scheme_resonant_coefficients(ms, medium, anti, length)
 
     def test_asymmetric_tensor_rejected(self):
-        # only a dim-3 tensor can break permutation symmetry, and the builders
-        # run on scalar media alone
-        ms, triple, _, _ = three_wave_setup()
+        # only a dim-3 tensor can break permutation symmetry, and the builder
+        # runs on scalar media alone
+        ms, length, _, _ = three_wave_setup()
         ent = np.zeros((3, 3, 3))
         ent[0, 1, 2] = 1.0
         chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
         bad = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
         medium = MediumSpec(units=NAT, tensors=(chi1, bad))
         with pytest.raises(ValueError, match="scalar"):
-            triple_coefficients(ms, triple, medium)
-        with pytest.raises(ValueError, match="scalar"):
-            build_interaction(triple, invert_series(medium, 2)[1], NAT)
-
-    def test_degenerate_triple_rejected(self):
-        ms, triple, _, _ = three_wave_setup()
-        with pytest.raises(DegenerateTripleError):
-            ModeTriple(mode_a=triple.mode_a, mode_b=triple.mode_a,
-                       mode_c=triple.mode_c, length=1.0)
+            triple_coefficients(ms, length, medium)
 
 
 class TestWrongScheme:
     def test_ratio_minus_two_vacuum_linear(self):
-        ms, triple, medium, _ = three_wave_setup(chi1=0.0, chi2=0.8)
-        built = triple_coefficients(ms, triple, medium)
+        ms, length, medium, _ = three_wave_setup(chi1=0.0, chi2=0.8)
+        built = triple_coefficients(ms, length, medium)
         ratio = built["E-linear-wrong"] / built["D-based"]
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_ratio_minus_two_dressed_linear(self):
-        ms, triple, medium, _ = three_wave_setup(chi1=1.25, chi2=0.5)
-        built = triple_coefficients(ms, triple, medium)
+        ms, length, medium, _ = three_wave_setup(chi1=1.25, chi2=0.5)
+        built = triple_coefficients(ms, length, medium)
         ratio = built["E-linear-wrong"] / built["D-based"]
         assert ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_zero_chi2(self):
-        ms, triple, medium, _ = three_wave_setup(chi2=0.0)
-        assert triple_coefficients(ms, triple, medium)["E-linear-wrong"] == 0
+        ms, length, medium, _ = three_wave_setup(chi2=0.0)
+        assert triple_coefficients(ms, length, medium)["E-linear-wrong"] == 0
 
 
 class TestCorrection:
     """The quadratic-E correction: E-based-corrected minus E-linear-wrong."""
 
     def test_wrong_plus_correction_is_correct(self):
-        ms, triple, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
-        built = triple_coefficients(ms, triple, medium)
+        ms, length, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
+        built = triple_coefficients(ms, length, medium)
         assert abs(built["E-based-corrected"] - built["D-based"]) < 1e-12
 
     def test_correction_is_plus_three_times_correct(self):
-        ms, triple, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
-        built = triple_coefficients(ms, triple, medium)
+        ms, length, medium, _ = three_wave_setup(chi1=0.6, chi2=0.3)
+        built = triple_coefficients(ms, length, medium)
         ratio = (built["E-based-corrected"] - built["E-linear-wrong"]) / built["D-based"]
         assert ratio == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_eta2_zero_correction(self):
-        ms, triple, medium, _ = three_wave_setup(chi2=0.0)
-        built = triple_coefficients(ms, triple, medium)
+        ms, length, medium, _ = three_wave_setup(chi2=0.0)
+        built = triple_coefficients(ms, length, medium)
         assert built["E-based-corrected"] - built["E-linear-wrong"] == 0
 
 
@@ -240,16 +237,16 @@ ORACLE_CASES = [
 ]
 
 
-def _oracle(builder, ms, triple, medium, etas):
+def _oracle(builder, ms, length, medium, etas):
     """(resonant, anti_resonant) of one cubic term by the ordered-leg expansion."""
     eta1, eta2 = etas[0].item(), etas[1].item()
     if builder == "D":
-        return cubic_sectors(triple, ms, NAT, eta2, 1.0 / 3.0)
+        return cubic_sectors(ms, LABELS, length, NAT, eta2, 1.0 / 3.0)
     if builder == "E-wrong":
-        return cubic_sectors(triple, ms, NAT, NAT.eps0 * medium.chi(2).item(), 2.0 / 3.0,
+        return cubic_sectors(ms, LABELS, length, NAT, NAT.eps0 * medium.chi(2).item(), 2.0 / 3.0,
                              leg_scale=eta1)
     # eps0 (1 + chi1) eta1 = 1 makes the correction + integral eta2 D^3
-    return cubic_sectors(triple, ms, NAT, eta2, 1.0)
+    return cubic_sectors(ms, LABELS, length, NAT, eta2, 1.0)
 
 
 class TestLegOracle:
@@ -266,13 +263,13 @@ class TestLegOracle:
     def test_full_polynomial(self, case, builder):
         # the box build verify uses, the integral of D^3 over the box scaled by
         # the scheme's weight, against the leg expansion over a box-filling region
-        ms, triple, medium, etas = self.setup(case[:-1] + (None,))
+        ms, length, medium, etas = self.setup(case[:-1] + (None,))
         weights = hamiltonian._top_weights(medium, 2)
         weight = {"D": weights["D-based"], "E-wrong": weights["E-linear-wrong"],
                   "correction": weights["E-based-corrected"] - weights["E-linear-wrong"]}[builder]
         d_field, _ = expand_fields(ms, NAT)
         got = weight * box_integral(field_power(d_field, 3), ms.l_box)
-        resonant, anti = _oracle(builder, ms, triple, medium, etas)
+        resonant, anti = _oracle(builder, ms, length, medium, etas)
         expected = resonant + anti
         # over the box an anti-resonant term survives only if phase-matched:
         # a_A^2 a_B^dag and its conjugate, where m_B = 2 m_A
@@ -287,14 +284,14 @@ class TestLegOracle:
         # the rotating-wave approximation drops each scheme's anti-resonant
         # terms, which are the D route's scaled by the builder's ratio of the
         # resonant coefficients: the routes' ratio does not depend on them
-        ms, triple, medium, etas = self.setup(case)
-        built = triple_coefficients(ms, triple, medium)
-        anti_d = _oracle("D", ms, triple, medium, etas)[1]
-        anti = _oracle("E-wrong", ms, triple, medium, etas)[1]
+        ms, length, medium, etas = self.setup(case)
+        built = triple_coefficients(ms, length, medium)
+        anti_d = _oracle("D", ms, length, medium, etas)[1]
+        anti = _oracle("E-wrong", ms, length, medium, etas)[1]
         if scheme == "D-based":
             anti = anti_d
         elif scheme == "E-based-corrected":
-            anti = anti + _oracle("correction", ms, triple, medium, etas)[1]
+            anti = anti + _oracle("correction", ms, length, medium, etas)[1]
         ratio = built[scheme] / built["D-based"]
         assert len(anti.terms) > 0 and set(anti.terms) == set(anti_d.terms)
         scale = anti.max_abs_coeff()
@@ -420,10 +417,9 @@ class TestSchemeResonantCoefficients:
         # each D coefficient is ~1e-19 in SI, below PRUNE_TOL, but the ladder
         # multiplies the coefficients themselves and prunes nothing
         units = si_units()
-        medium = MediumSpec.from_scalars([0.5, 0.3], units=units)
-        ms, triple = make_three_wave_modes(1, 2, sqrt(1.5), 2 * pi, units, length=1.7)
-        theta = build_interaction(triple, invert_series(medium, 2)[1], units).theta
-        built = triple_coefficients(ms, triple, medium)["D-based"]
+        ms, length, medium, etas = three_wave_setup(chi1=0.5, chi2=0.3, length=1.7, units=units)
+        theta = closed_form_theta(ms, length, etas[1].item(), units)
+        built = triple_coefficients(ms, length, medium)["D-based"]
         assert abs(built - theta) <= 1e-12 * abs(theta)
 
     @pytest.mark.parametrize("powers", [{0: (-1, 0)}, {0: (1.5, 0), 2: (0, 1)}, {}, {0: (0, 0)},
@@ -444,14 +440,14 @@ class TestSchemeResonantCoefficients:
         # the top-degree ladder against the resonant sector of the cubic
         # polynomial the leg oracle assembles, over regions that fill the box
         # or fall short of it
-        ms, triple, medium, etas = TestLegOracle.setup(case)
-        powers = resonant_powers(triple)
-        built = scheme_resonant_coefficients(ms, medium, powers, triple.length)
+        ms, length, medium, etas = TestLegOracle.setup(case)
+        powers = RESONANT
+        built = scheme_resonant_coefficients(ms, medium, powers, length)
         assert list(built) == list(SCHEMES)
         legs = {"D-based": ["D"], "E-linear-wrong": ["E-wrong"],
                 "E-based-corrected": ["E-wrong", "correction"]}
         for scheme in SCHEMES:
-            expected = sum(_oracle(leg, ms, triple, medium, etas)[0].coefficient(powers)
+            expected = sum(_oracle(leg, ms, length, medium, etas)[0].coefficient(powers)
                            for leg in legs[scheme])
             assert abs(built[scheme] - expected) <= 1e-14 * abs(expected)
 
@@ -480,73 +476,79 @@ class TestSchemeResonantCoefficients:
             scheme_resonant_coefficients(ms, medium, {**monomial, 7: (1, 1)}, ms.l_box)
 
     def test_rejects_a_dim_3_medium(self):
-        ms, triple, _, _ = three_wave_setup()
+        ms, length, _, _ = three_wave_setup()
         chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
         chi2 = SusceptibilityTensor(order=2, role="chi", dim=3, entries=np.full((3, 3, 3), 0.1))
         medium = MediumSpec(units=NAT, tensors=(chi1, chi2))
         with pytest.raises(ValueError, match="scalar"):
-            triple_coefficients(ms, triple, medium)
+            triple_coefficients(ms, length, medium)
 
 
 class TestBuildInteraction:
-    def setup(self, chi1=0.0, chi2=0.4, l_box=2 * pi, length=None):
-        ms, triple, medium, etas = three_wave_setup(chi1=chi1, chi2=chi2,
-                                                    l_box=l_box, length=length)
-        return ms, triple, etas[1]
+    """The builder's three-wave coupling theta against its closed form (test-side)."""
 
     def test_phi_values(self):
-        ms, triple, eta2 = self.setup()
-        params = build_interaction(triple, eta2, NAT)
-        assert params.phi == 1.0  # matched triple
-        assert params.delta_k == pytest.approx(0.0, abs=1e-15)
-        ma, mb, mc = triple.modes()
+        # the CLI's triple m = 1, 2, 3 on the 2 pi box is phase- and energy-matched
+        ms, monomial = pure_order_modeset(2, 0.0, NAT)
+        ma, mb, mc = ms.modes
+        delta_k = mc.k - mb.k - ma.k
+        assert monomial == RESONANT
+        assert delta_k == 0.0
+        assert sinc(delta_k * ms.l_box / 2.0) == 1.0
         assert ma.omega + mb.omega - mc.omega == pytest.approx(0.0, abs=1e-15)
 
     def test_theta_formula(self):
-        ms, triple, eta2 = self.setup(length=1.7)
-        params = build_interaction(triple, eta2, NAT)
-        ma, mb, mc = triple.modes()
+        ms, length, medium, etas = three_wave_setup(length=1.7)
+        got = triple_coefficients(ms, length, medium)["D-based"]
+        ma, mb, mc = ms.modes
         expected = (2.0 * 1.7
                     * sqrt(ma.omega / (4 * pi) * mb.omega / (4 * pi) * mc.omega / (4 * pi))
-                    * eta2.item()
+                    * etas[1].item()
                     * np.conj(ma.d) * np.conj(mb.d)
                     * mc.d)
-        assert params.theta == pytest.approx(expected, rel=1e-13)
+        assert got == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("factor", [2.0, 10.0])
     def test_theta_linear_in_length(self, factor):
-        _, triple1, eta2 = self.setup(length=0.9)
-        _, triple2, _ = self.setup(length=0.9 * factor)
-        p1 = build_interaction(triple1, eta2, NAT)
-        p2 = build_interaction(triple2, eta2, NAT)
-        assert abs(p2.theta / p1.theta - factor) < 1e-12
+        ms, _, medium, _ = three_wave_setup()
+        p1 = triple_coefficients(ms, 0.9, medium)["D-based"]
+        p2 = triple_coefficients(ms, 0.9 * factor, medium)["D-based"]
+        assert abs(p2 / p1 - factor) < 1e-12
 
     @pytest.mark.parametrize("factor", [2.0, 10.0])
     def test_theta_linear_in_eta2(self, factor):
-        _, triple, eta2 = self.setup()
-        scaled = scalar(2, factor * eta2.item(), role="eta")
-        p1 = build_interaction(triple, eta2, NAT)
-        p2 = build_interaction(triple, scaled, NAT)
-        assert abs(p2.theta / p1.theta - factor) < 1e-12
+        # eta2 = -eps0 chi2 eta1^3 is linear in chi2 at fixed chi1
+        ms, length, medium, etas = three_wave_setup()
+        _, _, scaled, scaled_etas = three_wave_setup(chi2=factor * 0.4)
+        assert scaled_etas[1].item() == pytest.approx(factor * etas[1].item(), rel=1e-15)
+        p1 = triple_coefficients(ms, length, medium)["D-based"]
+        p2 = triple_coefficients(ms, length, scaled)["D-based"]
+        assert abs(p2 / p1 - factor) < 1e-12
 
     @pytest.mark.parametrize("l_box", [2 * pi, pi, 6.0])
     def test_consistent_with_cubic_builder(self, l_box):
-        # resonant coefficient of (1/3) integral eta2 D^3 equals w^(3/2) theta phi
-        ms, triple, medium, etas = three_wave_setup(chi2=0.4, l_box=l_box)
-        params = build_interaction(triple, etas[1], NAT)
-        got = triple_coefficients(ms, triple, medium)["D-based"]
-        assert got == pytest.approx(ms.w**1.5 * params.theta * params.phi, rel=1e-12)
+        # resonant coefficient of (1/3) integral eta2 D^3 equals w^(3/2) theta
+        ms, length, medium, etas = three_wave_setup(chi2=0.4, l_box=l_box)
+        theta = closed_form_theta(ms, length, etas[1].item(), NAT)
+        got = triple_coefficients(ms, length, medium)["D-based"]
+        assert got == pytest.approx(ms.w**1.5 * theta, rel=1e-12)
 
-    def test_budget_error_for_mismatched_triple(self):
-        ms, triple, eta2 = self.setup()
-        # shift the pump off the matched wavevector by one grid step
-        c = triple.mode_c
-        off_c = Mode(label=c.label, family=c.family, m=c.m + 8, k=c.k + 8 * ms.w,
-                     omega=c.omega, d=c.d, b=c.b)
-        bad = ModeTriple(mode_a=triple.mode_a, mode_b=triple.mode_b, mode_c=off_c,
-                         length=10.0)
-        with pytest.raises(MatchingBudgetError):
-            build_interaction(bad, eta2, NAT)
+    @pytest.mark.parametrize("l_box", [2 * pi, pi, 6.0])
+    def test_consistent_with_cubic_builder_in_si(self, l_box):
+        # theta ~ 1e-35 J in SI: the builder prunes nothing, so the relation holds there too
+        units = si_units()
+        ms, length, medium, etas = three_wave_setup(chi1=0.5, chi2=0.3, l_box=l_box,
+                                                    length=1.7, units=units)
+        theta = closed_form_theta(ms, length, etas[1].item(), units)
+        got = triple_coefficients(ms, length, medium)["D-based"]
+        assert 0 < abs(theta) < 1e-30
+        assert got == pytest.approx(ms.w**1.5 * theta, rel=1e-12)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_a_length_that_is_not_positive_and_finite(self, length):
+        ms, _, medium, _ = three_wave_setup()
+        with pytest.raises(ValueError, match="interaction length must be positive and finite"):
+            triple_coefficients(ms, length, medium)
 
 
 class TestPhaseMatchingCurve:

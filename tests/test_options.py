@@ -32,11 +32,8 @@ TEST_ONLY = {
         "tests/test_boson_algebra.py::test_conjugation_symmetry",
 }
 
-#: option -> why it keeps a default that every call passes
-ALWAYS_PASSED = {
-    "coupling.make_three_wave_modes(length)":
-        "the CLI passes args.length, which is None without --length",
-}
+#: option -> why it keeps a default that every call passes (none does)
+ALWAYS_PASSED = {}
 
 
 def _is_record(cls: ast.ClassDef) -> bool:
@@ -125,12 +122,13 @@ def test_every_default_is_relied_on_by_a_caller():
     assert unused == [], "defaults every call in src/dquant and scripts/ overrides"
 
 
-@pytest.mark.parametrize("key", sorted(ALWAYS_PASSED))
-def test_always_passed_default_has_no_relying_caller(key):
-    option = {o[0]: o for o in OPTIONS}.get(key)
-    assert option is not None, f"{key} is no longer an option"
-    _, name, index, keyword = option
-    assert not _relies(CALLS, name, index, keyword), f"{key} now has a relying caller"
+def test_always_passed_defaults_have_no_relying_caller():
+    # one test over the whole table, which may be empty
+    options = {o[0]: o for o in OPTIONS}
+    for key in ALWAYS_PASSED:
+        assert key in options, f"{key} is no longer an option"
+        _, name, index, keyword = options[key]
+        assert not _relies(CALLS, name, index, keyword), f"{key} now has a relying caller"
 
 
 @pytest.mark.parametrize("key", sorted(TEST_ONLY))
