@@ -16,7 +16,7 @@ CHI3 = -0.15
 
 def audit(chis, m_max):
     units = UnitSystem()
-    medium = MediumSpec.from_scalars(list(chis))
+    medium = MediumSpec(chis)
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(sqrt(1 + chis[0]), 2 * pi, m_range, units)
     print(f"\nchi = {tuple(chis)}, {len(ms.modes)} modes")

@@ -23,8 +23,7 @@ _EXPORTS = {
     "hamiltonian": ("scheme_resonant_coefficients",),
     "maxwell": ("FaradayReport", "verify_routes"),
     "modes": ("ModeSet", "make_uniform_medium_modes"),
-    "susceptibility": ("MediumSpec", "SusceptibilityTensor", "energy_density",
-                       "invert_series"),
+    "susceptibility": ("MediumSpec", "energy_density", "invert_series"),
     "units": ("UnitSystem", "natural_units", "si_units"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import inf, pi, sqrt
+from math import inf, isfinite, pi, sqrt
 from pathlib import Path
 
 from .serialize import csv_text, dumps, write_text
@@ -47,11 +47,8 @@ def _load_medium_arg(args) -> MediumSpec:
 
 
 def _refractive_index(medium: MediumSpec, path) -> float:
-    """sqrt(1 + chi1) of the medium read from ``path``, which must be scalar (dim=1)."""
-    if medium.dim != 1:
-        raise ValueError(f"medium {path}: this command runs on a scalar (dim=1) medium, "
-                         f"not dim={medium.dim}")
-    one_plus_chi1 = 1.0 + medium.chi(1).item()
+    """sqrt(1 + chi1) of the medium read from ``path``."""
+    one_plus_chi1 = 1.0 + medium.chi(1)
     if not one_plus_chi1 > 0:
         raise ValueError(f"medium {path}: 1 + chi1 = {one_plus_chi1} must be positive")
     return sqrt(one_plus_chi1)
@@ -62,13 +59,18 @@ def cmd_invert(args) -> int:
 
     medium = _load_medium_arg(args)
     order = args.order if args.order is not None else max(2, medium.highest_order)
-    etas = invert_series(medium, order)
-    gammas = [gamma_from_eta(t, medium.units) for t in etas]
+    if order < 1:
+        raise ValueError(f"--order must be at least 1, got {order}")
+    try:
+        etas = invert_series(medium, order)
+    except ValueError as exc:
+        raise ValueError(f"medium {args.medium}: {exc}") from None
     doc = {
-        "dim": medium.dim,
+        "dim": 1,
         "max_order": order,
-        "eta": {str(t.order): list(t.entries) for t in etas},
-        "gamma": {str(t.order): list(t.entries) for t in gammas},
+        "eta": {str(m): [eta] for m, eta in enumerate(etas, start=1)},
+        "gamma": {str(m): [g] for m, g in
+                  enumerate(gamma_from_eta(etas, medium.units), start=1)},
     }
     _emit(args, "inverse_tables.json", dumps(doc))
     return EXIT_OK
@@ -160,22 +162,25 @@ def _interaction_from_args(args):
     :func:`~dquant.hamiltonian.scheme_resonant_coefficients`, and the ratio
     the E route's over it. A theta that underflows to 0 leaves the ratio
     undefined (nan): the dynamics then refuses the zero generator, and no
-    state is evolved.
+    state is evolved. A coupling that overflows a float is refused.
     """
     from .coupling import pure_order_modeset
     from .hamiltonian import scheme_resonant_coefficients
     from .modes import sinc
-    from .susceptibility import MediumSpec, load_medium
+    from .susceptibility import ROUTES, MediumSpec, load_medium
 
-    medium = load_medium(args.medium) if args.medium else MediumSpec.from_scalars([0.0, 0.4])
+    medium = load_medium(args.medium) if args.medium else MediumSpec((0.0, 0.4))
     _refractive_index(medium, args.medium)  # rejects a medium with no index
-    if medium.chi(2).is_zero():
+    if not medium.chi(2):
         raise ValueError("three-wave mixing needs a medium with nonzero chi(2)")
-    ms, monomial = pure_order_modeset(2, medium.chi(1).item(), medium.units)
+    ms, monomial = pure_order_modeset(2, medium.chi(1), medium.units)
     length = args.length if args.length is not None else ms.l_box
     built = scheme_resonant_coefficients(ms, medium, monomial, length)
-    theta = built["D-based"]
-    ratio = (built["E-linear-wrong"] / theta).real if theta else float("nan")
+    theta, wrong = (built[route] for route in ROUTES)
+    if not all(map(isfinite, (theta.real, theta.imag, wrong.real, wrong.imag))):
+        raise ValueError(f"--medium and --length set a three-wave coupling that overflows a "
+                         f"float: theta = {theta.real:g}, wrong route {wrong.real:g}")
+    ratio = (wrong / theta).real if theta else float("nan")
     mode_a, mode_b, mode_c = ms.modes
     delta_k = mode_c.k - mode_b.k - mode_a.k
     doc = {

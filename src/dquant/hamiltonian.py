@@ -19,9 +19,9 @@ routes' ratio does not depend on them. The whole Hamiltonians, linear part
 and anti-resonant terms included, are built on a box by
 :mod:`~dquant.maxwell`.
 
-The builder runs on scalar (dim=1) media and reads its units from the
-medium. A scalar tensor is trivially permutation symmetric, so the
-(n+1)! collection of orderings in D^(n+1) needs no further check.
+The builder reads its units from the medium. Each chi_n is one number,
+which every ordering of the n + 1 fields in D^(n+1) shares, so the (n+1)!
+orderings collect into one coefficient with no symmetry check.
 
 The builder is the one owner of the three-wave coupling: ``spdc`` and
 ``convert`` evolve its D-route coefficient as theta and sample the wrong
@@ -53,15 +53,12 @@ def _top_weights(medium: MediumSpec, n: int) -> dict[str, float]:
     ``"E-based-corrected"``: the E route's weight plus eps0 (1 + chi1)
     eta1 eta2, the cubic-in-D cross terms of eps0 (1 + chi1) E_full^2 / 2
     with E_full = eta1 D + eta2 D^2, which restore the D route's weight.
-    Raises ``ValueError`` for a medium that is not scalar (dim=1).
     """
-    if medium.dim != 1:
-        raise ValueError("wave-mixing Hamiltonians are built on scalar (dim=1) media")
     etas = invert_series(medium, n)
     weights = {route: w[-1] for route, w in energy_density(medium, etas).items()}
     if n == 2:
         weights["E-based-corrected"] = weights["E-linear-wrong"] + (
-            medium.units.eps0 * (1.0 + medium.chi(1).item()) * etas[0].item() * etas[1].item())
+            medium.units.eps0 * (1.0 + medium.chi(1)) * etas[0] * etas[1])
     return weights
 
 
@@ -78,8 +75,7 @@ def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict
     powers reach the same degree but depend on the basis size, so they stay
     out. Raises ``ValueError`` for a monomial on modes outside ``ms``, with
     a negative or non-integer power, of degree below 2 or with a net
-    wavevector other than 0, for a length that is not positive and finite,
-    and for a medium that is not scalar (dim=1).
+    wavevector other than 0, and for a length that is not positive and finite.
     """
     if not 0 < length < inf:
         raise ValueError("interaction length must be positive and finite")
@@ -142,7 +138,7 @@ def compare_coefficients(order: int) -> ComparisonReport:
     if order < 2:
         raise ValueError("the routes differ only for nonlinear orders n >= 2")
     chi1 = 0.5
-    medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [0.37])
+    medium = MediumSpec([chi1] + [0.0] * (order - 2) + [0.37])
     ms, monomial = pure_order_modeset(order, chi1, medium.units)
     coefficients = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
     c_correct, c_wrong = (coefficients[route] for route in ROUTES)

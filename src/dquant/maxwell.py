@@ -96,10 +96,7 @@ class FaradayReport:
 
 
 def _check_consistency(ms: ModeSet, medium: MediumSpec):
-    if medium.dim != 1:
-        raise InconsistentModeSetError("field verification runs on scalar (dim=1) media")
-    chi1 = medium.chi(1).item()
-    n_medium = sqrt(1.0 + chi1)
+    n_medium = sqrt(1.0 + medium.chi(1))
     present = {(m.family, m.m) for m in ms.modes}
     for mode in ms.modes:
         expected = medium.units.c * abs(mode.k) / n_medium
@@ -147,12 +144,12 @@ def verify_routes(ms: ModeSet, medium: MediumSpec) -> dict[str, tuple[FaradayRep
     if pruned:
         cause = ("run verify in natural units" if units != UnitSystem() else
                  f"their scale is set by the refractive index "
-                 f"{sqrt(1.0 + medium.chi(1).item()):g} and the box length {ms.l_box:g}")
+                 f"{sqrt(1.0 + medium.chi(1)):g} and the box length {ms.l_box:g}")
         raise ValueError(f"{' and '.join(pruned)} field components fall below PRUNE_TOL = "
                          f"{PRUNE_TOL:g} and prune to zero; {cause}")
     hamiltonians, powers = _route_hamiltonians(d_field, b_field, medium, etas, ms.l_box)
     electric = {"D-based": _electric_field(etas, powers, retained),
-                "E-linear-wrong": etas[0].item() * d_field}
+                "E-linear-wrong": etas[0] * d_field}
     b_curl = spectral_curl(b_field, -1.0)
     reports = {}
     for route, h in hamiltonians.items():
@@ -209,7 +206,7 @@ def _electric_field(etas, powers: list[FieldOperator], retained: set[int]) -> Fi
     Components outside ``retained`` move into the field's leakage record
     rather than being silently dropped.
     """
-    terms = [eta.item() * p for eta, p in zip(etas, powers) if eta.item() != 0.0]
+    terms = [eta * p for eta, p in zip(etas, powers) if eta != 0.0]
     return sum(terms[1:], terms[0]).restrict(retained)
 
 

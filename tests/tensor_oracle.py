@@ -1,44 +1,29 @@
 """numpy references for the constitutive-series algebra of ``dquant.susceptibility``.
 
-The package contracts flat tuples in plain Python; this module does the same
-algebra with ``np.einsum`` on shaped arrays, as the package did before, so
-the two can be compared: bit for bit at dim=1, to rounding at dim=3. It also
-holds the closed forms and the series evaluation D(E), E(D) that the
-inversion tests sample.
+The package reverts a scalar series in plain Python; this module does the
+same algebra with ``np.linalg.inv`` and ``np.einsum`` on each coefficient
+shaped as a rank-(n+1) tensor of shape (1,) * (n + 1), so the two can be
+compared bit for bit. It also holds the closed forms and the series
+evaluation D(E), E(D) that the inversion tests sample.
 """
-
-from itertools import permutations
 
 import numpy as np
 
-from dquant.susceptibility import SusceptibilityTensor
+
+def array(value: float, order: int) -> np.ndarray:
+    """The order-``order`` coefficient ``value`` shaped (1,) * (order + 1)."""
+    return np.reshape(value, (1,) * (order + 1))
 
 
-def array(t: SusceptibilityTensor) -> np.ndarray:
-    """The tensor's entries shaped (dim,) * (order + 1)."""
-    return np.reshape(t.entries, (t.dim,) * (t.order + 1))
-
-
-def eta2_from_chi2(chi2, eta1, units) -> SusceptibilityTensor:
+def eta2_from_chi2(chi2: float, eta1: float, units) -> float:
     """eta2_jnp = -eps0 * eta1_jk chi2_klm eta1_ln eta1_mp."""
-    if chi2.order != 2 or eta1.order != 1:
-        raise ValueError("eta2_from_chi2 expects chi of order 2 and eta of order 1")
-    if chi2.dim != eta1.dim:
-        raise ValueError("dimension mismatch between chi2 and eta1")
-    e1 = array(eta1)
-    ent = -units.eps0 * np.einsum("jk,klm,ln,mp->jnp", e1, array(chi2), e1, e1)
-    return SusceptibilityTensor(order=2, role="eta", dim=chi2.dim, entries=ent)
+    e1 = array(eta1, 1)
+    return (-units.eps0 * np.einsum("jk,klm,ln,mp->jnp", e1, array(chi2, 2), e1, e1)).item()
 
 
-def eta_from_gamma(gamma, units) -> SusceptibilityTensor:
-    """Inverse of ``gamma_from_eta``."""
-    if gamma.role != "gamma":
-        raise ValueError("eta_from_gamma expects a gamma tensor")
-    if gamma.order == 1:
-        ent = (np.eye(gamma.dim) - array(gamma)) / units.eps0
-    else:
-        ent = -array(gamma) / units.eps0
-    return SusceptibilityTensor(order=gamma.order, role="eta", dim=gamma.dim, entries=ent)
+def eta_from_gamma(gammas, units) -> list[float]:
+    """Inverse of ``gamma_from_eta``: eta1 = (1 - gamma1) / eps0, eta_n = -gamma_n / eps0."""
+    return [(1.0 - gammas[0]) / units.eps0] + [-g / units.eps0 for g in gammas[1:]]
 
 
 def _compositions(total, parts):
@@ -63,55 +48,36 @@ def _contract_series_term(f_n, parts):
     return np.einsum(sub_f + "," + ",".join(subs) + "->" + out, f_n, *parts)
 
 
-def symmetrize_lower(arr):
-    """Average over permutations of all indices but the first."""
-    if arr.ndim <= 2 or arr.shape[0] == 1:
-        return arr
-    perms = list(permutations(range(1, arr.ndim)))
-    acc = np.zeros_like(arr)
-    for p in perms:
-        acc += np.transpose(arr, (0,) + p)
-    return acc / len(perms)
-
-
 def invert_series(medium, max_order) -> list[np.ndarray]:
     """eta_1..eta_max_order as arrays, by np.linalg.inv and np.einsum."""
     units = medium.units
-    dim = medium.dim
-    eta1 = np.linalg.inv(np.eye(dim) + array(medium.chi(1))) / units.eps0
+    eta1 = np.linalg.inv(np.eye(1) + array(medium.chi(1), 1)) / units.eps0
     g = {1: eta1}
     for m in range(2, max_order + 1):
-        total = np.zeros((dim,) * (m + 1))
-        for n in range(2, min(m, len(medium.tensors)) + 1):
+        total = np.zeros((1,) * (m + 1))
+        for n in range(2, min(m, len(medium.chis)) + 1):
             chi_n = medium.chi(n)
-            if chi_n.is_zero():
+            if chi_n == 0.0:
                 continue
-            f_n = units.eps0 * array(chi_n)
+            f_n = units.eps0 * array(chi_n, n)
             for comp in _compositions(m, n):
                 total += _contract_series_term(f_n, [g[t] for t in comp])
-        g[m] = symmetrize_lower(-np.einsum("ij,j...->i...", eta1, total))
+        g[m] = -np.einsum("ij,j...->i...", eta1, total)
     return [g[m] for m in range(1, max_order + 1)]
 
 
-def _apply_series(tensors, values):
-    """Evaluate sum_n T_n v^n on shape (samples, dim) inputs."""
+def _apply_series(coefficients, values):
+    """Evaluate sum_n c_n v^n on shape (samples, 1) inputs."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    total = np.zeros_like(values)
-    for t in tensors:
-        term = np.broadcast_to(array(t), (len(values),) + array(t).shape)
-        for _ in range(t.order):
-            term = np.einsum("s...j,sj->s...", term, values)
-        total += term
-    return total
+    return sum(c * values**n for n, c in enumerate(coefficients, start=1))
 
 
 def displacement_from_field(medium, e_values):
-    """D(E) = eps0 [E + chi1 E + chi2 E^2 + ...] on (samples, dim) sample vectors."""
+    """D(E) = eps0 [E + chi1 E + chi2 E^2 + ...] on (samples, 1) sample values."""
     e_values = np.atleast_2d(np.asarray(e_values, dtype=float))
-    return medium.units.eps0 * (e_values + _apply_series(medium.tensors, e_values))
+    return medium.units.eps0 * (e_values + _apply_series(medium.chis, e_values))
 
 
 def field_from_displacement(etas, d_values):
-    """The truncated series E(D) = sum eta_n D^n on (samples, dim) sample vectors."""
+    """The truncated series E(D) = sum eta_n D^n on (samples, 1) sample values."""
     return _apply_series(etas, d_values)
-

@@ -44,9 +44,21 @@ class TestInvert:
         assert doc["eta"]["2"][0] == pytest.approx(-0.5 * 0.25**3)
         assert doc["gamma"]["2"][0] == pytest.approx(0.5 * 0.25**3)
 
-    def test_singular_medium_exits_2(self, tmp_path):
+    def test_singular_medium_exits_2(self, tmp_path, capsys):
+        # the error once named no file
         medium = write_medium(tmp_path, [-1.0, 0.1])
         assert main(["invert", "--medium", medium]) == 2
+        assert capsys.readouterr().err == (f"error: medium {medium}: non-invertible linear "
+                                           "response: 1 + chi1 = 0.0 is (nearly) zero\n")
+
+    def test_overflowing_series_exits_2_naming_the_file_and_the_order(self, tmp_path, capsys):
+        # eta3 overflows to inf, which once failed the JSON writer with no cause named
+        medium = write_medium(tmp_path, [0.5, 1e200, 1e200])
+        out = tmp_path / "out"
+        assert main(["invert", "--medium", medium, "--order", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: medium {medium}: eta(3) = inf is not "
+                                           "finite: the inverse series overflows a float\n")
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["invert", "--medium", str(tmp_path / "nope.json")]) == 2
@@ -86,9 +98,10 @@ class TestInvert:
         err = capsys.readouterr().err
         assert f"key '{key}'" in err and str(path) in err
 
-    def test_order_zero_exits_2(self, tmp_path):
+    def test_order_zero_exits_2(self, tmp_path, capsys):
         medium = write_medium(tmp_path, [0.5, 0.3])
         assert main(["invert", "--medium", medium, "--order", "0"]) == 2
+        assert capsys.readouterr().err == "error: --order must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("chi", [{"1": [0.5, 0.1]}, {"1": ["x"]}, {"1": [{"re": 0.5}]},
                                      {"1": [0.5], "2": [[0.1], [0.2]]}],
@@ -612,6 +625,20 @@ def test_correct_route_reading_0_exits_2_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spdc", "convert"])
+def test_coupling_that_overflows_exits_2_naming_medium_and_length(tmp_path, capsys, command):
+    # theta = -inf once reached the dynamics, which exited 2 with "Hamiltonian
+    # not Hermitian", naming no flag or file
+    medium = write_medium(tmp_path, [0.5, 1e300])
+    out = tmp_path / "out"
+    assert main([command, "--medium", medium, "--length", "1e300", "--n-max", "4",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --medium and --length set a three-wave coupling that overflows a float: "
+        "theta = -inf, wrong route inf\n")
+    assert not out.exists()
+
+
 def test_verify_overflow_exits_2_naming_the_medium(tmp_path, capsys):
     # a coefficient norm of chi2 = 1e200 once overflowed in a traceback under exit 1
     medium = write_medium(tmp_path, [0.5, 1e200])
@@ -672,12 +699,12 @@ def test_index_below_one_exits_2_naming_the_file_in_verify_only(tmp_path, comman
         assert "error" not in err
 
 
-@pytest.mark.parametrize("command", [["verify"], ["spdc", "--n-max", "4"],
+@pytest.mark.parametrize("command", [["invert"], ["verify"], ["spdc", "--n-max", "4"],
                                      ["convert", "--n-max", "4"]],
-                         ids=["verify", "spdc", "convert"])
+                         ids=["invert", "verify", "spdc", "convert"])
 def test_dim_3_medium_exits_2_naming_the_file_and_the_scalar_requirement(tmp_path, command,
                                                                          capsys):
-    # chi(1).item() once ran before any dimension check: "item() requires dim=1"
+    # invert once read a dim = 3 medium as row-major tensors and exited 0
     path = tmp_path / "dim3.json"
     chi1 = [0.5, 0.0, 0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.7]
     path.write_text(json.dumps({"units": "natural", "dim": 3,

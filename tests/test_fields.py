@@ -12,16 +12,11 @@ from dquant.dynamics import FockSpace
 from dquant.fields import FieldOperator, expand_fields, linear_field_powers
 from dquant.maxwell import _electric_field
 from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode, sinc
-from dquant.susceptibility import SusceptibilityTensor
 from dquant.units import UnitSystem
 from fock_oracle import to_matrix
 from product_oracle import box_integral, field_power, field_product, multiply
 
 NAT = UnitSystem()
-
-
-def eta_scalars(values):
-    return [SusceptibilityTensor.scalar(n, v, role="eta") for n, v in enumerate(values, 1)]
 
 
 def is_hermitian_field(f, tol=1e-12):
@@ -100,7 +95,7 @@ class TestElectricFieldFromD:
         self.ladder = linear_field_powers(self.d_field, 2)[0]
 
     def electric_field(self, etas, retained=(-2, -1, 0, 1, 2)):
-        return _electric_field(eta_scalars(etas), self.ladder, set(retained))
+        return _electric_field(etas, self.ladder, set(retained))
 
     def test_vacuum_identity(self):
         e = self.electric_field([1.0])

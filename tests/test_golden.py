@@ -112,8 +112,8 @@ def test_verify_routes_reads_the_medium_units():
     # the golden reports were written when verify_routes took the medium's
     # units as a separate argument; natural units give other reports
     golden = (GOLDEN / "verify_routes_units.json").read_text()
-    assert _verify_routes_doc(MediumSpec.from_scalars([0.5, 0.3], units=UNITS)) == golden
-    assert _verify_routes_doc(MediumSpec.from_scalars([0.5, 0.3])) != golden
+    assert _verify_routes_doc(MediumSpec([0.5, 0.3], units=UNITS)) == golden
+    assert _verify_routes_doc(MediumSpec([0.5, 0.3])) != golden
 
 
 if __name__ == "__main__":
@@ -137,4 +137,4 @@ if __name__ == "__main__":
         for file, data in files.items():
             (GOLDEN / name / file).write_bytes(data)
     (GOLDEN / "verify_routes_units.json").write_text(
-        _verify_routes_doc(MediumSpec.from_scalars([0.5, 0.3], units=UNITS)))
+        _verify_routes_doc(MediumSpec([0.5, 0.3], units=UNITS)))

@@ -16,17 +16,13 @@ from dquant.fields import expand_fields
 from dquant.hamiltonian import scheme_resonant_coefficients
 from dquant.maxwell import _route_hamiltonians
 from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode, sinc
-from dquant.susceptibility import ROUTES, MediumSpec, SusceptibilityTensor, invert_series
+from dquant.susceptibility import ROUTES, MediumSpec, invert_series
 from dquant.units import UnitSystem, si_units
 
 NAT = UnitSystem()
 
 #: the schemes scheme_resonant_coefficients returns at n = 2, in order
 SCHEMES = ROUTES + ("E-based-corrected",)
-
-
-def scalar(order, value, role="chi"):
-    return SusceptibilityTensor.scalar(order, value, role=role)
 
 
 #: labels of a triple's modes A, B, C, and its resonant monomial a_A^dag a_B^dag a_C
@@ -41,7 +37,7 @@ def three_wave_setup(chi1=0.0, chi2=0.4, l_box=2 * pi, length=None, m_a=1, m_b=2
     to the box.
     """
     ms = make_uniform_medium_modes(sqrt(1.0 + chi1), l_box, [m_a, m_b, m_a + m_b], units)
-    medium = MediumSpec.from_scalars([chi1, chi2], units=units)
+    medium = MediumSpec([chi1, chi2], units=units)
     return ms, l_box if length is None else length, medium, invert_series(medium, 2)
 
 
@@ -64,7 +60,7 @@ def closed_form_theta(ms, length, eta2, units):
 
 def pure_order(order, chi1=0.5, chi_n=0.37):
     """compare_coefficients' setup: a pure chi_n medium, its mode set and monomial."""
-    medium = MediumSpec.from_scalars([chi1] + [0.0] * (order - 2) + [chi_n], units=NAT)
+    medium = MediumSpec([chi1] + [0.0] * (order - 2) + [chi_n], units=NAT)
     return (medium, *pure_order_modeset(order, chi1, NAT))
 
 
@@ -78,14 +74,14 @@ def pure_order_coefficients(order):
 def box_linear(ms, eta1):
     """The box builder's Hamiltonian of a linear medium: integral B^2/(2 mu0) + eta1 D^2/2."""
     d_field, b_field = expand_fields(ms, NAT)
-    medium = MediumSpec.from_scalars([1.0 / (NAT.eps0 * eta1.item()) - 1.0])
+    medium = MediumSpec([1.0 / (NAT.eps0 * eta1) - 1.0])
     hamiltonians, _ = _route_hamiltonians(d_field, b_field, medium, [eta1], ms.l_box)
     return hamiltonians["D-based"]
 
 
 def eta1_for(n_index):
     """eta1 = 1 / (eps0 n^2) of a linear medium of refractive index n."""
-    return scalar(1, 1.0 / (NAT.eps0 * n_index**2), role="eta")
+    return 1.0 / (NAT.eps0 * n_index**2)
 
 
 class TestBuildLinear:
@@ -115,17 +111,17 @@ class TestBuildLinear:
         # the aa / ad ad cross terms cancel between the B^2 and D^2 parts
         n_index = 2.0
         ms = make_uniform_medium_modes(n_index, 2 * pi, [-1, 1], NAT)
-        eta1 = scalar(1, 1.0 / (NAT.eps0 * n_index**2), role="eta")
+        eta1 = eta1_for(n_index)
         h = box_linear(ms, eta1)
         for key in h.terms:
             assert all(c == a for _, c, a in key)
 
     def test_k0_density_equals_full_density_build(self):
         ms = make_uniform_medium_modes(sqrt(1.7), 2 * pi, [-2, -1, 1, 2], NAT)
-        eta1 = scalar(1, 1.0 / (NAT.eps0 * 1.7), role="eta")
+        eta1 = 1.0 / (NAT.eps0 * 1.7)
         d_field, b_field = expand_fields(ms, NAT)
         density = (1.0 / (2 * NAT.mu0)) * field_product(b_field, b_field) + (
-            eta1.item() / 2.0) * field_product(d_field, d_field)
+            eta1 / 2.0) * field_product(d_field, d_field)
         h = box_integral(density, ms.l_box)
         reference = h - BosonicPolynomial.identity(h.coefficient({}))
         assert box_linear(ms, eta1).terms == reference.terms
@@ -146,7 +142,7 @@ class TestBuildNonlinearD:
         overlap = (np.conj(ma.d) * np.conj(mb.d)
                    * mc.d)
         weights = ms.w**1.5 * length / (2 * pi) ** 1.5  # phi = 1, matched
-        expected = 2.0 * eta2.item() * amps * overlap * weights
+        expected = 2.0 * eta2 * amps * overlap * weights
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_combinatorial_factor_by_term_counting(self):
@@ -177,18 +173,6 @@ class TestBuildNonlinearD:
         anti = {label: (0, 1) for label in RESONANT}
         with pytest.raises(ValueError, match="not phase-matched: net wavevector index 6"):
             scheme_resonant_coefficients(ms, medium, anti, length)
-
-    def test_asymmetric_tensor_rejected(self):
-        # only a dim-3 tensor can break permutation symmetry, and the builder
-        # runs on scalar media alone
-        ms, length, _, _ = three_wave_setup()
-        ent = np.zeros((3, 3, 3))
-        ent[0, 1, 2] = 1.0
-        chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
-        bad = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent)
-        medium = MediumSpec(units=NAT, tensors=(chi1, bad))
-        with pytest.raises(ValueError, match="scalar"):
-            triple_coefficients(ms, length, medium)
 
 
 class TestWrongScheme:
@@ -239,11 +223,11 @@ ORACLE_CASES = [
 
 def _oracle(builder, ms, length, medium, etas):
     """(resonant, anti_resonant) of one cubic term by the ordered-leg expansion."""
-    eta1, eta2 = etas[0].item(), etas[1].item()
+    eta1, eta2 = etas[0], etas[1]
     if builder == "D":
         return cubic_sectors(ms, LABELS, length, NAT, eta2, 1.0 / 3.0)
     if builder == "E-wrong":
-        return cubic_sectors(ms, LABELS, length, NAT, NAT.eps0 * medium.chi(2).item(), 2.0 / 3.0,
+        return cubic_sectors(ms, LABELS, length, NAT, NAT.eps0 * medium.chi(2), 2.0 / 3.0,
                              leg_scale=eta1)
     # eps0 (1 + chi1) eta1 = 1 makes the correction + integral eta2 D^3
     return cubic_sectors(ms, LABELS, length, NAT, eta2, 1.0)
@@ -320,8 +304,8 @@ def _full_build_coefficients(order):
     """Reference: every component and term of D^(n+1), then the one coefficient."""
     medium, ms, monomial = pure_order(order)
     etas = invert_series(medium, order)
-    eta1, eta_n = etas[0].item(), etas[order - 1].item()
-    chi_n = medium.chi(order).item()
+    eta1, eta_n = etas[0], etas[order - 1]
+    chi_n = medium.chi(order)
     d_field, _ = expand_fields(ms, NAT)
     base = box_integral(field_power(d_field, order + 1), ms.l_box)
     correct = (eta_n / (order + 1)) * base
@@ -385,7 +369,7 @@ class TestSchemeResonantCoefficients:
         # every contraction built
         ms, monomial = case
         degree = sum(c + a for c, a in monomial.values())
-        medium = MediumSpec.from_scalars([0.5, 0.3, 0.2], units=NAT)
+        medium = MediumSpec([0.5, 0.3, 0.2], units=NAT)
         d_field, _ = expand_fields(ms, NAT)
         d_power = field_power(d_field, degree)
         weight = hamiltonian._top_weights(medium, degree - 1)["D-based"]
@@ -398,7 +382,7 @@ class TestSchemeResonantCoefficients:
     def test_classical_pump_reduction_ratio(self, n):
         # a_s1^dag a_s2^dag a_P^(n-1), the order-n down-conversion whose n - 1
         # pump photons a classical pump replaces: E over D is -n
-        medium = MediumSpec.from_scalars([0.5] + [0.0] * (n - 2) + [0.37], units=NAT)
+        medium = MediumSpec([0.5] + [0.0] * (n - 2) + [0.37], units=NAT)
         ms = make_uniform_medium_modes(sqrt(1.5), 2 * pi, [1, 3 * n - 4, 3], NAT)
         monomial = {0: (1, 0), 1: (1, 0), 2: (0, n - 1)}
         built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
@@ -406,7 +390,7 @@ class TestSchemeResonantCoefficients:
 
     def test_kerr_coefficient(self):
         # self-phase modulation a^dag^2 a^2 of one mode in a pure chi3 medium
-        medium = MediumSpec.from_scalars([0.5, 0.0, 0.2], units=NAT)
+        medium = MediumSpec([0.5, 0.0, 0.2], units=NAT)
         ms = make_uniform_medium_modes(sqrt(1.5), 2 * pi, [1], NAT)
         built = scheme_resonant_coefficients(ms, medium, {0: (2, 2)}, ms.l_box)
         k_d = -0.0035367765131532
@@ -418,7 +402,7 @@ class TestSchemeResonantCoefficients:
         # multiplies the coefficients themselves and prunes nothing
         units = si_units()
         ms, length, medium, etas = three_wave_setup(chi1=0.5, chi2=0.3, length=1.7, units=units)
-        theta = closed_form_theta(ms, length, etas[1].item(), units)
+        theta = closed_form_theta(ms, length, etas[1], units)
         built = triple_coefficients(ms, length, medium)["D-based"]
         assert abs(built - theta) <= 1e-12 * abs(theta)
 
@@ -457,7 +441,7 @@ class TestSchemeResonantCoefficients:
         # top D^(n+1) weights, E over D: -n only where the lower orders vanish
         order = len(chis)
         _, ms, monomial = pure_order(order)
-        medium = MediumSpec.from_scalars(list(chis), units=NAT)
+        medium = MediumSpec(list(chis), units=NAT)
         built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
         ratio = built["E-linear-wrong"] / built["D-based"]
         assert abs(ratio - expected) <= 1e-12
@@ -474,14 +458,6 @@ class TestSchemeResonantCoefficients:
         medium, ms, monomial = pure_order(2)
         with pytest.raises(ValueError, match=r"modes \[7\] are not in ms"):
             scheme_resonant_coefficients(ms, medium, {**monomial, 7: (1, 1)}, ms.l_box)
-
-    def test_rejects_a_dim_3_medium(self):
-        ms, length, _, _ = three_wave_setup()
-        chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.zeros((3, 3)))
-        chi2 = SusceptibilityTensor(order=2, role="chi", dim=3, entries=np.full((3, 3, 3), 0.1))
-        medium = MediumSpec(units=NAT, tensors=(chi1, chi2))
-        with pytest.raises(ValueError, match="scalar"):
-            triple_coefficients(ms, length, medium)
 
 
 class TestBuildInteraction:
@@ -503,7 +479,7 @@ class TestBuildInteraction:
         ma, mb, mc = ms.modes
         expected = (2.0 * 1.7
                     * sqrt(ma.omega / (4 * pi) * mb.omega / (4 * pi) * mc.omega / (4 * pi))
-                    * etas[1].item()
+                    * etas[1]
                     * np.conj(ma.d) * np.conj(mb.d)
                     * mc.d)
         assert got == pytest.approx(expected, rel=1e-13)
@@ -520,7 +496,7 @@ class TestBuildInteraction:
         # eta2 = -eps0 chi2 eta1^3 is linear in chi2 at fixed chi1
         ms, length, medium, etas = three_wave_setup()
         _, _, scaled, scaled_etas = three_wave_setup(chi2=factor * 0.4)
-        assert scaled_etas[1].item() == pytest.approx(factor * etas[1].item(), rel=1e-15)
+        assert scaled_etas[1] == pytest.approx(factor * etas[1], rel=1e-15)
         p1 = triple_coefficients(ms, length, medium)["D-based"]
         p2 = triple_coefficients(ms, length, scaled)["D-based"]
         assert abs(p2 / p1 - factor) < 1e-12
@@ -529,7 +505,7 @@ class TestBuildInteraction:
     def test_consistent_with_cubic_builder(self, l_box):
         # resonant coefficient of (1/3) integral eta2 D^3 equals w^(3/2) theta
         ms, length, medium, etas = three_wave_setup(chi2=0.4, l_box=l_box)
-        theta = closed_form_theta(ms, length, etas[1].item(), NAT)
+        theta = closed_form_theta(ms, length, etas[1], NAT)
         got = triple_coefficients(ms, length, medium)["D-based"]
         assert got == pytest.approx(ms.w**1.5 * theta, rel=1e-12)
 
@@ -539,7 +515,7 @@ class TestBuildInteraction:
         units = si_units()
         ms, length, medium, etas = three_wave_setup(chi1=0.5, chi2=0.3, l_box=l_box,
                                                     length=1.7, units=units)
-        theta = closed_form_theta(ms, length, etas[1].item(), units)
+        theta = closed_form_theta(ms, length, etas[1], units)
         got = triple_coefficients(ms, length, medium)["D-based"]
         assert 0 < abs(theta) < 1e-30
         assert got == pytest.approx(ms.w**1.5 * theta, rel=1e-12)

@@ -20,7 +20,7 @@ NAT = UnitSystem()
 
 
 def uniform_setup(chi1, m_max, chis_higher=(), l_box=2 * pi):
-    medium = MediumSpec.from_scalars([chi1, *chis_higher])
+    medium = MediumSpec([chi1, *chis_higher])
     n_index = sqrt(1.0 + chi1)
     m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
     ms = make_uniform_medium_modes(n_index, l_box, m_range, NAT)
@@ -80,14 +80,14 @@ def _eta1_d_power_hamiltonian(d_field, b_field, medium, etas, scheme, l_box, uni
         power = d_field
         for n in range(1, n_top + 1):
             power = field_product(power, d_field)
-            density = density + (etas[n - 1].item() / (n + 1)) * power
+            density = density + (etas[n - 1] / (n + 1)) * power
     else:
-        e_tilde = etas[0].item() * d_field
+        e_tilde = etas[0] * d_field
         power = field_product(e_tilde, e_tilde)
-        density = density + (units.eps0 * (1.0 + medium.chi(1).item()) / 2.0) * power
+        density = density + (units.eps0 * (1.0 + medium.chi(1)) / 2.0) * power
         for n in range(2, n_top + 1):
             power = field_product(power, e_tilde)
-            density = density + (units.eps0 * n / (n + 1) * medium.chi(n).item()) * power
+            density = density + (units.eps0 * n / (n + 1) * medium.chi(n)) * power
     return _box_hamiltonian(density, l_box)
 
 
@@ -245,12 +245,12 @@ class TestConsistencyGuards:
     def test_wrong_dispersion_rejected(self):
         # modes solved for vacuum paired with a chi1 != 0 medium
         ms, _ = uniform_setup(0.0, 1)
-        medium = MediumSpec.from_scalars([1.5, 0.1])
+        medium = MediumSpec([1.5, 0.1])
         with pytest.raises(InconsistentModeSetError):
             verify_routes(ms, medium)["D-based"]
 
     def test_asymmetric_basis_rejected(self):
-        medium = MediumSpec.from_scalars([0.0, 0.1])
+        medium = MediumSpec([0.0, 0.1])
         ms = make_uniform_medium_modes(1.0, 2 * pi, [1, 2, -1], NAT)
         with pytest.raises(InconsistentModeSetError):
             verify_routes(ms, medium)["D-based"]

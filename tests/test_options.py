@@ -24,10 +24,6 @@ CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 #: option -> the test that sets it (path::[class::]function, whose calls are searched)
 TEST_ONLY = {
     "cli.main(argv)": "tests/test_cli.py::TestInvert::test_vacuum",
-    "susceptibility.SusceptibilityTensor.scalar(role)":
-        "tests/test_susceptibility.py::TestGamma::test_vacuum",
-    "susceptibility.MediumSpec.from_scalars(units)":
-        "tests/test_golden.py::test_verify_routes_reads_the_medium_units",
     "boson_algebra.BosonicPolynomial.isclose(tol)":
         "tests/test_boson_algebra.py::test_conjugation_symmetry",
 }

@@ -1,5 +1,4 @@
 import json
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,10 +10,8 @@ from dquant.coupling import prefactor_ratio
 from dquant.susceptibility import (
     MediumSpec,
     NonInvertibleLinearResponseError,
-    SusceptibilityTensor,
     energy_density,
     gamma_from_eta,
-    invert_linear,
     invert_series,
     load_medium,
     medium_from_dict,
@@ -31,10 +28,6 @@ from tensor_oracle import (
 NAT = UnitSystem()
 
 
-def scalar(order, value, role="chi"):
-    return SusceptibilityTensor.scalar(order, value, role=role)
-
-
 def fitted_inverse_coeffs(medium, max_order):
     """Independent oracle: sample D(E), then fit E(D) by polynomial regression.
 
@@ -48,101 +41,83 @@ def fitted_inverse_coeffs(medium, max_order):
     return [coeffs[n] / s**n for n in range(1, max_order + 1)]
 
 
+def eta1_of(chi1, units=NAT):
+    (eta1,) = invert_series(MediumSpec([chi1], units=units), 1)
+    return eta1
+
+
 class TestInvertLinear:
     def test_vacuum_identity(self):
-        eta1 = invert_linear(scalar(1, 0.0), NAT)
-        assert eta1.item() == pytest.approx(1.0, abs=1e-15)
+        assert eta1_of(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_scalar_inverse(self):
-        eta1 = invert_linear(scalar(1, 3.0), NAT)
-        assert eta1.item() == pytest.approx(0.25, abs=1e-15)
+        eta1 = eta1_of(3.0)
+        assert eta1 == pytest.approx(0.25, abs=1e-15)
         # round trip eps0 * eta1 * (1 + chi1) = 1
-        assert NAT.eps0 * eta1.item() * 4.0 == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal_3d(self):
-        chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.diag([1.0, 1.0, 3.0]))
-        eta1 = invert_linear(chi1, NAT)
-        assert np.allclose(eta1.entries, np.diag([0.5, 0.5, 0.25]).ravel(), atol=1e-14)
+        assert NAT.eps0 * eta1 * 4.0 == pytest.approx(1.0, abs=1e-12)
 
     def test_singular_raises(self):
-        with pytest.raises(NonInvertibleLinearResponseError):
-            invert_linear(scalar(1, -1.0), NAT)
+        with pytest.raises(NonInvertibleLinearResponseError, match="1 \\+ chi1 = 0.0"):
+            eta1_of(-1.0)
 
 
 class TestEta2:
     def test_vacuum_sign_flip(self):
-        eta1 = invert_linear(scalar(1, 0.0), NAT)
-        eta2 = eta2_from_chi2(scalar(2, 0.1), eta1, NAT)
-        assert eta2.item() == pytest.approx(-0.1, abs=1e-15)
+        eta2 = eta2_from_chi2(0.1, eta1_of(0.0), NAT)
+        assert eta2 == pytest.approx(-0.1, abs=1e-15)
 
     def test_dressed_contraction(self):
-        eta1 = invert_linear(scalar(1, 1.0), NAT)
-        eta2 = eta2_from_chi2(scalar(2, 0.8), eta1, NAT)
-        assert eta2.item() == pytest.approx(-0.1, abs=1e-14)
+        eta2 = eta2_from_chi2(0.8, eta1_of(1.0), NAT)
+        assert eta2 == pytest.approx(-0.1, abs=1e-14)
 
     def test_zero_chi2(self):
-        eta1 = invert_linear(scalar(1, 2.0), NAT)
-        eta2 = eta2_from_chi2(scalar(2, 0.0), eta1, NAT)
-        assert eta2.is_zero()
-
-    def test_dim_mismatch(self):
-        eta1 = invert_linear(scalar(1, 0.0), NAT)
-        chi2_3d = SusceptibilityTensor.zero(2, dim=3)
-        with pytest.raises(ValueError):
-            eta2_from_chi2(chi2_3d, eta1, NAT)
+        assert not eta2_from_chi2(0.0, eta1_of(2.0), NAT)
 
 
 class TestInvertSeries:
     def test_matches_closed_forms(self):
-        medium = MediumSpec.from_scalars([3.0, 0.5])
+        medium = MediumSpec([3.0, 0.5])
         etas = invert_series(medium, 2)
-        eta1 = invert_linear(medium.chi(1), NAT)
+        eta1 = 1.0 / (NAT.eps0 * (1.0 + medium.chi(1)))
         eta2 = eta2_from_chi2(medium.chi(2), eta1, NAT)
-        assert etas[0].item() == pytest.approx(eta1.item(), abs=1e-12)
-        assert etas[1].item() == pytest.approx(eta2.item(), abs=1e-12)
+        assert etas == pytest.approx([eta1, eta2], abs=1e-12)
 
     def test_pure_chi2(self):
-        etas = invert_series(MediumSpec.from_scalars([0.0, 0.1, 0.0]), 2)
-        assert etas[0].item() == pytest.approx(1.0, abs=1e-15)
-        assert etas[1].item() == pytest.approx(-0.1, abs=1e-15)
+        etas = invert_series(MediumSpec([0.0, 0.1, 0.0]), 2)
+        assert etas == pytest.approx([1.0, -0.1], abs=1e-15)
 
     def test_regression_oracle_chi1_chi2(self):
-        medium = MediumSpec.from_scalars([3.0, 0.5, 0.0])
+        medium = MediumSpec([3.0, 0.5, 0.0])
         etas = invert_series(medium, 2)
-        assert etas[1].item() == pytest.approx(-0.5 * 0.25**3, abs=1e-15)
-        fitted = fitted_inverse_coeffs(medium, 2)
-        assert fitted[0] == pytest.approx(etas[0].item(), abs=1e-8)
-        assert fitted[1] == pytest.approx(etas[1].item(), abs=1e-8)
+        assert etas[1] == pytest.approx(-0.5 * 0.25**3, abs=1e-15)
+        assert fitted_inverse_coeffs(medium, 2) == pytest.approx(etas, abs=1e-8)
 
     def test_pure_chi3(self):
-        medium = MediumSpec.from_scalars([0.0, 0.0, 0.2])
+        medium = MediumSpec([0.0, 0.0, 0.2])
         etas = invert_series(medium, 3)
-        values = [t.item() for t in etas]
-        assert values == pytest.approx([1.0, 0.0, -0.2], abs=1e-12)
-        fitted = fitted_inverse_coeffs(medium, 3)
-        assert fitted == pytest.approx(values, abs=1e-8)
+        assert etas == pytest.approx([1.0, 0.0, -0.2], abs=1e-12)
+        assert fitted_inverse_coeffs(medium, 3) == pytest.approx(etas, abs=1e-8)
 
     def test_cascading_third_order(self):
         # chi2 feeds eta3 through the composition even when chi3 = 0
-        medium = MediumSpec.from_scalars([0.0, 0.3, 0.0])
+        medium = MediumSpec([0.0, 0.3, 0.0])
         etas = invert_series(medium, 3)
         fitted = fitted_inverse_coeffs(medium, 3)
-        assert fitted[2] == pytest.approx(etas[2].item(), abs=1e-8)
-        assert etas[2].item() != pytest.approx(0.0, abs=1e-6)
-
-    def test_3d_diagonal_matches_scalar(self):
-        chi1 = SusceptibilityTensor(order=1, role="chi", dim=3, entries=np.diag([3.0] * 3))
-        ent2 = np.zeros((3, 3, 3))
-        for i in range(3):
-            ent2[i, i, i] = 0.5
-        chi2 = SusceptibilityTensor(order=2, role="chi", dim=3, entries=ent2)
-        etas = invert_series(MediumSpec(units=NAT, tensors=(chi1, chi2)), 2)
-        assert etas[0].entries[0] == pytest.approx(0.25, abs=1e-14)  # [0, 0]
-        assert etas[1].entries[0] == pytest.approx(-0.5 * 0.25**3, abs=1e-14)  # [0, 0, 0]
+        assert fitted[2] == pytest.approx(etas[2], abs=1e-8)
+        assert etas[2] != pytest.approx(0.0, abs=1e-6)
 
     def test_propagates_singular_error(self):
         with pytest.raises(NonInvertibleLinearResponseError):
-            invert_series(MediumSpec.from_scalars([-1.0, 0.1]), 2)
+            invert_series(MediumSpec([-1.0, 0.1]), 2)
+
+    def test_names_the_first_order_that_overflows(self):
+        # eta2 ~ -3e199 is a float; eta3 ~ 1e399 is not, and nor is any order above
+        with pytest.raises(ValueError, match=r"^eta\(3\) = inf is not finite"):
+            invert_series(MediumSpec([0.5, 1e200, 1e200]), 6)
+
+    def test_order_below_one_raises(self):
+        with pytest.raises(ValueError, match="max_order must be >= 1"):
+            invert_series(MediumSpec([0.5]), 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,9 +128,9 @@ class TestInvertSeries:
 )
 def test_series_round_trip(chi1, chi2, chi3):
     """Composing D(E(D)) reproduces the identity through the retained order."""
-    medium = MediumSpec.from_scalars([chi1, chi2, chi3])
+    medium = MediumSpec([chi1, chi2, chi3])
     etas = invert_series(medium, 3)
-    e_of_d = Polynomial([0.0] + [t.item() for t in etas])
+    e_of_d = Polynomial([0.0] + etas)
     d_of_e = Polynomial([0.0, 1.0 + chi1, chi2, chi3]) * NAT.eps0
     comp = d_of_e(e_of_d)
     assert comp.coef[1] == pytest.approx(1.0, abs=1e-8)
@@ -179,81 +154,28 @@ def _bits(values) -> list[str]:
     max_order=st.integers(1, 8),
 )
 def test_dim1_inversion_is_the_einsum_reference_bit_for_bit(chi1, chis, max_order):
-    medium = MediumSpec.from_scalars([chi1] + chis)
+    medium = MediumSpec([chi1] + chis)
     got = invert_series(medium, max_order)
     ref = tensor_oracle.invert_series(medium, max_order)
-    assert [_bits(t.entries) for t in got] == [_bits(a.ravel()) for a in ref]
-
-
-def _dim3_medium(draw, orders: int, symmetric: bool) -> MediumSpec:
-    def entries(order, lo, hi):
-        arr = np.reshape(draw(st.lists(st.floats(lo, hi), min_size=3 ** (order + 1),
-                                       max_size=3 ** (order + 1))), (3,) * (order + 1))
-        if symmetric:
-            perms = list(permutations(range(order + 1)))
-            arr = sum(np.transpose(arr, p) for p in perms) / len(perms)
-        return arr
-
-    # diagonally dominant 1 + chi1: invertible, with condition number below 10
-    chi1 = entries(1, -0.3, 0.3) + np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=3,
-                                                         max_size=3)))
-    tensors = [SusceptibilityTensor(order=1, role="chi", dim=3, entries=chi1)]
-    tensors += [SusceptibilityTensor(order=n, role="chi", dim=3, entries=entries(n, -1.0, 1.0))
-                for n in range(2, orders + 1)]
-    return MediumSpec(units=UnitSystem(eps0=draw(st.floats(0.5, 2.0))), tensors=tuple(tensors))
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), orders=st.integers(1, 3), max_order=st.integers(1, 4),
-       symmetric=st.booleans())
-def test_dim3_inversion_matches_the_einsum_reference(data, orders, max_order, symmetric):
-    # general media too: a symmetric one hides a transposed index
-    medium = _dim3_medium(data.draw, orders, symmetric)
-    got = invert_series(medium, max_order)
-    ref = tensor_oracle.invert_series(medium, max_order)
-    for t, arr in zip(got, ref):
-        assert np.max(np.abs(np.array(t.entries) - arr.ravel())) <= 1e-14 * np.max(np.abs(arr))
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_3x3_inverse_matches_numpy(data):
-    medium = _dim3_medium(data.draw, 1, symmetric=False)
-    chi1 = tensor_oracle.array(medium.chi(1))
-    eta1 = invert_linear(medium.chi(1), medium.units)
-    want = np.linalg.inv(np.eye(3) + chi1) / medium.units.eps0
-    assert np.max(np.abs(np.array(eta1.entries) - want.ravel())) <= 1e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("one_plus_chi1", [[[1, 2, 3], [2, 4, 6], [0, 0, 1]],
-                                           [[2, 0, 1], [0, 0, 0], [1, 0, 3]]],
-                         ids=["proportional-rows", "zero-row"])
-def test_singular_3x3_raises(one_plus_chi1):
-    chi1 = np.array(one_plus_chi1, dtype=float) - np.eye(3)
-    with pytest.raises(NonInvertibleLinearResponseError):
-        invert_linear(SusceptibilityTensor(order=1, role="chi", dim=3, entries=chi1), NAT)
+    assert _bits(got) == [_bits(a.ravel())[0] for a in ref]
 
 
 class TestGamma:
     def test_vacuum(self):
-        g = gamma_from_eta(scalar(1, 1.0, role="eta"), NAT)
-        assert g.item() == pytest.approx(0.0, abs=1e-15)
+        assert gamma_from_eta([1.0], NAT) == pytest.approx([0.0], abs=1e-15)
 
     def test_sign_flip_order2(self):
-        g = gamma_from_eta(scalar(2, -0.1, role="eta"), NAT)
-        assert g.item() == pytest.approx(0.1, abs=1e-15)
+        assert gamma_from_eta([1.0, -0.1], NAT)[1] == pytest.approx(0.1, abs=1e-15)
 
     def test_eps0_weighting(self):
-        units = UnitSystem(eps0=2.0)
-        g = gamma_from_eta(scalar(1, 0.25, role="eta"), units)
-        assert g.item() == pytest.approx(0.5, abs=1e-15)
+        assert gamma_from_eta([0.25], UnitSystem(eps0=2.0)) == pytest.approx([0.5], abs=1e-15)
 
     @pytest.mark.parametrize("order,value", [(1, 0.37), (2, -0.21), (3, 0.05)])
     def test_round_trip(self, order, value):
         units = UnitSystem(eps0=1.7)
-        eta = scalar(order, value, role="eta")
-        back = eta_from_gamma(gamma_from_eta(eta, units), units)
-        assert back.item() == pytest.approx(value, abs=1e-15)
+        etas = [0.4] * (order - 1) + [value]
+        back = eta_from_gamma(gamma_from_eta(etas, units), units)
+        assert back == pytest.approx(etas, abs=1e-15)
 
 
 CHIS_6 = (0.7, 0.3, -0.2, 0.15, 0.05, -0.1)
@@ -261,7 +183,7 @@ CHIS_6 = (0.7, 0.3, -0.2, 0.15, 0.05, -0.1)
 
 def route_densities(chis, eps0=1.0):
     """(medium, etas, D route, E route) of a scalar medium, through its top order."""
-    medium = MediumSpec.from_scalars(chis, units=UnitSystem(eps0=eps0))
+    medium = MediumSpec(chis, units=UnitSystem(eps0=eps0))
     etas = invert_series(medium, len(chis))
     weights = energy_density(medium, etas)
     return medium, etas, weights["D-based"], weights["E-linear-wrong"]
@@ -271,11 +193,11 @@ def route_weights(chis, eps0=1.0):
     """Per-order weights: D weight / eta_n, and E weight / eta1^(n+1) / eps0 chi_n
     (eps0 (1 + chi1) at n = 1)."""
     medium, etas, d_weights, e_weights = route_densities(chis, eps0)
-    eta1 = etas[0].item()
+    eta1 = etas[0]
     e_series = [w / eta1 ** (n + 1) for n, w in enumerate(e_weights, start=1)]
-    return ([w / eta.item() for w, eta in zip(d_weights, etas)],
+    return ([w / eta for w, eta in zip(d_weights, etas)],
             [e_series[0] / (eps0 * (1.0 + chis[0]))] + [
-                c / (eps0 * medium.chi(n).item()) for n, c in enumerate(e_series[1:], start=2)])
+                c / (eps0 * medium.chi(n)) for n, c in enumerate(e_series[1:], start=2)])
 
 
 class TestEnergyPrefactors:
@@ -283,7 +205,7 @@ class TestEnergyPrefactors:
         _, etas, d_weights, _ = route_densities(CHIS_6)
         assert len(d_weights) == 6
         for n, (w, eta) in enumerate(zip(d_weights, etas), start=1):
-            assert (n + 1) * w == pytest.approx(eta.item(), rel=1e-15)
+            assert (n + 1) * w == pytest.approx(eta, rel=1e-15)
 
     def test_e_based(self):
         _, e_weights = route_weights(CHIS_6, eps0=1.7)
@@ -315,7 +237,7 @@ def test_top_coefficient_ratio_closed_form(data, order, pure, eps0):
     middle = [0.0 if pure else data.draw(st.floats(-0.5, 0.5)) for _ in range(order - 2)]
     chi_n = data.draw(st.floats(0.01, 0.5)) * data.draw(st.sampled_from([-1.0, 1.0]))
     medium, etas, d_weights, e_weights = route_densities([chi1, *middle, chi_n], eps0)
-    eta1, eta_n = etas[0].item(), etas[-1].item()
+    eta1, eta_n = etas[0], etas[-1]
     assume(eta_n != 0.0)
     ratio = e_weights[-1] / d_weights[-1]
     closed_form = order * eps0 * chi_n * eta1 ** (order + 1) / eta_n
@@ -329,20 +251,30 @@ class TestMediumJson:
         doc = {"units": "natural", "dim": 1, "chi": {"1": [3.0], "2": [0.5]}}
         medium = medium_from_dict(doc)
         assert medium.highest_order == 2
-        assert medium.chi(1).item() == 3.0
-        assert medium.chi(2).item() == 0.5
+        assert medium.chis == (3.0, 0.5)
 
     def test_missing_orders_filled_with_zeros(self):
         medium = medium_from_dict({"units": "natural", "dim": 1, "chi": {"3": [0.2]}})
-        assert medium.chi(1).is_zero()
-        assert medium.chi(2).is_zero()
-        assert medium.chi(3).item() == 0.2
+        assert medium.chis == (0.0, 0.0, 0.2)
 
-    def test_row_major_3d(self):
-        ent = np.arange(9.0).reshape(3, 3)
-        doc = {"units": "natural", "dim": 3, "chi": {"1": ent.ravel().tolist()}}
-        medium = medium_from_dict(doc)
-        assert medium.chi(1).entries == tuple(ent.ravel())
+    @pytest.mark.parametrize("doc", [{"chi": {"1": [0.5], "2": 0.3}},
+                                     {"dim": 1, "chi": {"1": 0.5, "2": [0.3]}}],
+                             ids=["no-dim", "bare-numbers"])
+    def test_scalar_entries_with_or_without_dim(self, doc):
+        assert medium_from_dict(doc).chis == (0.5, 0.3)
+
+    @pytest.mark.parametrize("dim", [2, 3, 0, "1"])
+    def test_dim_other_than_1_raises(self, dim):
+        # a dim = 3 medium was once read as row-major tensors that no command ran on
+        with pytest.raises(ValueError, match=rf"scalar \(dim=1\) medium, not dim={dim!r}$"):
+            medium_from_dict({"dim": dim, "chi": {"1": [0.5] * 9}})
+
+    @pytest.mark.parametrize("raw", [[[0.3]], [[[0.3]]], [], [[0.3], 0.1]],
+                             ids=["nested", "twice-nested", "empty", "nested-count"])
+    def test_entry_that_is_not_one_number_raises(self, raw):
+        # a nested entry such as [[0.3]] was once read as its one leaf
+        with pytest.raises(ValueError, match="a number or a list of one number"):
+            medium_from_dict({"dim": 1, "chi": {"1": [0.5], "2": raw}})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "medium.json"
@@ -368,7 +300,7 @@ class TestMediumJson:
 
     def test_keys_are_read_as_orders(self):
         medium = medium_from_dict({"units": "natural", "dim": 1, "chi": {"01": [0.5], 2: [0.3]}})
-        assert (medium.chi(1).item(), medium.chi(2).item()) == (0.5, 0.3)
+        assert medium.chis == (0.5, 0.3)
 
     @pytest.mark.parametrize("raw", [[0.5, 0.1], ["x"], [None], [[0.5], [0.1]]],
                              ids=["count", "string", "null", "nested-count"])
@@ -377,7 +309,10 @@ class TestMediumJson:
             medium_from_dict({"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": raw}})
 
     def test_complex_entries(self):
-        with pytest.raises(ValueError, match="lossless"):
-            SusceptibilityTensor(order=1, role="chi", dim=1, entries=[0.5 + 0.1j])
-        real = SusceptibilityTensor(order=1, role="chi", dim=1, entries=[0.5 + 0j])
-        assert real.entries == (0.5,)
+        for chi in (0.5 + 0.1j, 0.5 + 0j):
+            with pytest.raises(ValueError, match="lossless"):
+                MediumSpec([chi])
+
+    def test_medium_needs_chi1(self):
+        with pytest.raises(ValueError, match="at least chi1"):
+            MediumSpec([])
