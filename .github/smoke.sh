@@ -41,8 +41,9 @@ run spdc --medium "$out/chi2-si.json" --length 1.7 --out "$out/spdc-si"
 run convert --medium "$out/chi2-si.json" --length 1.7 --out "$out/convert-si"
 
 # bad input exits 2 with an error line, not 1 with a traceback: a directory
-# is no medium, 1 + chi1 = 0 has no refractive index, verify's box modes
-# need an index of at least 1, a --time whose sinh^2 fit overflows or
+# is no medium, 1 + chi1 = 0 has no refractive index, the box modes of
+# verify and spdc need an index of at least 1, a compare order whose
+# divisor ladder exceeds 2^17 entries, a --time whose sinh^2 fit overflows or
 # underflows or whose phase w t reaches 2^53, a coupling rate at or below
 # PRUNE_TOL or built coefficients that underflow to 0, a medium whose
 # operator checks overflow, verify's fields or nonlinear order that
@@ -71,6 +72,8 @@ echo '{"units": "natural", "dim": 1, "chi": {"1": [-1.0], "2": [0.3]}}' > "$out/
 expect_nothing_written spdc-chi1-minus-one spdc --medium "$out/chi1-minus-one.json"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [-0.5], "2": [0.3]}}' > "$out/chi1-minus-half.json"
 expect_nothing_written verify-chi1-minus-half verify --medium "$out/chi1-minus-half.json"
+expect_nothing_written spdc-chi1-minus-half spdc --medium "$out/chi1-minus-half.json"
+expect_nothing_written compare-order-30 compare --order 30
 expect_nothing_written spdc-time-1e300 spdc --time 1e300
 expect_nothing_written convert-time-1e300 convert --time 1e300
 expect_nothing_written spdc-time-1e-300 spdc --time 1e-300

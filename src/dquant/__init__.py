@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "boson_algebra": ("BosonicPolynomial", "degree"),
-    "coupling": ("ComparisonReport", "prefactor_ratio", "pure_order_modeset"),
     "dynamics": ("EvolutionConfig", "FockSpace", "compare_schemes", "evolve"),
-    "hamiltonian": ("scheme_resonant_coefficients",),
+    "hamiltonian": ("ComparisonReport", "prefactor_ratio", "pure_order_modeset",
+                    "scheme_resonant_coefficients"),
     "maxwell": ("FaradayReport", "verify_routes"),
     "modes": ("ModeSet", "make_uniform_medium_modes"),
     "susceptibility": ("MediumSpec", "energy_density", "invert_series"),

@@ -47,11 +47,17 @@ def _load_medium_arg(args) -> MediumSpec:
 
 
 def _refractive_index(medium: MediumSpec, path) -> float:
-    """sqrt(1 + chi1) of the medium read from ``path``."""
+    """sqrt(1 + chi1) of the medium read from ``path``, computed once per command."""
     one_plus_chi1 = 1.0 + medium.chi(1)
     if not one_plus_chi1 > 0:
         raise ValueError(f"medium {path}: 1 + chi1 = {one_plus_chi1} must be positive")
     return sqrt(one_plus_chi1)
+
+
+def _check_length(flag: str, what: str, value: float) -> None:
+    """Refuse a length flag that is not positive and finite, naming the flag."""
+    if not 0 < value < inf:
+        raise ValueError(f"{flag}: {what} must be positive and finite, got {value}")
 
 
 def cmd_invert(args) -> int:
@@ -80,16 +86,14 @@ def cmd_verify(args) -> int:
     from .maxwell import verify_routes
     from .modes import make_uniform_medium_modes
 
+    if args.modes < 1:
+        raise ValueError(f"--modes must be at least 1, got {args.modes}")
+    _check_length("--l-box", "box length", args.l_box)
     medium = _load_medium_arg(args)
     n_index = _refractive_index(medium, args.medium)
-    if n_index < 1.0:  # the box modes of a uniform medium need one
-        raise ValueError(f"medium {args.medium}: refractive index sqrt(1 + chi1) = {n_index} "
-                         "must be >= 1")
-    m_max = args.modes
-    m_range = [m for m in range(-m_max, m_max + 1) if m != 0]
-    ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
-
+    m_range = [m for m in range(-args.modes, args.modes + 1) if m != 0]
     try:
+        ms = make_uniform_medium_modes(n_index, args.l_box, m_range, medium.units)
         routes = verify_routes(ms, medium)
     except OverflowError:
         raise ValueError(f"medium {args.medium}: a coefficient norm of the operator checks "
@@ -138,9 +142,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_phasematch(args) -> int:
-    from .coupling import phase_matching_curve
     from .linalg import linspace
+    from .modes import phase_matching_curve
 
+    _check_length("--length", "interaction length", args.length)
     for flag, value in (("--dk-min", args.dk_min), ("--dk-max", args.dk_max)):
         if not -inf < value < inf:
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -162,20 +167,23 @@ def _interaction_from_args(args):
     :func:`~dquant.hamiltonian.scheme_resonant_coefficients`, and the ratio
     the E route's over it. A theta that underflows to 0 leaves the ratio
     undefined (nan): the dynamics then refuses the zero generator, and no
-    state is evolved. A coupling that overflows a float is refused.
+    state is evolved. A coupling that overflows a float is refused, and so
+    is a medium of index below 1, naming its file.
     """
-    from .coupling import pure_order_modeset
-    from .hamiltonian import scheme_resonant_coefficients
+    from .hamiltonian import pure_order_modeset, scheme_resonant_coefficients
     from .modes import sinc
     from .susceptibility import ROUTES, MediumSpec, load_medium
 
+    _check_length("--length", "interaction length", args.length)
     medium = load_medium(args.medium) if args.medium else MediumSpec((0.0, 0.4))
-    _refractive_index(medium, args.medium)  # rejects a medium with no index
+    n_index = _refractive_index(medium, args.medium)
     if not medium.chi(2):
         raise ValueError("three-wave mixing needs a medium with nonzero chi(2)")
-    ms, monomial = pure_order_modeset(2, medium.chi(1), medium.units)
-    length = args.length if args.length is not None else ms.l_box
-    built = scheme_resonant_coefficients(ms, medium, monomial, length)
+    try:
+        ms, monomial = pure_order_modeset(2, n_index, medium.units)
+    except ValueError as exc:
+        raise ValueError(f"medium {args.medium}: {exc}") from None
+    built = scheme_resonant_coefficients(ms, medium, monomial, args.length)
     theta, wrong = (built[route] for route in ROUTES)
     if not all(map(isfinite, (theta.real, theta.imag, wrong.real, wrong.imag))):
         raise ValueError(f"--medium and --length set a three-wave coupling that overflows a "
@@ -186,7 +194,7 @@ def _interaction_from_args(args):
     doc = {
         "theta": {"re": theta.real, "im": theta.imag},
         "delta_k": delta_k,
-        "phi": sinc(delta_k * length / 2.0),
+        "phi": sinc(delta_k * args.length / 2.0),
         "ratio": ratio,
     }
     return theta, ratio, medium.units.hbar, doc
@@ -319,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         quantum = name == "spdc"  # only spdc evolves a quantized pump
         p.add_argument("--pump", type=_spdc_pump if quantum else pump_amplitude, default=1.0,
                        help="classical pump amplitude" + (", or 'quantum'" if quantum else ""))
-        p.add_argument("--length", type=float, default=None, help="interaction length")
+        p.add_argument("--length", type=float, default=2 * pi,
+                       help="interaction length (default: the 2 pi box)")
         p.set_defaults(fn=cmd_sweep)
 
     return parser

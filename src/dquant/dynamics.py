@@ -55,8 +55,7 @@ from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
 
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial
-from .coupling import ComparisonReport
-from .hamiltonian import compare_coefficients
+from .hamiltonian import ComparisonReport, compare_coefficients
 from .linalg import eigh_tridiagonal, linspace
 from .record import record
 

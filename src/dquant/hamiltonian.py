@@ -26,18 +26,22 @@ orderings collect into one coefficient with no symmetry check.
 The builder is the one owner of the three-wave coupling: ``spdc`` and
 ``convert`` evolve its D-route coefficient as theta and sample the wrong
 route at the built ratio E/D, and the dynamical comparisons take that
-ratio from :func:`compare_coefficients`. The matched modes and the
-comparison record live in :mod:`~dquant.coupling`.
+ratio from :func:`compare_coefficients`. They all read one matched process
+per order, :func:`pure_order_modeset`, and report as a
+:class:`ComparisonReport` against the expected ratio :func:`prefactor_ratio`.
 """
 
 from __future__ import annotations
 
-from math import inf, pi, sqrt
+from math import inf, pi, prod, sqrt
 
-from .coupling import ComparisonReport, prefactor_ratio, pure_order_modeset
-from .modes import ModeSet, field_coefficients
+from .modes import ModeSet, field_coefficients, make_uniform_medium_modes
+from .record import record
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from .units import UnitSystem
+
+#: the most entries a monomial's ladder may hold: prod(p + 1), 2^(n+1) at order n
+MAX_LADDER_ENTRIES = 2**17
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +78,9 @@ def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict
     integral is length / sqrt(2 pi). Contractions of D^(n+3) and higher
     powers reach the same degree but depend on the basis size, so they stay
     out. Raises ``ValueError`` for a monomial on modes outside ``ms``, with
-    a negative or non-integer power, of degree below 2 or with a net
-    wavevector other than 0, and for a length that is not positive and finite.
+    a negative or non-integer power, of degree below 2, whose ladder would
+    exceed :data:`MAX_LADDER_ENTRIES` or with a net wavevector other than 0,
+    and for a length that is not positive and finite.
     """
     if not 0 < length < inf:
         raise ValueError("interaction length must be positive and finite")
@@ -85,6 +90,10 @@ def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict
     powers = [p for pair in monomial.values() for p in pair]
     if not all(isinstance(p, int) and p >= 0 for p in powers) or sum(powers) < 2:
         raise ValueError(f"monomial {monomial} needs non-negative integer powers and degree >= 2")
+    entries = prod(p + 1 for p in powers)
+    if entries > MAX_LADDER_ENTRIES:
+        raise ValueError(f"a monomial of degree {sum(powers)} needs a divisor ladder of "
+                         f"{entries} entries, more than {MAX_LADDER_ENTRIES}")
     net = sum((a - c) * grid[label] for label, (c, a) in monomial.items())
     if net != 0:
         raise ValueError(f"monomial is not phase-matched: net wavevector index {net}, not 0")
@@ -125,6 +134,56 @@ def _top_degree_coefficient(ms: ModeSet, units: UnitSystem, monomial: dict) -> c
 # ---------------------------------------------------------------------------
 
 
+def prefactor_ratio(order: int) -> int:
+    """(wrong / correct) resonant-coefficient ratio for a pure order-n medium."""
+    if order < 2:
+        raise ValueError("the routes differ only for nonlinear orders n >= 2")
+    return -order
+
+
+@record
+class ComparisonReport:
+    """Correct-vs-wrong value of one observable with its expected ratio.
+
+    ``truncation_safe`` is the evolution's verdict for a dynamical
+    observable (see :mod:`~dquant.dynamics`); a coefficient involves no
+    truncation. A truncation-unsafe comparison never passes.
+    """
+
+    observable: str
+    order: int
+    value_correct: float
+    value_wrong: float
+    ratio: float
+    expected_ratio: float
+    tolerance: float
+    truncation_safe: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.truncation_safe and abs(self.ratio - self.expected_ratio) <= self.tolerance
+
+    def to_dict(self) -> dict:
+        return {**vars(self), "passed": self.passed}
+
+
+def pure_order_modeset(order: int, n_index: float, units: UnitSystem) -> tuple[ModeSet, dict]:
+    """The matched modes of an order-n process and the monomial that couples them.
+
+    n signal modes, labelled 0..n-1 at m = 1..n, and their pump, labelled n
+    at m = n(n+1)/2, on the 2 pi box of a medium of index ``n_index``
+    (:func:`~dquant.modes.make_uniform_medium_modes`, which refuses an index
+    below 1), with the monomial a_0^dag .. a_(n-1)^dag a_n. At n = 2 this is
+    the three-wave triple m = 1, 2, 3, k_C = k_A + k_B, and the linear
+    dispersion omega = c k / n makes energy matching automatic.
+    """
+    ms = make_uniform_medium_modes(n_index, 2 * pi,
+                                   [*range(1, order + 1), order * (order + 1) // 2], units)
+    monomial = {i: (1, 0) for i in range(order)}
+    monomial[order] = (0, 1)
+    return ms, monomial
+
+
 def compare_coefficients(order: int) -> ComparisonReport:
     """Resonant coefficients of both routes for a pure order-n medium; expected ratio -n.
 
@@ -135,16 +194,15 @@ def compare_coefficients(order: int) -> ComparisonReport:
     over the whole box. Their ratio is the route ratio at which the
     dynamical comparisons sample the wrong route.
     """
-    if order < 2:
-        raise ValueError("the routes differ only for nonlinear orders n >= 2")
+    expected = float(prefactor_ratio(order))
     chi1 = 0.5
     medium = MediumSpec([chi1] + [0.0] * (order - 2) + [0.37])
-    ms, monomial = pure_order_modeset(order, chi1, medium.units)
+    ms, monomial = pure_order_modeset(order, sqrt(1.0 + chi1), medium.units)
     coefficients = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
     c_correct, c_wrong = (coefficients[route] for route in ROUTES)
     return ComparisonReport(observable="coefficient", order=order,
                             value_correct=c_correct.real, value_wrong=c_wrong.real,
                             ratio=(c_wrong / c_correct).real,
-                            expected_ratio=float(prefactor_ratio(order)), tolerance=1e-12,
+                            expected_ratio=expected, tolerance=1e-12,
                             truncation_safe=True)
 

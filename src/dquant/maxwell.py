@@ -97,7 +97,7 @@ class FaradayReport:
 
 def _check_consistency(ms: ModeSet, medium: MediumSpec):
     n_medium = sqrt(1.0 + medium.chi(1))
-    present = {(m.family, m.m) for m in ms.modes}
+    present = {m.m for m in ms.modes}
     for mode in ms.modes:
         expected = medium.units.c * abs(mode.k) / n_medium
         if abs(mode.omega - expected) > 1e-9 * expected:
@@ -105,7 +105,7 @@ def _check_consistency(ms: ModeSet, medium: MediumSpec):
                 f"mode {mode.label} frequency {mode.omega} does not solve the "
                 f"medium dispersion omega = c|k|/{n_medium}"
             )
-        if (mode.family, -mode.m) not in present:
+        if -mode.m not in present:
             raise InconsistentModeSetError(
                 "verification needs a +/-k symmetric mode basis"
             )

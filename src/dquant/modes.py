@@ -34,6 +34,13 @@ def sinc(x: float) -> float:
     return sin(pi * y) / (pi * y)
 
 
+def phase_matching_curve(length: float, delta_k_grid) -> list[tuple[float, float]]:
+    """|Phi|^2 = sinc^2(delta_k L / 2) tabulated over a wavevector-mismatch grid."""
+    if not 0 < length < inf:
+        raise ValueError("interaction length must be positive and finite")
+    return [(float(dk), sinc(dk * length / 2.0) ** 2) for dk in delta_k_grid]
+
+
 @record
 class Mode:
     """One plane wave on the box grid.
@@ -43,7 +50,6 @@ class Mode:
     """
 
     label: int
-    family: str
     m: int
     k: float
     omega: float
@@ -82,8 +88,7 @@ def field_coefficients(mode: Mode, w: float, units: UnitSystem) -> tuple[complex
     return amp * mode.d, amp * mode.b
 
 
-def plane_wave_mode(label: int, family: str, m: int, n_index: float, l_box: float,
-                    units: UnitSystem) -> Mode:
+def plane_wave_mode(label: int, m: int, n_index: float, l_box: float, units: UnitSystem) -> Mode:
     """Flat-profile plane wave on the box grid: k = 2*pi*m/l_box, omega = c |k| / n.
 
     d = sqrt(eps0 n^2) normalizes the profile exactly, and the induction
@@ -93,22 +98,23 @@ def plane_wave_mode(label: int, family: str, m: int, n_index: float, l_box: floa
     k = 2 * pi / l_box * m
     omega = units.c * abs(k) / n_index
     d = sqrt(units.eps0 * n_index**2)
-    return Mode(label=label, family=family, m=m, k=k, omega=omega,
-                d=complex(d), b=complex(units.mu0 * omega * d / k))
+    return Mode(label=label, m=m, k=k, omega=omega, d=complex(d),
+                b=complex(units.mu0 * omega * d / k))
 
 
 def make_uniform_medium_modes(n_index: float, l_box: float, m_range: Sequence[int],
                               units: UnitSystem) -> ModeSet:
     """Plane-wave modes of a uniform medium: omega = c |k| / n, labelled 0, 1, ...
 
-    Raises ``ValueError`` for an m = 0 entry: it has zero frequency and
-    cannot be quantized.
+    The one builder of box mode sets, and the one owner of the rule
+    n >= 1. Raises ``ValueError`` for an index below 1 and for an m = 0
+    entry: it has zero frequency and cannot be quantized.
     """
     if n_index < 1.0:
-        raise ValueError("refractive index must be >= 1")
+        raise ValueError(f"refractive index {n_index} must be >= 1")
     if not 0 < l_box < inf:
         raise ValueError("box length must be positive and finite")
     if 0 in m_range:
         raise ValueError("the m = 0 mode has zero frequency and cannot be quantized")
-    return ModeSet(modes=tuple(plane_wave_mode(label, "U", int(m), n_index, l_box, units)
+    return ModeSet(modes=tuple(plane_wave_mode(label, int(m), n_index, l_box, units)
                                for label, m in enumerate(m_range)), l_box=l_box)

@@ -10,7 +10,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
-from dquant.coupling import pure_order_modeset
 from dquant.dynamics import (
     EvolutionConfig,
     FockSpace,
@@ -20,7 +19,7 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
-from dquant.hamiltonian import scheme_resonant_coefficients
+from dquant.hamiltonian import pure_order_modeset, scheme_resonant_coefficients
 from dquant.maxwell import verify_routes
 from dquant.modes import make_uniform_medium_modes, sinc
 from dquant.susceptibility import MediumSpec, invert_series
@@ -37,7 +36,7 @@ def _report(num: int, ok: bool, text: str):
 
 def _three_wave(chi1, chi2):
     """Each scheme's coefficient of a_A^dag a_B^dag a_C on the CLI's matched triple."""
-    ms, powers = pure_order_modeset(2, chi1, NAT)
+    ms, powers = pure_order_modeset(2, sqrt(1.0 + chi1), NAT)
     medium = MediumSpec([chi1, chi2])
     return scheme_resonant_coefficients(ms, medium, powers, ms.l_box)
 
@@ -48,7 +47,7 @@ def test_criterion_1_prefactor_discrepancy():
     for n in range(3, 11):
         # a pure chi^n medium, n signal modes and their matched pump
         medium = MediumSpec([0.5] + [0.0] * (n - 2) + [0.37])
-        ms, monomial = pure_order_modeset(n, 0.5, NAT)
+        ms, monomial = pure_order_modeset(n, sqrt(1.5), NAT)
         built = scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
         ok = ok and abs(built["E-linear-wrong"] / built["D-based"] - (-n)) < 1e-12 * n
     _report(1, ok, "wrong/correct = -2 for chi2, -n for pure chi^n up to n=10 (1e-12 n)")

@@ -14,7 +14,7 @@ import dquant
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import main
-from dquant.coupling import ComparisonReport
+from dquant.hamiltonian import ComparisonReport
 from dquant.serialize import dumps
 from dquant.susceptibility import ROUTES
 from dquant.units import si_units
@@ -284,6 +284,18 @@ class TestCompare:
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["ratio"] == pytest.approx(4.0, abs=1e-3)
 
+    @pytest.mark.parametrize("observable, order", [("coefficient", 30), ("conversion", 40)])
+    def test_order_past_the_ladder_bound_exits_2_at_once(self, tmp_path, capsys, observable,
+                                                         order):
+        # the divisor ladder of order n holds 2^(n+1) entries: these orders once
+        # ran until memory ran out
+        out = tmp_path / "cmp"
+        assert main(["compare", "--order", str(order), "--observable", observable,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a monomial of degree {order + 1} needs a divisor ladder of "
+            f"{2 ** (order + 1)} entries, more than 131072\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("order", [4, 5, 6])
     def test_squeezing_default_cutoff_is_truncation_safe(self, tmp_path, capsys, order):
@@ -350,8 +362,7 @@ class TestSweeps:
     def test_interaction_is_the_built_coupling(self, tmp_path, units):
         # theta and the ratio of interaction.json are the resonant builder's
         # D coefficient and E/D on the triple m = 1, 2, 3 over --length
-        from dquant.coupling import pure_order_modeset
-        from dquant.hamiltonian import scheme_resonant_coefficients
+        from dquant.hamiltonian import pure_order_modeset, scheme_resonant_coefficients
         from dquant.susceptibility import load_medium
 
         path = tmp_path / "medium.json"
@@ -360,7 +371,7 @@ class TestSweeps:
         assert main(["spdc", "--medium", str(path), "--length", "1.7", "--n-max", "4",
                      "--time", "0.5", "--steps", "2", "--out", str(out)]) == 0
         medium = load_medium(path)
-        ms, monomial = pure_order_modeset(2, 0.5, medium.units)
+        ms, monomial = pure_order_modeset(2, sqrt(1.5), medium.units)
         built = scheme_resonant_coefficients(ms, medium, monomial, 1.7)
         text = (out / "interaction.json").read_text()
         assert '"ratio": -2.0,' in text  # the serializer's 12 digits of the built E/D
@@ -487,16 +498,22 @@ NON_FINITE_OR_ZERO = [
     (["convert", "--pump", "inf"], "pump amplitude"),
     (["spdc", "--pump", "0"], "pump amplitude"),
     (["convert", "--pump", "0"], "pump amplitude"),
-    (["spdc", "--length", "nan"], "interaction length"),
-    (["convert", "--length", "inf"], "interaction length"),
-    (["phasematch", "--length", "nan"], "interaction length"),
-    (["phasematch", "--length", "inf"], "interaction length"),
+    (["spdc", "--length", "nan"], "--length: interaction length"),
+    (["convert", "--length", "inf"], "--length: interaction length"),
+    (["spdc", "--length", "0"], "--length: interaction length"),
+    (["convert", "--length", "0"], "--length: interaction length"),
+    (["phasematch", "--length", "nan"], "--length: interaction length"),
+    (["phasematch", "--length", "inf"], "--length: interaction length"),
+    (["phasematch", "--length", "0"], "--length: interaction length"),
     (["phasematch", "--dk-min", "nan"], "--dk-min"),
     (["phasematch", "--dk-min", "inf"], "--dk-min"),
     (["phasematch", "--dk-max", "nan"], "--dk-max"),
     (["phasematch", "--points", "0"], "--points"),
-    (["verify", "--l-box", "nan"], "box length"),
-    (["verify", "--l-box", "inf"], "box length"),
+    (["verify", "--l-box", "nan"], "--l-box: box length"),
+    (["verify", "--l-box", "inf"], "--l-box: box length"),
+    (["verify", "--l-box", "-1"], "--l-box: box length"),
+    (["verify", "--modes", "0"], "--modes must be at least 1"),
+    (["verify", "--modes", "-2"], "--modes must be at least 1"),
 ]
 
 
@@ -504,7 +521,9 @@ NON_FINITE_OR_ZERO = [
                          ids=["-".join(argv) for argv, _ in NON_FINITE_OR_ZERO])
 def test_non_finite_or_zero_input_exits_2_naming_it(tmp_path, capsys, argv, message):
     # a NaN passes every `x <= 0` guard and would reach the JSON as NaN (not
-    # JSON) or fail far from the argument that caused it
+    # JSON) or fail far from the argument that caused it; a length or mode
+    # count is checked where the command reads its flag, so the error names
+    # the flag and never blames the medium
     if argv[0] == "verify":
         argv = [*argv, "--medium", write_medium(tmp_path, [0.5, 0.3])]
     if argv[0] in ("spdc", "convert"):
@@ -515,7 +534,9 @@ def test_non_finite_or_zero_input_exits_2_naming_it(tmp_path, capsys, argv, mess
     except SystemExit as exc:  # argparse rejects a malformed option value
         code = exc.code
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "error: medium" not in err
     assert not out.exists()
 
 
@@ -600,12 +621,11 @@ def test_coefficients_that_underflow_exit_2_writing_nothing(tmp_path, capsys, co
     # at chi2 = 1e-300 over --length 1e-30 both routes' built coefficients
     # underflow to exactly 0, so their ratio E/D is undefined: the command
     # refuses the zero generator rather than end in a ZeroDivisionError
-    from dquant.coupling import pure_order_modeset
-    from dquant.hamiltonian import scheme_resonant_coefficients
+    from dquant.hamiltonian import pure_order_modeset, scheme_resonant_coefficients
     from dquant.susceptibility import load_medium
 
     medium = write_medium(tmp_path, [0.5, 1e-300])
-    ms, monomial = pure_order_modeset(2, 0.5, load_medium(medium).units)
+    ms, monomial = pure_order_modeset(2, sqrt(1.5), load_medium(medium).units)
     built = scheme_resonant_coefficients(ms, load_medium(medium), monomial, 1e-30)
     assert built["D-based"] == built["E-linear-wrong"] == 0
     out = tmp_path / "out"
@@ -680,23 +700,22 @@ def test_chi1_at_or_below_minus_one_exits_2_naming_the_file(tmp_path, command, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, code", [(["verify"], 2), (["spdc", "--n-max", "4"], 0),
-                                           (["convert", "--n-max", "4"], 0)],
+@pytest.mark.parametrize("chis", [[-0.5, 0.3], [-0.999999999999999, 0.3],
+                                  [-0.9999999999, 1e300]],
+                         ids=["chi1-minus-half", "near-zero-index", "eta2-overflow"])
+@pytest.mark.parametrize("command", [["verify"], ["spdc", "--n-max", "4"],
+                                     ["convert", "--n-max", "4"]],
                          ids=["verify", "spdc", "convert"])
-def test_index_below_one_exits_2_naming_the_file_in_verify_only(tmp_path, command, code,
-                                                                capsys):
-    # 0 < 1 + chi1 < 1: verify's box modes need n >= 1 and once exited 2 with an
-    # error that named no file; the three-wave commands accept the medium
-    path = write_medium(tmp_path, [-0.5, 0.3])
+def test_index_below_one_exits_2_naming_the_file(tmp_path, command, chis, capsys):
+    # 0 < 1 + chi1 < 1: the box modes of every command need n >= 1. verify
+    # once exited 2 naming no file, and spdc and convert once accepted the
+    # medium, or failed in the inverse series naming no file
+    path = write_medium(tmp_path, chis)
     out = tmp_path / "out"
-    assert main([*command, "--medium", path, "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    if code:
-        assert (f"error: medium {path}: refractive index sqrt(1 + chi1) = {sqrt(0.5)} "
-                "must be >= 1") in err
-        assert not out.exists()
-    else:
-        assert "error" not in err
+    assert main([*command, "--medium", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: medium {path}: refractive index {sqrt(1.0 + chis[0])} must be >= 1\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["invert"], ["verify"], ["spdc", "--n-max", "4"],
@@ -745,7 +764,7 @@ def test_public_names_resolve_to_their_defining_submodule():
 
 #: the modules of the exact algebra and the dynamics, which import neither numpy nor scipy
 ALGEBRA_MODULES = ("boson_algebra", "fields", "modes", "maxwell", "susceptibility",
-                   "hamiltonian", "coupling", "serialize", "linalg", "dynamics")
+                   "hamiltonian", "serialize", "linalg", "dynamics")
 
 
 def test_algebra_modules_leave_numpy_unloaded():
@@ -768,7 +787,7 @@ def test_algebra_modules_leave_numpy_unloaded():
 CLI_CORE = {"cli", "record", "serialize", "units"}
 #: the closure of a dynamical compare, which builds its route ratio with the
 #: resonant builder on a pure order-n medium
-DYNAMICS = CLI_CORE | {"boson_algebra", "coupling", "dynamics", "hamiltonian", "linalg", "modes",
+DYNAMICS = CLI_CORE | {"boson_algebra", "dynamics", "hamiltonian", "linalg", "modes",
                        "susceptibility"}
 
 
@@ -781,9 +800,9 @@ COMMAND_CLOSURES = [
      CLI_CORE | {"boson_algebra", "fields", "maxwell", "modes", "susceptibility"}),
     (["compare", "--observable", "coefficient"], "hamiltonian",
      ("boson_algebra", "dynamics", "fields", "maxwell"),
-     CLI_CORE | {"coupling", "hamiltonian", "modes", "susceptibility"}),
-    (["phasematch", "--points", "3"], "coupling", ("dynamics", "maxwell"),
-     CLI_CORE | {"coupling", "linalg", "modes"}),
+     CLI_CORE | {"hamiltonian", "modes", "susceptibility"}),
+    (["phasematch", "--points", "3"], "modes", ("dynamics", "hamiltonian", "maxwell"),
+     CLI_CORE | {"linalg", "modes"}),
     (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics",
      ("fields", "maxwell"), DYNAMICS),
     (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics",

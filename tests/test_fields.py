@@ -164,9 +164,9 @@ def linear_fields(draw):
     l_box = draw(st.sampled_from((2 * pi, 6.0)))
     modes = []
     for label, m in enumerate(grid):
-        mode = plane_wave_mode(label, "U", m, sqrt(1.5), l_box, NAT)
+        mode = plane_wave_mode(label, m, sqrt(1.5), l_box, NAT)
         phase = exp(1j * draw(st.floats(0.0, 2 * pi)))
-        modes.append(Mode(label=label, family="U", m=m, k=mode.k, omega=mode.omega,
+        modes.append(Mode(label=label, m=m, k=mode.k, omega=mode.omega,
                           d=phase * mode.d, b=phase * mode.b))
     return expand_fields(ModeSet(modes=tuple(modes), l_box=l_box), NAT)[0]
 

@@ -11,11 +11,11 @@ from product_oracle import box_integral, field_power, field_product, multiply
 
 from dquant.boson_algebra import BosonicPolynomial, annihilation, creation, number
 import dquant.hamiltonian as hamiltonian
-from dquant.coupling import phase_matching_curve, prefactor_ratio, pure_order_modeset
 from dquant.fields import expand_fields
-from dquant.hamiltonian import scheme_resonant_coefficients
+from dquant.hamiltonian import prefactor_ratio, pure_order_modeset, scheme_resonant_coefficients
 from dquant.maxwell import _route_hamiltonians
-from dquant.modes import Mode, ModeSet, make_uniform_medium_modes, plane_wave_mode, sinc
+from dquant.modes import (Mode, ModeSet, make_uniform_medium_modes, phase_matching_curve,
+                          plane_wave_mode, sinc)
 from dquant.susceptibility import ROUTES, MediumSpec, invert_series
 from dquant.units import UnitSystem, si_units
 
@@ -61,7 +61,7 @@ def closed_form_theta(ms, length, eta2, units):
 def pure_order(order, chi1=0.5, chi_n=0.37):
     """compare_coefficients' setup: a pure chi_n medium, its mode set and monomial."""
     medium = MediumSpec([chi1] + [0.0] * (order - 2) + [chi_n], units=NAT)
-    return (medium, *pure_order_modeset(order, chi1, NAT))
+    return (medium, *pure_order_modeset(order, sqrt(1.0 + chi1), NAT))
 
 
 def pure_order_coefficients(order):
@@ -157,7 +157,7 @@ class TestBuildNonlinearD:
         ms, length, medium, _ = three_wave_setup()
         phases = [complex(cos(x), sin(x)) for x in (0.3, 1.1, -2.0)]
         ms = ModeSet(modes=tuple(
-            Mode(label=m.label, family=m.family, m=m.m, k=m.k, omega=m.omega,
+            Mode(label=m.label, m=m.m, k=m.k, omega=m.omega,
                  d=p * m.d, b=p * m.b) for m, p in zip(ms.modes, phases)), l_box=ms.l_box)
         conjugate = {label: (a, c) for label, (c, a) in RESONANT.items()}
         built = scheme_resonant_coefficients(ms, medium, RESONANT, length)
@@ -353,10 +353,10 @@ def matched_monomials(draw):
     l_box = draw(st.sampled_from((2 * pi, 6.0)))
     modes = []
     for label, m in enumerate(grid):
-        mode = plane_wave_mode(label, "U", m, sqrt(1.5), l_box, NAT)
+        mode = plane_wave_mode(label, m, sqrt(1.5), l_box, NAT)
         x = draw(st.floats(0.0, 2 * pi))
         phase = complex(cos(x), sin(x))
-        modes.append(Mode(label=label, family="U", m=m, k=mode.k, omega=mode.omega,
+        modes.append(Mode(label=label, m=m, k=mode.k, omega=mode.omega,
                           d=phase * mode.d, b=phase * mode.b))
     return ModeSet(modes=tuple(modes), l_box=l_box), dict(enumerate(powers))
 
@@ -460,12 +460,37 @@ class TestSchemeResonantCoefficients:
             scheme_resonant_coefficients(ms, medium, {**monomial, 7: (1, 1)}, ms.l_box)
 
 
+class TestLadderBound:
+    def test_refuses_before_building(self, monkeypatch):
+        # order 17 needs 2^18 entries: refused before any weight or ladder is built
+        def unreachable(*args):
+            raise AssertionError("built a ladder past the bound")
+
+        monkeypatch.setattr(hamiltonian, "_top_weights", unreachable)
+        monkeypatch.setattr(hamiltonian, "_top_degree_coefficient", unreachable)
+        medium, ms, monomial = pure_order(17)
+        with pytest.raises(ValueError, match=f"divisor ladder of {2**18} entries, more than "
+                                             f"{2**17}"):
+            scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
+
+    @pytest.mark.parametrize("bound, refused", [(8, False), (7, True)])
+    def test_bound_is_the_entry_count(self, monkeypatch, bound, refused):
+        # the triple's ladder holds (1 + 1)^3 = 8 entries
+        monkeypatch.setattr(hamiltonian, "MAX_LADDER_ENTRIES", bound)
+        ms, length, medium, _ = three_wave_setup()
+        if refused:
+            with pytest.raises(ValueError, match="divisor ladder of 8 entries"):
+                triple_coefficients(ms, length, medium)
+        else:
+            assert triple_coefficients(ms, length, medium)["D-based"]
+
+
 class TestBuildInteraction:
     """The builder's three-wave coupling theta against its closed form (test-side)."""
 
     def test_phi_values(self):
         # the CLI's triple m = 1, 2, 3 on the 2 pi box is phase- and energy-matched
-        ms, monomial = pure_order_modeset(2, 0.0, NAT)
+        ms, monomial = pure_order_modeset(2, 1.0, NAT)
         ma, mb, mc = ms.modes
         delta_k = mc.k - mb.k - ma.k
         assert monomial == RESONANT

@@ -49,9 +49,9 @@ class TestUniformModes:
             assert mode.k == pytest.approx(2 * pi * mode.m / 3.0, rel=1e-15)
 
     def test_plane_wave_mode_is_the_uniform_medium_mode(self):
-        mode = plane_wave_mode(0, "U", -3, 1.7, 4.0, NAT)
+        mode = plane_wave_mode(0, -3, 1.7, 4.0, NAT)
         (ref,) = make_uniform_medium_modes(1.7, 4.0, [-3], NAT).modes
-        assert (mode.label, mode.family, mode.m, mode.k, mode.omega) == (
-            ref.label, ref.family, ref.m, 2 * pi / 4.0 * -3, NAT.c * abs(ref.k) / 1.7)
+        assert (mode.label, mode.m, mode.k, mode.omega) == (
+            ref.label, ref.m, 2 * pi / 4.0 * -3, NAT.c * abs(ref.k) / 1.7)
         assert mode.d == ref.d
         assert mode.b == ref.b

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from dquant.coupling import prefactor_ratio
+from dquant.hamiltonian import prefactor_ratio
 from dquant.susceptibility import (
     MediumSpec,
     NonInvertibleLinearResponseError,
