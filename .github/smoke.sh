@@ -47,8 +47,8 @@ run convert --medium "$out/chi2-si.json" --length 1.7 --out "$out/convert-si"
 # underflows or whose phase w t reaches 2^53, a coupling rate at or below
 # PRUNE_TOL or built coefficients that underflow to 0, a medium whose
 # operator checks overflow, verify's fields or nonlinear order that
-# prune to zero, a medium that is not scalar (dim = 3) and a three-wave
-# coupling that overflows a float write no file
+# prune to zero, a medium that is not scalar (dim = 3), a chi entry that is a
+# string and a three-wave coupling that overflows a float write no file
 expect_input_error() {
   status=0
   dquant "$@" 2> "$out/stderr.txt" || status=$?
@@ -87,6 +87,8 @@ echo '{"units": "natural", "dim": 1, "chi": {"1": [1e300], "2": [0.3]}}' > "$out
 expect_nothing_written verify-chi1-1e300 verify --medium "$out/chi1-1e300.json"
 echo '{"units": "natural", "dim": 3, "chi": {"1": [0.5, 0, 0, 0, 0.6, 0, 0, 0, 0.7]}}' > "$out/dim3.json"
 expect_nothing_written invert-dim3 invert --medium "$out/dim3.json"
+echo '{"units": "natural", "dim": 1, "chi": {"1": "0.5", "2": [0.3]}}' > "$out/chi-string.json"
+expect_nothing_written invert-chi-string invert --medium "$out/chi-string.json"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [1e300]}}' > "$out/chi2-1e300.json"
 expect_nothing_written spdc-theta-overflow spdc --medium "$out/chi2-1e300.json" --length 1e300
 expect_nothing_written convert-theta-overflow convert --medium "$out/chi2-1e300.json" --length 1e300

@@ -14,25 +14,26 @@ The full three-mode quantum evolution is available behind the same API for
 States are sparse {occupation tuple: amplitude} mappings, evolved only on
 the sector of number states the Hamiltonian reaches from the initial state
 (the squeezer reaches n_max + 1 of the (n_max + 1)^2 states from the
-vacuum). A breadth-first walk over occupation tuples builds the sector and
-splits it into the blocks the Hamiltonian connects (the trilinear one
-conserves n_A - n_B and n_A + n_C, so its sector is a sum of short chains).
-Every block must be a chain, tridiagonal in sorted order: the walk hands
-it on as its diagonal and subdiagonal, and the pure-Python chain
-eigensolver of :mod:`dquant.linalg` (implicit QL and inverse iteration)
-diagonalizes it exactly. Every resonant term only moves photons, so its
-chains have a zero diagonal: they are chiral, with eigenpairs (w, z) and
-(-w, S z), S negating the odd sites. The solver then runs inverse
-iteration for w > 0 only (for the whole spectrum where a cluster of
-eigenvalues crosses 0), and each sample is formed by sublattice, skipping
-the products whose coefficients are exactly zero: from a real start on one
-sublattice (the vacuum, or |1, 0>) a sample costs two (n/2) x (n/2) real
-matrix-vector products. Any other chain costs two n x n products per
-sample. A time listed twice is evaluated once. Samples, observables,
-drifts and the edge population are all sector-sized, in tuples; any
-population within two levels of a cutoff beyond 1e-6 flags the run as
-truncation-unsafe rather than silently reporting numbers. The module runs
-on the standard library alone.
+vacuum). Besides number-conserving terms, the generator may move the
+occupations by one shift pair +-v only (v a term's creation minus
+annihilation powers), as the squeezer, the beamsplitter and the
+quantum-pump term each do; any other is refused before a state is walked.
+Its sector is then a sum of chains {n0 + k v}, one walk each, tridiagonal
+in sorted order: the walk hands each on as its diagonal and subdiagonal,
+and the pure-Python chain eigensolver of :mod:`dquant.linalg` (implicit
+QL and inverse iteration) diagonalizes it exactly. Every resonant term
+only moves photons, so its chains have a zero diagonal: they are chiral,
+with eigenpairs (w, z) and (-w, S z), S negating the odd sites. The
+solver then runs inverse iteration for w > 0 only (for the whole spectrum
+where a cluster of eigenvalues crosses 0), and each sample is formed by
+sublattice, skipping the products whose coefficients are exactly zero:
+from a real start on one sublattice (the vacuum, or |1, 0>) a sample
+costs two (n/2) x (n/2) real matrix-vector products. Any other chain
+costs two n x n products per sample. A time listed twice is evaluated
+once. Samples, observables, drifts and the edge population are all
+sector-sized, in tuples; any population within two levels of a cutoff
+beyond 1e-6 flags the run as truncation-unsafe rather than silently
+reporting numbers. The module runs on the standard library alone.
 
 The observables build their generators as rates (H / hbar), and
 :func:`evolve` takes every generator as a rate: exp(-i H t) at hbar = 1. So
@@ -157,79 +158,72 @@ class EvolutionResult:
 
 
 def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
-    """Basis states reachable from ``support`` under h, split into the blocks h connects.
+    """Basis states reachable from ``support`` under h, split into the chains h walks.
 
-    The walk applies the truncated-Fock rule to each reached state once: a
-    term ``coef (a^dag)^cre a^ann`` moves |n> to |low + cre>, low = n - ann,
-    with amplitude coef sqrt(n! / low! * (low + cre)! / low!) per mode if
-    low >= 0 and low + cre is within the cutoffs, and annihilates n
-    otherwise; a union-find over the moves labels the blocks. A block is a
-    chain when every move stays within one position of its source in sorted
-    order. Returns the sorted occupation tuples and, per chain, its states'
-    positions among them, the real diagonal and the subdiagonal of h on them
-    (entry i maps position i to i + 1). Any other block raises ``ValueError``.
+    h's terms are grouped by their shift, creation minus annihilation
+    powers: the zero shift holds the diagonal terms, and any other shifts
+    must be one pair, +v and -v, with +v climbing the sorted order. Any
+    other generator raises ``ValueError`` naming its shift count, before a
+    state is walked. A support state that no earlier walk reached steps
+    back along -v to its chain's first state, then forward along +v. Each
+    step applies the truncated-Fock rule: a term ``coef (a^dag)^cre a^ann``
+    moves |n> to |low + cre>, low = n - ann, with amplitude
+    coef sqrt(n! / low! * (low + cre)! / low!) per mode if low >= 0 and
+    low + cre is within the cutoffs; the chain ends where no term of the
+    shift applies. Returns the sorted occupation tuples and, per chain in
+    the order of its first state, its states' positions among them, the
+    real diagonal and the subdiagonal of h on them (entry i maps position
+    i to i + 1), each entry summed from 0j in h's term order.
     """
     unknown = h.modes() - set(space.modes)
     if unknown:
         raise KeyError(f"polynomial uses modes {sorted(unknown)} absent from the space")
     col = {m: i for i, m in enumerate(space.modes)}
-    terms = []  # (cre, ann, coef), the powers listed over the space's modes
+    by_shift = {}  # cre - ann -> its terms (cre, ann, coef), powers listed over the space's modes
     for key, coef in h.terms.items():
         cre, ann = [0] * len(col), [0] * len(col)
         for m, c, a in key:
             cre[col[m]], ann[col[m]] = c, a
-        terms.append((cre, ann, coef))
-
-    root = dict.fromkeys(support)  # state -> its union-find parent (None: a root)
-
-    def find(n):
-        while root[n] is not None:
-            n = root[n]
-        return n
-
+        by_shift.setdefault(tuple(map(sub, cre, ann)), []).append((cre, ann, coef))
+    diagonal = by_shift.pop((0,) * len(col), [])
+    shifts = sorted(by_shift)  # -v, then v, whose first nonzero entry is positive
+    if shifts and (len(shifts) != 2 or shifts[0] != tuple(-k for k in shifts[1])):
+        raise ValueError(f"the generator has {len(shifts)} off-diagonal shifts: evolve takes "
+                         "number-conserving terms plus one shift pair +v and -v")
+    back, forth = [by_shift[v] for v in shifts] or ([], [])
     levels = space.shape
-    moves = []  # (source, target, matrix element)
-    frontier = list(root)
-    while frontier:
-        reached = []
-        for n in frontier:
-            src_root = find(n)  # stays a root: n's own unions hang the targets' roots under it
-            for cre, ann, coef in terms:
-                low = [k - a for k, a in zip(n, ann)]
-                to = tuple(k + c for k, c in zip(low, cre))
-                if min(low, default=0) < 0 or any(k >= lv for k, lv in zip(to, levels)):
-                    continue
-                if to not in root:
-                    root[to] = None
-                    reached.append(to)
-                to_root = find(to)
-                if src_root != to_root:
-                    root[to_root] = src_root
-                # n! / low! * (low + cre)! / low! per mode, an exact integer
-                amp2 = prod(perm(k + a, a) * perm(k + c, c) for k, c, a in zip(low, cre, ann))
-                moves.append((n, to, coef * sqrt(amp2)))
-        frontier = reached
 
-    occs = sorted(root)
-    members, block_of = {}, {}
-    for i, n in enumerate(occs):
-        block_of[n] = b = find(n)
-        members.setdefault(b, []).append(i)
-    local = {occs[i]: j for sel in members.values() for j, i in enumerate(sel)}
-    entries = {}  # block -> {(row, column): matrix element}, summed in walk order
-    for n, to, amp in moves:
-        block = entries.setdefault(block_of[n], {})
-        key = local[to], local[n]
-        block[key] = block.get(key, 0j) + amp
-    chains = []
-    for b, sel in members.items():
-        block, size = entries.get(b, {}), len(sel)
-        if not all(abs(i - j) <= 1 for i, j in block):
-            raise ValueError(f"a block of {size} states is not a chain: evolve takes "
-                             "generators whose blocks are chains")
-        chains.append((sel, [block.get((i, i), 0j).real for i in range(size)],
-                       [block.get((i + 1, i), 0j) for i in range(size - 1)]))
-    return occs, chains
+    def step(n, terms):
+        """(the state that terms move n to, or None, and their summed matrix element)."""
+        to, amp = None, 0j
+        for cre, ann, coef in terms:
+            low = [k - a for k, a in zip(n, ann)]
+            if min(low, default=0) < 0 or any(k + c >= lv for k, c, lv in zip(low, cre, levels)):
+                continue
+            to = tuple(map(add, low, cre))
+            # n! / low! * (low + cre)! / low! per mode, an exact integer
+            amp += coef * sqrt(prod(perm(k + a, a) * perm(k + c, c)
+                                    for k, c, a in zip(low, cre, ann)))
+        return to, amp
+
+    walks, reached = [], set()  # walks: (the chain's states, its subdiagonal)
+    for n in support:
+        if n in reached:
+            continue
+        while (prev := step(n, back)[0]) is not None:
+            n = prev
+        states, subs = [n], []
+        while (move := step(n, forth))[0] is not None:
+            n, amp = move
+            states.append(n)
+            subs.append(amp)
+        walks.append((states, subs))
+        reached.update(states)
+    occs = sorted(reached)
+    at = {n: i for i, n in enumerate(occs)}
+    walks.sort(key=lambda walk: walk[0][0])
+    return occs, [([at[n] for n in states], [step(n, diagonal)[1].real for n in states], subs)
+                  for states, subs in walks]
 
 
 def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex],
@@ -245,22 +239,22 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     returns psi0 exactly and weak couplings keep their relative accuracy.
     A time listed twice is evaluated once: both samples are the same row.
 
-    Every block must be a chain; any other block raises ``ValueError``. A
-    Hermitian generator of one off-diagonal monomial and its conjugate,
-    plus number-conserving terms, always qualifies: each move shifts the
-    occupations by +-v, v the monomial's creation minus annihilation
-    powers, so a block is {n0 + k v}, which is monotone in sorted order.
-    Each chain goes to the solver as its diagonal and subdiagonal: its
-    diagonalization is quadratic in its size, each sample is two real
-    matrix-vector products and its energy takes linear time, so the cost
-    grows with the block sizes, not with the full dimension. A chiral chain
-    (zero diagonal, as in every resonant interaction, which only moves
-    photons) needs inverse iteration for half its spectrum, and its samples
-    are products over its two sublattices, a quarter of the arithmetic.
-    The result reports the largest phase |w| t as ``max_phase``; a phase
-    that is no finite float raises ``OverflowError``. A zero generator, whose
-    every rate was at or below ``PRUNE_TOL``, raises :class:`ZeroGeneratorError`
-    rather than reporting a state that never moved.
+    h must be number-conserving terms plus off-diagonal terms of one shift
+    pair +-v, v a term's creation minus annihilation powers, as is one
+    off-diagonal monomial and its conjugate; any other generator raises
+    ``ValueError`` naming its shift count. Each block is then a chain
+    {n0 + k v}, monotone in sorted order, and goes to the solver as its
+    diagonal and subdiagonal: its diagonalization is quadratic in its size,
+    each sample is two real matrix-vector products and its energy takes
+    linear time, so the cost grows with the block sizes, not with the full
+    dimension. A chiral chain (zero diagonal, as in every resonant
+    interaction, which only moves photons) needs inverse iteration for half
+    its spectrum, and its samples are products over its two sublattices, a
+    quarter of the arithmetic. The result reports the largest phase |w| t
+    as ``max_phase``; a phase that is no finite float raises
+    ``OverflowError``. A zero generator, whose every rate was at or below
+    ``PRUNE_TOL``, raises :class:`ZeroGeneratorError` rather than reporting
+    a state that never moved.
     """
     if h.is_zero:
         raise ZeroGeneratorError(f"the generator prunes to zero: every rate is at or below "

@@ -30,11 +30,13 @@ class NonInvertibleLinearResponseError(ValueError):
 
 
 def _real(x) -> float:
+    """x as a float; a string or a boolean is no number, though float() reads it."""
     try:
-        return float(x)
+        if not isinstance(x, (str, bytes, bool)):
+            return float(x)
     except TypeError:
-        raise ValueError(f"chi entries must be real numbers (lossless media), "
-                         f"got {x!r}") from None
+        pass
+    raise ValueError(f"chi entries must be real numbers (lossless media), got {x!r}")
 
 
 @record

@@ -33,6 +33,10 @@ from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations,
 
 #: the route ratio E/D of a chi2 medium: the wrong route's rate is twice the correct one's
 RATIO = -2.0
+#: off-diagonal monomials that give a generator a second shift pair
+PAIR = BosonicPolynomial.monomial({0: (2, 0), 1: (2, 0)}, coeff=0.1)
+HOP_01 = BosonicPolynomial.monomial({0: (1, 0), 1: (0, 1)}, coeff=0.3)
+HOP_12 = BosonicPolynomial.monomial({1: (1, 0), 2: (0, 1)}, coeff=0.2)
 
 
 def samples(t, steps=1):
@@ -88,14 +92,20 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(annihilation(0), space, space.vacuum(), samples(1.0))
 
-    def test_rejects_a_block_that_is_not_a_chain(self):
-        # the squeezer moves pair states by (1, 1) and (a0^dag a1^dag)^2 by (2, 2):
-        # the vacuum's block of 13 pair states couples each to the next two
-        pair = BosonicPolynomial.monomial({0: (2, 0), 1: (2, 0)}, coeff=0.1)
-        h = two_mode_squeezer(0.4) + pair + pair.dagger()
-        space = FockSpace(modes=(0, 1), cutoff=12)
-        with pytest.raises(ValueError, match="a block of 13 states is not a chain"):
-            evolve(h, space, space.vacuum(), samples(1.5, 6))
+    @pytest.mark.parametrize("h, space, psi0", [
+        # the squeezer moves pair states by (1, 1) and (a0^dag a1^dag)^2 by (2, 2)
+        (two_mode_squeezer(0.4) + PAIR + PAIR.dagger(), FockSpace(modes=(0, 1), cutoff=12),
+         {(0, 0): 1.0}),
+        # a0^dag a1 and a1^dag a2 are two shift pairs: refused, although the block
+        # from |1, 0, 0> happens to be the chain |1, 0, 0>, |0, 1, 0>, |0, 0, 1>
+        (HOP_01 + HOP_01.dagger() + HOP_12 + HOP_12.dagger(),
+         FockSpace(modes=(0, 1, 2), cutoff=1), {(1, 0, 0): 1.0}),
+    ], ids=["squeezer-and-pair", "three-mode-hopping"])
+    def test_rejects_a_block_that_is_not_a_chain(self, h, space, psi0):
+        with pytest.raises(ValueError) as err:
+            evolve(h, space, psi0, samples(1.5, 6))
+        assert str(err.value) == ("the generator has 4 off-diagonal shifts: evolve takes "
+                                  "number-conserving terms plus one shift pair +v and -v")
 
     def test_rejects_unnormalized_state(self):
         space = FockSpace(modes=(0,), cutoff=3)
@@ -108,8 +118,8 @@ def hermitian_problems(draw, max_modes=3, max_cutoff=3, max_diagonal_terms=2, ma
     """(h + h^dag, space, psi0): a small space and a normalized state of sparse support.
 
     h is one off-diagonal monomial and up to two number-conserving ones
-    ((a^dag)^k a^k per mode): every generator of that shape splits into
-    chains, the blocks that evolve accepts.
+    ((a^dag)^k a^k per mode): every generator of that shape has one shift
+    pair, the generators that evolve accepts.
     """
     n_modes = draw(st.integers(1, max_modes))
     space = FockSpace(modes=tuple(range(n_modes)),
@@ -231,9 +241,12 @@ class TestSectorEvolution:
             want = sinh(g * t) ** 2
             assert abs(n_a - want) <= 1e-12 * want
 
-    def test_squeezer_sector_is_the_pair_states(self):
+    @pytest.mark.parametrize("support", [[(0, 0)], [(0, 0), (3, 3), (5, 5)]],
+                             ids=["vacuum", "three-pair-states"])
+    def test_squeezer_sector_is_the_pair_states(self, support):
+        # pair states on the vacuum's chain start no walk of their own
         space = FockSpace(modes=(0, 1), cutoff=128)
-        occs, chains = _sector(two_mode_squeezer(0.1), space, [(0, 0)])
+        occs, chains = _sector(two_mode_squeezer(0.1), space, support)
         assert occs == [(n, n) for n in range(129)]
         # one chain, handed on as its diagonal and subdiagonal: no 129 x 129 matrix
         assert len(chains) == 1

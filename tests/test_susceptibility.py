@@ -302,8 +302,10 @@ class TestMediumJson:
         medium = medium_from_dict({"units": "natural", "dim": 1, "chi": {"01": [0.5], 2: [0.3]}})
         assert medium.chis == (0.5, 0.3)
 
-    @pytest.mark.parametrize("raw", [[0.5, 0.1], ["x"], [None], [[0.5], [0.1]]],
-                             ids=["count", "string", "null", "nested-count"])
+    @pytest.mark.parametrize("raw", [[0.5, 0.1], ["x"], [None], [[0.5], [0.1]], ["0.5"], "0.5",
+                                     [True]],
+                             ids=["count", "string", "null", "nested-count", "numeric-string",
+                                  "bare-numeric-string", "boolean"])
     def test_bad_entries_raise(self, raw):
         with pytest.raises(ValueError):
             medium_from_dict({"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": raw}})
