@@ -18,6 +18,11 @@ run() {
   cat "$out/stderr.txt"
   if grep -q truncation-unsafe "$out/stderr.txt"; then exit 1; fi
 }
+# the top-level help lists the commands; each command's help builds its parser alone
+run --help
+for command in invert verify compare phasematch spdc convert; do
+  run "$command" --help
+done
 echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [0.3]}}' > "$out/chi2.json"
 run invert --medium "$out/chi2.json" --out "$out/invert"
 run verify --medium "$out/chi2.json" --modes 2 --out "$out/verify"

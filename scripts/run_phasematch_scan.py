@@ -6,8 +6,7 @@ import argparse
 from math import pi
 from pathlib import Path
 
-from dquant.linalg import linspace
-from dquant.modes import phase_matching_curve
+from dquant.modes import linspace, phase_matching_curve
 from dquant.serialize import csv_text, write_text
 
 

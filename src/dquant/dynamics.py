@@ -57,7 +57,8 @@ from typing import Mapping, Sequence
 
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial
 from .hamiltonian import ComparisonReport, compare_coefficients
-from .linalg import eigh_tridiagonal, linspace
+from .linalg import eigh_tridiagonal
+from .modes import linspace
 from .record import record
 
 EDGE_POPULATION_TOL = 1e-6

@@ -1,6 +1,5 @@
-"""Pure-Python numerics for the dynamics and the CLI: a grid and a Hermitian chain eigensolver.
+"""Pure-Python Hermitian chain eigensolver for the dynamics.
 
-``linspace`` is numpy's evenly spaced grid, float for float.
 ``eigh_tridiagonal`` diagonalizes a Hermitian chain, given as its diagonal
 and subdiagonal:
 
@@ -41,17 +40,6 @@ CLUSTER_TOL = 1e-3
 #: measurable gain in orthogonality or residual on the dynamics' chains)
 INVERSE_MAX_ITERATIONS = 5
 INVERSE_EXTRA_ITERATIONS = 1
-
-
-def linspace(start: float, stop: float, num: int) -> list[float]:
-    """``np.linspace(start, stop, num)``: i * step + start, and stop exactly last."""
-    if num < 0:
-        raise ValueError(f"Number of samples, {num}, must be non-negative.")
-    div = max(num - 1, 1)
-    step = (stop - start) / div
-    # a step that underflows to zero scales i / div instead, as numpy does
-    grid = [(i * step if step else i / div * (stop - start)) + start for i in range(num)]
-    return grid[:-1] + [stop] if num > 1 else grid
 
 
 @record

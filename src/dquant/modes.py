@@ -1,5 +1,9 @@
 """Discrete mode bases: box-quantized plane waves with flat profiles.
 
+The phase-matching curve and its grid live here too: ``linspace`` is
+numpy's evenly spaced grid, float for float, for ``phasematch``, the scripts
+and the dynamics' sample times.
+
 Box quantization maps the continuum onto a periodic box of length ``l_box``:
 wavevectors become k_m = 2*pi*m / l_box = w*m for integer m, integrals over
 k become w * sums, delta(k-k') becomes delta_mm' / w, and the continuum
@@ -32,6 +36,17 @@ def sinc(x: float) -> float:
         return 1.0 if y == 0 else 0.0
     # np.sinc's arithmetic: sin(pi y) / (pi y)
     return sin(pi * y) / (pi * y)
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)``: i * step + start, and stop exactly last."""
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    div = max(num - 1, 1)
+    step = (stop - start) / div
+    # a step that underflows to zero scales i / div instead, as numpy does
+    grid = [(i * step if step else i / div * (stop - start)) + start for i in range(num)]
+    return grid[:-1] + [stop] if num > 1 else grid
 
 
 def phase_matching_curve(length: float, delta_k_grid) -> list[tuple[float, float]]:

@@ -13,7 +13,7 @@ import pytest
 import dquant
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
-from dquant.cli import main
+from dquant.cli import COMMANDS, main
 from dquant.hamiltonian import ComparisonReport
 from dquant.serialize import dumps
 from dquant.susceptibility import ROUTES
@@ -491,9 +491,13 @@ class TestSweeps:
 
 
 NON_FINITE_OR_ZERO = [
-    (["spdc", "--time", "nan"], "evolution time"),
-    (["convert", "--time", "nan"], "evolution time"),
-    (["spdc", "--time", "inf"], "evolution time"),
+    (["spdc", "--time", "nan"], "--time: evolution time"),
+    (["convert", "--time", "nan"], "--time: evolution time"),
+    (["spdc", "--time", "inf"], "--time: evolution time"),
+    (["spdc", "--n-max", "1"], "--n-max: fock cutoff must be at least 2, got 1"),
+    (["convert", "--n-max", "1"], "--n-max: fock cutoff must be at least 2, got 1"),
+    (["spdc", "--steps", "0"], "--steps: need at least one evolution step, got 0"),
+    (["convert", "--steps", "0"], "--steps: need at least one evolution step, got 0"),
     (["spdc", "--pump", "nan"], "pump amplitude"),
     (["convert", "--pump", "inf"], "pump amplitude"),
     (["spdc", "--pump", "0"], "pump amplitude"),
@@ -526,7 +530,7 @@ def test_non_finite_or_zero_input_exits_2_naming_it(tmp_path, capsys, argv, mess
     # the flag and never blames the medium
     if argv[0] == "verify":
         argv = [*argv, "--medium", write_medium(tmp_path, [0.5, 0.3])]
-    if argv[0] in ("spdc", "convert"):
+    if argv[0] in ("spdc", "convert") and "--n-max" not in argv:
         argv = [*argv, "--n-max", "4"]
     out = tmp_path / "out"
     try:
@@ -773,8 +777,9 @@ def test_algebra_modules_leave_numpy_unloaded():
     code = "\n".join([
         "import sys",
         "import " + ", ".join(f"dquant.{m}" for m in ALGEBRA_MODULES),
-        "from dquant.cli import _interaction_from_args, build_parser",
-        "theta, ratio, _, doc = _interaction_from_args(build_parser().parse_args(['spdc']))",
+        "from dquant.cli import build_parser",
+        "from dquant.commands.sweep import _interaction_from_args",
+        "theta, ratio, _, doc = _interaction_from_args(build_parser('spdc').parse_args([]))",
         "assert theta != 0 and abs(ratio + 2) < 1e-15 and doc['phi'] == 1.0",
         "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))",
     ])
@@ -783,34 +788,36 @@ def test_algebra_modules_leave_numpy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-#: the dquant modules every command imports
-CLI_CORE = {"cli", "record", "serialize", "units"}
-#: the closure of a dynamical compare, which builds its route ratio with the
-#: resonant builder on a pure order-n medium
-DYNAMICS = CLI_CORE | {"boson_algebra", "dynamics", "hamiltonian", "linalg", "modes",
-                       "susceptibility"}
+#: the dquant modules every command imports, besides its own module of dquant.commands
+CLI_CORE = {"cli", "commands", "record", "serialize", "units"}
+#: the library closure of a dynamical compare, which builds its route ratio
+#: with the resonant builder on a pure order-n medium
+DYNAMICS = {"boson_algebra", "dynamics", "hamiltonian", "linalg", "modes", "susceptibility"}
 
 
 #: (argv, module it runs, modules it must not import, its dquant import closure)
 COMMAND_CLOSURES = [
     (["invert"], "susceptibility",
      ("boson_algebra", "modes", "fields", "hamiltonian", "dynamics", "maxwell"),
-     CLI_CORE | {"susceptibility"}),
+     CLI_CORE | {"commands.invert", "susceptibility"}),
     (["verify", "--modes", "1"], "maxwell", ("hamiltonian", "dynamics"),
-     CLI_CORE | {"boson_algebra", "fields", "maxwell", "modes", "susceptibility"}),
+     CLI_CORE | {"commands.verify", "boson_algebra", "fields", "maxwell", "modes",
+                 "susceptibility"}),
     (["compare", "--observable", "coefficient"], "hamiltonian",
      ("boson_algebra", "dynamics", "fields", "maxwell"),
-     CLI_CORE | {"hamiltonian", "modes", "susceptibility"}),
-    (["phasematch", "--points", "3"], "modes", ("dynamics", "hamiltonian", "maxwell"),
-     CLI_CORE | {"linalg", "modes"}),
+     CLI_CORE | {"commands.compare", "hamiltonian", "modes", "susceptibility"}),
+    (["phasematch", "--points", "3"], "modes", ("dynamics", "hamiltonian", "linalg", "maxwell"),
+     CLI_CORE | {"commands.phasematch", "modes"}),
     (["spdc", "--n-max", "8", "--time", "0.5", "--steps", "2"], "dynamics",
-     ("fields", "maxwell"), DYNAMICS),
+     ("fields", "maxwell"), CLI_CORE | {"commands.sweep"} | DYNAMICS),
     (["convert", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics",
-     ("fields", "maxwell"), DYNAMICS),
-    (["compare", "--observable", "squeezing"], "dynamics", ("fields", "maxwell"), DYNAMICS),
-    (["compare", "--observable", "conversion"], "dynamics", ("fields", "maxwell"), DYNAMICS),
+     ("fields", "maxwell"), CLI_CORE | {"commands.sweep"} | DYNAMICS),
+    (["compare", "--observable", "squeezing"], "dynamics", ("fields", "maxwell"),
+     CLI_CORE | {"commands.compare"} | DYNAMICS),
+    (["compare", "--observable", "conversion"], "dynamics", ("fields", "maxwell"),
+     CLI_CORE | {"commands.compare"} | DYNAMICS),
     (["spdc", "--pump", "quantum", "--n-max", "4", "--time", "0.5", "--steps", "2"], "dynamics",
-     ("fields", "maxwell"), DYNAMICS),
+     ("fields", "maxwell"), CLI_CORE | {"commands.sweep"} | DYNAMICS),
 ]
 
 
@@ -839,11 +846,64 @@ def test_dynamics_commands_leave_scipy_unloaded(tmp_path, argv, runs, unused, cl
     assert not {"dataclasses", "inspect", "logging"} & set(imported[first:])
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-command", "unknown-command"])
+def test_no_command_or_an_unknown_one_exits_2_naming_the_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dquant [-h] {invert,verify,compare,phasematch,spdc,convert}")
+    assert "dquant: error: " in err
+
+
+def test_help_lists_every_command_with_its_help_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (help_line, _) in COMMANDS.items():
+        assert f"    {name:<20}{help_line}" in lines
+
+
+def test_unrecognized_argument_is_reported_by_the_top_level_parser(capsys):
+    # as argparse reports it for a subcommand: with the usage of dquant
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "dquant: error: unrecognized arguments: --bogus")
+
+
+def test_top_level_help_imports_no_command_module():
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dquant", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dquant.cli" in imported
+    assert [m for m in imported if m.startswith("dquant.commands")] == []
+
+
+def test_command_table_and_commands_package_agree():
+    # every module the table names exists and runs a command, and every
+    # module of the package is named by the table
+    package = Path(dquant.__file__).parent / "commands"
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert {module for _, module in COMMANDS.values()} == modules
+    for module in modules:
+        command = importlib.import_module(f"dquant.commands.{module}")
+        assert callable(command.add_arguments) and callable(command.run)
+
+
 def test_every_module_is_some_commands_module():
     # a module outside every command's closure is code no command reaches
     reached = set().union(*(closure for *_, closure in COMMAND_CLOSURES))
     src = Path(dquant.__file__).parent
-    assert reached == {p.stem for p in src.glob("*.py")} - {"__init__", "__main__"}
+    modules = set()
+    for path in src.rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        modules.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    assert reached == modules - {"", "__main__"}
 
 
 @pytest.mark.parametrize("dependency", ["scipy", "numpy", "logging"])
@@ -852,7 +912,7 @@ def test_no_module_imports(dependency):
     # of the package and no script imports them
     scripts = Path(__file__).resolve().parent.parent / "scripts"
     offenders = []
-    for path in sorted([*Path(dquant.__file__).parent.glob("*.py"), *scripts.glob("*.py")]):
+    for path in sorted([*Path(dquant.__file__).parent.rglob("*.py"), *scripts.glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]

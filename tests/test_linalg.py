@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from scipy.linalg import eigvalsh_tridiagonal
 
-from dquant.linalg import eigh_tridiagonal, linspace
+from dquant.linalg import eigh_tridiagonal
+from dquant.modes import linspace
 from eigh_oracle import chain_matrix
 
 

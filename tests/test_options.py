@@ -19,7 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dquant"
-CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+CALLERS = sorted(SRC.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 #: option -> the test that sets it (path::[class::]function, whose calls are searched)
 TEST_ONLY = {
@@ -39,7 +39,7 @@ def _is_record(cls: ast.ClassDef) -> bool:
 
 def _options(path: Path):
     """(key, call name, positional index or None, keyword) per defaulted option."""
-    module = path.stem
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
     tree = ast.parse(path.read_text())
 
     def visit(node, scope):
@@ -102,7 +102,7 @@ def _relies(calls, name: str, index, keyword: str) -> bool:
                for called, n, keywords in calls)
 
 
-OPTIONS = [option for path in sorted(SRC.glob("*.py")) for option in _options(path)]
+OPTIONS = [option for path in sorted(SRC.rglob("*.py")) for option in _options(path)]
 CALLS = [call for path in CALLERS for call in _calls(ast.parse(path.read_text()))]
 
 
