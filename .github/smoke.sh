@@ -32,6 +32,7 @@ run verify --medium "$out/chi3.json" --modes 5 --out "$out/verify-chi3-m5"
 run verify --medium "$out/chi3.json" --modes 8 --out "$out/verify-chi3-m8"  # the largest Wick build
 run compare --out "$out/compare"
 run compare --order 10 --out "$out/compare-10"  # above every bench order; exits 1 unless -10
+run compare --order 30 --out "$out/compare-30"  # the closed-form coefficient; exits 1 unless -30
 run compare --observable squeezing --out "$out/compare-squeezing"
 run compare --observable conversion --out "$out/compare-conversion"
 run phasematch --out "$out/phasematch"
@@ -47,13 +48,14 @@ run convert --medium "$out/chi2-si.json" --length 1.7 --out "$out/convert-si"
 
 # bad input exits 2 with an error line, not 1 with a traceback: a directory
 # is no medium, 1 + chi1 = 0 has no refractive index, the box modes of
-# verify and spdc need an index of at least 1, a compare order whose
-# divisor ladder exceeds 2^17 entries, a --time whose sinh^2 fit overflows or
-# underflows or whose phase w t reaches 2^53, a coupling rate at or below
-# PRUNE_TOL or built coefficients that underflow to 0, a medium whose
-# operator checks overflow, verify's fields or nonlinear order that
-# prune to zero, a medium that is not scalar (dim = 3), a chi entry that is a
-# string and a three-wave coupling that overflows a float write no file
+# verify and spdc need an index of at least 1, a compare order whose (n + 1)!
+# overflows a float, a squeezing compare or spdc cutoff whose chain exceeds
+# MAX_CHAIN_STATES, a --time whose sinh^2 fit underflows or whose phase w t
+# reaches 2^53, a coupling rate at or below PRUNE_TOL or built coefficients
+# that underflow to 0, a medium whose operator checks overflow, verify's
+# fields or nonlinear order that prune to zero, a medium that is not scalar
+# (dim = 3), a chi entry that is a string and a three-wave coupling that
+# overflows a float write no file
 expect_input_error() {
   status=0
   dquant "$@" 2> "$out/stderr.txt" || status=$?
@@ -78,7 +80,9 @@ expect_nothing_written spdc-chi1-minus-one spdc --medium "$out/chi1-minus-one.js
 echo '{"units": "natural", "dim": 1, "chi": {"1": [-0.5], "2": [0.3]}}' > "$out/chi1-minus-half.json"
 expect_nothing_written verify-chi1-minus-half verify --medium "$out/chi1-minus-half.json"
 expect_nothing_written spdc-chi1-minus-half spdc --medium "$out/chi1-minus-half.json"
-expect_nothing_written compare-order-30 compare --order 30
+expect_nothing_written compare-order-100000 compare --order 100000
+expect_nothing_written compare-squeezing-16 compare --observable squeezing --order 16
+expect_nothing_written spdc-n-max-2048 spdc --n-max 2048
 expect_nothing_written spdc-time-1e300 spdc --time 1e300
 expect_nothing_written convert-time-1e300 convert --time 1e300
 expect_nothing_written spdc-time-1e-300 spdc --time 1e-300

@@ -115,9 +115,7 @@ def main(argv=None) -> int:
     if not argv or argv[0] not in COMMANDS:
         # exits with help or a usage error listing the commands, unless argv is `-- NAME`
         argv = [_command_list().parse_args(argv).command]
-    args, unknown = build_parser(argv[0]).parse_known_args(argv[1:])
-    if unknown:  # reported by the top-level parser, as argparse does for a subcommand
-        _command_list().error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = build_parser(argv[0]).parse_args(argv[1:])
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

@@ -13,14 +13,17 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> int:
-    if args.observable == "coefficient":
-        from ..hamiltonian import compare_coefficients
+    try:
+        if args.observable == "coefficient":
+            from ..hamiltonian import compare_coefficients
 
-        report = compare_coefficients(args.order)
-    else:
-        from ..dynamics import compare_schemes
+            report = compare_coefficients(args.order)
+        else:
+            from ..dynamics import compare_schemes
 
-        report = compare_schemes(args.observable, args.order)
+            report = compare_schemes(args.observable, args.order)
+    except ValueError as exc:  # the order is the one input a comparison takes
+        raise ValueError(f"--order {args.order}: {exc}") from None
     _emit(args, "comparison.json", dumps(report.to_dict()))
     print(f"{args.observable} order {args.order}: ratio {report.ratio:.6g} "
           f"(expected {report.expected_ratio:.6g}) -> {'pass' if report.passed else 'FAIL'}")

@@ -121,6 +121,8 @@ def run(args) -> int:
         raise ValueError(f"--time {args.time:g}: {exc}") from None
     except ZeroGeneratorError as exc:
         raise ValueError(f"--medium, --length and --pump set too weak a coupling: {exc}") from None
+    except ValueError as exc:  # evolve's one other refusal here: a chain past MAX_CHAIN_STATES
+        raise ValueError(f"--n-max {args.n_max}: {exc}") from None
     if not pair.correct:
         raise ValueError(f"--time {args.time:g}: the correct route reads 0, which leaves the "
                          "ratio wrong/correct undefined")

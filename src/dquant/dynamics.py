@@ -21,7 +21,8 @@ quantum-pump term each do; any other is refused before a state is walked.
 Its sector is then a sum of chains {n0 + k v}, one walk each, tridiagonal
 in sorted order: the walk hands each on as its diagonal and subdiagonal,
 and the pure-Python chain eigensolver of :mod:`dquant.linalg` (implicit
-QL and inverse iteration) diagonalizes it exactly. Every resonant term
+QL and inverse iteration) diagonalizes it exactly; a chain longer than
+``MAX_CHAIN_STATES`` is refused before any is. Every resonant term
 only moves photons, so its chains have a zero diagonal: they are chiral,
 with eigenpairs (w, z) and (-w, S z), S negating the odd sites. The
 solver then runs inverse iteration for w > 0 only (for the whole spectrum
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import count
-from math import asinh, cos, exp, factorial, fsum, hypot, inf, perm, prod, sin, sqrt, tanh
+from math import asinh, cos, exp, fsum, hypot, inf, perm, prod, sin, sqrt, tanh
 from operator import add, ge, mul, sub
 from typing import Mapping, Sequence
 
@@ -63,6 +64,8 @@ from .record import record
 
 EDGE_POPULATION_TOL = 1e-6
 PHASE_LIMIT = 2.0**53  # from here on a float phase w t is an even integer: no digit of its angle
+#: the most states of one chain that evolve diagonalizes; the solver's cost grows with its square
+MAX_CHAIN_STATES = 2048
 
 
 class ZeroGeneratorError(ValueError):
@@ -155,7 +158,6 @@ class EvolutionResult:
     energy_drift: float
     edge_population: float
     truncation_safe: bool
-    max_phase: float  # the largest |w| t over every block's eigenvalues w and every sample time t
 
 
 def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
@@ -166,7 +168,8 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
     must be one pair, +v and -v, with +v climbing the sorted order. Any
     other generator raises ``ValueError`` naming its shift count, before a
     state is walked. A support state that no earlier walk reached steps
-    back along -v to its chain's first state, then forward along +v. Each
+    back along -v to its chain's first state, then forward along +v, and
+    raises ``ValueError`` once it passes :data:`MAX_CHAIN_STATES`. Each
     step applies the truncated-Fock rule: a term ``coef (a^dag)^cre a^ann``
     moves |n> to |low + cre>, low = n - ann, with amplitude
     coef sqrt(n! / low! * (low + cre)! / low!) per mode if low >= 0 and
@@ -215,6 +218,9 @@ def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
             n = prev
         states, subs = [n], []
         while (move := step(n, forth))[0] is not None:
+            if len(states) == MAX_CHAIN_STATES:
+                raise ValueError(f"the chain from {states[0]} holds more than MAX_CHAIN_STATES = "
+                                 f"{MAX_CHAIN_STATES} states")
             n, amp = move
             states.append(n)
             subs.append(amp)
@@ -251,11 +257,13 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     dimension. A chiral chain (zero diagonal, as in every resonant
     interaction, which only moves photons) needs inverse iteration for half
     its spectrum, and its samples are products over its two sublattices, a
-    quarter of the arithmetic. The result reports the largest phase |w| t
-    as ``max_phase``; a phase that is no finite float raises
-    ``OverflowError``. A zero generator, whose every rate was at or below
-    ``PRUNE_TOL``, raises :class:`ZeroGeneratorError` rather than reporting
-    a state that never moved.
+    quarter of the arithmetic. A chain longer than :data:`MAX_CHAIN_STATES`
+    raises ``ValueError`` before any chain is diagonalized, and a phase
+    |w| t that reaches :data:`PHASE_LIMIT` (or is no finite float) raises
+    ``OverflowError`` before its chain is sampled. A zero generator, whose
+    every rate was at or below ``PRUNE_TOL``, raises
+    :class:`ZeroGeneratorError` rather than reporting a state that never
+    moved.
     """
     if h.is_zero:
         raise ZeroGeneratorError(f"the generator prunes to zero: every rate is at or below "
@@ -276,12 +284,12 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     rows = [[0j] * len(occs) for _ in distinct]
     energies = [0.0] * len(distinct)
     t_max = max(map(abs, distinct), default=0.0)
-    max_phase = 0.0
     for sel, diag, sub in chains:
         eig = eigh_tridiagonal(diag, sub)
-        max_phase = max(max_phase, t_max * max(map(abs, eig.values), default=0.0))
-        if not max_phase < inf:
-            raise OverflowError(f"the phase w t overflows a float at t = {t_max:g}")
+        phase = t_max * max(map(abs, eig.values), default=0.0)
+        if not phase < PHASE_LIMIT:
+            raise OverflowError(f"the phase w t = {phase:g} at t = {t_max:g} reaches 2^53, where "
+                                "a float keeps no digit of its angle mod 2 pi")
         samples = _samples(eig, [psi0_s[i] for i in sel], distinct)
         for k, (row, state_b) in enumerate(zip(rows, samples)):
             for i, amp in zip(sel, state_b):
@@ -301,7 +309,6 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
         energy_drift=max(abs(energy - energies[0]) for energy in energies),
         edge_population=edge,
         truncation_safe=edge <= EDGE_POPULATION_TOL,
-        max_phase=max_phase,
     )
 
 
@@ -392,8 +399,9 @@ def population(space: FockSpace, res: EvolutionResult, occs: Sequence[int]) -> l
 
 def _coherent_amplitudes(alpha: complex, n_max: int) -> list[complex]:
     """<n|alpha> for n = 0..n_max, renormalized on the truncation."""
-    damping = exp(-abs(alpha) ** 2 / 2.0)
-    amps = [complex(alpha**n / sqrt(factorial(n))) * damping for n in range(n_max + 1)]
+    amps = [complex(exp(-abs(alpha) ** 2 / 2.0))]  # <n|alpha> = <n-1|alpha> alpha / sqrt(n)
+    for n in range(1, n_max + 1):
+        amps.append(amps[-1] * alpha / sqrt(n))
     norm = sqrt(fsum(abs(amp) ** 2 for amp in amps))
     return [amp / norm for amp in amps]
 
@@ -418,10 +426,12 @@ def coherent_cutoff(alpha: complex) -> int:
 
 def squeezing_cutoff(r: float) -> int:
     """Smallest cutoff >= 16 at which the two-mode squeezed vacuum of parameter r
-    keeps at most EDGE_POPULATION_TOL on the edge states: tanh^2(r)^(cutoff - 1)."""
-    for cutoff in count(16):
+    keeps at most EDGE_POPULATION_TOL on the edge states: tanh^2(r)^(cutoff - 1),
+    or else MAX_CHAIN_STATES, whose chain of cutoff + 1 states evolve refuses."""
+    for cutoff in range(16, MAX_CHAIN_STATES):
         if tanh(r) ** (2 * (cutoff - 1)) <= EDGE_POPULATION_TOL:
             return cutoff
+    return MAX_CHAIN_STATES
 
 
 @record
@@ -476,28 +486,17 @@ def _scheme_series(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, 
     return tuple(rows), res
 
 
-def _check_phase(res: EvolutionResult) -> None:
-    """Raise ``OverflowError`` when the largest phase w t reaches ``PHASE_LIMIT``."""
-    if not res.max_phase < PHASE_LIMIT:
-        raise OverflowError(f"the phase w t = {res.max_phase:g} reaches 2^53, where a float "
-                            "keeps no digit of its angle mod 2 pi")
-
-
 def _sinh2_fit(series, column: int) -> float:
     """r = g t_final from a least-squares fit of <n_A> = sinh^2(g t) to one column.
 
-    The last sample of the series is at t_final. Raises ``OverflowError``
-    when the sum of t^2 is not a finite float, and ``FloatingPointError``
-    when it underflows to 0.
+    The last sample of the series is at t_final. Raises
+    ``FloatingPointError`` when the sum of t^2 underflows to 0. It cannot
+    overflow: :func:`evolve` refuses such a t, since a rate above
+    ``PRUNE_TOL`` = 1e-15 makes its phase w t at least 1e-15 t > 2^53.
     """
     ts = [row[0] for row in series[1:]]
     ys = [asinh(sqrt(row[column])) for row in series[1:]]
-    try:
-        norm = fsum(t * t for t in ts)
-    except OverflowError:  # fsum's own message names no sum: an intermediate one overflowed
-        norm = inf
-    if not norm < inf:
-        raise OverflowError(f"the fit's sum of t^2 overflows a float at t = {series[-1][0]:g}")
+    norm = fsum(t * t for t in ts)
     if not norm:
         raise FloatingPointError(f"the fit's sum of t^2 underflows to 0 at t = {series[-1][0]:g}")
     return fsum(map(mul, ts, ys)) / norm * series[-1][0]
@@ -514,9 +513,10 @@ def spdc_squeezing(theta: complex, ratio: float, cfg: EvolutionConfig,
     ``ratio``. For pump="quantum" the full three-mode evolution runs
     instead, with the pump in a coherent state of amplitude 2, truncated at
     ``coherent_cutoff(2)`` or n_max, whichever is larger. The series holds
-    <n_A>(t) per route. Raises ``OverflowError`` when a phase w t or the
-    fit's sum of t^2 overflows a float, or a phase reaches ``PHASE_LIMIT``,
-    and ``FloatingPointError`` when that sum underflows to 0.
+    <n_A>(t) per route. Raises ``OverflowError`` when a phase w t reaches
+    ``PHASE_LIMIT``, ``FloatingPointError`` when the fit's sum of t^2
+    underflows to 0, and ``ValueError`` for a chain longer than
+    ``MAX_CHAIN_STATES``: the squeezer's holds n_max + 1 states.
     """
     if cfg.classical_pump:
         g = _coupling(theta, cfg, hbar)
@@ -534,10 +534,8 @@ def spdc_squeezing(theta: complex, ratio: float, cfg: EvolutionConfig,
         psi0 = coherent_state(space, 2, beta)
     series, res = _scheme_series(h, space, psi0,
                                  lambda res: occupation_expectation(space, res, 0), cfg, ratio)
-    pair = SchemePair(correct=_sinh2_fit(series, 1), wrong=_sinh2_fit(series, 2),
+    return SchemePair(correct=_sinh2_fit(series, 1), wrong=_sinh2_fit(series, 2),
                       truncation_safe=res.truncation_safe, series=series)
-    _check_phase(res)  # after the fits: an overflowing sum of t^2 is named first
-    return pair
 
 
 def frequency_conversion(theta: complex, ratio: float, cfg: EvolutionConfig,
@@ -546,14 +544,13 @@ def frequency_conversion(theta: complex, ratio: float, cfg: EvolutionConfig,
 
     theta, ``ratio`` and g = |theta| |beta| / hbar are those of
     :func:`spdc_squeezing`. The series holds the conversion probability at
-    every sample time. Raises ``OverflowError`` when a phase w t overflows a float or reaches
+    every sample time. Raises ``OverflowError`` when a phase w t reaches
     ``PHASE_LIMIT``.
     """
     g = _coupling(theta, cfg, hbar)
     space = FockSpace(modes=(0, 1), cutoff=cfg.n_max)
     series, res = _scheme_series(beamsplitter(g), space, space.basis_state([1, 0]),
                                  lambda res: population(space, res, (0, 1)), cfg, ratio)
-    _check_phase(res)
     return SchemePair(correct=series[-1][1], wrong=series[-1][2],
                       truncation_safe=res.truncation_safe, series=series)
 

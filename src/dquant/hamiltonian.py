@@ -10,8 +10,9 @@ coefficients of the two routes differ by a factor of exactly -n, and the
 cubic-in-D part of the quadratic chi-series term restores the difference.
 
 :func:`scheme_resonant_coefficients` is the one builder of resonant
-coefficients, for any scheme, order and medium: a top-degree ladder of
-D^(n+1), scaled by each scheme's weight from one table (:func:`_top_weights`).
+coefficients, for any scheme, order and medium: the closed-form top-degree
+coefficient of D^(n+1) that Wick's theorem gives, scaled by each scheme's
+weight from one table (:func:`_top_weights`).
 It reads one phase-matched monomial, so the anti-resonant terms of D^(n+1)
 are never built: the rotating-wave approximation drops them for every
 scheme alike, with the same weight that scales the resonant term, so the
@@ -21,7 +22,7 @@ and anti-resonant terms included, are built on a box by
 
 The builder reads its units from the medium. Each chi_n is one number,
 which every ordering of the n + 1 fields in D^(n+1) shares, so the (n+1)!
-orderings collect into one coefficient with no symmetry check.
+orderings collect into one multinomial count with no symmetry check.
 
 The builder is the one owner of the three-wave coupling: ``spdc`` and
 ``convert`` evolve its D-route coefficient as theta and sample the wrong
@@ -33,15 +34,13 @@ per order, :func:`pure_order_modeset`, and report as a
 
 from __future__ import annotations
 
-from math import inf, pi, prod, sqrt
+from math import factorial, inf, isfinite, pi, prod, sqrt
+from sys import float_info
 
 from .modes import ModeSet, field_coefficients, make_uniform_medium_modes
 from .record import record
 from .susceptibility import ROUTES, MediumSpec, energy_density, invert_series
 from .units import UnitSystem
-
-#: the most entries a monomial's ladder may hold: prod(p + 1), 2^(n+1) at order n
-MAX_LADDER_ENTRIES = 2**17
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +77,9 @@ def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict
     integral is length / sqrt(2 pi). Contractions of D^(n+3) and higher
     powers reach the same degree but depend on the basis size, so they stay
     out. Raises ``ValueError`` for a monomial on modes outside ``ms``, with
-    a negative or non-integer power, of degree below 2, whose ladder would
-    exceed :data:`MAX_LADDER_ENTRIES` or with a net wavevector other than 0,
-    and for a length that is not positive and finite.
+    a negative or non-integer power, of degree below 2, with a net
+    wavevector other than 0 or whose coefficient in D^(n+1) is no finite
+    float, and for a length that is not positive and finite.
     """
     if not 0 < length < inf:
         raise ValueError("interaction length must be positive and finite")
@@ -90,43 +89,39 @@ def scheme_resonant_coefficients(ms: ModeSet, medium: MediumSpec, monomial: dict
     powers = [p for pair in monomial.values() for p in pair]
     if not all(isinstance(p, int) and p >= 0 for p in powers) or sum(powers) < 2:
         raise ValueError(f"monomial {monomial} needs non-negative integer powers and degree >= 2")
-    entries = prod(p + 1 for p in powers)
-    if entries > MAX_LADDER_ENTRIES:
-        raise ValueError(f"a monomial of degree {sum(powers)} needs a divisor ladder of "
-                         f"{entries} entries, more than {MAX_LADDER_ENTRIES}")
     net = sum((a - c) * grid[label] for label, (c, a) in monomial.items())
     if net != 0:
         raise ValueError(f"monomial is not phase-matched: net wavevector index {net}, not 0")
+    coefficient = _top_degree_coefficient(ms, medium.units, monomial)
+    if not (isfinite(coefficient.real) and isfinite(coefficient.imag)):
+        raise ValueError(f"the coefficient of a degree-{sum(powers)} monomial in "
+                         f"D^{sum(powers)} is no finite float: {coefficient}")
     weights = _top_weights(medium, sum(powers) - 1)
-    base = length / sqrt(2 * pi) * _top_degree_coefficient(ms, medium.units, monomial)
+    base = length / sqrt(2 * pi) * coefficient
     return {scheme: weight * base for scheme, weight in weights.items()}
 
 
 def _top_degree_coefficient(ms: ModeSet, units: UnitSystem, monomial: dict) -> complex:
-    """Coefficient of ``monomial``, of degree n + 1, in D^(n+1), by a ladder of its divisors.
+    """Coefficient of ``monomial``, of degree n + 1, in D^(n+1), by Wick's theorem.
 
     Contractions only lower the degree, so the top-degree factors commute:
-    each step multiplies every {divisor: coefficient} by one more D coefficient
-    (conjugated for a^dag) and by (2 pi)^-1/2, summing over the orderings.
+    each of the (n+1)! / prod(p!) orderings of the monomial's multiset of
+    ladder operators, p the power of each, contributes the product of their
+    D coefficients (conjugated for a^dag) times (2 pi)^(-n/2). A count of
+    orderings past the largest float reads inf.
     """
     factors = []  # (power, D coefficient) of each ladder operator of the monomial
     for mode in ms.modes:
         if mode.label in monomial:
             cd = field_coefficients(mode, ms.w, units)[0]
             cre, ann = monomial[mode.label]
-            factors += [(p, c) for p, c in ((ann, cd), (cre, cd.conjugate())) if p]
-    norm = 1.0 / sqrt(2 * pi)
-    level = {tuple(int(j == i) for j in range(len(factors))): c
-             for i, (_, c) in enumerate(factors)}
-    for _ in range(sum(p for p, _ in factors) - 1):
-        nxt: dict[tuple, complex] = {}
-        for key, coef in level.items():
-            for i, (power, c) in enumerate(factors):
-                if key[i] < power:
-                    grown = key[:i] + (key[i] + 1,) + key[i + 1:]
-                    nxt[grown] = nxt.get(grown, 0.0) + norm * (coef * c)
-        level = nxt
-    return level[tuple(p for p, _ in factors)]
+            factors += [(ann, cd), (cre, cd.conjugate())]
+    degree = sum(p for p, _ in factors)
+    orderings = factorial(degree) // prod(factorial(p) for p, _ in factors)
+    if orderings > float_info.max:
+        return complex(inf)
+    return prod((c for p, c in factors for _ in range(p)),
+                start=orderings * (2 * pi) ** (-(degree - 1) / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +187,12 @@ def compare_coefficients(order: int) -> ComparisonReport:
     n signal modes and one pump; the coefficients of
     a_1^dag .. a_n^dag a_pump come from :func:`scheme_resonant_coefficients`
     over the whole box. Their ratio is the route ratio at which the
-    dynamical comparisons sample the wrong route.
+    dynamical comparisons sample the wrong route. Raises ``ValueError`` for an
+    order below 2, or whose (n+1)! (in O(1), before any build) or coefficient overflows.
     """
-    expected = float(prefactor_ratio(order))
+    expected = prefactor_ratio(order)
+    if factorial(min(order + 1, 171)) > float_info.max:  # 170! is the last factorial a float holds
+        raise ValueError("the (n + 1)! orderings of the resonant coefficient overflow a float")
     chi1 = 0.5
     medium = MediumSpec([chi1] + [0.0] * (order - 2) + [0.37])
     ms, monomial = pure_order_modeset(order, sqrt(1.0 + chi1), medium.units)
@@ -203,6 +201,6 @@ def compare_coefficients(order: int) -> ComparisonReport:
     return ComparisonReport(observable="coefficient", order=order,
                             value_correct=c_correct.real, value_wrong=c_wrong.real,
                             ratio=(c_wrong / c_correct).real,
-                            expected_ratio=expected, tolerance=1e-12,
+                            expected_ratio=float(expected), tolerance=1e-12,
                             truncation_safe=True)
 

@@ -3,9 +3,10 @@
 An oracle for the resonant coefficients of
 ``dquant.hamiltonian.scheme_resonant_coefficients`` and for the box
 integral of D^3 that ``dquant.maxwell`` builds, independent of both the
-top-degree ladder and the Wick powers of the field algebra: every mode contributes an
-annihilation leg at +k and a creation leg at -k, and each of the 27 ordered
-leg triples is integrated over the triple's region on its own. The
+closed-form top-degree coefficient and the Wick powers of the field
+algebra: every mode contributes an annihilation leg at +k and a creation
+leg at -k, and each of the 27 ordered leg triples is integrated over the
+triple's region on its own. The
 resonant sector is a_A^dag a_B^dag a_C and its conjugate; the rest is the
 anti-resonant sector that the rotating-wave approximation drops.
 """

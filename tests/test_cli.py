@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import dquant
+import dquant.dynamics as dynamics
+import dquant.hamiltonian as hamiltonian
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
 from dquant.cli import COMMANDS, main
@@ -267,7 +269,7 @@ class TestVerify:
 
 
 class TestCompare:
-    @pytest.mark.parametrize("order,expected", [(2, -2.0), (3, -3.0)])
+    @pytest.mark.parametrize("order,expected", [(2, -2.0), (3, -3.0), (30, -30.0)])
     def test_coefficient(self, tmp_path, order, expected):
         out = tmp_path / "cmp"
         assert main(["compare", "--order", str(order), "--observable", "coefficient",
@@ -284,17 +286,42 @@ class TestCompare:
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["ratio"] == pytest.approx(4.0, abs=1e-3)
 
-    @pytest.mark.parametrize("observable, order", [("coefficient", 30), ("conversion", 40)])
-    def test_order_past_the_ladder_bound_exits_2_at_once(self, tmp_path, capsys, observable,
-                                                         order):
-        # the divisor ladder of order n holds 2^(n+1) entries: these orders once
-        # ran until memory ran out
+    @pytest.mark.parametrize("observable", ["coefficient", "squeezing", "conversion"])
+    def test_order_whose_orderings_overflow_exits_2_before_any_build(self, tmp_path, capsys,
+                                                                     monkeypatch, observable):
+        # (n + 1)! is checked in O(1): no medium of n entries, no n + 1 modes
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a medium or a mode set for a refused order")
+
+        monkeypatch.setattr(hamiltonian, "MediumSpec", unreachable)
+        monkeypatch.setattr(hamiltonian, "pure_order_modeset", unreachable)
         out = tmp_path / "cmp"
-        assert main(["compare", "--order", str(order), "--observable", observable,
+        assert main(["compare", "--order", "100000", "--observable", observable,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --order 100000: the (n + 1)! orderings of the "
+                                           "resonant coefficient overflow a float\n")
+        assert not out.exists()
+
+    def test_coefficient_past_a_float_exits_2_naming_the_order(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--order", "145", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --order 145: the coefficient of a degree-146 monomial in D^146 is no finite "
+            "float: (inf+0j)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", [16, 100])
+    def test_squeezing_chain_past_the_bound_exits_2_at_once(self, tmp_path, capsys, monkeypatch,
+                                                            order):
+        # order 16's chain holds 2081 states and once ran past 300 s; from order
+        # 96 on tanh(0.2 n) rounds to 1 and no cutoff keeps the edge empty
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", None)  # never diagonalized
+        out = tmp_path / "cmp"
+        assert main(["compare", "--observable", "squeezing", "--order", str(order),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: a monomial of degree {order + 1} needs a divisor ladder of "
-            f"{2 ** (order + 1)} entries, more than 131072\n")
+            f"error: --order {order}: the chain from (0, 0) holds more than "
+            "MAX_CHAIN_STATES = 2048 states\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("order", [4, 5, 6])
@@ -433,6 +460,16 @@ class TestSweeps:
         assert "truncation-unsafe" in capsys.readouterr().err
         assert json.loads((out / result).read_text())["truncation_safe"] is False
 
+    def test_chain_past_the_bound_exits_2_at_once(self, tmp_path, capsys, monkeypatch):
+        # the squeezer's chain holds n_max + 1 states: refused before any is diagonalized
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", None)
+        out = tmp_path / "spdc"
+        assert main(["spdc", "--n-max", "2048", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --n-max 2048: the chain from (0, 0) holds more than MAX_CHAIN_STATES = "
+            "2048 states\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["invert", "verify", "compare", "phasematch"])
     def test_format_only_where_it_is_read(self, command):
         with pytest.raises(SystemExit) as exc:
@@ -553,9 +590,9 @@ def test_time_whose_phase_overflows_exits_2_naming_it(tmp_path, capsys, argv, t)
     # without naming the option
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --time {float(argv[2]):g}: ")
-    assert f"overflows a float at t = {t}" in err
+    assert capsys.readouterr().err == (
+        f"error: --time {float(argv[2]):g}: the phase w t = inf at t = {t} reaches 2^53, "
+        "where a float keeps no digit of its angle mod 2 pi\n")
     assert not out.exists()
 
 
@@ -573,16 +610,18 @@ def test_time_whose_phase_keeps_no_digit_exits_2_writing_nothing(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("time", ["1e154", "1e300"])
-def test_time_whose_fit_overflows_exits_2_writing_nothing(tmp_path, capsys, time):
-    # the phases w t stay finite, but the sinh^2 fit's sum of t^2 does not:
-    # its r once read 0 on both routes, and the nan ratio failed only the
-    # third file, after two had been written
+@pytest.mark.parametrize("time, phase", [("1e154", "1.42753e+155"), ("1e300", "1.42753e+301")],
+                         ids=["1e154", "1e300"])
+def test_time_whose_fit_overflows_exits_2_writing_nothing(tmp_path, capsys, time, phase):
+    # the sinh^2 fit's sum of t^2 overflows here: its r once read 0 on both
+    # routes, and the nan ratio failed only the third file, after two had
+    # been written. The phase w t of the wrong route (t = 2 --time) passes
+    # 2^53 long before, and evolve refuses it first
     out = tmp_path / "out"
     assert main(["spdc", "--time", time, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: --time {float(time):g}: the fit's sum of t^2 overflows a float "
-                   f"at t = {float(time):g}\n")
+    assert capsys.readouterr().err == (
+        f"error: --time {float(time):g}: the phase w t = {phase} at t = {2 * float(time):g} "
+        "reaches 2^53, where a float keeps no digit of its angle mod 2 pi\n")
     assert not out.exists()
 
 
@@ -866,12 +905,14 @@ def test_help_lists_every_command_with_its_help_line(capsys):
 
 
 def test_unrecognized_argument_is_reported_by_the_top_level_parser(capsys):
-    # as argparse reports it for a subcommand: with the usage of dquant
+    # no longer by the top-level parser with dquant's usage: by the command's
+    # own parser, whose usage lists the command's options
     with pytest.raises(SystemExit) as exc:
         main(["invert", "--bogus"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "dquant: error: unrecognized arguments: --bogus")
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: dquant invert [-h] [--out OUT] [--medium MEDIUM] [--order ORDER]",
+        "dquant invert: error: unrecognized arguments: --bogus"]
 
 
 def test_top_level_help_imports_no_command_module():

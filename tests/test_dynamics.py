@@ -1,17 +1,21 @@
-from math import pi, sinh
+import re
+from math import exp, isfinite, lgamma, log, nextafter, pi, sinh
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dquant.dynamics as dynamics
 from dquant.boson_algebra import BosonicPolynomial, annihilation, number
 from dquant.dynamics import (
     EDGE_POPULATION_TOL,
+    MAX_CHAIN_STATES,
     PHASE_LIMIT,
     EvolutionConfig,
     FockSpace,
     ZeroGeneratorError,
+    _coherent_amplitudes,
     _samples,
     _sector,
     beamsplitter,
@@ -443,11 +447,21 @@ class TestFrequencyConversion:
         assert population(space, res, (2, 0)) == [0.0] * 4
         assert population(space, res, [0, 1]) == population(space, res, (0, 1))
 
-    def test_max_phase_is_the_largest_rate_times_the_largest_time(self):
-        # the beamsplitter's block {|1,0>, |0,1>} has eigenvalues +-g
-        space = FockSpace(modes=(0, 1), cutoff=3)
-        res = evolve(beamsplitter(0.9), space, space.basis_state([1, 0]), samples(1.7, 3))
-        assert res.max_phase == pytest.approx(0.9 * 1.7, rel=1e-15)
+    @pytest.mark.parametrize("g, t, refused", [(0.5, nextafter(2.0 * PHASE_LIMIT, 0.0), False),
+                                               (0.5, 2.0 * PHASE_LIMIT, True),
+                                               (4.0, 1e308, True)],
+                             ids=["below", "at", "overflow"])
+    def test_phase_is_refused_from_the_limit_on(self, g, t, refused):
+        # |1> of the rate g n is a one-state chain of eigenvalue g: g t just below
+        # 2^53, at it, and past the largest float
+        space = FockSpace(modes=(0,), cutoff=3)
+        h, psi0 = g * number(0), space.basis_state([1])
+        if refused:
+            with pytest.raises(OverflowError, match=re.escape(
+                    f"the phase w t = {g * t:g} at t = {t:g} reaches 2^53")):
+                evolve(h, space, psi0, [0.0, t])
+        else:
+            assert len(evolve(h, space, psi0, [0.0, t]).states) == 2
 
     @pytest.mark.parametrize("t_final", [0.6 * PHASE_LIMIT, 2.0 * PHASE_LIMIT])
     def test_phase_past_the_limit_raises(self, t_final):
@@ -568,7 +582,42 @@ class TestCompareSchemes:
         assert doc["expected_ratio"] == -2.0
 
 
+class TestChainBound:
+    @pytest.mark.parametrize("states, refused", [(MAX_CHAIN_STATES, False),
+                                                 (MAX_CHAIN_STATES + 1, True)])
+    def test_longest_chain_is_refused_before_any_is_diagonalized(self, monkeypatch, states,
+                                                                  refused):
+        # the squeezer's chain from the vacuum holds cutoff + 1 states
+        class Diagonalized(Exception):
+            pass
+
+        def diagonalize(*args):
+            raise Diagonalized
+
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", diagonalize)
+        space = FockSpace(modes=(0, 1), cutoff=states - 1)
+        expected = ValueError if refused else Diagonalized
+        with pytest.raises(expected, match=f"more than MAX_CHAIN_STATES = {MAX_CHAIN_STATES}"
+                           if refused else None):
+            evolve(two_mode_squeezer(0.1), space, space.vacuum(), [0.0, 1.0])
+
+
 class TestCoherentState:
+    @pytest.mark.parametrize("alpha", [2.0, 1.5 - 0.5j])
+    def test_amplitudes_are_the_poisson_law(self, alpha):
+        # <n|alpha> = exp(-|alpha|^2 / 2) alpha^n / sqrt(n!), through lgamma
+        amps = _coherent_amplitudes(alpha, 170)
+        for n, amp in enumerate(amps):
+            magnitude = exp(-abs(alpha) ** 2 / 2 + n * log(abs(alpha)) - lgamma(n + 1) / 2)
+            expected = magnitude * (alpha / abs(alpha)) ** n
+            assert abs(amp - expected) <= 1e-12 * magnitude
+
+    def test_amplitudes_past_170_are_finite_and_normalized(self):
+        # sqrt(171!) is no float: the amplitudes come from their recurrence
+        psi = coherent_state(FockSpace(modes=(0,), cutoff=300), 0, 2.0)
+        assert all(isfinite(abs(amp)) for amp in psi.values())
+        assert sum(abs(amp) ** 2 for amp in psi.values()) == pytest.approx(1.0, abs=1e-12)
+
     def test_mean_occupation(self):
         space = FockSpace(modes=(0,), cutoff=30)
         psi = coherent_state(space, 0, 1.5)

@@ -1,6 +1,6 @@
 import re
 from itertools import product
-from math import cos, pi, sin, sqrt
+from math import cos, factorial, inf, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -365,8 +365,8 @@ class TestSchemeResonantCoefficients:
     @settings(max_examples=60, deadline=None)
     @given(case=matched_monomials())
     def test_equals_the_unfiltered_product(self, case):
-        # the top-degree ladder against the k = 0 coefficient of D * ... * D,
-        # every contraction built
+        # the closed-form top-degree coefficient against the k = 0
+        # coefficient of D * ... * D, every contraction built
         ms, monomial = case
         degree = sum(c + a for c, a in monomial.values())
         medium = MediumSpec([0.5, 0.3, 0.2], units=NAT)
@@ -398,7 +398,7 @@ class TestSchemeResonantCoefficients:
         assert abs(built["E-linear-wrong"] / built["D-based"] + 3) <= 1e-12
 
     def test_si_coefficient_is_the_closed_form_theta(self):
-        # each D coefficient is ~1e-19 in SI, below PRUNE_TOL, but the ladder
+        # each D coefficient is ~1e-19 in SI, below PRUNE_TOL, but the builder
         # multiplies the coefficients themselves and prunes nothing
         units = si_units()
         ms, length, medium, etas = three_wave_setup(chi1=0.5, chi2=0.3, length=1.7, units=units)
@@ -417,11 +417,14 @@ class TestSchemeResonantCoefficients:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_full_build(self, n):
-        assert pure_order_coefficients(n) == _full_build_coefficients(n)
+        # the full build sums the (n+1)! orderings, the builder counts them:
+        # equal up to the rounding of n + 2 factors
+        for built, expected in zip(pure_order_coefficients(n), _full_build_coefficients(n)):
+            assert within_ulps(built, expected, n + 2)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_equals_the_assembled_coefficient(self, case):
-        # the top-degree ladder against the resonant sector of the cubic
+        # the closed-form top-degree coefficient against the resonant sector of the cubic
         # polynomial the leg oracle assembles, over regions that fill the box
         # or fall short of it
         ms, length, medium, etas = TestLegOracle.setup(case)
@@ -460,29 +463,69 @@ class TestSchemeResonantCoefficients:
             scheme_resonant_coefficients(ms, medium, {**monomial, 7: (1, 1)}, ms.l_box)
 
 
-class TestLadderBound:
-    def test_refuses_before_building(self, monkeypatch):
-        # order 17 needs 2^18 entries: refused before any weight or ladder is built
-        def unreachable(*args):
-            raise AssertionError("built a ladder past the bound")
+def within_ulps(built, expected, factors):
+    """Whether built is within a few ulp per factor of expected."""
+    return abs(built - expected) <= 4 * factors * 2.0**-52 * abs(expected)
 
-        monkeypatch.setattr(hamiltonian, "_top_weights", unreachable)
-        monkeypatch.setattr(hamiltonian, "_top_degree_coefficient", unreachable)
-        medium, ms, monomial = pure_order(17)
-        with pytest.raises(ValueError, match=f"divisor ladder of {2**18} entries, more than "
-                                             f"{2**17}"):
+
+def multinomial_coefficient(ms, monomial):
+    """(n+1)! / prod(p!) prod(c^p) (2 pi)^(-n/2) of a degree n + 1 monomial, test-side.
+
+    Each c is a ladder operator's D coefficient sqrt(hbar omega w / 2) d
+    (conjugated for a^dag), from the mode's own fields.
+    """
+    coefficient, degree, divisor = 1.0, 0, 1
+    for mode in ms.modes:
+        cre, ann = monomial.get(mode.label, (0, 0))
+        c = sqrt(NAT.hbar * mode.omega * ms.w / 2.0) * mode.d
+        coefficient *= c.conjugate() ** cre * c**ann
+        degree += cre + ann
+        divisor *= factorial(cre) * factorial(ann)
+    return factorial(degree) // divisor * coefficient / (2 * pi) ** ((degree - 1) / 2)
+
+
+class TestClosedFormCoefficient:
+    @pytest.mark.parametrize("order", [*range(2, 18), 30, 100])
+    def test_pure_order_multinomial(self, order):
+        # within a few ulp per factor of the test-side formula, and E over D is -n
+        medium, ms, monomial = pure_order(order)
+        expected = multinomial_coefficient(ms, monomial)
+        assert within_ulps(hamiltonian._top_degree_coefficient(ms, NAT, monomial), expected,
+                           order + 2)
+        d_route, e_route = pure_order_coefficients(order)
+        assert abs(e_route / d_route + order) <= 1e-12
+
+    def test_first_coefficient_past_a_float_is_refused(self):
+        # compare_coefficients' coefficient grows past the largest float from order 145 on
+        d_route, e_route = pure_order_coefficients(144)
+        assert abs(e_route / d_route + 144) <= 1e-12
+        medium, ms, monomial = pure_order(145)
+        with pytest.raises(ValueError, match=re.escape(
+                "the coefficient of a degree-146 monomial in D^146 is no finite float: (inf+0j)")):
             scheme_resonant_coefficients(ms, medium, monomial, ms.l_box)
 
-    @pytest.mark.parametrize("bound, refused", [(8, False), (7, True)])
-    def test_bound_is_the_entry_count(self, monkeypatch, bound, refused):
-        # the triple's ladder holds (1 + 1)^3 = 8 entries
-        monkeypatch.setattr(hamiltonian, "MAX_LADDER_ENTRIES", bound)
-        ms, length, medium, _ = three_wave_setup()
-        if refused:
-            with pytest.raises(ValueError, match="divisor ladder of 8 entries"):
-                triple_coefficients(ms, length, medium)
-        else:
-            assert triple_coefficients(ms, length, medium)["D-based"]
+    def test_orderings_past_a_float_read_inf(self):
+        # 1030! / (515! 515!) > 1.8e308 orderings: no OverflowError, an inf to refuse
+        ms = make_uniform_medium_modes(1.0, 2 * pi, [1], NAT)
+        assert hamiltonian._top_degree_coefficient(ms, NAT, {0: (515, 515)}) == inf
+        medium, _, _ = pure_order(2)
+        with pytest.raises(ValueError,
+                           match=re.escape("degree-1030 monomial in D^1030 is no finite")):
+            scheme_resonant_coefficients(ms, medium, {0: (515, 515)}, ms.l_box)
+
+    def test_order_whose_orderings_overflow_is_refused_before_any_build(self, monkeypatch):
+        # (n + 1)! checked in O(1): neither a medium of n entries nor n + 1 modes is built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a medium or a mode set for a refused order")
+
+        monkeypatch.setattr(hamiltonian, "MediumSpec", unreachable)
+        monkeypatch.setattr(hamiltonian, "pure_order_modeset", unreachable)
+        for order in (170, 100000, 10**4000):
+            with pytest.raises(ValueError, match=re.escape(
+                    "the (n + 1)! orderings of the resonant coefficient overflow a float")):
+                hamiltonian.compare_coefficients(order)
+        with pytest.raises(AssertionError):  # 170! fits a float: order 169 goes on to build
+            hamiltonian.compare_coefficients(169)
 
 
 class TestBuildInteraction:
