@@ -36,6 +36,14 @@ run compare --order 30 --out "$out/compare-30"  # the closed-form coefficient; e
 run compare --observable squeezing --out "$out/compare-squeezing"
 run compare --observable conversion --out "$out/compare-conversion"
 run phasematch --out "$out/phasematch"
+# the console script flushes a redirected stdout before it ends the process
+# with os._exit: 21 points stay within one 8 KiB buffer, 1001 run past it
+dquant phasematch --points 21 > "$out/pm21-stdout.csv"
+run phasematch --points 21 --out "$out/pm21-out"
+cmp "$out/pm21-stdout.csv" "$out/pm21-out/phase_matching.csv"
+dquant phasematch --points 1001 > "$out/pm-stdout.csv"
+run phasematch --points 1001 --out "$out/pm-out"
+cmp "$out/pm-stdout.csv" "$out/pm-out/phase_matching.csv"
 run spdc --out "$out/spdc"
 run spdc --n-max 127 --time 0.5 --out "$out/spdc-127"  # an even chain: no zero mode
 run spdc --pump quantum --out "$out/spdc-quantum"

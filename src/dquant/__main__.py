@@ -1,5 +1,2 @@
-import sys
-
-from .cli import main
-
-sys.exit(main())
+from .cli import entry_point
+entry_point()

@@ -23,6 +23,7 @@ command load ``dataclasses`` (which brings ``inspect``, ``ast`` and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import inf, sqrt
 from pathlib import Path
@@ -123,5 +124,22 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def entry_point():
+    """Run :func:`main`, flush stdout and stderr, and exit with its code at once.
+
+    If either stream is missing, closed or broken, it calls ``sys.exit``
+    instead, and the interpreter's exit reports the stream as it would have.
+    argparse's exits (help and usage errors) and uncaught exceptions
+    propagate from :func:`main` and end the process normally too.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a stream that is None, closed or broken
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -563,7 +563,9 @@ def compare_schemes(observable: str, order: int) -> ComparisonReport:
     small-t conversion probability n^2. The dynamical observables run a
     matched interaction of coupling theta = 0.05 in natural units, and
     sample the wrong route at the ratio E/D that
-    :func:`~dquant.hamiltonian.compare_coefficients` builds.
+    :func:`~dquant.hamiltonian.compare_coefficients` builds. Conversion is
+    read at g t = 0.02 / n, where the tolerance grows as n^2, like the ratio
+    itself, and a route ratio off by 1e-3 fails at every order.
     """
     report = compare_coefficients(order)
     if observable == "coefficient":
@@ -580,10 +582,12 @@ def compare_schemes(observable: str, order: int) -> ComparisonReport:
                                 tolerance=1e-4 * order, truncation_safe=pair.truncation_safe)
     if observable == "conversion":
         g = abs(theta)
-        cfg = EvolutionConfig(n_max=4, t_final=0.01 / g, steps=4)
+        # sampled at g t = 0.02 / n, where the wrong route's angle n g t is 0.02 at every order
+        cfg = EvolutionConfig(n_max=4, t_final=(0.02 / order) / g, steps=4)
         pair = frequency_conversion(theta, report.ratio, cfg)
         gt = g * abs(cfg.pump) * cfg.t_final
-        # sin^2(n x)/sin^2(x) deviates from n^2 by about n^2 (n^2-1) x^2 / 3
+        # sin^2(n x)/sin^2(x) deviates from n^2 by about n^2 (n^2-1) x^2 / 3,
+        # about 1.3e-4 n^2 at x = 0.02 / n
         tol = max(1e-3, 2.0 * order**2 * (order**2 - 1) / 3.0 * gt**2)
         return ComparisonReport(observable=observable, order=order,
                                 value_correct=pair.correct, value_wrong=pair.wrong,

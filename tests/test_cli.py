@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -15,11 +17,12 @@ import dquant.dynamics as dynamics
 import dquant.hamiltonian as hamiltonian
 import dquant.maxwell as maxwell
 from dquant.boson_algebra import BosonicPolynomial
-from dquant.cli import COMMANDS, main
+from dquant.cli import COMMANDS, entry_point, main
 from dquant.hamiltonian import ComparisonReport
 from dquant.serialize import dumps
 from dquant.susceptibility import ROUTES
 from dquant.units import si_units
+from test_golden import GOLDEN, STDOUT_CASES, golden_argv
 
 
 def write_medium(tmp_path, chis, name="medium.json", dim=1):
@@ -987,6 +990,74 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert '"eta"' in proc.stdout
+
+
+#: the environment of a command whose redirected stdout is fully buffered
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_to_files(tmp_path, argv) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``python -m dquant ARGV``, each stream a file."""
+    with open(tmp_path / "stdout", "wb") as out, open(tmp_path / "stderr", "wb") as err:
+        code = subprocess.run([sys.executable, "-m", "dquant", *argv], stdout=out, stderr=err,
+                              env=BUFFERED_ENV).returncode
+    return code, (tmp_path / "stdout").read_bytes(), (tmp_path / "stderr").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_redirected_stdout_is_flushed_before_the_hard_exit(tmp_path, name):
+    # os._exit skips the interpreter's flush of a fully buffered stdout:
+    # entry_point flushes it first, so the file holds every byte
+    code, out, err = run_to_files(tmp_path, golden_argv(STDOUT_CASES[name], tmp_path))
+    assert (code, err) == (0, b"")
+    assert out == (GOLDEN / name).read_bytes()
+
+
+def test_stdout_past_one_buffer_equals_the_out_file(tmp_path):
+    argv = ["phasematch", "--points", "1001"]
+    code, out, err = run_to_files(tmp_path, argv)
+    assert (code, err) == (0, b"")
+    assert len(out) > 8192
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert out == (tmp_path / "out" / "phase_matching.csv").read_bytes()
+
+
+def test_input_error_line_reaches_stderr_before_the_hard_exit(tmp_path):
+    code, out, err = run_to_files(tmp_path, ["compare", "--order", "1"])
+    assert (code, out) == (2, b"")
+    assert err == b"error: --order 1: the routes differ only for nonlinear orders n >= 2\n"
+
+
+class BrokenStdout(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout, exits", [(io.StringIO, "_exit"), (BrokenStdout, "exit"),
+                                           (lambda: None, "exit")],
+                         ids=["working", "broken", "none"])
+def test_entry_point_exits_at_once_only_after_both_streams_flush(monkeypatch, tmp_path,
+                                                                 stdout, exits):
+    # a stream that cannot be flushed leaves the interpreter's exit to report it
+    calls = []
+
+    def sys_exit(code):
+        calls.append(("exit", code))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("_exit", code)))
+    monkeypatch.setattr(sys, "exit", sys_exit)
+    monkeypatch.setattr(sys, "stdout", stdout())
+    monkeypatch.setattr(sys, "argv", ["dquant", "compare", "--order", "2", "--out", str(tmp_path)])
+    with contextlib.suppress(SystemExit):
+        entry_point()
+    assert calls == [(exits, 0)]
+
+
+def test_console_script_is_the_entry_point():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    section = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert section == 'dquant = "dquant.cli:entry_point"'
 
 
 @pytest.mark.parametrize("failing, code", [(None, 0), ("conversion", 1)])

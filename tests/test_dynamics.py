@@ -29,7 +29,7 @@ from dquant.dynamics import (
     spdc_squeezing,
     two_mode_squeezer,
 )
-from dquant.hamiltonian import compare_coefficients
+from dquant.hamiltonian import ComparisonReport, compare_coefficients
 from dquant.linalg import eigh_tridiagonal
 from eigh_oracle import chain_matrix, eigh_states
 from fock_oracle import dim, full_states, full_vector, kron_matrix, occupations, to_matrix
@@ -571,6 +571,25 @@ class TestCompareSchemes:
             theta = 0.05 * scale
             cfg = EvolutionConfig(n_max=16, t_final=0.2 / abs(theta), steps=6)
             assert abs(spdc_squeezing(theta, RATIO, cfg).ratio) == pytest.approx(2.0, abs=1e-4)
+
+    @pytest.mark.parametrize("observable, orders", [("coefficient", range(2, 145)),
+                                                    ("conversion", range(2, 145)),
+                                                    ("squeezing", (2, 3))])
+    def test_wrong_coefficient_off_by_1e_3_fails(self, monkeypatch, observable, orders):
+        # each gate passes the built ratio and refuses one scaled by 1 + 1e-3 at
+        # every order: the conversion tolerance grows as n^2, the error as 2e-3 n^2
+        for order in orders:
+            assert compare_schemes(observable, order).passed, order
+
+        def scaled(order):
+            report = compare_coefficients(order)
+            return ComparisonReport(**{**vars(report),
+                                       "value_wrong": report.value_wrong * (1 + 1e-3),
+                                       "ratio": report.ratio * (1 + 1e-3)})
+
+        monkeypatch.setattr(dynamics, "compare_coefficients", scaled)
+        for order in orders:
+            assert not compare_schemes(observable, order).passed, order
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):

@@ -62,15 +62,20 @@ OUT_CASES = {
 UNITS = UnitSystem(eps0=0.5, mu0=2.0, hbar=2.0)
 
 
-def _run(argv, workdir: Path) -> tuple[int, str, str]:
+def golden_argv(argv, workdir: Path) -> list[str]:
+    """``argv`` with each {medium} field naming that medium's file, written into ``workdir``."""
     media = {}
     for name, doc in (("chi3", CHI3), ("chi2", CHI2), ("mixed", MIXED)):
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(doc))
         media[name] = str(path)
+    return [arg.format(**media) for arg in argv]
+
+
+def _run(argv, workdir: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([arg.format(**media) for arg in argv])
+        code = main(golden_argv(argv, workdir))
     return code, out.getvalue(), err.getvalue()
 
 
