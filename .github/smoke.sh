@@ -46,6 +46,9 @@ run phasematch --points 1001 --out "$out/pm-out"
 cmp "$out/pm-stdout.csv" "$out/pm-out/phase_matching.csv"
 run spdc --out "$out/spdc"
 run spdc --n-max 127 --time 0.5 --out "$out/spdc-127"  # an even chain: no zero mode
+# the long chiral chains: 937 states, and the 2048 of MAX_CHAIN_STATES
+run compare --observable squeezing --order 14 --out "$out/compare-squeezing-14"
+run spdc --n-max 2047 --time 0.01 --steps 1 --out "$out/spdc-2047"
 run spdc --pump quantum --out "$out/spdc-quantum"
 run spdc --pump quantum --n-max 48 --time 0.2 --out "$out/spdc-quantum-48"
 run convert --out "$out/convert"

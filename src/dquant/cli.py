@@ -46,9 +46,16 @@ COMMANDS = {
 
 
 def _emit(args, name: str, text: str):
+    """Write ``text`` as file ``name`` of the ``--out`` directory, or else to stdout.
+
+    A process started with stdout closed has ``sys.stdout`` None: that is an
+    ``OSError`` naming ``--out``, which :func:`main` reports with exit 2.
+    """
     if args.out:
         path = write_text(Path(args.out) / name, text)
         print(f"wrote {path}")
+    elif sys.stdout is None:
+        raise OSError(f"stdout is closed: write {name} to a directory with --out")
     else:
         sys.stdout.write(text)
 

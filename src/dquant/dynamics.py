@@ -20,18 +20,21 @@ annihilation powers), as the squeezer, the beamsplitter and the
 quantum-pump term each do; any other is refused before a state is walked.
 Its sector is then a sum of chains {n0 + k v}, one walk each, tridiagonal
 in sorted order: the walk hands each on as its diagonal and subdiagonal,
-and the pure-Python chain eigensolver of :mod:`dquant.linalg` (implicit
-QL and inverse iteration) diagonalizes it exactly; a chain longer than
-``MAX_CHAIN_STATES`` is refused before any is. Every resonant term
-only moves photons, so its chains have a zero diagonal: they are chiral,
-with eigenpairs (w, z) and (-w, S z), S negating the odd sites. The
-solver then runs inverse iteration for w > 0 only (for the whole spectrum
-where a cluster of eigenvalues crosses 0), and each sample is formed by
-sublattice, skipping the products whose coefficients are exactly zero:
-from a real start on one sublattice (the vacuum, or |1, 0>) a sample
-costs two (n/2) x (n/2) real matrix-vector products. Any other chain
-costs two n x n products per sample. A time listed twice is evaluated
-once. Samples, observables, drifts and the edge population are all
+and the pure-Python chain eigensolver of :mod:`dquant.linalg`
+diagonalizes it exactly; a chain longer than ``MAX_CHAIN_STATES`` is
+refused before any is. Every resonant term only moves photons, so its
+chains have a zero diagonal: they are chiral, with eigenpairs (w, z) and
+(-w, S z), S negating the odd sites. The solver works on such a chain's
+half-size bidiagonal (dqds values, twisted-factorization vectors for
+w > 0), and each sample is formed by sublattice, skipping the products
+whose coefficients are exactly zero: from a real start on one sublattice
+(the vacuum, or |1, 0>) a sample costs two (n/2) x (n/2) real
+matrix-vector products at most. Any other chain costs two n x n
+products per sample. An eigenpair whose coefficients in the start
+vector are at most 2^-52 of its norm is left out of the products, and
+the sum of their squares is reported as ``skipped_weight``. A time
+listed twice is evaluated once. Samples, observables, drifts and the
+edge population are all
 sector-sized, in tuples; any population within two levels of a cutoff
 beyond 1e-6 flags the run as truncation-unsafe rather than silently
 reporting numbers. The module runs on the standard library alone.
@@ -58,7 +61,7 @@ from typing import Mapping, Sequence
 
 from .boson_algebra import PRUNE_TOL, BosonicPolynomial
 from .hamiltonian import ComparisonReport, compare_coefficients
-from .linalg import eigh_tridiagonal
+from .linalg import EPS, eigh_tridiagonal
 from .modes import linspace
 from .record import record
 
@@ -148,7 +151,11 @@ class EvolutionResult:
     """Sector-sized samples plus the sanity bookkeeping of one evolution.
 
     ``states[i]`` holds the amplitudes at ``times[i]`` on the reached basis
-    states ``occupations``, in sorted order.
+    states ``occupations``, in sorted order. ``skipped_weight`` is the sum
+    of |z^T y|^2 over the eigenpairs the samples left out, those whose
+    coefficients in their chain's start vector y are at most 2^-52 |y|:
+    the left-out part of any sample has norm at most
+    2 sqrt(``skipped_weight``).
     """
 
     occupations: tuple[tuple[int, ...], ...]  # d_S occupation tuples
@@ -158,6 +165,7 @@ class EvolutionResult:
     energy_drift: float
     edge_population: float
     truncation_safe: bool
+    skipped_weight: float
 
 
 def _sector(h: BosonicPolynomial, space: FockSpace, support: Sequence[tuple]):
@@ -255,9 +263,12 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     each sample is two real matrix-vector products and its energy takes
     linear time, so the cost grows with the block sizes, not with the full
     dimension. A chiral chain (zero diagonal, as in every resonant
-    interaction, which only moves photons) needs inverse iteration for half
-    its spectrum, and its samples are products over its two sublattices, a
-    quarter of the arithmetic. A chain longer than :data:`MAX_CHAIN_STATES`
+    interaction, which only moves photons) is diagonalized through its
+    half-size bidiagonal, and its samples are products over its two
+    sublattices, a quarter of the arithmetic. Eigenpairs with no weight in
+    the start vector are left out of the products, and
+    ``skipped_weight`` bounds what they would have added (see
+    :func:`_samples`). A chain longer than :data:`MAX_CHAIN_STATES`
     raises ``ValueError`` before any chain is diagonalized, and a phase
     |w| t that reaches :data:`PHASE_LIMIT` (or is no finite float) raises
     ``OverflowError`` before its chain is sampled. A zero generator, whose
@@ -284,13 +295,15 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
     rows = [[0j] * len(occs) for _ in distinct]
     energies = [0.0] * len(distinct)
     t_max = max(map(abs, distinct), default=0.0)
+    skipped_weight = 0.0
     for sel, diag, sub in chains:
         eig = eigh_tridiagonal(diag, sub)
         phase = t_max * max(map(abs, eig.values), default=0.0)
         if not phase < PHASE_LIMIT:
             raise OverflowError(f"the phase w t = {phase:g} at t = {t_max:g} reaches 2^53, where "
                                 "a float keeps no digit of its angle mod 2 pi")
-        samples = _samples(eig, [psi0_s[i] for i in sel], distinct)
+        skipped, samples = _samples(eig, [psi0_s[i] for i in sel], distinct)
+        skipped_weight += skipped
         for k, (row, state_b) in enumerate(zip(rows, samples)):
             for i, amp in zip(sel, state_b):
                 row[i] = amp
@@ -309,17 +322,22 @@ def evolve(h: BosonicPolynomial, space: FockSpace, psi0: Mapping[tuple, complex]
         energy_drift=max(abs(energy - energies[0]) for energy in energies),
         edge_population=edge,
         truncation_safe=edge <= EDGE_POPULATION_TOL,
+        skipped_weight=skipped_weight,
     )
 
 
 def _chain_energy(diag: list[float], sub: list[complex], state: list[complex]) -> float:
-    """<state|h|state> of the chain with real ``diag`` and subdiagonal ``sub``."""
-    return (sum(d * abs(v) ** 2 for d, v in zip(diag, state))
-            + 2.0 * sum(b.conjugate() * e * a for e, a, b in zip(sub, state, state[1:])).real)
+    """<state|h|state> of the chain with real ``diag`` and subdiagonal ``sub``.
+
+    A chiral chain's diagonal adds exactly zero, so its sum is left out.
+    """
+    hop = 2.0 * sum(map(mul, map(mul, map(complex.conjugate, state[1:]), sub), state)).real
+    return sum(d * abs(v) ** 2 for d, v in zip(diag, state)) + hop if any(diag) else hop
 
 
 def _samples(eig, p0: list[complex], times: Sequence[float]):
-    """The states p0 + V[(exp(-i w t) - 1) * V^dag p0] of one block, one list per time.
+    """The weight left out, and the states p0 + V[(exp(-i w t) - 1) * V^dag p0] of one
+    block, one list per time.
 
     V = P Z from the :class:`~dquant.linalg.Eigensystem` ``eig``, with Z
     real: p0 is carried into the tridiagonal basis once, as y = P^dag p0,
@@ -336,36 +354,54 @@ def _samples(eig, p0: list[complex], times: Sequence[float]):
         psi_A - p_A = Z_A [-4 (alpha s s + i beta s c)]
         psi_B - p_B = Z_B [-4 (beta s s + i alpha s c)].
 
-    A product whose coefficient vector is exactly zero is skipped, so a
-    real start on one sublattice costs two (n/2) x (n/2) products per sample.
+    An eigenpair whose coefficients in y (z^T y, or alpha + beta and
+    alpha - beta for a folded pair) are all at most 2^-52 |y| is left out
+    of both products, and the sum of their squares is the weight returned:
+    the left-out part of any sample has norm at most twice its square
+    root. A product whose coefficient vector is exactly zero is skipped,
+    so a real start on one sublattice costs two (n/2) x (n/2) products per
+    sample at most.
     """
     y = eig.to_tridiagonal(p0)
     if eig.mirrored:
-        kept = [k for k, w in enumerate(eig.values) if w > 0]
+        pairs = [k for k, w in enumerate(eig.values) if w > 0]
         step, factor, partner = 2, -4.0, (1, 0)
     else:
-        kept = range(len(eig.values))
+        pairs = range(len(eig.values))
         step, factor, partner = 1, -2.0, (0,)
-    rates = [eig.values[k] for k in kept]
-    parts = []  # per sublattice: rows of Z there, and factor * Z^T y, real and imaginary
+    dots = []  # per sublattice: Z^T y there, pair by pair
     for start in range(step):
-        zs = [eig.vectors[k][start::step] for k in kept]
         y_re, y_im = [v.real for v in y[start::step]], [v.imag for v in y[start::step]]
-        parts.append((list(zip(*zs)) if zs else [()] * len(y_re),
-                      [factor * sum(map(mul, z, y_re)) for z in zs],
-                      [factor * sum(map(mul, z, y_im)) for z in zs]))
+        dots.append([complex(sum(map(mul, z, y_re)), sum(map(mul, z, y_im)))
+                     for z in (eig.vectors[k][start::step] for k in pairs)])
+    floor = EPS * hypot(*map(abs, y))
+    kept, skipped = [], []  # indices into pairs, and the squared coefficients left out
+    for i, alpha in enumerate(dots[0]):
+        cs = (alpha + dots[1][i], alpha - dots[1][i]) if eig.mirrored else (alpha,)
+        if max(map(abs, cs)) > floor:
+            kept.append(i)
+        else:
+            skipped += [abs(c) ** 2 for c in cs]
+    rates = [eig.values[pairs[i]] for i in kept]
+    parts = []  # per sublattice: rows of Z there, and factor * Z^T y, real and imaginary
+    for start, dot in enumerate(dots):
+        zs = [eig.vectors[pairs[i]][start::step] for i in kept]
+        parts.append((list(zip(*zs)) if zs else [()] * len(y[start::step]),
+                      [factor * dot[i].real for i in kept], [factor * dot[i].imag for i in kept]))
+    rows = []
     back = [0j] * len(p0)
     for t in times:
-        halves = [t * rate / 2 for rate in rates]
-        sin_half = list(map(sin, halves))
+        angles = [t * rate / 2 for rate in rates]
+        sin_half = list(map(sin, angles))
         ss = list(map(mul, sin_half, sin_half))
-        sc = list(map(mul, sin_half, map(cos, halves)))
-        for start, (rows, a_re, a_im) in enumerate(parts):
+        sc = list(map(mul, sin_half, map(cos, angles)))
+        for start, (zs, a_re, a_im) in enumerate(parts):
             _, b_re, b_im = parts[partner[start]]
             back[start::step] = map(
-                complex, _product(rows, map(sub, map(mul, ss, a_re), map(mul, sc, b_im))),
-                _product(rows, map(add, map(mul, ss, a_im), map(mul, sc, b_re))))
-        yield list(map(add, p0, eig.from_tridiagonal(back)))
+                complex, _product(zs, map(sub, map(mul, ss, a_re), map(mul, sc, b_im))),
+                _product(zs, map(add, map(mul, ss, a_im), map(mul, sc, b_re))))
+        rows.append(list(map(add, p0, eig.from_tridiagonal(back))))
+    return fsum(skipped), rows
 
 
 def _product(rows, c) -> list[float]:

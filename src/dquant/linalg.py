@@ -1,20 +1,32 @@
 """Pure-Python Hermitian chain eigensolver for the dynamics.
 
 ``eigh_tridiagonal`` diagonalizes a Hermitian chain, given as its diagonal
-and subdiagonal:
+and subdiagonal. A diagonal phase makes it real symmetric, and it splits
+into unreduced pieces where an off-diagonal is at most eps times its
+1-norm.
 
-- A diagonal phase makes it real symmetric.
-- Implicit-QL sweeps give the eigenvalues of each unreduced piece: the
-  chain splits where an off-diagonal is at most eps times its 1-norm.
-- Inverse iteration gives the eigenvectors, as LAPACK ``dstein`` does: a
-  pivoted tridiagonal LU per eigenvalue, and Gram-Schmidt against the
-  earlier vectors of a cluster of close eigenvalues.
+A piece whose diagonal is exactly zero is chiral: it is the Golub-Kahan
+form of the bidiagonal B whose diagonal is its couplings e0, e2, .. and
+whose superdiagonal is e1, e3, ... Its eigenvalues are +-sigma, sigma the
+singular values of B (and 0 on an odd piece), and the vector of -sigma is
+that of sigma with the odd sites negated. The solver works on B alone
+(multiple relatively robust representations, MRRR):
 
-A chain with an exactly zero diagonal is chiral: its spectrum is symmetric
-about 0, and the vector of -w is that of w with the odd sites negated. Its
-lower half is then the mirror image of its upper half, values and vectors,
-and inverse iteration runs for the upper half only, unless a cluster of
-close eigenvalues reaches across 0.
+- dqds gives every sigma to high relative accuracy;
+- the vector of each sigma is the twisted-factorization solve of the
+  piece shifted by sigma, refined by Rayleigh-quotient corrections, in
+  O(n) and with no Gram-Schmidt;
+- only a sigma whose relative gap to a neighbour is below ``RELGAP_TOL``
+  gets its vector by inverse iteration instead;
+- the zero mode of an odd piece lives on its even sites, by a two-term
+  recurrence.
+
+A chiral piece whose smallest sigma falls below ``SIGMA_MIN`` of its
+largest coupling, where dqds would lose digits, takes the general path.
+Any other piece gets its eigenvalues from implicit-QL sweeps and its
+eigenvectors by inverse iteration, as LAPACK ``dstein`` does: a pivoted
+tridiagonal LU per eigenvalue, and Gram-Schmidt against the earlier
+vectors of a cluster of close eigenvalues.
 
 The eigenvectors come out real, those of the real tridiagonal form; the
 phase maps vectors between that form and the chain's basis.
@@ -23,14 +35,15 @@ phase maps vectors between that form and the chain's basis.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from math import copysign, frexp, fsum, hypot, ldexp, sqrt
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 from .record import record
 
 EPS = 2.0**-52
-#: implicit-QL sweeps allowed per eigenvalue
+#: implicit-QL sweeps allowed per eigenvalue, and dqds transforms
 QL_MAX_SWEEPS = 30
 #: eigenvalues closer than this times the matrix 1-norm form a cluster,
 #: whose eigenvectors inverse iteration keeps orthogonal to one another
@@ -40,6 +53,16 @@ CLUSTER_TOL = 1e-3
 #: measurable gain in orthogonality or residual on the dynamics' chains)
 INVERSE_MAX_ITERATIONS = 5
 INVERSE_EXTRA_ITERATIONS = 1
+#: singular values closer than this relative gap get their vectors by
+#: inverse iteration: a twisted solve is orthogonal to about eps / gap
+RELGAP_TOL = 1e-3
+#: dqds deflates a coupling below (100 eps)^2 of its eigenvalue (LAPACK dlasq2)
+DQDS_TOL2 = (100.0 * EPS) ** 2
+#: Rayleigh-quotient corrections allowed per twisted solve
+RQ_MAX_CORRECTIONS = 4
+#: on a chiral piece scaled to largest coupling 1, the smallest singular
+#: value at which dqds keeps every digit: sigma^2 stays a normal float
+SIGMA_MIN = 2.0**-500
 
 
 @record
@@ -76,13 +99,14 @@ def eigh_tridiagonal(diag: Sequence[float], sub: Sequence[complex]) -> Eigensyst
     The chain splits where an off-diagonal is at most eps times its 1-norm:
     setting it to zero moves no eigenvalue by more than that.
 
-    A chain whose diagonal is exactly zero is chiral: its spectrum comes in
-    (w, -w) pairs, and S z is the eigenvector of -w when z is that of w, S
-    negating the odd sites. Each of its unreduced pieces is chiral too:
-    there the values pair exactly, inverse iteration runs for the w > 0
-    half and an odd piece's zero mode only, and the -w half's vectors are
-    the mirror images. The eigensystem is ``mirrored`` when every piece was
-    solved so; see :func:`_chiral_pairs` for the pieces that are not.
+    A chain whose diagonal is exactly zero is chiral, and so is each of its
+    unreduced pieces: its spectrum comes in (w, -w) pairs, bit for bit, with
+    an exact 0 on each odd piece, and S z is the eigenvector of -w when z is
+    that of w, S negating the odd sites. Such a piece is solved on its
+    bidiagonal (:func:`_chiral_piece`), and the eigensystem is ``mirrored``.
+    Only a piece that dqds cannot solve, its smallest singular value below
+    ``SIGMA_MIN`` of its largest coupling, takes the general path, and
+    leaves the eigensystem not ``mirrored``.
     """
     big = max(map(abs, [*diag, *sub]), default=0.0)
     shift = -frexp(big)[1] if big and not 2.0**-500 < big < 2.0**500 else 0
@@ -104,12 +128,13 @@ def eigh_tridiagonal(diag: Sequence[float], sub: Sequence[complex]) -> Eigensyst
         if hi < n and off[hi - 1] > split:
             continue
         d, e = diag[lo:hi], off[lo:hi - 1]
-        w = _ql_eigenvalues(d, e)
-        if chiral:
-            w, zs, piece_mirrored = _chiral_pairs(d, e, w)
-            mirrored = mirrored and piece_mirrored
-        else:
+        solved = _chiral_piece(e) if chiral else None
+        if solved is None:
+            mirrored = False
+            w = _ql_eigenvalues(d, e)
             zs = _inverse_iteration(d, e, w)
+        else:
+            w, zs = solved
         for z in zs:
             vectors.append([0.0] * lo + z + [0.0] * (n - hi))
         values += w
@@ -120,33 +145,198 @@ def eigh_tridiagonal(diag: Sequence[float], sub: Sequence[complex]) -> Eigensyst
                        phases=tuple(phases), mirrored=mirrored)
 
 
-def _chiral_pairs(d: list[float], e: list[float], w: list[float]):
-    """Ascending eigenvalues and vectors of the zero-diagonal tridiagonal (d, e), and
-    whether the vectors of its lower half are the mirror images of its upper half's.
+def _chiral_piece(e: list[float]) -> tuple[list[float], list[list[float]]] | None:
+    """Ascending eigenvalues and vectors of the unreduced zero-diagonal tridiagonal
+    with couplings ``e``, from its bidiagonal B (diagonal e0, e2, .., superdiagonal
+    e1, e3, ..), or None when dqds cannot solve B.
 
-    Of the eigenvalues ``w`` from implicit QL, the upper half w > 0 is kept
-    and the lower half set to exactly its negative (an odd piece's middle
-    one to exactly 0). Inverse iteration then runs at 0 (odd pieces) and at
-    the w > 0 half, and the vector of -w is that of w with its odd sites
-    negated. Only when the smallest w > 0 lies within a cluster of its own
-    negative, or of 0 on an odd piece, does inverse iteration run over the
-    whole spectrum instead, to keep that cluster's vectors orthogonal.
+    The piece is scaled by a power of two to largest coupling 1. dqds gives
+    the singular values sigma of B from its qd array (e0^2, e2^2, ..;
+    e1^2, e3^2, ..); an odd piece's B is m x (m + 1), and a zero row makes
+    it square with one more singular value, an exact 0, which dqds deflates
+    first with a zero shift. Each sigma's vector is a twisted solve
+    (:func:`_twisted_vectors`), or comes from inverse iteration when a
+    neighbour lies within ``RELGAP_TOL`` relative gap. The vector of -sigma
+    is that of sigma with its odd sites negated, and an odd piece's zero
+    mode is :func:`_null_vector` on its even sites. dqds cannot solve B
+    when it fails or its smallest sigma falls below ``SIGMA_MIN``, whose
+    square would lose digits.
     """
-    n = len(w)
-    top = w[n - n // 2:]
-    zero = [0.0] * (n % 2)
-    values = [-x for x in reversed(top)] + zero + top
-    if top and top[0] * (2 - n % 2) <= CLUSTER_TOL * _one_norm(d, e):
-        return values, _inverse_iteration(d, e, values), False
-    zs = _inverse_iteration(d, e, zero + top)
-    return values, [_mirror(z) for z in reversed(zs[len(zero):])] + zs, True
+    n = len(e) + 1
+    if n == 1:
+        return [0.0], [[1.0]]
+    scale = frexp(max(e))[1]
+    e = [ldexp(v, -scale) for v in e]
+    squares = [v * v for v in e]
+    odd = n % 2
+    try:
+        sigmas = [sqrt(v) for v in _dqds(squares[0::2] + [0.0] * odd, squares[1::2])[odd:]]
+    except ArithmeticError:
+        return None
+    if sigmas[0] < SIGMA_MIN:
+        return None
+    near = sorted({j for k in range(1, len(sigmas)) for j in (k - 1, k)
+                   if sigmas[k] - sigmas[k - 1] < RELGAP_TOL * sigmas[k]})
+    zs = _twisted_vectors(e, squares, sigmas, [k for k in range(len(sigmas)) if k not in near])
+    if near:
+        zs.update(zip(near, _inverse_iteration([0.0] * n, e, [sigmas[k] for k in near])))
+    top = [zs[k] for k in range(len(sigmas))]
+    vectors = [list(z) for z in reversed(top)]
+    for z in vectors:
+        z[1::2] = map(neg, z[1::2])
+    if odd:
+        vectors.append([0.0] * n)
+        vectors[-1][0::2] = _null_vector(e[0::2], e[1::2])
+    sigmas = [ldexp(s, scale) for s in sigmas]
+    return [-s for s in reversed(sigmas)] + [0.0] * odd + sigmas, vectors + top
 
 
-def _mirror(z: list[float]) -> list[float]:
-    """z with its odd sites negated."""
-    z = list(z)
-    z[1::2] = [-v for v in z[1::2]]
-    return z
+def _dqds(q: list[float], e: list[float]) -> list[float]:
+    """Ascending eigenvalues of the positive qd array (q, e), to high relative accuracy.
+
+    The array is that of B^T B for the upper bidiagonal B with diagonal
+    sqrt(q) and superdiagonal sqrt(e); both lists are consumed. Each
+    transform subtracts a shift below the smallest eigenvalue, which the
+    accumulated shift then carries, summed with its rounding error; a shift
+    that turns a pivot negative is retried smaller (Fernando & Parlett,
+    Numer. Math. 67, 191, 1994). When the last pivot of a transform is its
+    least, the smallest eigenvalue sits at the bottom, and the next shift is
+    its estimate from the trailing 2 x 2 of B B^T, dn - b1 / gap, the gap
+    reduced by the coupling above (LAPACK dlasq4's cases 2 and 3); else a
+    quarter of the least pivot. The bottom eigenvalue deflates once its
+    coupling falls below ``DQDS_TOL2`` of it, and the array is reversed when
+    its bottom is the larger end. Raises ``ArithmeticError`` when it does
+    not converge.
+    """
+    values = []
+    sigma = comp = 0.0  # the shift so far is sigma + comp
+    fresh = True  # the bottom changed since the last transform, whose pivots no longer apply
+    for _ in range(QL_MAX_SWEEPS * len(q) + 1):
+        if len(q) == 1 or e[-1] <= DQDS_TOL2 * (sigma + q[-1]) or e[-1] <= DQDS_TOL2 * q[-2]:
+            values.append(sigma + (comp + q.pop()))
+            if not q:
+                return sorted(values)
+            e.pop()
+            fresh = True
+            continue
+        if fresh:  # no last pivot: the bottom's diagonal entry bounds the eigenvalue too
+            if 1.5 * q[0] < q[-1]:
+                q.reverse()
+                e.reverse()
+            dmin = dn = q[-1]
+        tau = 0.25 * dmin
+        if dmin == dn:
+            b1 = q[-1] * e[-1]
+            gap = q[-2] + e[-1] - dn - (sqrt(q[-2] * e[-2]) if len(e) > 1 else 0.0)
+            if gap > 0 and gap * gap > b1:
+                tau = max(dn - b1 / gap, 0.5 * dmin)
+        fails = 0
+        while (sweep := _dqds_sweep(q, e, tau))[0] is None:
+            if not tau:
+                raise ArithmeticError("dqds lost positivity at a zero shift")
+            fails += 1
+            if fails > 2:
+                tau = 0.0
+            elif sweep[1] == len(q) - 1:  # only the last pivot: tau + it bounds the eigenvalue
+                tau = max(0.0, (tau + sweep[2]) * (1.0 - 2.0 * EPS))
+            else:
+                tau *= 0.25
+        (q, e), dmin, dn = sweep
+        total = sigma + tau  # two-sum: comp keeps what the rounding of sigma drops
+        part = total - sigma
+        comp += (sigma - (total - part)) + (tau - part)
+        sigma = total
+        fresh = False
+    raise ArithmeticError("dqds did not converge")
+
+
+def _dqds_sweep(q: list[float], e: list[float], tau: float):
+    """One dqds transform of (q, e) with shift ``tau``.
+
+    Returns ((q', e'), the least pivot, the last pivot), or, when a pivot
+    turns negative, (None, its index, its value): the shift was too large.
+    """
+    d = q[0] - tau
+    if d < 0:
+        return None, 0, d
+    qs, es = [], []
+    push_q, push_e = qs.append, es.append
+    dmin = d
+    for ei, qn in zip(e, q[1:]):
+        qi = d + ei
+        t = qn / qi
+        push_q(qi)
+        push_e(ei * t)
+        d = d * t - tau
+        if d < dmin:
+            if d < 0:
+                return None, len(qs), d
+            dmin = d
+    qs.append(d)
+    return (qs, es), dmin, d
+
+
+def _twisted_vectors(e: list[float], squares: list[float], sigmas: list[float],
+                     which: list[int]) -> dict:
+    """{k: the unit eigenvector at sigmas[k]} of the zero-diagonal tridiagonal with
+    couplings ``e`` (and their ``squares``), for each k in ``which``, by one twisted
+    factorization each (MRRR); each sigmas[k] is refined in place.
+
+    For each sigma the forward pivots D+ and backward pivots D- of
+    T - sigma I (all sigmas at once, site by site) give the twist
+    gamma_k = D+_k + D-_k + sigma; at r, the smallest |gamma_k|, the vector
+    is z_r = 1, z_i = -(e_i / D+_i) z_(i+1) above r and
+    z_(i+1) = -(e_i / D-_(i+1)) z_i below, and (T - sigma I) z = gamma_r e_r.
+    The Rayleigh-quotient correction gamma_r / |z|^2 moves sigma until it
+    is at most 2 eps sigma (``RQ_MAX_CORRECTIONS`` at most). A pivot that
+    comes out exactly zero is replaced by -eps sigma, a relative change of
+    the shift at that site (Dhillon & Parlett, Linear Algebra Appl. 387, 1,
+    2004).
+    """
+    vectors = {}
+    for attempt in range(RQ_MAX_CORRECTIONS + 1):
+        shifts = [-sigmas[k] for k in which]
+        fwd, bwd = [shifts], [shifts]
+        for c, c_bwd in zip(squares, reversed(squares)):
+            fwd.append([(s - c / d) or EPS * s for s, d in zip(shifts, fwd[-1])])
+            bwd.append([(s - c_bwd / d) or EPS * s for s, d in zip(shifts, bwd[-1])])
+        left = []
+        for k, dp, dm in zip(which, zip(*fwd), zip(*reversed(bwd))):
+            s = sigmas[k]
+            gamma = [abs(f + g + s) for f, g in zip(dp, dm)]
+            r = gamma.index(min(gamma))
+            up = [-v / d for v, d in zip(e[:r], dp)]
+            z = [*accumulate(reversed(up), mul, initial=1.0)][::-1]
+            z += accumulate([-v / d for v, d in zip(e[r:], dm[r + 1:])], mul)
+            norm = hypot(*z)
+            correction = (dp[r] + dm[r] + s) / (norm * norm)
+            if abs(correction) <= 2.0 * EPS * s or attempt == RQ_MAX_CORRECTIONS:
+                vectors[k] = [v / norm for v in z]
+            else:
+                sigmas[k] = s + correction
+                left.append(k)
+        which = left
+        if not which:
+            break
+    return vectors
+
+
+def _null_vector(a: list[float], b: list[float]) -> list[float]:
+    """The unit x with x_0 > 0 and a_j x_j + b_j x_(j+1) = 0: the zero mode of an odd
+    chiral piece on its even sites.
+
+    Each entry is carried as a mantissa and an exponent, so that no ratio
+    product over- or underflows before the vector is normalized; every
+    entry keeps its relative accuracy.
+    """
+    x = [(1.0, 0)]
+    for aj, bj in zip(a, b):
+        m, k = frexp(-x[-1][0] * (aj / bj))
+        x.append((m, x[-1][1] + k))
+    top = max(k for _, k in x)
+    x = [ldexp(m, k - top) for m, k in x]
+    norm = hypot(*x)
+    return [v / norm for v in x]
 
 
 def _one_norm(d: list[float], e: list[float]) -> float:

@@ -1,4 +1,5 @@
-"""Block evolution by LAPACK ``eigh``: an oracle for the pure-Python eigensolver.
+"""LAPACK oracles for the pure-Python eigensolver: block evolution by ``eigh``, and
+chains by ``stemr``.
 
 ``eigh_states`` is the evolution ``dquant.dynamics.evolve`` made with
 numpy: it takes the same sector walk and chains, makes each chain the
@@ -6,9 +7,15 @@ dense Hermitian matrix with the walk's diagonal, its subdiagonal and that
 subdiagonal's conjugate above, diagonalizes it with ``numpy.linalg.eigh``
 and forms every sample as psi0 + V[-2i sin(x/2) exp(-ix/2) * V^dag psi0],
 x = w t / hbar. numpy knows nothing of a chain's chirality.
+
+``stemr_eigensystem`` diagonalizes the real form of a chain by scipy's
+``eigh_tridiagonal`` with LAPACK ``stemr``: multiple relatively robust
+representations, the method the solver uses on chiral chains, in
+compiled code. It sits beside ``eigh``, not in its place.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from dquant.dynamics import _sector
 
@@ -33,3 +40,10 @@ def eigh_states(h, space, psi0, times, hbar=1.0):
         p0 = psi0_s[sel]
         states[:, sel] = p0 + (phase * (v.conj().T @ p0)) @ v.T
     return occs, states
+
+
+def stemr_eigensystem(diag, sub):
+    """(ascending eigenvalues, eigenvectors as columns) of the real tridiagonal
+    (diag, |sub|), the form the solver's vectors belong to, by LAPACK ``stemr``."""
+    return eigh_tridiagonal(np.asarray(diag, dtype=float), np.abs(np.asarray(sub, dtype=complex)),
+                            lapack_driver="stemr")

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from math import sqrt
@@ -1026,6 +1027,15 @@ def test_input_error_line_reaches_stderr_before_the_hard_exit(tmp_path):
     code, out, err = run_to_files(tmp_path, ["compare", "--order", "1"])
     assert (code, out) == (2, b"")
     assert err == b"error: --order 1: the routes differ only for nonlinear orders n >= 2\n"
+
+
+def test_closed_stdout_is_an_input_error_naming_out():
+    # a process started with file descriptor 1 closed has sys.stdout = None
+    proc = subprocess.run(f"{shlex.quote(sys.executable)} -m dquant phasematch >&-", shell=True,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: stdout is closed: write phase_matching.csv to a directory "
+                           "with --out\n")
 
 
 class BrokenStdout(io.StringIO):

@@ -352,9 +352,58 @@ class TestChiralChains:
         assert any(diag)
         eig = eigh_tridiagonal(diag, sub)
         assert not eig.mirrored
-        want = list(_samples(eig, [1.0 + 0j] + [0j] * (len(sel) - 1), times))
+        _, want = _samples(eig, [1.0 + 0j] + [0j] * (len(sel) - 1), times)
         res = evolve(h, space, space.vacuum(), times)
         assert [list(state) for state in res.states] == want
+
+
+class TestLeftOutPairs:
+    """Eigenpairs with no weight in the start vector are left out of the products."""
+
+    @staticmethod
+    def full_product(eig, p0, times):
+        """Every sample of one block from all of its eigenpairs, by numpy."""
+        v = np.array([eig.from_tridiagonal(z) for z in eig.vectors]).T
+        w = np.array(eig.values)
+        return (v * np.exp(-1j * np.outer(times, w))[:, None, :]) @ (v.conj().T @ np.array(p0))
+
+    @pytest.mark.parametrize("states, left_out", [(65, 12), (129, 39)])
+    def test_the_vacuum_leaves_out_pairs_within_their_weight(self, states, left_out):
+        space = FockSpace(modes=(0, 1), cutoff=states - 1)
+        _, ((sel, diag, sub),) = _sector(two_mode_squeezer(0.05), space, [(0, 0)])
+        eig = eigh_tridiagonal(diag, sub)
+        p0 = [1.0 + 0j] + [0j] * (states - 1)
+        # the pairs whose coefficients alpha +- beta = z_0 are at most 2^-52
+        alphas = [z[0] for w, z in zip(eig.values, eig.vectors) if w > 0]
+        assert sum(abs(alpha) <= 2.0**-52 for alpha in alphas) == left_out
+        times = samples(40.0, 8)
+        skipped, rows = _samples(eig, p0, times)
+        assert 0 < skipped <= 2 * left_out * 2.0**-104
+        gap = np.max(np.abs(np.array(rows) - self.full_product(eig, p0, times)), axis=1)
+        assert np.all(gap <= 2 * np.sqrt(skipped) + 1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), t=st.floats(0.05, 2.0))
+    def test_a_start_with_weight_everywhere_leaves_out_nothing(self, data, t):
+        h, space, psi0 = data.draw(chiral_chains(13))
+        amps = np.array([complex(data.draw(st.floats(0.1, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+                         for _ in range(13)])
+        _, ((sel, diag, sub),) = _sector(h, space, list(psi0))
+        eig = eigh_tridiagonal(diag, sub)
+        p0 = list(amps / np.linalg.norm(amps))
+        assume(all(abs(z @ np.array(eig.to_tridiagonal(p0))) > 2.0**-52 for z in
+                   np.array(eig.vectors)))
+        skipped, rows = _samples(eig, p0, samples(t, 3))
+        assert skipped == 0.0
+        assert np.max(np.abs(np.array(rows) - self.full_product(eig, p0, samples(t, 3)))) <= 1e-14
+
+    def test_evolve_reports_the_weight_it_left_out(self):
+        space = FockSpace(modes=(0, 1), cutoff=128)
+        res = evolve(two_mode_squeezer(0.05), space, space.vacuum(), samples(40.0, 8))
+        assert 0 < res.skipped_weight <= 2 * 39 * 2.0**-104
+        res = evolve(beamsplitter(0.05), FockSpace(modes=(0, 1), cutoff=4),
+                     {(1, 0): 0.6, (0, 1): 0.8j}, samples(4.0, 2))
+        assert res.skipped_weight == 0.0
 
 
 class TestSpdcSqueezing:

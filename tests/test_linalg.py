@@ -7,7 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from dquant.linalg import eigh_tridiagonal
 from dquant.modes import linspace
-from eigh_oracle import chain_matrix
+from eigh_oracle import chain_matrix, stemr_eigensystem
 
 
 @pytest.mark.parametrize("steps", [1, 2, 8, 20])
@@ -103,22 +103,52 @@ def test_chiral_chain_eigenvalues_pair_exactly(chain):
     assert_decomposes(es, diag, sub)
 
 
-@pytest.mark.parametrize("sub, mirrored", [
-    ([1 + 0j, 1 + 0j, 0.5j], True),
-    ([1 + 0j, 1 + 0j, 1e-12j], False),  # a +-7e-13 pair: one cluster across 0
-    ([1 + 0j, 1j, 1e-9 + 0j, 1e-9j], False),  # a pair within a cluster of the zero mode
+@pytest.mark.parametrize("sub", [
+    [1 + 0j, 1 + 0j, 0.5j],
+    [1 + 0j, 1 + 0j, 1e-12j],  # a +-7e-13 pair, relatively 2 apart
+    [1 + 0j, 1j, 1e-9 + 0j, 1e-9j],  # a pair beside the zero mode, relatively 1 apart
 ], ids=["separated", "pair-across-zero", "pair-beside-zero-mode"])
-def test_chiral_chain_mirrors_its_vectors_unless_a_cluster_crosses_zero(sub, mirrored):
+def test_chiral_chain_mirrors_its_vectors(sub):
+    # +-w are never close in relative terms: every chiral piece is solved on its bidiagonal
+    diag = [0.0] * (len(sub) + 1)
+    es = eigh_tridiagonal(diag, sub)
+    assert es.mirrored
+    assert es.values == tuple(-w for w in reversed(es.values))
+    assert_decomposes(es, diag, sub)
+    for w, z in zip(es.values, es.vectors):
+        if w > 0:
+            mirror = tuple(-v if i % 2 else v for i, v in enumerate(z))
+            assert es.vectors[es.values.index(-w)] == mirror
+
+
+@pytest.mark.parametrize("sub, mirrored", [
+    # graded: inverse iteration across the cluster at 0 reached 1.4e-12 here
+    ([2e-9j, 1e-6, 1e-15, 1e-3j, 1.5e-3j, 2e-3j, 1j, 2e-12, 1.5, 1.5e-12j], True),
+    # singular values 1 -+ 5e-9: a relative gap below RELGAP_TOL, by inverse iteration
+    ([1.0, 1e-8, 1.0, 1e-8, 1.0, 0.5, 2.0], True),
+    # a singular value near 1e-330, below SIGMA_MIN: the general path, not mirrored
+    ([1e-15, 1.0] * 22 + [0.3], False),
+], ids=["graded", "relative-cluster", "below-sigma-min"])
+def test_hard_chiral_chains_decompose(sub, mirrored):
     diag = [0.0] * (len(sub) + 1)
     es = eigh_tridiagonal(diag, sub)
     assert es.mirrored == mirrored
-    assert es.values == tuple(-w for w in reversed(es.values))
     assert_decomposes(es, diag, sub)
-    if mirrored:
-        for w, z in zip(es.values, es.vectors):
-            if w > 0:
-                mirror = tuple(-v if i % 2 else v for i, v in enumerate(z))
-                assert es.vectors[es.values.index(-w)] == mirror
+
+
+@pytest.mark.parametrize("states", [65, 129, 937])
+def test_squeezer_chain_agrees_with_stemr(states):
+    # the two-mode squeezer's chain from the vacuum: couplings 0.05 (k + 1)
+    diag, sub = [0.0] * states, [0.05 * (k + 1) for k in range(states - 1)]
+    es = eigh_tridiagonal(diag, sub)
+    assert es.mirrored
+    w, z = stemr_eigensystem(diag, sub)
+    norm = np.abs(chain_matrix(diag, sub)).sum(axis=0).max()
+    assert np.max(np.abs(np.array(es.values) - w)) <= 1e-13 * norm
+    ours = np.array(es.vectors).T
+    signs = np.sign(np.sum(ours * z, axis=0))
+    assert np.max(np.abs(ours - z * signs)) <= 1e-12
+    assert_decomposes(es, diag, sub)
 
 
 @settings(max_examples=200, deadline=None)
