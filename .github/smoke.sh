@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run every script, each dquant command and the README's Python example once,
+# Run each dquant command and the README's Python example once,
 # writing into OUT_DIR. Fails on the first command that fails or warns of a
 # truncation-unsafe evolution.
 # Usage: bash .github/smoke.sh OUT_DIR  (from the repository root)
@@ -7,9 +7,6 @@ set -euo pipefail
 out=${1:?usage: smoke.sh OUT_DIR}
 mkdir -p "$out"
 
-python scripts/run_maxwell_audit.py
-python scripts/run_scheme_comparison.py
-python scripts/run_phasematch_scan.py --out "$out/scan.csv"
 awk '/^```python$/{f=1;next} /^```$/{f=0} f' README.md > "$out/readme_example.py"
 python "$out/readme_example.py"
 
@@ -25,6 +22,8 @@ for command in invert verify compare phasematch spdc convert; do
 done
 echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5], "2": [0.3]}}' > "$out/chi2.json"
 run invert --medium "$out/chi2.json" --out "$out/invert"
+echo '{"units": "natural", "dim": 1, "chi": {"1": [0.5]}}' > "$out/linear.json"
+run verify --medium "$out/linear.json" --modes 2 --out "$out/verify-linear"  # both routes coincide
 run verify --medium "$out/chi2.json" --modes 2 --out "$out/verify"
 echo '{"units": "natural", "dim": 1, "chi": {"1": [0.6], "2": [0.2], "3": [-0.15]}}' > "$out/chi3.json"
 run verify --medium "$out/chi3.json" --modes 2 --out "$out/verify-chi3"
@@ -36,6 +35,8 @@ run compare --order 30 --out "$out/compare-30"  # the closed-form coefficient; e
 run compare --observable squeezing --out "$out/compare-squeezing"
 run compare --observable conversion --out "$out/compare-conversion"
 run phasematch --out "$out/phasematch"
+run phasematch --length 0.5 --dk-min -18.84955592153876 --dk-max 18.84955592153876 --points 401 \
+  --out "$out/phasematch-0.5"
 # the console script flushes a redirected stdout before it ends the process
 # with os._exit: 21 points stay within one 8 KiB buffer, 1001 run past it
 dquant phasematch --points 21 > "$out/pm21-stdout.csv"

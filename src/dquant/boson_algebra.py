@@ -123,25 +123,6 @@ class BosonicPolynomial:
         n = len(self.terms)
         return f"BosonicPolynomial({n} term{'s' if n != 1 else ''}, degree {degree(self)})"
 
-    def dump(self) -> str:
-        """Deterministic text form, one line per term, for golden comparisons."""
-        if not self.terms:
-            return "0"
-        lines = []
-        for key in sorted(self.terms, key=_sort_key):
-            coef = self.terms[key]
-            ops = " ".join(
-                " ".join(filter(None, [f"ad({m})^{c}" if c else "", f"a({m})^{a}" if a else ""]))
-                for m, c, a in key
-            )
-            body = f"({coef.real:+.12e}{coef.imag:+.12e}j)"
-            lines.append(body if not ops else f"{body} * {ops}")
-        return "\n".join(lines)
-
-
-def _sort_key(key: Monomial):
-    return (sum(c + a for _, c, a in key), key)
-
 
 def _as_poly(x) -> BosonicPolynomial:
     if isinstance(x, BosonicPolynomial):

@@ -146,7 +146,3 @@ def entry_point():
     except (AttributeError, OSError, ValueError):  # a stream that is None, closed or broken
         sys.exit(code)
     os._exit(code)
-
-
-if __name__ == "__main__":
-    entry_point()

@@ -100,13 +100,15 @@ def eigh_tridiagonal(diag: Sequence[float], sub: Sequence[complex]) -> Eigensyst
     setting it to zero moves no eigenvalue by more than that.
 
     A chain whose diagonal is exactly zero is chiral, and so is each of its
-    unreduced pieces: its spectrum comes in (w, -w) pairs, bit for bit, with
-    an exact 0 on each odd piece, and S z is the eigenvector of -w when z is
-    that of w, S negating the odd sites. Such a piece is solved on its
-    bidiagonal (:func:`_chiral_piece`), and the eigensystem is ``mirrored``.
-    Only a piece that dqds cannot solve, its smallest singular value below
-    ``SIGMA_MIN`` of its largest coupling, takes the general path, and
-    leaves the eigensystem not ``mirrored``.
+    unreduced pieces: its spectrum comes in (w, -w) pairs, with a 0 on each
+    odd piece, and S z is the eigenvector of -w when z is that of w, S
+    negating the odd sites. Such a piece is solved on its bidiagonal
+    (:func:`_chiral_piece`), and the eigensystem is ``mirrored``: its pairs
+    and its zeros are exact, bit for bit. Only a piece that dqds cannot
+    solve, its smallest singular value below ``SIGMA_MIN`` of its largest
+    coupling, takes the general path, and leaves the eigensystem not
+    ``mirrored``: its pairs then agree only to rounding (8.9e-16 on the
+    46-state chain of couplings 1e-15 and 1).
     """
     big = max(map(abs, [*diag, *sub]), default=0.0)
     shift = -frexp(big)[1] if big and not 2.0**-500 < big < 2.0**500 else 0

@@ -1,8 +1,8 @@
 """Discrete mode bases: box-quantized plane waves with flat profiles.
 
 The phase-matching curve and its grid live here too: ``linspace`` is
-numpy's evenly spaced grid, float for float, for ``phasematch``, the scripts
-and the dynamics' sample times.
+numpy's evenly spaced grid, float for float, for ``phasematch`` and the
+dynamics' sample times.
 
 Box quantization maps the continuum onto a periodic box of length ``l_box``:
 wavevectors become k_m = 2*pi*m / l_box = w*m for integer m, integrals over

@@ -280,11 +280,3 @@ def test_annihilation_matrix_elements_sqrt_n():
     m = to_matrix(annihilation(0), space).toarray()
     for n in range(1, 8):
         assert m[n - 1, n] == pytest.approx(np.sqrt(n), abs=1e-14)
-
-
-def test_dump_is_deterministic_and_sorted():
-    p = 2.0 * number(0) + multiply(a, b) + BosonicPolynomial.identity(0.5)
-    text = p.dump()
-    assert text.splitlines()[0].startswith("(+5.000000000000e-01")
-    assert text == p.dump()
-    assert "ad(0)^1 a(0)^1" in text

@@ -1,6 +1,6 @@
 import ast
 import contextlib
-import importlib.util
+import importlib
 import io
 import json
 import os
@@ -289,6 +289,29 @@ class TestCompare:
                      "--out", str(out)]) == 0
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["ratio"] == pytest.approx(4.0, abs=1e-3)
+
+    @pytest.mark.parametrize("observable, module, function", [
+        ("coefficient", hamiltonian, "compare_coefficients"),
+        ("conversion", dynamics, "compare_schemes"),
+    ], ids=["coefficient", "conversion"])
+    def test_missed_ratio_exits_1_with_a_fail_line(self, tmp_path, capsys, monkeypatch,
+                                                   observable, module, function):
+        # the built report with its ratio moved by 1e-3, past either tolerance
+        built = getattr(module, function)
+
+        def missed(*args):
+            report = built(*args)
+            return ComparisonReport(**{**vars(report), "ratio": report.ratio * (1 + 1e-3)})
+
+        monkeypatch.setattr(module, function, missed)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--order", "2", "--observable", observable,
+                     "--out", str(out)]) == 1
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["passed"] is False
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"{observable} order 2: ratio {doc['ratio']:.6g} "
+            f"(expected {doc['expected_ratio']:.6g}) -> FAIL")
 
     @pytest.mark.parametrize("observable", ["coefficient", "squeezing", "conversion"])
     def test_order_whose_orderings_overflow_exits_2_before_any_build(self, tmp_path, capsys,
@@ -788,25 +811,12 @@ def test_dumps_refuses_nan():
 
 
 def test_import_leaves_scipy_sparse_and_optimize_unloaded():
-    # the package namespace is lazy: no submodule, numpy or scipy until a name is used
+    # the package holds no name of a submodule: importing it loads no submodule, numpy or scipy
     code = ("import sys, dquant; print(sorted(m for m in sys.modules "
             "if m.startswith(('dquant.', 'numpy', 'scipy'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_public_names_resolve_to_their_defining_submodule():
-    for name in dquant.__all__:
-        if name == "__version__":
-            continue
-        obj = getattr(dquant, name)
-        assert obj.__module__.startswith("dquant.")
-        # a second access reads the cached name
-        assert obj is getattr(dquant, name) is getattr(sys.modules[obj.__module__], name)
-    assert set(dquant.__all__) <= set(dir(dquant))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        dquant.no_such_name
 
 
 #: the modules of the exact algebra and the dynamics, which import neither numpy nor scipy
@@ -954,10 +964,9 @@ def test_every_module_is_some_commands_module():
 @pytest.mark.parametrize("dependency", ["scipy", "numpy", "logging"])
 def test_no_module_imports(dependency):
     # scipy and numpy are test dependencies only, and nothing logs: no module
-    # of the package and no script imports them
-    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    # of the package imports them
     offenders = []
-    for path in sorted([*Path(dquant.__file__).parent.rglob("*.py"), *scripts.glob("*.py")]):
+    for path in sorted(Path(dquant.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -1068,22 +1077,3 @@ def test_console_script_is_the_entry_point():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     section = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
     assert section == 'dquant = "dquant.cli:entry_point"'
-
-
-@pytest.mark.parametrize("failing, code", [(None, 0), ("conversion", 1)])
-def test_scheme_comparison_script_exits_1_on_a_missed_ratio(monkeypatch, capsys, failing, code):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_scheme_comparison.py"
-    spec = importlib.util.spec_from_file_location("run_scheme_comparison", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-
-    def report(observable, order):
-        ratio = 0.0 if observable == failing else 1.0
-        return ComparisonReport(observable=observable, order=order, value_correct=1.0,
-                                value_wrong=ratio, ratio=ratio, expected_ratio=1.0,
-                                tolerance=1e-12, truncation_safe=True)
-
-    monkeypatch.setattr(script, "compare_schemes", report)
-    monkeypatch.setattr(sys, "argv", [str(path)])
-    assert script.main() == code
-    assert capsys.readouterr().out.count("False") == (failing is not None)

@@ -134,6 +134,12 @@ def test_hard_chiral_chains_decompose(sub, mirrored):
     es = eigh_tridiagonal(diag, sub)
     assert es.mirrored == mirrored
     assert_decomposes(es, diag, sub)
+    # a mirrored spectrum pairs (w, -w) bit for bit, the general path to rounding
+    pairing = max(abs(w + v) for w, v in zip(es.values, reversed(es.values)))
+    if mirrored:
+        assert pairing == 0.0
+    else:
+        assert pairing <= 1e-13 * len(diag) * max(map(abs, sub))
 
 
 @pytest.mark.parametrize("states", [65, 129, 937])

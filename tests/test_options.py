@@ -1,7 +1,7 @@
 """Every option has a caller, and every default a caller that relies on it.
 
 For each function parameter and record field with a default in
-``src/dquant``, some call in ``src/dquant`` or ``scripts/`` must pass it,
+``src/dquant``, some call in ``src/dquant`` must pass it,
 by keyword or by position past its index, and some such call must leave it
 out: a default that no call relies on should be a required parameter.
 Calls are matched by the function's or class's name (a call to a class
@@ -19,7 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dquant"
-CALLERS = sorted(SRC.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+CALLERS = sorted(SRC.rglob("*.py"))
 
 #: option -> the test that sets it (path::[class::]function, whose calls are searched)
 TEST_ONLY = {
@@ -109,13 +109,13 @@ CALLS = [call for path in CALLERS for call in _calls(ast.parse(path.read_text())
 def test_every_option_is_set_by_a_caller():
     unset = [key for key, name, index, keyword in OPTIONS
              if key not in TEST_ONLY and not _sets(CALLS, name, index, keyword)]
-    assert unset == [], "options no caller in src/dquant or scripts/ sets"
+    assert unset == [], "options no caller in src/dquant sets"
 
 
 def test_every_default_is_relied_on_by_a_caller():
     unused = [key for key, name, index, keyword in OPTIONS
               if key not in ALWAYS_PASSED and not _relies(CALLS, name, index, keyword)]
-    assert unused == [], "defaults every call in src/dquant and scripts/ overrides"
+    assert unused == [], "defaults every call in src/dquant overrides"
 
 
 def test_always_passed_defaults_have_no_relying_caller():
