@@ -68,17 +68,8 @@ class BosonicPolynomial:
             acc[key] = acc.get(key, 0.0) + coef
         return BosonicPolynomial(acc)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         return self + (-1.0) * _as_poly(other)
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-1.0) * self
-
-    def __neg__(self):
-        return (-1.0) * self
 
     def __mul__(self, scalar):
         if not isinstance(scalar, Number):

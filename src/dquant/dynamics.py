@@ -434,11 +434,15 @@ def population(space: FockSpace, res: EvolutionResult, occs: Sequence[int]) -> l
 
 
 def _coherent_amplitudes(alpha: complex, n_max: int) -> list[complex]:
-    """<n|alpha> for n = 0..n_max, renormalized on the truncation."""
+    """<n|alpha> for n = 0..n_max, renormalized on the truncation. ``ValueError``
+    if every |<n|alpha>|^2 underflows, as at |alpha| >= 39 for any n_max."""
     amps = [complex(exp(-abs(alpha) ** 2 / 2.0))]  # <n|alpha> = <n-1|alpha> alpha / sqrt(n)
     for n in range(1, n_max + 1):
         amps.append(amps[-1] * alpha / sqrt(n))
     norm = sqrt(fsum(abs(amp) ** 2 for amp in amps))
+    if not norm:
+        raise ValueError(f"coherent state of |alpha| = {abs(alpha)} underflows a float "
+                         f"on n = 0..{n_max}")
     return [amp / norm for amp in amps]
 
 
@@ -454,7 +458,7 @@ def coherent_state(space: FockSpace, mode: int, alpha: complex) -> dict:
 def coherent_cutoff(alpha: complex) -> int:
     """Smallest cutoff at which the truncated coherent state of amplitude alpha
     keeps at most EDGE_POPULATION_TOL on the edge states (n >= cutoff - 1)."""
-    for cutoff in count(1):
+    for cutoff in count(max(1, int(abs(alpha) ** 2))):  # below, amplitudes rise to the edge
         amps = _coherent_amplitudes(alpha, cutoff)
         if fsum(abs(amp) ** 2 for amp in amps[cutoff - 1:]) <= EDGE_POPULATION_TOL:
             return cutoff

@@ -18,6 +18,7 @@ every Hamiltonian builder reads them.
 from __future__ import annotations
 
 import json
+from itertools import combinations, pairwise
 from math import isfinite
 from pathlib import Path
 
@@ -115,14 +116,10 @@ def load_medium(path: str | Path) -> MediumSpec:
 
 
 def _compositions(total: int, parts: int):
-    """Ordered tuples of positive integers of given length summing to total."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered tuples of positive integers of given length summing to total >= 1,
+    as the gaps between parts - 1 cut points drawn from 1..total - 1."""
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in pairwise((0, *cuts, total)))
 
 
 def invert_series(medium: MediumSpec, max_order: int) -> list[float]:

@@ -25,24 +25,13 @@ class UnitSystem:
                 raise ValueError(f"{name} must be strictly positive")
 
 
-def natural_units() -> UnitSystem:
-    return UnitSystem()
-
-
-def si_units() -> UnitSystem:
-    return UnitSystem(
-        eps0=8.8541878128e-12,
-        mu0=1.25663706212e-6,
-        hbar=1.054571817e-34,
-        c=299792458.0,
-    )
-
-
-UNIT_PRESETS = {"natural": natural_units, "si": si_units}
+UNIT_PRESETS = {"natural": UnitSystem(),
+                "si": UnitSystem(eps0=8.8541878128e-12, mu0=1.25663706212e-6,
+                                 hbar=1.054571817e-34, c=299792458.0)}
 
 
 def units_from_name(name: str) -> UnitSystem:
     try:
-        return UNIT_PRESETS[name]()
+        return UNIT_PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown unit system {name!r}; expected 'natural' or 'si'") from None

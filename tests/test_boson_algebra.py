@@ -233,7 +233,7 @@ def hermitian_polys(draw, max_degree=4, max_terms=5):
 def test_conjugation_symmetry(p, q):
     # [p, q]^dag = [q^dag, p^dag] = -[p^dag, q^dag]
     lhs = commutator(p, q).dagger()
-    rhs = -commutator(p.dagger(), q.dagger())
+    rhs = (-1.0) * commutator(p.dagger(), q.dagger())
     assert lhs.isclose(rhs, tol=1e-10)
 
 

@@ -686,6 +686,25 @@ class TestCoherentState:
         assert all(isfinite(abs(amp)) for amp in psi.values())
         assert sum(abs(amp) ** 2 for amp in psi.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_largest_amplitude_that_a_float_holds(self):
+        # exp(-38^2 / 2) is a subnormal float; from the peak of the ladder on,
+        # the squared amplitudes no longer underflow
+        cutoff = coherent_cutoff(38.0)
+        psi = coherent_state(FockSpace(modes=(0,), cutoff=cutoff), 0, 38.0)
+        assert sum(abs(amp) ** 2 for amp in psi.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(abs(amp) ** 2 for (n,), amp in psi.items() if n >= cutoff - 1) \
+            <= EDGE_POPULATION_TOL
+
+    @pytest.mark.parametrize("build", [
+        coherent_cutoff,
+        lambda alpha: coherent_state(FockSpace(modes=(0,), cutoff=2000), 0, alpha),
+    ], ids=["cutoff", "state"])
+    def test_amplitude_whose_vacuum_overlap_underflows_raises(self, build):
+        # exp(-39^2 / 2) underflows to 0.0: every amplitude was 0 and the
+        # renormalization divided by zero
+        with pytest.raises(ValueError, match=r"^coherent state of \|alpha\| = 39.0 underflows"):
+            build(39.0)
+
     def test_mean_occupation(self):
         space = FockSpace(modes=(0,), cutoff=30)
         psi = coherent_state(space, 0, 1.5)

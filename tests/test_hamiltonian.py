@@ -17,7 +17,7 @@ from dquant.maxwell import _route_hamiltonians
 from dquant.modes import (Mode, ModeSet, make_uniform_medium_modes, phase_matching_curve,
                           plane_wave_mode, sinc)
 from dquant.susceptibility import ROUTES, MediumSpec, invert_series
-from dquant.units import UnitSystem, si_units
+from dquant.units import UnitSystem, units_from_name
 
 NAT = UnitSystem()
 
@@ -400,7 +400,7 @@ class TestSchemeResonantCoefficients:
     def test_si_coefficient_is_the_closed_form_theta(self):
         # each D coefficient is ~1e-19 in SI, below PRUNE_TOL, but the builder
         # multiplies the coefficients themselves and prunes nothing
-        units = si_units()
+        units = units_from_name("si")
         ms, length, medium, etas = three_wave_setup(chi1=0.5, chi2=0.3, length=1.7, units=units)
         theta = closed_form_theta(ms, length, etas[1], units)
         built = triple_coefficients(ms, length, medium)["D-based"]
@@ -580,7 +580,7 @@ class TestBuildInteraction:
     @pytest.mark.parametrize("l_box", [2 * pi, pi, 6.0])
     def test_consistent_with_cubic_builder_in_si(self, l_box):
         # theta ~ 1e-35 J in SI: the builder prunes nothing, so the relation holds there too
-        units = si_units()
+        units = units_from_name("si")
         ms, length, medium, etas = three_wave_setup(chi1=0.5, chi2=0.3, l_box=l_box,
                                                     length=1.7, units=units)
         theta = closed_form_theta(ms, length, etas[1], units)

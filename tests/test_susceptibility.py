@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from dquant import susceptibility
 from dquant.hamiltonian import prefactor_ratio
 from dquant.susceptibility import (
     MediumSpec,
@@ -118,6 +119,14 @@ class TestInvertSeries:
     def test_order_below_one_raises(self):
         with pytest.raises(ValueError, match="max_order must be >= 1"):
             invert_series(MediumSpec([0.5]), 0)
+
+
+def test_compositions_are_the_recursive_oracles_in_its_order():
+    # invert_series adds one term per composition, so their order fixes its bits
+    for total in range(1, 16):
+        for parts in range(1, 10):
+            assert (list(susceptibility._compositions(total, parts))
+                    == list(tensor_oracle._compositions(total, parts)))
 
 
 @settings(max_examples=60, deadline=None)
